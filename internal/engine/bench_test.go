@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"ranksql/internal/exec"
-	"ranksql/internal/optimizer"
 	"ranksql/internal/types"
 )
 
@@ -66,8 +64,8 @@ const benchTemplate = `SELECT name, price, stars, sales FROM product
 	ORDER BY 0.5*rating(stars) + 0.3*popular(sales) + 0.2*bargain(price) LIMIT ?`
 
 // BenchmarkTemplateHit measures the engine's template-hit serve path:
-// the plan is cached, so each iteration pays only clone-and-rebind (or
-// its pooled replacement), execution and result materialization.
+// the plan is cached, so each iteration pays only the pooled instance's
+// rebind, execution and result materialization.
 func BenchmarkTemplateHit(b *testing.B) {
 	db := benchDB(b, 1000)
 	db.ProfileEvery = 0 // steady-state: no sampled profiling
@@ -92,9 +90,9 @@ func BenchmarkTemplateHit(b *testing.B) {
 	}
 }
 
-// BenchmarkRebind isolates the clone-and-rebind step: what it costs to
-// turn a cached plan plus fresh parameter values into a runnable
-// operator tree, without executing it.
+// BenchmarkRebind isolates the rebind step: what it costs to turn a
+// cached plan plus fresh parameter values into a runnable operator tree,
+// without executing it.
 func BenchmarkRebind(b *testing.B) {
 	db := benchDB(b, 100)
 	db.ProfileEvery = 0
@@ -122,50 +120,6 @@ func BenchmarkRebind(b *testing.B) {
 		if err := inst.bind(params); err != nil {
 			b.Fatal(err)
 		}
-		cp.releaseInstance(inst)
-	}
-}
-
-// BenchmarkRebindLegacy is the clone-and-rebuild path the pooled
-// instances replaced (still what cursors use): deep-copy the plan with
-// values substituted, rebuild the operator tree, re-resolve the
-// projection.
-func BenchmarkRebindLegacy(b *testing.B) {
-	db := benchDB(b, 100)
-	db.ProfileEvery = 0
-	st, err := db.Prepare(benchTemplate)
-	if err != nil {
-		b.Fatal(err)
-	}
-	params := []types.Value{types.NewFloat(400), types.NewInt(10)}
-	if _, err := st.Query(params); err != nil {
-		b.Fatal(err)
-	}
-	db.mu.RLock()
-	cp := db.Plans.Get(planKey{norm: st.norm, k: 10, version: db.version})
-	db.mu.RUnlock()
-	if cp == nil {
-		b.Fatal("plan not cached")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		plan := cp.Plan
-		if cp.HasParams {
-			bound, err := optimizer.BindPlanParams(cp.Plan, params)
-			if err != nil {
-				b.Fatal(err)
-			}
-			plan = bound
-		}
-		op, err := plan.Build(cp.Env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if cp.Proj != nil {
-			if _, err := exec.NewProject(op, cp.Proj); err != nil {
-				b.Fatal(err)
-			}
-		}
+		inst.release()
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"ranksql/internal/exec"
-	"ranksql/internal/optimizer"
 	"ranksql/internal/schema"
 	"ranksql/internal/sql"
 	"ranksql/internal/types"
@@ -41,16 +39,14 @@ var ErrCursorClosed = errors.New("engine: cursor is closed")
 type Cursor struct {
 	db *DB
 
-	mu        sync.Mutex
-	op        exec.Operator
-	ctx       *exec.Context
-	cp        *CompiledPlan // nil for set-operation cursors
+	mu sync.Mutex
+	// s is the suspended stream; nil once the cursor is closed.
+	s         *stream
 	columns   []string
 	k         int // the statement's LIMIT (plan-tuning hint; 0 = none)
 	version   uint64
 	pulled    int
 	exhausted bool
-	closed    bool
 	cacheHit  bool
 	// pending holds tuples pulled by an interrupted fetch: they were
 	// already consumed from the operator tree, so the next fetch must
@@ -66,192 +62,34 @@ func (db *DB) QueryCursor(src string) (*Cursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch s := st.(type) {
-	case *sql.SelectStmt:
-		if n := sql.CountParams(st); n > 0 {
-			return nil, fmt.Errorf("engine: statement has %d unbound parameter(s); use Prepare", n)
-		}
-		return db.openCursorSelect(s, "", nil, nil)
-	case *sql.SetOpStmt:
-		if n := sql.CountParams(st); n > 0 {
-			return nil, fmt.Errorf("engine: statement has %d unbound parameter(s); use Prepare", n)
-		}
-		return db.openCursorSetOp(s)
-	default:
-		return nil, fmt.Errorf("engine: QueryCursor expects a SELECT statement")
-	}
+	return db.cursor(st, "", nil, nil)
 }
 
 // Cursor opens a resumable ranked cursor over a prepared query with the
 // given parameter values, through the same plan-cache paths as Query.
 func (p *Prepared) Cursor(params []types.Value) (*Cursor, error) {
-	switch s := p.stmt.(type) {
-	case *sql.SelectStmt:
-		return p.db.openCursorSelect(s, p.norm, params, p)
-	case *sql.SetOpStmt:
-		if len(params) != 0 {
-			return nil, fmt.Errorf("engine: set-operation statements take no parameters")
-		}
-		return p.db.openCursorSetOp(s)
-	default:
-		return nil, fmt.Errorf("engine: prepared statement is not a query; use Exec")
-	}
+	return p.db.cursor(p.stmt, p.norm, params, p)
 }
 
-// openCursorSelect mirrors querySelect's plan-cache paths (shared LRU
-// for parameterized templates, per-Prepared cache for literal-only
-// statements), but instead of draining the tree it opens it once and
-// suspends. Fetch pulls pages from the suspended tree.
-func (db *DB) openCursorSelect(sel *sql.SelectStmt, norm string, params []types.Value, pr *Prepared) (*Cursor, error) {
-	if sel.Explain {
-		return nil, fmt.Errorf("engine: cannot open a cursor on an EXPLAIN statement")
-	}
-	var want int
-	if pr != nil {
-		want = pr.numParams
-	} else {
-		want = sql.CountParams(sel)
-	}
-	if want != len(params) {
-		return nil, fmt.Errorf("engine: statement has %d parameter(s), %d value(s) bound", want, len(params))
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-
-	k := sel.Limit
-	if sel.LimitParam > 0 {
-		n, err := sql.LimitValue(params, sel.LimitParam)
-		if err != nil {
-			return nil, err
-		}
-		k = n
-	}
-
-	parameterized := want > 0
-	var cp *CompiledPlan
-	switch {
-	case parameterized:
-		cp = db.Plans.Get(planKey{norm: norm, k: k, version: db.version})
-	case pr != nil:
-		pr.localMu.Lock()
-		if pr.localPlan != nil && pr.localVersion == db.version {
-			cp = pr.localPlan
-		}
-		pr.localMu.Unlock()
-	}
-	if cp != nil && db.planStale(cp) {
-		db.Plans.noteStale()
-		cp = nil
-	}
-	cacheHit := cp != nil
-	if cp == nil {
-		bound, err := sql.BindParams(sel, params)
-		if err != nil {
-			return nil, err
-		}
-		compiled, op, err := db.compileSelect(bound.(*sql.SelectStmt))
-		if err != nil {
-			return nil, err
-		}
-		// The compile built a full (limited) tree to resolve the output
-		// schema; the cursor builds its own un-limited tree below.
-		_ = op.Close()
-		switch {
-		case parameterized:
-			db.Plans.Put(planKey{norm: norm, k: k, version: db.version}, compiled)
-		case pr != nil:
-			pr.localMu.Lock()
-			pr.localPlan, pr.localVersion = compiled, db.version
-			pr.localMu.Unlock()
-		}
-		cp = compiled
-	}
-
-	op, err := db.buildCursorTree(cp, params)
-	if err != nil {
-		return nil, err
-	}
-	ctx := exec.NewContext(cp.Spec)
-	ctx.SpinPerCostUnit = db.SpinPerCostUnit
-	ctx.Profile = db.shouldProfile(cp)
-	if err := op.Open(ctx); err != nil {
-		_ = op.Close()
-		return nil, err
-	}
-	return &Cursor{
-		db: db, op: op, ctx: ctx, cp: cp,
-		columns: cp.Columns, k: k, version: db.version, cacheHit: cacheHit,
-	}, nil
-}
-
-// buildCursorTree instantiates a compiled plan for streaming: the root
-// limit node is stripped (the statement's k tuned the plan, the cursor
-// pages the stream), parameters are rebound, and the projection is
-// re-applied. Callers hold db.mu (read side).
-func (db *DB) buildCursorTree(cp *CompiledPlan, params []types.Value) (exec.Operator, error) {
-	plan := cp.Plan
-	if cp.HasParams {
-		bound, err := optimizer.BindPlanParams(cp.Plan, params)
-		if err != nil {
-			return nil, err
-		}
-		plan = bound
-	}
-	if plan.Kind == optimizer.KindLimit && len(plan.Children) == 1 {
-		plan = plan.Children[0]
-	}
-	op, err := plan.Build(cp.Env)
-	if err != nil {
-		return nil, err
-	}
-	if cp.Proj != nil {
-		pr, err := exec.NewProject(op, cp.Proj)
-		if err != nil {
-			return nil, err
-		}
-		op = pr
-	}
-	return op, nil
-}
-
-// openCursorSetOp opens a cursor over a rank-aware set operation. The
-// operands are optimized as usual; no limit node is added, so the
-// merged stream pages indefinitely.
-func (db *DB) openCursorSetOp(st *sql.SetOpStmt) (*Cursor, error) {
-	if st.Explain {
+// cursor resolves the statement's stream exactly as query does, but
+// instead of draining it opens it once and suspends it; Fetch pulls pages.
+func (db *DB) cursor(st sql.Stmt, norm string, params []types.Value, pr *Prepared) (*Cursor, error) {
+	if explain, _ := explainFlags(st); explain {
 		return nil, fmt.Errorf("engine: cannot open a cursor on an EXPLAIN statement")
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	lop, rop, spec, err := db.buildSetOp(st)
+	s, hit, err := db.streamFor(st, norm, params, pr)
 	if err != nil {
 		return nil, err
 	}
-	var root exec.Operator
-	switch st.Kind {
-	case sql.SetUnion:
-		root, err = exec.NewRankUnion(lop, rop)
-	case sql.SetIntersect:
-		root, err = exec.NewRankIntersect(lop, rop)
-	default:
-		root, err = exec.NewRankDiff(lop, rop)
-	}
-	if err != nil {
+	if err := s.open(db, params, db.shouldProfile(s.cp), true); err != nil {
+		s.release()
 		return nil, err
-	}
-	ctx := exec.NewContext(spec)
-	ctx.SpinPerCostUnit = db.SpinPerCostUnit
-	if err := root.Open(ctx); err != nil {
-		_ = root.Close()
-		return nil, err
-	}
-	var columns []string
-	for _, c := range root.Schema().Columns {
-		columns = append(columns, c.QualifiedName())
 	}
 	return &Cursor{
-		db: db, op: root, ctx: ctx,
-		columns: columns, k: st.Limit, version: db.version,
+		db: db, s: s,
+		columns: s.columns, k: s.k(), version: db.version, cacheHit: hit,
 	}, nil
 }
 
@@ -273,7 +111,7 @@ func (c *Cursor) FetchCancel(n int, cancel <-chan struct{}) (*Rows, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.s == nil {
 		return nil, ErrCursorClosed
 	}
 	c.db.mu.RLock()
@@ -282,22 +120,14 @@ func (c *Cursor) FetchCancel(n int, cancel <-chan struct{}) (*Rows, error) {
 		_ = c.closeLocked()
 		return nil, ErrCursorInvalidated
 	}
-	rows := &Rows{
-		Columns:  append([]string(nil), c.columns...),
-		CacheHit: c.cacheHit,
-		K:        n,
-	}
-	if c.exhausted {
-		rows.Exhausted = true
-		rows.Stats = c.ctx.Stats
-		return rows, nil
-	}
 	tuples := c.pending
 	c.pending = nil
-	if len(tuples) < n {
-		c.ctx.Cancel = cancel
-		more, err := exec.PullN(c.ctx, c.op, n-len(tuples))
-		c.ctx.Cancel = nil
+	switch {
+	case len(tuples) > n:
+		c.pending = tuples[n:]
+		tuples = tuples[:n:n]
+	case len(tuples) < n && !c.exhausted:
+		more, err := c.s.pull(n-len(tuples), cancel)
 		tuples = append(tuples, more...)
 		if err != nil {
 			// The pull was interrupted (cancellation) or failed; the
@@ -306,34 +136,18 @@ func (c *Cursor) FetchCancel(n int, cancel <-chan struct{}) (*Rows, error) {
 			c.pending = tuples
 			return nil, err
 		}
-	} else {
-		c.pending = tuples[n:]
-		tuples = tuples[:n:n]
-	}
-	for _, t := range tuples {
-		rows.Data = append(rows.Data, t.Values)
-		rows.Scores = append(rows.Scores, t.Score)
-	}
-	rows.Stats = c.ctx.Stats
-	tree := exec.SnapshotTree(c.op)
-	rows.ExecTree = tree.String
-	rows.Tree = tree
-	rows.Profiled = tree.Profiled()
-	if c.cp != nil {
-		rows.Plan = c.cp.Plan
-		if rows.Profiled {
-			rows.Est = PlanEstimates(c.cp.Plan, tree)
-		}
+		c.exhausted = len(tuples) < n
 	}
 	c.pulled += len(tuples)
-	if len(tuples) < n {
-		c.exhausted = true
-	}
+	rows := c.s.rows(tuples)
+	rows.CacheHit = c.cacheHit
+	rows.K = n
 	rows.Exhausted = c.exhausted
 	return rows, nil
 }
 
-// Close releases the suspended operator tree. Idempotent.
+// Close hands the suspended stream back to its plan (a stream that failed
+// mid-pull is dropped instead). Idempotent.
 func (c *Cursor) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -341,16 +155,12 @@ func (c *Cursor) Close() error {
 }
 
 func (c *Cursor) closeLocked() error {
-	if c.closed {
+	s := c.s
+	if s == nil {
 		return nil
 	}
-	c.closed = true
-	op := c.op
-	c.op = nil
-	if op != nil {
-		return op.Close()
-	}
-	return nil
+	c.s, c.pending = nil, nil
+	return s.release()
 }
 
 // Pulled returns the total number of tuples fetched so far — the base
@@ -394,10 +204,10 @@ const pinnedColumnBytes = 48
 func (c *Cursor) PinnedBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.s == nil {
 		return 0
 	}
-	tuples := c.ctx.Stats.Buffered + int64(len(c.pending))
+	tuples := c.s.ctx.Stats.Buffered + int64(len(c.pending))
 	if tuples < 0 {
 		tuples = 0
 	}

@@ -3,9 +3,11 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
+	"ranksql/internal/sql"
 	"ranksql/internal/types"
 )
 
@@ -13,6 +15,14 @@ import (
 // grid-valued score inputs so ties are common. The deterministic LCG
 // keeps the dataset stable across runs.
 func cursorDB(t *testing.T, nRows int) *DB {
+	t.Helper()
+	return gridDB(t, nRows, 21)
+}
+
+// gridDB is cursorDB with the grid cut to its lowest `levels` values
+// (0, 0.05, ...): below 21 no row reaches a score input of 1.0, so a test
+// can insert rows that strictly outrank every existing one.
+func gridDB(t *testing.T, nRows, levels int) *DB {
 	t.Helper()
 	db := New()
 	if _, err := db.Exec(`CREATE TABLE item (id INT, a FLOAT, b FLOAT)`); err != nil {
@@ -34,7 +44,7 @@ func cursorDB(t *testing.T, nRows int) *DB {
 	var vals []string
 	for i := 0; i < nRows; i++ {
 		vals = append(vals, fmt.Sprintf("(%d, %.2f, %.2f)",
-			i, float64(next(21))/20, float64(next(21))/20))
+			i, float64(next(levels))/20, float64(next(levels))/20))
 	}
 	if _, err := db.Exec(`INSERT INTO item VALUES ` + strings.Join(vals, ", ")); err != nil {
 		t.Fatal(err)
@@ -320,4 +330,322 @@ func TestCursorSetOp(t *testing.T) {
 	defer c.Close()
 	data, scores := collectPages(t, c, 2)
 	assertSameRanking(t, data, scores, ref)
+}
+
+// routeDB extends the cursor dataset for the every-route property: rank
+// indexes (so plans rank-scan and rank-join), a second joinable table, and
+// a union-compatible copy of half of item. Score inputs stay below 1.0.
+func routeDB(t *testing.T) *DB {
+	t.Helper()
+	db := gridDB(t, 300, 20)
+	if err := db.RegisterScorer("sw", Scorer{
+		Fn:   func(args []types.Value) float64 { f, _ := args[0].AsFloat(); return f },
+		Cost: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RegisterScorer("near", Scorer{
+		Fn: func(args []types.Value) float64 {
+			a, _ := args[0].AsFloat()
+			b, _ := args[1].AsFloat()
+			return 1 - math.Abs(a-b)
+		},
+		Cost: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	mustExec := func(s string) {
+		t.Helper()
+		if _, err := db.Exec(s); err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+	}
+	mustExec(`CREATE TABLE tag (id INT, w FLOAT)`)
+	mustExec(`CREATE TABLE item2 (id INT, a FLOAT, b FLOAT)`)
+	all, err := db.Query(`SELECT id, a, b FROM item`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tags, copies []string
+	for i, row := range all.Data {
+		tags = append(tags, fmt.Sprintf("(%s, %.2f)", row[0], float64((i*37)%20)/20))
+		if i%2 == 0 {
+			copies = append(copies, fmt.Sprintf("(%s, %s, %s)", row[0], row[1], row[2]))
+		}
+	}
+	mustExec(`INSERT INTO tag VALUES ` + strings.Join(tags, ", "))
+	mustExec(`INSERT INTO item2 VALUES ` + strings.Join(copies, ", ") + `, (5001, 0.9, 0.85), (5002, 0.4, 0.75)`)
+	mustExec(`CREATE RANK INDEX ON item (sa(a))`)
+	mustExec(`CREATE RANK INDEX ON item2 (sa(a))`)
+	mustExec(`CREATE RANK INDEX ON tag (sw(w))`)
+	return db
+}
+
+// routeCase is one statement of the every-route property. sql is a
+// template; lits are the literal spellings of params, for the ad-hoc
+// route. plan names an operator the optimizer must have picked, so the
+// case keeps testing what its name says.
+type routeCase struct {
+	name   string
+	sql    string
+	params []types.Value
+	lits   []string
+	plan   string
+}
+
+var routeCases = []routeCase{
+	{name: "rank-scan with Boolean filter", plan: "idxScan_sa",
+		sql: `SELECT * FROM item WHERE a >= 0.2 AND b >= 0.1 ORDER BY sa(a) LIMIT 10`},
+	{name: "mu-chain", plan: "rank_",
+		sql: `SELECT * FROM item WHERE a >= 0.2 ORDER BY sa(a) + sb(b) + near(a, b) LIMIT 10`},
+	{name: "2-way rank-join", plan: "RJN",
+		sql: `SELECT * FROM item i, tag g WHERE i.id = g.id AND i.a >= 0.2 ORDER BY sa(i.a) + sw(g.w) LIMIT 10`},
+	{name: "projection", plan: "idxScan_sa",
+		sql: `SELECT b, id FROM item WHERE a >= 0.2 ORDER BY sa(a) + sb(b) LIMIT 10`},
+	{name: "no LIMIT", plan: "filter",
+		sql: `SELECT id, a FROM item WHERE a >= 0.9 ORDER BY sa(a) + sb(b)`},
+	{name: "LIMIT ?", plan: "idxScan_sa",
+		sql:    `SELECT id, a, b FROM item WHERE a >= ? ORDER BY sa(a) + sb(b) LIMIT ?`,
+		params: []types.Value{types.NewFloat(0.2), types.NewInt(10)}, lits: []string{"0.2", "10"}},
+	{name: "UNION", plan: "rankUnion",
+		sql: `SELECT id, a, b FROM item WHERE a >= 0.2 UNION SELECT id, a, b FROM item2 ORDER BY sa(a) + sb(b) LIMIT 10`},
+	{name: "INTERSECT", plan: "rankIntersect",
+		sql: `SELECT id, a, b FROM item INTERSECT SELECT id, a, b FROM item2 ORDER BY sa(a) + sb(b) LIMIT 10`},
+	{name: "EXCEPT", plan: "rankDiff",
+		sql: `SELECT id, a, b FROM item EXCEPT SELECT id, a, b FROM item2 ORDER BY sa(a) + sb(b) LIMIT 10`},
+}
+
+// adhoc spells the template with its literals: the route that compiles
+// from scratch and shares no plan, pool or stream with the prepared ones.
+func (c routeCase) adhoc() string {
+	q := c.sql
+	for _, l := range c.lits {
+		q = strings.Replace(q, "?", l, 1)
+	}
+	return q
+}
+
+// ranking renders a result's rows and scores for exact comparison: the
+// routes below run one plan on one tree shape, so even the order inside
+// tie groups must agree.
+func ranking(data [][]types.Value, scores []float64) []string {
+	out := make([]string, len(data))
+	for i, row := range data {
+		out[i] = fmt.Sprintf("%v @ %.9f", row, scores[i])
+	}
+	return out
+}
+
+func sameRanking(t *testing.T, what string, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: rank %d = %s, want %s", what, i+1, got[i], want[i])
+		}
+	}
+}
+
+// checkRoutes asserts, for one statement, that every way of running it
+// yields the one-shot answer: cursor pages of several sizes concatenated
+// and cut at k, and a one-shot re-run on the instance a half-read cursor
+// handed back. A cursor that stops where the one-shot run stopped (depth
+// k, or the end of the stream) must also have scanned exactly as much.
+func checkRoutes(t *testing.T, c routeCase, st *Prepared, wantHit bool) []string {
+	t.Helper()
+	ref, err := st.Query(c.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.CacheHit != wantHit {
+		t.Fatalf("one-shot cache hit = %v, want %v", ref.CacheHit, wantHit)
+	}
+	want := ranking(ref.Data, ref.Scores)
+	if len(want) == 0 {
+		t.Fatal("empty reference result")
+	}
+	depth := ref.K
+	if ref.Exhausted {
+		depth = len(want) + 1 // the one-shot run drained the stream
+	}
+	for _, page := range []int{1, 3, len(want), len(want) + 7} {
+		cur, err := st.Cursor(c.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var data [][]types.Value
+		var scores []float64
+		for len(data) < depth && !cur.Exhausted() {
+			rows, err := cur.Fetch(page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data = append(data, rows.Data...)
+			scores = append(scores, rows.Scores...)
+			stopped := (len(data) == depth && !ref.Exhausted) || (cur.Exhausted() && ref.Exhausted)
+			if stopped && rows.Stats.TuplesScanned != ref.Stats.TuplesScanned {
+				t.Errorf("pages of %d: cursor scanned %d tuples to the depth the one-shot run reached with %d",
+					page, rows.Stats.TuplesScanned, ref.Stats.TuplesScanned)
+			}
+		}
+		if err := cur.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(data) > len(want) {
+			data, scores = data[:len(want)], scores[:len(want)]
+		}
+		sameRanking(t, fmt.Sprintf("pages of %d", page), ranking(data, scores), want)
+	}
+
+	half, err := st.Cursor(c.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := half.Fetch(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := half.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := st.Query(c.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRanking(t, "one-shot after a half-read cursor", ranking(again.Data, again.Scores), want)
+	if again.Stats.TuplesScanned != ref.Stats.TuplesScanned {
+		t.Errorf("one-shot after a half-read cursor scanned %d tuples, first run %d",
+			again.Stats.TuplesScanned, ref.Stats.TuplesScanned)
+	}
+	return want
+}
+
+// TestEveryRouteAgrees runs a fixed list of statements through every way
+// the engine executes one — ad hoc, prepared one-shot, cursor pages,
+// one-shot on a reused instance — before and after an INSERT that changes
+// the answer. All of them open one kind of stream, so all must agree.
+func TestEveryRouteAgrees(t *testing.T) {
+	for _, c := range routeCases {
+		t.Run(c.name, func(t *testing.T) {
+			db := routeDB(t)
+			plan, err := db.Explain(c.adhoc())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(plan, c.plan) {
+				t.Fatalf("plan has no %q operator; the case no longer tests its name:\n%s", c.plan, plan)
+			}
+			st, err := db.Prepare(c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, setOp := st.stmt.(*sql.SetOpStmt)
+			before := checkRoutes(t, c, st, false)
+
+			// The new rows outrank everything; 900002 exists only in item,
+			// so EXCEPT sees it too.
+			for _, ins := range []string{
+				`INSERT INTO item VALUES (900001, 1.0, 1.0), (900002, 1.0, 0.99)`,
+				`INSERT INTO item2 VALUES (900001, 1.0, 1.0)`,
+				`INSERT INTO tag VALUES (900001, 1.0), (900002, 1.0)`,
+			} {
+				if _, err := db.Exec(ins); err != nil {
+					t.Fatal(err)
+				}
+			}
+			after := checkRoutes(t, c, st, !setOp) // set operations are not cached
+			if after[0] == before[0] {
+				t.Errorf("top row unchanged by the insert: %s", after[0])
+			}
+			fresh, err := db.Query(c.adhoc())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRanking(t, "ad hoc after the insert", ranking(fresh.Data, fresh.Scores), after)
+		})
+	}
+}
+
+// TestQueryAndCursorShareInstances is the -race half of the property:
+// goroutines mix Query with Cursor/Fetch/Close (half-read and drained to
+// k) on one prepared template, so plan instances keep moving between
+// one-shot runs and suspended streams, while a writer inserts rows the
+// filter rejects — the index swap must not disturb anyone's answer.
+func TestQueryAndCursorShareInstances(t *testing.T) {
+	db := routeDB(t)
+	c := routeCases[5] // LIMIT ?
+	st, err := db.Prepare(c.sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := st.Query(c.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ranking(ref.Data, ref.Scores)
+
+	const workers, rounds = 4, 30
+	errs := make(chan error, workers+1)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			for i := 0; i < rounds; i++ {
+				var got []string
+				if (w+i)%2 == 0 {
+					rows, err := st.Query(c.params)
+					if err != nil {
+						errs <- err
+						return
+					}
+					got = ranking(rows.Data, rows.Scores)
+				} else {
+					cur, err := st.Cursor(c.params)
+					if err != nil {
+						errs <- err
+						return
+					}
+					var data [][]types.Value
+					var scores []float64
+					for _, n := range []int{3, 7} {
+						if n == 7 && i%3 == 0 {
+							break // close half-read
+						}
+						rows, err := cur.Fetch(n)
+						if err != nil {
+							errs <- err
+							return
+						}
+						data = append(data, rows.Data...)
+						scores = append(scores, rows.Scores...)
+					}
+					if err := cur.Close(); err != nil {
+						errs <- err
+						return
+					}
+					got = ranking(data, scores)
+				}
+				for j := range got {
+					if got[j] != want[j] {
+						errs <- fmt.Errorf("worker %d round %d: rank %d = %s, want %s", w, i, j+1, got[j], want[j])
+						return
+					}
+				}
+			}
+			errs <- nil
+		}(w)
+	}
+	go func() {
+		for i := 0; i < rounds; i++ {
+			if _, err := db.Exec(fmt.Sprintf(`INSERT INTO item VALUES (%d, 0.0, 1.0)`, 700000+i)); err != nil {
+				errs <- err
+				return
+			}
+		}
+		errs <- nil
+	}()
+	for i := 0; i < workers+1; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
 }

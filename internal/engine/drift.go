@@ -1,45 +1,24 @@
 package engine
 
 import (
-	"strings"
-
 	"ranksql/internal/exec"
 	"ranksql/internal/optimizer"
 )
 
 // PlanEstimates aligns a compiled plan's per-node cardinality estimates
 // with an executed-tree snapshot, returning one estimate per snapshot
-// node (pre-order, parallel to tree). The executed tree is built from
-// the plan, so the shapes normally match 1:1; the two deliberate
-// divergences are handled here:
-//
-//   - the cursor path strips the plan's root limit node (the statement's
-//     k tuned the plan, the cursor pages the stream), and
-//   - the engine wraps the built tree in an exec Project when the
-//     statement projects columns (the projection is not a plan node).
-//
-// A projection passes its input through row-for-row, so the synthetic
-// root inherits its input's estimate. Any other shape mismatch returns
-// nil: estimate drift is a diagnostic, and a wrong positional pairing
-// would be worse than no pairing.
+// node (pre-order, parallel to tree). Every tree is built from its plan
+// node for node, so the two pair positionally; the one node the plan does
+// not have is the exec Project the engine roots the tree in when the
+// statement projects columns. A projection passes its input through
+// row-for-row, so that root inherits its input's estimate. Any other size
+// mismatch returns nil: estimate drift is a diagnostic, and a wrong
+// positional pairing would be worse than no pairing.
 func PlanEstimates(plan *optimizer.PlanNode, tree exec.TreeSnapshot) []float64 {
 	if plan == nil || len(tree) == 0 {
 		return nil
 	}
-	// Detect the cursor path: the plan roots at a limit node the executed
-	// tree does not contain at its top (the tree's root — or the node
-	// under a project wrapper — would carry a "limit(...)" label).
-	p := plan
-	if p.Kind == optimizer.KindLimit && len(p.Children) == 1 {
-		treeHasLimitRoot := strings.HasPrefix(tree[0].Label, "limit")
-		if !treeHasLimitRoot && len(tree) > 1 && strings.HasPrefix(tree[0].Label, "project") {
-			treeHasLimitRoot = strings.HasPrefix(tree[1].Label, "limit")
-		}
-		if !treeHasLimitRoot {
-			p = p.Children[0]
-		}
-	}
-	var ests []float64
+	ests := make([]float64, 0, len(tree))
 	var flatten func(n *optimizer.PlanNode)
 	flatten = func(n *optimizer.PlanNode) {
 		ests = append(ests, n.Card)
@@ -47,10 +26,9 @@ func PlanEstimates(plan *optimizer.PlanNode, tree exec.TreeSnapshot) []float64 {
 			flatten(c)
 		}
 	}
-	flatten(p)
-	if len(tree) == len(ests)+1 && strings.HasPrefix(tree[0].Label, "project") &&
-		p.Kind != optimizer.KindProject {
-		ests = append([]float64{p.Card}, ests...)
+	flatten(plan)
+	if len(tree) == len(ests)+1 {
+		ests = append([]float64{plan.Card}, ests...)
 	}
 	if len(tree) != len(ests) {
 		return nil

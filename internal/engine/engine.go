@@ -339,34 +339,36 @@ func (db *DB) appendRowsLocked(tm *catalog.TableMeta, rows [][]types.Value) (int
 // RebuildIndexes regenerates secondary structures (attribute and rank
 // indexes) after rows were appended. Simple and correct; bulk loads
 // should create indexes last.
+//
+// Each index keeps its identity: the fresh tree is swapped into the
+// existing *catalog.Index / *catalog.RankIndex, because pooled operator
+// trees hold those pointers from Build and read Tree at Open. A scan that
+// is already open keeps iterating the tree it started on, which is never
+// mutated — the snapshot an open cursor relies on. Callers hold db.mu
+// (write side).
 func (db *DB) RebuildIndexes(tm *catalog.TableMeta) error {
-	cols := make([]string, 0, len(tm.Indexes))
-	for _, idx := range tm.Indexes {
-		cols = append(cols, idx.Column)
-	}
-	tm.Indexes = map[string]*catalog.Index{}
-	for _, c := range cols {
-		if _, err := tm.CreateIndex(c); err != nil {
+	indexes, rankIndexes := tm.Indexes, tm.RankIndexes
+	tm.Indexes = make(map[string]*catalog.Index, len(indexes))
+	tm.RankIndexes = make(map[string]*catalog.RankIndex, len(rankIndexes))
+	for key, idx := range indexes {
+		fresh, err := tm.CreateIndex(idx.Column)
+		if err != nil {
 			return err
 		}
+		idx.Tree = fresh.Tree
+		tm.Indexes[key] = idx
 	}
-	type ri struct {
-		scorer string
-		cols   []string
-	}
-	var ris []ri
-	for _, r := range tm.RankIndexes {
-		ris = append(ris, ri{r.Scorer, r.Columns})
-	}
-	tm.RankIndexes = map[string]*catalog.RankIndex{}
-	for _, r := range ris {
-		sc, ok := db.Scorer(r.scorer)
+	for key, ri := range rankIndexes {
+		sc, ok := db.Scorer(ri.Scorer)
 		if !ok {
-			return fmt.Errorf("engine: scorer %q vanished", r.scorer)
+			return fmt.Errorf("engine: scorer %q vanished", ri.Scorer)
 		}
-		if _, err := tm.CreateRankIndex(r.scorer, r.cols, sc.Fn); err != nil {
+		fresh, err := tm.CreateRankIndex(ri.Scorer, ri.Columns, sc.Fn)
+		if err != nil {
 			return err
 		}
+		ri.Tree, ri.Scores = fresh.Tree, fresh.Scores
+		tm.RankIndexes[key] = ri
 	}
 	return nil
 }
@@ -378,22 +380,10 @@ func (db *DB) Query(src string) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch s := st.(type) {
-	case *sql.SelectStmt:
-		// Ad-hoc queries never consult the shared plan cache (no
-		// parameters can be bound through this path), so the normalized
-		// template is not needed.
-		return db.querySelect(s, "", nil, nil, nil)
-	case *sql.SetOpStmt:
-		if n := sql.CountParams(st); n > 0 {
-			return nil, fmt.Errorf("engine: statement has %d unbound parameter(s); use Prepare", n)
-		}
-		db.mu.RLock()
-		defer db.mu.RUnlock()
-		return db.runSetOp(s, nil)
-	default:
-		return nil, fmt.Errorf("engine: Query expects a SELECT statement")
-	}
+	// Ad-hoc queries never consult the shared plan cache (no parameters
+	// can be bound through this path), so the normalized template is not
+	// needed.
+	return db.query(st, "", nil, nil, nil)
 }
 
 // Explain returns the optimized plan for a SELECT without executing it.
@@ -419,7 +409,11 @@ func (db *DB) Explain(src string) (string, error) {
 		}
 		return res.Plan.String(), nil
 	case *sql.SetOpStmt:
-		return db.explainSetOp(s)
+		so, err := db.buildSetOp(s)
+		if err != nil {
+			return "", err
+		}
+		return so.planText(), nil
 	default:
 		return "", fmt.Errorf("engine: Explain expects a SELECT statement")
 	}

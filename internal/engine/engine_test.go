@@ -234,11 +234,23 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-// TestInsertRebuildsIndexes ensures inserts keep indexes consistent.
+// TestInsertRebuildsIndexes ensures inserts keep indexes consistent, on a
+// fresh compile and — the case a pooled operator tree makes interesting,
+// because it captured the index at Build — on a cached-template hit.
 func TestInsertRebuildsIndexes(t *testing.T) {
 	db := tripDB(t)
 	if _, err := db.Exec(`CREATE RANK INDEX ON Hotel (cheap(price))`); err != nil {
 		t.Fatal(err)
+	}
+	st, err := db.Prepare(`SELECT h.name FROM Hotel h WHERE h.price < ? ORDER BY cheap(h.price) LIMIT ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := []types.Value{types.NewFloat(500), types.NewInt(1)}
+	for i := 0; i < 2; i++ { // compile, then a hit that leaves a pooled tree
+		if _, err := st.Query(params); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := db.Exec(`INSERT INTO Hotel VALUES ('Hostel', 10, 70)`); err != nil {
 		t.Fatal(err)
@@ -249,5 +261,15 @@ func TestInsertRebuildsIndexes(t *testing.T) {
 	}
 	if rows.Data[0][0].Str() != "Hostel" {
 		t.Errorf("rank index stale after insert: top = %v", rows.Data[0])
+	}
+	rows, err = st.Query(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rows.CacheHit {
+		t.Fatal("template run after the insert should still hit the plan cache")
+	}
+	if rows.Data[0][0].Str() != "Hostel" {
+		t.Errorf("cached template scans a stale rank index after insert: top = %v", rows.Data[0])
 	}
 }

@@ -15,9 +15,10 @@ const DefaultPlanCacheCapacity = 256
 // CompiledPlan is a reusable optimized SELECT: the physical plan template
 // (whose filter/join conditions may contain parameter placeholders), the
 // environment to build it against, the ranking spec, and the resolved
-// projection. A CompiledPlan is immutable after compilation; executions
-// clone it (binding fresh parameter values) before building operators, so
-// one cached plan serves concurrent queries.
+// projection. A CompiledPlan is immutable after compilation: executions
+// run on pooled instances of it (streams), each a built operator tree
+// with private parameter slots, so one cached plan serves concurrent
+// queries and cursors.
 type CompiledPlan struct {
 	Plan *optimizer.PlanNode
 	Env  *optimizer.Env
@@ -25,8 +26,6 @@ type CompiledPlan struct {
 	// Proj are projection indexes over the plan's output schema; nil
 	// means SELECT *.
 	Proj []int
-	// Columns are the final qualified output column names.
-	Columns []string
 	// HasParams records whether Plan contains placeholder conditions
 	// that must be bound per execution.
 	HasParams bool
@@ -38,9 +37,9 @@ type CompiledPlan struct {
 	// sampling decision. Atomic: one cached plan serves concurrent
 	// queries under the DB read lock.
 	execs atomic.Uint64
-	// pool recycles built operator trees (planInstance) across
-	// executions of this plan. Instances hold the per-request mutable
-	// state, so the CompiledPlan itself stays immutable and shared.
+	// pool recycles the plan's streams across executions. They hold the
+	// per-request mutable state, so the CompiledPlan itself stays
+	// immutable and shared.
 	pool sync.Pool
 }
 

@@ -5,16 +5,16 @@ import (
 	"strings"
 	"sync"
 
-	"ranksql/internal/exec"
 	"ranksql/internal/optimizer"
+	"ranksql/internal/schema"
 	"ranksql/internal/sql"
 	"ranksql/internal/types"
 )
 
 // Prepared is a parsed statement template with `?` placeholders. It is
-// immutable and safe for concurrent use: every execution binds its own
-// parameter values into fresh copies of the template (and of the cached
-// plan), never into shared state.
+// immutable and safe for concurrent use: every execution writes its
+// parameter values into the private slots of the plan instance it runs
+// on, never into the template or the cached plan.
 type Prepared struct {
 	db        *DB
 	src       string
@@ -76,19 +76,7 @@ func (p *Prepared) Query(params []types.Value) (*Rows, error) {
 // QueryCancel is Query with a cancellation channel: closing cancel
 // interrupts execution at the next cancellation point.
 func (p *Prepared) QueryCancel(params []types.Value, cancel <-chan struct{}) (*Rows, error) {
-	switch s := p.stmt.(type) {
-	case *sql.SelectStmt:
-		return p.db.querySelect(s, p.norm, params, cancel, p)
-	case *sql.SetOpStmt:
-		if len(params) != 0 {
-			return nil, fmt.Errorf("engine: set-operation statements take no parameters")
-		}
-		p.db.mu.RLock()
-		defer p.db.mu.RUnlock()
-		return p.db.runSetOp(s, cancel)
-	default:
-		return nil, fmt.Errorf("engine: prepared statement is not a query; use Exec")
-	}
+	return p.db.query(p.stmt, p.norm, params, cancel, p)
 }
 
 // Exec executes a prepared DDL/DML statement with the given parameters.
@@ -104,13 +92,94 @@ func (p *Prepared) Exec(params []types.Value) (*Result, error) {
 	return p.db.execStmt(st)
 }
 
-// querySelect runs a SELECT template with bound parameters through the
-// plan cache: on a hit the parse/bind/optimize pipeline is skipped and the
-// cached plan is re-instantiated with the new values. Parameterized
+// streamFor resolves a query statement and its bound values to an
+// unopened stream — an instance of the (cached or just compiled) plan for
+// a SELECT, a freshly built tree for a set operation — and reports whether
+// a cached plan was reused. pr is the Prepared handle, nil for ad-hoc
+// statements. Callers hold db.mu (read side).
+func (db *DB) streamFor(st sql.Stmt, norm string, params []types.Value, pr *Prepared) (*stream, bool, error) {
+	switch q := st.(type) {
+	case *sql.SelectStmt:
+		cp, hit, err := db.resolvePlan(q, norm, params, pr)
+		if err != nil {
+			return nil, false, err
+		}
+		s, err := cp.acquireInstance()
+		return s, hit, err
+	case *sql.SetOpStmt:
+		// Prepare rejects placeholders in set operations, so any here came
+		// in through an ad-hoc entry point.
+		if n := sql.CountParams(st); n > 0 || len(params) > 0 {
+			return nil, false, fmt.Errorf("engine: set-operation statements take no parameters (%d placeholder(s), %d value(s))", n, len(params))
+		}
+		s, err := db.buildSetOp(q)
+		return s, false, err
+	default:
+		return nil, false, fmt.Errorf("engine: statement is not a query; use Exec")
+	}
+}
+
+// explainFlags reads EXPLAIN and EXPLAIN ANALYZE off a query statement.
+func explainFlags(st sql.Stmt) (explain, analyze bool) {
+	switch q := st.(type) {
+	case *sql.SelectStmt:
+		return q.Explain, q.Analyze
+	case *sql.SetOpStmt:
+		return q.Explain, q.Analyze
+	}
+	return false, false
+}
+
+// query is the one-shot run every Query entry point ends in: resolve the
+// stream, open it, pull until λ_k's quota (or the input) ends it, shape
+// the rows, release. EXPLAIN [ANALYZE] rides the same path: Normalize
+// ignores the flags, so an analyze run shares (and warms) the plan-cache
+// entry of the underlying SELECT.
+func (db *DB) query(st sql.Stmt, norm string, params []types.Value, cancel <-chan struct{}, pr *Prepared) (*Rows, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	s, hit, err := db.streamFor(st, norm, params, pr)
+	if err != nil {
+		return nil, err
+	}
+	explain, analyze := explainFlags(st)
+	if explain && !analyze {
+		rows := planTextRows(s.planText())
+		rows.CacheHit = hit
+		s.release()
+		return rows, nil
+	}
+	err = s.open(db, params, analyze || db.shouldProfile(s.cp), false)
+	var tuples []*schema.Tuple
+	if err == nil {
+		tuples, err = s.pull(0, cancel)
+	}
+	if err != nil {
+		s.release()
+		return nil, err
+	}
+	rows := s.rows(tuples)
+	rows.CacheHit = hit
+	// A result shorter than k means the operators ran dry (no more
+	// matching tuples exist); exactly k rows means deeper rows may exist.
+	rows.K = s.k()
+	rows.Exhausted = rows.K == 0 || len(rows.Data) < rows.K
+	s.release()
+	if analyze {
+		rows = analyzeRows(rows)
+	}
+	return rows, nil
+}
+
+// resolvePlan finds or compiles the plan for a SELECT template with bound
+// values: on a hit the parse/bind/optimize pipeline is skipped. k is
+// resolved first because it is part of the plan identity — the rank-aware
+// optimizer's plan choice depends on the top-k depth. Parameterized
 // templates share the DB-wide LRU; literal-only statements are cached on
 // their Prepared handle (pr; nil for ad-hoc queries, which then skip
-// caching so one-off literal SQL cannot evict hot templates).
-func (db *DB) querySelect(sel *sql.SelectStmt, norm string, params []types.Value, cancel <-chan struct{}, pr *Prepared) (*Rows, error) {
+// caching so one-off literal SQL cannot evict hot templates). Callers hold
+// db.mu (read side).
+func (db *DB) resolvePlan(sel *sql.SelectStmt, norm string, params []types.Value, pr *Prepared) (cp *CompiledPlan, hit bool, err error) {
 	// The placeholder count is cached on the prepared statement; walking
 	// the expression trees on every execution would tax the hot path.
 	var want int
@@ -120,33 +189,20 @@ func (db *DB) querySelect(sel *sql.SelectStmt, norm string, params []types.Value
 		want = sql.CountParams(sel)
 	}
 	if want != len(params) {
-		return nil, fmt.Errorf("engine: statement has %d parameter(s), %d value(s) bound", want, len(params))
+		return nil, false, fmt.Errorf("engine: statement has %d parameter(s), %d value(s) bound", want, len(params))
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-
-	// Resolve the effective k: it is part of the plan identity because the
-	// rank-aware optimizer's plan choice depends on the top-k depth.
 	k := sel.Limit
 	if sel.LimitParam > 0 {
-		n, err := sql.LimitValue(params, sel.LimitParam)
-		if err != nil {
-			return nil, err
+		if k, err = sql.LimitValue(params, sel.LimitParam); err != nil {
+			return nil, false, err
 		}
-		k = n
 	}
 
-	// EXPLAIN [ANALYZE] routes through the same template machinery:
-	// Normalize ignores the flags, so an analyze run shares (and warms)
-	// the plan-cache entry of the underlying SELECT.
-	explainOnly := sel.Explain && !sel.Analyze
-
-	// Cached-plan lookup.
 	parameterized := want > 0
-	var cp *CompiledPlan
+	key := planKey{norm: norm, k: k, version: db.version}
 	switch {
 	case parameterized:
-		cp = db.Plans.Get(planKey{norm: norm, k: k, version: db.version})
+		cp = db.Plans.Get(key)
 	case pr != nil:
 		pr.localMu.Lock()
 		if pr.localPlan != nil && pr.localVersion == db.version {
@@ -154,70 +210,41 @@ func (db *DB) querySelect(sel *sql.SelectStmt, norm string, params []types.Value
 		}
 		pr.localMu.Unlock()
 	}
-	if cp != nil && db.planStale(cp) {
-		// A referenced table grew past the staleness factor since the plan
-		// was costed: its cardinality estimates (and possibly its operator
-		// choices) no longer reflect the data, so fall through to the miss
-		// path and recompile. Put/localPlan below overwrite the stale entry.
-		db.Plans.noteStale()
-		cp = nil
+	if cp != nil && !db.planStale(cp) {
+		return cp, true, nil
 	}
 	if cp != nil {
-		if explainOnly {
-			rows := planTextRows(cp.Plan.String())
-			rows.CacheHit = true
-			return rows, nil
-		}
-		rows, err := db.runCompiled(cp, params, cancel, sel.Analyze || db.shouldProfile(cp))
-		if err != nil {
-			return nil, err
-		}
-		rows.CacheHit = true
-		finishRows(rows, k)
-		if sel.Analyze {
-			rows = analyzeRows(rows)
-		}
-		return rows, nil
+		// A referenced table grew past the staleness factor since the plan
+		// was costed: its cardinality estimates (and possibly its operator
+		// choices) no longer reflect the data, so recompile; the store
+		// below overwrites the stale entry.
+		db.Plans.noteStale()
 	}
 
-	// Miss: bind, compile, store, and execute the operator tree the
-	// compiler already built.
 	bound, err := sql.BindParams(sel, params)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	cp, op, err := db.compileSelect(bound.(*sql.SelectStmt))
-	if err != nil {
-		return nil, err
+	if cp, err = db.compileSelect(bound.(*sql.SelectStmt)); err != nil {
+		return nil, false, err
 	}
 	switch {
 	case parameterized:
-		db.Plans.Put(planKey{norm: norm, k: k, version: db.version}, cp)
+		db.Plans.Put(key, cp)
 	case pr != nil:
 		pr.localMu.Lock()
 		pr.localPlan, pr.localVersion = cp, db.version
 		pr.localMu.Unlock()
 	}
-	if explainOnly {
-		return planTextRows(cp.Plan.String()), nil
-	}
-	rows, err := db.execOperator(cp, op, cancel, sel.Analyze || db.shouldProfile(cp))
-	if err != nil {
-		return nil, err
-	}
-	finishRows(rows, k)
-	if sel.Analyze {
-		rows = analyzeRows(rows)
-	}
-	return rows, nil
+	return cp, false, nil
 }
 
 // shouldProfile decides whether this execution of a compiled plan should
 // carry operator timing: every ProfileEvery-th run, starting with the
-// first.
+// first. Set-operation streams have no plan and are never sampled.
 func (db *DB) shouldProfile(cp *CompiledPlan) bool {
 	every := db.ProfileEvery
-	if every <= 0 {
+	if cp == nil || every <= 0 {
 		return false
 	}
 	return (cp.execs.Add(1)-1)%uint64(every) == 0
@@ -250,15 +277,6 @@ func analyzeRows(rows *Rows) *Rows {
 	return out
 }
 
-// finishRows annotates a materialized result with its effective top-k
-// bound and whether the ranked stream was exhausted at that depth. A
-// result shorter than k means the operators ran dry (no more matching
-// tuples exist); exactly k rows means deeper rows may exist.
-func finishRows(rows *Rows, k int) {
-	rows.K = k
-	rows.Exhausted = k == 0 || len(rows.Data) < k
-}
-
 // planStale reports whether a cached plan's cardinality assumptions are
 // out of date: some referenced table's current row count deviates from
 // its planning-time row count by more than the DB's staleness factor.
@@ -284,21 +302,22 @@ func (db *DB) planStale(cp *CompiledPlan) bool {
 }
 
 // compileSelect binds and optimizes a SELECT (whose parameters are already
-// bound) into a reusable CompiledPlan, returning the operator tree it
-// built while resolving the output schema so the triggering execution can
-// run it directly instead of rebuilding. Callers hold db.mu.
-func (db *DB) compileSelect(sel *sql.SelectStmt) (*CompiledPlan, exec.Operator, error) {
+// bound) into a reusable CompiledPlan. Resolving the projection takes a
+// built operator tree; that tree is pooled as the plan's first instance,
+// so the execution that triggered the compile runs it instead of building
+// a second one. Callers hold db.mu.
+func (db *DB) compileSelect(sel *sql.SelectStmt) (*CompiledPlan, error) {
 	q, spec, err := db.bind(sel)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	res, err := optimizer.Optimize(q, db.Options)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	op, err := res.Plan.Build(res.Env)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cp := &CompiledPlan{
 		Plan:      res.Plan,
@@ -313,104 +332,21 @@ func (db *DB) compileSelect(sel *sql.SelectStmt) (*CompiledPlan, exec.Operator, 
 		}
 	}
 	if len(sel.Projection) > 0 {
-		idx := make([]int, len(sel.Projection))
+		cp.Proj = make([]int, len(sel.Projection))
 		for i, c := range sel.Projection {
 			j := op.Schema().ColumnIndex(c.Table, c.Name)
 			if j == -1 {
-				return nil, nil, fmt.Errorf("engine: projected column %s not found", c)
+				return nil, fmt.Errorf("engine: projected column %s not found", c)
 			}
 			if j == -2 {
-				return nil, nil, fmt.Errorf("engine: projected column %s is ambiguous", c)
+				return nil, fmt.Errorf("engine: projected column %s is ambiguous", c)
 			}
-			idx[i] = j
+			cp.Proj[i] = j
 		}
-		cp.Proj = idx
-		pr, err := exec.NewProject(op, idx)
-		if err != nil {
-			return nil, nil, err
-		}
-		op = pr
 	}
-	for _, c := range op.Schema().Columns {
-		cp.Columns = append(cp.Columns, c.QualifiedName())
-	}
-	return cp, op, nil
-}
-
-// runCompiled executes a cached plan with the given parameter values on
-// a pooled instance: no plan clone, no operator re-build — the values are
-// written into the instance's private parameter slots, the tree is
-// re-opened, and the instance (with its tuple arena) is recycled for the
-// next request. Callers hold db.mu (read side).
-func (db *DB) runCompiled(cp *CompiledPlan, params []types.Value, cancel <-chan struct{}, profile bool) (*Rows, error) {
-	inst, err := cp.acquireInstance()
+	first, err := cp.newInstance(op)
 	if err != nil {
 		return nil, err
 	}
-	if err := inst.bind(params); err != nil {
-		return nil, err
-	}
-	ctx := inst.ctx
-	ctx.SpinPerCostUnit = db.SpinPerCostUnit
-	ctx.Cancel = cancel
-	ctx.Profile = profile
-	tuples, err := exec.Run(ctx, inst.op)
-	if err != nil {
-		// Execution died mid-stream; the tree's state is unknown, so the
-		// instance is dropped instead of pooled.
-		return nil, err
-	}
-	tree := inst.labels.Snapshot()
-	rows := &Rows{
-		Columns:  append([]string(nil), cp.Columns...),
-		Plan:     cp.Plan,
-		Stats:    ctx.Stats,
-		ExecTree: tree.String,
-		Tree:     tree,
-		Profiled: tree.Profiled(),
-	}
-	if rows.Profiled {
-		rows.Est = PlanEstimates(cp.Plan, tree)
-	}
-	rows.Data = make([][]types.Value, len(tuples))
-	rows.Scores = make([]float64, len(tuples))
-	for i, t := range tuples {
-		// Values and Score survive the instance release: scan tuples
-		// alias immutable table rows and projected tuples carry fresh
-		// slices; only the tuple structs themselves are arena-owned.
-		rows.Data[i] = t.Values
-		rows.Scores[i] = t.Score
-	}
-	cp.releaseInstance(inst)
-	return rows, nil
-}
-
-// execOperator runs a built operator tree and materializes the result.
-// Callers hold db.mu (read side).
-func (db *DB) execOperator(cp *CompiledPlan, op exec.Operator, cancel <-chan struct{}, profile bool) (*Rows, error) {
-	ctx := exec.NewContext(cp.Spec)
-	ctx.SpinPerCostUnit = db.SpinPerCostUnit
-	ctx.Cancel = cancel
-	ctx.Profile = profile
-	tuples, err := exec.Run(ctx, op)
-	if err != nil {
-		return nil, err
-	}
-	tree := exec.SnapshotTree(op)
-	rows := &Rows{
-		Columns:  append([]string(nil), cp.Columns...),
-		Plan:     cp.Plan,
-		Stats:    ctx.Stats,
-		ExecTree: tree.String,
-		Tree:     tree,
-		Profiled: tree.Profiled(),
-	}
-	if rows.Profiled {
-		rows.Est = PlanEstimates(cp.Plan, tree)
-	}
-	for _, t := range tuples {
-		rows.Data = append(rows.Data, t.Values)
-		rows.Scores = append(rows.Scores, t.Score)
-	}
-	return rows, nil
+	return cp, first.release()
 }

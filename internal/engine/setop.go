@@ -33,19 +33,58 @@ func (db *DB) sideQuery(sel *sql.SelectStmt, terms []sql.OrderTerm) (*optimizer.
 	return db.bind(side)
 }
 
-// runSetOp plans and executes a set-operation statement.
-func (db *DB) runSetOp(st *sql.SetOpStmt, cancel <-chan struct{}) (*Rows, error) {
-	if st.Explain && !st.Analyze {
-		text, err := db.explainSetOp(st)
+// buildSetOp optimizes both operands, applies their projections, checks
+// they are union-compatible and roots them in the statement's rank-aware
+// set operator under its λ_k (if any) — the one place a set-operation tree
+// is put together, for EXPLAIN, Query and cursors alike. The stream's plan
+// text is the root's labels over the operands' optimizer plans.
+func (db *DB) buildSetOp(st *sql.SetOpStmt) (*stream, error) {
+	operand := func(sel *sql.SelectStmt) (exec.Operator, *optimizer.PlanNode, *rank.Spec, error) {
+		q, spec, err := db.sideQuery(sel, st.Order)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
-		return planTextRows(text), nil
+		res, err := optimizer.Optimize(q, db.Options)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		op, err := res.Plan.Build(res.Env)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		if len(sel.Projection) > 0 {
+			idx := make([]int, len(sel.Projection))
+			for i, c := range sel.Projection {
+				if idx[i] = op.Schema().ColumnIndex(c.Table, c.Name); idx[i] < 0 {
+					return nil, nil, nil, fmt.Errorf("engine: projected column %s unresolved", c)
+				}
+			}
+			if op, err = exec.NewProject(op, idx); err != nil {
+				return nil, nil, nil, err
+			}
+		}
+		return op, res.Plan, spec, nil
 	}
-	lop, rop, spec, err := db.buildSetOp(st)
+	lop, lplan, spec, err := operand(st.L)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("engine: left operand: %w", err)
 	}
+	rop, rplan, _, err := operand(st.R)
+	if err != nil {
+		return nil, fmt.Errorf("engine: right operand: %w", err)
+	}
+	ls, rs := lop.Schema(), rop.Schema()
+	if ls.Len() != rs.Len() {
+		return nil, fmt.Errorf("engine: %s operands have %d vs %d columns",
+			st.Kind, ls.Len(), rs.Len())
+	}
+	for i := range ls.Columns {
+		if ls.Columns[i].Kind != rs.Columns[i].Kind {
+			return nil, fmt.Errorf("engine: %s operands disagree on column %d type (%s vs %s)",
+				st.Kind, i, ls.Columns[i].Kind, rs.Columns[i].Kind)
+		}
+	}
+
 	var root exec.Operator
 	switch st.Kind {
 	case sql.SetUnion:
@@ -58,116 +97,16 @@ func (db *DB) runSetOp(st *sql.SetOpStmt, cancel <-chan struct{}) (*Rows, error)
 	if err != nil {
 		return nil, err
 	}
+	header := root.Name() + "\n"
+	var limit *exec.Limit
 	if st.Limit > 0 {
-		root = exec.NewLimit(root, st.Limit)
+		limit = exec.NewLimit(root, st.Limit)
+		root = limit
+		header = limit.Name() + "\n" + header
 	}
-
-	ctx := exec.NewContext(spec)
-	ctx.SpinPerCostUnit = db.SpinPerCostUnit
-	ctx.Cancel = cancel
-	ctx.Profile = st.Analyze
-	tuples, err := exec.Run(ctx, root)
-	if err != nil {
-		return nil, err
-	}
-	tree := exec.SnapshotTree(root)
-	rows := &Rows{Stats: ctx.Stats, ExecTree: tree.String, Tree: tree, Profiled: tree.Profiled()}
-	for _, c := range root.Schema().Columns {
-		rows.Columns = append(rows.Columns, c.QualifiedName())
-	}
-	for _, t := range tuples {
-		rows.Data = append(rows.Data, t.Values)
-		rows.Scores = append(rows.Scores, t.Score)
-	}
-	finishRows(rows, st.Limit)
-	if st.Analyze {
-		rows = analyzeRows(rows)
-	}
-	return rows, nil
-}
-
-// buildSetOp optimizes both operands and returns their executable roots
-// (with per-side projections applied) plus the shared ranking spec.
-func (db *DB) buildSetOp(st *sql.SetOpStmt) (lop, rop exec.Operator, spec *rank.Spec, err error) {
-	lq, lspec, err := db.sideQuery(st.L, st.Order)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("engine: left operand: %w", err)
-	}
-	rq, _, err := db.sideQuery(st.R, st.Order)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("engine: right operand: %w", err)
-	}
-
-	build := func(q *optimizer.Query, sel *sql.SelectStmt) (exec.Operator, error) {
-		res, err := optimizer.Optimize(q, db.Options)
-		if err != nil {
-			return nil, err
-		}
-		op, err := res.Plan.Build(res.Env)
-		if err != nil {
-			return nil, err
-		}
-		if len(sel.Projection) > 0 {
-			idx := make([]int, len(sel.Projection))
-			for i, c := range sel.Projection {
-				j := op.Schema().ColumnIndex(c.Table, c.Name)
-				if j < 0 {
-					return nil, fmt.Errorf("engine: projected column %s unresolved", c)
-				}
-				idx[i] = j
-			}
-			return exec.NewProject(op, idx)
-		}
-		return op, nil
-	}
-	lop, err = build(lq, st.L)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rop, err = build(rq, st.R)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ls, rs := lop.Schema(), rop.Schema()
-	if ls.Len() != rs.Len() {
-		return nil, nil, nil, fmt.Errorf("engine: %s operands have %d vs %d columns",
-			st.Kind, ls.Len(), rs.Len())
-	}
-	for i := range ls.Columns {
-		if ls.Columns[i].Kind != rs.Columns[i].Kind {
-			return nil, nil, nil, fmt.Errorf("engine: %s operands disagree on column %d type (%s vs %s)",
-				st.Kind, i, ls.Columns[i].Kind, rs.Columns[i].Kind)
-		}
-	}
-	return lop, rop, lspec, nil
-}
-
-// explainSetOp renders the plan of a set-operation statement.
-func (db *DB) explainSetOp(st *sql.SetOpStmt) (string, error) {
-	lq, _, err := db.sideQuery(st.L, st.Order)
-	if err != nil {
-		return "", err
-	}
-	rq, _, err := db.sideQuery(st.R, st.Order)
-	if err != nil {
-		return "", err
-	}
-	lres, err := optimizer.Optimize(lq, db.Options)
-	if err != nil {
-		return "", err
-	}
-	rres, err := optimizer.Optimize(rq, db.Options)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	if st.Limit > 0 {
-		fmt.Fprintf(&b, "limit(%d)\n", st.Limit)
-	}
-	fmt.Fprintf(&b, "rank%s\n", strings.Title(strings.ToLower(st.Kind.String())))
-	b.WriteString(indent(lres.Plan.String(), "  "))
-	b.WriteString(indent(rres.Plan.String(), "  "))
-	return b.String(), nil
+	return newStream(root, limit, spec, func() string {
+		return header + indent(lplan.String(), "  ") + indent(rplan.String(), "  ")
+	}), nil
 }
 
 func indent(s, pad string) string {

@@ -137,6 +137,38 @@ func TestSQLSetOpExplain(t *testing.T) {
 	}
 }
 
+// TestSQLSetOpExplainMatchesAnalyze: EXPLAIN and EXPLAIN ANALYZE name the
+// λ_k and the set operator identically, for every kind — both read the
+// labels off the one tree buildSetOp puts together.
+func TestSQLSetOpExplainMatchesAnalyze(t *testing.T) {
+	db := setOpDB(t)
+	for kind, label := range map[string]string{
+		"UNION": "rankUnion", "INTERSECT": "rankIntersect", "EXCEPT": "rankDiff",
+	} {
+		q := `SELECT * FROM store_a ` + kind + ` SELECT * FROM store_b` + setOrder
+		plan, err := db.Explain(q)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		analyzed, err := db.Query(`EXPLAIN ANALYZE ` + q)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if len(analyzed.Tree) < 2 {
+			t.Fatalf("%s: analyze tree has %d nodes", kind, len(analyzed.Tree))
+		}
+		header := strings.SplitN(plan, "\n", 3)
+		for i, want := range []string{"limit(10)", label} {
+			if header[i] != want {
+				t.Errorf("%s: EXPLAIN line %d = %q, want %q", kind, i+1, header[i], want)
+			}
+			if got := analyzed.Tree[i].Label; got != want {
+				t.Errorf("%s: EXPLAIN ANALYZE node %d = %q, want %q", kind, i+1, got, want)
+			}
+		}
+	}
+}
+
 func TestSQLSetOpErrors(t *testing.T) {
 	db := setOpDB(t)
 	if _, err := db.Exec(`CREATE TABLE narrow (sku TEXT)`); err != nil {

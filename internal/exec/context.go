@@ -8,6 +8,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"ranksql/internal/rank"
 	"ranksql/internal/schema"
@@ -78,8 +79,9 @@ type Context struct {
 	// Arena, when non-nil, bulk-allocates the tuples operators produce.
 	// Arena tuples are recycled wholesale when the execution's owner
 	// resets the arena, so only executions whose tuples provably do not
-	// outlive a single run (the engine's pooled serve path) may set it.
-	// Cursors and the estimator keep Arena nil and heap-allocate.
+	// outlive a single run may set it: the engine does for one-shot runs
+	// of its pooled streams only. A stream suspended under a cursor, and
+	// the estimator, keep Arena nil and heap-allocate.
 	Arena *schema.TupleArena
 
 	checkCtr int
@@ -140,18 +142,19 @@ func (c *Context) interrupted() error {
 	}
 }
 
-// spinSink defeats dead-code elimination of the spin loop.
-var spinSink uint64
+// spinSink defeats dead-code elimination of the spin loop. Atomic:
+// concurrent executions all spin through it.
+var spinSink atomic.Uint64
 
 // spin burns n iterations of cheap integer work.
 func spin(n int) {
-	x := spinSink | 1
+	x := spinSink.Load() | 1
 	for i := 0; i < n; i++ {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
 	}
-	spinSink = x
+	spinSink.Store(x)
 }
 
 // boundPred is a ranking predicate resolved against an operator's input

@@ -228,12 +228,17 @@ func (s *SortColumn) Children() []Operator { return []Operator{s.child} }
 // ranked input this is the top-k cut; execution above and below stops as
 // soon as the k-th tuple is delivered — the pipelined behaviour that makes
 // ranking plans' cost proportional to k.
+//
+// The cut is a quota that Open sets to K. A one-shot run drains the tree
+// and the quota ends it; a cursor, for which the statement's k tunes the
+// plan but does not cap the stream, calls Extend before each page.
 type Limit struct {
 	opBase
 	child Operator
 	K     int
 
-	n int
+	quota int
+	n     int
 }
 
 // NewLimit builds λ_k(child).
@@ -250,15 +255,20 @@ func (l *Limit) Open(ctx *Context) error {
 	}
 	l.reset()
 	l.n = 0
+	l.quota = l.K
 	return l.child.Open(ctx)
 }
+
+// Extend moves the quota to n tuples past what has been emitted so far:
+// the next page of a stream that outlives the statement's k.
+func (l *Limit) Extend(n int) { l.quota = l.n + n }
 
 // Next implements Operator.
 func (l *Limit) Next(ctx *Context) (*schema.Tuple, error) {
 	if ctx.Profile {
 		defer l.prof(time.Now())
 	}
-	if l.n >= l.K {
+	if l.n >= l.quota {
 		return nil, nil
 	}
 	t, err := l.child.Next(ctx)

@@ -1,9 +1,6 @@
 package optimizer
 
-import (
-	"ranksql/internal/expr"
-	"ranksql/internal/types"
-)
+import "ranksql/internal/expr"
 
 // HasParams reports whether any condition in the plan tree contains a
 // parameter placeholder.
@@ -17,29 +14,4 @@ func (p *PlanNode) HasParams() bool {
 		}
 	}
 	return false
-}
-
-// BindPlanParams returns a copy of the plan with every parameter
-// placeholder in filter and join conditions bound to the given values.
-// The original plan is untouched, so one compiled (cached) plan can serve
-// concurrent executions with different bindings; Build then clones the
-// already-bound conditions per operator as usual.
-func BindPlanParams(p *PlanNode, vals []types.Value) (*PlanNode, error) {
-	n := *p
-	if p.Cond != nil {
-		c, err := expr.SubstParams(p.Cond, vals)
-		if err != nil {
-			return nil, err
-		}
-		n.Cond = c
-	}
-	n.Children = make([]*PlanNode, len(p.Children))
-	for i, c := range p.Children {
-		b, err := BindPlanParams(c, vals)
-		if err != nil {
-			return nil, err
-		}
-		n.Children[i] = b
-	}
-	return &n, nil
 }
