@@ -21,6 +21,7 @@ import (
 	"ranksql/internal/obs"
 	"ranksql/internal/router"
 	"ranksql/internal/server"
+	"ranksql/internal/wire"
 )
 
 // runBench is the `ranksql bench` load generator: it drives a ranksqld
@@ -937,8 +938,8 @@ func measureResultCache(base, queryTemplate string, gen paramGenerator, k int) (
 	rng := server.NewRng(0xC0FFEE)
 	params := gen.query(&rng, k)
 	c := &benchClient{base: base, http: &http.Client{Timeout: 30 * time.Second}}
-	probe := func() (*benchQueryResponse, error) {
-		var out benchQueryResponse
+	probe := func() (*wire.QueryResponse, error) {
+		var out wire.QueryResponse
 		if err := c.post("/query", map[string]interface{}{"sql": queryTemplate, "params": params}, &out); err != nil {
 			return nil, err
 		}
@@ -1083,7 +1084,7 @@ func (c *benchClient) paginateSession(sessionID, stmtID string, params []interfa
 	var out paginationOutcome
 	lastScore := math.Inf(1)
 	nextRank := 1
-	check := func(r *benchQueryResponse) {
+	check := func(r *wire.QueryResponse) {
 		if len(r.Rows) > k {
 			out.violations++
 		}
@@ -1196,22 +1197,6 @@ type benchClient struct {
 	http *http.Client
 }
 
-type benchQueryResponse struct {
-	Rows     [][]interface{} `json:"rows"`
-	Scores   []float64       `json:"scores"`
-	Ranks    []int           `json:"ranks"`
-	CacheHit bool            `json:"cache_hit"`
-	// ResultCacheHit is router-only: the answer came from the router's
-	// ranked-result cache with zero shard fan-out.
-	ResultCacheHit bool   `json:"result_cache_hit"`
-	Exhausted      bool   `json:"exhausted"`
-	CursorID       string `json:"cursor_id"`
-	Stats          struct {
-		TuplesScanned int64 `json:"tuples_scanned"`
-	} `json:"stats"`
-	Error string `json:"error"`
-}
-
 func (c *benchClient) openSession() (string, error) {
 	var out struct {
 		SessionID string `json:"session_id"`
@@ -1240,8 +1225,8 @@ func (c *benchClient) prepare(sessionID, sql string) (string, error) {
 	return out.StmtID, nil
 }
 
-func (c *benchClient) query(sessionID, stmtID string, params []interface{}) (*benchQueryResponse, error) {
-	var out benchQueryResponse
+func (c *benchClient) query(sessionID, stmtID string, params []interface{}) (*wire.QueryResponse, error) {
+	var out wire.QueryResponse
 	req := map[string]interface{}{"session_id": sessionID, "stmt_id": stmtID, "params": params}
 	if err := c.post("/query", req, &out); err != nil {
 		return nil, err
@@ -1254,8 +1239,8 @@ func (c *benchClient) query(sessionID, stmtID string, params []interface{}) (*be
 
 // queryCursor opens a ranked cursor over a prepared statement and
 // returns its first page (carrying the cursor_id for cursorNext).
-func (c *benchClient) queryCursor(sessionID, stmtID string, params []interface{}, fetch int) (*benchQueryResponse, error) {
-	var out benchQueryResponse
+func (c *benchClient) queryCursor(sessionID, stmtID string, params []interface{}, fetch int) (*wire.QueryResponse, error) {
+	var out wire.QueryResponse
 	req := map[string]interface{}{
 		"session_id": sessionID, "stmt_id": stmtID, "params": params,
 		"cursor": true, "fetch": fetch,
@@ -1270,8 +1255,8 @@ func (c *benchClient) queryCursor(sessionID, stmtID string, params []interface{}
 }
 
 // cursorNext pulls the next page of a suspended ranked cursor.
-func (c *benchClient) cursorNext(cursorID string, fetch int) (*benchQueryResponse, error) {
-	var out benchQueryResponse
+func (c *benchClient) cursorNext(cursorID string, fetch int) (*wire.QueryResponse, error) {
+	var out wire.QueryResponse
 	req := map[string]interface{}{"cursor_id": cursorID, "fetch": fetch}
 	if err := c.post("/cursor/next", req, &out); err != nil {
 		return nil, err

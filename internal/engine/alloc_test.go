@@ -42,7 +42,7 @@ func TestRebindAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.mu.RLock()
-	cp := db.Plans.Get(planKey{norm: st.norm, k: 10, version: db.version})
+	cp, _ := db.Plans.Get(planKey{norm: st.norm, k: 10, version: db.version}, nil)
 	db.mu.RUnlock()
 	if cp == nil {
 		t.Fatal("plan not cached")

@@ -105,7 +105,7 @@ func BenchmarkRebind(b *testing.B) {
 		b.Fatal(err)
 	}
 	db.mu.RLock()
-	cp := db.Plans.Get(planKey{norm: st.norm, k: 10, version: db.version})
+	cp, _ := db.Plans.Get(planKey{norm: st.norm, k: 10, version: db.version}, nil)
 	db.mu.RUnlock()
 	if cp == nil {
 		b.Fatal("plan not cached")

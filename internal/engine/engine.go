@@ -12,6 +12,7 @@ import (
 	"ranksql/internal/catalog"
 	"ranksql/internal/exec"
 	"ranksql/internal/expr"
+	"ranksql/internal/lru"
 	"ranksql/internal/optimizer"
 	"ranksql/internal/rank"
 	"ranksql/internal/schema"
@@ -81,7 +82,7 @@ func New() *DB {
 		Catalog:      catalog.New(),
 		scorers:      map[string]Scorer{},
 		Options:      optimizer.DefaultOptions(),
-		Plans:        NewPlanCache(DefaultPlanCacheCapacity),
+		Plans:        lru.New[planKey, *CompiledPlan](DefaultPlanCacheCapacity),
 		StaleFactor:  DefaultStaleFactor,
 		ProfileEvery: DefaultProfileEvery,
 	}

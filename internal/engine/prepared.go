@@ -200,25 +200,22 @@ func (db *DB) resolvePlan(sel *sql.SelectStmt, norm string, params []types.Value
 
 	parameterized := want > 0
 	key := planKey{norm: norm, k: k, version: db.version}
+	// A plan is stale once a referenced table grew past the staleness
+	// factor since it was costed: its cardinality estimates (and possibly
+	// its operator choices) no longer reflect the data, so it is dropped
+	// and the compile below stores its replacement.
 	switch {
 	case parameterized:
-		cp = db.Plans.Get(key)
+		cp, hit = db.Plans.Get(key, db.planFresh)
 	case pr != nil:
 		pr.localMu.Lock()
-		if pr.localPlan != nil && pr.localVersion == db.version {
-			cp = pr.localPlan
+		if pr.localVersion == db.version && pr.localPlan != nil && db.planFresh(pr.localPlan) {
+			cp, hit = pr.localPlan, true
 		}
 		pr.localMu.Unlock()
 	}
-	if cp != nil && !db.planStale(cp) {
+	if hit {
 		return cp, true, nil
-	}
-	if cp != nil {
-		// A referenced table grew past the staleness factor since the plan
-		// was costed: its cardinality estimates (and possibly its operator
-		// choices) no longer reflect the data, so recompile; the store
-		// below overwrites the stale entry.
-		db.Plans.noteStale()
 	}
 
 	bound, err := sql.BindParams(sel, params)
@@ -277,28 +274,28 @@ func analyzeRows(rows *Rows) *Rows {
 	return out
 }
 
-// planStale reports whether a cached plan's cardinality assumptions are
-// out of date: some referenced table's current row count deviates from
-// its planning-time row count by more than the DB's staleness factor.
-// Callers hold db.mu (read side).
-func (db *DB) planStale(cp *CompiledPlan) bool {
+// planFresh reports whether a cached plan's cardinality assumptions still
+// hold: no referenced table's current row count exceeds its planning-time
+// row count by more than the DB's staleness factor. Callers hold db.mu
+// (read side).
+func (db *DB) planFresh(cp *CompiledPlan) bool {
 	f := db.StaleFactor
-	if f <= 1 || len(cp.TableRows) == 0 {
-		return false
+	if f <= 1 {
+		return true
 	}
 	for name, planned := range cp.TableRows {
 		tm, err := db.Catalog.Table(name)
 		if err != nil {
 			// Dropped tables bump the schema version, so this key can no
 			// longer be looked up; be conservative anyway.
-			return true
+			return false
 		}
 		now := tm.Table.NumRows()
 		if float64(now) > float64(planned)*f || (planned == 0 && now > 0) {
-			return true
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // compileSelect binds and optimizes a SELECT (whose parameters are already

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ranksql/internal/obs"
+	"ranksql/internal/wire"
 )
 
 // Failure handling: every shard HTTP call is classified so the failover
@@ -124,28 +125,6 @@ func (rep *replica) noteSuccess() {
 	rep.downUntil = time.Time{}
 }
 
-// shardQueryResponse decodes a shard's /query answer (the fields the
-// merge needs; see server.queryResponse).
-type shardQueryResponse struct {
-	Columns   []string        `json:"columns"`
-	Rows      [][]interface{} `json:"rows"`
-	Scores    []float64       `json:"scores"`
-	CacheHit  bool            `json:"cache_hit"`
-	K         int             `json:"k"`
-	Depth     int             `json:"depth"`
-	Offset    int             `json:"offset"`
-	Exhausted bool            `json:"exhausted"`
-	CursorID  string          `json:"cursor_id"`
-	Stats     queryStats      `json:"stats"`
-	// DepthKReached and MaxDriftRatio arrive on shard executions the
-	// shard's engine profiled: its depth of enumeration and worst
-	// est-vs-actual cardinality miss, which the router folds into its
-	// per-shard insight attribution.
-	DepthKReached int64   `json:"depth_k"`
-	MaxDriftRatio float64 `json:"max_drift_ratio"`
-	Error         string  `json:"error"`
-}
-
 // postJSON posts a JSON body to the replica, carrying the query context
 // (so a router-side deadline cancels the in-flight shard call) and the
 // trace ID header when one is set. Responses are status-checked and
@@ -198,7 +177,7 @@ func decodeShardResponse(resp *http.Response, out interface{}) error {
 		// Shards report errors as JSON {"error": ...} with a non-2xx
 		// status; surface the shard's own message when one is there (the
 		// statement-lost and cursor-gone fallbacks key on its text).
-		var er errorResponse
+		var er wire.ErrorResponse
 		if json.Unmarshal(snippet, &er) == nil && er.Error != "" {
 			return &shardCallError{class: class, status: resp.StatusCode, msg: er.Error}
 		}
@@ -234,22 +213,12 @@ func (rep *replica) prepare(ctx context.Context, sqlText string) (string, error)
 	return out.StmtID, nil
 }
 
-// query runs a SELECT (prepared or ad-hoc) on the replica.
-func (rep *replica) query(ctx context.Context, trace string, req *request) (*shardQueryResponse, error) {
-	var out shardQueryResponse
-	if err := rep.postJSON(ctx, "/query", trace, req, &out); err != nil {
-		return nil, err
-	}
-	if out.Error != "" {
-		return nil, fmt.Errorf("%s", out.Error)
-	}
-	return &out, nil
-}
-
-// cursorNext pulls the next page of a shard-side ranked cursor.
-func (rep *replica) cursorNext(ctx context.Context, trace string, req *request) (*shardQueryResponse, error) {
-	var out shardQueryResponse
-	if err := rep.postJSON(ctx, "/cursor/next", trace, req, &out); err != nil {
+// page posts a query-shaped request — /query (prepared or ad-hoc, one-shot
+// or cursor open) or /cursor/next — and decodes the page the replica
+// answers with, into the same struct its server encoded.
+func (rep *replica) page(ctx context.Context, path, trace string, req *wire.Request) (*wire.QueryResponse, error) {
+	var out wire.QueryResponse
+	if err := rep.postJSON(ctx, path, trace, req, &out); err != nil {
 		return nil, err
 	}
 	if out.Error != "" {
@@ -268,7 +237,7 @@ func (rep *replica) cursorClose(trace, id string) error {
 	var out struct {
 		Error string `json:"error"`
 	}
-	if err := rep.postJSON(ctx, "/cursor/close", trace, &request{CursorID: id}, &out); err != nil {
+	if err := rep.postJSON(ctx, "/cursor/close", trace, &wire.Request{CursorID: id}, &out); err != nil {
 		return err
 	}
 	if out.Error != "" {

@@ -9,28 +9,26 @@ import (
 	"time"
 
 	"ranksql/internal/obs"
+	"ranksql/internal/wire"
 )
 
-// Router-side ranked cursors: a /query carrying "cursor": true opens a
-// resumable merged stream whose per-shard positions persist between
-// pages. Each shard holds its own suspended cursor (opened with the
-// same "cursor": true protocol the router serves), so paginating
-// clients pull pages without the router ever re-fanning-out: a
-// /cursor/next refills only shards whose score bound still matters,
+// Every query answer the router gives is a page of a routerCursor: a
+// merged ranked stream over one stream per shard. A /query carrying
+// "cursor": true registers the cursor, and each shard holds its own
+// suspended cursor (opened with the same protocol the router serves), so
+// paginating clients pull pages without the router ever re-fanning-out:
+// a /cursor/next refills only shards whose score bound still matters,
 // and each refill fetches just the delta rows past that shard's
-// suspended position.
+// suspended position. A one-shot /query is page one of a cursor that is
+// never registered and whose shard streams start in plain mode: they
+// re-execute the template with a deeper limit instead of holding shard
+// state for a second page that will not come.
 
 const (
 	// maxOpenRouterCursors bounds concurrently open cursors: each one
 	// pins per-shard stream prefixes in router memory plus a suspended
 	// cursor on every shard.
 	maxOpenRouterCursors = 4096
-	// routerSweepInterval divides the TTL into the lazy GC cadence, like
-	// the server's session sweeps.
-	routerSweepInterval = 8
-	// maxRememberedCursorExpiries caps the tombstone map that turns
-	// "unknown cursor" into the friendlier "expired" error.
-	maxRememberedCursorExpiries = 4096
 	// defaultCursorPage is the fetch size when neither the request nor
 	// the statement's LIMIT suggests one.
 	defaultCursorPage = 10
@@ -39,16 +37,10 @@ const (
 	cursorGrowChunk = 256
 )
 
-// routerCursor is one client-visible resumable merged stream: the
-// persistent Merger plus the per-shard cursor streams it draws from.
+// routerCursor is one merged ranked stream: the persistent Merger plus
+// the per-shard streams it draws from. Registered cursors live in an
+// idle.Table under the cursor TTL.
 type routerCursor struct {
-	ID      string
-	Created time.Time
-
-	// lastUsed drives TTL expiry; guarded by the owning cursorTable's
-	// mutex.
-	lastUsed time.Time
-
 	mu          sync.Mutex // serializes pulls on this cursor
 	merger      *Merger
 	streams     []*cursorStream
@@ -58,154 +50,46 @@ type routerCursor struct {
 	rowsFetched int // shard rows already attributed to per-page metrics
 }
 
+// newCursor builds the merged stream for a select template: one stream
+// per shard (plain: born re-executing, for one-shots) under a merger
+// whose first fetch splits pageSize across the shards.
+func (r *Router) newCursor(t *template, params []interface{}, pageSize int, plain bool) *routerCursor {
+	rc := &routerCursor{norm: t.norm, pageSize: pageSize}
+	merge := make([]Stream, len(r.shards))
+	for i, sc := range r.shards {
+		s := &cursorStream{r: r, sc: sc, t: t, params: params, plain: plain}
+		rc.streams = append(rc.streams, s)
+		merge[i] = s
+	}
+	rc.merger = NewMerger(merge, perShardK(pageSize, len(r.shards)))
+	return rc
+}
+
 // closeShardCursors releases the shard-side cursors (best-effort; shard
-// TTL GC is the backstop). It takes rc.mu because the idle-cursor sweep
-// may race a pull in flight on this cursor.
-func (rc *routerCursor) closeShardCursors() {
+// TTL GC is the backstop), under trace when one is given so each shard's
+// close log line joins the request that caused it. It takes rc.mu
+// because the idle sweep may race a pull in flight on this cursor.
+func (rc *routerCursor) closeShardCursors(trace *obs.Trace) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	for _, s := range rc.streams {
+		if trace != nil {
+			s.trace = trace
+		}
 		s.closeRemote()
 	}
 }
 
-// cursorTable manages the router's open cursors, mirroring the server's:
-// when ttl > 0, cursors idle longer than ttl are garbage-collected
-// lazily on table access, and later requests naming them get a clean
-// "expired" error rather than "unknown".
-type cursorTable struct {
-	ttl time.Duration
-
-	mu        sync.Mutex
-	m         map[string]*routerCursor
-	expired   map[string]time.Time
-	nExpired  uint64
-	lastSweep time.Time
-	nextID    uint64
-}
-
-func newCursorTable() *cursorTable {
-	return &cursorTable{
-		m:         map[string]*routerCursor{},
-		expired:   map[string]time.Time{},
-		lastSweep: time.Now(),
-	}
-}
-
-// add registers an opened cursor and mints its id.
-func (t *cursorTable) add(rc *routerCursor) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := time.Now()
-	t.maybeSweepLocked(now)
-	if len(t.m) >= maxOpenRouterCursors {
-		return fmt.Errorf("router already holds %d open cursors; close some via /cursor/close", len(t.m))
-	}
-	t.nextID++
-	rc.ID = fmt.Sprintf("rcur-%d", t.nextID)
-	rc.Created, rc.lastUsed = now, now
-	t.m[rc.ID] = rc
-	return nil
-}
-
-// get resolves a cursor id and refreshes its idle timer. Unknown and
-// expired cursors fail with distinct errors.
-func (t *cursorTable) get(id string) (*routerCursor, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := time.Now()
-	t.maybeSweepLocked(now)
-	rc, ok := t.m[id]
-	if !ok {
-		if when, was := t.expired[id]; was {
-			return nil, fmt.Errorf("cursor %q expired after %s idle (at %s); re-open the query",
-				id, t.ttl, when.Format(time.RFC3339))
-		}
-		return nil, fmt.Errorf("no cursor %q", id)
-	}
-	rc.lastUsed = now
-	return rc, nil
-}
-
-// remove unregisters a cursor without touching its streams (for callers
-// already holding rc.mu).
-func (t *cursorTable) remove(id string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	_, ok := t.m[id]
-	delete(t.m, id)
-	return ok
-}
-
-// close removes a cursor and releases its shard-side cursors.
-func (t *cursorTable) close(id string) bool {
-	t.mu.Lock()
-	rc, ok := t.m[id]
-	if ok {
-		delete(t.m, id)
-	}
-	t.mu.Unlock()
-	if ok {
-		rc.closeShardCursors()
-	}
-	return ok
-}
-
-func (t *cursorTable) maybeSweepLocked(now time.Time) {
-	if t.ttl <= 0 || now.Sub(t.lastSweep) < t.ttl/routerSweepInterval {
-		return
-	}
-	t.sweepLocked(now)
-}
-
-func (t *cursorTable) sweepLocked(now time.Time) {
-	t.lastSweep = now
-	for id, rc := range t.m {
-		if now.Sub(rc.lastUsed) <= t.ttl {
-			continue
-		}
-		delete(t.m, id)
-		// Tear down asynchronously: closeShardCursors takes rc.mu and
-		// does network calls, neither of which belongs under t.mu (a
-		// pull in flight on rc holds rc.mu and may want t.mu).
-		go rc.closeShardCursors()
-		if len(t.expired) >= maxRememberedCursorExpiries {
-			t.expired = map[string]time.Time{}
-		}
-		t.expired[id] = now
-		t.nExpired++
-	}
-}
-
-// expireNow force-runs a sweep against the given clock (test hook).
-func (t *cursorTable) expireNow(now time.Time) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.sweepLocked(now)
-}
-
-func (t *cursorTable) count() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.m)
-}
-
-func (t *cursorTable) expiredCount() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.nExpired
-}
-
-// cursorStream adapts one shard's ranked-cursor protocol to the merge's
-// Stream interface. Unlike httpStream — which re-issues the template
-// with a deeper limit and makes the shard re-enumerate the whole prefix
-// on every refill — a cursorStream opens a suspended cursor on the
-// shard and grows its prefix with /cursor/next delta pulls, so refill
-// cost is proportional to the new rows only. If the shard loses the
-// cursor (restart, idle GC), the stream degrades to httpStream-style
-// re-execution; the shard's append-only storage keeps the re-fetched
-// prefix a superset of the old one, so the merge's monotonicity checks
-// still hold (at the cost of the original snapshot bound).
+// cursorStream adapts one shard to the merge's Stream interface. In
+// cursor mode it opens a suspended cursor on the shard and grows its
+// prefix with /cursor/next delta pulls, so refill cost is proportional
+// to the new rows only. In plain mode it re-issues the template with a
+// deeper limit and replaces the prefix wholesale, making the shard
+// re-enumerate it: what a one-shot wants from the start, and what a
+// cursor stream degrades to when the shard loses the cursor (restart,
+// idle GC) — the shard's append-only storage keeps the re-fetched prefix
+// a superset of the old one, so the merge's monotonicity checks still
+// hold (at the cost of the original snapshot bound).
 type cursorStream struct {
 	r      *Router
 	sc     *shardClient
@@ -221,9 +105,11 @@ type cursorStream struct {
 	// cursor is per-process state, so pulls pin to the replica that
 	// opened it. When that replica fails, resume() re-opens the stream
 	// on another replica and after_rank fast-forward realigns it.
-	rep        *replica
-	cursorID   string // shard cursor id; "" = not yet opened
-	cursorLost bool   // every replica lost the cursor; re-execute instead
+	rep      *replica
+	cursorID string // shard cursor id; "" = not yet opened
+	// plain: re-execute deeper instead of pulling a shard cursor (the
+	// merge then grows this stream by doubling, not additively).
+	plain bool
 
 	rows        [][]interface{}
 	scores      []float64
@@ -232,8 +118,11 @@ type cursorStream struct {
 	fetched     bool
 	rounds      int
 	allCacheHit bool
-	stats       queryStats
-	rowsFetched int // rows actually shipped from the shard (delta accounting)
+	stats       wire.QueryStats
+	// rowsFetched counts rows shipped from the shard beyond the prefix
+	// already held: delta pulls in cursor mode, prefix growth in plain
+	// mode (plus the probe row of each replica resume).
+	rowsFetched int
 	// depthK/driftRatio are the worst shard-reported enumeration depth
 	// and estimate miss across this stream's pulls (0 when the shard
 	// never profiled one).
@@ -243,7 +132,7 @@ type cursorStream struct {
 
 // noteProfile folds one shard response's profiling figures (present
 // only on shard-profiled executions) into the stream's worst-case view.
-func (s *cursorStream) noteProfile(resp *shardQueryResponse) {
+func (s *cursorStream) noteProfile(resp *wire.QueryResponse) {
 	if resp.DepthKReached > s.depthK {
 		s.depthK = resp.DepthKReached
 	}
@@ -268,8 +157,9 @@ func cursorDead(err error) bool {
 }
 
 // remainingDeadlineMS converts the pull context's deadline into the
-// shard-side deadline_ms budget (0 = none); a second return of false
-// means the budget is already spent.
+// shard-side deadline_ms budget (0 = none), so the shard cuts its own
+// execution off rather than relying on the dropped connection alone; a
+// second return of false means the budget is already spent.
 func (s *cursorStream) remainingDeadlineMS() (int, bool) {
 	dl, ok := s.ctx.Deadline()
 	if !ok {
@@ -293,6 +183,10 @@ func (s *cursorStream) span(start time.Time) {
 	}
 }
 
+func (s *cursorStream) shardErr(err error) error {
+	return fmt.Errorf("shard %d (%s): %w", s.sc.id, s.sc.addr(), err)
+}
+
 func (s *cursorStream) Fetch(n int) ([][]interface{}, []float64, bool, error) {
 	if s.fetched && (s.exhausted || (n > 0 && len(s.rows) >= n)) {
 		return s.rows, s.scores, s.exhausted, nil
@@ -301,7 +195,7 @@ func (s *cursorStream) Fetch(n int) ([][]interface{}, []float64, bool, error) {
 	if !alive {
 		return nil, nil, false, s.ctx.Err()
 	}
-	if s.cursorLost {
+	if s.plain {
 		return s.refetchPlain(n, deadlineMS)
 	}
 	if s.cursorID == "" {
@@ -313,14 +207,12 @@ func (s *cursorStream) Fetch(n int) ([][]interface{}, []float64, bool, error) {
 		resp, rep, err := s.r.openShardCursor(s.ctx, s.sc, s.t, s.params, s.traceID(), deadlineMS, fetch)
 		s.span(start)
 		if err != nil {
-			return nil, nil, false, fmt.Errorf("shard %d (%s): %w", s.sc.id, s.sc.addr(), err)
+			return nil, nil, false, s.shardErr(err)
 		}
 		s.rep, s.cursorID = rep, resp.CursorID
-		if s.cursorID == "" {
-			// The shard answered without a cursor id (downlevel server):
-			// treat the result as a plain prefix and re-execute from here on.
-			s.cursorLost = true
-		}
+		// A shard that answered without a cursor id (downlevel server)
+		// gave a plain prefix: re-execute from here on.
+		s.plain = s.cursorID == ""
 		s.rows, s.scores, s.exhausted = resp.Rows, resp.Scores, resp.Exhausted
 		s.columns = resp.Columns
 		s.allCacheHit = resp.CacheHit
@@ -329,7 +221,7 @@ func (s *cursorStream) Fetch(n int) ([][]interface{}, []float64, bool, error) {
 		s.rowsFetched += len(resp.Rows)
 		s.fetched = true
 	}
-	for !s.exhausted && !s.cursorLost && (n <= 0 || len(s.rows) < n) {
+	for !s.exhausted && !s.plain && (n <= 0 || len(s.rows) < n) {
 		delta := cursorGrowChunk
 		if n > 0 {
 			delta = n - len(s.rows)
@@ -339,18 +231,18 @@ func (s *cursorStream) Fetch(n int) ([][]interface{}, []float64, bool, error) {
 		// merged: normally a no-op skip, but if the shard advanced past
 		// us (a pull response lost in flight) it turns silent row loss
 		// into a clean "cannot rewind" error we can recover from.
-		resp, err := s.rep.cursorNext(s.ctx, s.traceID(),
-			&request{CursorID: s.cursorID, Fetch: delta, DeadlineMS: deadlineMS, AfterRank: len(s.rows)})
+		resp, err := s.rep.page(s.ctx, "/cursor/next", s.traceID(),
+			&wire.Request{CursorID: s.cursorID, Fetch: delta, DeadlineMS: deadlineMS, AfterRank: len(s.rows)})
 		s.span(start)
 		if err != nil {
 			if !cursorDead(err) && (retryable(err) || cursorGone(err) || strings.Contains(err.Error(), "rewind")) {
 				if s.resume(deadlineMS) {
 					continue
 				}
-				s.rep, s.cursorID, s.cursorLost = nil, "", true
+				s.rep, s.cursorID, s.plain = nil, "", true
 				return s.refetchPlain(n, deadlineMS)
 			}
-			return nil, nil, false, fmt.Errorf("shard %d (%s): %w", s.sc.id, s.sc.addr(), err)
+			return nil, nil, false, s.shardErr(err)
 		}
 		s.rows = append(s.rows, resp.Rows...)
 		s.scores = append(s.scores, resp.Scores...)
@@ -369,14 +261,14 @@ func (s *cursorStream) Fetch(n int) ([][]interface{}, []float64, bool, error) {
 // deterministic, so a fresh cursor on a surviving replica serves the
 // same prefix, and the next pull's after_rank fast-forwards it to the
 // rows the router already merged. Returns false when no replica could
-// take over (the caller then degrades to deep re-execution).
+// take over (the caller then degrades to plain mode).
 func (s *cursorStream) resume(deadlineMS int) bool {
 	for _, rep := range s.sc.orderedReplicas() {
 		if rep == s.rep {
 			continue
 		}
 		start := time.Now()
-		resp, err := s.r.openCursorOnReplica(s.ctx, rep, s.t, s.params, s.traceID(), deadlineMS, 1)
+		resp, err := s.r.queryReplica(s.ctx, rep, s.t, s.params, s.traceID(), deadlineMS, 1, true)
 		s.span(start)
 		if err != nil || resp.CursorID == "" {
 			if err != nil && retryable(err) {
@@ -403,43 +295,32 @@ func (s *cursorStream) resume(deadlineMS int) bool {
 	return false
 }
 
-// refetchPlain is the degraded path after the shard lost its cursor:
-// re-issue the template with a deep-enough limit (the httpStream
-// strategy) and replace the prefix wholesale.
+// refetchPlain grows a plain-mode stream's prefix to n rows: re-issue
+// the template with a deep-enough limit — hedged and failing over across
+// the shard's replicas, see shardRead — and replace the prefix wholesale.
 func (s *cursorStream) refetchPlain(n, deadlineMS int) ([][]interface{}, []float64, bool, error) {
-	if s.fetched && (s.exhausted || (n > 0 && len(s.rows) >= n)) {
-		return s.rows, s.scores, s.exhausted, nil
-	}
 	if n > 0 && n < len(s.rows) {
 		// The prefix must never shrink; re-fetch at least what we had.
 		n = len(s.rows)
 	}
-	params := s.params
-	if s.t.sel.limitSlot > 0 {
-		params = make([]interface{}, 0, len(s.params)+1)
-		params = append(params, s.params...)
-		if s.t.sel.limitSlot <= len(s.params) {
-			params[s.t.sel.limitSlot-1] = n
-		} else {
-			params = append(params, n)
-		}
-	}
 	start := time.Now()
-	resp, err := s.r.queryShard(s.ctx, s.sc, s.t, params, s.traceID(), deadlineMS)
+	resp, err := shardRead(s.ctx, s.sc, func(ctx context.Context, rep *replica) (*wire.QueryResponse, error) {
+		return s.r.queryReplica(ctx, rep, s.t, s.params, s.traceID(), deadlineMS, n, false)
+	})
 	s.span(start)
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("shard %d (%s): %w", s.sc.id, s.sc.addr(), err)
+		return nil, nil, false, s.shardErr(err)
 	}
+	s.rowsFetched += len(resp.Rows) - len(s.rows)
 	s.rows, s.scores, s.exhausted = resp.Rows, resp.Scores, resp.Exhausted
 	if s.columns == nil {
 		s.columns = resp.Columns
 	}
-	s.allCacheHit = s.allCacheHit && resp.CacheHit
-	// Re-execution repeats the enumeration; its whole cost (and row
-	// volume) is added so the savings accounting stays honest.
-	s.stats.add(resp.Stats)
+	s.allCacheHit = (s.allCacheHit || !s.fetched) && resp.CacheHit
+	// Re-execution repeats the enumeration; its whole cost is added so
+	// the savings accounting stays honest.
+	s.stats.Add(resp.Stats)
 	s.noteProfile(resp)
-	s.rowsFetched += len(resp.Rows)
 	s.fetched = true
 	return s.rows, s.scores, s.exhausted, nil
 }
@@ -465,110 +346,32 @@ func (s *cursorStream) closeRemote() {
 // openShardCursor opens a ranked cursor on one of the shard's replicas
 // (failing over on classified-retryable errors; never hedged — the
 // losing hedge would leak a suspended cursor on its replica) and
-// returns the replica the cursor is pinned to.
-func (r *Router) openShardCursor(ctx context.Context, sc *shardClient, t *template, params []interface{}, trace string, deadlineMS, fetch int) (*shardQueryResponse, *replica, error) {
+// returns the replica the cursor is pinned to. fetch sizes the first
+// page and, through the limit parameter, tunes the shard's plan depth.
+func (r *Router) openShardCursor(ctx context.Context, sc *shardClient, t *template, params []interface{}, trace string, deadlineMS, fetch int) (*wire.QueryResponse, *replica, error) {
 	type opened struct {
-		resp *shardQueryResponse
+		resp *wire.QueryResponse
 		rep  *replica
 	}
 	out, err := failoverAcross(ctx, sc, sc.orderedReplicas(), func(ctx context.Context, rep *replica) (opened, error) {
-		resp, err := r.openCursorOnReplica(ctx, rep, t, params, trace, deadlineMS, fetch)
-		if err != nil {
-			return opened{}, err
-		}
-		return opened{resp, rep}, nil
+		resp, err := r.queryReplica(ctx, rep, t, params, trace, deadlineMS, fetch, true)
+		return opened{resp, rep}, err
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return out.resp, out.rep, nil
-}
-
-// openCursorOnReplica opens a ranked cursor on one replica via the
-// prepared template (preparing it on first use), with the same
-// lost-statement fallback to ad-hoc SQL as queryReplica. fetch sizes
-// the first page and, through the trailing limit parameter, tunes the
-// shard's plan depth.
-func (r *Router) openCursorOnReplica(ctx context.Context, rep *replica, t *template, params []interface{}, trace string, deadlineMS, fetch int) (*shardQueryResponse, error) {
-	shardParams := params
-	if t.sel.limitSlot > 0 {
-		shardParams = make([]interface{}, 0, len(params)+1)
-		shardParams = append(shardParams, params...)
-		if t.sel.limitSlot <= len(params) {
-			shardParams[t.sel.limitSlot-1] = fetch
-		} else {
-			shardParams = append(shardParams, fetch)
-		}
-	}
-	id := t.sel.shardStmt(rep)
-	if id == "" && t.sel.shareable() {
-		if newID, err := rep.prepare(ctx, t.sel.fetchSQL); err == nil {
-			t.sel.setShardStmt(rep, newID)
-			id = newID
-		}
-	}
-	if id != "" {
-		resp, err := rep.query(ctx, trace, &request{
-			StmtID: id, Params: shardParams, DeadlineMS: deadlineMS, Cursor: true, Fetch: fetch})
-		if err == nil {
-			return resp, nil
-		}
-		if !stmtLost(err) {
-			return nil, err
-		}
-		t.sel.setShardStmt(rep, "")
-	}
-	return rep.query(ctx, trace, &request{
-		SQL: t.sel.fetchSQL, Params: shardParams, DeadlineMS: deadlineMS, Cursor: true, Fetch: fetch})
-}
-
-// handleCursorOpen serves a /query carrying "cursor": true: it builds
-// the per-shard cursor streams and the persistent merger, registers the
-// router cursor, and returns the first page with its cursor_id.
-func (r *Router) handleCursorOpen(w http.ResponseWriter, hr *http.Request, req *request, trace *obs.Trace, t *template, k int) {
-	pageSize := req.Fetch
-	if pageSize <= 0 {
-		if pageSize = k; pageSize <= 0 {
-			pageSize = defaultCursorPage
-		}
-	}
-	streams := make([]*cursorStream, len(r.shards))
-	merge := make([]Stream, len(r.shards))
-	for i, sc := range r.shards {
-		streams[i] = &cursorStream{r: r, sc: sc, t: t, params: req.Params}
-		merge[i] = streams[i]
-	}
-	rc := &routerCursor{
-		merger:   NewMerger(merge, perShardK(pageSize, len(r.shards))),
-		streams:  streams,
-		norm:     t.norm,
-		pageSize: pageSize,
-	}
-	// Delta pulls on shard cursors cost only the new rows, so grow
-	// prefixes additively instead of doubling — enumeration depth stays
-	// proportional to the pages actually consumed.
-	rc.merger.SetStep(perShardK(pageSize, len(r.shards)))
-	if err := r.cursors.add(rc); err != nil {
-		r.metrics.recordError(t.norm)
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{err.Error()})
-		return
-	}
-	r.metrics.cursorsOpened.Inc()
-	r.fetchCursorPage(w, hr, req, trace, rc, pageSize, 0)
+	return out.resp, out.rep, err
 }
 
 // handleCursorNext serves POST /cursor/next {cursor_id, fetch?,
 // after_rank?}: the next page of the merged ranked stream, refilling
 // only shards whose bounds still matter. after_rank skips forward
 // (cursors cannot rewind).
-func (r *Router) handleCursorNext(w http.ResponseWriter, hr *http.Request, req *request) {
+func (r *Router) handleCursorNext(w http.ResponseWriter, hr *http.Request, req *wire.Request) {
 	trace := obs.NewTrace(obs.TraceIDFrom(hr))
 	w.Header().Set(obs.TraceHeader, trace.ID)
-	rc, err := r.cursors.get(req.CursorID)
+	rc, err := r.cursors.Get(req.CursorID)
 	if err != nil {
 		r.metrics.cursorMisses.Inc()
 		r.metrics.recordError("")
-		writeJSON(w, http.StatusNotFound, errorResponse{err.Error()})
+		wire.WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
 	r.metrics.cursorHits.Inc()
@@ -576,172 +379,170 @@ func (r *Router) handleCursorNext(w http.ResponseWriter, hr *http.Request, req *
 	if n <= 0 {
 		n = rc.pageSize
 	}
-	r.fetchCursorPage(w, hr, req, trace, rc, n, req.AfterRank)
+	if resp := r.pullPage(w, hr, req, trace, req.CursorID, rc, n, req.AfterRank); resp != nil {
+		wire.WriteJSON(w, http.StatusOK, resp)
+	}
 }
 
 // handleCursorClose serves POST /cursor/close {cursor_id}, propagating
 // X-Ranksql-Trace so the router's close and each shard's close share
 // one trace ID.
-func (r *Router) handleCursorClose(w http.ResponseWriter, hr *http.Request, req *request) {
+func (r *Router) handleCursorClose(w http.ResponseWriter, hr *http.Request, req *wire.Request) {
 	trace := obs.NewTrace(obs.TraceIDFrom(hr))
 	w.Header().Set(obs.TraceHeader, trace.ID)
-	rc, err := r.cursors.get(req.CursorID)
-	if err == nil {
-		rc.mu.Lock()
-		for _, s := range rc.streams {
-			s.trace = trace
-		}
-		rc.mu.Unlock()
-	}
-	if !r.cursors.close(req.CursorID) {
-		writeJSON(w, http.StatusNotFound, errorResponse{fmt.Sprintf("no cursor %q", req.CursorID)})
+	rc, err := r.cursors.Remove(req.CursorID)
+	if err != nil {
+		wire.WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
+	rc.closeShardCursors(trace)
 	r.tracer.Debug("cursor closed", "trace", trace.ID, "cursor", req.CursorID)
-	writeJSON(w, http.StatusOK, map[string]interface{}{"closed": true, "trace_id": trace.ID})
+	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{"closed": true, "trace_id": trace.ID})
 }
 
-// fetchCursorPage pulls one page from a registered router cursor and
-// writes it as a queryResponse. afterRank > 0 fast-forwards the merged
-// stream so the page starts at rank afterRank+1; a position already
-// past it is an error (ranked streams cannot rewind).
-func (r *Router) fetchCursorPage(w http.ResponseWriter, hr *http.Request, req *request, trace *obs.Trace, rc *routerCursor, n, afterRank int) {
+// newPage starts a response around one page of merged rows: non-null
+// rows, scores and pruned list, and contiguous ranks from offset+1.
+func (r *Router) newPage(rows [][]interface{}, scores []float64, offset int, pruned []int) *wire.QueryResponse {
+	resp := &wire.QueryResponse{
+		Rows:     rows,
+		Scores:   scores,
+		Ranks:    make([]int, len(rows)),
+		CacheHit: true,
+		Depth:    len(rows),
+		Offset:   offset,
+		Merge:    &wire.MergeInfo{Shards: len(r.shards), ShardsPruned: pruned},
+	}
+	if rows == nil {
+		resp.Rows = [][]interface{}{}
+	}
+	if scores == nil {
+		resp.Scores = []float64{}
+	}
+	if pruned == nil {
+		resp.Merge.ShardsPruned = []int{}
+	}
+	for i := range resp.Ranks {
+		resp.Ranks[i] = offset + i + 1
+	}
+	return resp
+}
+
+// pullPage pulls the next page of n rows (all remaining rows when n <=
+// 0) from a merged stream — registered under id, or a one-shot's (id "")
+// — records it, and returns the response for the caller to send. A
+// failed pull is answered here and returns nil. afterRank > 0
+// fast-forwards the stream so the page starts at rank afterRank+1; a
+// position already past it is an error (ranked streams cannot rewind).
+func (r *Router) pullPage(w http.ResponseWriter, hr *http.Request, req *wire.Request, trace *obs.Trace, id string, rc *routerCursor, n, afterRank int) *wire.QueryResponse {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 
-	ctx := hr.Context()
-	if req.DeadlineMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
-		defer cancel()
+	if afterRank > 0 && afterRank < rc.pulled {
+		wire.WriteError(w, http.StatusBadRequest, fmt.Sprintf(
+			"cursor %q is already past rank %d (at %d); ranked streams cannot rewind", id, afterRank, rc.pulled))
+		return nil
 	}
+	ctx, cancel := req.Context(hr.Context())
+	defer cancel()
 	for _, s := range rc.streams {
 		s.ctx, s.trace = ctx, trace
 	}
 	start := time.Now()
 	endMerge := trace.StartSpan("merge")
-	var merged *Merged
 	var err error
-	if skip := afterRank - rc.pulled; afterRank > 0 && skip != 0 {
-		if skip < 0 {
-			endMerge()
-			writeJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf(
-				"cursor %q is already past rank %d (at %d); ranked streams cannot rewind", rc.ID, afterRank, rc.pulled)})
-			return
-		}
+	if skip := afterRank - rc.pulled; afterRank > 0 && skip > 0 {
 		var skipped *Merged
 		if skipped, err = rc.merger.Next(skip); err == nil {
 			rc.pulled += len(skipped.Rows)
 		}
 	}
+	var merged *Merged
 	if err == nil {
 		merged, err = rc.merger.Next(n)
 	}
 	endMerge()
 	if err != nil {
-		r.cursorFetchError(w, hr, req, trace, rc, err)
-		return
+		r.pullFailed(ctx, w, hr, req, trace, id, rc, err)
+		return nil
 	}
 	elapsed := time.Since(start)
 
+	resp := r.newPage(merged.Rows, merged.Scores, rc.pulled, merged.Pruned)
 	rc.pulled += len(merged.Rows)
-	offset := rc.pulled - len(merged.Rows)
-	resp := queryResponse{
-		Rows:      merged.Rows,
-		Scores:    merged.Scores,
-		Ranks:     make([]int, 0, len(merged.Rows)),
-		CacheHit:  true,
-		K:         n,
-		Depth:     len(merged.Rows),
-		Offset:    offset,
-		Exhausted: merged.Exhausted,
-		CursorID:  rc.ID,
-		Merge: mergeInfo{
-			Shards:       len(r.shards),
-			ShardsPruned: merged.Pruned,
-			Refills:      merged.Refills,
-		},
-		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
-		TraceID:   trace.ID,
-	}
-	if resp.Rows == nil {
-		resp.Rows = [][]interface{}{}
-	}
-	if resp.Scores == nil {
-		resp.Scores = []float64{}
-	}
-	if resp.Merge.ShardsPruned == nil {
-		resp.Merge.ShardsPruned = []int{}
-	}
-	for i := range merged.Rows {
-		resp.Ranks = append(resp.Ranks, offset+i+1)
-	}
-	totalFetched := 0
-	for _, s := range rc.streams {
+	resp.K = n
+	resp.Exhausted = merged.Exhausted
+	resp.CursorID = id
+	resp.Merge.Refills = merged.Refills
+	resp.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
+	resp.TraceID = trace.ID
+	views := make([]shardView, len(rc.streams))
+	for i, s := range rc.streams {
 		if resp.Columns == nil {
 			resp.Columns = s.columns
 		}
 		resp.CacheHit = resp.CacheHit && s.allCacheHit
-		// Stats are cumulative across the cursor's pages, mirroring the
-		// engine cursor: the last page's counters describe the whole
-		// enumeration so far.
-		resp.Stats.add(s.stats)
-		totalFetched += s.rowsFetched
-	}
-	resp.Merge.RowsFetched = totalFetched
-	r.metrics.recordQuery(rc.norm, elapsed, len(merged.Rows),
-		totalFetched-rc.rowsFetched, len(merged.Pruned), merged.Refills)
-	rc.rowsFetched = totalFetched
-	views := make([]shardView, len(rc.streams))
-	for i, s := range rc.streams {
+		// Stats and rows_fetched are cumulative across the stream's pages,
+		// mirroring the engine cursor: the last page's counters describe
+		// the whole enumeration so far.
+		resp.Stats.Add(s.stats)
+		resp.Merge.RowsFetched += s.rowsFetched
 		views[i] = shardView{rowsFetched: s.rowsFetched, depthK: s.depthK, driftRatio: s.driftRatio}
 	}
+	r.metrics.recordQuery(rc.norm, elapsed, len(merged.Rows),
+		resp.Merge.RowsFetched-rc.rowsFetched, len(merged.Pruned), merged.Refills)
+	rc.rowsFetched = resp.Merge.RowsFetched
 	r.metrics.recordInsight(buildInsightRecord(
 		rc.norm, trace.ID, elapsed, resp.Stats, len(merged.Rows), views, merged.Pruned))
-	attrs := append([]any{
-		"trace", trace.ID, "query", rc.norm, "cursor", rc.ID,
-		"elapsed_ms", resp.ElapsedMS,
-		"rows", len(merged.Rows), "offset", offset,
-		"rows_fetched_total", totalFetched,
+	what := "query"
+	attrs := []any{
+		"trace", trace.ID, "query", rc.norm, "elapsed_ms", resp.ElapsedMS,
+		"rows", len(merged.Rows), "rows_fetched", resp.Merge.RowsFetched,
 		"shards_pruned", len(merged.Pruned), "refills", merged.Refills,
-	}, trace.SpanAttrs()...)
+	}
+	if id != "" {
+		what = "cursor page"
+		attrs = append(attrs, "cursor", id, "offset", resp.Offset)
+	}
+	attrs = append(attrs, trace.SpanAttrs()...)
 	if r.slow > 0 && elapsed >= r.slow {
 		r.metrics.slow.Inc()
-		r.tracer.Warn("slow cursor page", attrs...)
+		r.tracer.Warn("slow "+what, attrs...)
 	} else {
-		r.tracer.Debug("cursor page", attrs...)
+		r.tracer.Debug(what, attrs...)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
-// cursorFetchError maps a failed page pull onto the wire: deadline
-// budgets get 504 (the cursor survives — rows already merged are parked
-// and served by the retry), shard-side invalidation closes the router
-// cursor with 409, client disconnects go unanswered.
-func (r *Router) cursorFetchError(w http.ResponseWriter, hr *http.Request, req *request, trace *obs.Trace, rc *routerCursor, err error) {
-	if ctxErr := hr.Context().Err(); ctxErr != nil {
+// pullFailed maps a failed page pull — one-shot or cursor — onto the
+// wire. ctx is the pull's context, derived from hr's: when it has ended
+// and hr's has not, only the deadline_ms budget can have ended it, which
+// is a 504 (a cursor survives it — rows already merged are parked and
+// served by the retry). A client that went away gets no answer;
+// shard-side invalidation closes the router cursor with 409; anything
+// else is a shard failure.
+func (r *Router) pullFailed(ctx context.Context, w http.ResponseWriter, hr *http.Request, req *wire.Request, trace *obs.Trace, id string, rc *routerCursor, err error) {
+	switch {
+	case hr.Context().Err() != nil:
 		return
-	}
-	if req.DeadlineMS > 0 && strings.Contains(err.Error(), context.DeadlineExceeded.Error()) {
+	case ctx.Err() != nil:
+		what := "query"
+		if id != "" {
+			what = "cursor fetch"
+		}
 		r.metrics.recordTimeout()
-		r.metrics.recordError(rc.norm)
-		r.tracer.Warn("cursor page deadline exceeded",
-			"trace", trace.ID, "cursor", rc.ID, "deadline_ms", req.DeadlineMS)
-		writeJSON(w, http.StatusGatewayTimeout,
-			errorResponse{fmt.Sprintf("cursor fetch exceeded deadline_ms=%d", req.DeadlineMS)})
-		return
-	}
-	if cursorDead(err) {
-		// The caller holds rc.mu, so unregister and tear down inline
-		// rather than via cursorTable.close (which re-locks rc.mu).
-		r.cursors.remove(rc.ID)
+		r.tracer.Warn(what+" deadline exceeded",
+			"trace", trace.ID, "query", rc.norm, "cursor", id, "deadline_ms", req.DeadlineMS)
+		wire.WriteError(w, http.StatusGatewayTimeout, fmt.Sprintf("%s exceeded deadline_ms=%d", what, req.DeadlineMS))
+	case cursorDead(err):
+		// The caller holds rc.mu, so tear down inline rather than via
+		// closeShardCursors (which re-locks it).
+		_, _ = r.cursors.Remove(id)
 		for _, s := range rc.streams {
 			s.closeRemote()
 		}
-		r.metrics.recordError(rc.norm)
-		writeJSON(w, http.StatusConflict, errorResponse{err.Error()})
-		return
+		wire.WriteError(w, http.StatusConflict, err.Error())
+	default:
+		wire.WriteError(w, http.StatusBadGateway, err.Error())
 	}
 	r.metrics.recordError(rc.norm)
-	writeJSON(w, http.StatusBadGateway, errorResponse{err.Error()})
 }

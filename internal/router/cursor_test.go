@@ -245,13 +245,13 @@ func TestRouterCursorExpiry(t *testing.T) {
 	}
 
 	first := openRouterCursor(t, c.front.URL, 300, 5)
-	if got := c.router.cursors.count(); got != 1 {
+	if got := c.router.cursors.Len(); got != 1 {
 		t.Fatalf("open cursors = %d, want 1", got)
 	}
 
 	// Force the GC with a clock past the TTL (no real sleeps).
-	c.router.cursors.expireNow(time.Now().Add(2 * time.Minute))
-	if got := c.router.cursors.count(); got != 0 {
+	c.router.cursors.Sweep(time.Now().Add(2 * time.Minute))
+	if got := c.router.cursors.Len(); got != 0 {
 		t.Fatalf("open cursors after sweep = %d, want 0", got)
 	}
 
@@ -263,6 +263,13 @@ func TestRouterCursorExpiry(t *testing.T) {
 	}
 	if !strings.Contains(next.Error, "expired") {
 		t.Errorf("expired-cursor error %q should say the cursor expired", next.Error)
+	}
+	// /cursor/close consults the same tombstones: one lookup, one error.
+	var closed testQueryResponse
+	code = postJSON(t, c.front.URL+"/cursor/close", map[string]interface{}{
+		"cursor_id": first.CursorID}, &closed)
+	if code != http.StatusNotFound || closed.Error != next.Error {
+		t.Errorf("expired-cursor close: status %d, error %q; want 404 and the pull's error %q", code, closed.Error, next.Error)
 	}
 	var bogus testQueryResponse
 	postJSON(t, c.front.URL+"/cursor/next", map[string]interface{}{
@@ -364,7 +371,7 @@ func TestRouterCursorInvalidation(t *testing.T) {
 	if code != http.StatusConflict || !strings.Contains(next.Error, "invalidated") {
 		t.Fatalf("pull after DDL: status %d, error %q; want 409 mentioning invalidation", code, next.Error)
 	}
-	if got := c.router.cursors.count(); got != 0 {
+	if got := c.router.cursors.Len(); got != 0 {
 		t.Fatalf("open cursors after invalidation = %d, want 0", got)
 	}
 	var again testQueryResponse

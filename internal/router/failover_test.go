@@ -16,6 +16,7 @@ import (
 	"ranksql"
 	"ranksql/internal/flakyproxy"
 	"ranksql/internal/server"
+	"ranksql/internal/wire"
 )
 
 // rcluster is an in-process deployment with replicated shards: shards x
@@ -253,7 +254,7 @@ func TestMisbehavingShardClassification(t *testing.T) {
 			srv := httptest.NewServer(tc.handler)
 			defer srv.Close()
 			rep := &replica{base: srv.URL, http: srv.Client()}
-			var out shardQueryResponse
+			var out wire.QueryResponse
 			err := rep.postJSON(context.Background(), "/query", "", map[string]interface{}{"sql": "SELECT 1"}, &out)
 			if err == nil {
 				t.Fatalf("misbehaving response decoded as success: %+v", out)
@@ -296,7 +297,7 @@ func TestConnectionReuseAfterErrorResponse(t *testing.T) {
 			}
 		},
 	})
-	var out shardQueryResponse
+	var out wire.QueryResponse
 	if err := rep.postJSON(ctx, "/query", "", map[string]interface{}{"sql": "SELECT 1"}, &out); err == nil {
 		t.Fatal("first call should fail with the 500")
 	}
@@ -387,8 +388,8 @@ func TestFailoverToSecondReplica(t *testing.T) {
 		{shardID: 0, idx: 0, base: dead.URL, http: http.DefaultClient},
 		{shardID: 0, idx: 1, base: live.URL, http: live.Client()},
 	}}
-	out, err := shardRead(context.Background(), sc, func(ctx context.Context, rep *replica) (*shardQueryResponse, error) {
-		return rep.query(ctx, "", &request{SQL: "SELECT 1"})
+	out, err := shardRead(context.Background(), sc, func(ctx context.Context, rep *replica) (*wire.QueryResponse, error) {
+		return rep.page(ctx, "/query", "", &wire.Request{SQL: "SELECT 1"})
 	})
 	if err != nil || out == nil {
 		t.Fatalf("read with one dead replica: %v", err)
@@ -429,8 +430,8 @@ func TestHedgedReadPrefersFastReplica(t *testing.T) {
 		{shardID: 0, idx: 1, base: fast.URL, http: fast.Client()},
 	}}
 	start := time.Now()
-	out, err := shardRead(context.Background(), sc, func(ctx context.Context, rep *replica) (*shardQueryResponse, error) {
-		return rep.query(ctx, "", &request{SQL: "SELECT 1"})
+	out, err := shardRead(context.Background(), sc, func(ctx context.Context, rep *replica) (*wire.QueryResponse, error) {
+		return rep.page(ctx, "/query", "", &wire.Request{SQL: "SELECT 1"})
 	})
 	elapsed := time.Since(start)
 	if err != nil || out == nil {

@@ -6,11 +6,10 @@ import (
 	"time"
 
 	"ranksql/internal/obs/insight"
+	"ranksql/internal/wire"
 )
 
-// shardView is the slice of per-stream state the insight record needs,
-// satisfied by both httpStream (one-shot merges) and cursorStream
-// (resumable pages).
+// shardView is the slice of per-stream state the insight record needs.
 type shardView struct {
 	rowsFetched int
 	depthK      int64
@@ -23,7 +22,7 @@ type shardView struct {
 // execution — that shard's depth of enumeration and estimate drift.
 // The record's DepthK is the deepest shard enumeration the merge drove;
 // when no shard reported one, the deepest fetched prefix stands in.
-func buildInsightRecord(norm, traceID string, elapsed time.Duration, stats queryStats,
+func buildInsightRecord(norm, traceID string, elapsed time.Duration, stats wire.QueryStats,
 	returned int, views []shardView, pruned []int) *insight.QueryRecord {
 	rec := &insight.QueryRecord{
 		Template:           norm,
@@ -80,11 +79,11 @@ func (m *metrics) recordInsight(rec *insight.QueryRecord) {
 // summary of the recorded query window, cluster-wide.
 func (r *Router) handleInsightWorkload(w http.ResponseWriter, hr *http.Request) {
 	if hr.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET required"})
+		wire.WriteError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	workload, _ := insight.Aggregate(r.metrics.insight)
-	writeJSON(w, http.StatusOK, workload)
+	wire.WriteJSON(w, http.StatusOK, workload)
 }
 
 // handleInsightTemplates serves GET /insight/templates: per-template
@@ -92,9 +91,9 @@ func (r *Router) handleInsightWorkload(w http.ResponseWriter, hr *http.Request) 
 // fetch volume and pruning, and shard-reported estimate drift.
 func (r *Router) handleInsightTemplates(w http.ResponseWriter, hr *http.Request) {
 	if hr.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET required"})
+		wire.WriteError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	_, templates := insight.Aggregate(r.metrics.insight)
-	writeJSON(w, http.StatusOK, map[string]interface{}{"templates": templates})
+	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{"templates": templates})
 }

@@ -150,7 +150,6 @@ type Merger struct {
 	h        headHeap
 	initialK int
 	first    int
-	step     int
 	started  bool
 	refilled int // refills already attributed to earlier pages
 
@@ -172,14 +171,6 @@ func NewMerger(streams []Stream, initialK int) *Merger {
 	}
 	return m
 }
-
-// SetStep switches refill growth from prefix doubling to additive steps
-// of step rows. Doubling suits streams that re-execute on every refill
-// (fewer round trips amortize the repeated enumeration); cursor-backed
-// streams fetch deltas at cost proportional to the delta, so additive
-// growth keeps total enumeration depth close to what the consumed pages
-// actually needed.
-func (m *Merger) SetStep(step int) { m.step = step }
 
 // start issues the initial parallel fetch: shards compute their local
 // top-k' concurrently, so the fan-out costs one shard round-trip, not
@@ -223,9 +214,10 @@ func (m *Merger) start(k int) error {
 // Next pulls the next page of up to k rows from the merged ranked
 // stream (all remaining rows when k <= 0). Rows are drawn in globally
 // non-increasing score order via the persistent max-heap; a dormant
-// stream is refilled (prefix doubling) only while its score bound can
-// still affect the next output row. Pruned and Refills describe this
-// page; Exhausted reports that the whole merged stream has run dry.
+// stream is refilled only while its score bound can still affect the
+// next output row. Pruned and Refills
+// describe this page; Exhausted reports that the whole merged stream has
+// run dry.
 func (m *Merger) Next(k int) (*Merged, error) {
 	out := &Merged{}
 	if len(m.cursors) == 0 {
@@ -271,9 +263,14 @@ func (m *Merger) Next(k int) (*Merged, error) {
 				break
 			}
 			c := m.cursors[refill]
+			// A stream that re-executes on every refill doubles its prefix,
+			// so fewer round trips amortize the repeated enumeration; one
+			// pulling a suspended shard cursor pays only for the new rows,
+			// so it grows additively and total depth stays close to what
+			// the consumed pages needed.
 			want := 2 * len(c.scores)
-			if m.step > 0 {
-				want = len(c.scores) + m.step
+			if cs, ok := c.stream.(*cursorStream); ok && !cs.plain {
+				want = len(c.scores) + m.first
 			}
 			if want < m.first {
 				want = m.first

@@ -1,21 +1,20 @@
 package router
 
 import (
-	"container/list"
 	"encoding/json"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"ranksql/internal/obs"
+	"ranksql/internal/wire"
 )
 
 // Router-side ranked-result cache: a template hit with identical
 // bindings and k is answered from the router with zero shard fan-out.
-// The invalidation model mirrors the engine plan cache
-// (internal/engine/plancache.go) — keys embed a schema version bumped
+// It is an lru.Cache like the engine plan cache, and its invalidation
+// model mirrors that one's — keys embed a schema version bumped
 // by every DDL fan-out, and entries snapshot the router-tracked row
 // counts of their referenced tables — but where the plan cache keeps a
 // plan until a table doubles (DefaultStaleFactor), this cache drops an
@@ -66,106 +65,6 @@ type ResultCacheStats struct {
 	HitRate   float64 `json:"hit_rate"`
 }
 
-// resultCache is a mutex-guarded LRU over merged top-k answers.
-type resultCache struct {
-	mu        sync.Mutex
-	capacity  int
-	entries   map[resultKey]*list.Element
-	lru       *list.List // front = most recently used
-	hits      uint64
-	misses    uint64
-	stale     uint64
-	evictions uint64
-}
-
-type resultCacheItem struct {
-	key resultKey
-	ent *resultEntry
-}
-
-func newResultCache(capacity int) *resultCache {
-	return &resultCache{
-		capacity: capacity,
-		entries:  map[resultKey]*list.Element{},
-		lru:      list.New(),
-	}
-}
-
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// get returns the entry for key if present and still fresh under the
-// current row counts; a present-but-stale entry is removed and counted.
-func (c *resultCache) get(key resultKey, currentRows func(table string) (uint64, bool)) *resultEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		return nil
-	}
-	item := el.Value.(*resultCacheItem)
-	for table, snap := range item.ent.tableRows {
-		now, ok := currentRows(table)
-		if !ok || now != snap {
-			c.lru.Remove(el)
-			delete(c.entries, key)
-			c.stale++
-			c.misses++
-			return nil
-		}
-	}
-	c.lru.MoveToFront(el)
-	c.hits++
-	return item.ent
-}
-
-func (c *resultCache) put(key resultKey, ent *resultEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*resultCacheItem).ent = ent
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.lru.PushFront(&resultCacheItem{key: key, ent: ent})
-	for len(c.entries) > c.capacity {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*resultCacheItem).key)
-		c.evictions++
-	}
-}
-
-// purge drops every entry (DDL: the version key already orphans them;
-// purging eagerly returns the memory).
-func (c *resultCache) purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = map[resultKey]*list.Element{}
-	c.lru.Init()
-}
-
-func (c *resultCache) stats() ResultCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := ResultCacheStats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Stale:     c.stale,
-		Evictions: c.evictions,
-		Entries:   len(c.entries),
-		Capacity:  c.capacity,
-	}
-	if total := s.Hits + s.Misses; total > 0 {
-		s.HitRate = float64(s.Hits) / float64(total)
-	}
-	return s
-}
-
 // renderBindings folds a request's parameters into a canonical cache
 // key fragment. Values are type-tagged so 1, 1.0 and "1" stay distinct
 // keys. Parameters outside the JSON scalar set make the request
@@ -203,14 +102,13 @@ func renderBindings(params []interface{}) (string, bool) {
 }
 
 // snapshotTables captures the current router-tracked row count of each
-// referenced table under one lock acquisition, along with the schema
-// version (read separately by the callers via resultKeyFor). A table
-// the router has no catalog entry for — seeded behind its back, or a
-// typo the shards will reject anyway — makes the query uncacheable:
-// its growth could not be observed.
-func (r *Router) snapshotTables(tables []string) (map[string]uint64, bool) {
+// referenced table under one lock acquisition. It returns nil when a
+// table has no catalog entry — seeded behind the router's back, or a
+// typo the shards will reject anyway: the query is then uncacheable,
+// since the table's growth could not be observed.
+func (r *Router) snapshotTables(tables []string) map[string]uint64 {
 	if len(tables) == 0 {
-		return nil, false
+		return nil
 	}
 	snap := make(map[string]uint64, len(tables))
 	r.mu.Lock()
@@ -218,11 +116,11 @@ func (r *Router) snapshotTables(tables []string) (map[string]uint64, bool) {
 	for _, name := range tables {
 		ti, ok := r.tables[name]
 		if !ok {
-			return nil, false
+			return nil
 		}
 		snap[name] = ti.rows
 	}
-	return snap, true
+	return snap
 }
 
 func (r *Router) resultKeyFor(t *template, bindKey string, k int) resultKey {
@@ -232,25 +130,32 @@ func (r *Router) resultKeyFor(t *template, bindKey string, k int) resultKey {
 	return resultKey{norm: t.norm, bind: bindKey, k: k, version: v}
 }
 
-// lookupResult returns a fresh cached answer for (template, bindings,
-// k) or nil.
-func (r *Router) lookupResult(t *template, bindKey string, k int) *resultEntry {
-	return r.results.get(r.resultKeyFor(t, bindKey, k), func(table string) (uint64, bool) {
+// lookupResult returns the cached answer for (template, bindings, k) if
+// one exists and no referenced table has changed its row count since the
+// answer's fan-out was issued; a stale entry is dropped by the lookup.
+func (r *Router) lookupResult(t *template, bindKey string, k int) (*resultEntry, bool) {
+	return r.results.Get(r.resultKeyFor(t, bindKey, k), func(ent *resultEntry) bool {
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		ti, ok := r.tables[table]
-		if !ok {
-			return 0, false
+		for table, snap := range ent.tableRows {
+			if ti, ok := r.tables[table]; !ok || ti.rows != snap {
+				return false
+			}
 		}
-		return ti.rows, true
+		return true
 	})
 }
 
-// storeResult caches a merged answer under the row-count snapshot taken
-// before its fan-out.
-func (r *Router) storeResult(t *template, bindKey string, k int, snap map[string]uint64, ent *resultEntry) {
-	ent.tableRows = snap
-	r.results.put(r.resultKeyFor(t, bindKey, k), ent)
+// storeResult caches a merged one-shot answer under the row-count
+// snapshot taken before its fan-out.
+func (r *Router) storeResult(t *template, bindKey string, k int, snap map[string]uint64, resp *wire.QueryResponse) {
+	r.results.Put(r.resultKeyFor(t, bindKey, k), &resultEntry{
+		columns:   resp.Columns,
+		rows:      resp.Rows,
+		scores:    resp.Scores,
+		exhausted: resp.Exhausted,
+		tableRows: snap,
+	})
 }
 
 // serveCachedResult writes a /query response straight from a cache
@@ -258,35 +163,25 @@ func (r *Router) storeResult(t *template, bindKey string, k int, snap map[string
 // zero and merge.rows_fetched is 0 — which is exactly what the
 // zero-fan-out tests assert through the replica request counters.
 func (r *Router) serveCachedResult(w http.ResponseWriter, trace *obs.Trace, t *template, k int, ent *resultEntry, elapsed time.Duration) {
-	resp := queryResponse{
-		Columns:        ent.columns,
-		Rows:           ent.rows,
-		Scores:         ent.scores,
-		Ranks:          make([]int, len(ent.rows)),
-		CacheHit:       true,
-		ResultCacheHit: true,
-		K:         k,
-		Depth:     len(ent.rows),
-		Exhausted: ent.exhausted,
-		Merge: mergeInfo{
-			Shards:       len(r.shards),
-			ShardsPruned: []int{},
-		},
-		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
-		TraceID:   trace.ID,
-	}
-	if resp.Rows == nil {
-		resp.Rows = [][]interface{}{}
-	}
-	if resp.Scores == nil {
-		resp.Scores = []float64{}
-	}
-	for i := range resp.Ranks {
-		resp.Ranks[i] = i + 1
-	}
+	resp := r.newPage(ent.rows, ent.scores, 0, nil)
+	resp.Columns = ent.columns
+	resp.ResultCacheHit = true
+	resp.K = k
+	resp.Exhausted = ent.exhausted
+	resp.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
+	resp.TraceID = trace.ID
 	r.metrics.resultCacheHits.Inc()
 	r.metrics.recordQuery(t.norm, elapsed, len(ent.rows), 0, 0, 0)
 	r.tracer.Debug("query served from result cache",
 		"trace", trace.ID, "query", t.norm, "rows", len(ent.rows))
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
+}
+
+// resultCacheStats renders the cache's counters as the /stats block.
+func (r *Router) resultCacheStats() *ResultCacheStats {
+	s := r.results.Stats()
+	return &ResultCacheStats{
+		Hits: s.Hits, Misses: s.Misses, Stale: s.Stale, Evictions: s.Evictions,
+		Entries: s.Entries, Capacity: s.Capacity, HitRate: s.HitRate(),
+	}
 }

@@ -24,7 +24,6 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -37,9 +36,12 @@ import (
 	"sync"
 	"time"
 
+	"ranksql/internal/idle"
+	"ranksql/internal/lru"
 	"ranksql/internal/obs"
 	"ranksql/internal/sql"
 	"ranksql/internal/types"
+	"ranksql/internal/wire"
 )
 
 // Router is the sharding coordinator.
@@ -50,14 +52,17 @@ type Router struct {
 	tracer  *slog.Logger
 	slow    time.Duration
 	pprof   bool
-	cursors *cursorTable
+	// cursors holds the registered ranked cursors; cursorTTL (fixed at New
+	// time) is how long one may sit unused before it is collected.
+	cursors   *idle.Table[*routerCursor]
+	cursorTTL time.Duration
 
 	// hedgeDelay arms hedged merge pulls on every shard client (see
 	// shardRead); resultCacheCap sizes the router-side ranked-result
 	// cache (<= 0 disables it). Both are fixed at New time.
 	hedgeDelay     time.Duration
 	resultCacheCap int
-	results        *resultCache
+	results        *lru.Cache[resultKey, *resultEntry]
 
 	mu        sync.Mutex
 	tables    map[string]*tableInfo
@@ -144,7 +149,7 @@ func WithPprof() Option {
 // "expired" error. ttl <= 0 (the default) keeps cursors until the
 // client closes them.
 func WithCursorTTL(ttl time.Duration) Option {
-	return func(r *Router) { r.cursors.ttl = ttl }
+	return func(r *Router) { r.cursorTTL = ttl }
 }
 
 // New builds a Router over the given shard specs. Each spec is one
@@ -161,7 +166,6 @@ func New(shardURLs []string, opts ...Option) (*Router, error) {
 		logf:           log.Printf,
 		metrics:        newMetrics(),
 		tracer:         slog.Default(),
-		cursors:        newCursorTable(),
 		tables:         map[string]*tableInfo{},
 		templates:      map[string]*template{},
 		stmts:          map[string]*template{},
@@ -169,10 +173,10 @@ func New(shardURLs []string, opts ...Option) (*Router, error) {
 	}
 	r.metrics.reg.GaugeFunc("ranksql_router_open_cursors",
 		"Ranked cursors currently open on the router (each pins per-shard stream positions).",
-		func() float64 { return float64(r.cursors.count()) })
+		func() float64 { return float64(r.cursors.Len()) })
 	r.metrics.reg.GaugeFunc("ranksql_router_cursors_expired_total",
 		"Router cursors collected by the idle-cursor TTL GC.",
-		func() float64 { return float64(r.cursors.expiredCount()) })
+		func() float64 { return float64(r.cursors.Expired()) })
 	for i, group := range shardURLs {
 		sc := &shardClient{id: i, m: r.metrics}
 		for j, u := range strings.Split(group, ",") {
@@ -193,11 +197,19 @@ func New(shardURLs []string, opts ...Option) (*Router, error) {
 	for _, sc := range r.shards {
 		sc.hedgeDelay = r.hedgeDelay
 	}
+	r.cursors = idle.New(idle.Spec[*routerCursor]{
+		Kind: "cursor", Prefix: "rcur", Hint: "re-open the query", TTL: r.cursorTTL,
+		Limit: maxOpenRouterCursors,
+		// Closing shard cursors is network I/O bounded by cursorClose's own
+		// timeout; the request whose table access ran the sweep does not
+		// wait for it.
+		OnEvict: func(rc *routerCursor) { go rc.closeShardCursors(nil) },
+	})
 	if r.resultCacheCap > 0 {
-		r.results = newResultCache(r.resultCacheCap)
+		r.results = lru.New[resultKey, *resultEntry](r.resultCacheCap)
 		r.metrics.reg.GaugeFunc("ranksql_router_result_cache_entries",
 			"Entries currently held by the router-side ranked-result cache.",
-			func() float64 { return float64(r.results.len()) })
+			func() float64 { return float64(r.results.Stats().Entries) })
 	}
 	return r, nil
 }
@@ -210,14 +222,14 @@ func (r *Router) NumShards() int { return len(r.shards) }
 // against either).
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/session", r.post(r.handleSessionOpen))
-	mux.HandleFunc("/session/close", r.post(r.handleSessionClose))
-	mux.HandleFunc("/prepare", r.post(r.handlePrepare))
-	mux.HandleFunc("/stmt/close", r.post(r.handleStmtClose))
-	mux.HandleFunc("/query", r.post(r.handleQuery))
-	mux.HandleFunc("/cursor/next", r.post(r.handleCursorNext))
-	mux.HandleFunc("/cursor/close", r.post(r.handleCursorClose))
-	mux.HandleFunc("/exec", r.post(r.handleExec))
+	mux.HandleFunc("/session", wire.Post(r.handleSessionOpen))
+	mux.HandleFunc("/session/close", wire.Post(r.handleSessionClose))
+	mux.HandleFunc("/prepare", wire.Post(r.handlePrepare))
+	mux.HandleFunc("/stmt/close", wire.Post(r.handleStmtClose))
+	mux.HandleFunc("/query", wire.Post(r.handleQuery))
+	mux.HandleFunc("/cursor/next", wire.Post(r.handleCursorNext))
+	mux.HandleFunc("/cursor/close", wire.Post(r.handleCursorClose))
+	mux.HandleFunc("/exec", wire.Post(r.handleExec))
 	mux.HandleFunc("/load", r.handleLoad)
 	mux.HandleFunc("/stats", r.handleStats)
 	mux.Handle("/metrics", obs.Handler(r.metrics.reg))
@@ -270,59 +282,15 @@ func (r *Router) ServeListener(ctx context.Context, ln net.Listener) error {
 	}
 }
 
-// request is the shared request envelope (superset of the server's: the
-// router adds partition_key for CREATE TABLE).
-type request struct {
-	SQL          string        `json:"sql,omitempty"`
-	SessionID    string        `json:"session_id,omitempty"`
-	StmtID       string        `json:"stmt_id,omitempty"`
-	Params       []interface{} `json:"params,omitempty"`
-	PartitionKey string        `json:"partition_key,omitempty"`
-	// DeadlineMS is a per-request execution budget in milliseconds,
-	// enforced at the router and forwarded to each shard fetch with the
-	// remaining budget. Expiry fails the request with 504 and counts as
-	// a distinct timeout metric.
-	DeadlineMS int `json:"deadline_ms,omitempty"`
-	// Cursor on /query opens a resumable ranked cursor instead of a
-	// one-shot merge; CursorID/Fetch/AfterRank drive /cursor/next and
-	// /cursor/close. The same fields travel to the shards, whose servers
-	// speak the identical protocol.
-	Cursor    bool   `json:"cursor,omitempty"`
-	CursorID  string `json:"cursor_id,omitempty"`
-	Fetch     int    `json:"fetch,omitempty"`
-	AfterRank int    `json:"after_rank,omitempty"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func (r *Router) post(h func(http.ResponseWriter, *http.Request, *request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, hr *http.Request) {
-		if hr.Method != http.MethodPost {
-			writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST required"})
-			return
-		}
-		var req request
-		dec := json.NewDecoder(hr.Body)
-		dec.UseNumber()
-		if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-			writeJSON(w, http.StatusBadRequest, errorResponse{"bad request body: " + err.Error()})
-			return
-		}
-		h(w, hr, &req)
-	}
-}
-
 // The router is sessionless: prepared statements live in one shared
 // namespace (shards hold the real per-template state). /session is
 // accepted for client compatibility and returns a fixed id.
-func (r *Router) handleSessionOpen(w http.ResponseWriter, _ *http.Request, _ *request) {
-	writeJSON(w, http.StatusOK, map[string]string{"session_id": "router"})
+func (r *Router) handleSessionOpen(w http.ResponseWriter, _ *http.Request, _ *wire.Request) {
+	wire.WriteJSON(w, http.StatusOK, map[string]string{"session_id": "router"})
 }
 
-func (r *Router) handleSessionClose(w http.ResponseWriter, _ *http.Request, _ *request) {
-	writeJSON(w, http.StatusOK, map[string]bool{"closed": true})
+func (r *Router) handleSessionClose(w http.ResponseWriter, _ *http.Request, _ *wire.Request) {
+	wire.WriteJSON(w, http.StatusOK, map[string]bool{"closed": true})
 }
 
 // template is a parsed statement the router can fan out: SELECTs carry a
@@ -451,15 +419,15 @@ func (r *Router) parseTemplate(src string) (*template, error) {
 	return t, nil
 }
 
-func (r *Router) handlePrepare(w http.ResponseWriter, _ *http.Request, req *request) {
+func (r *Router) handlePrepare(w http.ResponseWriter, _ *http.Request, req *wire.Request) {
 	if strings.TrimSpace(req.SQL) == "" {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"sql is required"})
+		wire.WriteError(w, http.StatusBadRequest, "sql is required")
 		return
 	}
 	t, err := r.parseTemplate(req.SQL)
 	if err != nil {
 		r.metrics.recordError("")
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if t.sel != nil {
@@ -474,7 +442,7 @@ func (r *Router) handlePrepare(w http.ResponseWriter, _ *http.Request, req *requ
 	id := fmt.Sprintf("stmt-%d", r.nextStmt)
 	r.stmts[id] = t
 	r.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{
 		"session_id": "router",
 		"stmt_id":    id,
 		"num_params": t.numParams,
@@ -483,19 +451,19 @@ func (r *Router) handlePrepare(w http.ResponseWriter, _ *http.Request, req *requ
 	})
 }
 
-func (r *Router) handleStmtClose(w http.ResponseWriter, _ *http.Request, req *request) {
+func (r *Router) handleStmtClose(w http.ResponseWriter, _ *http.Request, req *wire.Request) {
 	r.mu.Lock()
 	_, ok := r.stmts[req.StmtID]
 	delete(r.stmts, req.StmtID)
 	r.mu.Unlock()
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{fmt.Sprintf("no statement %q", req.StmtID)})
+		wire.WriteError(w, http.StatusNotFound, fmt.Sprintf("no statement %q", req.StmtID))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"closed": true})
+	wire.WriteJSON(w, http.StatusOK, map[string]bool{"closed": true})
 }
 
-func (r *Router) resolveTemplate(req *request) (*template, int, error) {
+func (r *Router) resolveTemplate(req *wire.Request) (*template, int, error) {
 	switch {
 	case req.StmtID != "":
 		r.mu.Lock()
@@ -516,63 +484,6 @@ func (r *Router) resolveTemplate(req *request) (*template, int, error) {
 	}
 }
 
-// queryStats mirrors the server's per-request counters, summed over
-// every shard fetch the merge issued.
-type queryStats struct {
-	TuplesScanned int64   `json:"tuples_scanned"`
-	PredEvals     int64   `json:"pred_evals"`
-	Comparisons   int64   `json:"comparisons"`
-	JoinProbes    int64   `json:"join_probes"`
-	PeakBuffered  int64   `json:"peak_buffered"`
-	Materialized  int64   `json:"tuples_materialized"`
-	PredCostUnits float64 `json:"pred_cost_units"`
-}
-
-func (s *queryStats) add(o queryStats) {
-	s.TuplesScanned += o.TuplesScanned
-	s.PredEvals += o.PredEvals
-	s.Comparisons += o.Comparisons
-	s.JoinProbes += o.JoinProbes
-	s.PeakBuffered += o.PeakBuffered
-	s.Materialized += o.Materialized
-	s.PredCostUnits += o.PredCostUnits
-}
-
-// mergeInfo is the router-specific block of a query response: what the
-// threshold merge did across the cluster.
-type mergeInfo struct {
-	Shards       int   `json:"shards"`
-	ShardsPruned []int `json:"shards_pruned"`
-	Refills      int   `json:"refills"`
-	RowsFetched  int   `json:"rows_fetched"`
-}
-
-type queryResponse struct {
-	Columns []string        `json:"columns"`
-	Rows    [][]interface{} `json:"rows"`
-	Scores  []float64       `json:"scores"`
-	// Ranks[i] is row i's 1-based position in the cluster-wide stable
-	// total order (score desc, then shard index asc, then shard
-	// insertion order); cursor pages continue the numbering where the
-	// previous page stopped.
-	Ranks []int `json:"ranks"`
-	// CacheHit means every shard answered from its plan cache;
-	// ResultCacheHit means the router answered from its own ranked-result
-	// cache with zero shard fan-out (CacheHit is also set then — no shard
-	// had to plan anything).
-	CacheHit       bool `json:"cache_hit"`
-	ResultCacheHit bool `json:"result_cache_hit,omitempty"`
-	K              int  `json:"k"`
-	Depth     int        `json:"depth"`
-	Offset    int        `json:"offset,omitempty"`
-	Exhausted bool       `json:"exhausted"`
-	CursorID  string     `json:"cursor_id,omitempty"`
-	Stats     queryStats `json:"stats"`
-	Merge     mergeInfo  `json:"merge"`
-	ElapsedMS float64    `json:"elapsed_ms"`
-	TraceID   string     `json:"trace_id,omitempty"`
-}
-
 // perShardK picks the initial per-shard fetch depth for a client top-k:
 // an even split plus one row of slack. Skewed clusters refill (prefix
 // doubling); balanced ones answer in one round with ~k/N overfetch per
@@ -588,7 +499,7 @@ func perShardK(k, nShards int) int {
 	return n
 }
 
-func (r *Router) handleQuery(w http.ResponseWriter, hr *http.Request, req *request) {
+func (r *Router) handleQuery(w http.ResponseWriter, hr *http.Request, req *wire.Request) {
 	// The trace ID is minted here (or propagated from an upstream
 	// caller) and travels to every shard fetch via the X-Ranksql-Trace
 	// header, so one merged query correlates across the whole cluster.
@@ -599,19 +510,19 @@ func (r *Router) handleQuery(w http.ResponseWriter, hr *http.Request, req *reque
 	t, code, err := r.resolveTemplate(req)
 	if err != nil {
 		r.metrics.recordError("")
-		writeJSON(w, code, errorResponse{err.Error()})
+		wire.WriteError(w, code, err.Error())
 		return
 	}
 	endPlan()
 	if t.sel == nil {
 		r.metrics.recordError(t.norm)
-		writeJSON(w, http.StatusBadRequest, errorResponse{"statement is not a query; use /exec"})
+		wire.WriteError(w, http.StatusBadRequest, "statement is not a query; use /exec")
 		return
 	}
 	if len(req.Params) != t.numParams {
 		r.metrics.recordError(t.norm)
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			fmt.Sprintf("statement has %d parameter(s), %d value(s) bound", t.numParams, len(req.Params))})
+		wire.WriteError(w, http.StatusBadRequest,
+			fmt.Sprintf("statement has %d parameter(s), %d value(s) bound", t.numParams, len(req.Params)))
 		return
 	}
 	k := t.sel.litK
@@ -619,212 +530,58 @@ func (r *Router) handleQuery(w http.ResponseWriter, hr *http.Request, req *reque
 		k, err = paramInt(req.Params[t.sel.clientKPos-1])
 		if err != nil || k <= 0 {
 			r.metrics.recordError(t.norm)
-			writeJSON(w, http.StatusBadRequest, errorResponse{"LIMIT parameter must be a positive integer"})
+			wire.WriteError(w, http.StatusBadRequest, "LIMIT parameter must be a positive integer")
 			return
 		}
 	}
 
+	// Either way the answer is page one of a merged ranked stream. A
+	// cursor request registers the stream and pages it by fetch; a
+	// one-shot's page is the whole top-k (everything, without a LIMIT) of
+	// a stream nobody keeps, drawn from plain re-executing shard streams.
+	pageSize, id := k, ""
+	var rc *routerCursor
+	var bindKey string
+	var tableSnap map[string]uint64 // non-nil: the answer may be cached
 	if req.Cursor {
-		r.handleCursorOpen(w, hr, req, trace, t, k)
-		return
-	}
-
-	// Result-cache lookup: a template hit with identical bindings and k
-	// is served straight from the router with zero shard fan-out, as
-	// long as no schema change or row growth has invalidated it. The
-	// row-count snapshot for a potential store is taken *before* the
-	// fan-out: a write landing while the merge runs then bumps the count
-	// past the snapshot and the entry can never serve stale rows.
-	bindKey, cacheable := renderBindings(req.Params)
-	var tableSnap map[string]uint64
-	if r.results != nil && cacheable {
-		start := time.Now()
-		if ent := r.lookupResult(t, bindKey, k); ent != nil {
-			r.serveCachedResult(w, trace, t, k, ent, time.Since(start))
-			return
+		if pageSize = req.Fetch; pageSize <= 0 {
+			if pageSize = k; pageSize <= 0 {
+				pageSize = defaultCursorPage
+			}
 		}
-		r.metrics.resultCacheMisses.Inc()
-		tableSnap, cacheable = r.snapshotTables(t.sel.tables)
-	}
-
-	ctx := hr.Context()
-	if req.DeadlineMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
-		defer cancel()
-	}
-	streams := make([]Stream, len(r.shards))
-	hs := make([]*httpStream, len(r.shards))
-	for i, sc := range r.shards {
-		hs[i] = &httpStream{r: r, sc: sc, t: t, params: req.Params, ctx: ctx, trace: trace}
-		streams[i] = hs[i]
-	}
-	start := time.Now()
-	endMerge := trace.StartSpan("merge")
-	merged, err := MergeTopK(streams, k, perShardK(k, len(r.shards)))
-	endMerge()
-	if err != nil {
-		if ctx.Err() != nil && hr.Context().Err() == nil {
-			// The per-request deadline_ms budget expired while shards were
-			// still fetching; the client gets a distinct timeout error.
-			r.metrics.recordTimeout()
+		rc = r.newCursor(t, req.Params, pageSize, false)
+		if id, err = r.cursors.Add(rc); err != nil {
 			r.metrics.recordError(t.norm)
-			r.tracer.Warn("query deadline exceeded",
-				"trace", trace.ID, "query", t.norm, "deadline_ms", req.DeadlineMS)
-			writeJSON(w, http.StatusGatewayTimeout,
-				errorResponse{fmt.Sprintf("query exceeded deadline_ms=%d", req.DeadlineMS)})
+			wire.WriteError(w, http.StatusTooManyRequests, "router "+err.Error())
 			return
 		}
-		r.metrics.recordError(t.norm)
-		writeJSON(w, http.StatusBadGateway, errorResponse{err.Error()})
+		r.metrics.cursorsOpened.Inc()
+	} else {
+		// Result-cache lookup: a template hit with identical bindings and k
+		// is served straight from the router with zero shard fan-out, as
+		// long as no schema change or row growth has invalidated it. The
+		// row-count snapshot for a potential store is taken *before* the
+		// fan-out: a write landing while the merge runs then bumps the
+		// count past the snapshot and the entry can never serve stale rows.
+		if key, cacheable := renderBindings(req.Params); cacheable && r.results != nil {
+			start := time.Now()
+			if ent, ok := r.lookupResult(t, key, k); ok {
+				r.serveCachedResult(w, trace, t, k, ent, time.Since(start))
+				return
+			}
+			r.metrics.resultCacheMisses.Inc()
+			bindKey, tableSnap = key, r.snapshotTables(t.sel.tables)
+		}
+		rc = r.newCursor(t, req.Params, pageSize, true)
+	}
+	resp := r.pullPage(w, hr, req, trace, id, rc, pageSize, 0)
+	if resp == nil {
 		return
 	}
-	elapsed := time.Since(start)
-
-	resp := queryResponse{
-		Rows:      merged.Rows,
-		Scores:    merged.Scores,
-		Ranks:     make([]int, 0, len(merged.Rows)),
-		CacheHit:  true,
-		K:         k,
-		Depth:     len(merged.Rows),
-		Exhausted: merged.Exhausted,
-		Merge: mergeInfo{
-			Shards:       len(r.shards),
-			ShardsPruned: merged.Pruned,
-			Refills:      merged.Refills,
-		},
-		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
+	if tableSnap != nil && len(resp.Rows) <= maxCachedResultRows {
+		r.storeResult(t, bindKey, k, tableSnap, resp)
 	}
-	if resp.Rows == nil {
-		resp.Rows = [][]interface{}{}
-	}
-	if resp.Scores == nil {
-		resp.Scores = []float64{}
-	}
-	if resp.Merge.ShardsPruned == nil {
-		resp.Merge.ShardsPruned = []int{}
-	}
-	for i := range merged.Rows {
-		resp.Ranks = append(resp.Ranks, i+1)
-	}
-	for _, s := range hs {
-		if resp.Columns == nil {
-			resp.Columns = s.columns
-		}
-		resp.CacheHit = resp.CacheHit && s.allCacheHit
-		resp.Stats.add(s.stats)
-		resp.Merge.RowsFetched += len(s.rows)
-	}
-	resp.TraceID = trace.ID
-	if r.results != nil && cacheable && len(merged.Rows) <= maxCachedResultRows {
-		r.storeResult(t, bindKey, k, tableSnap, &resultEntry{
-			columns:   resp.Columns,
-			rows:      resp.Rows,
-			scores:    resp.Scores,
-			exhausted: resp.Exhausted,
-		})
-	}
-	r.metrics.recordQuery(t.norm, elapsed, len(merged.Rows), resp.Merge.RowsFetched,
-		len(merged.Pruned), merged.Refills)
-	views := make([]shardView, len(hs))
-	for i, s := range hs {
-		views[i] = shardView{rowsFetched: len(s.rows), depthK: s.depthK, driftRatio: s.driftRatio}
-	}
-	r.metrics.recordInsight(buildInsightRecord(
-		t.norm, trace.ID, elapsed, resp.Stats, len(merged.Rows), views, merged.Pruned))
-	attrs := append([]any{
-		"trace", trace.ID, "query", t.norm,
-		"elapsed_ms", float64(elapsed) / float64(time.Millisecond),
-		"rows", len(merged.Rows), "rows_fetched", resp.Merge.RowsFetched,
-		"shards_pruned", len(merged.Pruned), "refills", merged.Refills,
-	}, trace.SpanAttrs()...)
-	if r.slow > 0 && elapsed >= r.slow {
-		r.metrics.slow.Inc()
-		r.tracer.Warn("slow query", attrs...)
-	} else {
-		r.tracer.Debug("query", attrs...)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// httpStream adapts one shard's /query endpoint to the merge's Stream
-// interface. Refills re-issue the same prepared template with a deeper
-// limit and keep the (longer) prefix.
-type httpStream struct {
-	r      *Router
-	sc     *shardClient
-	t      *template
-	params []interface{}
-	ctx    context.Context
-	trace  *obs.Trace
-
-	rows        [][]interface{}
-	scores      []float64
-	columns     []string
-	exhausted   bool
-	fetched     bool
-	rounds      int
-	allCacheHit bool
-	stats       queryStats
-	// depthK/driftRatio are the worst shard-reported enumeration depth
-	// and estimate miss across this stream's fetch rounds (0 when the
-	// shard never profiled one of them).
-	depthK     int64
-	driftRatio float64
-}
-
-func (s *httpStream) Fetch(n int) ([][]interface{}, []float64, bool, error) {
-	if s.fetched && (s.exhausted || (n > 0 && len(s.rows) >= n)) {
-		return s.rows, s.scores, s.exhausted, nil
-	}
-	params := s.params
-	if s.t.sel.limitSlot > 0 {
-		params = make([]interface{}, 0, len(s.params)+1)
-		params = append(params, s.params...)
-		if s.t.sel.limitSlot <= len(s.params) {
-			params[s.t.sel.limitSlot-1] = n
-		} else {
-			params = append(params, n)
-		}
-	}
-	// Forward the remaining deadline budget (if any) so the shard cuts
-	// its own execution off rather than relying on the dropped
-	// connection alone.
-	deadlineMS := 0
-	if dl, ok := s.ctx.Deadline(); ok {
-		rem := time.Until(dl)
-		if rem <= 0 {
-			return nil, nil, false, s.ctx.Err()
-		}
-		if deadlineMS = int(rem / time.Millisecond); deadlineMS == 0 {
-			deadlineMS = 1
-		}
-	}
-	start := time.Now()
-	resp, err := s.r.queryShard(s.ctx, s.sc, s.t, params, s.trace.ID, deadlineMS)
-	s.rounds++
-	if s.trace != nil {
-		s.trace.AddSpan(fmt.Sprintf("shard%d_fetch%d", s.sc.id, s.rounds), start, time.Now())
-	}
-	if err != nil {
-		return nil, nil, false, fmt.Errorf("shard %d (%s): %w", s.sc.id, s.sc.addr(), err)
-	}
-	s.rows, s.scores, s.exhausted = resp.Rows, resp.Scores, resp.Exhausted
-	s.columns = resp.Columns
-	if !s.fetched {
-		s.allCacheHit = true
-	}
-	s.allCacheHit = s.allCacheHit && resp.CacheHit
-	s.stats.add(resp.Stats)
-	if resp.DepthKReached > s.depthK {
-		s.depthK = resp.DepthKReached
-	}
-	if resp.MaxDriftRatio > s.driftRatio {
-		s.driftRatio = resp.MaxDriftRatio
-	}
-	s.fetched = true
-	return s.rows, s.scores, s.exhausted, nil
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // stmtLost reports whether a shard error means the shard no longer
@@ -838,24 +595,31 @@ func stmtLost(err error) bool {
 		strings.Contains(msg, "expired")
 }
 
-// queryShard executes a fetch template on one shard, hedging against a
-// slow preferred replica and failing over on classified-retryable
-// errors (see shardRead). Per-replica prepared-statement state lives in
-// the template, so whichever replica answers uses (or mints) its own
-// statement id.
-func (r *Router) queryShard(ctx context.Context, sc *shardClient, t *template, params []interface{}, trace string, deadlineMS int) (*shardQueryResponse, error) {
-	return shardRead(ctx, sc, func(ctx context.Context, rep *replica) (*shardQueryResponse, error) {
-		return r.queryReplica(ctx, rep, t, params, trace, deadlineMS)
-	})
-}
-
-// queryReplica executes a fetch template on one replica, preparing it
-// there on first use (shareable templates only; one-shot literal SQL
-// goes ad-hoc). A prepared execution that fails because the replica
-// lost its statement state (restart) falls back to ad-hoc SQL; any
-// other error — deterministic engine failures included — is returned
-// as-is rather than paying a doomed second execution.
-func (r *Router) queryReplica(ctx context.Context, rep *replica, t *template, params []interface{}, trace string, deadlineMS int) (*shardQueryResponse, error) {
+// queryReplica runs a select template's fetch statement on one replica
+// at depth limit — as a one-shot, or (cursor) opening a shard-side ranked
+// cursor whose first page is limit rows. The statement is prepared there
+// on first use (shareable templates only; one-shot literal SQL goes
+// ad-hoc); per-replica statement ids live in the template, so whichever
+// replica answers uses (or mints) its own. A prepared execution that
+// fails because the replica lost its statement state (restart) falls
+// back to ad-hoc SQL; any other error — deterministic engine failures
+// included — is returned as-is rather than paying a doomed second
+// execution.
+func (r *Router) queryReplica(ctx context.Context, rep *replica, t *template, params []interface{}, trace string, deadlineMS, limit int, cursor bool) (*wire.QueryResponse, error) {
+	req := wire.Request{Params: params, DeadlineMS: deadlineMS, Cursor: cursor}
+	if cursor {
+		req.Fetch = limit
+	}
+	// The shard statement exposes its LIMIT as a parameter: overwrite the
+	// client's, or append the one the fetch form added.
+	if slot := t.sel.limitSlot; slot > 0 {
+		req.Params = append(make([]interface{}, 0, len(params)+1), params...)
+		if slot <= len(params) {
+			req.Params[slot-1] = limit
+		} else {
+			req.Params = append(req.Params, limit)
+		}
+	}
 	id := t.sel.shardStmt(rep)
 	if id == "" && t.sel.shareable() {
 		if newID, err := rep.prepare(ctx, t.sel.fetchSQL); err == nil {
@@ -864,7 +628,8 @@ func (r *Router) queryReplica(ctx context.Context, rep *replica, t *template, pa
 		}
 	}
 	if id != "" {
-		resp, err := rep.query(ctx, trace, &request{StmtID: id, Params: params, DeadlineMS: deadlineMS})
+		req.StmtID = id
+		resp, err := rep.page(ctx, "/query", trace, &req)
 		if err == nil {
 			return resp, nil
 		}
@@ -872,41 +637,39 @@ func (r *Router) queryReplica(ctx context.Context, rep *replica, t *template, pa
 			return nil, err
 		}
 		t.sel.setShardStmt(rep, "")
+		req.StmtID = ""
 	}
-	return rep.query(ctx, trace, &request{SQL: t.sel.fetchSQL, Params: params, DeadlineMS: deadlineMS})
+	req.SQL = t.sel.fetchSQL
+	return rep.page(ctx, "/query", trace, &req)
 }
 
-func (r *Router) handleExec(w http.ResponseWriter, hr *http.Request, req *request) {
+func (r *Router) handleExec(w http.ResponseWriter, hr *http.Request, req *wire.Request) {
 	t, code, err := r.resolveTemplate(req)
 	if err != nil {
 		r.metrics.recordError("")
-		writeJSON(w, code, errorResponse{err.Error()})
+		wire.WriteError(w, code, err.Error())
 		return
 	}
 	if t.sel != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"use /query for SELECT statements"})
+		wire.WriteError(w, http.StatusBadRequest, "use /query for SELECT statements")
 		return
 	}
-	vals, err := jsonToValues(req.Params)
+	args, err := wire.DecodeParams(req.Params)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	bound, err := sql.BindParams(t.stmt, vals)
+	bound, err := sql.BindParams(t.stmt, toValues(args))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
 	// The request context travels into the shard fan-out so a dropped
 	// client connection (or deadline_ms budget) cancels in-flight shard
 	// calls instead of letting them run to completion unobserved.
-	ctx := hr.Context()
-	if req.DeadlineMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
-		defer cancel()
-	}
+	ctx, cancel := req.Context(hr.Context())
+	defer cancel()
 
 	var affected int
 	var message string
@@ -915,19 +678,19 @@ func (r *Router) handleExec(w http.ResponseWriter, hr *http.Request, req *reques
 		affected, err = r.partitionInsert(ctx, s)
 		if err != nil {
 			r.metrics.recordError(t.norm)
-			writeJSON(w, http.StatusBadGateway, errorResponse{err.Error()})
+			wire.WriteError(w, http.StatusBadGateway, err.Error())
 			return
 		}
 		r.noteRows(s.Table, affected)
 	case *sql.CreateTableStmt:
 		if err := r.registerTable(s, req.PartitionKey); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
+			wire.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		if err := r.fanoutExec(ctx, sql.Normalize(bound), alreadyExists); err != nil {
 			r.unregisterTable(s.Name)
 			r.metrics.recordError(t.norm)
-			writeJSON(w, http.StatusBadGateway, errorResponse{err.Error()})
+			wire.WriteError(w, http.StatusBadGateway, err.Error())
 			return
 		}
 		r.bumpSchemaVersion()
@@ -935,7 +698,7 @@ func (r *Router) handleExec(w http.ResponseWriter, hr *http.Request, req *reques
 	case *sql.DropTableStmt:
 		if err := r.fanoutExec(ctx, sql.Normalize(bound), doesNotExist); err != nil {
 			r.metrics.recordError(t.norm)
-			writeJSON(w, http.StatusBadGateway, errorResponse{err.Error()})
+			wire.WriteError(w, http.StatusBadGateway, err.Error())
 			return
 		}
 		r.unregisterTable(s.Name)
@@ -946,14 +709,14 @@ func (r *Router) handleExec(w http.ResponseWriter, hr *http.Request, req *reques
 		// CREATE TABLE, so partially-applied DDL can be re-issued.
 		if err := r.fanoutExec(ctx, sql.Normalize(bound), alreadyExists); err != nil {
 			r.metrics.recordError(t.norm)
-			writeJSON(w, http.StatusBadGateway, errorResponse{err.Error()})
+			wire.WriteError(w, http.StatusBadGateway, err.Error())
 			return
 		}
 		r.bumpSchemaVersion()
 		message = "OK (all shards)"
 	}
 	r.metrics.recordExec()
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{
 		"rows_affected": affected,
 		"message":       message,
 	})
@@ -1086,7 +849,7 @@ func (r *Router) bumpSchemaVersion() {
 	r.schemaVersion++
 	r.mu.Unlock()
 	if r.results != nil {
-		r.results.purge()
+		r.results.Clear()
 	}
 }
 
@@ -1111,17 +874,17 @@ func doesNotExist(err error) bool  { return strings.Contains(err.Error(), "does 
 // row-by-row on the partition key and forwarded to each shard's /load.
 func (r *Router) handleLoad(w http.ResponseWriter, hr *http.Request) {
 	if hr.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST required"})
+		wire.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	table := hr.URL.Query().Get("table")
 	if table == "" {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"table query parameter is required"})
+		wire.WriteError(w, http.StatusBadRequest, "table query parameter is required")
 		return
 	}
 	ti, err := r.tableInfo(table)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// Same convention as the server's /load: only recognized true values
@@ -1142,7 +905,7 @@ func (r *Router) handleLoad(w http.ResponseWriter, hr *http.Request) {
 			break
 		}
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf("csv row %d: %v", n+1, err)})
+			wire.WriteError(w, http.StatusBadRequest, fmt.Sprintf("csv row %d: %v", n+1, err))
 			return
 		}
 		if first && header {
@@ -1152,13 +915,12 @@ func (r *Router) handleLoad(w http.ResponseWriter, hr *http.Request) {
 		first = false
 		key, err := types.ParseCell(rec[ti.keyCol], ti.kinds[ti.keyCol])
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{
-				fmt.Sprintf("csv row %d: partition key %q: %v", n+1, rec[ti.keyCol], err)})
+			wire.WriteError(w, http.StatusBadRequest, fmt.Sprintf("csv row %d: partition key %q: %v", n+1, rec[ti.keyCol], err))
 			return
 		}
 		g := partition(key, len(r.shards))
 		if err := writers[g].Write(rec); err != nil {
-			writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
+			wire.WriteError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		n++
@@ -1182,37 +944,35 @@ func (r *Router) handleLoad(w http.ResponseWriter, hr *http.Request) {
 	for i := range r.shards {
 		if errs[i] != nil {
 			r.metrics.recordError("")
-			writeJSON(w, http.StatusBadGateway, errorResponse{
-				fmt.Sprintf("shard %d: %v", i, errs[i])})
+			wire.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %d: %v", i, errs[i]))
 			return
 		}
 		total += counts[i]
 	}
 	r.noteRows(table, total)
 	r.metrics.recordLoad()
-	writeJSON(w, http.StatusOK, map[string]interface{}{"rows_loaded": total})
+	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{"rows_loaded": total})
 }
 
 func (r *Router) handleStats(w http.ResponseWriter, hr *http.Request) {
 	if hr.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET required"})
+		wire.WriteError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	snap := r.metrics.snapshot()
 	snap.Shards = len(r.shards)
 	snap.ShardHealth = r.probeShards()
 	if r.results != nil {
-		rc := r.results.stats()
-		snap.ResultCache = &rc
+		snap.ResultCache = r.resultCacheStats()
 	}
 	snap.Cursors = CursorSnapshot{
-		Open:    r.cursors.count(),
+		Open:    r.cursors.Len(),
 		Opened:  r.metrics.cursorsOpened.Value(),
-		Expired: r.cursors.expiredCount(),
+		Expired: r.cursors.Expired(),
 		Hits:    r.metrics.cursorHits.Value(),
 		Misses:  r.metrics.cursorMisses.Value(),
 	}
-	writeJSON(w, http.StatusOK, snap)
+	wire.WriteJSON(w, http.StatusOK, snap)
 }
 
 func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -1227,7 +987,7 @@ func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		code = http.StatusServiceUnavailable
 		status = "degraded"
 	}
-	writeJSON(w, code, map[string]interface{}{"status": status, "shards": health})
+	wire.WriteJSON(w, code, map[string]interface{}{"status": status, "shards": health})
 }
 
 // probeShards health-checks every replica of every shard in parallel.
@@ -1279,45 +1039,23 @@ func paramInt(p interface{}) (int, error) {
 	}
 }
 
-// jsonToValues converts decoded JSON parameters to engine values
-// (integral numbers bind as INT, fractional as FLOAT — the server's
-// binding convention).
-func jsonToValues(params []interface{}) ([]types.Value, error) {
-	if len(params) == 0 {
-		return nil, nil
-	}
-	out := make([]types.Value, len(params))
-	for i, p := range params {
-		switch v := p.(type) {
+// toValues converts decoded parameters (wire.DecodeParams' scalars) to
+// engine values for binding.
+func toValues(args []interface{}) []types.Value {
+	vals := make([]types.Value, len(args))
+	for i, a := range args {
+		switch v := a.(type) {
 		case nil:
-			out[i] = types.Null()
+			vals[i] = types.Null()
 		case bool:
-			out[i] = types.NewBool(v)
+			vals[i] = types.NewBool(v)
 		case string:
-			out[i] = types.NewString(v)
-		case json.Number:
-			if !strings.ContainsAny(v.String(), ".eE") {
-				n, err := v.Int64()
-				if err != nil {
-					return nil, fmt.Errorf("param %d: %v", i, err)
-				}
-				out[i] = types.NewInt(n)
-				continue
-			}
-			f, err := v.Float64()
-			if err != nil {
-				return nil, fmt.Errorf("param %d: %v", i, err)
-			}
-			out[i] = types.NewFloat(f)
-		default:
-			return nil, fmt.Errorf("param %d: unsupported JSON type %T (use scalars)", i, p)
+			vals[i] = types.NewString(v)
+		case int64:
+			vals[i] = types.NewInt(v)
+		case float64:
+			vals[i] = types.NewFloat(v)
 		}
 	}
-	return out, nil
-}
-
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	return vals
 }

@@ -10,185 +10,54 @@ import (
 
 	"ranksql"
 	"ranksql/internal/obs"
+	"ranksql/internal/wire"
 )
 
 // serverCursor is one client-visible resumable ranked stream: the
-// engine cursor plus the bookkeeping the wire protocol needs (rank
-// offset, default page size, the template for metrics attribution).
+// engine cursor plus the bookkeeping the wire protocol needs (default
+// page size, the template for metrics attribution). Open cursors live
+// in an idle.Table under the session TTL; a collected one's operator
+// tree is released and later requests naming it get "expired".
 type serverCursor struct {
-	ID      string
-	Created time.Time
-
-	// lastUsed drives TTL expiry; guarded by the owning cursorTable's
-	// mutex, like Session.lastUsed.
-	lastUsed time.Time
-
 	mu       sync.Mutex // serializes pulls on this cursor
 	cur      *ranksql.Cursor
 	norm     string // normalized template, for per-template metrics
 	pageSize int    // default fetch size for /cursor/next
 }
 
-// maxOpenCursors bounds concurrently open cursors server-wide: each one
-// pins a suspended operator tree (heaps, frontiers, buffered tuples),
-// so clients that never /cursor/close cannot grow memory without limit.
-const maxOpenCursors = 4096
+const (
+	// maxOpenCursors bounds concurrently open cursors server-wide: each
+	// one pins a suspended operator tree (heaps, frontiers, buffered
+	// tuples), so clients that never /cursor/close cannot grow memory
+	// without limit.
+	maxOpenCursors = 4096
+	// defaultCursorPage is the fetch size when neither the request nor
+	// the statement's LIMIT suggests one.
+	defaultCursorPage = 10
+)
 
-// cursorTable manages the server's open cursors, mirroring
-// sessionTable: when ttl > 0, cursors idle longer than ttl are
-// garbage-collected lazily on table access (their operator trees are
-// released), and later requests naming them get a clean "expired"
-// error rather than "unknown".
-type cursorTable struct {
-	ttl time.Duration
-
-	mu        sync.Mutex
-	m         map[string]*serverCursor
-	expired   map[string]time.Time
-	nExpired  uint64
-	lastSweep time.Time
-	nextID    uint64
-}
-
-func newCursorTable() *cursorTable {
-	now := time.Now()
-	return &cursorTable{
-		m:         map[string]*serverCursor{},
-		expired:   map[string]time.Time{},
-		lastSweep: now,
-	}
-}
-
-// add registers an opened cursor and mints its id.
-func (t *cursorTable) add(cur *ranksql.Cursor, norm string, pageSize int) (*serverCursor, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := time.Now()
-	t.maybeSweepLocked(now)
-	if len(t.m) >= maxOpenCursors {
-		return nil, fmt.Errorf("server already holds %d open cursors; close some via /cursor/close", len(t.m))
-	}
-	t.nextID++
-	c := &serverCursor{
-		ID:       fmt.Sprintf("cur-%d", t.nextID),
-		Created:  now,
-		lastUsed: now,
-		cur:      cur,
-		norm:     norm,
-		pageSize: pageSize,
-	}
-	t.m[c.ID] = c
-	return c, nil
-}
-
-// get resolves a cursor id and refreshes its idle timer. Unknown and
-// expired cursors fail with distinct errors.
-func (t *cursorTable) get(id string) (*serverCursor, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := time.Now()
-	t.maybeSweepLocked(now)
-	c, ok := t.m[id]
-	if !ok {
-		if when, was := t.expired[id]; was {
-			return nil, fmt.Errorf("cursor %q expired after %s idle (at %s); re-open the query",
-				id, t.ttl, when.Format(time.RFC3339))
-		}
-		return nil, fmt.Errorf("no cursor %q", id)
-	}
-	c.lastUsed = now
-	return c, nil
-}
-
-// close removes a cursor and releases its operator tree.
-func (t *cursorTable) close(id string) bool {
-	t.mu.Lock()
-	c, ok := t.m[id]
-	if ok {
-		delete(t.m, id)
-	}
-	t.mu.Unlock()
-	if ok {
-		_ = c.cur.Close()
-	}
-	return ok
-}
-
-// maybeSweepLocked garbage-collects idle cursors at the same lazy
-// cadence sessions use (at most once per ttl/sweepInterval). Callers
-// hold t.mu.
-func (t *cursorTable) maybeSweepLocked(now time.Time) {
-	if t.ttl <= 0 || now.Sub(t.lastSweep) < t.ttl/sweepInterval {
-		return
-	}
-	t.sweepLocked(now)
-}
-
-func (t *cursorTable) sweepLocked(now time.Time) {
-	t.lastSweep = now
-	for id, c := range t.m {
-		if now.Sub(c.lastUsed) <= t.ttl {
-			continue
-		}
-		delete(t.m, id)
-		_ = c.cur.Close()
-		if len(t.expired) >= maxRememberedExpiries {
-			t.expired = map[string]time.Time{}
-		}
-		t.expired[id] = now
-		t.nExpired++
-	}
-}
-
-// expireNow force-runs a sweep against the given clock (test hook).
-func (t *cursorTable) expireNow(now time.Time) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.sweepLocked(now)
-}
-
-// count reports open cursors.
-func (t *cursorTable) count() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.m)
-}
-
-// expiredCount reports how many cursors the TTL GC has collected.
-func (t *cursorTable) expiredCount() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.nExpired
-}
-
-// pinnedBytes sums the memory pinned by all open cursors' suspended
-// state (buffered tuples plus parked pages). Closed cursors report 0,
-// so the gauge falls as cursors close by any path — explicit close, TTL
-// GC, or DDL invalidation.
-func (t *cursorTable) pinnedBytes() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// cursorPinnedBytes sums the memory pinned by all open cursors'
+// suspended state (buffered tuples plus parked pages). Closed cursors
+// report 0, so the gauge falls as cursors close by any path — explicit
+// close, TTL GC, or DDL invalidation.
+func (s *Server) cursorPinnedBytes() int64 {
 	var total int64
-	for _, c := range t.m {
-		total += c.cur.PinnedBytes()
+	for _, sc := range s.cursors.Values() {
+		total += sc.cur.PinnedBytes()
 	}
 	return total
 }
 
-// defaultCursorPage is the fetch size when neither the request nor the
-// statement's LIMIT suggests one.
-const defaultCursorPage = 10
-
 // handleCursorOpen serves a /query request carrying "cursor": true: it
 // opens a resumable ranked cursor over the statement, pulls the first
 // page, and returns it with the cursor_id for /cursor/next.
-func (s *Server) handleCursorOpen(w http.ResponseWriter, r *http.Request, req *request, trace *obs.Trace, stmt *ranksql.Stmt, args []interface{}) {
+func (s *Server) handleCursorOpen(w http.ResponseWriter, r *http.Request, req *wire.Request, trace *obs.Trace, stmt *ranksql.Stmt, args []interface{}) {
 	endOpen := trace.StartSpan("cursor_open")
 	cur, err := stmt.Cursor(args...)
 	endOpen()
 	if err != nil {
 		s.metrics.recordError(stmt.Normalized())
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	pageSize := req.Fetch
@@ -197,28 +66,29 @@ func (s *Server) handleCursorOpen(w http.ResponseWriter, r *http.Request, req *r
 			pageSize = defaultCursorPage
 		}
 	}
-	sc, err := s.cursors.add(cur, stmt.Normalized(), pageSize)
+	sc := &serverCursor{cur: cur, norm: stmt.Normalized(), pageSize: pageSize}
+	id, err := s.cursors.Add(sc)
 	if err != nil {
 		_ = cur.Close()
-		s.metrics.recordError(stmt.Normalized())
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{err.Error()})
+		s.metrics.recordError(sc.norm)
+		wire.WriteError(w, http.StatusTooManyRequests, "server "+err.Error())
 		return
 	}
 	s.metrics.cursorsOpened.Inc()
-	s.fetchCursorPage(w, r, req, trace, sc, pageSize, 0)
+	s.fetchCursorPage(w, r, req, trace, id, sc, pageSize, 0)
 }
 
 // handleCursorNext serves POST /cursor/next {cursor_id, fetch?,
 // after_rank?}: the next page of a suspended ranked stream. after_rank
 // skips forward to resume "after rank r" (cursors cannot rewind).
-func (s *Server) handleCursorNext(w http.ResponseWriter, r *http.Request, req *request) {
+func (s *Server) handleCursorNext(w http.ResponseWriter, r *http.Request, req *wire.Request) {
 	trace := obs.NewTrace(obs.TraceIDFrom(r))
 	w.Header().Set(obs.TraceHeader, trace.ID)
-	sc, err := s.cursors.get(req.CursorID)
+	sc, err := s.cursors.Get(req.CursorID)
 	if err != nil {
 		s.metrics.cursorMisses.Inc()
 		s.metrics.recordError("")
-		writeJSON(w, http.StatusNotFound, errorResponse{err.Error()})
+		wire.WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
 	s.metrics.cursorHits.Inc()
@@ -226,98 +96,97 @@ func (s *Server) handleCursorNext(w http.ResponseWriter, r *http.Request, req *r
 	if n <= 0 {
 		n = sc.pageSize
 	}
-	s.fetchCursorPage(w, r, req, trace, sc, n, req.AfterRank)
+	s.fetchCursorPage(w, r, req, trace, req.CursorID, sc, n, req.AfterRank)
 }
 
 // handleCursorClose serves POST /cursor/close {cursor_id}. Like the
 // other cursor endpoints it propagates X-Ranksql-Trace, so a client's
 // open → next → close sequence correlates across log lines.
-func (s *Server) handleCursorClose(w http.ResponseWriter, r *http.Request, req *request) {
+func (s *Server) handleCursorClose(w http.ResponseWriter, r *http.Request, req *wire.Request) {
 	trace := obs.NewTrace(obs.TraceIDFrom(r))
 	w.Header().Set(obs.TraceHeader, trace.ID)
-	if !s.cursors.close(req.CursorID) {
-		writeJSON(w, http.StatusNotFound, errorResponse{fmt.Sprintf("no cursor %q", req.CursorID)})
+	sc, err := s.cursors.Remove(req.CursorID)
+	if err != nil {
+		wire.WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
+	_ = sc.cur.Close()
 	s.tracer.Debug("cursor closed", "trace", trace.ID, "cursor", req.CursorID)
-	writeJSON(w, http.StatusOK, map[string]interface{}{"closed": true, "trace_id": trace.ID})
+	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{"closed": true, "trace_id": trace.ID})
 }
 
-// fetchCursorPage pulls one page from a registered cursor and writes it
-// as a queryResponse. afterRank > 0 fast-forwards the stream so the
-// page starts at rank afterRank+1; a position already past it is an
-// error (ranked streams cannot rewind).
-func (s *Server) fetchCursorPage(w http.ResponseWriter, r *http.Request, req *request, trace *obs.Trace, sc *serverCursor, n, afterRank int) {
+// fetchCursorPage pulls one page from a registered cursor and answers
+// with it. afterRank > 0 fast-forwards the stream so the page starts at
+// rank afterRank+1; a position already past it is an error (ranked
+// streams cannot rewind).
+func (s *Server) fetchCursorPage(w http.ResponseWriter, r *http.Request, req *wire.Request, trace *obs.Trace, id string, sc *serverCursor, n, afterRank int) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 
-	ctx := r.Context()
-	if req.DeadlineMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
-		defer cancel()
-	}
+	ctx, cancel := req.Context(r.Context())
+	defer cancel()
 	start := time.Now()
 	endFetch := trace.StartSpan("cursor_fetch")
-	if skip := afterRank - sc.cur.Pulled(); afterRank > 0 {
-		if skip < 0 {
-			endFetch()
-			writeJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf(
-				"cursor %q is already past rank %d (at %d); ranked streams cannot rewind", sc.ID, afterRank, sc.cur.Pulled())})
-			return
-		}
-		if skip > 0 {
-			if _, err := sc.cur.FetchContext(ctx, skip); err != nil {
-				endFetch()
-				s.cursorFetchError(w, r, req, trace, sc, err)
-				return
-			}
-		}
+	var err error
+	if skip := afterRank - sc.cur.Pulled(); afterRank > 0 && skip < 0 {
+		err = fmt.Errorf("cursor %q is already past rank %d (at %d); ranked streams cannot rewind",
+			id, afterRank, sc.cur.Pulled())
+	} else if afterRank > 0 && skip > 0 {
+		_, err = sc.cur.FetchContext(ctx, skip)
 	}
-	rows, err := sc.cur.FetchContext(ctx, n)
+	var rows *ranksql.Rows
+	if err == nil {
+		rows, err = sc.cur.FetchContext(ctx, n)
+	}
 	endFetch()
 	if err != nil {
-		s.cursorFetchError(w, r, req, trace, sc, err)
+		s.pullFailed(ctx, w, r, req, trace, sc.norm, id, err)
 		return
 	}
-	elapsed := time.Since(start)
-	pinned := sc.cur.PinnedBytes()
-	s.metrics.recordQuery(sc.norm, elapsed, rows, trace.ID, pinned)
+	s.writePage(w, trace, sc.norm, id, sc.cur.Pulled()-rows.Len(), sc.cur.PinnedBytes(), rows, time.Since(start))
+}
+
+// writePage records and answers one pulled page of a ranked stream — a
+// one-shot /query (cursorID "", offset 0) or a cursor page alike. The
+// row payload is encoded straight from the engine values into a pooled
+// buffer (wire.WriteQueryResponse): no boxed [][]interface{} detour
+// through encoding/json.
+func (s *Server) writePage(w http.ResponseWriter, trace *obs.Trace, norm, cursorID string, offset int, pinned int64, rows *ranksql.Rows, elapsed time.Duration) {
+	s.metrics.recordQuery(norm, elapsed, rows, trace.ID, pinned)
+	elapsedMS := float64(elapsed) / float64(time.Millisecond)
+	what := "query"
+	attrs := []any{
+		"trace", trace.ID, "query", norm, "elapsed_ms", elapsedMS,
+		"rows", rows.Len(), "cache_hit", rows.CacheHit,
+	}
+	if cursorID != "" {
+		what = "cursor page"
+		attrs = append(attrs, "cursor", cursorID, "pinned_bytes", pinned)
+	}
+	attrs = append(attrs, trace.SpanAttrs()...)
 	if s.slow > 0 && elapsed >= s.slow {
 		s.metrics.slow.Inc()
-		attrs := append([]any{
-			"trace", trace.ID, "query", sc.norm, "cursor", sc.ID,
-			"elapsed_ms", float64(elapsed) / float64(time.Millisecond),
-			"rows", rows.Len(), "pinned_bytes", pinned,
-		}, trace.SpanAttrs()...)
+		// The slow record carries the full executed plan with est-vs-actual
+		// deltas (EXPLAIN ANALYZE as JSON), so one log line is enough to
+		// see whether the optimizer misjudged the query.
 		if plan := planSnapshotJSON(rows); plan != "" {
 			attrs = append(attrs, "plan", plan)
 		}
-		s.tracer.Warn("slow cursor page", attrs...)
+		s.tracer.Warn("slow "+what, attrs...)
+	} else {
+		s.tracer.Debug(what, attrs...)
 	}
 
-	offset := sc.cur.Pulled() - rows.Len()
-	resp := queryResponse{
+	resp := wire.QueryResponse{
 		Columns:   rows.Columns,
-		Rows:      make([][]interface{}, 0, rows.Len()),
-		Scores:    rows.Scores,
-		Ranks:     make([]int, 0, rows.Len()),
 		CacheHit:  rows.CacheHit,
 		K:         rows.K,
 		Depth:     rows.Len(),
 		Offset:    offset,
+		CursorID:  cursorID,
 		Exhausted: rows.Exhausted,
-		CursorID:  sc.ID,
-		Stats: queryStats{
-			TuplesScanned: rows.Stats.TuplesScanned,
-			PredEvals:     rows.Stats.PredEvals,
-			Comparisons:   rows.Stats.Comparisons,
-			JoinProbes:    rows.Stats.JoinProbes,
-			PeakBuffered:  rows.Stats.PeakBuffered,
-			Materialized:  rows.Stats.Materialized,
-			PredCostUnits: rows.Stats.PredCostUnits,
-		},
-		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
+		Stats:     wire.StatsFrom(rows.Stats),
+		ElapsedMS: elapsedMS,
 		TraceID:   trace.ID,
 	}
 	if rows.Profiled {
@@ -325,44 +194,35 @@ func (s *Server) fetchCursorPage(w http.ResponseWriter, r *http.Request, req *re
 		resp.DepthKReached = maxLeafDepthK(ops)
 		resp.MaxDriftRatio = maxDriftRatio(ops)
 	}
-	for i := 0; i < rows.Len(); i++ {
-		vals := rows.At(i)
-		row := make([]interface{}, len(vals))
-		for j, v := range vals {
-			row[j] = v.Any()
-		}
-		resp.Rows = append(resp.Rows, row)
-		resp.Ranks = append(resp.Ranks, offset+i+1)
-	}
-	if resp.Scores == nil {
-		resp.Scores = []float64{}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteQueryResponse(w, &resp, rows)
 }
 
-// cursorFetchError maps a failed pull onto the wire: deadline budgets
-// get 504 (the cursor survives and can be pulled again), invalidation
-// closes the cursor with 409, client disconnects go unanswered.
-func (s *Server) cursorFetchError(w http.ResponseWriter, r *http.Request, req *request, trace *obs.Trace, sc *serverCursor, err error) {
-	ctx := r.Context()
-	if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
+// pullFailed maps a failed pull — one-shot or cursor page — onto the
+// wire. ctx is the pull's context, derived from r's: when it has ended
+// and r's has not, only the deadline_ms budget can have ended it, which
+// is a 504 (a cursor survives it and can be pulled again). A client
+// that went away gets no answer; invalidation closes the cursor with
+// 409; anything else is the query's own error.
+func (s *Server) pullFailed(ctx context.Context, w http.ResponseWriter, r *http.Request, req *wire.Request, trace *obs.Trace, norm, cursorID string, err error) {
+	switch {
+	case r.Context().Err() != nil:
+		return
+	case ctx.Err() != nil:
+		what := "query"
+		if cursorID != "" {
+			what = "cursor fetch"
+		}
 		s.metrics.recordTimeout()
-		s.metrics.recordError(sc.norm)
-		s.tracer.Warn("cursor fetch deadline exceeded",
-			"trace", trace.ID, "cursor", sc.ID, "deadline_ms", req.DeadlineMS)
-		writeJSON(w, http.StatusGatewayTimeout,
-			errorResponse{fmt.Sprintf("cursor fetch exceeded deadline_ms=%d", req.DeadlineMS)})
-		return
+		s.tracer.Warn(what+" deadline exceeded",
+			"trace", trace.ID, "query", norm, "cursor", cursorID, "deadline_ms", req.DeadlineMS)
+		wire.WriteError(w, http.StatusGatewayTimeout, fmt.Sprintf("%s exceeded deadline_ms=%d", what, req.DeadlineMS))
+	case errors.Is(err, ranksql.ErrCursorInvalidated) || errors.Is(err, ranksql.ErrCursorClosed):
+		if sc, gone := s.cursors.Remove(cursorID); gone == nil {
+			_ = sc.cur.Close()
+		}
+		wire.WriteError(w, http.StatusConflict, err.Error())
+	default:
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 	}
-	if ctx.Err() != nil {
-		return
-	}
-	if errors.Is(err, ranksql.ErrCursorInvalidated) || errors.Is(err, ranksql.ErrCursorClosed) {
-		s.cursors.close(sc.ID)
-		s.metrics.recordError(sc.norm)
-		writeJSON(w, http.StatusConflict, errorResponse{err.Error()})
-		return
-	}
-	s.metrics.recordError(sc.norm)
-	writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
+	s.metrics.recordError(norm)
 }

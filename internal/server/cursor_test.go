@@ -202,13 +202,13 @@ func TestCursorExpiryGC(t *testing.T) {
 	_, s, ts := newCursorServer(t, 200, time.Minute)
 
 	page := openCursor(t, ts.URL, 300, 5)
-	if got := s.cursors.count(); got != 1 {
+	if got := s.cursors.Len(); got != 1 {
 		t.Fatalf("open cursors = %d, want 1", got)
 	}
 
 	// Force the GC with a clock past the TTL (no real sleeps).
-	s.cursors.expireNow(time.Now().Add(2 * time.Minute))
-	if got := s.cursors.count(); got != 0 {
+	s.cursors.Sweep(time.Now().Add(2 * time.Minute))
+	if got := s.cursors.Len(); got != 0 {
 		t.Fatalf("open cursors after sweep = %d, want 0", got)
 	}
 
@@ -220,6 +220,13 @@ func TestCursorExpiryGC(t *testing.T) {
 	}
 	if !strings.Contains(next.Error, "expired") {
 		t.Errorf("expired-cursor error %q should say the cursor expired", next.Error)
+	}
+	// /cursor/close consults the same tombstones: one lookup, one error.
+	var closed cursorResponse
+	code = postJSON(t, ts.URL+"/cursor/close", map[string]interface{}{
+		"cursor_id": page.CursorID}, &closed)
+	if code != http.StatusNotFound || closed.Error != next.Error {
+		t.Errorf("expired-cursor close: status %d, error %q; want 404 and the pull's error %q", code, closed.Error, next.Error)
 	}
 	// ...and is distinct from a never-existed cursor id.
 	var bogus cursorResponse
@@ -277,7 +284,7 @@ func TestCursorInvalidationOverHTTP(t *testing.T) {
 	if code != http.StatusConflict || !strings.Contains(next.Error, "invalidated") {
 		t.Fatalf("pull after DDL: status %d, error %q; want 409 mentioning invalidation", code, next.Error)
 	}
-	if got := s.cursors.count(); got != 0 {
+	if got := s.cursors.Len(); got != 0 {
 		t.Fatalf("open cursors after invalidation = %d, want 0", got)
 	}
 	var again cursorResponse

@@ -7,6 +7,7 @@ import (
 
 	"ranksql"
 	"ranksql/internal/obs/insight"
+	"ranksql/internal/wire"
 )
 
 // recordInsight condenses one profiled execution into a QueryRecord and
@@ -117,11 +118,11 @@ func planSnapshotJSON(rows *ranksql.Rows) string {
 // resource totals, drift counters, template frequency shares).
 func (s *Server) handleInsightWorkload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET required"})
+		wire.WriteError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	workload, _ := insight.Aggregate(s.metrics.insight)
-	writeJSON(w, http.StatusOK, workload)
+	wire.WriteJSON(w, http.StatusOK, workload)
 }
 
 // handleInsightTemplates serves GET /insight/templates: per-template
@@ -129,9 +130,9 @@ func (s *Server) handleInsightWorkload(w http.ResponseWriter, r *http.Request) {
 // and estimate-drift ratios — most frequent template first.
 func (s *Server) handleInsightTemplates(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET required"})
+		wire.WriteError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	_, templates := insight.Aggregate(s.metrics.insight)
-	writeJSON(w, http.StatusOK, map[string]interface{}{"templates": templates})
+	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{"templates": templates})
 }

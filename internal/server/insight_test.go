@@ -146,7 +146,7 @@ func TestCursorPinnedBytesLifecycle(t *testing.T) {
 	openOne := func() *cursorResponse {
 		t.Helper()
 		page := openCursor(t, ts.URL, 300, 5)
-		if got := s.cursors.pinnedBytes(); got <= 0 {
+		if got := s.cursorPinnedBytes(); got <= 0 {
 			t.Fatalf("pinned bytes with open cursor = %d, want > 0", got)
 		}
 		return page
@@ -161,14 +161,14 @@ func TestCursorPinnedBytesLifecycle(t *testing.T) {
 		map[string]interface{}{"cursor_id": page.CursorID}, &closed); code != http.StatusOK || !closed.Closed {
 		t.Fatalf("close: status %d, %+v", code, closed)
 	}
-	if got := s.cursors.pinnedBytes(); got != 0 {
+	if got := s.cursorPinnedBytes(); got != 0 {
 		t.Errorf("pinned bytes after explicit close = %d, want 0", got)
 	}
 
 	// TTL GC.
 	openOne()
-	s.cursors.expireNow(time.Now().Add(2 * time.Minute))
-	if got := s.cursors.pinnedBytes(); got != 0 {
+	s.cursors.Sweep(time.Now().Add(2 * time.Minute))
+	if got := s.cursorPinnedBytes(); got != 0 {
 		t.Errorf("pinned bytes after TTL sweep = %d, want 0", got)
 	}
 
@@ -187,10 +187,10 @@ func TestCursorPinnedBytesLifecycle(t *testing.T) {
 		"cursor_id": page.CursorID, "fetch": 5}, &next); code != http.StatusConflict {
 		t.Fatalf("pull after DDL: status %d, want 409", code)
 	}
-	if got := s.cursors.pinnedBytes(); got != 0 {
+	if got := s.cursorPinnedBytes(); got != 0 {
 		t.Errorf("pinned bytes after DDL invalidation = %d, want 0", got)
 	}
-	if got := s.cursors.count(); got != 0 {
+	if got := s.cursors.Len(); got != 0 {
 		t.Errorf("open cursors = %d, want 0", got)
 	}
 }
@@ -255,7 +255,7 @@ func TestInsightMetricsExposed(t *testing.T) {
 	if stats.Resources.TuplesMaterialized <= 0 {
 		t.Errorf("stats tuples_materialized = %d, want > 0", stats.Resources.TuplesMaterialized)
 	}
-	if got := s.cursors.pinnedBytes(); stats.Resources.CursorPinnedBytes != got {
+	if got := s.cursorPinnedBytes(); stats.Resources.CursorPinnedBytes != got {
 		t.Errorf("stats pinned %d != live pinned %d", stats.Resources.CursorPinnedBytes, got)
 	}
 }

@@ -81,6 +81,23 @@ func TestDeadlineMS(t *testing.T) {
 		t.Fatalf("status with slack deadline = %d: %s", code, qr.Error)
 	}
 
+	// A cursor page obeys the same budget, and the cursor survives it: the
+	// same cursor_id serves the page, from the right rank, once given time.
+	// (Scorer spin is captured when a stream opens, so the cursor opens slow.)
+	s.DB().SetSpin(200000)
+	page := openCursor(t, ts.URL, 400, 5)
+	var slow, next cursorResponse
+	code = postJSON(t, ts.URL+"/cursor/next", map[string]interface{}{
+		"cursor_id": page.CursorID, "fetch": 50, "deadline_ms": 1}, &slow)
+	if code != http.StatusGatewayTimeout || !strings.Contains(slow.Error, "deadline_ms") {
+		t.Fatalf("slow cursor page: status %d, error %q; want 504 naming the deadline", code, slow.Error)
+	}
+	code = postJSON(t, ts.URL+"/cursor/next", map[string]interface{}{
+		"cursor_id": page.CursorID, "fetch": 50, "deadline_ms": 60000}, &next)
+	if code != http.StatusOK || len(next.Ranks) != 50 || next.Ranks[0] != 6 {
+		t.Fatalf("page after the timeout: status %d, error %q, ranks %v; want 200 and ranks 6..55", code, next.Error, next.Ranks)
+	}
+
 	var stats Snapshot
 	resp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
@@ -90,11 +107,11 @@ func TestDeadlineMS(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Timeouts != 1 {
-		t.Errorf("timeouts = %d, want 1", stats.Timeouts)
+	if stats.Timeouts != 2 {
+		t.Errorf("timeouts = %d, want 2 (one-shot + cursor page)", stats.Timeouts)
 	}
-	if stats.Errors != 1 {
-		t.Errorf("errors = %d, want 1 (the timeout also counts as an error)", stats.Errors)
+	if stats.Errors != 2 {
+		t.Errorf("errors = %d, want 2 (each timeout also counts as an error)", stats.Errors)
 	}
 }
 

@@ -27,6 +27,8 @@
 //	GET  /insight/templates                                -> per-template profiles: depth-k distribution, p95 footprint, estimate drift
 //	GET  /healthz                                          -> {status: "ok"}
 //
+// The request envelope and the page /query and /cursor/next answer with
+// are defined in internal/wire, shared with the sharding router.
 // Parameters bind positionally to `?` placeholders; JSON numbers without
 // a fractional part bind as integers, with one as floats. Query requests
 // may carry deadline_ms (a server-enforced execution budget) and an
@@ -36,10 +38,7 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"log"
 	"log/slog"
 	"net"
@@ -50,18 +49,21 @@ import (
 	"time"
 
 	"ranksql"
+	"ranksql/internal/idle"
 	"ranksql/internal/obs"
+	"ranksql/internal/wire"
 )
 
 // Server is the ranksqld HTTP query service.
 type Server struct {
 	db       *ranksql.DB
-	sessions *sessionTable
-	cursors  *cursorTable
+	sessions *idle.Table[*Session]
+	cursors  *idle.Table[*serverCursor]
 	metrics  *metrics
 	logf     func(format string, args ...interface{})
 	tracer   *slog.Logger
 	slow     time.Duration
+	ttl      time.Duration
 	pprof    bool
 }
 
@@ -101,35 +103,39 @@ func WithPprof() Option {
 // operator tree is released) and later pulls get a clean "expired"
 // error. ttl <= 0 disables expiry for both.
 func WithSessionTTL(ttl time.Duration) Option {
-	return func(s *Server) {
-		s.sessions.ttl = ttl
-		s.cursors.ttl = ttl
-	}
+	return func(s *Server) { s.ttl = ttl }
 }
 
 // New builds a Server over an opened database. The caller seeds the
 // database (schemas, scorers, data) before serving.
 func New(db *ranksql.DB, opts ...Option) *Server {
 	s := &Server{
-		db:       db,
-		sessions: newSessionTable(),
-		cursors:  newCursorTable(),
-		metrics:  newMetrics(),
-		logf:     log.Printf,
-		tracer:   slog.Default(),
+		db:      db,
+		metrics: newMetrics(),
+		logf:    log.Printf,
+		tracer:  slog.Default(),
 	}
 	for _, o := range opts {
 		o(s)
 	}
+	s.sessions = idle.New(idle.Spec[*Session]{
+		Kind: "session", Prefix: "sess", Hint: "open a new session", TTL: s.ttl,
+	})
+	s.sessions.Pin("", newSession())
+	s.cursors = idle.New(idle.Spec[*serverCursor]{
+		Kind: "cursor", Prefix: "cur", Hint: "re-open the query", TTL: s.ttl,
+		Limit:   maxOpenCursors,
+		OnEvict: func(sc *serverCursor) { _ = sc.cur.Close() },
+	})
 	// Scrape-time gauges over state owned elsewhere: sessions, cursors
 	// and the engine's plan cache.
 	reg := s.metrics.reg
 	reg.GaugeFunc("ranksqld_sessions", "Open sessions.",
-		func() float64 { return float64(s.sessions.count()) })
+		func() float64 { return float64(s.sessions.Len()) })
 	reg.GaugeFunc("ranksqld_open_cursors", "Open ranked cursors (suspended operator trees).",
-		func() float64 { return float64(s.cursors.count()) })
+		func() float64 { return float64(s.cursors.Len()) })
 	reg.GaugeFunc("ranksqld_cursors_expired_total", "Cursors collected by the idle TTL.",
-		func() float64 { return float64(s.cursors.expiredCount()) })
+		func() float64 { return float64(s.cursors.Expired()) })
 	reg.GaugeFunc("ranksqld_plan_cache_entries", "Compiled plans cached.",
 		func() float64 { return float64(s.db.PlanCacheStats().Entries) })
 	reg.GaugeFunc("ranksqld_plan_cache_hits_total", "Plan cache hits.",
@@ -138,7 +144,7 @@ func New(db *ranksql.DB, opts ...Option) *Server {
 		func() float64 { return float64(s.db.PlanCacheStats().Misses) })
 	reg.GaugeFunc("ranksqld_cursor_pinned_bytes",
 		"Bytes pinned by all open cursors' suspended state (buffered tuples and parked pages).",
-		func() float64 { return float64(s.cursors.pinnedBytes()) })
+		func() float64 { return float64(s.cursorPinnedBytes()) })
 	return s
 }
 
@@ -151,21 +157,21 @@ func (s *Server) DB() *ranksql.DB { return s.db }
 // Handler returns the HTTP handler serving the daemon's endpoints.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/session", s.post(s.handleSessionOpen))
-	mux.HandleFunc("/session/close", s.post(s.handleSessionClose))
-	mux.HandleFunc("/prepare", s.post(s.handlePrepare))
-	mux.HandleFunc("/stmt/close", s.post(s.handleStmtClose))
-	mux.HandleFunc("/query", s.post(s.handleQuery))
-	mux.HandleFunc("/cursor/next", s.post(s.handleCursorNext))
-	mux.HandleFunc("/cursor/close", s.post(s.handleCursorClose))
-	mux.HandleFunc("/exec", s.post(s.handleExec))
+	mux.HandleFunc("/session", wire.Post(s.handleSessionOpen))
+	mux.HandleFunc("/session/close", wire.Post(s.handleSessionClose))
+	mux.HandleFunc("/prepare", wire.Post(s.handlePrepare))
+	mux.HandleFunc("/stmt/close", wire.Post(s.handleStmtClose))
+	mux.HandleFunc("/query", wire.Post(s.handleQuery))
+	mux.HandleFunc("/cursor/next", wire.Post(s.handleCursorNext))
+	mux.HandleFunc("/cursor/close", wire.Post(s.handleCursorClose))
+	mux.HandleFunc("/exec", wire.Post(s.handleExec))
 	mux.HandleFunc("/load", s.handleLoad)
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.Handle("/metrics", obs.Handler(s.metrics.reg))
 	mux.HandleFunc("/insight/workload", s.handleInsightWorkload)
 	mux.HandleFunc("/insight/templates", s.handleInsightTemplates)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		wire.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	if s.pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -210,89 +216,47 @@ func (s *Server) ServeListener(ctx context.Context, ln net.Listener) error {
 	}
 }
 
-// request is the shared request envelope for the POST endpoints.
-type request struct {
-	SQL       string        `json:"sql,omitempty"`
-	SessionID string        `json:"session_id,omitempty"`
-	StmtID    string        `json:"stmt_id,omitempty"`
-	Params    []interface{} `json:"params,omitempty"`
-	// DeadlineMS is a per-request execution budget in milliseconds: a
-	// query still running when it expires is cancelled, the request
-	// fails with 504, and the timeout is counted as its own metric.
-	DeadlineMS int `json:"deadline_ms,omitempty"`
-	// Cursor asks /query to open a resumable ranked cursor instead of
-	// materializing one batch: the response carries the first page plus
-	// a cursor_id for /cursor/next.
-	Cursor bool `json:"cursor,omitempty"`
-	// CursorID names an open cursor (/cursor/next, /cursor/close).
-	CursorID string `json:"cursor_id,omitempty"`
-	// Fetch is the page size for cursor opens and pulls (default: the
-	// statement's LIMIT, else 10).
-	Fetch int `json:"fetch,omitempty"`
-	// AfterRank makes /cursor/next fast-forward the stream so the page
-	// starts at rank after_rank+1 (streams cannot rewind).
-	AfterRank int `json:"after_rank,omitempty"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-// post wraps a handler with method filtering and envelope decoding.
-func (s *Server) post(h func(http.ResponseWriter, *http.Request, *request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST required"})
-			return
-		}
-		var req request
-		dec := json.NewDecoder(r.Body)
-		dec.UseNumber()
-		// An empty body is an empty request (POST /session has no fields).
-		if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-			writeJSON(w, http.StatusBadRequest, errorResponse{"bad request body: " + err.Error()})
-			return
-		}
-		h(w, r, &req)
-	}
-}
-
-func (s *Server) handleSessionOpen(w http.ResponseWriter, _ *http.Request, _ *request) {
-	sess := s.sessions.create()
-	writeJSON(w, http.StatusOK, map[string]string{"session_id": sess.ID})
-}
-
-func (s *Server) handleSessionClose(w http.ResponseWriter, _ *http.Request, req *request) {
-	if !s.sessions.close(req.SessionID) {
-		writeJSON(w, http.StatusNotFound, errorResponse{fmt.Sprintf("no session %q", req.SessionID)})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"closed": true})
-}
-
-func (s *Server) handlePrepare(w http.ResponseWriter, _ *http.Request, req *request) {
-	if strings.TrimSpace(req.SQL) == "" {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"sql is required"})
-		return
-	}
-	sess, err := s.sessions.get(req.SessionID)
+func (s *Server) handleSessionOpen(w http.ResponseWriter, _ *http.Request, _ *wire.Request) {
+	id, err := s.sessions.Add(newSession())
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{err.Error()})
+		wire.WriteError(w, http.StatusTooManyRequests, err.Error())
+		return
+	}
+	wire.WriteJSON(w, http.StatusOK, map[string]string{"session_id": id})
+}
+
+func (s *Server) handleSessionClose(w http.ResponseWriter, _ *http.Request, req *wire.Request) {
+	if _, err := s.sessions.Remove(req.SessionID); err != nil {
+		wire.WriteError(w, http.StatusNotFound, err.Error())
+		return
+	}
+	wire.WriteJSON(w, http.StatusOK, map[string]bool{"closed": true})
+}
+
+func (s *Server) handlePrepare(w http.ResponseWriter, _ *http.Request, req *wire.Request) {
+	if strings.TrimSpace(req.SQL) == "" {
+		wire.WriteError(w, http.StatusBadRequest, "sql is required")
+		return
+	}
+	sess, err := s.sessions.Get(req.SessionID)
+	if err != nil {
+		wire.WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
 	stmt, err := s.db.Prepare(req.SQL)
 	if err != nil {
 		s.metrics.recordError("")
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	id, err := sess.addStmt(stmt)
-	if err != nil {
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{err.Error()})
+	id, ok := sess.addStmt(stmt)
+	if !ok {
+		wire.WriteError(w, http.StatusTooManyRequests, fmt.Sprintf(
+			"session %q already holds %d prepared statements; close some via /stmt/close", req.SessionID, maxStmtsPerSession))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"session_id": sess.ID,
+	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{
+		"session_id": req.SessionID,
 		"stmt_id":    id,
 		"num_params": stmt.NumParams(),
 		"is_query":   stmt.IsQuery(),
@@ -300,25 +264,25 @@ func (s *Server) handlePrepare(w http.ResponseWriter, _ *http.Request, req *requ
 	})
 }
 
-func (s *Server) handleStmtClose(w http.ResponseWriter, _ *http.Request, req *request) {
-	sess, err := s.sessions.get(req.SessionID)
+func (s *Server) handleStmtClose(w http.ResponseWriter, _ *http.Request, req *wire.Request) {
+	sess, err := s.sessions.Get(req.SessionID)
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{err.Error()})
+		wire.WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
 	if !sess.closeStmt(req.StmtID) {
-		writeJSON(w, http.StatusNotFound, errorResponse{fmt.Sprintf("no statement %q", req.StmtID)})
+		wire.WriteError(w, http.StatusNotFound, fmt.Sprintf("no statement %q", req.StmtID))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"closed": true})
+	wire.WriteJSON(w, http.StatusOK, map[string]bool{"closed": true})
 }
 
 // resolveStmt finds the statement a request refers to: an existing
 // prepared one (stmt_id) or an ad-hoc one (sql).
-func (s *Server) resolveStmt(req *request) (*ranksql.Stmt, int, error) {
+func (s *Server) resolveStmt(req *wire.Request) (*ranksql.Stmt, int, error) {
 	switch {
 	case req.StmtID != "":
-		sess, err := s.sessions.get(req.SessionID)
+		sess, err := s.sessions.Get(req.SessionID)
 		if err != nil {
 			return nil, http.StatusNotFound, err
 		}
@@ -338,55 +302,7 @@ func (s *Server) resolveStmt(req *request) (*ranksql.Stmt, int, error) {
 	}
 }
 
-// queryStats is the per-request execution counter payload.
-type queryStats struct {
-	TuplesScanned int64   `json:"tuples_scanned"`
-	PredEvals     int64   `json:"pred_evals"`
-	Comparisons   int64   `json:"comparisons"`
-	JoinProbes    int64   `json:"join_probes"`
-	PeakBuffered  int64   `json:"peak_buffered"`
-	Materialized  int64   `json:"tuples_materialized"`
-	PredCostUnits float64 `json:"pred_cost_units"`
-}
-
-type queryResponse struct {
-	Columns []string        `json:"columns"`
-	Rows    [][]interface{} `json:"rows"`
-	Scores  []float64       `json:"scores"`
-	// Ranks[i] is row i's 1-based position in the query's stable total
-	// order (score desc, with the engine's deterministic insertion
-	// tie-break; sharded responses add the shard index to the
-	// tie-break). Cursor pages continue the numbering across pulls, so
-	// paginated clients can stitch pages into one ranked feed.
-	Ranks    []int `json:"ranks"`
-	CacheHit bool  `json:"cache_hit"`
-	// K is the effective top-k bound the query ran under (0 = no LIMIT).
-	K int `json:"k"`
-	// Depth is the number of ranked rows produced (== len(rows)).
-	Depth int `json:"depth"`
-	// Offset is the number of rows the stream delivered before this
-	// page (0 for plain queries; cursor pages advance it).
-	Offset int `json:"offset,omitempty"`
-	// CursorID is set when the response is a page of an open cursor.
-	CursorID string `json:"cursor_id,omitempty"`
-	// Exhausted marks that the ranked stream ran dry at depth Depth: no
-	// rows exist beyond the returned ones. When false the stream was cut
-	// off by LIMIT, and a larger k could surface more rows — the signal a
-	// sharded coordinator uses to bound this shard's remaining scores.
-	Exhausted bool       `json:"exhausted"`
-	Stats     queryStats `json:"stats"`
-	// DepthKReached and MaxDriftRatio are filled on engine-profiled
-	// executions (every profile-every-th run of a template): the depth of
-	// enumeration actually reached and the worst est-vs-actual
-	// cardinality miss across plan nodes. A sharded coordinator uses
-	// them to attribute drift per shard without re-profiling.
-	DepthKReached int64   `json:"depth_k,omitempty"`
-	MaxDriftRatio float64 `json:"max_drift_ratio,omitempty"`
-	ElapsedMS     float64 `json:"elapsed_ms"`
-	TraceID       string  `json:"trace_id,omitempty"`
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, req *request) {
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, req *wire.Request) {
 	// The trace ID arrives from an upstream coordinator (the sharded
 	// router propagates its own) or is minted here, and stamps every
 	// structured log record and the response for cross-tier correlation.
@@ -397,13 +313,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, req *reques
 	stmt, code, err := s.resolveStmt(req)
 	if err != nil {
 		s.metrics.recordError("")
-		writeJSON(w, code, errorResponse{err.Error()})
+		wire.WriteError(w, code, err.Error())
 		return
 	}
-	args, err := jsonParams(req.Params)
+	args, err := wire.DecodeParams(req.Params)
 	if err != nil {
 		s.metrics.recordError(stmt.Normalized())
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	endResolve()
@@ -413,108 +329,43 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, req *reques
 		return
 	}
 
-	ctx := r.Context()
-	if req.DeadlineMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
-		defer cancel()
-	}
+	// A one-shot is page one of a stream nobody keeps: it runs on the
+	// engine's pooled Query path and is answered by the same tail as a
+	// cursor page.
+	ctx, cancel := req.Context(r.Context())
+	defer cancel()
 	start := time.Now()
 	endExec := trace.StartSpan("execute")
 	rows, err := stmt.QueryContext(ctx, args...)
 	endExec()
 	if err != nil {
-		if ctx.Err() != nil && r.Context().Err() == nil {
-			// The per-request deadline_ms budget expired server-side; the
-			// client is still listening and gets a distinct timeout error.
-			s.metrics.recordTimeout()
-			s.metrics.recordError(stmt.Normalized())
-			s.tracer.Warn("query deadline exceeded",
-				"trace", trace.ID, "query", stmt.Normalized(), "deadline_ms", req.DeadlineMS)
-			writeJSON(w, http.StatusGatewayTimeout,
-				errorResponse{fmt.Sprintf("query exceeded deadline_ms=%d", req.DeadlineMS)})
-			return
-		}
-		if r.Context().Err() != nil {
-			// The client disconnected or timed out mid-query: nobody is
-			// listening for the response, and it is not a query error.
-			return
-		}
-		s.metrics.recordError(stmt.Normalized())
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
+		s.pullFailed(ctx, w, r, req, trace, stmt.Normalized(), "", err)
 		return
 	}
-	elapsed := time.Since(start)
-	s.metrics.recordQuery(stmt.Normalized(), elapsed, rows, trace.ID, 0)
-	attrs := append([]any{
-		"trace", trace.ID, "query", stmt.Normalized(),
-		"elapsed_ms", float64(elapsed) / float64(time.Millisecond),
-		"rows", rows.Len(), "cache_hit", rows.CacheHit,
-	}, trace.SpanAttrs()...)
-	if s.slow > 0 && elapsed >= s.slow {
-		s.metrics.slow.Inc()
-		// The slow-query record carries the full executed plan with
-		// est-vs-actual deltas (EXPLAIN ANALYZE as JSON), so one log line
-		// is enough to see whether the query was slow because the
-		// optimizer misjudged it.
-		if plan := planSnapshotJSON(rows); plan != "" {
-			attrs = append(attrs, "plan", plan)
-		}
-		s.tracer.Warn("slow query", attrs...)
-	} else {
-		s.tracer.Debug("query", attrs...)
-	}
-
-	// The row payload is encoded straight from the engine values into a
-	// pooled buffer (see encode.go) — no boxed [][]interface{} detour
-	// through encoding/json on the hot path.
-	resp := queryResponse{
-		Columns:   rows.Columns,
-		CacheHit:  rows.CacheHit,
-		K:         rows.K,
-		Depth:     rows.Len(),
-		Exhausted: rows.Exhausted,
-		Stats: queryStats{
-			TuplesScanned: rows.Stats.TuplesScanned,
-			PredEvals:     rows.Stats.PredEvals,
-			Comparisons:   rows.Stats.Comparisons,
-			JoinProbes:    rows.Stats.JoinProbes,
-			PeakBuffered:  rows.Stats.PeakBuffered,
-			Materialized:  rows.Stats.Materialized,
-			PredCostUnits: rows.Stats.PredCostUnits,
-		},
-		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
-		TraceID:   trace.ID,
-	}
-	if rows.Profiled {
-		ops := rows.Operators()
-		resp.DepthKReached = maxLeafDepthK(ops)
-		resp.MaxDriftRatio = maxDriftRatio(ops)
-	}
-	writeQueryResponse(w, &resp, rows)
+	s.writePage(w, trace, stmt.Normalized(), "", 0, 0, rows, time.Since(start))
 }
 
-func (s *Server) handleExec(w http.ResponseWriter, _ *http.Request, req *request) {
+func (s *Server) handleExec(w http.ResponseWriter, _ *http.Request, req *wire.Request) {
 	stmt, code, err := s.resolveStmt(req)
 	if err != nil {
 		s.metrics.recordError("")
-		writeJSON(w, code, errorResponse{err.Error()})
+		wire.WriteError(w, code, err.Error())
 		return
 	}
-	args, err := jsonParams(req.Params)
+	args, err := wire.DecodeParams(req.Params)
 	if err != nil {
 		s.metrics.recordError(stmt.Normalized())
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	res, err := stmt.Exec(args...)
 	if err != nil {
 		s.metrics.recordError(stmt.Normalized())
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	s.metrics.recordExec()
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{
 		"rows_affected": res.RowsAffected,
 		"message":       res.Message,
 	})
@@ -525,12 +376,12 @@ func (s *Server) handleExec(w http.ResponseWriter, _ *http.Request, req *request
 // ingest path a sharded router fans partitioned row sets through.
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST required"})
+		wire.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	table := r.URL.Query().Get("table")
 	if table == "" {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"table query parameter is required"})
+		wire.WriteError(w, http.StatusBadRequest, "table query parameter is required")
 		return
 	}
 	// strconv.ParseBool accepts 1/t/true/0/f/false in any case; anything
@@ -540,16 +391,16 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	n, err := s.db.LoadCSV(table, r.Body, header)
 	if err != nil {
 		s.metrics.recordError("")
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	s.metrics.recordExec()
-	writeJSON(w, http.StatusOK, map[string]interface{}{"rows_loaded": n})
+	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{"rows_loaded": n})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET required"})
+		wire.WriteError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	snap := s.metrics.snapshot()
@@ -559,55 +410,16 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		StaleRecompiles: cs.StaleRecompiles,
 		Entries:         cs.Entries, Capacity: cs.Capacity, HitRate: cs.HitRate(),
 	}
-	snap.Sessions = s.sessions.count()
-	snap.SessionsExpired = s.sessions.expiredCount()
+	snap.Sessions = s.sessions.Len()
+	snap.SessionsExpired = s.sessions.Expired()
 	snap.Cursors = CursorSnapshot{
-		Open:    s.cursors.count(),
+		Open:    s.cursors.Len(),
 		Opened:  s.metrics.cursorsOpened.Value(),
-		Expired: s.cursors.expiredCount(),
+		Expired: s.cursors.Expired(),
 		Hits:    s.metrics.cursorHits.Value(),
 		Misses:  s.metrics.cursorMisses.Value(),
 	}
-	snap.Resources.CursorPinnedBytes = s.cursors.pinnedBytes()
+	snap.Resources.CursorPinnedBytes = s.cursorPinnedBytes()
 	snap.TablesServed = s.db.Tables()
-	writeJSON(w, http.StatusOK, snap)
-}
-
-// jsonParams converts decoded JSON parameter values into Go values the
-// ranksql API accepts. Numbers were decoded as json.Number; integral ones
-// bind as int64 so LIMIT and integer-column comparisons behave.
-func jsonParams(params []interface{}) ([]interface{}, error) {
-	if len(params) == 0 {
-		return nil, nil
-	}
-	out := make([]interface{}, len(params))
-	for i, p := range params {
-		switch v := p.(type) {
-		case nil, bool, string:
-			out[i] = v
-		case json.Number:
-			if !strings.ContainsAny(v.String(), ".eE") {
-				n, err := v.Int64()
-				if err != nil {
-					return nil, fmt.Errorf("param %d: %v", i, err)
-				}
-				out[i] = n
-				continue
-			}
-			f, err := v.Float64()
-			if err != nil {
-				return nil, fmt.Errorf("param %d: %v", i, err)
-			}
-			out[i] = f
-		default:
-			return nil, fmt.Errorf("param %d: unsupported JSON type %T (use scalars)", i, p)
-		}
-	}
-	return out, nil
-}
-
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	wire.WriteJSON(w, http.StatusOK, snap)
 }

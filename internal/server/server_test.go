@@ -447,7 +447,7 @@ func TestSessionExpiryGC(t *testing.T) {
 	verifyRanked(t, &q, 300, 5)
 
 	// Force the GC with a clock past the TTL (no real sleeps).
-	s.sessions.expireNow(time.Now().Add(2 * time.Minute))
+	s.sessions.Sweep(time.Now().Add(2 * time.Minute))
 
 	// The expired session's prepared handle fails cleanly and says why.
 	var q2 testQueryResponse

@@ -3,43 +3,41 @@ package server
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"ranksql"
 )
 
 // Session holds per-connection state: the prepared statements a client
 // has registered. Sessions are cheap; a client typically creates one,
-// prepares its query templates once, and executes them many times.
+// prepares its query templates once, and executes them many times. They
+// live in an idle.Table: session "" (the default session) is pinned
+// there and serves sessionless clients; the rest expire under the
+// session TTL.
 type Session struct {
-	ID      string    `json:"session_id"`
-	Created time.Time `json:"created"`
-
-	// lastUsed is the idle timer driving TTL expiry; it is read and
-	// written only under the owning sessionTable's mutex.
-	lastUsed time.Time
-
 	mu       sync.Mutex
 	stmts    map[string]*ranksql.Stmt
 	nextStmt uint64
 }
+
+func newSession() *Session { return &Session{stmts: map[string]*ranksql.Stmt{}} }
 
 // maxStmtsPerSession bounds how many prepared statements one session may
 // hold at once, so clients that never /stmt/close (notably against the
 // unclosable default session) cannot grow server memory without limit.
 const maxStmtsPerSession = 1024
 
-// addStmt registers a prepared statement and returns its id.
-func (s *Session) addStmt(st *ranksql.Stmt) (string, error) {
+// addStmt registers a prepared statement and returns its id; ok is false
+// when the session already holds maxStmtsPerSession.
+func (s *Session) addStmt(st *ranksql.Stmt) (id string, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.stmts) >= maxStmtsPerSession {
-		return "", fmt.Errorf("session %q already holds %d prepared statements; close some via /stmt/close", s.ID, len(s.stmts))
+		return "", false
 	}
 	s.nextStmt++
-	id := fmt.Sprintf("stmt-%d", s.nextStmt)
+	id = fmt.Sprintf("stmt-%d", s.nextStmt)
 	s.stmts[id] = st
-	return id, nil
+	return id, true
 }
 
 // stmt looks up a prepared statement.
@@ -59,140 +57,4 @@ func (s *Session) closeStmt(id string) bool {
 	}
 	delete(s.stmts, id)
 	return true
-}
-
-// maxRememberedExpiries bounds the map of recently expired session ids
-// (kept so their errors can say "expired" rather than "unknown"); when
-// full it is dropped wholesale — only error quality degrades.
-const maxRememberedExpiries = 4096
-
-// sessionTable manages the server's sessions. Session "" (the default
-// session) always exists and serves sessionless clients. When ttl > 0,
-// sessions idle longer than ttl are garbage-collected lazily on table
-// access (no background goroutine to leak in tests or embeddings); the
-// default session is exempt.
-type sessionTable struct {
-	ttl time.Duration
-
-	mu        sync.Mutex
-	m         map[string]*Session
-	expired   map[string]time.Time
-	nExpired  uint64
-	lastSweep time.Time
-	nextID    uint64
-	started   time.Time
-}
-
-func newSessionTable() *sessionTable {
-	now := time.Now()
-	st := &sessionTable{
-		m:         map[string]*Session{},
-		expired:   map[string]time.Time{},
-		started:   now,
-		lastSweep: now,
-	}
-	st.m[""] = &Session{ID: "", Created: now, lastUsed: now, stmts: map[string]*ranksql.Stmt{}}
-	return st
-}
-
-// create opens a new session.
-func (t *sessionTable) create() *Session {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := time.Now()
-	t.maybeSweepLocked(now)
-	t.nextID++
-	s := &Session{
-		ID:       fmt.Sprintf("sess-%d", t.nextID),
-		Created:  now,
-		lastUsed: now,
-		stmts:    map[string]*ranksql.Stmt{},
-	}
-	t.m[s.ID] = s
-	return s
-}
-
-// get resolves a session id ("" = default session) and refreshes its
-// idle timer. Unknown and expired sessions fail with distinct errors.
-func (t *sessionTable) get(id string) (*Session, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := time.Now()
-	t.maybeSweepLocked(now)
-	s, ok := t.m[id]
-	if !ok {
-		if when, was := t.expired[id]; was {
-			return nil, fmt.Errorf("session %q expired after %s idle (at %s); open a new session",
-				id, t.ttl, when.Format(time.RFC3339))
-		}
-		return nil, fmt.Errorf("no session %q", id)
-	}
-	s.lastUsed = now
-	return s, nil
-}
-
-// close removes a session and its prepared statements. The default
-// session cannot be closed.
-func (t *sessionTable) close(id string) bool {
-	if id == "" {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.m[id]; !ok {
-		return false
-	}
-	delete(t.m, id)
-	return true
-}
-
-// sweepInterval divides the TTL into the lazy sweep cadence, so expiry
-// detection lags the deadline by at most ttl/sweepInterval.
-const sweepInterval = 8
-
-// maybeSweepLocked garbage-collects idle sessions, at most once per
-// ttl/sweepInterval so hot request paths don't rescan the table on every
-// call. Callers hold t.mu.
-func (t *sessionTable) maybeSweepLocked(now time.Time) {
-	if t.ttl <= 0 || now.Sub(t.lastSweep) < t.ttl/sweepInterval {
-		return
-	}
-	t.sweepLocked(now)
-}
-
-func (t *sessionTable) sweepLocked(now time.Time) {
-	t.lastSweep = now
-	for id, s := range t.m {
-		if id == "" || now.Sub(s.lastUsed) <= t.ttl {
-			continue
-		}
-		delete(t.m, id)
-		if len(t.expired) >= maxRememberedExpiries {
-			t.expired = map[string]time.Time{}
-		}
-		t.expired[id] = now
-		t.nExpired++
-	}
-}
-
-// expireNow force-runs a sweep against the given clock (tests use this
-// to make expiry deterministic without real sleeps).
-func (t *sessionTable) expireNow(now time.Time) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.sweepLocked(now)
-}
-
-// count reports open sessions (excluding the default one).
-func (t *sessionTable) count() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.m) - 1
-}
-
-// expiredCount reports how many sessions the TTL GC has collected.
-func (t *sessionTable) expiredCount() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.nExpired
 }

@@ -1,4 +1,4 @@
-package server
+package wire_test
 
 import (
 	"context"
@@ -6,6 +6,8 @@ import (
 
 	"ranksql"
 	"ranksql/internal/raceflag"
+	"ranksql/internal/server"
+	"ranksql/internal/wire"
 )
 
 // encodeAllocBudget bounds the response-encoding step: with a
@@ -18,14 +20,14 @@ func TestEncodeAllocBudget(t *testing.T) {
 		t.Skip("alloc budgets are meaningless under -race: sync.Pool drops puts")
 	}
 	db := ranksql.Open()
-	if err := SeedWebshop(db, 1000); err != nil {
+	if err := server.SeedWebshop(db, 1000); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := db.QueryContext(context.Background(), testQuerySQL, 400.0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := queryResponse{
+	resp := wire.QueryResponse{
 		Columns:   rows.Columns,
 		CacheHit:  rows.CacheHit,
 		K:         rows.K,
@@ -36,8 +38,8 @@ func TestEncodeAllocBudget(t *testing.T) {
 	}
 	buf := make([]byte, 0, 1<<16)
 	if allocs := testing.AllocsPerRun(200, func() {
-		buf = appendQueryResponse(buf[:0], &resp, rows)
+		buf = wire.AppendQueryResponse(buf[:0], &resp, rows)
 	}); allocs > encodeAllocBudget {
-		t.Errorf("appendQueryResponse: %.1f allocs/op, budget %v", allocs, encodeAllocBudget)
+		t.Errorf("wire.AppendQueryResponse: %.1f allocs/op, budget %v", allocs, encodeAllocBudget)
 	}
 }

@@ -1,4 +1,4 @@
-package server
+package wire
 
 import (
 	"net/http"
@@ -21,16 +21,17 @@ var encodeBufPool = sync.Pool{
 	},
 }
 
-// writeQueryResponse encodes a successful query response without going
+// WriteQueryResponse answers 200 with a page encoded without going
 // through encoding/json: the row payload is appended straight from the
 // engine's result values into a pooled buffer and written in one call.
-// The output is byte-identical to writeJSON(w, http.StatusOK, resp) with
+// The output is byte-identical to WriteJSON(w, http.StatusOK, resp) with
 // resp.Rows/resp.Ranks materialized as boxed values, including the
 // encoder's trailing newline. resp supplies every field except Rows,
-// Ranks and Scores, which are derived from rows directly.
-func writeQueryResponse(w http.ResponseWriter, resp *queryResponse, rows *ranksql.Rows) {
+// Scores and Ranks, which are derived from rows (ranks count up from
+// resp.Offset+1).
+func WriteQueryResponse(w http.ResponseWriter, resp *QueryResponse, rows *ranksql.Rows) {
 	bp := encodeBufPool.Get().(*[]byte)
-	buf := appendQueryResponse((*bp)[:0], resp, rows)
+	buf := AppendQueryResponse((*bp)[:0], resp, rows)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf)
@@ -38,9 +39,12 @@ func writeQueryResponse(w http.ResponseWriter, resp *queryResponse, rows *ranksq
 	encodeBufPool.Put(bp)
 }
 
-// appendQueryResponse appends the JSON document for resp+rows to dst,
-// mirroring queryResponse's field declaration order and omitempty tags.
-func appendQueryResponse(dst []byte, resp *queryResponse, rows *ranksql.Rows) []byte {
+// AppendQueryResponse appends the JSON document for resp+rows to dst,
+// mirroring QueryResponse's field declaration order and omitempty tags.
+// The router-only members (ResultCacheHit, Merge) and Error are not
+// encoded: the router's rows arrive boxed from its shards, so it answers
+// through WriteJSON.
+func AppendQueryResponse(dst []byte, resp *QueryResponse, rows *ranksql.Rows) []byte {
 	n := rows.Len()
 
 	dst = append(dst, `{"columns":`...)
@@ -85,7 +89,7 @@ func appendQueryResponse(dst []byte, resp *queryResponse, rows *ranksql.Rows) []
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = strconv.AppendInt(dst, int64(i+1), 10)
+		dst = strconv.AppendInt(dst, int64(resp.Offset+i+1), 10)
 	}
 
 	dst = append(dst, `],"cache_hit":`...)
@@ -136,7 +140,7 @@ func appendQueryResponse(dst []byte, resp *queryResponse, rows *ranksql.Rows) []
 		dst = jsonenc.AppendString(dst, resp.TraceID)
 	}
 	// json.Encoder.Encode terminates the document with a newline; clients
-	// built against writeJSON may depend on it.
+	// built against WriteJSON may depend on it.
 	return append(dst, '}', '\n')
 }
 

@@ -695,7 +695,7 @@ func (db *DB) PlanCacheStats() CacheStats {
 	s := db.eng.Plans.Stats()
 	return CacheStats{
 		Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions,
-		StaleRecompiles: s.StaleRecompiles,
+		StaleRecompiles: s.Stale,
 		Entries:         s.Entries, Capacity: s.Capacity,
 	}
 }
