@@ -1,5 +1,4 @@
-// Command ranksql is an interactive shell for the RankSQL engine, plus a
-// load generator for the ranksqld daemon.
+// Command ranksql is an interactive shell for the RankSQL engine.
 //
 //	$ go run ./cmd/ranksql
 //	ranksql> CREATE TABLE hotel (name TEXT, price FLOAT)
@@ -10,7 +9,7 @@
 //
 //	.tables              list tables
 //	.scorers             list registered scorers
-//	.load t file.csv     bulk-load a CSV file into table t
+//	.load t file.csv     bulk-load a headerless CSV file into table t
 //	.timing on|off       toggle per-query timing
 //	.explain <select>    show the optimized plan
 //	.quit                exit
@@ -23,19 +22,14 @@
 // max(0, 1 - x/1000), high(x) = min(1, x/1000), close(x, y) =
 // 1/(1+|x-y|/10), equal(x, y) = 1 if x = y else 0.
 //
-// Load generator mode (see bench.go):
-//
-//	$ go run ./cmd/ranksql bench -concurrency 8 -requests 2000
-//	$ go run ./cmd/ranksql bench -addr http://localhost:7070
+// To measure the engine or the daemons, see benchmark/README.md.
 package main
 
 import (
 	"bufio"
-	"encoding/csv"
 	"fmt"
 	"math"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -43,10 +37,6 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "bench" {
-		runBench(os.Args[2:])
-		return
-	}
 	db := ranksql.Open()
 	registerBuiltins(db)
 
@@ -129,9 +119,18 @@ func meta(db *ranksql.DB, line string, timing *bool) (quit bool) {
 			fmt.Println("usage: .load <table> <file.csv>")
 			return false
 		}
-		if err := loadCSV(db, fields[1], fields[2]); err != nil {
+		f, err := os.Open(fields[2])
+		if err != nil {
 			fmt.Println("error:", err)
+			return false
 		}
+		defer f.Close()
+		n, err := db.LoadCSV(fields[1], f, false)
+		if err != nil {
+			fmt.Println("error:", err)
+			return false
+		}
+		fmt.Printf("loaded %d rows into %s\n", n, fields[1])
 	default:
 		fmt.Println("unknown meta command; try .help")
 	}
@@ -188,63 +187,4 @@ func printRows(rows *ranksql.Rows) {
 	}
 	fmt.Printf("(%d rows; scanned %d tuples, %d predicate evals)\n",
 		rows.Len(), rows.Stats.TuplesScanned, rows.Stats.PredEvals)
-}
-
-// loadCSV bulk-inserts a headerless CSV into an existing table, inferring
-// literal types per cell (int, float, bool, text).
-func loadCSV(db *ranksql.DB, table, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r := csv.NewReader(f)
-	n := 0
-	var batch []string
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		_, err := db.Exec(fmt.Sprintf("INSERT INTO %s VALUES %s", table, strings.Join(batch, ", ")))
-		batch = batch[:0]
-		return err
-	}
-	for {
-		rec, err := r.Read()
-		if err != nil {
-			break
-		}
-		vals := make([]string, len(rec))
-		for i, cell := range rec {
-			vals[i] = literal(cell)
-		}
-		batch = append(batch, "("+strings.Join(vals, ", ")+")")
-		n++
-		if len(batch) == 500 {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return err
-	}
-	fmt.Printf("loaded %d rows into %s\n", n, table)
-	return nil
-}
-
-// literal quotes a CSV cell as a SQL literal.
-func literal(cell string) string {
-	c := strings.TrimSpace(cell)
-	if _, err := strconv.ParseInt(c, 10, 64); err == nil {
-		return c
-	}
-	if _, err := strconv.ParseFloat(c, 64); err == nil {
-		return c
-	}
-	switch strings.ToLower(c) {
-	case "true", "false", "null":
-		return strings.ToLower(c)
-	}
-	return "'" + strings.ReplaceAll(c, "'", "''") + "'"
 }

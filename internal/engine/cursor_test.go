@@ -169,6 +169,80 @@ func TestCursorPagesMatchOneShot(t *testing.T) {
 	}
 }
 
+// TestCursorSurvivesPlanEviction pins that a suspended cursor owns its
+// operator tree: with room for one plan in the shared cache, other
+// templates run between pages evict the cursor's plan mid-stream, and the
+// remaining pages must still be the one-shot ranking.
+func TestCursorSurvivesPlanEviction(t *testing.T) {
+	const nRows, k = 240, 7
+	db := cursorDB(t, nRows)
+	ref, err := db.Query(fmt.Sprintf(
+		`SELECT id, a, b FROM item WHERE a >= 0.2 ORDER BY 0.6*sa(a) + 0.4*sb(b) LIMIT %d`, nRows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Plans.Resize(1)
+	// Only parameterized templates share the plan cache.
+	prepare := func(src string) *Prepared {
+		t.Helper()
+		p, err := db.Prepare(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	paged := prepare(`SELECT id, a, b FROM item WHERE a >= ? ORDER BY 0.6*sa(a) + 0.4*sb(b) LIMIT 10`)
+	others := []*Prepared{
+		prepare(`SELECT id FROM item WHERE b >= ? ORDER BY sa(a) LIMIT 5`),
+		prepare(`SELECT id, b FROM item WHERE a < ? ORDER BY sb(b) LIMIT 3`),
+	}
+	bound := []types.Value{types.NewFloat(0.2)}
+
+	c, err := paged.Cursor(bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var data [][]types.Value
+	var scores []float64
+	for page := 0; !c.Exhausted(); page++ {
+		if page > nRows {
+			t.Fatal("cursor never exhausted")
+		}
+		rows, err := c.Fetch(k)
+		if err != nil {
+			t.Fatalf("page %d: %v", page, err)
+		}
+		data = append(data, rows.Data...)
+		scores = append(scores, rows.Scores...)
+		if _, err := others[page%2].Query(bound); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertSameRanking(t, data, scores, ref)
+	if err := c.Close(); err != nil {
+		t.Fatalf("close after eviction: %v", err)
+	}
+	if ev := db.Plans.Stats().Evictions; ev < 2 {
+		t.Fatalf("plan cache recorded %d evictions; the cursor's plan was never evicted", ev)
+	}
+
+	// The plan is gone from the cache, so the template compiles again and
+	// gives the same first page.
+	again, err := paged.Cursor(bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if again.CacheHit() {
+		t.Error("reopened cursor hit the plan cache; its plan should have been evicted")
+	}
+	first, err := again.Fetch(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRanking(t, "first page after recompile", ranking(first.Data, first.Scores), ranking(data[:k], scores[:k]))
+}
+
 // TestCursorStreamsPastLimit pins that the statement's LIMIT tunes the
 // plan but does not cap the stream: the cursor pages straight past it.
 func TestCursorStreamsPastLimit(t *testing.T) {

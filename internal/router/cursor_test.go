@@ -31,12 +31,12 @@ func newCursorCluster(t *testing.T, n int, serverOpts []server.Option, routerOpt
 		if err := server.RegisterWebshopScorers(db); err != nil {
 			t.Fatal(err)
 		}
-		s := server.New(db, append([]server.Option{server.WithLogger(discardLog)}, serverOpts...)...)
+		s := server.New(db, serverOpts...)
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(ts.Close)
 		c.shardURLs = append(c.shardURLs, ts.URL)
 	}
-	r, err := New(c.shardURLs, append([]Option{WithLogger(discardLog)}, routerOpts...)...)
+	r, err := New(c.shardURLs, routerOpts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,6 +94,7 @@ func paginateRouterCursor(t *testing.T, front string, first *testQueryResponse, 
 		combined.Rows = append(combined.Rows, page.Rows...)
 		combined.Scores = append(combined.Scores, page.Scores...)
 		combined.Ranks = append(combined.Ranks, page.Ranks...)
+		combined.Stats = page.Stats // cumulative over the cursor's life
 		if page.Exhausted || (maxRows > 0 && len(combined.Rows) >= maxRows) {
 			combined.Exhausted = page.Exhausted
 			break
@@ -180,6 +181,18 @@ func TestRouterCursorPagesMatchOneDeepRun(t *testing.T) {
 	combined := paginateRouterCursor(t, c.front.URL, first, k, pages*k)
 	combined.Exhausted = true // only paginated a prefix; satisfy the helper's contract check
 	assertEquivalent(t, "10 pages of 10", ref, len(combined.Rows), combined)
+	// Resumable means paging through the router costs about what one
+	// single-node run to the same depth costs, with slack for per-shard
+	// overfetch, and not a re-enumeration per page.
+	deep, err := single.QueryContext(t.Context(), cursorTestQuery, 300, pages*k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, limit := combined.Stats.TuplesScanned, deep.Stats.TuplesScanned*15/10
+	if got <= 0 || got > limit {
+		t.Errorf("paging scanned %d tuples across the shards, one single-node deep run %d (want 0 < n <= 1.5x = %d)",
+			got, deep.Stats.TuplesScanned, limit)
+	}
 }
 
 // TestRouterCursorShardLostFallback pins the degraded path: when a

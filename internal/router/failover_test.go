@@ -47,7 +47,7 @@ func newReplicatedCluster(t *testing.T, shards, replicas int, reg func(*ranksql.
 					t.Fatal(err)
 				}
 			}
-			ts := httptest.NewServer(server.New(db, server.WithLogger(discardLog)).Handler())
+			ts := httptest.NewServer(server.New(db).Handler())
 			t.Cleanup(ts.Close)
 			srvs = append(srvs, ts)
 			dbs = append(dbs, db)
@@ -57,7 +57,7 @@ func newReplicatedCluster(t *testing.T, shards, replicas int, reg func(*ranksql.
 		c.dbs = append(c.dbs, dbs)
 		specs[s] = strings.Join(urls, ",")
 	}
-	r, err := New(specs, WithLogger(discardLog))
+	r, err := New(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestExecDeadlinePropagates(t *testing.T) {
 	}))
 	defer slow.Close()
 	defer close(release) // LIFO: unblock the parked handler before Close waits on it
-	r, err := New([]string{slow.URL}, WithLogger(discardLog))
+	r, err := New([]string{slow.URL})
 	if err != nil {
 		t.Fatal(err)
 	}

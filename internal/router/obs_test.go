@@ -53,14 +53,13 @@ func obsCluster(t *testing.T, n, rows int) (*cluster, *syncBuffer, *syncBuffer) 
 			t.Fatal(err)
 		}
 		s := server.New(db,
-			server.WithLogger(discardLog),
 			server.WithTraceLogger(debugLogger(shardLog)))
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(ts.Close)
 		c.dbs = append(c.dbs, db)
 		urls[i] = ts.URL
 	}
-	r, err := New(urls, WithLogger(discardLog), WithTraceLogger(debugLogger(routerLog)))
+	r, err := New(urls, WithTraceLogger(debugLogger(routerLog)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log"
 	"log/slog"
 	"net"
 	"net/http"
@@ -47,7 +46,6 @@ import (
 // Router is the sharding coordinator.
 type Router struct {
 	shards  []*shardClient
-	logf    func(format string, args ...interface{})
 	metrics *metrics
 	tracer  *slog.Logger
 	slow    time.Duration
@@ -91,11 +89,6 @@ type tableInfo struct {
 // Option configures a Router.
 type Option func(*Router)
 
-// WithLogger replaces the router's log function (default log.Printf).
-func WithLogger(logf func(format string, args ...interface{})) Option {
-	return func(r *Router) { r.logf = logf }
-}
-
 // WithHTTPClient replaces the HTTP client used for shard calls (tests
 // and deployments with custom timeouts).
 func WithHTTPClient(c *http.Client) Option {
@@ -122,10 +115,10 @@ func WithResultCache(capacity int) Option {
 	return func(r *Router) { r.resultCacheCap = capacity }
 }
 
-// WithTraceLogger sets the structured logger query traces are written
-// to: one Debug record per merged query (trace ID, template, per-span
-// timings including per-shard fetch rounds) and one Warn record per
-// slow query. Default slog.Default().
+// WithTraceLogger sets the structured logger the router writes to: one
+// Debug record per merged query (trace ID, template, per-span timings
+// including per-shard fetch rounds), one Warn record per slow query, and
+// "serving on" / "shut down" at Info. Default slog.Default().
 func WithTraceLogger(l *slog.Logger) Option {
 	return func(r *Router) { r.tracer = l }
 }
@@ -163,7 +156,6 @@ func New(shardURLs []string, opts ...Option) (*Router, error) {
 	}
 	client := &http.Client{Timeout: 30 * time.Second}
 	r := &Router{
-		logf:           log.Printf,
 		metrics:        newMetrics(),
 		tracer:         slog.Default(),
 		tables:         map[string]*tableInfo{},
@@ -218,8 +210,7 @@ func New(shardURLs []string, opts ...Option) (*Router, error) {
 func (r *Router) NumShards() int { return len(r.shards) }
 
 // Handler returns the HTTP handler serving the router's endpoints (the
-// same protocol as internal/server, so clients and the bench tool work
-// against either).
+// same protocol as internal/server, so clients work against either).
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/session", wire.Post(r.handleSessionOpen))
@@ -267,7 +258,7 @@ func (r *Router) ServeListener(ctx context.Context, ln net.Listener) error {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-	r.logf("ranksqld-router: serving on %s over %d shards", ln.Addr(), len(r.shards))
+	r.tracer.Info(fmt.Sprintf("ranksqld-router: serving on %s over %d shards", ln.Addr(), len(r.shards)))
 	select {
 	case <-ctx.Done():
 		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -275,7 +266,7 @@ func (r *Router) ServeListener(ctx context.Context, ln net.Listener) error {
 		if err := srv.Shutdown(shutCtx); err != nil {
 			return err
 		}
-		r.logf("ranksqld-router: shut down")
+		r.tracer.Info("ranksqld-router: shut down")
 		return nil
 	case err := <-errc:
 		return err

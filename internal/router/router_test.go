@@ -15,8 +15,6 @@ import (
 	"ranksql/internal/server"
 )
 
-func discardLog(string, ...interface{}) {}
-
 // cluster is an in-process sharded deployment: n shard servers plus a
 // router, all over httptest.
 type cluster struct {
@@ -38,13 +36,13 @@ func newCluster(t *testing.T, n int, reg func(*ranksql.DB) error) *cluster {
 				t.Fatal(err)
 			}
 		}
-		s := server.New(db, server.WithLogger(discardLog))
+		s := server.New(db)
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(ts.Close)
 		c.dbs = append(c.dbs, db)
 		urls[i] = ts.URL
 	}
-	r, err := New(urls, WithLogger(discardLog))
+	r, err := New(urls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,6 +87,9 @@ type testQueryResponse struct {
 		Refills      int   `json:"refills"`
 		RowsFetched  int   `json:"rows_fetched"`
 	} `json:"merge"`
+	Stats struct {
+		TuplesScanned int64 `json:"tuples_scanned"`
+	} `json:"stats"`
 	Error string `json:"error"`
 }
 

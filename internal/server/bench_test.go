@@ -20,7 +20,7 @@ func benchServer(tb testing.TB) (http.Handler, string) {
 	if err := Seed(db, "webshop", 1000); err != nil {
 		tb.Fatal(err)
 	}
-	s := New(db, WithLogger(func(string, ...interface{}) {}))
+	s := New(db)
 	h := s.Handler()
 
 	body := `{"sql": "SELECT name, price, stars, sales FROM product WHERE in_stock AND price < ? ORDER BY 0.5*rating(stars) + 0.3*popular(sales) + 0.2*bargain(price) LIMIT ?"}`

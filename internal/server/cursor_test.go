@@ -37,7 +37,7 @@ func newCursorServer(t *testing.T, rows int, ttl time.Duration) (*ranksql.DB, *S
 	if err := SeedWebshop(db, rows); err != nil {
 		t.Fatal(err)
 	}
-	opts := []Option{WithLogger(discardLog)}
+	var opts []Option
 	if ttl > 0 {
 		opts = append(opts, WithSessionTTL(ttl))
 	}
@@ -131,6 +131,12 @@ func TestCursorPaginationMatchesOneShot(t *testing.T) {
 		}
 	}
 	verifyRanked(t, &testQueryResponse{Rows: rows, Scores: scores}, bound, depth)
+	// Resumable means paging costs about what one deep run costs, not a
+	// re-enumeration per page.
+	if limit := ref.Stats.TuplesScanned * 12 / 10; lastScanned <= 0 || lastScanned > limit {
+		t.Errorf("paging scanned %d tuples, one deep run %d (want 0 < n <= 1.2x = %d)",
+			lastScanned, ref.Stats.TuplesScanned, limit)
+	}
 
 	// Close releases the cursor; a second close is a clean 404.
 	var closed struct {

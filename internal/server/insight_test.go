@@ -305,7 +305,6 @@ func TestSlowQueryLogPlanSnapshot(t *testing.T) {
 	var buf syncBuffer
 	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	s := New(db,
-		WithLogger(discardLog),
 		WithTraceLogger(logger),
 		WithSlowQueryThreshold(time.Nanosecond))
 	ts := httptest.NewServer(s.Handler())

@@ -146,7 +146,6 @@ func TestSlowQueryLogAndTrace(t *testing.T) {
 	var buf syncBuffer
 	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	s := New(db,
-		WithLogger(discardLog),
 		WithTraceLogger(logger),
 		WithSlowQueryThreshold(time.Nanosecond))
 	ts := httptest.NewServer(s.Handler())

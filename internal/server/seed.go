@@ -8,9 +8,8 @@ import (
 	"ranksql"
 )
 
-// Rng is a xorshift-style deterministic generator, shared by dataset
-// seeding and the bench load generator so datasets and workloads are
-// reproducible across runs and processes.
+// Rng is a xorshift-style deterministic generator, so seeded datasets
+// are reproducible across runs and processes.
 type Rng uint64
 
 // NewRng returns a generator for a non-zero-ified seed.

@@ -39,7 +39,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"log"
 	"log/slog"
 	"net"
 	"net/http"
@@ -60,7 +59,6 @@ type Server struct {
 	sessions *idle.Table[*Session]
 	cursors  *idle.Table[*serverCursor]
 	metrics  *metrics
-	logf     func(format string, args ...interface{})
 	tracer   *slog.Logger
 	slow     time.Duration
 	ttl      time.Duration
@@ -70,14 +68,10 @@ type Server struct {
 // Option configures a Server.
 type Option func(*Server)
 
-// WithLogger replaces the server's log function (default log.Printf).
-func WithLogger(logf func(format string, args ...interface{})) Option {
-	return func(s *Server) { s.logf = logf }
-}
-
-// WithTraceLogger sets the structured logger query traces are written
-// to: one Debug record per query (trace ID, template, per-span timings)
-// and one Warn record per slow query. Default slog.Default().
+// WithTraceLogger sets the structured logger the server writes to: one
+// Debug record per query (trace ID, template, per-span timings), one Warn
+// record per slow query, and "serving on" / "shut down" at Info. Default
+// slog.Default().
 func WithTraceLogger(l *slog.Logger) Option {
 	return func(s *Server) { s.tracer = l }
 }
@@ -112,7 +106,6 @@ func New(db *ranksql.DB, opts ...Option) *Server {
 	s := &Server{
 		db:      db,
 		metrics: newMetrics(),
-		logf:    log.Printf,
 		tracer:  slog.Default(),
 	}
 	for _, o := range opts {
@@ -201,7 +194,7 @@ func (s *Server) ServeListener(ctx context.Context, ln net.Listener) error {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-	s.logf("ranksqld: serving on %s", ln.Addr())
+	s.tracer.Info("ranksqld: serving on " + ln.Addr().String())
 	select {
 	case <-ctx.Done():
 		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -209,7 +202,7 @@ func (s *Server) ServeListener(ctx context.Context, ln net.Listener) error {
 		if err := srv.Shutdown(shutCtx); err != nil {
 			return err
 		}
-		s.logf("ranksqld: shut down")
+		s.tracer.Info("ranksqld: shut down")
 		return nil
 	case err := <-errc:
 		return err

@@ -20,8 +20,6 @@ import (
 	"ranksql"
 )
 
-func discardLog(string, ...interface{}) {}
-
 func discardSlog() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
@@ -32,7 +30,7 @@ func newTestServer(t *testing.T, rows int) (*Server, *httptest.Server) {
 	if err := SeedWebshop(db, rows); err != nil {
 		t.Fatal(err)
 	}
-	s := New(db, WithLogger(discardLog), WithTraceLogger(discardSlog()))
+	s := New(db, WithTraceLogger(discardSlog()))
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -365,7 +363,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 	if err := SeedWebshop(db, 100); err != nil {
 		t.Fatal(err)
 	}
-	s := New(db, WithLogger(discardLog), WithTraceLogger(discardSlog()))
+	s := New(db, WithTraceLogger(discardSlog()))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +406,7 @@ func TestSessionExpiryGC(t *testing.T) {
 	if err := SeedWebshop(db, 200); err != nil {
 		t.Fatal(err)
 	}
-	s := New(db, WithLogger(discardLog), WithSessionTTL(time.Minute))
+	s := New(db, WithSessionTTL(time.Minute))
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 

@@ -146,8 +146,7 @@ func TestAppendQueryResponseOmitempty(t *testing.T) {
 // TestServerPagesDecodeStrictly guards against wire drift: what a server
 // really answers — a one-shot /query, a profiled one, a cursor's first
 // and second page — must decode, unknown fields disallowed, into the
-// QueryResponse the router's shard client and the bench client decode
-// into, and every field must survive the round trip: re-encoding the
+// QueryResponse the router's shard client decodes into, and every field must survive the round trip: re-encoding the
 // decoded struct reproduces the server's bytes.
 func TestServerPagesDecodeStrictly(t *testing.T) {
 	db := ranksql.Open()
@@ -155,7 +154,7 @@ func TestServerPagesDecodeStrictly(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.SetProfileSampling(1) // every execution carries depth_k / max_drift_ratio
-	h := server.New(db, server.WithLogger(func(string, ...interface{}) {})).Handler()
+	h := server.New(db).Handler()
 	post := func(path, body string) *wire.QueryResponse {
 		t.Helper()
 		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))

@@ -1,9 +1,9 @@
 // Package wire defines the HTTP/JSON protocol ranksqld speaks, once, for
 // everything that speaks it: the single-node server encodes it, the
 // sharding router decodes it from its shards and answers its own clients
-// with it, and the bench client reads it. It hides the schema — field
-// names, order, omitempty rules, how JSON numbers bind to parameters —
-// so a field added here reaches every tier or none.
+// with it. It hides the schema — field names, order, omitempty rules, how
+// JSON numbers bind to parameters — so a field added here reaches every
+// tier or none.
 //
 // Every query answer is one page of a ranked stream: rows in
 // non-increasing score order with contiguous 1-based ranks starting at
