@@ -1,8 +1,11 @@
 package insight
 
 import (
+	"net/http"
 	"sort"
 	"time"
+
+	"ranksql/internal/wire"
 )
 
 // Workload is the /insight/workload payload: a rolling summary of the
@@ -86,6 +89,34 @@ type TemplateProfile struct {
 	Footprint Footprint      `json:"footprint"`
 	Drift     *DriftProfile  `json:"drift,omitempty"`
 	Shards    []ShardProfile `json:"shards,omitempty"`
+}
+
+// ServeWorkload serves GET /insight/workload: the rolling summary of the
+// recorded window (ring occupancy, window bounds, resource totals, drift
+// counters, template frequency shares).
+func (r *Ring) ServeWorkload(w http.ResponseWriter, req *http.Request) {
+	if getOnly(w, req) {
+		workload, _ := Aggregate(r)
+		wire.WriteJSON(w, http.StatusOK, workload)
+	}
+}
+
+// ServeTemplates serves GET /insight/templates: per-template profiles —
+// frequency, depth-k distribution, p95 resource footprint, estimate-drift
+// ratios and, on the router, per-shard attribution — most frequent first.
+func (r *Ring) ServeTemplates(w http.ResponseWriter, req *http.Request) {
+	if getOnly(w, req) {
+		_, templates := Aggregate(r)
+		wire.WriteJSON(w, http.StatusOK, map[string]interface{}{"templates": templates})
+	}
+}
+
+func getOnly(w http.ResponseWriter, req *http.Request) bool {
+	if req.Method != http.MethodGet {
+		wire.WriteError(w, http.StatusMethodNotAllowed, "GET required")
+		return false
+	}
+	return true
 }
 
 // Aggregate rolls a ring snapshot into the workload summary plus

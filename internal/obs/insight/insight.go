@@ -32,13 +32,19 @@ const DefaultRingSize = 2048
 // estimate by more than this factor (in either direction).
 const HighDriftRatio = 4.0
 
-// OpUsage is one operator of a recorded execution.
+// OpUsage is one operator of a recorded execution: what it produced and
+// how deep it enumerated, against the optimizer's estimate. Its JSON form
+// is the slow-query log's plan snapshot.
 type OpUsage struct {
 	Depth  int     `json:"depth"`
-	Name   string  `json:"name"`
+	Name   string  `json:"op"`
 	Rows   int64   `json:"rows"`
 	DepthK int64   `json:"depth_k"`
 	TimeMS float64 `json:"time_ms,omitempty"`
+	// EstRows is the optimizer's cardinality estimate and Drift the
+	// resulting DriftRatio (both omitted when no estimate was aligned).
+	EstRows float64 `json:"est_rows,omitempty"`
+	Drift   float64 `json:"drift,omitempty"`
 }
 
 // NodeDrift is one plan node's estimated-vs-actual cardinality.
@@ -109,32 +115,6 @@ func DriftRatio(est float64, actual int64) float64 {
 	return e / a
 }
 
-// MakeDrift pairs parallel estimate/actual slices (as the engine's
-// aligned plan estimates and tree snapshot provide them) into NodeDrift
-// entries. Negative estimates mean "unknown" and are skipped.
-func MakeDrift(nodes []string, est []float64, actual []int64) []NodeDrift {
-	n := len(nodes)
-	if len(est) < n {
-		n = len(est)
-	}
-	if len(actual) < n {
-		n = len(actual)
-	}
-	var out []NodeDrift
-	for i := 0; i < n; i++ {
-		if est[i] < 0 {
-			continue
-		}
-		out = append(out, NodeDrift{
-			Node:   nodes[i],
-			Est:    est[i],
-			Actual: actual[i],
-			Ratio:  DriftRatio(est[i], actual[i]),
-		})
-	}
-	return out
-}
-
 // Ring is the lock-cheap record buffer: a fixed slot array written with
 // one atomic counter increment plus one atomic pointer store. Slots are
 // overwritten oldest-first once the ring wraps; readers snapshot
@@ -203,6 +183,28 @@ func (r *Ring) WithEstimates() uint64 { return r.withEstimates.Load() }
 // HighDrift returns how many recorded executions had some plan node
 // miss its estimate by at least HighDriftRatio.
 func (r *Ring) HighDrift() uint64 { return r.highDrift.Load() }
+
+// Stats is the query-insight block of the daemons' /stats payloads: ring
+// occupancy and the lifetime drift counters (the full rolling profiles
+// live at /insight/workload and /insight/templates).
+type Stats struct {
+	RingDepth            int    `json:"ring_depth"`
+	RingCapacity         int    `json:"ring_capacity"`
+	Records              uint64 `json:"records"`
+	RecordsWithEstimates uint64 `json:"records_with_estimates"`
+	HighDriftRecords     uint64 `json:"high_drift_records"`
+}
+
+// Stats reads the ring's occupancy and counters.
+func (r *Ring) Stats() Stats {
+	return Stats{
+		RingDepth:            r.Depth(),
+		RingCapacity:         r.Capacity(),
+		Records:              r.Observed(),
+		RecordsWithEstimates: r.WithEstimates(),
+		HighDriftRecords:     r.HighDrift(),
+	}
+}
 
 // Snapshot returns the live records, oldest slot first. Records are
 // shared, not copied — they are immutable by contract.

@@ -28,23 +28,6 @@ func TestDriftRatio(t *testing.T) {
 	}
 }
 
-func TestMakeDriftSkipsUnknownEstimates(t *testing.T) {
-	drift := MakeDrift(
-		[]string{"limit", "HRJN", "seqScan"},
-		[]float64{-1, 5, 100},
-		[]int64{10, 10, 100},
-	)
-	if len(drift) != 2 {
-		t.Fatalf("got %d drift entries, want 2 (node with est -1 skipped)", len(drift))
-	}
-	if drift[0].Node != "HRJN" || drift[0].Ratio != 2 {
-		t.Errorf("drift[0] = %+v, want HRJN ratio 2", drift[0])
-	}
-	if drift[1].Node != "seqScan" || drift[1].Ratio != 1 {
-		t.Errorf("drift[1] = %+v, want seqScan ratio 1", drift[1])
-	}
-}
-
 func TestRingWrapAndCounters(t *testing.T) {
 	r := NewRing(4)
 	for i := 0; i < 10; i++ {

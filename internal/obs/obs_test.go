@@ -266,3 +266,32 @@ func TestSummarize(t *testing.T) {
 		t.Fatalf("mean = %g ms, want ~10", s.MeanMS)
 	}
 }
+
+type testRow struct {
+	TemplateRow
+	Extra int
+}
+
+// TestTemplatesBoundAndOrder: the per-template table holds MaxTemplates
+// distinct templates, then folds every new one into the overflow row;
+// Snapshot fills mean latency and lists the most executed first.
+func TestTemplatesBoundAndOrder(t *testing.T) {
+	var tt Templates[testRow, *testRow]
+	for i := 0; i < MaxTemplates+10; i++ {
+		r := tt.Row(strings.Repeat("q", i+1))
+		r.Observe(2 * time.Millisecond)
+		r.Extra++
+	}
+	hot := tt.Row("q")
+	hot.Observe(4 * time.Millisecond)
+	rows := tt.Snapshot()
+	if len(rows) != MaxTemplates+1 {
+		t.Fatalf("%d rows, want %d plus the overflow row", len(rows), MaxTemplates)
+	}
+	if rows[0].Query != overflowTemplate || rows[0].Count != 10 || rows[0].Extra != 10 {
+		t.Errorf("rows[0] = %+v, want the overflow row holding the 10 late templates", rows[0])
+	}
+	if rows[1].Query != "q" || rows[1].Count != 2 || rows[1].AvgMS != 3 {
+		t.Errorf("rows[1] = %+v, want q: count 2, avg 3 ms", rows[1])
+	}
+}

@@ -1,8 +1,9 @@
-// Package obs is RankSQL's dependency-free observability kit: an atomic
-// metrics registry with Prometheus text exposition (counters, gauges and
-// log-bucketed latency histograms with quantile extraction), trace-ID
-// minting and propagation for cross-process request correlation, and a
-// lightweight span collector for structured per-request timing logs.
+// Package obs is RankSQL's observability kit: an atomic metrics registry
+// with Prometheus text exposition (counters, gauges and log-bucketed
+// latency histograms with quantile extraction), trace-ID minting and
+// propagation for cross-process request correlation, a lightweight span
+// collector for structured per-request timing logs, and Metrics, the one
+// accounting layer ranksqld and the sharding router both embed.
 //
 // The registry is the single source of truth for service counters: the
 // daemons' /metrics endpoints render it in Prometheus format and their

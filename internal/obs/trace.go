@@ -49,8 +49,7 @@ func (s Span) DurationMS() float64 {
 // Trace collects spans for one request. It is safe for concurrent use:
 // the router records per-shard fetch spans from parallel goroutines.
 type Trace struct {
-	ID    string
-	start time.Time
+	ID string
 
 	mu    sync.Mutex
 	spans []Span
@@ -58,7 +57,7 @@ type Trace struct {
 
 // NewTrace starts a trace with the given ID.
 func NewTrace(id string) *Trace {
-	return &Trace{ID: id, start: time.Now()}
+	return &Trace{ID: id}
 }
 
 // StartSpan begins a named span; the returned func ends it.
@@ -78,9 +77,6 @@ func (t *Trace) AddSpan(name string, start, end time.Time) {
 	t.spans = append(t.spans, Span{Name: name, Start: start, End: end})
 	t.mu.Unlock()
 }
-
-// Elapsed is the wall time since the trace began.
-func (t *Trace) Elapsed() time.Duration { return time.Since(t.start) }
 
 // SpanAttrs renders the spans as alternating name/duration-ms pairs for
 // slog (slog.Group("spans", trace.SpanAttrs()...)).

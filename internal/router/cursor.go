@@ -369,12 +369,11 @@ func (r *Router) handleCursorNext(w http.ResponseWriter, hr *http.Request, req *
 	w.Header().Set(obs.TraceHeader, trace.ID)
 	rc, err := r.cursors.Get(req.CursorID)
 	if err != nil {
-		r.metrics.cursorMisses.Inc()
-		r.metrics.recordError("")
-		wire.WriteError(w, http.StatusNotFound, err.Error())
+		r.metrics.CursorMisses.Inc()
+		r.metrics.Fail(w, http.StatusNotFound, "", err.Error())
 		return
 	}
-	r.metrics.cursorHits.Inc()
+	r.metrics.CursorHits.Inc()
 	n := req.Fetch
 	if n <= 0 {
 		n = rc.pageSize
@@ -396,7 +395,7 @@ func (r *Router) handleCursorClose(w http.ResponseWriter, hr *http.Request, req 
 		return
 	}
 	rc.closeShardCursors(trace)
-	r.tracer.Debug("cursor closed", "trace", trace.ID, "cursor", req.CursorID)
+	r.metrics.Tracer.Debug("cursor closed", "trace", trace.ID, "cursor", req.CursorID)
 	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{"closed": true, "trace_id": trace.ID})
 }
 
@@ -438,7 +437,7 @@ func (r *Router) pullPage(w http.ResponseWriter, hr *http.Request, req *wire.Req
 	defer rc.mu.Unlock()
 
 	if afterRank > 0 && afterRank < rc.pulled {
-		wire.WriteError(w, http.StatusBadRequest, fmt.Sprintf(
+		r.metrics.Fail(w, http.StatusBadRequest, rc.norm, fmt.Sprintf(
 			"cursor %q is already past rank %d (at %d); ranked streams cannot rewind", id, afterRank, rc.pulled))
 		return nil
 	}
@@ -488,11 +487,6 @@ func (r *Router) pullPage(w http.ResponseWriter, hr *http.Request, req *wire.Req
 		resp.Merge.RowsFetched += s.rowsFetched
 		views[i] = shardView{rowsFetched: s.rowsFetched, depthK: s.depthK, driftRatio: s.driftRatio}
 	}
-	r.metrics.recordQuery(rc.norm, elapsed, len(merged.Rows),
-		resp.Merge.RowsFetched-rc.rowsFetched, len(merged.Pruned), merged.Refills)
-	rc.rowsFetched = resp.Merge.RowsFetched
-	r.metrics.recordInsight(buildInsightRecord(
-		rc.norm, trace.ID, elapsed, resp.Stats, len(merged.Rows), views, merged.Pruned))
 	what := "query"
 	attrs := []any{
 		"trace", trace.ID, "query", rc.norm, "elapsed_ms", resp.ElapsedMS,
@@ -503,13 +497,11 @@ func (r *Router) pullPage(w http.ResponseWriter, hr *http.Request, req *wire.Req
 		what = "cursor page"
 		attrs = append(attrs, "cursor", id, "offset", resp.Offset)
 	}
-	attrs = append(attrs, trace.SpanAttrs()...)
-	if r.slow > 0 && elapsed >= r.slow {
-		r.metrics.slow.Inc()
-		r.tracer.Warn("slow "+what, attrs...)
-	} else {
-		r.tracer.Debug(what, attrs...)
-	}
+	r.metrics.recordPage(what, elapsed,
+		buildInsightRecord(rc.norm, trace.ID, elapsed, resp.Stats, len(merged.Rows), views, merged.Pruned),
+		resp.Merge.RowsFetched-rc.rowsFetched, len(merged.Pruned), merged.Refills,
+		append(attrs, trace.SpanAttrs()...))
+	rc.rowsFetched = resp.Merge.RowsFetched
 	return resp
 }
 
@@ -529,10 +521,10 @@ func (r *Router) pullFailed(ctx context.Context, w http.ResponseWriter, hr *http
 		if id != "" {
 			what = "cursor fetch"
 		}
-		r.metrics.recordTimeout()
-		r.tracer.Warn(what+" deadline exceeded",
+		r.metrics.Timeouts.Inc()
+		r.metrics.Tracer.Warn(what+" deadline exceeded",
 			"trace", trace.ID, "query", rc.norm, "cursor", id, "deadline_ms", req.DeadlineMS)
-		wire.WriteError(w, http.StatusGatewayTimeout, fmt.Sprintf("%s exceeded deadline_ms=%d", what, req.DeadlineMS))
+		r.metrics.Fail(w, http.StatusGatewayTimeout, rc.norm, fmt.Sprintf("%s exceeded deadline_ms=%d", what, req.DeadlineMS))
 	case cursorDead(err):
 		// The caller holds rc.mu, so tear down inline rather than via
 		// closeShardCursors (which re-locks it).
@@ -540,9 +532,8 @@ func (r *Router) pullFailed(ctx context.Context, w http.ResponseWriter, hr *http
 		for _, s := range rc.streams {
 			s.closeRemote()
 		}
-		wire.WriteError(w, http.StatusConflict, err.Error())
+		r.metrics.Fail(w, http.StatusConflict, rc.norm, err.Error())
 	default:
-		wire.WriteError(w, http.StatusBadGateway, err.Error())
+		r.metrics.Fail(w, http.StatusBadGateway, rc.norm, err.Error())
 	}
-	r.metrics.recordError(rc.norm)
 }

@@ -15,6 +15,7 @@ import (
 
 	"ranksql"
 	"ranksql/internal/flakyproxy"
+	"ranksql/internal/obs/insight"
 	"ranksql/internal/server"
 	"ranksql/internal/wire"
 )
@@ -497,6 +498,13 @@ func TestResultCacheServesWithoutFanout(t *testing.T) {
 	getInsightJSON(t, c.front.URL+"/stats", &snap)
 	if snap.ResultCache == nil || snap.ResultCache.Hits == 0 {
 		t.Fatalf("/stats result_cache = %+v, want recorded hits", snap.ResultCache)
+	}
+	// A hit is a served query like any other: it reaches the insight ring.
+	var w insight.Workload
+	getInsightJSON(t, c.front.URL+"/insight/workload", &w)
+	if w.RecordsObserved != snap.Queries {
+		t.Errorf("/insight/workload records_observed = %d, /stats queries = %d; want equal",
+			w.RecordsObserved, snap.Queries)
 	}
 
 	// Any routed row-count change invalidates: results caches answers,

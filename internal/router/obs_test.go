@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -224,5 +225,218 @@ func TestRouterDeadlineMS(t *testing.T) {
 	}
 	if stats.Timeouts != 2 {
 		t.Errorf("timeouts = %d, want 2 (one-shot + cursor page)", stats.Timeouts)
+	}
+}
+
+// TestMetricNamesStable pins the router's observable names: every
+// /metrics series with its TYPE, and every key the /stats payload can
+// carry, flattened to dotted paths ("[]" marks array elements). A rename
+// in either view breaks dashboards and the benchmark's /stats reader
+// silently, so it must show up here as a diff against these lists.
+func TestMetricNamesStable(t *testing.T) {
+	c := newCluster(t, 2, server.RegisterWebshopScorers)
+	if err := SeedVia(nil, c.front.URL, "webshop", 200); err != nil {
+		t.Fatal(err)
+	}
+	var qr testQueryResponse
+	if code := postJSON(t, c.front.URL+"/query", map[string]interface{}{
+		"sql": obsQuerySQL, "params": []interface{}{300.0, 5},
+	}, &qr); code != http.StatusOK {
+		t.Fatalf("query status %d: %s", code, qr.Error)
+	}
+
+	wantSeries := []string{
+		"ranksql_router_build_info gauge",
+		"ranksql_router_cursor_hits_total counter",
+		"ranksql_router_cursor_misses_total counter",
+		"ranksql_router_cursor_replica_resumes_total counter",
+		"ranksql_router_cursors_expired_total gauge",
+		"ranksql_router_cursors_opened_total counter",
+		"ranksql_router_errors_total counter",
+		"ranksql_router_execs_total counter",
+		"ranksql_router_hedges_issued_total counter",
+		"ranksql_router_hedges_lost_total counter",
+		"ranksql_router_hedges_won_total counter",
+		"ranksql_router_insight_high_drift_total gauge",
+		"ranksql_router_insight_records_total gauge",
+		"ranksql_router_insight_records_with_estimates_total gauge",
+		"ranksql_router_insight_ring_depth gauge",
+		"ranksql_router_loads_total counter",
+		"ranksql_router_open_cursors gauge",
+		"ranksql_router_queries_total counter",
+		"ranksql_router_queries_with_pruned_shards_total counter",
+		"ranksql_router_query_duration_seconds histogram",
+		"ranksql_router_refills_total counter",
+		"ranksql_router_result_cache_entries gauge",
+		"ranksql_router_result_cache_hits_total counter",
+		"ranksql_router_result_cache_misses_total counter",
+		"ranksql_router_rows_fetched_total counter",
+		"ranksql_router_rows_returned_total counter",
+		"ranksql_router_shard_failovers_total counter",
+		"ranksql_router_shards_pruned_total counter",
+		"ranksql_router_slow_queries_total counter",
+		"ranksql_router_timeouts_total counter",
+		"ranksql_router_tuples_materialized_total counter",
+		"ranksql_router_tuples_scanned_total counter",
+		"ranksql_router_uptime_seconds gauge",
+	}
+	wantStats := []string{
+		"avg_query_ms", "build", "build.git_sha", "build.go_version", "build.version",
+		"cursors", "cursors.expired_total", "cursors.hits_total", "cursors.misses_total",
+		"cursors.open", "cursors.opened_total",
+		"errors", "execs", "fetch_amplification",
+		"insight", "insight.high_drift_records", "insight.records", "insight.records_with_estimates",
+		"insight.ring_capacity", "insight.ring_depth",
+		"latency", "latency.count", "latency.mean_ms", "latency.p50_ms", "latency.p95_ms", "latency.p99_ms",
+		"loads",
+		"per_query", "per_query[].avg_latency_ms", "per_query[].count", "per_query[].errors",
+		"per_query[].query", "per_query[].refills", "per_query[].rows_fetched_from_shards",
+		"per_query[].rows_returned", "per_query[].shards_pruned",
+		"queries", "queries_with_pruned_shards", "refills_total",
+		"reliability", "reliability.cursor_replica_resumes", "reliability.failovers",
+		"reliability.hedges_issued", "reliability.hedges_lost", "reliability.hedges_won",
+		"result_cache", "result_cache.capacity", "result_cache.entries", "result_cache.evictions",
+		"result_cache.hit_rate", "result_cache.hits", "result_cache.misses", "result_cache.stale",
+		"rows_fetched_total", "rows_returned_total",
+		"shard_health", "shard_health[].base_url", "shard_health[].healthy", "shard_health[].id",
+		"shard_health[].replicas", "shard_health[].replicas[].base_url", "shard_health[].replicas[].failures",
+		"shard_health[].replicas[].healthy", "shard_health[].replicas[].index", "shard_health[].replicas[].requests",
+		"shards", "shards_pruned_total", "slow_queries", "timeouts",
+		"tuples_materialized_total", "tuples_scanned_total", "uptime_seconds",
+	}
+	assertNames(t, "/metrics series", seriesTypes(t, c.router.Registry(), c.front.URL), wantSeries)
+	assertNames(t, "/stats keys", statsKeys(t, c.front.URL), wantStats)
+}
+
+// seriesTypes lists the registry's series as "family TYPE", sorted:
+// names from Registry.SortedNames (constant labels stripped), each paired
+// with the TYPE line /metrics declares for its family.
+func seriesTypes(t *testing.T, reg *obs.Registry, base string) []string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	types := map[string]string{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			types[f[2]] = f[3]
+		}
+	}
+	var out []string
+	for _, name := range reg.SortedNames() {
+		fam, _, _ := strings.Cut(name, "{")
+		out = append(out, fam+" "+types[fam])
+	}
+	return out
+}
+
+// statsKeys flattens the /stats payload's keys to sorted dotted paths.
+func statsKeys(t *testing.T, base string) []string {
+	t.Helper()
+	var v interface{}
+	getInsightJSON(t, base+"/stats", &v)
+	keys := map[string]bool{}
+	var walk func(prefix string, v interface{})
+	walk = func(prefix string, v interface{}) {
+		switch x := v.(type) {
+		case map[string]interface{}:
+			for k, e := range x {
+				keys[prefix+k] = true
+				walk(prefix+k+".", e)
+			}
+		case []interface{}:
+			for _, e := range x {
+				walk(strings.TrimSuffix(prefix, ".")+"[].", e)
+			}
+		}
+	}
+	walk("", v)
+	out := make([]string, 0, len(keys))
+	for k := range keys {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func assertNames(t *testing.T, what string, got, want []string) {
+	t.Helper()
+	sort.Strings(want)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("%s changed:\ngot  %q\nwant %q", what, got, want)
+	}
+}
+
+// TestErrorsCountedAlike: the same bad request counts once in errors_total
+// whether a shard or the router answers it — errors means the same thing
+// on both tiers.
+func TestErrorsCountedAlike(t *testing.T) {
+	c := newCluster(t, 2, server.RegisterWebshopScorers)
+	if err := SeedVia(nil, c.front.URL, "webshop", 200); err != nil {
+		t.Fatal(err)
+	}
+	load := func(t *testing.T, base, table, csv string) int {
+		resp, err := http.Post(base+"/load?table="+table, "text/csv", strings.NewReader(csv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	var out testQueryResponse
+	cases := []struct {
+		name string
+		do   func(t *testing.T, base string) int
+	}{
+		{"SELECT via /exec", func(t *testing.T, base string) int {
+			return postJSON(t, base+"/exec", map[string]interface{}{
+				"sql": obsQuerySQL, "params": []interface{}{300.0, 5}}, &out)
+		}},
+		{"wrong param count on /exec", func(t *testing.T, base string) int {
+			return postJSON(t, base+"/exec", map[string]interface{}{
+				"sql": `INSERT INTO product VALUES (?, ?, ?, ?, ?)`, "params": []interface{}{"x"}}, &out)
+		}},
+		{"/load of an unknown table", func(t *testing.T, base string) int {
+			return load(t, base, "no_such_table", "a,1\n")
+		}},
+		{"/load of a short CSV row", func(t *testing.T, base string) int {
+			return load(t, base, "product", "only-one-cell\n")
+		}},
+		{"cursor rewind", func(t *testing.T, base string) int {
+			var page testQueryResponse
+			postJSON(t, base+"/query", map[string]interface{}{
+				"sql": obsQuerySQL, "params": []interface{}{300.0, 50}, "cursor": true, "fetch": 5}, &page)
+			if page.CursorID == "" {
+				t.Fatalf("cursor open: %q", page.Error)
+			}
+			postJSON(t, base+"/cursor/next", map[string]interface{}{"cursor_id": page.CursorID, "fetch": 5}, &out)
+			return postJSON(t, base+"/cursor/next", map[string]interface{}{
+				"cursor_id": page.CursorID, "fetch": 5, "after_rank": 2}, &out)
+		}},
+	}
+	errorsAt := func(base string) uint64 {
+		var s struct {
+			Errors uint64 `json:"errors"`
+		}
+		getInsightJSON(t, base+"/stats", &s)
+		return s.Errors
+	}
+	tiers := []struct{ name, url string }{
+		{"shard", c.router.shards[0].replicas[0].base},
+		{"router", c.front.URL},
+	}
+	for _, tc := range cases {
+		for _, tier := range tiers {
+			before := errorsAt(tier.url)
+			if code := tc.do(t, tier.url); code < 400 {
+				t.Errorf("%s on the %s: status %d, want an error", tc.name, tier.name, code)
+			}
+			if got := errorsAt(tier.url) - before; got != 1 {
+				t.Errorf("%s on the %s: errors +%d, want +1", tc.name, tier.name, got)
+			}
+		}
 	}
 }

@@ -161,7 +161,8 @@ func (r *Router) storeResult(t *template, bindKey string, k int, snap map[string
 // serveCachedResult writes a /query response straight from a cache
 // entry: no shard saw this request, so the per-shard stats block is
 // zero and merge.rows_fetched is 0 — which is exactly what the
-// zero-fan-out tests assert through the replica request counters.
+// zero-fan-out tests assert through the replica request counters. The
+// hit is recorded like a merged page, with no shard fetches or tuples.
 func (r *Router) serveCachedResult(w http.ResponseWriter, trace *obs.Trace, t *template, k int, ent *resultEntry, elapsed time.Duration) {
 	resp := r.newPage(ent.rows, ent.scores, 0, nil)
 	resp.Columns = ent.columns
@@ -171,9 +172,10 @@ func (r *Router) serveCachedResult(w http.ResponseWriter, trace *obs.Trace, t *t
 	resp.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
 	resp.TraceID = trace.ID
 	r.metrics.resultCacheHits.Inc()
-	r.metrics.recordQuery(t.norm, elapsed, len(ent.rows), 0, 0, 0)
-	r.tracer.Debug("query served from result cache",
-		"trace", trace.ID, "query", t.norm, "rows", len(ent.rows))
+	r.metrics.recordPage("query", elapsed,
+		buildInsightRecord(t.norm, trace.ID, elapsed, wire.QueryStats{}, len(ent.rows), nil, nil), 0, 0, 0,
+		[]any{"trace", trace.ID, "query", t.norm, "elapsed_ms", resp.ElapsedMS,
+			"rows", len(ent.rows), "result_cache_hit", true})
 	wire.WriteJSON(w, http.StatusOK, resp)
 }
 

@@ -17,6 +17,14 @@
 // Joins are correct when the joined tables are co-partitioned on the
 // join key (partition both tables by it); the router does not reshuffle
 // rows between shards.
+//
+// The router's accounting is ranksqld's: queries, errors, latency, tuple
+// traffic, cursors, the insight ring and the trace log come from the
+// obs.Metrics both daemons embed, under ranksql_router_* names, so a
+// series means the same thing on either tier. Only what a coordinator has
+// is its own: merge effectiveness (pruned shards, refills, rows fetched),
+// replica reliability (failovers, hedges, cursor resumes), the ranked-
+// result cache and per-shard health.
 package router
 
 import (
@@ -29,7 +37,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,8 +54,6 @@ import (
 type Router struct {
 	shards  []*shardClient
 	metrics *metrics
-	tracer  *slog.Logger
-	slow    time.Duration
 	pprof   bool
 	// cursors holds the registered ranked cursors; cursorTTL (fixed at New
 	// time) is how long one may sit unused before it is collected.
@@ -120,14 +125,14 @@ func WithResultCache(capacity int) Option {
 // including per-shard fetch rounds), one Warn record per slow query, and
 // "serving on" / "shut down" at Info. Default slog.Default().
 func WithTraceLogger(l *slog.Logger) Option {
-	return func(r *Router) { r.tracer = l }
+	return func(r *Router) { r.metrics.Tracer = l }
 }
 
 // WithSlowQueryThreshold enables the slow-query log: merged queries
 // taking longer than d are counted and logged at Warn with their span
 // breakdown. d <= 0 disables it (the default).
 func WithSlowQueryThreshold(d time.Duration) Option {
-	return func(r *Router) { r.slow = d }
+	return func(r *Router) { r.metrics.SlowQuery = d }
 }
 
 // WithPprof mounts net/http/pprof under /debug/pprof/ on the router's
@@ -157,18 +162,11 @@ func New(shardURLs []string, opts ...Option) (*Router, error) {
 	client := &http.Client{Timeout: 30 * time.Second}
 	r := &Router{
 		metrics:        newMetrics(),
-		tracer:         slog.Default(),
 		tables:         map[string]*tableInfo{},
 		templates:      map[string]*template{},
 		stmts:          map[string]*template{},
 		resultCacheCap: defaultResultCacheCap,
 	}
-	r.metrics.reg.GaugeFunc("ranksql_router_open_cursors",
-		"Ranked cursors currently open on the router (each pins per-shard stream positions).",
-		func() float64 { return float64(r.cursors.Len()) })
-	r.metrics.reg.GaugeFunc("ranksql_router_cursors_expired_total",
-		"Router cursors collected by the idle-cursor TTL GC.",
-		func() float64 { return float64(r.cursors.Expired()) })
 	for i, group := range shardURLs {
 		sc := &shardClient{id: i, m: r.metrics}
 		for j, u := range strings.Split(group, ",") {
@@ -197,9 +195,10 @@ func New(shardURLs []string, opts ...Option) (*Router, error) {
 		// wait for it.
 		OnEvict: func(rc *routerCursor) { go rc.closeShardCursors(nil) },
 	})
+	r.metrics.WatchCursors(r.cursors)
 	if r.resultCacheCap > 0 {
 		r.results = lru.New[resultKey, *resultEntry](r.resultCacheCap)
-		r.metrics.reg.GaugeFunc("ranksql_router_result_cache_entries",
+		r.metrics.Reg.GaugeFunc("ranksql_router_result_cache_entries",
 			"Entries currently held by the router-side ranked-result cache.",
 			func() float64 { return float64(r.results.Stats().Entries) })
 	}
@@ -223,54 +222,21 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("/exec", wire.Post(r.handleExec))
 	mux.HandleFunc("/load", r.handleLoad)
 	mux.HandleFunc("/stats", r.handleStats)
-	mux.Handle("/metrics", obs.Handler(r.metrics.reg))
-	mux.HandleFunc("/insight/workload", r.handleInsightWorkload)
-	mux.HandleFunc("/insight/templates", r.handleInsightTemplates)
+	r.metrics.Mount(mux)
 	mux.HandleFunc("/healthz", r.handleHealthz)
 	if r.pprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		wire.MountPprof(mux)
 	}
 	return mux
 }
 
 // Registry exposes the router's metrics registry (tests and embedders).
-func (r *Router) Registry() *obs.Registry { return r.metrics.reg }
+func (r *Router) Registry() *obs.Registry { return r.metrics.Reg }
 
-// Serve listens on addr and serves until ctx is cancelled, then shuts
-// down gracefully (mirrors server.Serve).
-func (r *Router) Serve(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return r.ServeListener(ctx, ln)
-}
-
-// ServeListener is Serve over an existing listener (tests use :0).
+// ServeListener serves the router's handler on ln until ctx is
+// cancelled, then shuts down gracefully (see wire.ServeListener).
 func (r *Router) ServeListener(ctx context.Context, ln net.Listener) error {
-	srv := &http.Server{
-		Handler:           r.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	r.tracer.Info(fmt.Sprintf("ranksqld-router: serving on %s over %d shards", ln.Addr(), len(r.shards)))
-	select {
-	case <-ctx.Done():
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutCtx); err != nil {
-			return err
-		}
-		r.tracer.Info("ranksqld-router: shut down")
-		return nil
-	case err := <-errc:
-		return err
-	}
+	return wire.ServeListener(ctx, ln, r.Handler(), r.metrics.Tracer, "ranksqld-router", "shards", len(r.shards))
 }
 
 // The router is sessionless: prepared statements live in one shared
@@ -401,7 +367,7 @@ func (r *Router) parseTemplate(src string) (*template, error) {
 	if prior, ok := r.templates[norm]; ok {
 		t = prior // lost a race; keep the first (its shard stmts may exist)
 	} else {
-		if len(r.templates) >= maxTemplates {
+		if len(r.templates) >= obs.MaxTemplates {
 			r.templates = map[string]*template{}
 		}
 		r.templates[norm] = t
@@ -417,8 +383,7 @@ func (r *Router) handlePrepare(w http.ResponseWriter, _ *http.Request, req *wire
 	}
 	t, err := r.parseTemplate(req.SQL)
 	if err != nil {
-		r.metrics.recordError("")
-		wire.WriteError(w, http.StatusBadRequest, err.Error())
+		r.metrics.Fail(w, http.StatusBadRequest, "", err.Error())
 		return
 	}
 	if t.sel != nil {
@@ -500,19 +465,16 @@ func (r *Router) handleQuery(w http.ResponseWriter, hr *http.Request, req *wire.
 	endPlan := trace.StartSpan("plan")
 	t, code, err := r.resolveTemplate(req)
 	if err != nil {
-		r.metrics.recordError("")
-		wire.WriteError(w, code, err.Error())
+		r.metrics.Fail(w, code, "", err.Error())
 		return
 	}
 	endPlan()
 	if t.sel == nil {
-		r.metrics.recordError(t.norm)
-		wire.WriteError(w, http.StatusBadRequest, "statement is not a query; use /exec")
+		r.metrics.Fail(w, http.StatusBadRequest, t.norm, "statement is not a query; use /exec")
 		return
 	}
 	if len(req.Params) != t.numParams {
-		r.metrics.recordError(t.norm)
-		wire.WriteError(w, http.StatusBadRequest,
+		r.metrics.Fail(w, http.StatusBadRequest, t.norm,
 			fmt.Sprintf("statement has %d parameter(s), %d value(s) bound", t.numParams, len(req.Params)))
 		return
 	}
@@ -520,8 +482,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, hr *http.Request, req *wire.
 	if t.sel.clientKPos > 0 {
 		k, err = paramInt(req.Params[t.sel.clientKPos-1])
 		if err != nil || k <= 0 {
-			r.metrics.recordError(t.norm)
-			wire.WriteError(w, http.StatusBadRequest, "LIMIT parameter must be a positive integer")
+			r.metrics.Fail(w, http.StatusBadRequest, t.norm, "LIMIT parameter must be a positive integer")
 			return
 		}
 	}
@@ -542,11 +503,10 @@ func (r *Router) handleQuery(w http.ResponseWriter, hr *http.Request, req *wire.
 		}
 		rc = r.newCursor(t, req.Params, pageSize, false)
 		if id, err = r.cursors.Add(rc); err != nil {
-			r.metrics.recordError(t.norm)
-			wire.WriteError(w, http.StatusTooManyRequests, "router "+err.Error())
+			r.metrics.Fail(w, http.StatusTooManyRequests, t.norm, "router "+err.Error())
 			return
 		}
-		r.metrics.cursorsOpened.Inc()
+		r.metrics.CursorsOpened.Inc()
 	} else {
 		// Result-cache lookup: a template hit with identical bindings and k
 		// is served straight from the router with zero shard fan-out, as
@@ -637,22 +597,21 @@ func (r *Router) queryReplica(ctx context.Context, rep *replica, t *template, pa
 func (r *Router) handleExec(w http.ResponseWriter, hr *http.Request, req *wire.Request) {
 	t, code, err := r.resolveTemplate(req)
 	if err != nil {
-		r.metrics.recordError("")
-		wire.WriteError(w, code, err.Error())
+		r.metrics.Fail(w, code, "", err.Error())
 		return
 	}
 	if t.sel != nil {
-		wire.WriteError(w, http.StatusBadRequest, "use /query for SELECT statements")
+		r.metrics.Fail(w, http.StatusBadRequest, t.norm, "use /query for SELECT statements")
 		return
 	}
 	args, err := wire.DecodeParams(req.Params)
 	if err != nil {
-		wire.WriteError(w, http.StatusBadRequest, err.Error())
+		r.metrics.Fail(w, http.StatusBadRequest, t.norm, err.Error())
 		return
 	}
 	bound, err := sql.BindParams(t.stmt, toValues(args))
 	if err != nil {
-		wire.WriteError(w, http.StatusBadRequest, err.Error())
+		r.metrics.Fail(w, http.StatusBadRequest, t.norm, err.Error())
 		return
 	}
 
@@ -668,28 +627,25 @@ func (r *Router) handleExec(w http.ResponseWriter, hr *http.Request, req *wire.R
 	case *sql.InsertStmt:
 		affected, err = r.partitionInsert(ctx, s)
 		if err != nil {
-			r.metrics.recordError(t.norm)
-			wire.WriteError(w, http.StatusBadGateway, err.Error())
+			r.metrics.Fail(w, http.StatusBadGateway, t.norm, err.Error())
 			return
 		}
 		r.noteRows(s.Table, affected)
 	case *sql.CreateTableStmt:
 		if err := r.registerTable(s, req.PartitionKey); err != nil {
-			wire.WriteError(w, http.StatusBadRequest, err.Error())
+			r.metrics.Fail(w, http.StatusBadRequest, t.norm, err.Error())
 			return
 		}
 		if err := r.fanoutExec(ctx, sql.Normalize(bound), alreadyExists); err != nil {
 			r.unregisterTable(s.Name)
-			r.metrics.recordError(t.norm)
-			wire.WriteError(w, http.StatusBadGateway, err.Error())
+			r.metrics.Fail(w, http.StatusBadGateway, t.norm, err.Error())
 			return
 		}
 		r.bumpSchemaVersion()
 		message = "CREATE TABLE (all shards)"
 	case *sql.DropTableStmt:
 		if err := r.fanoutExec(ctx, sql.Normalize(bound), doesNotExist); err != nil {
-			r.metrics.recordError(t.norm)
-			wire.WriteError(w, http.StatusBadGateway, err.Error())
+			r.metrics.Fail(w, http.StatusBadGateway, t.norm, err.Error())
 			return
 		}
 		r.unregisterTable(s.Name)
@@ -699,14 +655,13 @@ func (r *Router) handleExec(w http.ResponseWriter, hr *http.Request, req *wire.R
 		// CREATE [RANK] INDEX and friends: idempotent on replay, like
 		// CREATE TABLE, so partially-applied DDL can be re-issued.
 		if err := r.fanoutExec(ctx, sql.Normalize(bound), alreadyExists); err != nil {
-			r.metrics.recordError(t.norm)
-			wire.WriteError(w, http.StatusBadGateway, err.Error())
+			r.metrics.Fail(w, http.StatusBadGateway, t.norm, err.Error())
 			return
 		}
 		r.bumpSchemaVersion()
 		message = "OK (all shards)"
 	}
-	r.metrics.recordExec()
+	r.metrics.Execs.Inc()
 	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{
 		"rows_affected": affected,
 		"message":       message,
@@ -875,7 +830,7 @@ func (r *Router) handleLoad(w http.ResponseWriter, hr *http.Request) {
 	}
 	ti, err := r.tableInfo(table)
 	if err != nil {
-		wire.WriteError(w, http.StatusBadRequest, err.Error())
+		r.metrics.Fail(w, http.StatusBadRequest, "", err.Error())
 		return
 	}
 	// Same convention as the server's /load: only recognized true values
@@ -896,7 +851,7 @@ func (r *Router) handleLoad(w http.ResponseWriter, hr *http.Request) {
 			break
 		}
 		if err != nil {
-			wire.WriteError(w, http.StatusBadRequest, fmt.Sprintf("csv row %d: %v", n+1, err))
+			r.metrics.Fail(w, http.StatusBadRequest, "", fmt.Sprintf("csv row %d: %v", n+1, err))
 			return
 		}
 		if first && header {
@@ -906,12 +861,12 @@ func (r *Router) handleLoad(w http.ResponseWriter, hr *http.Request) {
 		first = false
 		key, err := types.ParseCell(rec[ti.keyCol], ti.kinds[ti.keyCol])
 		if err != nil {
-			wire.WriteError(w, http.StatusBadRequest, fmt.Sprintf("csv row %d: partition key %q: %v", n+1, rec[ti.keyCol], err))
+			r.metrics.Fail(w, http.StatusBadRequest, "", fmt.Sprintf("csv row %d: partition key %q: %v", n+1, rec[ti.keyCol], err))
 			return
 		}
 		g := partition(key, len(r.shards))
 		if err := writers[g].Write(rec); err != nil {
-			wire.WriteError(w, http.StatusInternalServerError, err.Error())
+			r.metrics.Fail(w, http.StatusInternalServerError, "", err.Error())
 			return
 		}
 		n++
@@ -934,14 +889,13 @@ func (r *Router) handleLoad(w http.ResponseWriter, hr *http.Request) {
 	total := 0
 	for i := range r.shards {
 		if errs[i] != nil {
-			r.metrics.recordError("")
-			wire.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %d: %v", i, errs[i]))
+			r.metrics.Fail(w, http.StatusBadGateway, "", fmt.Sprintf("shard %d: %v", i, errs[i]))
 			return
 		}
 		total += counts[i]
 	}
 	r.noteRows(table, total)
-	r.metrics.recordLoad()
+	r.metrics.loads.Inc()
 	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{"rows_loaded": total})
 }
 
@@ -956,13 +910,8 @@ func (r *Router) handleStats(w http.ResponseWriter, hr *http.Request) {
 	if r.results != nil {
 		snap.ResultCache = r.resultCacheStats()
 	}
-	snap.Cursors = CursorSnapshot{
-		Open:    r.cursors.Len(),
-		Opened:  r.metrics.cursorsOpened.Value(),
-		Expired: r.cursors.Expired(),
-		Hits:    r.metrics.cursorHits.Value(),
-		Misses:  r.metrics.cursorMisses.Value(),
-	}
+	snap.Cursors.Open = r.cursors.Len()
+	snap.Cursors.Expired = r.cursors.Expired()
 	wire.WriteJSON(w, http.StatusOK, snap)
 }
 

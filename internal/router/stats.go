@@ -1,53 +1,27 @@
 package router
 
 import (
-	"sort"
-	"sync"
+	"fmt"
 	"time"
 
 	"ranksql/internal/obs"
 	"ranksql/internal/obs/insight"
+	"ranksql/internal/wire"
 )
 
-// maxTemplates bounds the per-template metrics map (ad-hoc literal SQL
-// mints unbounded distinct templates); overflow aggregates in one bucket.
-const (
-	maxTemplates     = 512
-	overflowTemplate = "(other templates)"
-)
-
-// metrics aggregates router-wide and per-template merge counters. The
-// scalar counters and the latency histogram live in an obs.Registry so
-// the same values back both /metrics (Prometheus) and /stats (JSON);
-// the per-template map stays under a mutex.
+// metrics is the router's accounting: the series it shares with ranksqld
+// (obs.Metrics, which also backs /metrics, /insight/* and every error
+// answer) plus the counters only a coordinator has — threshold-merge
+// effectiveness, replica reliability and the result cache.
 type metrics struct {
-	reg      *obs.Registry
-	queries  *obs.Counter
-	execs    *obs.Counter
-	loads    *obs.Counter
-	errors   *obs.Counter
-	timeouts *obs.Counter   // queries cut off by a deadline_ms budget
-	slow     *obs.Counter   // queries over the slow-query threshold
-	latency  *obs.Histogram // merged-query wall time, seconds
+	*obs.Metrics[TemplateStats, *TemplateStats]
+	loads *obs.Counter
 
 	// Threshold-merge effectiveness counters.
 	queriesWithPruned *obs.Counter
 	shardsPruned      *obs.Counter
 	refills           *obs.Counter
 	rowsFetched       *obs.Counter
-	rowsReturned      *obs.Counter
-
-	// Cluster-wide tuple traffic (summed over shard-reported stats) and
-	// the insight ring behind /insight/workload and /insight/templates.
-	scanned      *obs.Counter
-	materialized *obs.Counter
-	insight      *insight.Ring
-
-	// Ranked-cursor lifecycle counters (the open-cursor gauge is a
-	// GaugeFunc registered by New over the cursor table).
-	cursorsOpened *obs.Counter
-	cursorHits    *obs.Counter
-	cursorMisses  *obs.Counter
 
 	// Reliability counters: replica failovers, hedged reads, and
 	// cursor-stream replica resumes (see client.go and cursor.go).
@@ -61,150 +35,122 @@ type metrics struct {
 	// lives in the cache itself; see resultcache.go).
 	resultCacheHits   *obs.Counter
 	resultCacheMisses *obs.Counter
-
-	mu       sync.Mutex
-	started  time.Time
-	perQuery map[string]*templateMetrics
 }
 
-// templateMetrics aggregates merges of one normalized query template.
-type templateMetrics struct {
-	Count        uint64  `json:"count"`
-	Errors       uint64  `json:"errors"`
-	RowsReturned uint64  `json:"rows_returned"`
-	RowsFetched  uint64  `json:"rows_fetched_from_shards"`
-	ShardsPruned uint64  `json:"shards_pruned"`
-	Refills      uint64  `json:"refills"`
-	AvgMS        float64 `json:"avg_latency_ms"`
-
-	totalMS float64
+// TemplateStats is one per-template row of the router /stats payload.
+type TemplateStats struct {
+	obs.TemplateRow
+	RowsReturned uint64 `json:"rows_returned"`
+	RowsFetched  uint64 `json:"rows_fetched_from_shards"`
+	ShardsPruned uint64 `json:"shards_pruned"`
+	Refills      uint64 `json:"refills"`
 }
 
 func newMetrics() *metrics {
-	reg := obs.NewRegistry()
-	m := &metrics{
-		reg:      reg,
-		queries:  reg.Counter("ranksql_router_queries_total", "Merged top-k queries served."),
-		execs:    reg.Counter("ranksql_router_execs_total", "DDL/DML statements fanned out."),
-		loads:    reg.Counter("ranksql_router_loads_total", "CSV loads partitioned across shards."),
-		errors:   reg.Counter("ranksql_router_errors_total", "Requests that failed."),
-		timeouts: reg.Counter("ranksql_router_timeouts_total", "Queries aborted by a per-request deadline_ms budget."),
-		slow:     reg.Counter("ranksql_router_slow_queries_total", "Queries slower than the slow-query threshold."),
-		latency:  reg.Histogram("ranksql_router_query_duration_seconds", "Merged-query wall time."),
-		queriesWithPruned: reg.Counter("ranksql_router_queries_with_pruned_shards_total",
-			"Queries where the threshold bound let the merge skip draining at least one shard."),
-		shardsPruned: reg.Counter("ranksql_router_shards_pruned_total",
-			"Shard streams skipped entirely by the threshold bound."),
-		refills: reg.Counter("ranksql_router_refills_total",
-			"Prefix-doubling refetch rounds issued to shards."),
-		rowsFetched: reg.Counter("ranksql_router_rows_fetched_total",
-			"Rows fetched from shards."),
-		rowsReturned: reg.Counter("ranksql_router_rows_returned_total",
-			"Merged rows returned to clients."),
-		scanned: reg.Counter("ranksql_router_tuples_scanned_total",
-			"Base-table tuples scanned across all shards on behalf of merged queries."),
-		materialized: reg.Counter("ranksql_router_tuples_materialized_total",
-			"Tuples admitted into shard operator buffers on behalf of merged queries."),
-		insight: insight.NewRing(0),
-		cursorsOpened: reg.Counter("ranksql_router_cursors_opened_total",
-			"Ranked cursors opened via /query with cursor=true."),
-		cursorHits: reg.Counter("ranksql_router_cursor_hits_total",
-			"/cursor/next calls that resolved a live cursor."),
-		cursorMisses: reg.Counter("ranksql_router_cursor_misses_total",
-			"/cursor/next calls naming an unknown or expired cursor."),
-		failovers: reg.Counter("ranksql_router_shard_failovers_total",
-			"Shard calls retried on another replica after a retryable failure."),
-		hedgesIssued: reg.Counter("ranksql_router_hedges_issued_total",
-			"Hedged reads issued to a second replica after the preferred one stalled."),
-		hedgesWon: reg.Counter("ranksql_router_hedges_won_total",
-			"Hedged reads where the hedge replica answered first."),
-		hedgesLost: reg.Counter("ranksql_router_hedges_lost_total",
-			"Hedged reads where the preferred replica still answered first."),
-		cursorResumes: reg.Counter("ranksql_router_cursor_replica_resumes_total",
-			"Shard cursor streams re-opened on another replica via after_rank fast-forward."),
-		resultCacheHits: reg.Counter("ranksql_router_result_cache_hits_total",
-			"Merged queries served from the router-side ranked-result cache with zero shard fan-out."),
-		resultCacheMisses: reg.Counter("ranksql_router_result_cache_misses_total",
-			"Cacheable merged queries that had to fan out to the shards."),
-		started:  time.Now(),
-		perQuery: map[string]*templateMetrics{},
-	}
-	reg.GaugeFunc("ranksql_router_uptime_seconds", "Seconds since the router started.",
-		func() float64 { return time.Since(m.started).Seconds() })
-	obs.RegisterBuildInfo(reg, "ranksql_router")
-	reg.GaugeFunc("ranksql_router_insight_ring_depth", "Live records in the query-insight ring.",
-		func() float64 { return float64(m.insight.Depth()) })
-	reg.GaugeFunc("ranksql_router_insight_records_total", "Merged queries recorded into the insight ring.",
-		func() float64 { return float64(m.insight.Observed()) })
-	reg.GaugeFunc("ranksql_router_insight_records_with_estimates_total",
-		"Recorded queries where at least one shard reported estimate drift figures.",
-		func() float64 { return float64(m.insight.WithEstimates()) })
-	reg.GaugeFunc("ranksql_router_insight_high_drift_total",
-		"Recorded queries where some shard missed its cardinality estimate by >= 4x.",
-		func() float64 { return float64(m.insight.HighDrift()) })
+	m := &metrics{Metrics: obs.NewMetrics[TemplateStats]("ranksql_router")}
+	reg := m.Reg
+	m.loads = reg.Counter("ranksql_router_loads_total", "CSV loads partitioned across shards.")
+	m.queriesWithPruned = reg.Counter("ranksql_router_queries_with_pruned_shards_total",
+		"Queries where the threshold bound let the merge skip draining at least one shard.")
+	m.shardsPruned = reg.Counter("ranksql_router_shards_pruned_total",
+		"Shard streams skipped entirely by the threshold bound.")
+	m.refills = reg.Counter("ranksql_router_refills_total",
+		"Prefix-doubling refetch rounds issued to shards.")
+	m.rowsFetched = reg.Counter("ranksql_router_rows_fetched_total",
+		"Rows fetched from shards.")
+	m.failovers = reg.Counter("ranksql_router_shard_failovers_total",
+		"Shard calls retried on another replica after a retryable failure.")
+	m.hedgesIssued = reg.Counter("ranksql_router_hedges_issued_total",
+		"Hedged reads issued to a second replica after the preferred one stalled.")
+	m.hedgesWon = reg.Counter("ranksql_router_hedges_won_total",
+		"Hedged reads where the hedge replica answered first.")
+	m.hedgesLost = reg.Counter("ranksql_router_hedges_lost_total",
+		"Hedged reads where the preferred replica still answered first.")
+	m.cursorResumes = reg.Counter("ranksql_router_cursor_replica_resumes_total",
+		"Shard cursor streams re-opened on another replica via after_rank fast-forward.")
+	m.resultCacheHits = reg.Counter("ranksql_router_result_cache_hits_total",
+		"Merged queries served from the router-side ranked-result cache with zero shard fan-out.")
+	m.resultCacheMisses = reg.Counter("ranksql_router_result_cache_misses_total",
+		"Cacheable merged queries that had to fan out to the shards.")
 	return m
 }
 
-// recordQuery aggregates one merged top-k query.
-func (m *metrics) recordQuery(norm string, d time.Duration, returned, fetched, pruned, refills int) {
-	m.queries.Inc()
-	m.latency.ObserveDuration(d)
+// recordPage accounts one answered page of a merged stream — fanned out
+// to the shards or served from the result cache — and logs it as what
+// with attrs: the shared series and the insight ring (obs.Metrics.Served;
+// the router records every page, not a sample — building the record is a
+// per-shard scalar fold, not an operator-tree walk), the merge counters
+// and the template's row. fetched counts the rows this page pulled from
+// the shards.
+func (m *metrics) recordPage(what string, d time.Duration, rec *insight.QueryRecord, fetched, pruned, refills int, attrs []any) {
+	m.Served(what, d, rec.RowsReturned, rec.TuplesScanned, rec.TuplesMaterialized, rec, attrs)
 	if pruned > 0 {
 		m.queriesWithPruned.Inc()
 	}
 	m.shardsPruned.Add(uint64(pruned))
 	m.refills.Add(uint64(refills))
 	m.rowsFetched.Add(uint64(fetched))
-	m.rowsReturned.Add(uint64(returned))
 
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := m.templateLocked(norm)
-	t.Count++
-	t.RowsReturned += uint64(returned)
+	m.Mu.Lock()
+	defer m.Mu.Unlock()
+	t := m.Templates.Row(rec.Template)
+	t.Observe(d)
+	t.RowsReturned += uint64(rec.RowsReturned)
 	t.RowsFetched += uint64(fetched)
 	t.ShardsPruned += uint64(pruned)
 	t.Refills += uint64(refills)
-	t.totalMS += float64(d) / float64(time.Millisecond)
 }
 
-func (m *metrics) recordExec() { m.execs.Inc() }
+// shardView is the slice of per-stream state the insight record needs.
+type shardView struct {
+	rowsFetched int
+	depthK      int64
+	driftRatio  float64
+}
 
-func (m *metrics) recordLoad() { m.loads.Inc() }
-
-func (m *metrics) recordError(norm string) {
-	m.errors.Inc()
-	if norm == "" {
-		return
+// buildInsightRecord condenses one merged page into a QueryRecord with
+// per-shard attribution: rows fetched from each shard, which shards the
+// threshold bound pruned, and — when a shard's engine profiled its
+// execution — that shard's depth of enumeration and estimate drift.
+// The record's DepthK is the deepest shard enumeration the merge drove;
+// when no shard reported one, the deepest fetched prefix stands in. A
+// result-cache hit has no views: no shard was asked.
+func buildInsightRecord(norm, traceID string, elapsed time.Duration, stats wire.QueryStats,
+	returned int, views []shardView, pruned []int) *insight.QueryRecord {
+	rec := &insight.QueryRecord{
+		Template:           norm,
+		TraceID:            traceID,
+		When:               time.Now(),
+		DurationMS:         float64(elapsed) / float64(time.Millisecond),
+		RowsReturned:       returned,
+		TuplesScanned:      stats.TuplesScanned,
+		TuplesMaterialized: stats.Materialized,
+		PeakBuffered:       stats.PeakBuffered,
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.templateLocked(norm).Errors++
-}
-
-// recordTimeout counts a query aborted by its deadline_ms budget (the
-// error itself is counted by recordError).
-func (m *metrics) recordTimeout() { m.timeouts.Inc() }
-
-func (m *metrics) templateLocked(norm string) *templateMetrics {
-	t := m.perQuery[norm]
-	if t == nil {
-		if len(m.perQuery) >= maxTemplates {
-			norm = overflowTemplate
-			if t = m.perQuery[norm]; t != nil {
-				return t
-			}
+	prunedSet := map[int]bool{}
+	for _, p := range pruned {
+		prunedSet[p] = true
+	}
+	var deepestPrefix int64
+	for i, v := range views {
+		rec.Shards = append(rec.Shards, insight.ShardUsage{
+			Shard:       i,
+			RowsFetched: int64(v.rowsFetched),
+			Pruned:      prunedSet[i],
+		})
+		deepestPrefix = max(deepestPrefix, int64(v.rowsFetched))
+		rec.DepthK = max(rec.DepthK, v.depthK)
+		if v.driftRatio > 0 {
+			rec.Drift = append(rec.Drift, insight.NodeDrift{
+				Node:  fmt.Sprintf("shard%d", i),
+				Ratio: v.driftRatio,
+			})
 		}
-		t = &templateMetrics{}
-		m.perQuery[norm] = t
 	}
-	return t
-}
-
-// TemplateStats is one per-template row of the router /stats payload.
-type TemplateStats struct {
-	Query string `json:"query"`
-	templateMetrics
+	if rec.DepthK == 0 {
+		rec.DepthK = deepestPrefix
+	}
+	return rec
 }
 
 // ShardStatus describes one shard (a replica set) in the /stats
@@ -239,31 +185,11 @@ type ReliabilitySnapshot struct {
 	CursorReplicaResumes uint64 `json:"cursor_replica_resumes"`
 }
 
-// InsightSnapshot is the query-insight block of the router's /stats
-// payload (the full rolling profiles live at /insight/*).
-type InsightSnapshot struct {
-	RingDepth            int    `json:"ring_depth"`
-	RingCapacity         int    `json:"ring_capacity"`
-	Records              uint64 `json:"records"`
-	RecordsWithEstimates uint64 `json:"records_with_estimates"`
-	HighDriftRecords     uint64 `json:"high_drift_records"`
-}
-
 // Snapshot is the router's /stats payload.
 type Snapshot struct {
-	Build         obs.BuildInfo `json:"build"`
-	UptimeSeconds float64       `json:"uptime_seconds"`
-	Shards        int           `json:"shards"`
-	Queries       uint64        `json:"queries"`
-	Execs         uint64        `json:"execs"`
-	Loads         uint64        `json:"loads"`
-	Errors        uint64        `json:"errors"`
-	Timeouts      uint64        `json:"timeouts"`
-	SlowQueries   uint64        `json:"slow_queries"`
-	AvgQueryMS    float64       `json:"avg_query_ms"`
-	// Latency summarizes the merged-query latency histogram (the same
-	// one /metrics exposes bucket by bucket).
-	Latency obs.Summary `json:"latency"`
+	obs.Totals
+	Shards int    `json:"shards"`
+	Loads  uint64 `json:"loads"`
 
 	// Threshold-merge effectiveness: how often the per-shard bound let
 	// the router skip draining shards, and how much it over-fetched.
@@ -279,9 +205,6 @@ type Snapshot struct {
 	// Cluster-wide tuple traffic, summed over shard-reported stats.
 	TuplesScannedTotal      uint64 `json:"tuples_scanned_total"`
 	TuplesMaterializedTotal uint64 `json:"tuples_materialized_total"`
-
-	// Insight summarizes the rolling query-insight ring.
-	Insight InsightSnapshot `json:"insight"`
 
 	// Cursors summarizes the router's resumable ranked cursors.
 	Cursors CursorSnapshot `json:"cursors"`
@@ -307,27 +230,19 @@ type CursorSnapshot struct {
 
 func (m *metrics) snapshot() Snapshot {
 	snap := Snapshot{
-		Build:                   obs.Build(),
-		Queries:                 m.queries.Value(),
-		Execs:                   m.execs.Value(),
+		Totals:                  m.Totals(),
 		Loads:                   m.loads.Value(),
-		Errors:                  m.errors.Value(),
-		Timeouts:                m.timeouts.Value(),
-		SlowQueries:             m.slow.Value(),
-		Latency:                 m.latency.Summarize(),
 		QueriesWithPrunedShards: m.queriesWithPruned.Value(),
 		ShardsPrunedTotal:       m.shardsPruned.Value(),
 		RefillsTotal:            m.refills.Value(),
 		RowsFetchedTotal:        m.rowsFetched.Value(),
-		RowsReturnedTotal:       m.rowsReturned.Value(),
-		TuplesScannedTotal:      m.scanned.Value(),
-		TuplesMaterializedTotal: m.materialized.Value(),
-		Insight: InsightSnapshot{
-			RingDepth:            m.insight.Depth(),
-			RingCapacity:         m.insight.Capacity(),
-			Records:              m.insight.Observed(),
-			RecordsWithEstimates: m.insight.WithEstimates(),
-			HighDriftRecords:     m.insight.HighDrift(),
+		RowsReturnedTotal:       m.RowsReturned.Value(),
+		TuplesScannedTotal:      m.Scanned.Value(),
+		TuplesMaterializedTotal: m.Materialized.Value(),
+		Cursors: CursorSnapshot{
+			Opened: m.CursorsOpened.Value(),
+			Hits:   m.CursorHits.Value(),
+			Misses: m.CursorMisses.Value(),
 		},
 		Reliability: ReliabilitySnapshot{
 			Failovers:            m.failovers.Value(),
@@ -337,23 +252,11 @@ func (m *metrics) snapshot() Snapshot {
 			CursorReplicaResumes: m.cursorResumes.Value(),
 		},
 	}
-	snap.AvgQueryMS = snap.Latency.MeanMS
 	if snap.RowsReturnedTotal > 0 {
 		snap.FetchAmplification = float64(snap.RowsFetchedTotal) / float64(snap.RowsReturnedTotal)
 	}
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	snap.UptimeSeconds = time.Since(m.started).Seconds()
-	for norm, t := range m.perQuery {
-		row := TemplateStats{Query: norm, templateMetrics: *t}
-		if t.Count > 0 {
-			row.AvgMS = t.totalMS / float64(t.Count)
-		}
-		snap.PerQuery = append(snap.PerQuery, row)
-	}
-	sort.Slice(snap.PerQuery, func(i, j int) bool {
-		return snap.PerQuery[i].Count > snap.PerQuery[j].Count
-	})
+	m.Mu.Lock()
+	defer m.Mu.Unlock()
+	snap.PerQuery = m.Templates.Snapshot()
 	return snap
 }

@@ -56,8 +56,7 @@ func (s *Server) handleCursorOpen(w http.ResponseWriter, r *http.Request, req *w
 	cur, err := stmt.Cursor(args...)
 	endOpen()
 	if err != nil {
-		s.metrics.recordError(stmt.Normalized())
-		wire.WriteError(w, http.StatusBadRequest, err.Error())
+		s.metrics.Fail(w, http.StatusBadRequest, stmt.Normalized(), err.Error())
 		return
 	}
 	pageSize := req.Fetch
@@ -70,11 +69,10 @@ func (s *Server) handleCursorOpen(w http.ResponseWriter, r *http.Request, req *w
 	id, err := s.cursors.Add(sc)
 	if err != nil {
 		_ = cur.Close()
-		s.metrics.recordError(sc.norm)
-		wire.WriteError(w, http.StatusTooManyRequests, "server "+err.Error())
+		s.metrics.Fail(w, http.StatusTooManyRequests, sc.norm, "server "+err.Error())
 		return
 	}
-	s.metrics.cursorsOpened.Inc()
+	s.metrics.CursorsOpened.Inc()
 	s.fetchCursorPage(w, r, req, trace, id, sc, pageSize, 0)
 }
 
@@ -86,12 +84,11 @@ func (s *Server) handleCursorNext(w http.ResponseWriter, r *http.Request, req *w
 	w.Header().Set(obs.TraceHeader, trace.ID)
 	sc, err := s.cursors.Get(req.CursorID)
 	if err != nil {
-		s.metrics.cursorMisses.Inc()
-		s.metrics.recordError("")
-		wire.WriteError(w, http.StatusNotFound, err.Error())
+		s.metrics.CursorMisses.Inc()
+		s.metrics.Fail(w, http.StatusNotFound, "", err.Error())
 		return
 	}
-	s.metrics.cursorHits.Inc()
+	s.metrics.CursorHits.Inc()
 	n := req.Fetch
 	if n <= 0 {
 		n = sc.pageSize
@@ -111,7 +108,7 @@ func (s *Server) handleCursorClose(w http.ResponseWriter, r *http.Request, req *
 		return
 	}
 	_ = sc.cur.Close()
-	s.tracer.Debug("cursor closed", "trace", trace.ID, "cursor", req.CursorID)
+	s.metrics.Tracer.Debug("cursor closed", "trace", trace.ID, "cursor", req.CursorID)
 	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{"closed": true, "trace_id": trace.ID})
 }
 
@@ -152,7 +149,6 @@ func (s *Server) fetchCursorPage(w http.ResponseWriter, r *http.Request, req *wi
 // buffer (wire.WriteQueryResponse): no boxed [][]interface{} detour
 // through encoding/json.
 func (s *Server) writePage(w http.ResponseWriter, trace *obs.Trace, norm, cursorID string, offset int, pinned int64, rows *ranksql.Rows, elapsed time.Duration) {
-	s.metrics.recordQuery(norm, elapsed, rows, trace.ID, pinned)
 	elapsedMS := float64(elapsed) / float64(time.Millisecond)
 	what := "query"
 	attrs := []any{
@@ -163,19 +159,7 @@ func (s *Server) writePage(w http.ResponseWriter, trace *obs.Trace, norm, cursor
 		what = "cursor page"
 		attrs = append(attrs, "cursor", cursorID, "pinned_bytes", pinned)
 	}
-	attrs = append(attrs, trace.SpanAttrs()...)
-	if s.slow > 0 && elapsed >= s.slow {
-		s.metrics.slow.Inc()
-		// The slow record carries the full executed plan with est-vs-actual
-		// deltas (EXPLAIN ANALYZE as JSON), so one log line is enough to
-		// see whether the optimizer misjudged the query.
-		if plan := planSnapshotJSON(rows); plan != "" {
-			attrs = append(attrs, "plan", plan)
-		}
-		s.tracer.Warn("slow "+what, attrs...)
-	} else {
-		s.tracer.Debug(what, attrs...)
-	}
+	rec := s.metrics.recordPage(what, norm, trace.ID, elapsed, rows, pinned, append(attrs, trace.SpanAttrs()...))
 
 	resp := wire.QueryResponse{
 		Columns:   rows.Columns,
@@ -189,10 +173,8 @@ func (s *Server) writePage(w http.ResponseWriter, trace *obs.Trace, norm, cursor
 		ElapsedMS: elapsedMS,
 		TraceID:   trace.ID,
 	}
-	if rows.Profiled {
-		ops := rows.Operators()
-		resp.DepthKReached = maxLeafDepthK(ops)
-		resp.MaxDriftRatio = maxDriftRatio(ops)
+	if rec != nil {
+		resp.DepthKReached, resp.MaxDriftRatio = rec.DepthK, rec.MaxDriftRatio
 	}
 	wire.WriteQueryResponse(w, &resp, rows)
 }
@@ -212,17 +194,16 @@ func (s *Server) pullFailed(ctx context.Context, w http.ResponseWriter, r *http.
 		if cursorID != "" {
 			what = "cursor fetch"
 		}
-		s.metrics.recordTimeout()
-		s.tracer.Warn(what+" deadline exceeded",
+		s.metrics.Timeouts.Inc()
+		s.metrics.Tracer.Warn(what+" deadline exceeded",
 			"trace", trace.ID, "query", norm, "cursor", cursorID, "deadline_ms", req.DeadlineMS)
-		wire.WriteError(w, http.StatusGatewayTimeout, fmt.Sprintf("%s exceeded deadline_ms=%d", what, req.DeadlineMS))
+		s.metrics.Fail(w, http.StatusGatewayTimeout, norm, fmt.Sprintf("%s exceeded deadline_ms=%d", what, req.DeadlineMS))
 	case errors.Is(err, ranksql.ErrCursorInvalidated) || errors.Is(err, ranksql.ErrCursorClosed):
 		if sc, gone := s.cursors.Remove(cursorID); gone == nil {
 			_ = sc.cur.Close()
 		}
-		wire.WriteError(w, http.StatusConflict, err.Error())
+		s.metrics.Fail(w, http.StatusConflict, norm, err.Error())
 	default:
-		wire.WriteError(w, http.StatusBadRequest, err.Error())
+		s.metrics.Fail(w, http.StatusBadRequest, norm, err.Error())
 	}
-	s.metrics.recordError(norm)
 }

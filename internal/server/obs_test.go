@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -282,5 +283,134 @@ func TestExplainAnalyzeOverHTTP(t *testing.T) {
 		if !strings.Contains(text.String(), want) {
 			t.Errorf("analyze output missing %q:\n%s", want, text.String())
 		}
+	}
+}
+
+// TestMetricNamesStable pins the daemon's observable names: every
+// /metrics series with its TYPE, and every key the /stats payload can
+// carry, flattened to dotted paths ("[]" marks array elements). A rename
+// in either view breaks dashboards and the benchmark's /stats reader
+// silently, so it must show up here as a diff against these lists.
+func TestMetricNamesStable(t *testing.T) {
+	s, ts := newTestServer(t, 200)
+	s.DB().SetProfileSampling(1) // per_query[].operators appears on profiled runs
+	var qr testQueryResponse
+	if code := postJSON(t, ts.URL+"/query", map[string]interface{}{
+		"sql": testQuerySQL, "params": []interface{}{400.0, 5},
+	}, &qr); code != http.StatusOK {
+		t.Fatalf("query status %d: %s", code, qr.Error)
+	}
+
+	wantSeries := []string{
+		"ranksqld_build_info gauge",
+		"ranksqld_cursor_hits_total counter",
+		"ranksqld_cursor_misses_total counter",
+		"ranksqld_cursor_pinned_bytes gauge",
+		"ranksqld_cursor_pinned_bytes_max gauge",
+		"ranksqld_cursors_expired_total gauge",
+		"ranksqld_cursors_opened_total counter",
+		"ranksqld_errors_total counter",
+		"ranksqld_execs_total counter",
+		"ranksqld_insight_high_drift_total gauge",
+		"ranksqld_insight_records_total gauge",
+		"ranksqld_insight_records_with_estimates_total gauge",
+		"ranksqld_insight_ring_depth gauge",
+		"ranksqld_open_cursors gauge",
+		"ranksqld_plan_cache_entries gauge",
+		"ranksqld_plan_cache_hits_total gauge",
+		"ranksqld_plan_cache_misses_total gauge",
+		"ranksqld_queries_total counter",
+		"ranksqld_query_duration_seconds histogram",
+		"ranksqld_rows_returned_total counter",
+		"ranksqld_sessions gauge",
+		"ranksqld_slow_queries_total counter",
+		"ranksqld_timeouts_total counter",
+		"ranksqld_tuples_materialized_total counter",
+		"ranksqld_tuples_scanned_total counter",
+		"ranksqld_uptime_seconds gauge",
+	}
+	wantStats := []string{
+		"avg_query_ms", "build", "build.git_sha", "build.go_version", "build.version",
+		"cursors", "cursors.expired", "cursors.hits", "cursors.misses", "cursors.open", "cursors.opened",
+		"errors", "execs",
+		"insight", "insight.high_drift_records", "insight.records", "insight.records_with_estimates",
+		"insight.ring_capacity", "insight.ring_depth",
+		"latency", "latency.count", "latency.mean_ms", "latency.p50_ms", "latency.p95_ms", "latency.p99_ms",
+		"per_query", "per_query[].avg_depth_k", "per_query[].avg_latency_ms", "per_query[].cache_hits",
+		"per_query[].count", "per_query[].errors", "per_query[].max_depth_k", "per_query[].operators",
+		"per_query[].operators[].avg_depth_k", "per_query[].operators[].avg_rows",
+		"per_query[].operators[].avg_time_ms", "per_query[].operators[].depth",
+		"per_query[].operators[].op", "per_query[].operators[].samples",
+		"per_query[].query", "per_query[].rows_total", "per_query[].tuples_scanned_total",
+		"plan_cache", "plan_cache.capacity", "plan_cache.entries", "plan_cache.evictions",
+		"plan_cache.hit_rate", "plan_cache.hits", "plan_cache.misses", "plan_cache.stale_recompiles",
+		"qps", "qps_total", "queries",
+		"resources", "resources.cursor_pinned_bytes", "resources.cursor_pinned_bytes_max",
+		"resources.rows_returned", "resources.tuples_materialized", "resources.tuples_scanned",
+		"sessions", "sessions_expired", "slow_queries", "tables", "timeouts", "uptime_seconds",
+	}
+	assertNames(t, "/metrics series", seriesTypes(t, s.Registry(), ts.URL), wantSeries)
+	assertNames(t, "/stats keys", statsKeys(t, ts.URL), wantStats)
+}
+
+// seriesTypes lists the registry's series as "family TYPE", sorted:
+// names from Registry.SortedNames (constant labels stripped), each paired
+// with the TYPE line /metrics declares for its family.
+func seriesTypes(t *testing.T, reg *obs.Registry, base string) []string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	types := map[string]string{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			types[f[2]] = f[3]
+		}
+	}
+	var out []string
+	for _, name := range reg.SortedNames() {
+		fam, _, _ := strings.Cut(name, "{")
+		out = append(out, fam+" "+types[fam])
+	}
+	return out
+}
+
+// statsKeys flattens the /stats payload's keys to sorted dotted paths.
+func statsKeys(t *testing.T, base string) []string {
+	t.Helper()
+	var v interface{}
+	getJSONBody(t, base+"/stats", &v)
+	keys := map[string]bool{}
+	var walk func(prefix string, v interface{})
+	walk = func(prefix string, v interface{}) {
+		switch x := v.(type) {
+		case map[string]interface{}:
+			for k, e := range x {
+				keys[prefix+k] = true
+				walk(prefix+k+".", e)
+			}
+		case []interface{}:
+			for _, e := range x {
+				walk(strings.TrimSuffix(prefix, ".")+"[].", e)
+			}
+		}
+	}
+	walk("", v)
+	out := make([]string, 0, len(keys))
+	for k := range keys {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func assertNames(t *testing.T, what string, got, want []string) {
+	t.Helper()
+	sort.Strings(want)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("%s changed:\ngot  %q\nwant %q", what, got, want)
 	}
 }

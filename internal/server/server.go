@@ -34,6 +34,10 @@
 // may carry deadline_ms (a server-enforced execution budget) and an
 // X-Ranksql-Trace header (a propagated trace ID; one is minted when
 // absent).
+//
+// /metrics, /insight/*, the trace log and every counted error answer come
+// from obs.Metrics, which the sharding router embeds too, so a series or
+// a /stats total means the same thing on either daemon.
 package server
 
 import (
@@ -42,7 +46,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -59,8 +62,6 @@ type Server struct {
 	sessions *idle.Table[*Session]
 	cursors  *idle.Table[*serverCursor]
 	metrics  *metrics
-	tracer   *slog.Logger
-	slow     time.Duration
 	ttl      time.Duration
 	pprof    bool
 }
@@ -73,14 +74,14 @@ type Option func(*Server)
 // record per slow query, and "serving on" / "shut down" at Info. Default
 // slog.Default().
 func WithTraceLogger(l *slog.Logger) Option {
-	return func(s *Server) { s.tracer = l }
+	return func(s *Server) { s.metrics.Tracer = l }
 }
 
 // WithSlowQueryThreshold enables the slow-query log: queries taking
 // longer than d are counted and logged at Warn with their span
 // breakdown. d <= 0 disables it (the default).
 func WithSlowQueryThreshold(d time.Duration) Option {
-	return func(s *Server) { s.slow = d }
+	return func(s *Server) { s.metrics.SlowQuery = d }
 }
 
 // WithPprof mounts net/http/pprof under /debug/pprof/ on the daemon's
@@ -106,7 +107,6 @@ func New(db *ranksql.DB, opts ...Option) *Server {
 	s := &Server{
 		db:      db,
 		metrics: newMetrics(),
-		tracer:  slog.Default(),
 	}
 	for _, o := range opts {
 		o(s)
@@ -122,13 +122,10 @@ func New(db *ranksql.DB, opts ...Option) *Server {
 	})
 	// Scrape-time gauges over state owned elsewhere: sessions, cursors
 	// and the engine's plan cache.
-	reg := s.metrics.reg
+	s.metrics.WatchCursors(s.cursors)
+	reg := s.metrics.Reg
 	reg.GaugeFunc("ranksqld_sessions", "Open sessions.",
 		func() float64 { return float64(s.sessions.Len()) })
-	reg.GaugeFunc("ranksqld_open_cursors", "Open ranked cursors (suspended operator trees).",
-		func() float64 { return float64(s.cursors.Len()) })
-	reg.GaugeFunc("ranksqld_cursors_expired_total", "Cursors collected by the idle TTL.",
-		func() float64 { return float64(s.cursors.Expired()) })
 	reg.GaugeFunc("ranksqld_plan_cache_entries", "Compiled plans cached.",
 		func() float64 { return float64(s.db.PlanCacheStats().Entries) })
 	reg.GaugeFunc("ranksqld_plan_cache_hits_total", "Plan cache hits.",
@@ -142,7 +139,7 @@ func New(db *ranksql.DB, opts ...Option) *Server {
 }
 
 // Registry exposes the server's metrics registry (tests and embedders).
-func (s *Server) Registry() *obs.Registry { return s.metrics.reg }
+func (s *Server) Registry() *obs.Registry { return s.metrics.Reg }
 
 // DB returns the underlying database (for seeding and tests).
 func (s *Server) DB() *ranksql.DB { return s.db }
@@ -160,18 +157,12 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/exec", wire.Post(s.handleExec))
 	mux.HandleFunc("/load", s.handleLoad)
 	mux.HandleFunc("/stats", s.handleStats)
-	mux.Handle("/metrics", obs.Handler(s.metrics.reg))
-	mux.HandleFunc("/insight/workload", s.handleInsightWorkload)
-	mux.HandleFunc("/insight/templates", s.handleInsightTemplates)
+	s.metrics.Mount(mux)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		wire.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	if s.pprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		wire.MountPprof(mux)
 	}
 	return mux
 }
@@ -188,25 +179,7 @@ func (s *Server) Serve(ctx context.Context, addr string) error {
 
 // ServeListener is Serve over an existing listener (tests use :0).
 func (s *Server) ServeListener(ctx context.Context, ln net.Listener) error {
-	srv := &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	s.tracer.Info("ranksqld: serving on " + ln.Addr().String())
-	select {
-	case <-ctx.Done():
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shutCtx); err != nil {
-			return err
-		}
-		s.tracer.Info("ranksqld: shut down")
-		return nil
-	case err := <-errc:
-		return err
-	}
+	return wire.ServeListener(ctx, ln, s.Handler(), s.metrics.Tracer, "ranksqld")
 }
 
 func (s *Server) handleSessionOpen(w http.ResponseWriter, _ *http.Request, _ *wire.Request) {
@@ -238,8 +211,7 @@ func (s *Server) handlePrepare(w http.ResponseWriter, _ *http.Request, req *wire
 	}
 	stmt, err := s.db.Prepare(req.SQL)
 	if err != nil {
-		s.metrics.recordError("")
-		wire.WriteError(w, http.StatusBadRequest, err.Error())
+		s.metrics.Fail(w, http.StatusBadRequest, "", err.Error())
 		return
 	}
 	id, ok := sess.addStmt(stmt)
@@ -305,14 +277,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, req *wire.R
 	endResolve := trace.StartSpan("resolve")
 	stmt, code, err := s.resolveStmt(req)
 	if err != nil {
-		s.metrics.recordError("")
-		wire.WriteError(w, code, err.Error())
+		s.metrics.Fail(w, code, "", err.Error())
 		return
 	}
 	args, err := wire.DecodeParams(req.Params)
 	if err != nil {
-		s.metrics.recordError(stmt.Normalized())
-		wire.WriteError(w, http.StatusBadRequest, err.Error())
+		s.metrics.Fail(w, http.StatusBadRequest, stmt.Normalized(), err.Error())
 		return
 	}
 	endResolve()
@@ -341,20 +311,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, req *wire.R
 func (s *Server) handleExec(w http.ResponseWriter, _ *http.Request, req *wire.Request) {
 	stmt, code, err := s.resolveStmt(req)
 	if err != nil {
-		s.metrics.recordError("")
-		wire.WriteError(w, code, err.Error())
+		s.metrics.Fail(w, code, "", err.Error())
 		return
 	}
 	args, err := wire.DecodeParams(req.Params)
 	if err != nil {
-		s.metrics.recordError(stmt.Normalized())
-		wire.WriteError(w, http.StatusBadRequest, err.Error())
+		s.metrics.Fail(w, http.StatusBadRequest, stmt.Normalized(), err.Error())
 		return
 	}
 	res, err := stmt.Exec(args...)
 	if err != nil {
-		s.metrics.recordError(stmt.Normalized())
-		wire.WriteError(w, http.StatusBadRequest, err.Error())
+		s.metrics.Fail(w, http.StatusBadRequest, stmt.Normalized(), err.Error())
 		return
 	}
 	s.metrics.recordExec()
@@ -383,8 +350,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	header, _ := strconv.ParseBool(r.URL.Query().Get("header"))
 	n, err := s.db.LoadCSV(table, r.Body, header)
 	if err != nil {
-		s.metrics.recordError("")
-		wire.WriteError(w, http.StatusBadRequest, err.Error())
+		s.metrics.Fail(w, http.StatusBadRequest, "", err.Error())
 		return
 	}
 	s.metrics.recordExec()
@@ -405,13 +371,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	snap.Sessions = s.sessions.Len()
 	snap.SessionsExpired = s.sessions.Expired()
-	snap.Cursors = CursorSnapshot{
-		Open:    s.cursors.Len(),
-		Opened:  s.metrics.cursorsOpened.Value(),
-		Expired: s.cursors.Expired(),
-		Hits:    s.metrics.cursorHits.Value(),
-		Misses:  s.metrics.cursorMisses.Value(),
-	}
+	snap.Cursors.Open = s.cursors.Len()
+	snap.Cursors.Expired = s.cursors.Expired()
 	snap.Resources.CursorPinnedBytes = s.cursorPinnedBytes()
 	snap.TablesServed = s.db.Tables()
 	wire.WriteJSON(w, http.StatusOK, snap)

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,52 +14,20 @@ import (
 // changes (unlike a since-start average).
 const windowSeconds = 30
 
-// maxTemplates bounds the per-template metrics map: ad-hoc queries with
-// inline literals mint a distinct normalized template per literal
-// combination, which must not grow server memory without limit. Overflow
-// aggregates under one bucket.
-const (
-	maxTemplates     = 512
-	overflowTemplate = "(other templates)"
-)
-
-// metrics aggregates server-wide and per-template counters. The scalar
-// counters and the latency histogram live in an obs.Registry, so the
-// same values back both the Prometheus /metrics endpoint and the JSON
-// /stats payload; the QPS window and the per-template map stay under a
-// mutex (they are compound updates a lock-free registry cannot express).
+// metrics is the daemon's accounting: the series it shares with the
+// router (obs.Metrics, which also backs /metrics, /insight/* and every
+// error answer) plus what only the server keeps — the QPS window and the
+// per-template operator profiles under the shared mutex, and the pinned
+// cursor high-water mark.
 type metrics struct {
-	reg      *obs.Registry
-	queries  *obs.Counter   // SELECTs served
-	execs    *obs.Counter   // DDL/DML served
-	errors   *obs.Counter   // failed requests
-	timeouts *obs.Counter   // queries cut off by a deadline_ms budget
-	slow     *obs.Counter   // queries over the slow-query threshold
-	latency  *obs.Histogram // query wall time, seconds
-	rowsOut  *obs.Counter   // ranked rows returned
-	scanned  *obs.Counter   // base-table tuples read
-	// materialized counts tuples admitted into operator buffers (heaps,
-	// hash tables, sort runs) — the memory-pressure counterpart of scanned.
-	materialized *obs.Counter
+	*obs.Metrics[TemplateStats, *TemplateStats]
 
-	cursorsOpened *obs.Counter // ranked cursors opened
-	cursorHits    *obs.Counter // /cursor/next pulls that found a live cursor
-	cursorMisses  *obs.Counter // /cursor/next pulls naming an unknown/expired cursor
-
-	// insight is the rolling ring of sampled per-query resource records
-	// behind the /insight endpoints.
-	insight *insight.Ring
 	// pinnedMax is the high-water mark of bytes pinned by any single
 	// suspended cursor, observed at page-fetch time.
 	pinnedMax atomic.Int64
 
-	mu      sync.Mutex
-	started time.Time
-
 	buckets   [windowSeconds]uint64
 	bucketSec [windowSeconds]int64
-
-	perQuery map[string]*templateMetrics
 }
 
 // opAggregate accumulates sampled operator profiles for one node of a
@@ -87,62 +53,24 @@ type OperatorStats struct {
 	AvgTimeMS float64 `json:"avg_time_ms"`
 }
 
-// templateMetrics aggregates executions of one normalized query template.
-type templateMetrics struct {
-	Count     uint64  `json:"count"`
+// TemplateStats is one per-template row of the /stats payload.
+type TemplateStats struct {
+	obs.TemplateRow
 	CacheHits uint64  `json:"cache_hits"`
-	Errors    uint64  `json:"errors"`
 	Rows      uint64  `json:"rows_total"`
 	MaxDepthK int     `json:"max_depth_k"`
 	AvgDepthK float64 `json:"avg_depth_k"`
 	Scanned   uint64  `json:"tuples_scanned_total"`
-	AvgMS     float64 `json:"avg_latency_ms"`
 	// Operators is the template's sampled per-operator runtime profile
 	// (engine profiling samples every N-th execution; see EXPLAIN ANALYZE).
 	Operators []OperatorStats `json:"operators,omitempty"`
 
-	totalMS float64
-	ops     []opAggregate
+	ops []opAggregate
 }
 
 func newMetrics() *metrics {
-	reg := obs.NewRegistry()
-	m := &metrics{
-		reg:      reg,
-		queries:  reg.Counter("ranksqld_queries_total", "SELECT statements served."),
-		execs:    reg.Counter("ranksqld_execs_total", "DDL/DML statements and CSV loads served."),
-		errors:   reg.Counter("ranksqld_errors_total", "Requests that failed."),
-		timeouts: reg.Counter("ranksqld_timeouts_total", "Queries aborted by a per-request deadline_ms budget."),
-		slow:     reg.Counter("ranksqld_slow_queries_total", "Queries slower than the slow-query threshold."),
-		latency:  reg.Histogram("ranksqld_query_duration_seconds", "Query wall time."),
-		rowsOut:  reg.Counter("ranksqld_rows_returned_total", "Ranked rows returned to clients."),
-		scanned:  reg.Counter("ranksqld_tuples_scanned_total", "Base-table tuples read by queries."),
-		materialized: reg.Counter("ranksqld_tuples_materialized_total",
-			"Tuples admitted into operator buffers (heaps, hash tables, sort runs)."),
-		cursorsOpened: reg.Counter("ranksqld_cursors_opened_total",
-			"Ranked cursors opened via /query cursor=true."),
-		cursorHits: reg.Counter("ranksqld_cursor_hits_total",
-			"/cursor/next pulls that found a live cursor."),
-		cursorMisses: reg.Counter("ranksqld_cursor_misses_total",
-			"/cursor/next pulls naming an unknown or expired cursor."),
-		insight:  insight.NewRing(0),
-		started:  time.Now(),
-		perQuery: map[string]*templateMetrics{},
-	}
-	reg.GaugeFunc("ranksqld_uptime_seconds", "Seconds since the daemon started.",
-		func() float64 { return time.Since(m.started).Seconds() })
-	obs.RegisterBuildInfo(reg, "ranksqld")
-	reg.GaugeFunc("ranksqld_insight_ring_depth", "Live records in the query-insight ring.",
-		func() float64 { return float64(m.insight.Depth()) })
-	reg.GaugeFunc("ranksqld_insight_records_total", "Sampled executions recorded into the insight ring.",
-		func() float64 { return float64(m.insight.Observed()) })
-	reg.GaugeFunc("ranksqld_insight_records_with_estimates_total",
-		"Recorded executions that carried plan cardinality estimates.",
-		func() float64 { return float64(m.insight.WithEstimates()) })
-	reg.GaugeFunc("ranksqld_insight_high_drift_total",
-		"Recorded executions where some plan node missed its cardinality estimate by >= 4x.",
-		func() float64 { return float64(m.insight.HighDrift()) })
-	reg.GaugeFunc("ranksqld_cursor_pinned_bytes_max",
+	m := &metrics{Metrics: obs.NewMetrics[TemplateStats]("ranksqld")}
+	m.Reg.GaugeFunc("ranksqld_cursor_pinned_bytes_max",
 		"High-water mark of bytes pinned by a single suspended cursor.",
 		func() float64 { return float64(m.pinnedMax.Load()) })
 	return m
@@ -170,30 +98,28 @@ func (m *metrics) tickLocked(now time.Time) {
 	m.buckets[i]++
 }
 
-// recordQuery aggregates one SELECT execution: registry counters and
-// the latency histogram, the QPS window, the per-template aggregate,
-// and — when the engine profiled this execution — the template's
-// per-operator runtime profile plus a query-insight record. pinned is
-// the bytes held by the query's suspended cursor state (0 for one-shot
-// queries); traceID ties the insight record to the request's log lines.
-func (m *metrics) recordQuery(norm string, d time.Duration, rows *ranksql.Rows, traceID string, pinned int64) {
-	m.queries.Inc()
-	m.latency.ObserveDuration(d)
-	m.rowsOut.Add(uint64(rows.Len()))
-	m.scanned.Add(uint64(rows.Stats.TuplesScanned))
-	m.materialized.Add(uint64(rows.Stats.Materialized))
+// recordPage accounts one answered page of a ranked stream — a one-shot
+// or a cursor page — and logs it as what with attrs: the shared series
+// (obs.Metrics.Served), the QPS window, the template's row and, when the
+// engine profiled this execution, its insight record, which it returns
+// (nil otherwise) and which also feeds the template's per-operator
+// profile. pinned is the bytes held by the query's suspended cursor state
+// (0 for one-shot queries).
+func (m *metrics) recordPage(what, norm, traceID string, d time.Duration, rows *ranksql.Rows, pinned int64, attrs []any) *insight.QueryRecord {
+	var rec *insight.QueryRecord
+	if rows.Profiled {
+		rec = newRecord(norm, traceID, d, rows, pinned)
+	}
+	m.Served(what, d, rows.Len(), rows.Stats.TuplesScanned, rows.Stats.Materialized, rec, attrs)
 	if pinned > 0 {
 		m.observePinned(pinned)
 	}
-	if rows.Profiled {
-		m.recordInsight(norm, traceID, d, rows, pinned)
-	}
 
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.Mu.Lock()
+	defer m.Mu.Unlock()
 	m.tickLocked(time.Now())
-	t := m.templateLocked(norm)
-	t.Count++
+	t := m.Templates.Row(norm)
+	t.Observe(d)
 	if rows.CacheHit {
 		t.CacheHits++
 	}
@@ -203,17 +129,53 @@ func (m *metrics) recordQuery(norm string, d time.Duration, rows *ranksql.Rows, 
 		t.MaxDepthK = depthK
 	}
 	t.Scanned += uint64(rows.Stats.TuplesScanned)
-	t.totalMS += float64(d) / float64(time.Millisecond)
-	if rows.Profiled {
-		t.mergeProfileLocked(rows.Operators())
+	if rec != nil {
+		t.mergeProfileLocked(rec.Operators)
 	}
+	return rec
+}
+
+// newRecord condenses one profiled execution into its insight record in
+// a single walk over the operator tree: per-operator usage with each
+// node's estimate and drift, the drift list and its worst ratio, and the
+// depth of enumeration — the deepest per-leaf pull from a base table (in
+// a pre-order list a node is a leaf exactly when the next node is not
+// deeper). The page's depth_k and max_drift_ratio, and a slow page's plan
+// snapshot, are read from it.
+func newRecord(norm, traceID string, d time.Duration, rows *ranksql.Rows, pinned int64) *insight.QueryRecord {
+	ops := rows.Operators()
+	rec := &insight.QueryRecord{
+		Template:           norm,
+		TraceID:            traceID,
+		When:               time.Now(),
+		DurationMS:         float64(d) / float64(time.Millisecond),
+		RowsReturned:       rows.Len(),
+		TuplesScanned:      rows.Stats.TuplesScanned,
+		TuplesMaterialized: rows.Stats.Materialized,
+		PeakBuffered:       rows.Stats.PeakBuffered,
+		CursorPinnedBytes:  pinned,
+		Operators:          make([]insight.OpUsage, len(ops)),
+	}
+	for i, o := range ops {
+		u := insight.OpUsage{Depth: o.Depth, Name: o.Name, Rows: o.Rows, DepthK: o.DepthK, TimeMS: o.TimeMS}
+		if leaf := i+1 >= len(ops) || ops[i+1].Depth <= o.Depth; leaf && o.DepthK > rec.DepthK {
+			rec.DepthK = o.DepthK
+		}
+		if o.EstRows >= 0 {
+			u.EstRows, u.Drift = o.EstRows, insight.DriftRatio(o.EstRows, o.Rows)
+			rec.Drift = append(rec.Drift, insight.NodeDrift{Node: o.Name, Est: o.EstRows, Actual: o.Rows, Ratio: u.Drift})
+			rec.MaxDriftRatio = max(rec.MaxDriftRatio, u.Drift)
+		}
+		rec.Operators[i] = u
+	}
+	return rec
 }
 
 // mergeProfileLocked folds one profiled execution's operator tree into
 // the template aggregate. A shape change (node count or operator name)
 // means the plan was recompiled differently — the old profile no longer
 // describes the running plan, so it restarts.
-func (t *templateMetrics) mergeProfileLocked(ops []ranksql.OpProfile) {
+func (t *TemplateStats) mergeProfileLocked(ops []insight.OpUsage) {
 	if len(ops) == 0 {
 		return
 	}
@@ -236,51 +198,12 @@ func (t *templateMetrics) mergeProfileLocked(ops []ranksql.OpProfile) {
 	}
 }
 
-// recordExec aggregates one DDL/DML execution.
+// recordExec aggregates one DDL/DML execution or CSV load.
 func (m *metrics) recordExec() {
-	m.execs.Inc()
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.Execs.Inc()
+	m.Mu.Lock()
+	defer m.Mu.Unlock()
 	m.tickLocked(time.Now())
-}
-
-// recordError counts a failed request, attributed to its template when
-// one is known.
-func (m *metrics) recordError(norm string) {
-	m.errors.Inc()
-	if norm == "" {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.templateLocked(norm).Errors++
-}
-
-// recordTimeout counts a query aborted by its deadline_ms budget (the
-// error is counted separately by recordError).
-func (m *metrics) recordTimeout() { m.timeouts.Inc() }
-
-// templateLocked finds or creates the aggregate for a template, spilling
-// into the overflow bucket once maxTemplates distinct ones exist.
-func (m *metrics) templateLocked(norm string) *templateMetrics {
-	t := m.perQuery[norm]
-	if t == nil {
-		if len(m.perQuery) >= maxTemplates {
-			norm = overflowTemplate
-			if t = m.perQuery[norm]; t != nil {
-				return t
-			}
-		}
-		t = &templateMetrics{}
-		m.perQuery[norm] = t
-	}
-	return t
-}
-
-// TemplateStats is one per-template row of the /stats payload.
-type TemplateStats struct {
-	Query string `json:"query"`
-	templateMetrics
 }
 
 // ResourceSnapshot is the resource-accounting block of the /stats
@@ -297,40 +220,18 @@ type ResourceSnapshot struct {
 	CursorPinnedBytesMax int64 `json:"cursor_pinned_bytes_max"`
 }
 
-// InsightSnapshot is the query-insight block of the /stats payload:
-// ring occupancy and the lifetime drift counters (the full rolling
-// profiles live at /insight/workload and /insight/templates).
-type InsightSnapshot struct {
-	RingDepth            int    `json:"ring_depth"`
-	RingCapacity         int    `json:"ring_capacity"`
-	Records              uint64 `json:"records"`
-	RecordsWithEstimates uint64 `json:"records_with_estimates"`
-	HighDriftRecords     uint64 `json:"high_drift_records"`
-}
-
 // Snapshot is the /stats payload (server side; cache counters are merged
 // in by the handler).
 type Snapshot struct {
-	Build         obs.BuildInfo `json:"build"`
-	UptimeSeconds float64       `json:"uptime_seconds"`
-	Queries       uint64        `json:"queries"`
-	Execs         uint64        `json:"execs"`
-	Errors        uint64        `json:"errors"`
-	Timeouts      uint64        `json:"timeouts"`
-	SlowQueries   uint64        `json:"slow_queries"`
+	obs.Totals
 	// QPS is the recent rate over the sliding window; QPSTotal the
 	// since-start average.
-	QPS        float64 `json:"qps"`
-	QPSTotal   float64 `json:"qps_total"`
-	AvgQueryMS float64 `json:"avg_query_ms"`
-	// Latency summarizes the query-latency histogram (the same one
-	// /metrics exposes bucket by bucket).
-	Latency         obs.Summary      `json:"latency"`
+	QPS             float64          `json:"qps"`
+	QPSTotal        float64          `json:"qps_total"`
 	Sessions        int              `json:"sessions"`
 	SessionsExpired uint64           `json:"sessions_expired"`
 	Cursors         CursorSnapshot   `json:"cursors"`
 	Resources       ResourceSnapshot `json:"resources"`
-	Insight         InsightSnapshot  `json:"insight"`
 	PerQuery        []TemplateStats  `json:"per_query"`
 	PlanCache       CacheSnapshot    `json:"plan_cache"`
 	TablesServed    []string         `json:"tables"`
@@ -364,70 +265,51 @@ type CacheSnapshot struct {
 // snapshot renders the metrics; the caller fills in cache/session/table
 // fields.
 func (m *metrics) snapshot() Snapshot {
-	queries := m.queries.Value()
-	execs := m.execs.Value()
+	snap := Snapshot{
+		Totals: m.Totals(),
+		Resources: ResourceSnapshot{
+			RowsReturned:         m.RowsReturned.Value(),
+			TuplesScanned:        m.Scanned.Value(),
+			TuplesMaterialized:   m.Materialized.Value(),
+			CursorPinnedBytesMax: m.pinnedMax.Load(),
+		},
+		Cursors: CursorSnapshot{
+			Opened: m.CursorsOpened.Value(),
+			Hits:   m.CursorHits.Value(),
+			Misses: m.CursorMisses.Value(),
+		},
+	}
+	if snap.UptimeSeconds > 0 {
+		snap.QPSTotal = float64(snap.Queries+snap.Execs) / snap.UptimeSeconds
+	}
 
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	now := time.Now()
-	uptime := now.Sub(m.started).Seconds()
-
+	m.Mu.Lock()
+	defer m.Mu.Unlock()
 	// Sum complete buckets in the window (excluding the current second,
 	// which is still filling). The denominator is the seconds the window
 	// actually spans — idle seconds count — so a one-second burst reads
 	// as its average over the window, not its peak rate.
 	var recent uint64
-	nowSec := now.Unix()
+	nowSec := time.Now().Unix()
 	for i := 0; i < windowSeconds; i++ {
 		if m.bucketSec[i] != 0 && m.bucketSec[i] != nowSec && nowSec-m.bucketSec[i] <= windowSeconds {
 			recent += m.buckets[i]
 		}
 	}
-	secs := int(uptime)
-	if secs > windowSeconds {
-		secs = windowSeconds
-	}
-	snap := Snapshot{
-		Build:         obs.Build(),
-		UptimeSeconds: uptime,
-		Queries:       queries,
-		Execs:         execs,
-		Errors:        m.errors.Value(),
-		Timeouts:      m.timeouts.Value(),
-		SlowQueries:   m.slow.Value(),
-		Latency:       m.latency.Summarize(),
-		Resources: ResourceSnapshot{
-			RowsReturned:         m.rowsOut.Value(),
-			TuplesScanned:        m.scanned.Value(),
-			TuplesMaterialized:   m.materialized.Value(),
-			CursorPinnedBytesMax: m.pinnedMax.Load(),
-		},
-		Insight: InsightSnapshot{
-			RingDepth:            m.insight.Depth(),
-			RingCapacity:         m.insight.Capacity(),
-			Records:              m.insight.Observed(),
-			RecordsWithEstimates: m.insight.WithEstimates(),
-			HighDriftRecords:     m.insight.HighDrift(),
-		},
-	}
-	if secs > 0 {
+	if secs := min(int(snap.UptimeSeconds), windowSeconds); secs > 0 {
 		snap.QPS = float64(recent) / float64(secs)
 	} else if i := int(nowSec % windowSeconds); m.bucketSec[i] == nowSec {
 		// The server has only been busy within the current second; report
 		// its partial bucket rather than 0.
 		snap.QPS = float64(m.buckets[i])
 	}
-	if uptime > 0 {
-		snap.QPSTotal = float64(queries+execs) / uptime
-	}
-	snap.AvgQueryMS = snap.Latency.MeanMS
-	for norm, t := range m.perQuery {
-		row := TemplateStats{Query: norm, templateMetrics: *t}
-		if t.Count > 0 {
-			row.AvgDepthK = float64(t.Rows) / float64(t.Count)
-			row.AvgMS = t.totalMS / float64(t.Count)
+	snap.PerQuery = m.Templates.Snapshot()
+	for i := range snap.PerQuery {
+		row := &snap.PerQuery[i]
+		if row.Count > 0 {
+			row.AvgDepthK = float64(row.Rows) / float64(row.Count)
 		}
-		for _, a := range t.ops {
+		for _, a := range row.ops {
 			if a.samples == 0 {
 				continue
 			}
@@ -439,10 +321,6 @@ func (m *metrics) snapshot() Snapshot {
 				AvgTimeMS: a.timeMS / n,
 			})
 		}
-		snap.PerQuery = append(snap.PerQuery, row)
 	}
-	sort.Slice(snap.PerQuery, func(i, j int) bool {
-		return snap.PerQuery[i].Count > snap.PerQuery[j].Count
-	})
 	return snap
 }

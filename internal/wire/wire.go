@@ -3,7 +3,8 @@
 // sharding router decodes it from its shards and answers its own clients
 // with it. It hides the schema — field names, order, omitempty rules, how
 // JSON numbers bind to parameters — so a field added here reaches every
-// tier or none.
+// tier or none. Both daemons also serve through its one listener loop
+// (ServeListener) and pprof mount.
 //
 // Every query answer is one page of a ranked stream: rows in
 // non-increasing score order with contiguous 1-based ranks starting at
