@@ -13,8 +13,8 @@ import (
 // number of rows inserted. Cells are converted to the column's declared
 // type; empty cells become NULL. When header is true the first record is
 // skipped. Records are parsed first, then appended under the engine's
-// write lock (with one index rebuild at the end), so bulk loads stay
-// linear and concurrent queries never observe a half-loaded table.
+// write lock, each indexed as it is appended, so concurrent queries never
+// observe a half-loaded table.
 func (db *DB) LoadCSV(table string, r io.Reader, header bool) (int, error) {
 	tm, err := db.eng.Catalog.Table(table)
 	if err != nil {

@@ -8,6 +8,12 @@
 //
 // Duplicate keys are allowed; entries are totally ordered by (key, TID) so
 // iteration order is deterministic.
+//
+// Trees are updated in place and entries are never removed. An iterator
+// stays valid across inserts: it notices that the tree changed and
+// re-seeks just past the last entry it returned, so it neither repeats
+// nor skips an entry. Entries inserted ahead of it may appear; scans that
+// need a snapshot drop them by TID.
 package btree
 
 import (
@@ -56,6 +62,9 @@ func (n *node) leaf() bool { return n.children == nil }
 type Tree struct {
 	root *node
 	size int
+	// mods counts Inserts; an iterator positioned under an older count
+	// re-seeks before it reads a node.
+	mods uint64
 }
 
 // New returns an empty tree.
@@ -108,6 +117,7 @@ func lowerBound(entries []Entry, e Entry) int {
 // Insertion splits full nodes preemptively on the way down, so no node ever
 // exceeds the degree.
 func (t *Tree) Insert(key types.Value, tid schema.TID) {
+	t.mods++
 	e := Entry{Key: key, TID: tid}
 	if len(t.root.entries) >= degree {
 		old := t.root
@@ -171,31 +181,6 @@ func (t *Tree) splitChild(parent *node, i int) {
 	parent.children[i+1] = sib
 }
 
-// Delete removes the entry (key, tid) if present, reporting whether it was
-// found. Leaves are never merged: the engine's tables are append-only and
-// deletions only occur when indexes are rebuilt, so structural rebalancing
-// buys nothing here.
-func (t *Tree) Delete(key types.Value, tid schema.TID) bool {
-	e := Entry{Key: key, TID: tid}
-	leaf := t.searchLeaf(e)
-	i := lowerBound(leaf.entries, e)
-	if i >= len(leaf.entries) || compareEntries(leaf.entries[i], e) != 0 {
-		return false
-	}
-	leaf.entries = append(leaf.entries[:i], leaf.entries[i+1:]...)
-	t.size--
-	return true
-}
-
-// firstLeaf returns the leftmost leaf.
-func (t *Tree) firstLeaf() *node {
-	n := t.root
-	for !n.leaf() {
-		n = n.children[0]
-	}
-	return n
-}
-
 // lastLeaf returns the rightmost leaf.
 func (t *Tree) lastLeaf() *node {
 	n := t.root
@@ -205,47 +190,74 @@ func (t *Tree) lastLeaf() *node {
 	return n
 }
 
-// Iterator walks entries in ascending or descending order.
+// Iterator walks entries in ascending or descending order. It survives
+// Inserts into its tree: Next re-seeks when the tree's modification count
+// has moved since the iterator was last positioned.
+//
+// An Insert must not run concurrently with Next. The engine guarantees it:
+// trees change only under the database's write lock, and every Next runs
+// under its read lock.
 type Iterator struct {
+	tree *Tree
+	mods uint64 // tree.mods when leaf/idx were positioned
 	leaf *node
 	idx  int
 	desc bool
+	// pos is the entry Next returned last; until started, an ascending
+	// iterator's pos is its start bound instead.
+	pos     Entry
+	started bool
 }
 
 // Ascend returns an iterator over all entries in ascending (key, TID) order.
 func (t *Tree) Ascend() *Iterator {
-	return &Iterator{leaf: t.firstLeaf(), idx: 0}
+	return t.SeekGE(types.Value{}) // the zero Value is NULL, which sorts first
 }
 
 // Descend returns an iterator over all entries in descending (key, TID)
 // order. This is the access path of the rank-scan operator, which streams
 // tuples from the highest predicate score down.
 func (t *Tree) Descend() *Iterator {
-	leaf := t.lastLeaf()
-	return &Iterator{leaf: leaf, idx: len(leaf.entries) - 1, desc: true}
+	it := &Iterator{tree: t, desc: true}
+	it.seek()
+	return it
 }
 
 // SeekGE returns an ascending iterator positioned at the first entry with
 // key >= key (any TID).
 func (t *Tree) SeekGE(key types.Value) *Iterator {
-	e := Entry{Key: key, TID: 0}
-	leaf := t.searchLeaf(e)
-	i := lowerBound(leaf.entries, e)
-	it := &Iterator{leaf: leaf, idx: i}
-	it.normalizeForward()
+	it := &Iterator{tree: t, pos: Entry{Key: key, TID: 0}}
+	it.seek()
 	return it
 }
 
-// normalizeForward advances past exhausted leaves.
-func (it *Iterator) normalizeForward() {
-	for it.leaf != nil && it.idx >= len(it.leaf.entries) {
-		it.leaf = it.leaf.next
-		it.idx = 0
+// seek positions the iterator under the tree's current shape: just past
+// the last entry it returned, or at its start if it has returned none.
+// Entries are never removed and (key, TID) is a total order, so pos is
+// still in the tree and the position is exact.
+func (it *Iterator) seek() {
+	t := it.tree
+	it.mods = t.mods
+	if it.desc && !it.started {
+		it.leaf = t.lastLeaf()
+		it.idx = len(it.leaf.entries) - 1
+		return
+	}
+	it.leaf = t.searchLeaf(it.pos)
+	it.idx = lowerBound(it.leaf.entries, it.pos)
+	switch {
+	case it.desc:
+		it.idx-- // the last entry below pos
+	case it.started:
+		it.idx++ // the first entry above pos
 	}
 }
 
 // Next returns the next entry, or ok=false when exhausted.
 func (it *Iterator) Next() (Entry, bool) {
+	if it.mods != it.tree.mods {
+		it.seek()
+	}
 	if it.desc {
 		for it.leaf != nil && it.idx < 0 {
 			it.leaf = it.leaf.prev
@@ -253,19 +265,22 @@ func (it *Iterator) Next() (Entry, bool) {
 				it.idx = len(it.leaf.entries) - 1
 			}
 		}
-		if it.leaf == nil {
-			return Entry{}, false
+	} else {
+		for it.leaf != nil && it.idx >= len(it.leaf.entries) {
+			it.leaf = it.leaf.next
+			it.idx = 0
 		}
-		e := it.leaf.entries[it.idx]
-		it.idx--
-		return e, true
 	}
-	it.normalizeForward()
 	if it.leaf == nil {
 		return Entry{}, false
 	}
 	e := it.leaf.entries[it.idx]
-	it.idx++
+	if it.desc {
+		it.idx--
+	} else {
+		it.idx++
+	}
+	it.pos, it.started = e, true
 	return e, true
 }
 

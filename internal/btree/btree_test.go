@@ -117,28 +117,105 @@ func TestRandomizedVsOracle(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	tr, _ := buildBoth([]float64{1, 2, 3, 4, 5})
-	if !tr.Delete(types.NewFloat(3), 2) {
-		t.Fatal("delete existing failed")
+// TestIteratorsSurviveInserts suspends Ascend, Descend and SeekGE
+// iterators — fresh, part-way and exhausted ones — across thousands of
+// Inserts that split leaves and the root. Filtered to the TIDs that
+// existed when it was opened, each iterator must yield exactly the sorted
+// snapshot as of its opening: no duplicate, no gap. Unfiltered, its
+// output must never step backwards.
+func TestIteratorsSurviveInserts(t *testing.T) {
+	type suspended struct {
+		it     *Iterator
+		bound  schema.TID // TIDs below it existed at opening
+		desc   bool
+		from   float64 // SeekGE key; -1 for Ascend and Descend
+		got    []Entry // output below bound
+		last   Entry
+		pulled bool
 	}
-	if tr.Delete(types.NewFloat(3), 2) {
-		t.Fatal("double delete succeeded")
-	}
-	if tr.Delete(types.NewFloat(99), 0) {
-		t.Fatal("delete of absent key succeeded")
-	}
-	if tr.Len() != 4 {
-		t.Fatalf("len %d after delete, want 4", tr.Len())
-	}
-	it := tr.Ascend()
-	for {
-		e, ok := it.Next()
-		if !ok {
-			break
+	r := rand.New(rand.NewSource(11))
+	tr := New()
+	var open []*suspended
+	openIter := func(tid int) {
+		s := &suspended{bound: schema.TID(tid), from: -1}
+		switch r.Intn(3) {
+		case 0:
+			s.it = tr.Ascend()
+		case 1:
+			s.it, s.desc = tr.Descend(), true
+		default:
+			s.from = float64(r.Intn(420)) - 10
+			s.it = tr.SeekGE(types.NewFloat(s.from))
 		}
-		if e.Key.Float() == 3 {
-			t.Fatal("deleted key still present")
+		open = append(open, s)
+	}
+	pull := func(s *suspended, n int) {
+		for ; n > 0; n-- {
+			e, ok := s.it.Next()
+			if !ok {
+				return
+			}
+			if s.pulled {
+				c := compareEntries(s.last, e)
+				if (s.desc && c <= 0) || (!s.desc && c >= 0) {
+					t.Fatalf("iterator (desc=%v) stepped from %v to %v", s.desc, s.last, e)
+				}
+			}
+			s.last, s.pulled = e, true
+			if e.TID < s.bound {
+				s.got = append(s.got, e)
+			}
+		}
+	}
+
+	const n = 6000
+	all := make([]Entry, 0, n)
+	for i := 0; i < 3; i++ {
+		openIter(0) // on the empty tree: exhausted before any insert
+	}
+	for tid := 0; tid < n; tid++ {
+		e := Entry{Key: types.NewFloat(float64(r.Intn(400))), TID: schema.TID(tid)}
+		tr.Insert(e.Key, e.TID)
+		all = append(all, e)
+		switch x := r.Intn(40); {
+		case x < 3:
+			openIter(tid + 1)
+		case x < 16 && len(open) > 0:
+			pull(open[r.Intn(len(open))], r.Intn(25))
+		case x == 16 && len(open) > 0:
+			pull(open[r.Intn(len(open))], n) // drain: exhausted until the next insert
+		}
+	}
+	if tr.Height() < 3 {
+		t.Fatalf("height %d: the root never split; test ineffective", tr.Height())
+	}
+	for _, s := range open {
+		pull(s, n+1)
+	}
+
+	// The oracle: every inserted entry, sorted once.
+	sort.Slice(all, func(i, j int) bool { return compareEntries(all[i], all[j]) < 0 })
+	for i, s := range open {
+		var want []Entry
+		for _, e := range all {
+			if e.TID < s.bound && e.Key.Float() >= s.from {
+				want = append(want, e)
+			}
+		}
+		if s.desc {
+			for a, b := 0, len(want)-1; a < b; a, b = a+1, b-1 {
+				want[a], want[b] = want[b], want[a]
+			}
+		}
+		if len(s.got) != len(want) {
+			t.Fatalf("iterator %d (desc=%v from=%v bound=%d): %d entries, want %d",
+				i, s.desc, s.from, s.bound, len(s.got), len(want))
+		}
+		for j := range want {
+			if compareEntries(s.got[j], want[j]) != 0 {
+				t.Fatalf("iterator %d (desc=%v from=%v bound=%d): entry %d = %v, want %v",
+					i, s.desc, s.from, s.bound, j, s.got[j], want[j])
+			}
 		}
 	}
 }

@@ -20,6 +20,12 @@ import (
 type Index struct {
 	Column string
 	Tree   *btree.Tree
+	col    int // Column's position in the table schema
+}
+
+// insert adds one heap row to the index.
+func (idx *Index) insert(tid schema.TID, row []types.Value) {
+	idx.Tree.Insert(row[idx.col], tid)
 }
 
 // RankIndex is a B+tree over the scores of a ranking function applied to a
@@ -36,6 +42,21 @@ type RankIndex struct {
 	// Scores caches score by TID so a rank-scan can populate the tuple's
 	// predicate slot for free.
 	Scores []float64
+
+	score  func(args []types.Value) float64
+	argIdx []int // Columns' positions in the table schema
+}
+
+// insert scores one heap row and adds it to the index. Rows arrive in TID
+// order, so the score lands at Scores[tid].
+func (ri *RankIndex) insert(tid schema.TID, row []types.Value) {
+	args := make([]types.Value, len(ri.argIdx))
+	for i, ci := range ri.argIdx {
+		args[i] = row[ci]
+	}
+	s := ri.score(args)
+	ri.Scores = append(ri.Scores, s)
+	ri.Tree.Insert(types.NewFloat(s), tid)
 }
 
 // Key returns the canonical identity of the rank index, e.g. "f1(p1)".
@@ -153,13 +174,31 @@ func (tm *TableMeta) CreateIndex(column string) (*Index, error) {
 	if ci < 0 {
 		return nil, fmt.Errorf("catalog: table %s has no column %q", tm.Table.Name, column)
 	}
-	idx := &Index{Column: tm.Table.Schema.Columns[ci].Name, Tree: btree.New()}
+	idx := &Index{Column: tm.Table.Schema.Columns[ci].Name, Tree: btree.New(), col: ci}
 	tm.Table.Scan(func(tid schema.TID, row []types.Value) bool {
-		idx.Tree.Insert(row[ci], tid)
+		idx.insert(tid, row)
 		return true
 	})
 	tm.Indexes[key] = idx
 	return idx, nil
+}
+
+// Append adds a row to the heap and, in place, to every attribute and rank
+// index, returning its TID. It is the only way a row reaches a table's
+// indexes. Callers hold the engine's write lock; scans opened earlier
+// keep their snapshot by skipping TIDs at or past their Open-time count.
+func (tm *TableMeta) Append(row []types.Value) (schema.TID, error) {
+	tid, err := tm.Table.Append(row)
+	if err != nil {
+		return 0, err
+	}
+	for _, idx := range tm.Indexes {
+		idx.insert(tid, row)
+	}
+	for _, ri := range tm.RankIndexes {
+		ri.insert(tid, row)
+	}
+	return tid, nil
 }
 
 // Index looks up the index on a column, if any.
@@ -168,8 +207,8 @@ func (tm *TableMeta) Index(column string) *Index {
 }
 
 // CreateRankIndex builds a rank index: score(row) is evaluated once per row
-// (the one-time cost a real system pays at index build), stored, and
-// indexed descending-capable.
+// (the one-time cost a real system pays at index build, and at each later
+// Append), stored, and indexed descending-capable.
 func (tm *TableMeta) CreateRankIndex(scorer string, columns []string, score func(args []types.Value) float64) (*RankIndex, error) {
 	key := RankIndexKey(scorer, columns)
 	if _, ok := tm.RankIndexes[key]; ok {
@@ -187,16 +226,12 @@ func (tm *TableMeta) CreateRankIndex(scorer string, columns []string, score func
 		Scorer:  scorer,
 		Columns: columns,
 		Tree:    btree.New(),
-		Scores:  make([]float64, tm.Table.NumRows()),
+		Scores:  make([]float64, 0, tm.Table.NumRows()),
+		score:   score,
+		argIdx:  argIdx,
 	}
-	args := make([]types.Value, len(argIdx))
 	tm.Table.Scan(func(tid schema.TID, row []types.Value) bool {
-		for i, ci := range argIdx {
-			args[i] = row[ci]
-		}
-		s := score(args)
-		ri.Scores[tid] = s
-		ri.Tree.Insert(types.NewFloat(s), tid)
+		ri.insert(tid, row)
 		return true
 	})
 	tm.RankIndexes[key] = ri

@@ -28,9 +28,10 @@ var ErrCursorClosed = errors.New("engine: cursor is closed")
 // score order; a LIMIT k in the statement tunes the plan for depth k
 // but does not cap the stream — the cursor pages past it.
 //
-// Snapshot semantics: scans pin their row range at open, and the
-// storage layer is append-only, so the stream is a consistent snapshot
-// of the data as of Open even while inserts land between pulls. DDL
+// Snapshot semantics: every scan pins a TID bound (the table's row count)
+// at Open and skips rows at or past it, and index iterators re-seek after
+// an insert changes their tree, so the stream is a consistent snapshot of
+// the data as of Open even while inserts land between pulls. DDL
 // invalidates the cursor (ErrCursorInvalidated).
 //
 // A Cursor is safe for concurrent use, though pulls serialize: each

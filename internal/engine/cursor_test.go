@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -264,64 +265,122 @@ func TestCursorStreamsPastLimit(t *testing.T) {
 	}
 }
 
-// TestCursorSnapshotUnderInserts pins the snapshot contract: rows
-// inserted after Open — even ones that would outrank everything — must
-// not appear in the stream, and the stream still drains completely.
-func TestCursorSnapshotUnderInserts(t *testing.T) {
-	const nRows = 120
-	db := cursorDB(t, nRows)
-	ref, err := db.Query(fmt.Sprintf(
-		`SELECT id, a, b FROM item WHERE a >= 0.2 ORDER BY 0.6*sa(a) + 0.4*sb(b) LIMIT %d`, nRows))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	c, err := db.QueryCursor(cursorQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	first, err := c.Fetch(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Top-scoring rows land mid-stream; DML must not invalidate or leak.
-	if _, err := db.Exec(`INSERT INTO item VALUES (100001, 1.0, 1.0), (100002, 1.0, 1.0)`); err != nil {
-		t.Fatal(err)
-	}
-
-	data := first.Data
-	scores := first.Scores
-	for !c.Exhausted() {
-		page, err := c.Fetch(5)
+// drainUnderInserts drains c in pages of 5 while insert lands rows in
+// its tables: 300 before the first pull, 300 after the first page and 100
+// after every tenth page — enough to split the B+tree leaves a suspended
+// index scan is positioned in.
+func drainUnderInserts(t *testing.T, c *Cursor, insert func(n int)) ([][]types.Value, []float64) {
+	t.Helper()
+	insert(300)
+	var data [][]types.Value
+	var scores []float64
+	for page := 0; !c.Exhausted(); page++ {
+		if page > 1000 {
+			t.Fatal("cursor never exhausted")
+		}
+		rows, err := c.Fetch(5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		data = append(data, page.Data...)
-		scores = append(scores, page.Scores...)
-	}
-	for i, row := range data {
-		if id, _ := row[0].AsFloat(); id >= 100000 {
-			t.Fatalf("rank %d leaked row %s inserted after the cursor opened", i+1, row[0].String())
+		data = append(data, rows.Data...)
+		scores = append(scores, rows.Scores...)
+		switch {
+		case page == 0:
+			insert(300)
+		case page%10 == 0:
+			insert(100)
 		}
 	}
-	assertSameRanking(t, data, scores, ref)
+	return data, scores
+}
 
-	// A cursor opened after the insert sees the new top rows.
-	c2, err := db.QueryCursor(cursorQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	page, err := c2.Fetch(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, row := range page.Data {
-		if id, _ := row[0].AsFloat(); id < 100000 {
-			t.Fatalf("fresh cursor rank %d = %v; the inserted rows should outrank everything", i+1, row[0].String())
+// TestCursorSnapshotUnderInserts pins the snapshot contract: rows
+// inserted after Open — even ones that would outrank everything — must
+// not appear in the stream, and the stream still drains completely. The
+// indexed case suspends rank-index scans across hundreds of inserts that
+// split the B+tree leaves they are positioned in; the other runs on the
+// materialize-and-sort fallback.
+func TestCursorSnapshotUnderInserts(t *testing.T) {
+	for _, indexed := range []bool{false, true} {
+		name := "fallback"
+		if indexed {
+			name = "indexed"
 		}
+		t.Run(name, func(t *testing.T) {
+			const nRows = 400
+			db := gridDB(t, nRows, 20) // below the inserted 1.0 scores
+			if indexed {
+				for _, ddl := range []string{
+					`CREATE RANK INDEX ON item (sa(a))`,
+					`CREATE RANK INDEX ON item (sb(b))`,
+				} {
+					if _, err := db.Exec(ddl); err != nil {
+						t.Fatal(err)
+					}
+				}
+				plan, err := db.Explain(cursorQuery)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !strings.Contains(plan, "idxScan_") {
+					t.Fatalf("plan does not scan a rank index:\n%s", plan)
+				}
+			}
+			ref, err := db.Query(fmt.Sprintf(
+				`SELECT id, a, b FROM item WHERE a >= 0.2 ORDER BY 0.6*sa(a) + 0.4*sb(b) LIMIT %d`, nRows))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// Inserted ids start at 100000; every batch leads with rows
+			// that outrank everything, the rest land all over the index.
+			nextID := 100000
+			r := rand.New(rand.NewSource(3))
+			insert := func(n int) {
+				t.Helper()
+				vals := make([]string, n)
+				for i := range vals {
+					a, b := 1.0, 1.0
+					if i >= 2 {
+						a, b = float64(r.Intn(21))/20, float64(r.Intn(21))/20
+					}
+					vals[i] = fmt.Sprintf("(%d, %.2f, %.2f)", nextID, a, b)
+					nextID++
+				}
+				if _, err := db.Exec(`INSERT INTO item VALUES ` + strings.Join(vals, ", ")); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			c, err := db.QueryCursor(cursorQuery)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			data, scores := drainUnderInserts(t, c, insert)
+			for i, row := range data {
+				if id, _ := row[0].AsFloat(); id >= 100000 {
+					t.Fatalf("rank %d leaked row %s inserted after the cursor opened", i+1, row[0].String())
+				}
+			}
+			assertSameRanking(t, data, scores, ref)
+
+			// A cursor opened after the inserts sees the new top rows.
+			c2, err := db.QueryCursor(cursorQuery)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c2.Close()
+			page, err := c2.Fetch(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, row := range page.Data {
+				if id, _ := row[0].AsFloat(); id < 100000 {
+					t.Fatalf("fresh cursor rank %d = %v; the inserted rows should outrank everything", i+1, row[0].String())
+				}
+			}
+		})
 	}
 }
 

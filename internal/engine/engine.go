@@ -293,11 +293,11 @@ func (db *DB) execStmt(st sql.Stmt) (*Result, error) {
 }
 
 // BulkInsert appends pre-converted rows to a table under the write lock,
-// invalidating derived structures and rebuilding indexes once at the end.
-// It is the concurrency-safe bulk-load path (LoadCSV uses it). When sch
-// is non-nil it must be the exact schema the rows were converted against;
-// a mismatch (the table was dropped and recreated since) aborts the load
-// rather than appending rows converted for a different schema.
+// indexing each row as it is appended. It is the concurrency-safe
+// bulk-load path (LoadCSV uses it). When sch is non-nil it must be the
+// exact schema the rows were converted against; a mismatch (the table was
+// dropped and recreated since) aborts the load rather than appending rows
+// converted for a different schema.
 func (db *DB) BulkInsert(table string, sch *schema.Schema, rows [][]types.Value) (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -311,67 +311,23 @@ func (db *DB) BulkInsert(table string, sch *schema.Schema, rows [][]types.Value)
 	return db.appendRowsLocked(tm, rows)
 }
 
-// appendRowsLocked appends rows and keeps every access path consistent:
-// derived structures are invalidated and indexes rebuilt even after a
-// mid-batch failure, because rows already appended must be visible to
-// rank-index plans and seqScan plans alike. Callers hold db.mu (write).
+// appendRowsLocked appends rows until the first invalid one; every row
+// appended before it stays, indexed like the rest. Table stats notice the
+// growth themselves (EnsureStats compares row counts); the optimizer's
+// sample is dropped and redrawn on next use. Callers hold db.mu (write).
 func (db *DB) appendRowsLocked(tm *catalog.TableMeta, rows [][]types.Value) (int, error) {
 	n := 0
-	var appendErr error
+	var err error
 	for _, row := range rows {
-		if _, err := tm.Table.Append(row); err != nil {
-			appendErr = err
+		if _, err = tm.Append(row); err != nil {
 			break
 		}
 		n++
 	}
 	if n > 0 {
-		tm.Stats = nil
 		tm.Sample = nil
-		if len(tm.Indexes) > 0 || len(tm.RankIndexes) > 0 {
-			if err := db.RebuildIndexes(tm); err != nil && appendErr == nil {
-				appendErr = err
-			}
-		}
 	}
-	return n, appendErr
-}
-
-// RebuildIndexes regenerates secondary structures (attribute and rank
-// indexes) after rows were appended. Simple and correct; bulk loads
-// should create indexes last.
-//
-// Each index keeps its identity: the fresh tree is swapped into the
-// existing *catalog.Index / *catalog.RankIndex, because pooled operator
-// trees hold those pointers from Build and read Tree at Open. A scan that
-// is already open keeps iterating the tree it started on, which is never
-// mutated — the snapshot an open cursor relies on. Callers hold db.mu
-// (write side).
-func (db *DB) RebuildIndexes(tm *catalog.TableMeta) error {
-	indexes, rankIndexes := tm.Indexes, tm.RankIndexes
-	tm.Indexes = make(map[string]*catalog.Index, len(indexes))
-	tm.RankIndexes = make(map[string]*catalog.RankIndex, len(rankIndexes))
-	for key, idx := range indexes {
-		fresh, err := tm.CreateIndex(idx.Column)
-		if err != nil {
-			return err
-		}
-		idx.Tree = fresh.Tree
-		tm.Indexes[key] = idx
-	}
-	for key, ri := range rankIndexes {
-		sc, ok := db.Scorer(ri.Scorer)
-		if !ok {
-			return fmt.Errorf("engine: scorer %q vanished", ri.Scorer)
-		}
-		fresh, err := tm.CreateRankIndex(ri.Scorer, ri.Columns, sc.Fn)
-		if err != nil {
-			return err
-		}
-		ri.Tree, ri.Scores = fresh.Tree, fresh.Scores
-		tm.RankIndexes[key] = ri
-	}
-	return nil
+	return n, err
 }
 
 // Query parses, plans, optimizes and executes a SELECT or set-operation

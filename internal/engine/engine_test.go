@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -236,7 +237,10 @@ func TestErrors(t *testing.T) {
 
 // TestInsertRebuildsIndexes ensures inserts keep indexes consistent, on a
 // fresh compile and — the case a pooled operator tree makes interesting,
-// because it captured the index at Build — on a cached-template hit.
+// because it captured the index at Build — on a cached-template hit. Its
+// second half does the same for attribute indexes, through a merge join
+// of two idxScan_<col> scans that a cursor holds suspended while inserts
+// land in both indexes.
 func TestInsertRebuildsIndexes(t *testing.T) {
 	db := tripDB(t)
 	if _, err := db.Exec(`CREATE RANK INDEX ON Hotel (cheap(price))`); err != nil {
@@ -271,5 +275,81 @@ func TestInsertRebuildsIndexes(t *testing.T) {
 	}
 	if rows.Data[0][0].Str() != "Hostel" {
 		t.Errorf("cached template scans a stale rank index after insert: top = %v", rows.Data[0])
+	}
+
+	for _, ddl := range []string{`CREATE INDEX ON Hotel (addr)`, `CREATE INDEX ON Restaurant (addr)`} {
+		if _, err := db.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := rand.New(rand.NewSource(5))
+	// insert adds n hotels and n restaurants on random addresses, each
+	// name carrying the given prefix.
+	insert := func(prefix string, n int) {
+		t.Helper()
+		hotels, rests := make([]string, n), make([]string, n)
+		for i := range hotels {
+			hotels[i] = fmt.Sprintf("('%sh%d', 80, %d)", prefix, i, r.Intn(60))
+			rests[i] = fmt.Sprintf("('%sr%d', 'Thai', 30, %d, 1)", prefix, i, r.Intn(60))
+		}
+		for _, stmt := range []string{
+			`INSERT INTO Hotel VALUES ` + strings.Join(hotels, ", "),
+			`INSERT INTO Restaurant VALUES ` + strings.Join(rests, ", "),
+		} {
+			if _, err := db.Exec(stmt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	insert("", 200)
+	const join = `SELECT h.name, r.name FROM Hotel h, Restaurant r WHERE h.addr = r.addr`
+	plan, err := db.Explain(join)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plan, "idxScan_addr(h)") || !strings.Contains(plan, "idxScan_addr(r)") {
+		t.Fatalf("join does not scan both attribute indexes:\n%s", plan)
+	}
+	ref, err := db.Query(join)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := db.QueryCursor(join)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	data, scores := drainUnderInserts(t, c, func(n int) { insert("new", n) })
+	for i, row := range data {
+		if strings.HasPrefix(row[0].Str(), "new") || strings.HasPrefix(row[1].Str(), "new") {
+			t.Fatalf("row %d = %v joins a row inserted after the cursor opened", i+1, row)
+		}
+	}
+	assertSameRanking(t, data, scores, ref)
+
+	// After the inserts the index-driven join finds every match a scan of
+	// the heaps does.
+	addrs := func(table string) map[int64]int {
+		rows, err := db.Query(`SELECT addr FROM ` + table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := map[int64]int{}
+		for _, row := range rows.Data {
+			n[row[0].Int()]++
+		}
+		return n
+	}
+	want := 0
+	rAddrs := addrs("Restaurant")
+	for addr, n := range addrs("Hotel") {
+		want += n * rAddrs[addr]
+	}
+	after, err := db.Query(join)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after.Data) != want {
+		t.Errorf("join after inserts returned %d rows, heap scans say %d", len(after.Data), want)
 	}
 }

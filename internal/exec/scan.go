@@ -32,10 +32,11 @@ type SeqScan struct {
 	alias string
 
 	tid int
-	// rows pins the table's row count at Open. The storage layer is
-	// append-only, so a scan bounded by its Open-time count is a
-	// consistent snapshot even when the tree is suspended between pulls
-	// (resumable cursors) while inserts land.
+	// rows pins the table's row count at Open. Tables are append-only and
+	// TIDs are insertion positions, so a scan bounded by its Open-time
+	// count is a consistent snapshot even when the tree is suspended
+	// between pulls (resumable cursors) while inserts land. The index
+	// scans below pin the same bound.
 	rows    int
 	ceiling float64
 	npreds  int
@@ -96,8 +97,8 @@ func (s *SeqScan) Children() []Operator { return nil }
 // RankScan is the paper's idxScan_p: it streams a table's tuples in
 // descending order of one ranking predicate, using a rank index when one is
 // available. The predicate's score comes from the index for free — the
-// one-time evaluation cost was paid at index build, exactly like an
-// expression index in PostgreSQL.
+// one-time evaluation cost was paid when the row was indexed, exactly like
+// an expression index in PostgreSQL.
 //
 // When no index is supplied (Index == nil) the operator falls back to
 // materialize + evaluate + sort. The fallback pays the predicate's
@@ -106,6 +107,10 @@ func (s *SeqScan) Children() []Operator { return nil }
 //
 // An optional fused selection condition (scan-based selection, §4.2)
 // filters tuples during the scan.
+//
+// Inserts update the index in place while a scan is suspended; the
+// iterator re-seeks after each, and the scan keeps its Open-time snapshot
+// by skipping entries whose TID is at or past the row count it pinned.
 type RankScan struct {
 	opBase
 	table *storage.Table
@@ -115,6 +120,7 @@ type RankScan struct {
 	cond  expr.Expr
 
 	npreds int
+	rows   schema.TID // row count at Open; entries at or past it are newer
 	iter   *btree.Iterator
 	sorted []*schema.Tuple // fallback mode
 	pos    int
@@ -143,6 +149,7 @@ func (s *RankScan) Open(ctx *Context) error {
 	s.pos = 0
 	s.sorted = nil
 	if s.index != nil {
+		s.rows = schema.TID(s.table.NumRows())
 		s.iter = s.index.Tree.Descend()
 		return nil
 	}
@@ -176,6 +183,9 @@ func (s *RankScan) Next(ctx *Context) (*schema.Tuple, error) {
 			e, ok := s.iter.Next()
 			if !ok {
 				return nil, nil
+			}
+			if e.TID >= s.rows {
+				continue
 			}
 			row := s.table.Row(e.TID)
 			t = ctx.newTuple(e.TID, row, s.npreds)
@@ -232,7 +242,8 @@ func (s *RankScan) Children() []Operator { return nil }
 // IdxScanCol streams a table in ascending order of one column using an
 // attribute index — the access path that provides the "interesting order"
 // for sort-merge joins. Without an index it falls back to materialize +
-// sort (used on samples).
+// sort (used on samples). Under inserts it keeps its Open-time snapshot
+// the way RankScan does.
 type IdxScanCol struct {
 	opBase
 	table  *storage.Table
@@ -243,6 +254,7 @@ type IdxScanCol struct {
 
 	npreds  int
 	ceiling float64
+	rows    schema.TID // row count at Open; entries at or past it are newer
 	iter    *btree.Iterator
 	sorted  []*schema.Tuple
 	pos     int
@@ -280,6 +292,7 @@ func (s *IdxScanCol) Open(ctx *Context) error {
 	s.pos = 0
 	s.sorted = nil
 	if s.index != nil {
+		s.rows = schema.TID(s.table.NumRows())
 		s.iter = s.index.Tree.Ascend()
 		return nil
 	}
@@ -311,6 +324,9 @@ func (s *IdxScanCol) Next(ctx *Context) (*schema.Tuple, error) {
 			e, ok := s.iter.Next()
 			if !ok {
 				return nil, nil
+			}
+			if e.TID >= s.rows {
+				continue
 			}
 			row := s.table.Row(e.TID)
 			t = ctx.newTuple(e.TID, row, s.npreds)

@@ -70,18 +70,18 @@ func postJSON(t *testing.T, url string, req interface{}, out interface{}) int {
 }
 
 type testQueryResponse struct {
-	Columns   []string        `json:"columns"`
-	Rows      [][]interface{} `json:"rows"`
-	Scores    []float64       `json:"scores"`
-	Ranks     []int           `json:"ranks"`
-	CacheHit       bool `json:"cache_hit"`
-	ResultCacheHit bool `json:"result_cache_hit"`
-	K              int  `json:"k"`
-	Depth     int             `json:"depth"`
-	Offset    int             `json:"offset"`
-	Exhausted bool            `json:"exhausted"`
-	CursorID  string          `json:"cursor_id"`
-	Merge     struct {
+	Columns        []string        `json:"columns"`
+	Rows           [][]interface{} `json:"rows"`
+	Scores         []float64       `json:"scores"`
+	Ranks          []int           `json:"ranks"`
+	CacheHit       bool            `json:"cache_hit"`
+	ResultCacheHit bool            `json:"result_cache_hit"`
+	K              int             `json:"k"`
+	Depth          int             `json:"depth"`
+	Offset         int             `json:"offset"`
+	Exhausted      bool            `json:"exhausted"`
+	CursorID       string          `json:"cursor_id"`
+	Merge          struct {
 		Shards       int   `json:"shards"`
 		ShardsPruned []int `json:"shards_pruned"`
 		Refills      int   `json:"refills"`

@@ -217,8 +217,9 @@ func appendExpr(buf []byte, e expr.Expr) []byte {
 	}
 }
 
-// appendValue appends a literal in Const.String() form: strings quoted
-// with '' doubling, every other kind via Value.String's formatting.
+// appendValue appends a literal in Const.String() form: strings
+// single-quoted with embedded quotes doubled, every other kind via
+// Value.String's formatting.
 func appendValue(buf []byte, v types.Value) []byte {
 	switch v.Kind() {
 	case types.KindString:
