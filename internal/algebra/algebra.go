@@ -5,9 +5,11 @@
 //
 // The model is deliberately independent of the executor: relations are
 // fully materialized and operators are evaluated by their definitions, not
-// incrementally. Property tests use it two ways: to verify the laws
-// themselves (each rewrite preserves membership and order), and as the
-// oracle the physical operators in internal/exec are checked against.
+// incrementally. Tests use it two ways: this package's property tests
+// verify the laws themselves (each rewrite preserves membership and
+// order), and internal/paper's TestQMatchesAlgebraOracle uses it as the
+// oracle for the paper's query Q, against which every Figure 11 plan and
+// the optimizer's plan are checked on the executor.
 package algebra
 
 import (

@@ -20,8 +20,8 @@ var ErrInterrupted = errors.New("exec: interrupted")
 
 // Stats aggregates global execution counters. These are the quantities the
 // paper's analysis is phrased in (tuples scanned, predicate evaluations and
-// their cost, Example 4) and what the figures harness reports alongside
-// wall-clock time.
+// their cost, Example 4) and what internal/paper's figure benchmarks
+// report alongside wall-clock time.
 type Stats struct {
 	// TuplesScanned counts tuples produced by scan operators.
 	TuplesScanned int64

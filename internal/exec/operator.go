@@ -151,30 +151,6 @@ func Walk(op Operator, fn func(op Operator, depth int)) {
 	rec(op, 0)
 }
 
-// OpCount is one operator's per-execution cardinality, used to compare real
-// versus estimated cardinalities (Figure 13).
-type OpCount struct {
-	Name  string
-	Depth int
-	Out   int64
-}
-
-// CollectCounts gathers per-operator output counts from an executed tree,
-// in pre-order.
-func CollectCounts(op Operator) []OpCount {
-	var out []OpCount
-	Walk(op, func(o Operator, d int) {
-		out = append(out, OpCount{Name: o.Name(), Depth: d, Out: o.OutCount()})
-	})
-	return out
-}
-
-// FormatTree renders the operator tree with output counts, for EXPLAIN
-// ANALYZE style output.
-func FormatTree(op Operator) string {
-	return SnapshotTree(op).String()
-}
-
 // TreeSnapshot is a compact record of an executed operator tree: just the
 // labels and counters, without retaining the operators (and their
 // buffers) themselves.

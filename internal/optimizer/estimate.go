@@ -42,7 +42,7 @@ type Estimator struct {
 }
 
 // NewEstimatorForQuery exposes the §5.2 estimator for externally-built
-// plans (the figures harness estimates the hand-built Figure 11 plans to
+// plans (internal/paper estimates the hand-built Figure 11 plans to
 // reproduce Figure 13).
 func NewEstimatorForQuery(q *Query, opts Options) (*Estimator, error) {
 	d, err := decompose(q)

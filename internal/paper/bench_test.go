@@ -1,80 +1,79 @@
+package paper
+
 // Benchmarks regenerating the paper's evaluation (§6) at CI scale: one
 // benchmark per figure, with sub-benchmarks per swept parameter value and
-// per plan. Paper-scale sweeps are produced by cmd/figures.
+// per plan. These are the only definition of each sweep:
 //
-//	go test -bench=Fig12a -benchmem
+//	go test -run '^$' -bench Fig ./internal/paper
 //
 // The benchmarked quantity is end-to-end plan execution (build operators,
 // open, drain k results); reported alongside ns/op are predicate
 // evaluations and tuples scanned per operation, the counters the paper's
 // analysis uses.
-package ranksql_test
 
 import (
 	"fmt"
 	"sync"
 	"testing"
 
-	"ranksql/internal/bench"
 	"ranksql/internal/optimizer"
-	"ranksql/internal/workload"
 )
 
-// benchSize keeps CI runs quick while preserving the figures' shapes.
+// benchSize keeps CI runs quick while preserving the figures' shapes; the
+// paper's default is 100 000.
 const benchSize = 5000
 
 // dbCache shares generated databases across benchmarks.
 var (
 	dbMu    sync.Mutex
-	dbCache = map[string]*workload.DB{}
+	dbCache = map[Config]*DB{}
 )
 
-func getDB(b *testing.B, cfg workload.Config) *workload.DB {
+func getDB(b *testing.B, cfg Config) *DB {
 	b.Helper()
-	key := fmt.Sprintf("%d/%g/%g/%d", cfg.Size, cfg.JoinSelectivity, cfg.PredCost, cfg.Seed)
 	dbMu.Lock()
 	defer dbMu.Unlock()
-	if db, ok := dbCache[key]; ok {
+	if db, ok := dbCache[cfg]; ok {
 		return db
 	}
-	db, err := workload.Build(cfg)
+	db, err := Build(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	dbCache[key] = db
+	dbCache[cfg] = db
 	return db
 }
 
-func baseConfig() workload.Config {
-	cfg := workload.DefaultConfig()
+func baseConfig() Config {
+	cfg := DefaultConfig()
 	cfg.Size = benchSize
 	cfg.JoinSelectivity = 0.002 // 500 distinct join values
 	return cfg
 }
 
 // runPlan measures one (plan, k) cell.
-func runPlan(b *testing.B, db *workload.DB, id bench.PlanID, k int) {
+func runPlan(b *testing.B, db *DB, id PlanID, k int) {
 	b.Helper()
-	runner := &bench.Runner{DB: db}
-	var evals, scanned int64
+	var m *Measurement
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := runner.Run(id, k)
+		plan, err := BuildPlan(db, id)
 		if err != nil {
 			b.Fatal(err)
 		}
-		evals = m.Stats.PredEvals
-		scanned = m.Stats.TuplesScanned
+		if m, err = Run(db, plan, k); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.ReportMetric(float64(evals), "predEvals/op")
-	b.ReportMetric(float64(scanned), "tuples/op")
+	b.ReportMetric(float64(m.Stats.PredEvals), "predEvals/op")
+	b.ReportMetric(float64(m.Stats.TuplesScanned), "tuples/op")
 }
 
 // BenchmarkFig12a: execution vs k (plans 1-4).
 func BenchmarkFig12a(b *testing.B) {
 	db := getDB(b, baseConfig())
 	for _, k := range []int{1, 10, 100, 1000} {
-		for _, id := range bench.AllPlans {
+		for _, id := range AllPlans {
 			b.Run(fmt.Sprintf("k=%d/%s", k, id), func(b *testing.B) {
 				runPlan(b, db, id, k)
 			})
@@ -82,15 +81,14 @@ func BenchmarkFig12a(b *testing.B) {
 	}
 }
 
-// BenchmarkFig12b: execution vs predicate cost c. Cost is modeled (the
-// counters scale with c); wall-clock spin is disabled so the benchmark
-// measures engine work.
+// BenchmarkFig12b: execution vs predicate cost c. Cost is modeled: the
+// counters scale with c, and the benchmark measures engine work.
 func BenchmarkFig12b(b *testing.B) {
 	for _, c := range []float64{0, 1, 10, 100} {
 		cfg := baseConfig()
 		cfg.PredCost = c
 		db := getDB(b, cfg)
-		for _, id := range bench.AllPlans {
+		for _, id := range AllPlans {
 			b.Run(fmt.Sprintf("c=%g/%s", c, id), func(b *testing.B) {
 				runPlan(b, db, id, cfg.K)
 			})
@@ -104,7 +102,7 @@ func BenchmarkFig12c(b *testing.B) {
 		cfg := baseConfig()
 		cfg.JoinSelectivity = j
 		db := getDB(b, cfg)
-		for _, id := range bench.AllPlans {
+		for _, id := range AllPlans {
 			b.Run(fmt.Sprintf("j=%g/%s", j, id), func(b *testing.B) {
 				runPlan(b, db, id, cfg.K)
 			})
@@ -119,8 +117,8 @@ func BenchmarkFig12d(b *testing.B) {
 		cfg := baseConfig()
 		cfg.Size = s
 		db := getDB(b, cfg)
-		for _, id := range bench.AllPlans {
-			if id == bench.Plan1 && s > 5000 {
+		for _, id := range AllPlans {
+			if id == Plan1 && s > 5000 {
 				continue
 			}
 			b.Run(fmt.Sprintf("s=%d/%s", s, id), func(b *testing.B) {
@@ -131,16 +129,21 @@ func BenchmarkFig12d(b *testing.B) {
 }
 
 // BenchmarkFig13 measures the sampling-based cardinality estimation pass
-// itself (the optimization-time overhead of §5.2).
+// over plan3 and plan4 (the optimization-time overhead of §5.2) and
+// reports Figure 13's yardstick: the share of operators whose estimate is
+// within one order of magnitude of the real cardinality.
 func BenchmarkFig13(b *testing.B) {
-	for _, id := range []bench.PlanID{bench.Plan3, bench.Plan4} {
+	db := getDB(b, baseConfig())
+	for _, id := range []PlanID{Plan3, Plan4} {
 		b.Run(id.String(), func(b *testing.B) {
-			opts := bench.SweepOpts{Base: baseConfig()}
+			var ops []OpCard
 			for i := 0; i < b.N; i++ {
-				if _, err := bench.Figure13(opts, id); err != nil {
+				var err error
+				if ops, err = Figure13(db, id); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(AccurateFraction(ops), "same_magnitude_share")
 		})
 	}
 }

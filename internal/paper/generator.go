@@ -1,9 +1,4 @@
-// Package workload generates the synthetic database of the paper's
-// evaluation (§6): three tables A, B, C of equal size with Boolean
-// attributes of selectivity 0.4 on A and B, two join columns jc1/jc2 with
-// controlled join selectivity, and ranking-predicate score columns drawn
-// from uniform, normal(0.5, 0.16) and cosine distributions.
-package workload
+package paper
 
 import (
 	"fmt"
@@ -17,8 +12,11 @@ import (
 	"ranksql/internal/types"
 )
 
-// Config parameterizes the §6 workload. Fields mirror the paper's
-// experimental axes.
+// Config parameterizes the §6 database: three tables A, B, C of equal size
+// with Boolean attributes of selectivity 0.4 on A and B, two join columns
+// jc1/jc2 with controlled join selectivity, and ranking-predicate score
+// columns drawn from uniform, normal(0.5, 0.16) and cosine distributions.
+// Fields mirror the paper's experimental axes.
 type Config struct {
 	// Size s: rows per table (paper: 10,000 – 1,000,000; default 100,000).
 	Size int
@@ -125,7 +123,7 @@ func (d Distribution) sample(r *rng) float64 {
 	}
 }
 
-// DB bundles the generated catalog with everything the harness needs: the
+// DB bundles the generated catalog with everything the plans need: the
 // query in canonical form and the five ranking predicates f1..f5.
 type DB struct {
 	Config  Config
@@ -137,8 +135,8 @@ type DB struct {
 }
 
 // identityScore reads the precomputed score column; the predicate's
-// expense is modeled by Predicate.Cost (and the executor's spin mode), as
-// the paper's user-defined functions were.
+// expense is modeled by Predicate.Cost, which the execution counters
+// accumulate, as the paper's user-defined functions were.
 func identityScore(args []types.Value) float64 {
 	f, _ := args[0].AsFloat()
 	return f
@@ -149,10 +147,10 @@ func identityScore(args []types.Value) float64 {
 // the join columns (for plan1's sort-merge strategy).
 func Build(cfg Config) (*DB, error) {
 	if cfg.Size <= 0 {
-		return nil, fmt.Errorf("workload: size must be positive")
+		return nil, fmt.Errorf("paper: size must be positive")
 	}
 	if cfg.JoinSelectivity <= 0 || cfg.JoinSelectivity > 1 {
-		return nil, fmt.Errorf("workload: join selectivity must be in (0, 1]")
+		return nil, fmt.Errorf("paper: join selectivity must be in (0, 1]")
 	}
 	if cfg.BoolSelectivity == 0 {
 		cfg.BoolSelectivity = 0.4

@@ -1,15 +1,29 @@
-// Package bench is the harness that regenerates the paper's evaluation
-// (§6): the four hand-built execution plans of Figure 11, the parameter
-// sweeps behind Figures 12(a)–(d), and the cardinality-estimation
-// comparison of Figure 13.
-package bench
+// Package paper is the one home of the paper's evaluation (§6): the
+// synthetic database and benchmark query Q (Build, DB.Query), the four
+// hand-built execution plans of Figure 11 plus the optimizer's own choice
+// (BuildPlan), one executor that runs a plan under λ_k and reports its
+// execution counters (Run), and the cardinality-estimation comparison of
+// Figure 13 (Figure13). TestQMatchesAlgebraOracle checks every plan's
+// ranked output against internal/algebra's evaluation of Q.
+//
+// The Figure 12(a)–(d) sweeps and Figure 13 are this package's
+// benchmarks; regenerate them with
+//
+//	go test -run '^$' -bench Fig ./internal/paper
+//
+// They run at CI scale (benchSize rows per table); paper scale
+// (s = 100 000) means raising that constant.
+//
+// benchmark/embed.go still carries a second generator of the §6 database
+// (genJoinData, with its own code and RNG) until embed_join switches to
+// Build (ROADMAP.md item 4(a)).
+package paper
 
 import (
 	"fmt"
 
 	"ranksql/internal/expr"
 	"ranksql/internal/optimizer"
-	"ranksql/internal/workload"
 )
 
 // PlanID identifies a benchmark plan.
@@ -54,8 +68,8 @@ func filter(cond expr.Expr, child *optimizer.PlanNode) *optimizer.PlanNode {
 func col(t, c string) *expr.Col { return expr.NewCol(t, c) }
 
 // BuildPlan constructs one of the Figure 11 plans (without the top LIMIT;
-// the harness adds λ_k so one structure serves every k).
-func BuildPlan(db *workload.DB, id PlanID) (*optimizer.PlanNode, error) {
+// Run adds λ_k so one structure serves every k).
+func BuildPlan(db *DB, id PlanID) (*optimizer.PlanNode, error) {
 	aB := col("A", "b")
 	bB := col("B", "b")
 
@@ -143,7 +157,7 @@ func BuildPlan(db *workload.DB, id PlanID) (*optimizer.PlanNode, error) {
 		return BuildOptimizedPlan(db, optimizer.DefaultOptions())
 
 	default:
-		return nil, fmt.Errorf("bench: unknown plan %d", id)
+		return nil, fmt.Errorf("paper: unknown plan %d", id)
 	}
 }
 
@@ -152,12 +166,12 @@ func BuildPlan(db *workload.DB, id PlanID) (*optimizer.PlanNode, error) {
 // samples, multi-way join samples can yield no rows, x' degrades to −∞
 // and the estimator biases against rank plans — the sampling-over-joins
 // weakness §5.2 acknowledges).
-func BuildOptimizedPlan(db *workload.DB, opts optimizer.Options) (*optimizer.PlanNode, error) {
+func BuildOptimizedPlan(db *DB, opts optimizer.Options) (*optimizer.PlanNode, error) {
 	res, err := optimizer.Optimize(db.Query(), opts)
 	if err != nil {
 		return nil, err
 	}
-	// Strip the optimizer's own LIMIT; the harness adds λ_k.
+	// Strip the optimizer's own LIMIT; Run adds λ_k.
 	p := res.Plan
 	if p.Kind == optimizer.KindLimit {
 		p = p.Children[0]
@@ -168,7 +182,7 @@ func BuildOptimizedPlan(db *workload.DB, opts optimizer.Options) (*optimizer.Pla
 // annotateEval fills the Eval bitsets bottom-up so the executor's
 // SortScore and the estimator see consistent evaluated sets. (Hand-built
 // plans skip the enumerator, which normally maintains these.)
-func annotateEval(db *workload.DB, p *optimizer.PlanNode) {
+func annotateEval(db *DB, p *optimizer.PlanNode) {
 	for _, c := range p.Children {
 		annotateEval(db, c)
 	}
