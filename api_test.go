@@ -192,15 +192,3 @@ func TestPublicAPIExecTree(t *testing.T) {
 		}
 	}
 }
-
-func TestPublicAPISpin(t *testing.T) {
-	db := demoAPI(t)
-	db.SetSpin(10) // must not change results
-	rows, err := db.Query(`SELECT name FROM city ORDER BY affordable(rent) LIMIT 1`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows.At(0)[0].Text() != "Ogdenville" {
-		t.Error("spin changed answers")
-	}
-}

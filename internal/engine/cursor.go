@@ -84,7 +84,7 @@ func (db *DB) cursor(st sql.Stmt, norm string, params []types.Value, pr *Prepare
 	if err != nil {
 		return nil, err
 	}
-	if err := s.open(db, params, db.shouldProfile(s.cp), true); err != nil {
+	if err := s.open(params, db.shouldProfile(s.cp), true); err != nil {
 		s.release()
 		return nil, err
 	}

@@ -27,7 +27,7 @@ type Scorer struct {
 	// in [0, MaxVal].
 	Fn rank.ScoreFn
 	// Cost is the per-evaluation cost in abstract units; it drives the
-	// optimizer's scheduling and, in spin mode, real CPU burn.
+	// optimizer's scheduling and the executor's cost accounting.
 	Cost float64
 	// MaxVal is the maximal possible score (1 when zero).
 	MaxVal float64
@@ -45,9 +45,6 @@ type DB struct {
 	// Options configure the optimizer; adjust before querying (use
 	// SetOptions when queries may be in flight).
 	Options optimizer.Options
-	// SpinPerCostUnit burns CPU per predicate cost unit during execution
-	// (0 = accounting only).
-	SpinPerCostUnit int
 	// Plans caches compiled SELECT plans keyed on (normalized template,
 	// k, schema version); repeated query templates skip parse+optimize.
 	Plans *PlanCache
@@ -126,14 +123,6 @@ func (db *DB) SchemaVersion() uint64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.version
-}
-
-// SetSpin sets the per-cost-unit CPU burn under the write lock, so it can
-// be flipped while queries are in flight without a data race.
-func (db *DB) SetSpin(iterationsPerCostUnit int) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.SpinPerCostUnit = iterationsPerCostUnit
 }
 
 // RegisterScorer registers a ranking function under a name usable in

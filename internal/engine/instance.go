@@ -118,12 +118,11 @@ func (s *stream) bind(params []types.Value) error {
 // it ever produced, and gives the arena up, so an idle one does not pin
 // the slabs of the largest one-shot run its tree ever served. Callers hold
 // db.mu (read side), here and for pull.
-func (s *stream) open(db *DB, params []types.Value, profile, suspended bool) error {
+func (s *stream) open(params []types.Value, profile, suspended bool) error {
 	s.failed = true // until the tree is open
 	if err := s.bind(params); err != nil {
 		return err
 	}
-	s.ctx.SpinPerCostUnit = db.SpinPerCostUnit
 	s.ctx.Profile = profile
 	if suspended {
 		s.ctx.Arena = nil

@@ -149,7 +149,7 @@ func (db *DB) query(st sql.Stmt, norm string, params []types.Value, cancel <-cha
 		s.release()
 		return rows, nil
 	}
-	err = s.open(db, params, analyze || db.shouldProfile(s.cp), false)
+	err = s.open(params, analyze || db.shouldProfile(s.cp), false)
 	var tuples []*schema.Tuple
 	if err == nil {
 		tuples, err = s.pull(0, cancel)

@@ -8,7 +8,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"ranksql/internal/rank"
 	"ranksql/internal/schema"
@@ -56,18 +55,13 @@ func (s *Stats) buffer(n int64) {
 }
 
 // Context carries per-execution state: the query's ranking specification,
-// counters, the wall-clock cost simulation setting, and cancellation.
+// counters, cancellation, profiling and the tuple arena.
 type Context struct {
 	// Spec is the query's ranking dimension (scoring function +
 	// predicates). Never nil; Boolean-only queries use rank.EmptySpec.
 	Spec *rank.Spec
 	// Stats accumulates execution counters.
 	Stats Stats
-	// SpinPerCostUnit makes ranking predicates burn this many iterations
-	// of arithmetic per cost unit, so wall-clock measurements reflect
-	// predicate cost the way the paper's user-defined functions did.
-	// Zero disables spinning (pure cost-model accounting).
-	SpinPerCostUnit int
 	// Cancel, when non-nil and closed, interrupts execution at the next
 	// cancellation point.
 	Cancel <-chan struct{}
@@ -108,7 +102,6 @@ func (c *Context) derivedTuple() *schema.Tuple {
 // arena) so a pooled Context can serve the next request.
 func (c *Context) Reset() {
 	c.Stats = Stats{}
-	c.SpinPerCostUnit = 0
 	c.Cancel = nil
 	c.Profile = false
 	c.checkCtr = 0
@@ -140,21 +133,6 @@ func (c *Context) interrupted() error {
 	default:
 		return nil
 	}
-}
-
-// spinSink defeats dead-code elimination of the spin loop. Atomic:
-// concurrent executions all spin through it.
-var spinSink atomic.Uint64
-
-// spin burns n iterations of cheap integer work.
-func spin(n int) {
-	x := spinSink.Load() | 1
-	for i := 0; i < n; i++ {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-	}
-	spinSink.Store(x)
 }
 
 // boundPred is a ranking predicate resolved against an operator's input
@@ -199,9 +177,6 @@ func bindPred(p *rank.Predicate, sch *schema.Schema, byNameOnly bool) (*boundPre
 func (c *Context) evalPred(bp *boundPred, t *schema.Tuple) {
 	c.Stats.PredEvals++
 	c.Stats.PredCost += bp.pred.Cost
-	if c.SpinPerCostUnit > 0 && bp.pred.Cost > 0 {
-		spin(int(bp.pred.Cost * float64(c.SpinPerCostUnit)))
-	}
 	for i, idx := range bp.argIdx {
 		bp.args[i] = t.Values[idx]
 	}

@@ -177,22 +177,7 @@ type TreeNode struct {
 // not referenced afterwards, so their buffers can be collected while the
 // snapshot lives on in a result.
 func SnapshotTree(op Operator) TreeSnapshot {
-	var ts TreeSnapshot
-	Walk(op, func(o Operator, d int) {
-		n := TreeNode{Depth: d, Label: o.Name(), Out: o.OutCount()}
-		if kids := o.Children(); len(kids) > 0 {
-			for _, c := range kids {
-				n.DepthK += c.OutCount()
-			}
-		} else if p, ok := o.(profiled); ok {
-			_, _, n.DepthK = p.profCounters()
-		}
-		if p, ok := o.(profiled); ok {
-			n.TimeNS, n.Calls, _ = p.profCounters()
-		}
-		ts = append(ts, n)
-	})
-	return ts
+	return NewTreeLabels(op).Snapshot()
 }
 
 // TreeLabels is the precomputed (depth, label) skeleton of an operator

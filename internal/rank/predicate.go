@@ -47,8 +47,8 @@ type Predicate struct {
 	// Fn computes the score.
 	Fn ScoreFn
 	// Cost is the predicate's per-evaluation cost in abstract units
-	// (the paper's C_i). It drives both the cost model and, in wall-clock
-	// mode, a proportional amount of spin work.
+	// (the paper's C_i). It drives the cost model and the executor's
+	// PredCost accounting.
 	Cost float64
 	// MaxVal is the predicate's maximal possible value (1 by default).
 	MaxVal float64

@@ -176,7 +176,7 @@ func decodeShardResponse(resp *http.Response, out interface{}) error {
 		}
 		// Shards report errors as JSON {"error": ...} with a non-2xx
 		// status; surface the shard's own message when one is there (the
-		// statement-lost and cursor-gone fallbacks key on its text).
+		// cursor-gone and cursor-dead checks key on its text).
 		var er wire.ErrorResponse
 		if json.Unmarshal(snippet, &er) == nil && er.Error != "" {
 			return &shardCallError{class: class, status: resp.StatusCode, msg: er.Error}
@@ -197,25 +197,9 @@ func truncate(b []byte, n int) string {
 	return string(bytes.TrimSpace(b))
 }
 
-// prepare registers a statement in the replica's default session and
-// returns its id.
-func (rep *replica) prepare(ctx context.Context, sqlText string) (string, error) {
-	var out struct {
-		StmtID string `json:"stmt_id"`
-		Error  string `json:"error"`
-	}
-	if err := rep.postJSON(ctx, "/prepare", "", map[string]interface{}{"sql": sqlText}, &out); err != nil {
-		return "", err
-	}
-	if out.Error != "" {
-		return "", fmt.Errorf("%s", out.Error)
-	}
-	return out.StmtID, nil
-}
-
-// page posts a query-shaped request — /query (prepared or ad-hoc, one-shot
-// or cursor open) or /cursor/next — and decodes the page the replica
-// answers with, into the same struct its server encoded.
+// page posts a query-shaped request — /query (one-shot or cursor open)
+// or /cursor/next — and decodes the page the replica answers with, into
+// the same struct its server encoded.
 func (rep *replica) page(ctx context.Context, path, trace string, req *wire.Request) (*wire.QueryResponse, error) {
 	var out wire.QueryResponse
 	if err := rep.postJSON(ctx, path, trace, req, &out); err != nil {
@@ -319,10 +303,9 @@ func (rep *replica) healthy() bool {
 // router fans every write out to all of them; see execAll/loadAll).
 // Reads go to one replica — preferring the last one that answered —
 // with classified-error failover across the rest, and optionally a
-// hedged second request when the preferred replica is slow. All calls
-// go through each replica's default session, which can neither be
-// closed nor expired, so router-prepared statements survive client
-// churn on the shard.
+// hedged second request when the preferred replica is slow. Reads carry
+// their SQL text, so a replica needs no router state to answer one and a
+// failover re-sends the same request to the next replica.
 type shardClient struct {
 	id       int
 	replicas []*replica

@@ -193,6 +193,10 @@ func (s *cursorStream) Fetch(n int) ([][]interface{}, []float64, bool, error) {
 	}
 	deadlineMS, alive := s.remainingDeadlineMS()
 	if !alive {
+		// The deadline has passed, but the context's timer may not have
+		// fired yet: wait for it, so the pull fails with the context's
+		// error rather than returning an empty prefix and no error.
+		<-s.ctx.Done()
 		return nil, nil, false, s.ctx.Err()
 	}
 	if s.plain {

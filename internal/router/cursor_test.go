@@ -1,7 +1,9 @@
 package router
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -436,4 +438,36 @@ func TestRouterConcurrentCursorPagination(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// lateCtx is a context whose deadline has passed but whose Done channel
+// closes only when done does, as a timer-backed context's may lag its
+// deadline by a moment.
+type lateCtx struct {
+	context.Context
+	done chan struct{}
+}
+
+func (c lateCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+func (c lateCtx) Done() <-chan struct{}       { return c.done }
+func (c lateCtx) Err() error {
+	select {
+	case <-c.done:
+		return context.DeadlineExceeded
+	default:
+		return nil
+	}
+}
+
+// TestFetchPastDeadlineFails: a stream pull whose deadline has passed
+// fails with the context's error even before the context reports it,
+// instead of returning an empty prefix and no error (which the merge
+// would report as a shrunken stream, a 502, rather than a 504).
+func TestFetchPastDeadlineFails(t *testing.T) {
+	done := make(chan struct{})
+	time.AfterFunc(5*time.Millisecond, func() { close(done) })
+	s := &cursorStream{ctx: lateCtx{Context: context.Background(), done: done}}
+	if _, _, _, err := s.Fetch(4); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Fetch past the deadline: err %v, want context.DeadlineExceeded", err)
+	}
 }

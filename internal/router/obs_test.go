@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ranksql"
 	"ranksql/internal/obs"
@@ -167,12 +170,25 @@ func TestRouterMetricsEndpoint(t *testing.T) {
 // deadline_ms budget fails with 504 and counts as a router timeout.
 func TestRouterDeadlineMS(t *testing.T) {
 	c, _, _ := obsCluster(t, 2, 2000)
+	// lag(price) is bargain's score, computed after a 100µs busy wait
+	// while slow is set: the test picks which requests miss their budget.
+	var slow atomic.Bool
 	for _, db := range c.dbs {
-		db.SetSpin(200000)
+		if err := db.RegisterScorer("lag", func(args []ranksql.Value) float64 {
+			for start := time.Now(); slow.Load() && time.Since(start) < 100*time.Microsecond; {
+			}
+			return math.Max(0, 1-args[0].Float()/500)
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
+	const lagQuerySQL = `SELECT name, price, stars, sales FROM product
+		WHERE in_stock AND price < ?
+		ORDER BY 0.5*rating(stars) + 0.3*popular(sales) + 0.2*lag(price) LIMIT ?`
+	slow.Store(true)
 	var qr testQueryResponse
 	code := postJSON(t, c.front.URL+"/query", map[string]interface{}{
-		"sql": obsQuerySQL, "params": []interface{}{300.0, 50}, "deadline_ms": 1,
+		"sql": lagQuerySQL, "params": []interface{}{300.0, 50}, "deadline_ms": 1,
 	}, &qr)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504 (err=%q)", code, qr.Error)
@@ -180,12 +196,10 @@ func TestRouterDeadlineMS(t *testing.T) {
 	if !strings.Contains(qr.Error, "deadline_ms") {
 		t.Errorf("error %q should name the deadline", qr.Error)
 	}
-	for _, db := range c.dbs {
-		db.SetSpin(0)
-	}
+	slow.Store(false)
 	// A generous budget leaves fast queries untouched.
 	code = postJSON(t, c.front.URL+"/query", map[string]interface{}{
-		"sql": obsQuerySQL, "params": []interface{}{300.0, 5}, "deadline_ms": 60000,
+		"sql": lagQuerySQL, "params": []interface{}{300.0, 5}, "deadline_ms": 60000,
 	}, &qr)
 	if code != http.StatusOK {
 		t.Fatalf("status with slack deadline = %d: %s", code, qr.Error)
@@ -193,21 +207,19 @@ func TestRouterDeadlineMS(t *testing.T) {
 
 	// A cursor page obeys the same budget, and the cursor survives it: the
 	// same cursor_id serves the page, from the right rank, once given time.
-	// (Scorer spin is captured when a stream opens, so the cursor opens slow.)
-	for _, db := range c.dbs {
-		db.SetSpin(200000)
-	}
-	var page, slow, next testQueryResponse
+	var page, slowPage, next testQueryResponse
 	postJSON(t, c.front.URL+"/query", map[string]interface{}{
-		"sql": obsQuerySQL, "params": []interface{}{300.0, 5}, "cursor": true, "fetch": 5}, &page)
+		"sql": lagQuerySQL, "params": []interface{}{300.0, 5}, "cursor": true, "fetch": 5}, &page)
 	if page.Error != "" || page.CursorID == "" {
 		t.Fatalf("cursor open: error %q, cursor_id %q", page.Error, page.CursorID)
 	}
+	slow.Store(true)
 	code = postJSON(t, c.front.URL+"/cursor/next", map[string]interface{}{
-		"cursor_id": page.CursorID, "fetch": 50, "deadline_ms": 1}, &slow)
-	if code != http.StatusGatewayTimeout || !strings.Contains(slow.Error, "deadline_ms") {
-		t.Fatalf("slow cursor page: status %d, error %q; want 504 naming the deadline", code, slow.Error)
+		"cursor_id": page.CursorID, "fetch": 50, "deadline_ms": 1}, &slowPage)
+	if code != http.StatusGatewayTimeout || !strings.Contains(slowPage.Error, "deadline_ms") {
+		t.Fatalf("slow cursor page: status %d, error %q; want 504 naming the deadline", code, slowPage.Error)
 	}
+	slow.Store(false)
 	code = postJSON(t, c.front.URL+"/cursor/next", map[string]interface{}{
 		"cursor_id": page.CursorID, "fetch": 50, "deadline_ms": 60000}, &next)
 	if code != http.StatusOK || len(next.Ranks) != 50 || next.Ranks[0] != 6 {

@@ -6,8 +6,8 @@
 // (default: the first column; override with "partition_key" on CREATE
 // TABLE). DDL fans out to every shard; INSERT statements and CSV /load
 // bodies are split row-by-row on the partition key's hash. Top-k SELECTs
-// are answered by issuing the same prepared template to every shard with
-// a per-shard k and merging the returned ranked streams with a
+// are answered by sending the same parameterized fetch text to every shard
+// with a per-shard k and merging the returned ranked streams with a
 // threshold-algorithm-style max-heap merge (see merge.go): because every
 // shard's stream arrives in non-increasing score order with an
 // "exhausted at depth d" marker, the coordinator can stop — and skip
@@ -67,11 +67,10 @@ type Router struct {
 	resultCacheCap int
 	results        *lru.Cache[resultKey, *resultEntry]
 
-	mu        sync.Mutex
-	tables    map[string]*tableInfo
-	templates map[string]*template // by normalized statement text
-	stmts     map[string]*template // client-visible prepared statements
-	nextStmt  uint64
+	mu       sync.Mutex
+	tables   map[string]*tableInfo
+	stmts    map[string]*template // client-visible prepared statements
+	nextStmt uint64
 	// schemaVersion counts DDL statements the router has fanned out;
 	// result-cache keys embed it so any schema change orphans every
 	// cached answer (mirrors the engine plan cache's version key).
@@ -163,7 +162,6 @@ func New(shardURLs []string, opts ...Option) (*Router, error) {
 	r := &Router{
 		metrics:        newMetrics(),
 		tables:         map[string]*tableInfo{},
-		templates:      map[string]*template{},
 		stmts:          map[string]*template{},
 		resultCacheCap: defaultResultCacheCap,
 	}
@@ -239,9 +237,15 @@ func (r *Router) ServeListener(ctx context.Context, ln net.Listener) error {
 	return wire.ServeListener(ctx, ln, r.Handler(), r.metrics.Tracer, "ranksqld-router", "shards", len(r.shards))
 }
 
+// maxRouterStmts bounds the router's prepared-statement namespace the way
+// ranksqld bounds a session (same cap, same 429), so clients that never
+// /stmt/close cannot grow router memory without limit.
+const maxRouterStmts = 1024
+
 // The router is sessionless: prepared statements live in one shared
-// namespace (shards hold the real per-template state). /session is
-// accepted for client compatibility and returns a fixed id.
+// namespace, and each shard's plan cache holds the compiled plans of the
+// fetch texts they send. /session is accepted for client compatibility
+// and returns a fixed id.
 func (r *Router) handleSessionOpen(w http.ResponseWriter, _ *http.Request, _ *wire.Request) {
 	wire.WriteJSON(w, http.StatusOK, map[string]string{"session_id": "router"})
 }
@@ -262,56 +266,27 @@ type template struct {
 }
 
 // selectTemplate is the fan-out form of a top-k SELECT. The shard-side
-// statement always exposes the LIMIT as a trailing parameter so the
-// merge can refetch deeper prefixes (prefix doubling) without minting
-// new templates — every refill round hits the same normalized template
-// in each shard's plan cache.
+// fetch text always exposes the LIMIT as a parameter, so every fetch
+// depth — the first round and each refill — binds the same text, which
+// each shard's plan cache finds by its normalized template (k is part of
+// that cache's key, so each depth keeps its own rank-aware plan). A
+// fetch text with no parameter at all — a SELECT without `?` and without
+// LIMIT — is compiled afresh on every shard call.
 type selectTemplate struct {
 	fetchSQL   string
 	limitSlot  int // 1-based limit position in the shard param list; 0 = none
 	clientKPos int // 1-based LIMIT ? position in the client param list; 0 = literal/none
 	litK       int // literal client LIMIT (0 = none)
 	ranked     bool
-	// share marks templates worth preparing on the shards: cached
-	// parameterized templates and explicitly /prepare'd statements. A
-	// one-shot literal template goes ad-hoc — preparing it would leak a
-	// statement per request into each shard's default session.
-	share bool
 	// tables are the referenced table names (lower-cased): the result
 	// cache snapshots their router-tracked row counts for staleness.
 	tables []string
-
-	mu         sync.Mutex
-	shardStmts map[*replica]string // per-replica prepared statement ids
-}
-
-func (st *selectTemplate) shardStmt(rep *replica) string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.shardStmts[rep]
-}
-
-func (st *selectTemplate) shareable() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.share
-}
-
-func (st *selectTemplate) setShardStmt(rep *replica, id string) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if id == "" {
-		delete(st.shardStmts, rep)
-		return
-	}
-	st.shardStmts[rep] = id
 }
 
 // parseTemplate parses and canonicalizes a statement; SELECTs get their
-// shard fetch form built. Templates are cached by normalized text —
-// sql.Normalize is the single notion of template identity, shared with
-// the shards' plan caches.
-func (r *Router) parseTemplate(src string) (*template, error) {
+// shard fetch form built. sql.Normalize is the single notion of template
+// identity, shared with the shards' plan caches.
+func parseTemplate(src string) (*template, error) {
 	st, err := sql.Parse(src)
 	if err != nil {
 		return nil, err
@@ -320,20 +295,9 @@ func (r *Router) parseTemplate(src string) (*template, error) {
 		return nil, fmt.Errorf("router: set-operation statements are not supported through the router (run them per shard)")
 	}
 	norm := sql.Normalize(st)
-	r.mu.Lock()
-	if t, ok := r.templates[norm]; ok {
-		r.mu.Unlock()
-		return t, nil
-	}
-	r.mu.Unlock()
-
 	t := &template{src: src, norm: norm, numParams: sql.CountParams(st), stmt: st}
 	if sel, ok := st.(*sql.SelectStmt); ok {
-		s := &selectTemplate{
-			ranked:     len(sel.Order) > 0,
-			share:      t.numParams > 0,
-			shardStmts: map[*replica]string{},
-		}
+		s := &selectTemplate{ranked: len(sel.Order) > 0}
 		for _, tr := range sel.Tables {
 			s.tables = append(s.tables, strings.ToLower(tr.Name))
 		}
@@ -354,25 +318,6 @@ func (r *Router) parseTemplate(src string) (*template, error) {
 		}
 		t.sel = s
 	}
-	// Only parameterized templates enter the shared cache — mirroring the
-	// engine's plan-cache admission policy: a literal-only statement's
-	// normalized text embeds its literals, so ad-hoc one-off SQL would
-	// mint unbounded distinct entries. The cache is additionally capped;
-	// overflow drops it wholesale (templates reachable through r.stmts
-	// keep their shard statements — only re-prepare cost is lost).
-	if t.numParams == 0 {
-		return t, nil
-	}
-	r.mu.Lock()
-	if prior, ok := r.templates[norm]; ok {
-		t = prior // lost a race; keep the first (its shard stmts may exist)
-	} else {
-		if len(r.templates) >= obs.MaxTemplates {
-			r.templates = map[string]*template{}
-		}
-		r.templates[norm] = t
-	}
-	r.mu.Unlock()
 	return t, nil
 }
 
@@ -381,19 +326,18 @@ func (r *Router) handlePrepare(w http.ResponseWriter, _ *http.Request, req *wire
 		wire.WriteError(w, http.StatusBadRequest, "sql is required")
 		return
 	}
-	t, err := r.parseTemplate(req.SQL)
+	t, err := parseTemplate(req.SQL)
 	if err != nil {
 		r.metrics.Fail(w, http.StatusBadRequest, "", err.Error())
 		return
 	}
-	if t.sel != nil {
-		// An explicit /prepare opts the template in to shard-side
-		// preparation even when literal-only: the client plans to reuse it.
-		t.sel.mu.Lock()
-		t.sel.share = true
-		t.sel.mu.Unlock()
-	}
 	r.mu.Lock()
+	if len(r.stmts) >= maxRouterStmts {
+		r.mu.Unlock()
+		wire.WriteError(w, http.StatusTooManyRequests, fmt.Sprintf(
+			"session %q already holds %d prepared statements; close some via /stmt/close", "router", maxRouterStmts))
+		return
+	}
 	r.nextStmt++
 	id := fmt.Sprintf("stmt-%d", r.nextStmt)
 	r.stmts[id] = t
@@ -430,7 +374,7 @@ func (r *Router) resolveTemplate(req *wire.Request) (*template, int, error) {
 		}
 		return t, 0, nil
 	case strings.TrimSpace(req.SQL) != "":
-		t, err := r.parseTemplate(req.SQL)
+		t, err := parseTemplate(req.SQL)
 		if err != nil {
 			return nil, http.StatusBadRequest, err
 		}
@@ -441,8 +385,8 @@ func (r *Router) resolveTemplate(req *wire.Request) (*template, int, error) {
 }
 
 // perShardK picks the initial per-shard fetch depth for a client top-k:
-// an even split plus one row of slack. Skewed clusters refill (prefix
-// doubling); balanced ones answer in one round with ~k/N overfetch per
+// an even split plus one row of slack. Skewed clusters refill (see
+// merge.go); balanced ones answer in one round with ~k/N overfetch per
 // shard instead of k.
 func perShardK(k, nShards int) int {
 	if k <= 0 {
@@ -535,33 +479,18 @@ func (r *Router) handleQuery(w http.ResponseWriter, hr *http.Request, req *wire.
 	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
-// stmtLost reports whether a shard error means the shard no longer
-// knows the prepared statement (restart, statement GC) — the only
-// condition under which re-running ad-hoc can succeed where the
-// prepared execution failed.
-func stmtLost(err error) bool {
-	msg := err.Error()
-	return strings.Contains(msg, "no statement") ||
-		strings.Contains(msg, "no session") ||
-		strings.Contains(msg, "expired")
-}
-
-// queryReplica runs a select template's fetch statement on one replica
-// at depth limit — as a one-shot, or (cursor) opening a shard-side ranked
-// cursor whose first page is limit rows. The statement is prepared there
-// on first use (shareable templates only; one-shot literal SQL goes
-// ad-hoc); per-replica statement ids live in the template, so whichever
-// replica answers uses (or mints) its own. A prepared execution that
-// fails because the replica lost its statement state (restart) falls
-// back to ad-hoc SQL; any other error — deterministic engine failures
-// included — is returned as-is rather than paying a doomed second
-// execution.
+// queryReplica runs a select template's fetch text on one replica at
+// depth limit — as a one-shot, or (cursor) opening a shard-side ranked
+// cursor whose first page is limit rows. It is one /query request
+// carrying the SQL text and its parameters: the shard keeps no state for
+// the router between calls, and its plan cache, keyed on the normalized
+// text and k, skips re-planning a repeated fetch.
 func (r *Router) queryReplica(ctx context.Context, rep *replica, t *template, params []interface{}, trace string, deadlineMS, limit int, cursor bool) (*wire.QueryResponse, error) {
-	req := wire.Request{Params: params, DeadlineMS: deadlineMS, Cursor: cursor}
+	req := wire.Request{SQL: t.sel.fetchSQL, Params: params, DeadlineMS: deadlineMS, Cursor: cursor}
 	if cursor {
 		req.Fetch = limit
 	}
-	// The shard statement exposes its LIMIT as a parameter: overwrite the
+	// The fetch text exposes its LIMIT as a parameter: overwrite the
 	// client's, or append the one the fetch form added.
 	if slot := t.sel.limitSlot; slot > 0 {
 		req.Params = append(make([]interface{}, 0, len(params)+1), params...)
@@ -571,26 +500,6 @@ func (r *Router) queryReplica(ctx context.Context, rep *replica, t *template, pa
 			req.Params = append(req.Params, limit)
 		}
 	}
-	id := t.sel.shardStmt(rep)
-	if id == "" && t.sel.shareable() {
-		if newID, err := rep.prepare(ctx, t.sel.fetchSQL); err == nil {
-			t.sel.setShardStmt(rep, newID)
-			id = newID
-		}
-	}
-	if id != "" {
-		req.StmtID = id
-		resp, err := rep.page(ctx, "/query", trace, &req)
-		if err == nil {
-			return resp, nil
-		}
-		if !stmtLost(err) {
-			return nil, err
-		}
-		t.sel.setShardStmt(rep, "")
-		req.StmtID = ""
-	}
-	req.SQL = t.sel.fetchSQL
 	return rep.page(ctx, "/query", trace, &req)
 }
 

@@ -378,6 +378,84 @@ func TestRouterConcurrentQueriesAndInserts(t *testing.T) {
 	}
 }
 
+// TestShardReadIsOneQuery pins that the router keeps no statements on its
+// shards: a read of a new parameterized template is one /query request
+// carrying the fetch text, and no number of distinct templates fills a
+// shard session's statement cap.
+func TestShardReadIsOneQuery(t *testing.T) {
+	c := newCluster(t, 1, server.RegisterWebshopScorers)
+	if err := SeedVia(nil, c.front.URL, "webshop", 200); err != nil {
+		t.Fatal(err)
+	}
+	rep := c.router.shards[0].replicas[0]
+	query := func(sqlText string) {
+		t.Helper()
+		var got testQueryResponse
+		if code := postJSON(t, c.front.URL+"/query", map[string]interface{}{
+			"sql": sqlText, "params": []interface{}{300.0, 5},
+		}, &got); code != http.StatusOK {
+			t.Fatalf("query status %d: %s", code, got.Error)
+		}
+	}
+
+	before := rep.requests.Load()
+	query(`SELECT name FROM product WHERE price < ? ORDER BY rating(stars) LIMIT ?`)
+	if n := rep.requests.Load() - before; n != 1 {
+		t.Errorf("one-shot of a new template sent %d shard requests, want 1", n)
+	}
+
+	for i := 0; i < 1100; i++ {
+		query(fmt.Sprintf(`SELECT name FROM product WHERE price < ? AND sales > %d ORDER BY rating(stars) LIMIT ?`, i))
+	}
+	var prep struct {
+		StmtID string `json:"stmt_id"`
+		Error  string `json:"error"`
+	}
+	if code := postJSON(t, rep.base+"/prepare", map[string]interface{}{
+		"sql": `SELECT name FROM product WHERE price < ? ORDER BY rating(stars) LIMIT ?`,
+	}, &prep); code != http.StatusOK || prep.StmtID == "" {
+		t.Fatalf("sessionless /prepare on the shard after 1100 router templates: status %d, error %q", code, prep.Error)
+	}
+}
+
+// TestRouterStmtCap: the router's statement namespace is capped like a
+// ranksqld session — 1024 handles, then 429 until /stmt/close frees one.
+func TestRouterStmtCap(t *testing.T) {
+	c := newCluster(t, 1, nil)
+	type prepResp struct {
+		StmtID string `json:"stmt_id"`
+		Error  string `json:"error"`
+	}
+	prepare := func() (int, prepResp) {
+		var out prepResp
+		return postJSON(t, c.front.URL+"/prepare", map[string]interface{}{
+			"sql": `SELECT name FROM product WHERE price < ? LIMIT ?`}, &out), out
+	}
+	var first string
+	for i := 0; i < maxRouterStmts; i++ {
+		code, out := prepare()
+		if code != http.StatusOK {
+			t.Fatalf("prepare %d: status %d, error %q", i+1, code, out.Error)
+		}
+		if i == 0 {
+			first = out.StmtID
+		}
+	}
+	code, out := prepare()
+	if code != http.StatusTooManyRequests || !strings.Contains(out.Error, "already holds 1024 prepared statements") {
+		t.Fatalf("prepare past the cap: status %d, error %q; want 429", code, out.Error)
+	}
+	var closed struct {
+		Closed bool `json:"closed"`
+	}
+	if code := postJSON(t, c.front.URL+"/stmt/close", map[string]interface{}{"stmt_id": first}, &closed); code != http.StatusOK || !closed.Closed {
+		t.Fatalf("/stmt/close: status %d", code)
+	}
+	if code, out := prepare(); code != http.StatusOK {
+		t.Fatalf("prepare after a close: status %d, error %q", code, out.Error)
+	}
+}
+
 // TestRouterShardDown pins failure behavior: queries against a cluster
 // with a dead shard fail with a clean 502 naming the shard, and /healthz
 // reports degraded.

@@ -55,7 +55,7 @@ func newMetrics() *metrics {
 	m.shardsPruned = reg.Counter("ranksql_router_shards_pruned_total",
 		"Shard streams skipped entirely by the threshold bound.")
 	m.refills = reg.Counter("ranksql_router_refills_total",
-		"Prefix-doubling refetch rounds issued to shards.")
+		"Follow-up shard fetches past each stream's first: cursor streams pull the next rows, plain streams re-run at double depth.")
 	m.rowsFetched = reg.Counter("ranksql_router_rows_fetched_total",
 		"Rows fetched from shards.")
 	m.failovers = reg.Counter("ranksql_router_shard_failovers_total",

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -60,11 +62,24 @@ func TestMetricsEndpoint(t *testing.T) {
 // ordinary errors in kind.
 func TestDeadlineMS(t *testing.T) {
 	s, ts := newTestServer(t, 2000)
-	s.DB().SetSpin(200000) // make scorer evaluation genuinely slow
+	// lag(price) is bargain's score, computed after a 100µs busy wait
+	// while slow is set: the test picks which requests miss their budget.
+	var slow atomic.Bool
+	if err := s.DB().RegisterScorer("lag", func(args []ranksql.Value) float64 {
+		for start := time.Now(); slow.Load() && time.Since(start) < 100*time.Microsecond; {
+		}
+		return math.Max(0, 1-args[0].Float()/500)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const lagQuerySQL = `SELECT name, price, stars, sales FROM product
+		WHERE in_stock AND price < ?
+		ORDER BY 0.5*rating(stars) + 0.3*popular(sales) + 0.2*lag(price) LIMIT ?`
+	slow.Store(true)
 
 	var qr testQueryResponse
 	code := postJSON(t, ts.URL+"/query", map[string]interface{}{
-		"sql": testQuerySQL, "params": []interface{}{400.0, 50}, "deadline_ms": 1,
+		"sql": lagQuerySQL, "params": []interface{}{400.0, 50}, "deadline_ms": 1,
 	}, &qr)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504 (err=%q)", code, qr.Error)
@@ -73,10 +88,10 @@ func TestDeadlineMS(t *testing.T) {
 		t.Errorf("error %q should name the deadline", qr.Error)
 	}
 
-	s.DB().SetSpin(0)
+	slow.Store(false)
 	// A generous deadline does not interfere with a fast query.
 	code = postJSON(t, ts.URL+"/query", map[string]interface{}{
-		"sql": testQuerySQL, "params": []interface{}{400.0, 5}, "deadline_ms": 60000,
+		"sql": lagQuerySQL, "params": []interface{}{400.0, 5}, "deadline_ms": 60000,
 	}, &qr)
 	if code != http.StatusOK {
 		t.Fatalf("status with slack deadline = %d: %s", code, qr.Error)
@@ -84,15 +99,19 @@ func TestDeadlineMS(t *testing.T) {
 
 	// A cursor page obeys the same budget, and the cursor survives it: the
 	// same cursor_id serves the page, from the right rank, once given time.
-	// (Scorer spin is captured when a stream opens, so the cursor opens slow.)
-	s.DB().SetSpin(200000)
-	page := openCursor(t, ts.URL, 400, 5)
-	var slow, next cursorResponse
-	code = postJSON(t, ts.URL+"/cursor/next", map[string]interface{}{
-		"cursor_id": page.CursorID, "fetch": 50, "deadline_ms": 1}, &slow)
-	if code != http.StatusGatewayTimeout || !strings.Contains(slow.Error, "deadline_ms") {
-		t.Fatalf("slow cursor page: status %d, error %q; want 504 naming the deadline", code, slow.Error)
+	var page, slowPage, next cursorResponse
+	postJSON(t, ts.URL+"/query", map[string]interface{}{
+		"sql": lagQuerySQL, "params": []interface{}{400.0, 5}, "cursor": true, "fetch": 5}, &page)
+	if page.Error != "" || page.CursorID == "" {
+		t.Fatalf("cursor open: error %q, cursor_id %q", page.Error, page.CursorID)
 	}
+	slow.Store(true)
+	code = postJSON(t, ts.URL+"/cursor/next", map[string]interface{}{
+		"cursor_id": page.CursorID, "fetch": 50, "deadline_ms": 1}, &slowPage)
+	if code != http.StatusGatewayTimeout || !strings.Contains(slowPage.Error, "deadline_ms") {
+		t.Fatalf("slow cursor page: status %d, error %q; want 504 naming the deadline", code, slowPage.Error)
+	}
+	slow.Store(false)
 	code = postJSON(t, ts.URL+"/cursor/next", map[string]interface{}{
 		"cursor_id": page.CursorID, "fetch": 50, "deadline_ms": 60000}, &next)
 	if code != http.StatusOK || len(next.Ranks) != 50 || next.Ranks[0] != 6 {

@@ -129,8 +129,8 @@ type ScoreFunc func(args []Value) float64
 type ScorerOption func(*engine.Scorer)
 
 // WithCost declares the scorer's per-evaluation cost in abstract units;
-// the optimizer schedules expensive predicates later and the executor can
-// burn proportional CPU in spin mode. Default 1.
+// the optimizer schedules expensive predicates later, and
+// Stats.PredCostUnits sums it over evaluations. Default 1.
 func WithCost(c float64) ScorerOption {
 	return func(s *engine.Scorer) { s.Cost = c }
 }
@@ -298,8 +298,8 @@ type Result struct {
 
 // DB is an embedded RankSQL database, safe for concurrent use: queries
 // proceed in parallel, DDL/DML statements are serialized against them.
-// Configuration calls (RegisterScorer, SetTuning, SetSpin) are intended
-// for setup time.
+// Configuration calls (RegisterScorer, SetTuning) are intended for setup
+// time.
 type DB struct {
 	eng *engine.DB
 }
@@ -405,13 +405,6 @@ func (db *DB) SetProfileSampling(every int) {
 // Tables lists the database's table names.
 func (db *DB) Tables() []string {
 	return db.eng.Catalog.TableNames()
-}
-
-// SetSpin makes scorer evaluation burn the given number of arithmetic
-// iterations per declared cost unit, so declared predicate cost becomes
-// real CPU time (useful for benchmarking; 0 disables).
-func (db *DB) SetSpin(iterationsPerCostUnit int) {
-	db.eng.SetSpin(iterationsPerCostUnit)
 }
 
 // Tuning exposes optimizer knobs.
