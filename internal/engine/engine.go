@@ -118,13 +118,6 @@ func (db *DB) bumpVersionLocked() {
 	db.Plans.Clear()
 }
 
-// SchemaVersion returns the current schema version (bumped by DDL).
-func (db *DB) SchemaVersion() uint64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.version
-}
-
 // RegisterScorer registers a ranking function under a name usable in
 // ORDER BY clauses and CREATE RANK INDEX statements.
 func (db *DB) RegisterScorer(name string, s Scorer) error {

@@ -377,57 +377,3 @@ func (s *IdxScanCol) Name() string {
 
 // Children implements Operator.
 func (s *IdxScanCol) Children() []Operator { return nil }
-
-// StaticSource replays a fixed list of tuples; used by tests and by the
-// optimizer's estimator.
-type StaticSource struct {
-	opBase
-	label  string
-	tuples []*schema.Tuple
-	eval   schema.Bitset
-	pos    int
-}
-
-// NewStaticSource builds a source that replays tuples with the given output
-// schema and declared evaluated set.
-func NewStaticSource(label string, sch *schema.Schema, eval schema.Bitset, tuples []*schema.Tuple) *StaticSource {
-	s := &StaticSource{label: label, tuples: tuples, eval: eval}
-	s.sch = sch
-	return s
-}
-
-// Open implements Operator.
-func (s *StaticSource) Open(ctx *Context) error {
-	if ctx.Profile {
-		defer s.prof(time.Now())
-	}
-	s.pos = 0
-	s.reset()
-	return nil
-}
-
-// Next implements Operator.
-func (s *StaticSource) Next(ctx *Context) (*schema.Tuple, error) {
-	if ctx.Profile {
-		defer s.prof(time.Now())
-	}
-	if s.pos >= len(s.tuples) {
-		return nil, nil
-	}
-	t := s.tuples[s.pos]
-	s.pos++
-	s.scanned()
-	return s.emit(t), nil
-}
-
-// Close implements Operator.
-func (s *StaticSource) Close() error { return nil }
-
-// Evaluated implements Operator.
-func (s *StaticSource) Evaluated() schema.Bitset { return s.eval }
-
-// Name implements Operator.
-func (s *StaticSource) Name() string { return "source(" + s.label + ")" }
-
-// Children implements Operator.
-func (s *StaticSource) Children() []Operator { return nil }

@@ -153,9 +153,6 @@ func NewSortColumn(child Operator, table, column string, asc bool) (*SortColumn,
 	return s, nil
 }
 
-// SortedBy returns the output ordering column index.
-func (s *SortColumn) SortedBy() int { return s.colIdx }
-
 // Open implements Operator.
 func (s *SortColumn) Open(ctx *Context) error {
 	if ctx.Profile {

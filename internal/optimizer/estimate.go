@@ -229,7 +229,7 @@ func (e *Estimator) scaleUp(p *PlanNode, op exec.Operator, u int) (float64, erro
 		alias := strings.ToLower(p.Alias)
 		name, ok := e.env.Aliases[alias]
 		if !ok {
-			return float64(u), nil // static source in tests
+			return float64(u), nil // no catalog table behind the alias: no sample ratio to scale by
 		}
 		tm, err := e.d.q.Catalog.Table(name)
 		if err != nil {

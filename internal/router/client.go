@@ -78,15 +78,25 @@ func retryable(err error) bool {
 	return false
 }
 
+// shardStatus returns the HTTP status a shard answered a failed call with
+// (0 when it sent none). On the cursor endpoints, 404 means the shard no
+// longer holds the cursor and 409 that its snapshot is dead.
+func shardStatus(err error) int {
+	var sce *shardCallError
+	if errors.As(err, &sce) {
+		return sce.status
+	}
+	return 0
+}
+
 // replica is one backend process serving a shard's partition. Requests
 // and failures are counted per replica (tests assert result-cache hits
 // issue zero shard HTTP calls through these counters; /stats exposes
 // them per replica); health probes are not counted.
 type replica struct {
-	shardID int
-	idx     int
-	base    string
-	http    *http.Client
+	idx  int
+	base string
+	http *http.Client
 
 	requests atomic.Uint64
 	failures atomic.Uint64
@@ -175,8 +185,7 @@ func decodeShardResponse(resp *http.Response, out interface{}) error {
 			class = classPermanent
 		}
 		// Shards report errors as JSON {"error": ...} with a non-2xx
-		// status; surface the shard's own message when one is there (the
-		// cursor-gone and cursor-dead checks key on its text).
+		// status; surface the shard's own message when one is there.
 		var er wire.ErrorResponse
 		if json.Unmarshal(snippet, &er) == nil && er.Error != "" {
 			return &shardCallError{class: class, status: resp.StatusCode, msg: er.Error}

@@ -2,9 +2,11 @@ package router
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
-	"strings"
+	"reflect"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,9 +22,11 @@ import (
 // a /cursor/next refills only shards whose score bound still matters,
 // and each refill fetches just the delta rows past that shard's
 // suspended position. A one-shot /query is page one of a cursor that is
-// never registered and whose shard streams start in plain mode: they
-// re-execute the template with a deeper limit instead of holding shard
-// state for a second page that will not come.
+// never registered and whose shard streams are one-shots: they re-run
+// the fetch text with a deeper limit instead of holding shard state for
+// a second page that will not come. A re-fetched shard prefix that does
+// not extend the merged one means the data moved: a cursor page answers
+// 409, a one-shot re-runs once with every shard k deep (pullPage).
 
 const (
 	// maxOpenRouterCursors bounds concurrently open cursors: each one
@@ -51,18 +55,30 @@ type routerCursor struct {
 }
 
 // newCursor builds the merged stream for a select template: one stream
-// per shard (plain: born re-executing, for one-shots) under a merger
-// whose first fetch splits pageSize across the shards.
-func (r *Router) newCursor(t *template, params []interface{}, pageSize int, plain bool) *routerCursor {
+// per shard (cursor streams, or one-shots) under a merger whose first
+// fetch splits pageSize across the shards.
+func (r *Router) newCursor(t *template, params []interface{}, pageSize int, cursor bool) *routerCursor {
 	rc := &routerCursor{norm: t.norm, pageSize: pageSize}
 	merge := make([]Stream, len(r.shards))
 	for i, sc := range r.shards {
-		s := &cursorStream{r: r, sc: sc, t: t, params: params, plain: plain}
+		s := &cursorStream{r: r, sc: sc, t: t, params: params, cursor: cursor}
 		rc.streams = append(rc.streams, s)
 		merge[i] = s
 	}
 	rc.merger = NewMerger(merge, perShardK(pageSize, len(r.shards)))
 	return rc
+}
+
+// restart replaces a one-shot's streams with fresh ones whose first fetch
+// is k rows deep on every shard, keeping what the discarded ones cost.
+func (rc *routerCursor) restart(k int) {
+	merge := make([]Stream, len(rc.streams))
+	for i, s := range rc.streams {
+		s = &cursorStream{r: s.r, sc: s.sc, t: s.t, params: s.params, ctx: s.ctx, trace: s.trace,
+			rounds: s.rounds, stats: s.stats, rowsFetched: s.rowsFetched}
+		rc.streams[i], merge[i] = s, s
+	}
+	rc.merger = NewMerger(merge, k)
 }
 
 // closeShardCursors releases the shard-side cursors (best-effort; shard
@@ -80,21 +96,22 @@ func (rc *routerCursor) closeShardCursors(trace *obs.Trace) {
 	}
 }
 
-// cursorStream adapts one shard to the merge's Stream interface. In
-// cursor mode it opens a suspended cursor on the shard and grows its
-// prefix with /cursor/next delta pulls, so refill cost is proportional
-// to the new rows only. In plain mode it re-issues the template with a
-// deeper limit and replaces the prefix wholesale, making the shard
-// re-enumerate it: what a one-shot wants from the start, and what a
-// cursor stream degrades to when the shard loses the cursor (restart,
-// idle GC) — the shard's append-only storage keeps the re-fetched prefix
-// a superset of the old one, so the merge's monotonicity checks still
-// hold (at the cost of the original snapshot bound).
+// cursorStream adapts one shard to the merge's Stream interface. Its kind
+// is fixed when it is created, and each kind has one way to get rows. A
+// cursor stream holds a suspended shard cursor and grows its prefix with
+// /cursor/next delta pulls, so refill cost is proportional to the new
+// rows only; when the pinned replica fails or loses the cursor, the stream
+// re-opens it on any replica. A one-shot stream re-runs the fetch text at
+// a deeper limit. Either way, a prefix that replaces the held one must
+// extend it (replacePrefix): the merge tracks its place in the stream by
+// position.
 type cursorStream struct {
 	r      *Router
 	sc     *shardClient
 	t      *template
 	params []interface{}
+	// cursor marks a cursor stream (see above); otherwise it is a one-shot.
+	cursor bool
 
 	// ctx and trace are set by the serving request before each merge
 	// pull (a router cursor spans many HTTP requests).
@@ -103,13 +120,9 @@ type cursorStream struct {
 
 	// rep is the replica holding the shard-side cursor: a suspended
 	// cursor is per-process state, so pulls pin to the replica that
-	// opened it. When that replica fails, resume() re-opens the stream
-	// on another replica and after_rank fast-forward realigns it.
+	// opened it.
 	rep      *replica
-	cursorID string // shard cursor id; "" = not yet opened
-	// plain: re-execute deeper instead of pulling a shard cursor (the
-	// merge then grows this stream by doubling, not additively).
-	plain bool
+	cursorID string // shard cursor id; "" = none open
 
 	rows        [][]interface{}
 	scores      []float64
@@ -118,10 +131,12 @@ type cursorStream struct {
 	fetched     bool
 	rounds      int
 	allCacheHit bool
-	stats       wire.QueryStats
+	// stats sums the shard executions behind the prefix: spent is what
+	// the finished ones cost (one-shot runs, cursors re-opened past), and
+	// a live shard cursor reports its own figures cumulatively.
+	stats, spent wire.QueryStats
 	// rowsFetched counts rows shipped from the shard beyond the prefix
-	// already held: delta pulls in cursor mode, prefix growth in plain
-	// mode (plus the probe row of each replica resume).
+	// already held.
 	rowsFetched int
 	// depthK/driftRatio are the worst shard-reported enumeration depth
 	// and estimate miss across this stream's pulls (0 when the shard
@@ -129,6 +144,10 @@ type cursorStream struct {
 	depthK     int64
 	driftRatio float64
 }
+
+// errMoved refuses a re-fetched prefix that does not extend the one
+// already merged: the shard's data changed between the two reads.
+var errMoved = errors.New("the shard's data changed under the ranked merge; re-run the query")
 
 // noteProfile folds one shard response's profiling figures (present
 // only on shard-profiled executions) into the stream's worst-case view.
@@ -139,21 +158,6 @@ func (s *cursorStream) noteProfile(resp *wire.QueryResponse) {
 	if resp.MaxDriftRatio > s.driftRatio {
 		s.driftRatio = resp.MaxDriftRatio
 	}
-}
-
-// cursorGone reports a shard error meaning the shard no longer holds
-// the cursor (restart, idle GC) — re-execution can still answer.
-func cursorGone(err error) bool {
-	msg := err.Error()
-	return strings.Contains(msg, "no cursor") || strings.Contains(msg, "expired")
-}
-
-// cursorDead reports a shard error meaning the cursor's snapshot is
-// unusable (schema changed under it); re-execution could silently
-// return different data, so the whole router cursor must be closed.
-func cursorDead(err error) bool {
-	msg := err.Error()
-	return strings.Contains(msg, "invalidated") || strings.Contains(msg, "cursor is closed")
 }
 
 // remainingDeadlineMS converts the pull context's deadline into the
@@ -199,114 +203,93 @@ func (s *cursorStream) Fetch(n int) ([][]interface{}, []float64, bool, error) {
 		<-s.ctx.Done()
 		return nil, nil, false, s.ctx.Err()
 	}
-	if s.plain {
-		return s.refetchPlain(n, deadlineMS)
+	if !s.cursor {
+		return s.rerun(n, deadlineMS)
 	}
-	if s.cursorID == "" {
-		fetch := n
-		if fetch <= 0 {
-			fetch = cursorGrowChunk
+	// The shard cursor is (re)opened at most once per Fetch: on the first
+	// one, after a pull that failed in an earlier one, or below.
+	opened := false
+	for {
+		if s.cursorID == "" {
+			if err := s.open(n, deadlineMS); err != nil {
+				return nil, nil, false, err
+			}
+			opened = true
 		}
-		start := time.Now()
-		resp, rep, err := s.r.openShardCursor(s.ctx, s.sc, s.t, s.params, s.traceID(), deadlineMS, fetch)
-		s.span(start)
-		if err != nil {
-			return nil, nil, false, s.shardErr(err)
+		if s.exhausted || (n > 0 && len(s.rows) >= n) {
+			return s.rows, s.scores, s.exhausted, nil
 		}
-		s.rep, s.cursorID = rep, resp.CursorID
-		// A shard that answered without a cursor id (downlevel server)
-		// gave a plain prefix: re-execute from here on.
-		s.plain = s.cursorID == ""
-		s.rows, s.scores, s.exhausted = resp.Rows, resp.Scores, resp.Exhausted
-		s.columns = resp.Columns
-		s.allCacheHit = resp.CacheHit
-		s.stats = resp.Stats
-		s.noteProfile(resp)
-		s.rowsFetched += len(resp.Rows)
-		s.fetched = true
-	}
-	for !s.exhausted && !s.plain && (n <= 0 || len(s.rows) < n) {
 		delta := cursorGrowChunk
 		if n > 0 {
 			delta = n - len(s.rows)
 		}
 		start := time.Now()
-		// after_rank pins the pull to the prefix the router has already
-		// merged: normally a no-op skip, but if the shard advanced past
-		// us (a pull response lost in flight) it turns silent row loss
-		// into a clean "cannot rewind" error we can recover from.
+		// after_rank pins the pull to the prefix already held: a no-op
+		// skip, unless the shard cursor somehow advanced past it, which it
+		// then refuses (400) instead of silently skipping rows.
 		resp, err := s.rep.page(s.ctx, "/cursor/next", s.traceID(),
 			&wire.Request{CursorID: s.cursorID, Fetch: delta, DeadlineMS: deadlineMS, AfterRank: len(s.rows)})
 		s.span(start)
 		if err != nil {
-			if !cursorDead(err) && (retryable(err) || cursorGone(err) || strings.Contains(err.Error(), "rewind")) {
-				if s.resume(deadlineMS) {
-					continue
-				}
-				s.rep, s.cursorID, s.plain = nil, "", true
-				return s.refetchPlain(n, deadlineMS)
+			// Whatever the shard made of this pull, the cursor's position is
+			// no longer known: drop it. A replica that failed or lost the
+			// cursor (404) gets one re-open right away; anything else (409:
+			// its snapshot is dead) fails the pull.
+			gone := shardStatus(err) == http.StatusNotFound
+			if retryable(err) {
+				s.rep.noteFailure()
 			}
-			return nil, nil, false, s.shardErr(err)
+			s.closeRemote()
+			if opened || !(retryable(err) || gone) {
+				return nil, nil, false, s.shardErr(err)
+			}
+			continue
 		}
 		s.rows = append(s.rows, resp.Rows...)
 		s.scores = append(s.scores, resp.Scores...)
 		s.exhausted = resp.Exhausted
-		// Shard cursor stats are cumulative across its pulls.
-		s.stats = resp.Stats
+		s.stats = s.spent
+		s.stats.Add(resp.Stats)
 		s.noteProfile(resp)
 		s.rowsFetched += len(resp.Rows)
 	}
-	return s.rows, s.scores, s.exhausted, nil
 }
 
-// resume re-opens the shard stream on another replica after the pinned
-// one failed or lost the cursor. The rank-aware contract makes this
-// sound: replicas hold identical copies and ranked enumeration is
-// deterministic, so a fresh cursor on a surviving replica serves the
-// same prefix, and the next pull's after_rank fast-forwards it to the
-// rows the router already merged. Returns false when no replica could
-// take over (the caller then degrades to plain mode).
-func (s *cursorStream) resume(deadlineMS int) bool {
-	for _, rep := range s.sc.orderedReplicas() {
-		if rep == s.rep {
-			continue
-		}
-		start := time.Now()
-		resp, err := s.r.queryReplica(s.ctx, rep, s.t, s.params, s.traceID(), deadlineMS, 1, true)
-		s.span(start)
-		if err != nil || resp.CursorID == "" {
-			if err != nil && retryable(err) {
-				rep.noteFailure()
-			}
-			continue
-		}
-		rep.noteSuccess()
-		s.rep, s.cursorID = rep, resp.CursorID
-		if len(s.rows) == 0 {
-			// Nothing merged yet: the probe page IS the prefix.
-			s.rows, s.scores, s.exhausted = resp.Rows, resp.Scores, resp.Exhausted
-			s.columns = resp.Columns
-			s.stats = resp.Stats
-			s.noteProfile(resp)
-			s.fetched = true
-		}
-		// A non-empty prefix discards the probe row: the next pull's
-		// after_rank skip realigns the new cursor with len(s.rows).
-		s.rowsFetched += len(resp.Rows)
+// open (re)opens the stream's shard cursor on the first replica in
+// orderedReplicas that answers — after a failure, possibly the one that
+// just failed — with a first page deeper than the prefix already held
+// (Fetch only asks for rows it lacks), and installs that page as the
+// prefix. Failing over on classified-retryable errors, but never hedged:
+// the losing hedge would leak a suspended cursor on its replica.
+func (s *cursorStream) open(n, deadlineMS int) error {
+	fetch := n
+	if fetch <= 0 {
+		fetch = len(s.rows) + cursorGrowChunk
+	}
+	type opened struct {
+		resp *wire.QueryResponse
+		rep  *replica
+	}
+	start := time.Now()
+	out, err := failoverAcross(s.ctx, s.sc, s.sc.orderedReplicas(), func(ctx context.Context, rep *replica) (opened, error) {
+		resp, err := s.r.queryReplica(ctx, rep, s.t, s.params, s.traceID(), deadlineMS, fetch, true)
+		return opened{resp, rep}, err
+	})
+	s.span(start)
+	if err != nil {
+		return s.shardErr(err)
+	}
+	s.rep, s.cursorID = out.rep, out.resp.CursorID
+	if s.fetched {
 		s.r.metrics.cursorResumes.Inc()
-		return true
 	}
-	return false
+	return s.replacePrefix(out.resp)
 }
 
-// refetchPlain grows a plain-mode stream's prefix to n rows: re-issue
-// the template with a deep-enough limit — hedged and failing over across
-// the shard's replicas, see shardRead — and replace the prefix wholesale.
-func (s *cursorStream) refetchPlain(n, deadlineMS int) ([][]interface{}, []float64, bool, error) {
-	if n > 0 && n < len(s.rows) {
-		// The prefix must never shrink; re-fetch at least what we had.
-		n = len(s.rows)
-	}
+// rerun grows a one-shot stream's prefix to n rows: re-run the fetch
+// text with a deep-enough limit — hedged and failing over across the
+// shard's replicas, see shardRead — and replace the prefix with the answer.
+func (s *cursorStream) rerun(n, deadlineMS int) ([][]interface{}, []float64, bool, error) {
 	start := time.Now()
 	resp, err := shardRead(s.ctx, s.sc, func(ctx context.Context, rep *replica) (*wire.QueryResponse, error) {
 		return s.r.queryReplica(ctx, rep, s.t, s.params, s.traceID(), deadlineMS, n, false)
@@ -315,18 +298,34 @@ func (s *cursorStream) refetchPlain(n, deadlineMS int) ([][]interface{}, []float
 	if err != nil {
 		return nil, nil, false, s.shardErr(err)
 	}
+	if err := s.replacePrefix(resp); err != nil {
+		return nil, nil, false, err
+	}
+	return s.rows, s.scores, s.exhausted, nil
+}
+
+// replacePrefix installs a shard's answer to a /query — a one-shot run or
+// a (re)opened cursor's first page — as the stream's prefix. It must start
+// with the rows and scores already held, or the merge, which tracks its
+// place in the stream by position, would repeat or skip rows: any other
+// answer is refused with errMoved. Each /query is a new shard execution,
+// so its cost adds to the stream's stats.
+func (s *cursorStream) replacePrefix(resp *wire.QueryResponse) error {
+	if held := len(s.rows); held > 0 && (len(resp.Rows) < held || len(resp.Scores) < len(s.scores) ||
+		!slices.Equal(s.scores, resp.Scores[:len(s.scores)]) || !reflect.DeepEqual(s.rows, resp.Rows[:held])) {
+		return s.shardErr(errMoved)
+	}
 	s.rowsFetched += len(resp.Rows) - len(s.rows)
 	s.rows, s.scores, s.exhausted = resp.Rows, resp.Scores, resp.Exhausted
 	if s.columns == nil {
 		s.columns = resp.Columns
 	}
 	s.allCacheHit = (s.allCacheHit || !s.fetched) && resp.CacheHit
-	// Re-execution repeats the enumeration; its whole cost is added so
-	// the savings accounting stays honest.
+	s.spent = s.stats
 	s.stats.Add(resp.Stats)
 	s.noteProfile(resp)
 	s.fetched = true
-	return s.rows, s.scores, s.exhausted, nil
+	return nil
 }
 
 func (s *cursorStream) traceID() string {
@@ -339,29 +338,12 @@ func (s *cursorStream) traceID() string {
 // closeRemote releases the shard-side cursor (best-effort), reusing the
 // cursor's last trace ID so the shard's close log line joins the pulls.
 func (s *cursorStream) closeRemote() {
-	if s.cursorID == "" || s.rep == nil {
+	if s.cursorID == "" {
 		return
 	}
 	id := s.cursorID
 	s.cursorID = ""
 	_ = s.rep.cursorClose(s.traceID(), id)
-}
-
-// openShardCursor opens a ranked cursor on one of the shard's replicas
-// (failing over on classified-retryable errors; never hedged — the
-// losing hedge would leak a suspended cursor on its replica) and
-// returns the replica the cursor is pinned to. fetch sizes the first
-// page and, through the limit parameter, tunes the shard's plan depth.
-func (r *Router) openShardCursor(ctx context.Context, sc *shardClient, t *template, params []interface{}, trace string, deadlineMS, fetch int) (*wire.QueryResponse, *replica, error) {
-	type opened struct {
-		resp *wire.QueryResponse
-		rep  *replica
-	}
-	out, err := failoverAcross(ctx, sc, sc.orderedReplicas(), func(ctx context.Context, rep *replica) (opened, error) {
-		resp, err := r.queryReplica(ctx, rep, t, params, trace, deadlineMS, fetch, true)
-		return opened{resp, rep}, err
-	})
-	return out.resp, out.rep, err
 }
 
 // handleCursorNext serves POST /cursor/next {cursor_id, fetch?,
@@ -463,6 +445,12 @@ func (r *Router) pullPage(w http.ResponseWriter, hr *http.Request, req *wire.Req
 	if err == nil {
 		merged, err = rc.merger.Next(n)
 	}
+	if id == "" && errors.Is(err, errMoved) {
+		// A one-shot has sent nothing yet: re-run it with every shard k
+		// deep, an answer that needs no refill and so cannot move again.
+		rc.restart(n)
+		merged, err = rc.merger.Next(n)
+	}
 	endMerge()
 	if err != nil {
 		r.pullFailed(ctx, w, hr, req, trace, id, rc, err)
@@ -513,9 +501,10 @@ func (r *Router) pullPage(w http.ResponseWriter, hr *http.Request, req *wire.Req
 // wire. ctx is the pull's context, derived from hr's: when it has ended
 // and hr's has not, only the deadline_ms budget can have ended it, which
 // is a 504 (a cursor survives it — rows already merged are parked and
-// served by the retry). A client that went away gets no answer;
-// shard-side invalidation closes the router cursor with 409; anything
-// else is a shard failure.
+// served by the retry). A client that went away gets no answer; a shard
+// cursor's dead snapshot (409, e.g. after DDL) or a shard prefix that
+// moved under the merge closes the router cursor with 409; anything else
+// is a shard failure.
 func (r *Router) pullFailed(ctx context.Context, w http.ResponseWriter, hr *http.Request, req *wire.Request, trace *obs.Trace, id string, rc *routerCursor, err error) {
 	switch {
 	case hr.Context().Err() != nil:
@@ -529,7 +518,7 @@ func (r *Router) pullFailed(ctx context.Context, w http.ResponseWriter, hr *http
 		r.metrics.Tracer.Warn(what+" deadline exceeded",
 			"trace", trace.ID, "query", rc.norm, "cursor", id, "deadline_ms", req.DeadlineMS)
 		r.metrics.Fail(w, http.StatusGatewayTimeout, rc.norm, fmt.Sprintf("%s exceeded deadline_ms=%d", what, req.DeadlineMS))
-	case cursorDead(err):
+	case shardStatus(err) == http.StatusConflict || errors.Is(err, errMoved):
 		// The caller holds rc.mu, so tear down inline rather than via
 		// closeShardCursors (which re-locks it).
 		_, _ = r.cursors.Remove(id)

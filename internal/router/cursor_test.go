@@ -199,7 +199,8 @@ func TestRouterCursorPagesMatchOneDeepRun(t *testing.T) {
 
 // TestRouterCursorShardLostFallback pins the degraded path: when a
 // shard garbage-collects its side of the cursor mid-pagination, the
-// router falls back to re-execution and later pages stay correct.
+// router re-opens it on the shard's only replica and later pages stay
+// correct.
 func TestRouterCursorShardLostFallback(t *testing.T) {
 	const rows, k = 400, 8
 	single := ranksql.Open()
@@ -247,6 +248,11 @@ func TestRouterCursorShardLostFallback(t *testing.T) {
 	}
 	if misses == 0 {
 		t.Error("no shard reported a cursor miss; the fallback path was never taken")
+	}
+	var snap Snapshot
+	getInsightJSON(t, c.front.URL+"/stats", &snap)
+	if snap.Reliability.CursorReplicaResumes == 0 {
+		t.Error("/stats reliability.cursor_replica_resumes = 0; no shard cursor was re-opened")
 	}
 }
 
@@ -362,8 +368,8 @@ func TestRouterCursorAfterRank(t *testing.T) {
 
 // TestRouterCursorInvalidation pins the schema-change story: DDL fanned
 // out mid-pagination invalidates the shard snapshots, the next pull is
-// a 409, and the router cursor is gone (re-execution against different
-// data must never silently continue the stream).
+// a 409, and the router cursor is gone (a re-opened shard cursor over
+// different data must never silently continue the stream).
 func TestRouterCursorInvalidation(t *testing.T) {
 	c := newCursorCluster(t, 3, nil, nil)
 	if err := SeedVia(nil, c.front.URL, "webshop", 300); err != nil {

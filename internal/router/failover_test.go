@@ -271,6 +271,31 @@ func TestMisbehavingShardClassification(t *testing.T) {
 			}
 		})
 	}
+
+	// On /cursor/next the status alone says what happened to the shard's
+	// cursor, whatever the body's words: 404 means the shard lost it, so
+	// the router re-opens it and serves the page; 409 means its snapshot
+	// is dead, so the router answers 409 and closes its own cursor.
+	t.Run("cursor/next 404 with a reworded body", func(t *testing.T) {
+		c := newSkewCluster(t, nil, failFirst("/cursor/next", http.StatusNotFound, `{"error": "cursor handle unknown to this shard"}`))
+		code, page := c.openSkewCursor(t, 4)
+		if code != http.StatusOK {
+			t.Fatalf("page across the 404: status %d, error %q; want 200", code, page.Error)
+		}
+		assertEquivalent(t, "page across the 404", skewRef(t, 9), 4, page)
+	})
+	t.Run("cursor/next 409 with a reworded body", func(t *testing.T) {
+		c := newSkewCluster(t, nil, failFirst("/cursor/next", http.StatusConflict, `{"error": "snapshot no longer valid"}`))
+		if code, page := c.openSkewCursor(t, 4); code != http.StatusConflict {
+			t.Fatalf("page across the 409: status %d, error %q; want 409", code, page.Error)
+		}
+		if n := c.router.cursors.Len(); n != 0 {
+			t.Errorf("open router cursors after the 409 = %d, want 0", n)
+		}
+		if n := c.openShardCursors(t); n != 0 {
+			t.Errorf("shards hold %d cursors after the 409, want 0", n)
+		}
+	})
 }
 
 // TestConnectionReuseAfterErrorResponse pins the drain fix: after a
@@ -386,8 +411,8 @@ func TestFailoverToSecondReplica(t *testing.T) {
 
 	m := newMetrics()
 	sc := &shardClient{id: 0, m: m, replicas: []*replica{
-		{shardID: 0, idx: 0, base: dead.URL, http: http.DefaultClient},
-		{shardID: 0, idx: 1, base: live.URL, http: live.Client()},
+		{idx: 0, base: dead.URL, http: http.DefaultClient},
+		{idx: 1, base: live.URL, http: live.Client()},
 	}}
 	out, err := shardRead(context.Background(), sc, func(ctx context.Context, rep *replica) (*wire.QueryResponse, error) {
 		return rep.page(ctx, "/query", "", &wire.Request{SQL: "SELECT 1"})
@@ -427,8 +452,8 @@ func TestHedgedReadPrefersFastReplica(t *testing.T) {
 
 	m := newMetrics()
 	sc := &shardClient{id: 0, m: m, hedgeDelay: 25 * time.Millisecond, replicas: []*replica{
-		{shardID: 0, idx: 0, base: slow.URL, http: slow.Client()},
-		{shardID: 0, idx: 1, base: fast.URL, http: fast.Client()},
+		{idx: 0, base: slow.URL, http: slow.Client()},
+		{idx: 1, base: fast.URL, http: fast.Client()},
 	}}
 	start := time.Now()
 	out, err := shardRead(context.Background(), sc, func(ctx context.Context, rep *replica) (*wire.QueryResponse, error) {
@@ -551,8 +576,8 @@ func TestResultCacheServesWithoutFanout(t *testing.T) {
 
 // TestCursorResumesOnReplicaFailure: a routed cursor pinned to a
 // replica that dies mid-pagination re-opens the shard streams on the
-// surviving replicas and fast-forwards them past the rows it already
-// returned — the next page is exactly the oracle's continuation.
+// surviving replicas at the depth already merged, whose prefix they
+// extend — the next page is exactly the oracle's continuation.
 func TestCursorResumesOnReplicaFailure(t *testing.T) {
 	const rows = 600
 	single := ranksql.Open()

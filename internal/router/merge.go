@@ -16,9 +16,11 @@ import (
 // Fetch grows the fetched prefix to at least n rows (all remaining rows
 // when n <= 0 or when fewer than n exist) and returns the entire prefix
 // fetched so far as parallel row/score slices, plus whether the stream
-// is exhausted (no rows exist beyond the returned prefix). Fetch is
-// called from multiple goroutines for different streams but never
-// concurrently for one stream.
+// is exhausted (no rows exist beyond the returned prefix). Each returned
+// prefix must extend the one returned before it: the merge tracks its
+// place in a stream by position, so a re-fetched prefix that differs
+// would repeat or skip rows. Fetch is called from multiple goroutines
+// for different streams but never concurrently for one stream.
 type Stream interface {
 	Fetch(n int) (rows [][]interface{}, scores []float64, exhausted bool, err error)
 }
@@ -269,7 +271,7 @@ func (m *Merger) Next(k int) (*Merged, error) {
 			// so it grows additively and total depth stays close to what
 			// the consumed pages needed.
 			want := 2 * len(c.scores)
-			if cs, ok := c.stream.(*cursorStream); ok && !cs.plain {
+			if cs, ok := c.stream.(*cursorStream); ok && cs.cursor {
 				want = len(c.scores) + m.first
 			}
 			if want < m.first {
@@ -322,23 +324,6 @@ func (m *Merger) Next(k int) (*Merged, error) {
 		out.Exhausted = true
 	}
 	return out, nil
-}
-
-// Exhausted reports whether the merged stream has run dry (every stream
-// exhausted and fully consumed, nothing parked).
-func (m *Merger) Exhausted() bool {
-	if !m.started {
-		return false
-	}
-	if len(m.pendingRows) > 0 {
-		return false
-	}
-	for _, c := range m.cursors {
-		if !c.exhausted || c.pos < len(c.scores) {
-			return false
-		}
-	}
-	return true
 }
 
 // MergeTopK runs a one-shot threshold merge: NewMerger plus a single

@@ -215,3 +215,34 @@ func TestMergeRefillDoubling(t *testing.T) {
 		t.Fatalf("cold stream fetched %d times; the threshold bound should stop it at 1", cold.fetches)
 	}
 }
+
+// BenchmarkMergeTopK prices the threshold merge alone, over in-memory
+// streams: stream 0 holds every top row, so the merge refills it past its
+// first fetch while the threshold bound cuts the cold streams off.
+func BenchmarkMergeTopK(b *testing.B) {
+	for _, n := range []int{2, 4} {
+		for _, k := range []int{10, 50} {
+			b.Run(fmt.Sprintf("streams=%d/k=%d", n, k), func(b *testing.B) {
+				streams := make([]Stream, n)
+				for i := range streams {
+					top := 0.5
+					if i == 0 {
+						top = 1
+					}
+					fs := &fakeStream{}
+					for j := 0; j < 2*k; j++ {
+						fs.rows = append(fs.rows, []interface{}{j})
+						fs.scores = append(fs.scores, top-float64(j)/1000)
+					}
+					streams[i] = fs
+				}
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := MergeTopK(streams, k, perShardK(k, n)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

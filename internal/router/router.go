@@ -23,7 +23,7 @@
 // obs.Metrics both daemons embed, under ranksql_router_* names, so a
 // series means the same thing on either tier. Only what a coordinator has
 // is its own: merge effectiveness (pruned shards, refills, rows fetched),
-// replica reliability (failovers, hedges, cursor resumes), the ranked-
+// replica reliability (failovers, hedges, cursor re-opens), the ranked-
 // result cache and per-shard health.
 package router
 
@@ -92,18 +92,6 @@ type tableInfo struct {
 
 // Option configures a Router.
 type Option func(*Router)
-
-// WithHTTPClient replaces the HTTP client used for shard calls (tests
-// and deployments with custom timeouts).
-func WithHTTPClient(c *http.Client) Option {
-	return func(r *Router) {
-		for _, sc := range r.shards {
-			for _, rep := range sc.replicas {
-				rep.http = c
-			}
-		}
-	}
-}
 
 // WithHedgeDelay arms hedged reads: when a shard's preferred replica
 // has not answered a merge pull within d, the same pull is issued to
@@ -175,7 +163,7 @@ func New(shardURLs []string, opts ...Option) (*Router, error) {
 			if !strings.Contains(u, "://") {
 				u = "http://" + u
 			}
-			sc.replicas = append(sc.replicas, &replica{shardID: i, idx: j, base: u, http: client})
+			sc.replicas = append(sc.replicas, &replica{idx: j, base: u, http: client})
 		}
 		r.shards = append(r.shards, sc)
 	}
@@ -434,7 +422,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, hr *http.Request, req *wire.
 	// Either way the answer is page one of a merged ranked stream. A
 	// cursor request registers the stream and pages it by fetch; a
 	// one-shot's page is the whole top-k (everything, without a LIMIT) of
-	// a stream nobody keeps, drawn from plain re-executing shard streams.
+	// a stream nobody keeps, drawn from one-shot shard streams.
 	pageSize, id := k, ""
 	var rc *routerCursor
 	var bindKey string
@@ -445,7 +433,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, hr *http.Request, req *wire.
 				pageSize = defaultCursorPage
 			}
 		}
-		rc = r.newCursor(t, req.Params, pageSize, false)
+		rc = r.newCursor(t, req.Params, pageSize, true)
 		if id, err = r.cursors.Add(rc); err != nil {
 			r.metrics.Fail(w, http.StatusTooManyRequests, t.norm, "router "+err.Error())
 			return
@@ -467,7 +455,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, hr *http.Request, req *wire.
 			r.metrics.resultCacheMisses.Inc()
 			bindKey, tableSnap = key, r.snapshotTables(t.sel.tables)
 		}
-		rc = r.newCursor(t, req.Params, pageSize, true)
+		rc = r.newCursor(t, req.Params, pageSize, false)
 	}
 	resp := r.pullPage(w, hr, req, trace, id, rc, pageSize, 0)
 	if resp == nil {

@@ -24,7 +24,7 @@ type metrics struct {
 	rowsFetched       *obs.Counter
 
 	// Reliability counters: replica failovers, hedged reads, and
-	// cursor-stream replica resumes (see client.go and cursor.go).
+	// shard cursor re-opens (see client.go and cursor.go).
 	failovers     *obs.Counter
 	hedgesIssued  *obs.Counter
 	hedgesWon     *obs.Counter
@@ -55,7 +55,7 @@ func newMetrics() *metrics {
 	m.shardsPruned = reg.Counter("ranksql_router_shards_pruned_total",
 		"Shard streams skipped entirely by the threshold bound.")
 	m.refills = reg.Counter("ranksql_router_refills_total",
-		"Follow-up shard fetches past each stream's first: cursor streams pull the next rows, plain streams re-run at double depth.")
+		"Follow-up shard fetches past each stream's first: a cursor stream pulls the next rows (re-opening a lost shard cursor), a one-shot stream re-runs at double depth.")
 	m.rowsFetched = reg.Counter("ranksql_router_rows_fetched_total",
 		"Rows fetched from shards.")
 	m.failovers = reg.Counter("ranksql_router_shard_failovers_total",
@@ -67,7 +67,7 @@ func newMetrics() *metrics {
 	m.hedgesLost = reg.Counter("ranksql_router_hedges_lost_total",
 		"Hedged reads where the preferred replica still answered first.")
 	m.cursorResumes = reg.Counter("ranksql_router_cursor_replica_resumes_total",
-		"Shard cursor streams re-opened on another replica via after_rank fast-forward.")
+		"Shard cursors re-opened, on any replica, after the pinned one failed or lost the cursor; the new prefix must extend the merged one.")
 	m.resultCacheHits = reg.Counter("ranksql_router_result_cache_hits_total",
 		"Merged queries served from the router-side ranked-result cache with zero shard fan-out.")
 	m.resultCacheMisses = reg.Counter("ranksql_router_result_cache_misses_total",
