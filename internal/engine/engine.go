@@ -451,7 +451,6 @@ func (db *DB) bind(sel *sql.SelectStmt) (*optimizer.Query, *rank.Spec, error) {
 		spec = s
 	}
 	q.Spec = spec
-	q.Projection = sel.Projection
 	return q, spec, nil
 }
 

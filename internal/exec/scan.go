@@ -278,9 +278,6 @@ func NewIdxScanCol(table *storage.Table, alias, column string, index *catalog.In
 	return s, nil
 }
 
-// SortColumn returns the column the output is ordered by.
-func (s *IdxScanCol) SortColumn() string { return s.column }
-
 // Open implements Operator.
 func (s *IdxScanCol) Open(ctx *Context) error {
 	if ctx.Profile {

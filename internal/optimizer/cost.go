@@ -137,7 +137,7 @@ func (o *optimizerState) costNode(p *PlanNode) float64 {
 	case KindSortColumn:
 		n := in(0)
 		own = n * lg(n) * cp.SortCmp
-	case KindLimit, KindProject:
+	case KindLimit:
 		own = 0
 	}
 	return childCost + own

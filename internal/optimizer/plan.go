@@ -30,7 +30,6 @@ const (
 	KindSortScore
 	KindSortColumn
 	KindLimit
-	KindProject
 )
 
 var kindNames = map[PlanKind]string{
@@ -38,7 +37,6 @@ var kindNames = map[PlanKind]string{
 	KindFilter: "filter", KindRank: "rank", KindHRJN: "HRJN", KindNRJN: "NRJN",
 	KindNestedLoop: "nestLoop", KindHashJoin: "hashJoin", KindMergeJoin: "mergeJoin",
 	KindSortScore: "sort", KindSortColumn: "sortCol", KindLimit: "limit",
-	KindProject: "project",
 }
 
 // PlanNode is a buildable physical plan description. The optimizer
@@ -61,8 +59,6 @@ type PlanNode struct {
 	SortTable, SortCol string
 	// Limit.
 	K int
-	// Projection indexes.
-	Proj []int
 
 	// Annotations (filled during enumeration).
 	Card float64 // estimated output cardinality
@@ -109,8 +105,6 @@ func (p *PlanNode) Label() string {
 		return fmt.Sprintf("sortCol(%s.%s)", p.SortTable, p.SortCol)
 	case KindLimit:
 		return fmt.Sprintf("limit(%d)", p.K)
-	case KindProject:
-		return fmt.Sprintf("project%v", p.Proj)
 	default:
 		return kindNames[p.Kind]
 	}
@@ -254,21 +248,7 @@ func (p *PlanNode) Build(env *Env) (exec.Operator, error) {
 		return exec.NewSortColumn(kids[0], p.SortTable, p.SortCol, true)
 	case KindLimit:
 		return exec.NewLimit(kids[0], p.K), nil
-	case KindProject:
-		return exec.NewProject(kids[0], p.Proj)
 	default:
 		return nil, fmt.Errorf("optimizer: cannot build plan kind %d", p.Kind)
 	}
-}
-
-// Clone shallow-copies the node and recursively clones children; shared
-// immutable fields (predicates, key columns) are reused, expressions are
-// cloned at Build time anyway.
-func (p *PlanNode) Clone() *PlanNode {
-	n := *p
-	n.Children = make([]*PlanNode, len(p.Children))
-	for i, c := range p.Children {
-		n.Children[i] = c.Clone()
-	}
-	return &n
 }

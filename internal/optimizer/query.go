@@ -34,8 +34,6 @@ type Query struct {
 	Spec *rank.Spec
 	// K is the requested result size (LIMIT k); 0 means all results.
 	K int
-	// Projection lists output columns; nil means SELECT *.
-	Projection []*expr.Col
 }
 
 // joinCond is one multi-table Boolean conjunct.

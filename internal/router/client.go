@@ -370,17 +370,6 @@ func (sc *shardClient) noteFailover() {
 	}
 }
 
-// healthy reports whether any replica answers its /healthz: the shard's
-// partition is reachable as long as one copy is.
-func (sc *shardClient) healthy() bool {
-	for _, rep := range sc.replicas {
-		if rep.healthy() {
-			return true
-		}
-	}
-	return false
-}
-
 // failoverAcross tries call on each replica in order, classifying
 // failures: permanent errors return immediately, retryable ones mark
 // the replica down and advance to the next. When a whole round fails,

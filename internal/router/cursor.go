@@ -15,18 +15,20 @@ import (
 )
 
 // Every query answer the router gives is a page of a routerCursor: a
-// merged ranked stream over one stream per shard. A /query carrying
-// "cursor": true registers the cursor, and each shard holds its own
-// suspended cursor (opened with the same protocol the router serves), so
-// paginating clients pull pages without the router ever re-fanning-out:
-// a /cursor/next refills only shards whose score bound still matters,
-// and each refill fetches just the delta rows past that shard's
-// suspended position. A one-shot /query is page one of a cursor that is
-// never registered and whose shard streams are one-shots: they re-run
-// the fetch text with a deeper limit instead of holding shard state for
-// a second page that will not come. A re-fetched shard prefix that does
-// not extend the merged one means the data moved: a cursor page answers
-// 409, a one-shot re-runs once with every shard k deep (pullPage).
+// merged ranked stream over one stream per shard. Its first fetch asks
+// every shard for the page size (k for a one-shot), so page one is one
+// parallel round: no shard can place more rows in a page than the page
+// holds.
+// A /query carrying "cursor": true registers the cursor, and each shard
+// holds its own suspended cursor (opened with the same protocol the
+// router serves), so paginating clients pull later pages without the
+// router ever re-fanning-out: a /cursor/next refills only shards whose
+// score bound still matters, and each refill fetches the next page-size
+// rows past that shard's suspended position. A one-shot /query is page
+// one of a cursor that is never registered and whose shard streams are
+// one-shots: each runs the fetch text once, k deep, and holds no shard
+// state. A re-opened shard cursor whose prefix does not extend the merged
+// one means the data moved: the page answers 409.
 
 const (
 	// maxOpenRouterCursors bounds concurrently open cursors: each one
@@ -56,7 +58,7 @@ type routerCursor struct {
 
 // newCursor builds the merged stream for a select template: one stream
 // per shard (cursor streams, or one-shots) under a merger whose first
-// fetch splits pageSize across the shards.
+// fetch is pageSize rows on every shard.
 func (r *Router) newCursor(t *template, params []interface{}, pageSize int, cursor bool) *routerCursor {
 	rc := &routerCursor{norm: t.norm, pageSize: pageSize}
 	merge := make([]Stream, len(r.shards))
@@ -65,20 +67,8 @@ func (r *Router) newCursor(t *template, params []interface{}, pageSize int, curs
 		rc.streams = append(rc.streams, s)
 		merge[i] = s
 	}
-	rc.merger = NewMerger(merge, perShardK(pageSize, len(r.shards)))
+	rc.merger = NewMerger(merge, pageSize)
 	return rc
-}
-
-// restart replaces a one-shot's streams with fresh ones whose first fetch
-// is k rows deep on every shard, keeping what the discarded ones cost.
-func (rc *routerCursor) restart(k int) {
-	merge := make([]Stream, len(rc.streams))
-	for i, s := range rc.streams {
-		s = &cursorStream{r: s.r, sc: s.sc, t: s.t, params: s.params, ctx: s.ctx, trace: s.trace,
-			rounds: s.rounds, stats: s.stats, rowsFetched: s.rowsFetched}
-		rc.streams[i], merge[i] = s, s
-	}
-	rc.merger = NewMerger(merge, k)
 }
 
 // closeShardCursors releases the shard-side cursors (best-effort; shard
@@ -101,10 +91,10 @@ func (rc *routerCursor) closeShardCursors(trace *obs.Trace) {
 // cursor stream holds a suspended shard cursor and grows its prefix with
 // /cursor/next delta pulls, so refill cost is proportional to the new
 // rows only; when the pinned replica fails or loses the cursor, the stream
-// re-opens it on any replica. A one-shot stream re-runs the fetch text at
-// a deeper limit. Either way, a prefix that replaces the held one must
-// extend it (replacePrefix): the merge tracks its place in the stream by
-// position.
+// re-opens it on any replica, and the re-opened prefix must extend the
+// held one (replacePrefix): the merge tracks its place in the stream by
+// position. A one-shot stream runs the fetch text (rerun), which its
+// k-deep first fetch makes a single run.
 type cursorStream struct {
 	r      *Router
 	sc     *shardClient
@@ -286,9 +276,9 @@ func (s *cursorStream) open(n, deadlineMS int) error {
 	return s.replacePrefix(out.resp)
 }
 
-// rerun grows a one-shot stream's prefix to n rows: re-run the fetch
-// text with a deep-enough limit — hedged and failing over across the
-// shard's replicas, see shardRead — and replace the prefix with the answer.
+// rerun grows a one-shot stream's prefix to n rows: run the fetch text
+// with limit n — hedged and failing over across the shard's replicas, see
+// shardRead — and replace the prefix with the answer.
 func (s *cursorStream) rerun(n, deadlineMS int) ([][]interface{}, []float64, bool, error) {
 	start := time.Now()
 	resp, err := shardRead(s.ctx, s.sc, func(ctx context.Context, rep *replica) (*wire.QueryResponse, error) {
@@ -435,20 +425,16 @@ func (r *Router) pullPage(w http.ResponseWriter, hr *http.Request, req *wire.Req
 	start := time.Now()
 	endMerge := trace.StartSpan("merge")
 	var err error
+	refills := 0 // the fast-forward's refills count toward this page
 	if skip := afterRank - rc.pulled; afterRank > 0 && skip > 0 {
 		var skipped *Merged
 		if skipped, err = rc.merger.Next(skip); err == nil {
 			rc.pulled += len(skipped.Rows)
+			refills = skipped.Refills
 		}
 	}
 	var merged *Merged
 	if err == nil {
-		merged, err = rc.merger.Next(n)
-	}
-	if id == "" && errors.Is(err, errMoved) {
-		// A one-shot has sent nothing yet: re-run it with every shard k
-		// deep, an answer that needs no refill and so cannot move again.
-		rc.restart(n)
 		merged, err = rc.merger.Next(n)
 	}
 	endMerge()
@@ -463,7 +449,8 @@ func (r *Router) pullPage(w http.ResponseWriter, hr *http.Request, req *wire.Req
 	resp.K = n
 	resp.Exhausted = merged.Exhausted
 	resp.CursorID = id
-	resp.Merge.Refills = merged.Refills
+	refills += merged.Refills
+	resp.Merge.Refills = refills
 	resp.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
 	resp.TraceID = trace.ID
 	views := make([]shardView, len(rc.streams))
@@ -483,7 +470,7 @@ func (r *Router) pullPage(w http.ResponseWriter, hr *http.Request, req *wire.Req
 	attrs := []any{
 		"trace", trace.ID, "query", rc.norm, "elapsed_ms", resp.ElapsedMS,
 		"rows", len(merged.Rows), "rows_fetched", resp.Merge.RowsFetched,
-		"shards_pruned", len(merged.Pruned), "refills", merged.Refills,
+		"shards_pruned", len(merged.Pruned), "refills", refills,
 	}
 	if id != "" {
 		what = "cursor page"
@@ -491,7 +478,7 @@ func (r *Router) pullPage(w http.ResponseWriter, hr *http.Request, req *wire.Req
 	}
 	r.metrics.recordPage(what, elapsed,
 		buildInsightRecord(rc.norm, trace.ID, elapsed, resp.Stats, len(merged.Rows), views, merged.Pruned),
-		resp.Merge.RowsFetched-rc.rowsFetched, len(merged.Pruned), merged.Refills,
+		resp.Merge.RowsFetched-rc.rowsFetched, len(merged.Pruned), refills,
 		append(attrs, trace.SpanAttrs()...))
 	rc.rowsFetched = resp.Merge.RowsFetched
 	return resp
@@ -501,10 +488,11 @@ func (r *Router) pullPage(w http.ResponseWriter, hr *http.Request, req *wire.Req
 // wire. ctx is the pull's context, derived from hr's: when it has ended
 // and hr's has not, only the deadline_ms budget can have ended it, which
 // is a 504 (a cursor survives it — rows already merged are parked and
-// served by the retry). A client that went away gets no answer; a shard
-// cursor's dead snapshot (409, e.g. after DDL) or a shard prefix that
-// moved under the merge closes the router cursor with 409; anything else
-// is a shard failure.
+// served by the retry — unless the pull was its first page: see
+// handleQuery). A client that went away gets no answer; a shard
+// cursor's dead snapshot (409, e.g. after DDL) or a re-opened shard
+// cursor whose prefix moved under the merge closes the router cursor with
+// 409; anything else is a shard failure.
 func (r *Router) pullFailed(ctx context.Context, w http.ResponseWriter, hr *http.Request, req *wire.Request, trace *obs.Trace, id string, rc *routerCursor, err error) {
 	switch {
 	case hr.Context().Err() != nil:

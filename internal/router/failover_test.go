@@ -278,21 +278,21 @@ func TestMisbehavingShardClassification(t *testing.T) {
 	// is dead, so the router answers 409 and closes its own cursor.
 	t.Run("cursor/next 404 with a reworded body", func(t *testing.T) {
 		c := newSkewCluster(t, nil, failFirst("/cursor/next", http.StatusNotFound, `{"error": "cursor handle unknown to this shard"}`))
-		code, page := c.openSkewCursor(t, 4)
+		_, code, both := c.secondSkewPage(t, 4)
 		if code != http.StatusOK {
-			t.Fatalf("page across the 404: status %d, error %q; want 200", code, page.Error)
+			t.Fatalf("page across the 404: status %d, error %q; want 200", code, both.Error)
 		}
-		assertEquivalent(t, "page across the 404", skewRef(t, 9), 4, page)
+		assertEquivalent(t, "pages across the 404", skewRef(t, 13), 8, both)
 	})
 	t.Run("cursor/next 409 with a reworded body", func(t *testing.T) {
 		c := newSkewCluster(t, nil, failFirst("/cursor/next", http.StatusConflict, `{"error": "snapshot no longer valid"}`))
-		if code, page := c.openSkewCursor(t, 4); code != http.StatusConflict {
-			t.Fatalf("page across the 409: status %d, error %q; want 409", code, page.Error)
+		if _, code, both := c.secondSkewPage(t, 4); code != http.StatusConflict {
+			t.Fatalf("page across the 409: status %d, error %q; want 409", code, both.Error)
 		}
 		if n := c.router.cursors.Len(); n != 0 {
 			t.Errorf("open router cursors after the 409 = %d, want 0", n)
 		}
-		if n := c.openShardCursors(t); n != 0 {
+		if n, _ := c.shardCursors(t); n != 0 {
 			t.Errorf("shards hold %d cursors after the 409, want 0", n)
 		}
 	})

@@ -92,7 +92,7 @@ func (c *cursor) fetch(n int) error {
 			return fmt.Errorf("router: stream scores increase at %d (%g > %g)", i, scores[i], scores[i-1])
 		}
 	}
-	if c.fetched && len(scores) == prev && !exhausted && (n <= 0 || n > prev) {
+	if c.fetched && len(scores) == prev && !exhausted {
 		// No growth, no exhaustion: refilling again would loop forever.
 		return fmt.Errorf("router: stream made no progress past %d rows", prev)
 	}
@@ -165,7 +165,9 @@ type Merger struct {
 
 // NewMerger builds a resumable merge over the given streams. initialK
 // is the per-stream depth of the (parallel) first fetch, issued lazily
-// on the first Next call.
+// on the first Next call, and the step each refill grows a stream by.
+// With initialK at least the first page's size the first page needs no
+// refill: no stream can place more rows in it than the page holds.
 func NewMerger(streams []Stream, initialK int) *Merger {
 	m := &Merger{initialK: initialK}
 	for _, s := range streams {
@@ -265,19 +267,10 @@ func (m *Merger) Next(k int) (*Merged, error) {
 				break
 			}
 			c := m.cursors[refill]
-			// A stream that re-executes on every refill doubles its prefix,
-			// so fewer round trips amortize the repeated enumeration; one
-			// pulling a suspended shard cursor pays only for the new rows,
-			// so it grows additively and total depth stays close to what
-			// the consumed pages needed.
-			want := 2 * len(c.scores)
-			if cs, ok := c.stream.(*cursorStream); ok && cs.cursor {
-				want = len(c.scores) + m.first
-			}
-			if want < m.first {
-				want = m.first
-			}
-			if err := c.fetch(want); err != nil {
+			// A refill grows the stream by the first fetch's depth, so a
+			// stream's total depth stays close to what the consumed pages
+			// needed.
+			if err := c.fetch(len(c.scores) + m.first); err != nil {
 				// Rows already popped this page must not be lost; park
 				// them for the retry.
 				m.pendingRows = append(out.Rows, m.pendingRows...)

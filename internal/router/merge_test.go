@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -18,12 +19,12 @@ type fakeStream struct {
 	rng    server.Rng
 	jitter bool
 
-	fetches int
-	depth   int // deepest prefix handed out
+	asked []int // n of every Fetch call, in order
+	depth int   // deepest prefix handed out
 }
 
 func (f *fakeStream) Fetch(n int) ([][]interface{}, []float64, bool, error) {
-	f.fetches++
+	f.asked = append(f.asked, n)
 	if f.jitter {
 		time.Sleep(time.Duration(f.rng.Intn(150)) * time.Microsecond)
 	}
@@ -177,9 +178,10 @@ func TestMergeEmpty(t *testing.T) {
 	}
 }
 
-// TestMergeRefillDoubling checks that a skewed cluster (one stream holds
-// every top row) is refilled by prefix doubling rather than row by row.
-func TestMergeRefillDoubling(t *testing.T) {
+// TestMergeRefillAdditive checks that a skewed cluster (one stream holds
+// every top row) refills the hot stream by the first fetch's depth each
+// time, never re-fetching the cold one.
+func TestMergeRefillAdditive(t *testing.T) {
 	hot := &fakeStream{}
 	for i := 0; i < 64; i++ {
 		hot.rows = append(hot.rows, []interface{}{i})
@@ -202,23 +204,26 @@ func TestMergeRefillDoubling(t *testing.T) {
 			t.Fatalf("row %d came from the cold stream", i)
 		}
 	}
-	// 4 → 8 → 16 → 32 rows: 3 refills, not 28.
-	if hot.fetches > 5 {
-		t.Fatalf("hot stream fetched %d times; doubling should need ~4", hot.fetches)
+	if want := []int{4, 8, 12, 16, 20, 24, 28, 32}; !slices.Equal(hot.asked, want) {
+		t.Fatalf("hot stream fetched %v deep, want %v", hot.asked, want)
+	}
+	if m.Refills != 7 {
+		t.Fatalf("merge reported %d refills, want 7", m.Refills)
 	}
 	// Neither stream was drained: the cold one was cut off by the
 	// threshold bound after its initial fetch, the hot one right at k.
 	if len(m.Pruned) != 2 {
 		t.Fatalf("both streams should end undrained (pruned), got %v", m.Pruned)
 	}
-	if cold.fetches != 1 {
-		t.Fatalf("cold stream fetched %d times; the threshold bound should stop it at 1", cold.fetches)
+	if len(cold.asked) != 1 {
+		t.Fatalf("cold stream fetched %d times; the threshold bound should stop it at 1", len(cold.asked))
 	}
 }
 
 // BenchmarkMergeTopK prices the threshold merge alone, over in-memory
-// streams: stream 0 holds every top row, so the merge refills it past its
-// first fetch while the threshold bound cuts the cold streams off.
+// streams: stream 0 holds every top row and the threshold bound cuts the
+// cold streams off. Every stream's first fetch is k deep, as the router's
+// is, so the merge never refills.
 func BenchmarkMergeTopK(b *testing.B) {
 	for _, n := range []int{2, 4} {
 		for _, k := range []int{10, 50} {
@@ -238,7 +243,7 @@ func BenchmarkMergeTopK(b *testing.B) {
 				}
 				b.ReportAllocs()
 				for b.Loop() {
-					if _, err := MergeTopK(streams, k, perShardK(k, n)); err != nil {
+					if _, err := MergeTopK(streams, k, k); err != nil {
 						b.Fatal(err)
 					}
 				}

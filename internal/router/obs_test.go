@@ -170,12 +170,15 @@ func TestRouterMetricsEndpoint(t *testing.T) {
 // deadline_ms budget fails with 504 and counts as a router timeout.
 func TestRouterDeadlineMS(t *testing.T) {
 	c, _, _ := obsCluster(t, 2, 2000)
-	// lag(price) is bargain's score, computed after a 100µs busy wait
-	// while slow is set: the test picks which requests miss their budget.
+	// lag(price) is bargain's score, computed after a 100µs sleep while
+	// slow is set: the test picks which requests miss their budget. A
+	// sleep, not a busy wait, so the in-process shards cannot starve the
+	// router's deadline timer on a small machine.
 	var slow atomic.Bool
 	for _, db := range c.dbs {
 		if err := db.RegisterScorer("lag", func(args []ranksql.Value) float64 {
-			for start := time.Now(); slow.Load() && time.Since(start) < 100*time.Microsecond; {
+			if slow.Load() {
+				time.Sleep(100 * time.Microsecond)
 			}
 			return math.Max(0, 1-args[0].Float()/500)
 		}); err != nil {
@@ -237,6 +240,42 @@ func TestRouterDeadlineMS(t *testing.T) {
 	}
 	if stats.Timeouts != 2 {
 		t.Errorf("timeouts = %d, want 2 (one-shot + cursor page)", stats.Timeouts)
+	}
+
+	// A cursor open whose first page misses its budget answers no
+	// cursor_id, so no client could close the cursor: neither the router
+	// nor any shard may keep one for it. A shard notices the dropped
+	// request only after the router has answered, so poll briefly.
+	var closed testQueryResponse
+	postJSON(t, c.front.URL+"/cursor/close", map[string]interface{}{"cursor_id": page.CursorID}, &closed)
+	slow.Store(true)
+	defer slow.Store(false)
+	var open testQueryResponse
+	code = postJSON(t, c.front.URL+"/query", map[string]interface{}{
+		"sql": lagQuerySQL, "params": []interface{}{300.0, 50}, "cursor": true, "fetch": 50, "deadline_ms": 1}, &open)
+	if code != http.StatusGatewayTimeout || open.CursorID != "" {
+		t.Fatalf("slow cursor open: status %d, cursor_id %q, error %q; want 504 and no cursor_id", code, open.CursorID, open.Error)
+	}
+	daemons := []string{c.front.URL}
+	for _, sc := range c.router.shards {
+		daemons = append(daemons, sc.addr())
+	}
+	for _, u := range daemons {
+		for give := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			var st struct {
+				Cursors struct {
+					Open int `json:"open"`
+				} `json:"cursors"`
+			}
+			getInsightJSON(t, u+"/stats", &st)
+			if st.Cursors.Open == 0 {
+				break
+			}
+			if time.Now().After(give) {
+				t.Errorf("%s /stats cursors.open = %d after the failed open, want 0", u, st.Cursors.Open)
+				break
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -56,18 +57,34 @@ type skewCluster struct {
 	front     *httptest.Server
 	dbs       []*ranksql.DB
 	shardURLs []string
+
+	mu    sync.Mutex
+	calls map[string]int // "shard path" → requests that shard received
+}
+
+// sent reports how many requests for path shard has received.
+func (c *skewCluster) sent(shard int, path string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.calls[fmt.Sprintf("%d %s", shard, path)]
 }
 
 func newSkewCluster(t *testing.T, serverOpts []server.Option, wrap func(http.Handler) http.Handler) *skewCluster {
 	t.Helper()
-	c := &skewCluster{}
+	c := &skewCluster{calls: map[string]int{}}
 	for i := 0; i < 2; i++ {
 		db := ranksql.Open()
 		var h http.Handler = server.New(db, serverOpts...).Handler()
 		if i == 0 && wrap != nil {
 			h = wrap(h)
 		}
-		ts := httptest.NewServer(h)
+		key := fmt.Sprintf("%d ", i)
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			c.mu.Lock()
+			c.calls[key+r.URL.Path]++
+			c.mu.Unlock()
+			h.ServeHTTP(w, r)
+		}))
 		t.Cleanup(ts.Close)
 		c.dbs = append(c.dbs, db)
 		c.shardURLs = append(c.shardURLs, ts.URL)
@@ -109,8 +126,8 @@ func skewRef(t *testing.T, k int, extra ...string) *ranksql.Rows {
 	return ref
 }
 
-// openSkewCursor opens a k-row-page cursor; its first page drains shard
-// 0's first fetch and so refills it with one /cursor/next.
+// openSkewCursor opens a k-row-page cursor: one round, k rows from each
+// shard, and page one is shard 0's whole first fetch.
 func (c *skewCluster) openSkewCursor(t *testing.T, k int) (int, *testQueryResponse) {
 	t.Helper()
 	var page testQueryResponse
@@ -119,20 +136,50 @@ func (c *skewCluster) openSkewCursor(t *testing.T, k int) (int, *testQueryRespon
 	return code, &page
 }
 
-// openShardCursors sums the cursors every shard still holds open.
-func (c *skewCluster) openShardCursors(t *testing.T) int {
+// secondSkewPage opens a k-row-page cursor and pulls its second page, which
+// refills shard 0 with one /cursor/next. It returns page one and the
+// second page's status, plus both pages as one answer when that is 200.
+func (c *skewCluster) secondSkewPage(t *testing.T, k int) (*testQueryResponse, int, *testQueryResponse) {
 	t.Helper()
-	open := 0
+	code, first := c.openSkewCursor(t, k)
+	if code != http.StatusOK || first.CursorID == "" {
+		t.Fatalf("cursor open: status %d, error %q", code, first.Error)
+	}
+	var next testQueryResponse
+	code = postJSON(t, c.front.URL+"/cursor/next", map[string]interface{}{
+		"cursor_id": first.CursorID, "fetch": k}, &next)
+	both := &testQueryResponse{Error: next.Error,
+		Rows: append(first.Rows, next.Rows...), Scores: append(first.Scores, next.Scores...)}
+	return first, code, both
+}
+
+// shardCursors sums, over every shard's /stats, the cursors still open
+// and the /cursor/next pulls that found one.
+func (c *skewCluster) shardCursors(t *testing.T) (open int, hits uint64) {
+	t.Helper()
 	for _, u := range c.shardURLs {
 		var stats struct {
 			Cursors struct {
-				Open int `json:"open"`
+				Open int    `json:"open"`
+				Hits uint64 `json:"hits"`
 			} `json:"cursors"`
 		}
 		getInsightJSON(t, u+"/stats", &stats)
 		open += stats.Cursors.Open
+		hits += stats.Cursors.Hits
 	}
-	return open
+	return open, hits
+}
+
+// assertOneRound checks that every shard received exactly one /query and
+// no /cursor/next: the first page cost one parallel round.
+func (c *skewCluster) assertOneRound(t *testing.T, label string) {
+	t.Helper()
+	for i := range c.shardURLs {
+		if q, n := c.sent(i, "/query"), c.sent(i, "/cursor/next"); q != 1 || n != 0 {
+			t.Errorf("%s: shard %d received %d /query and %d /cursor/next, want 1 and 0", label, i, q, n)
+		}
+	}
 }
 
 // failFirst wraps a shard handler so its first request to path answers
@@ -152,42 +199,67 @@ func failFirst(path string, status int, body string) func(http.Handler) http.Han
 	}
 }
 
-// TestOneShotRefillUnderInsert: a one-shot's refill of shard 0 races an
-// INSERT of a new top row there. The deeper re-run no longer extends the
-// prefix already merged, so the router re-runs the query with every shard
-// k deep: no row twice, and the answer is the single-node top-k after the
-// insert.
-func TestOneShotRefillUnderInsert(t *testing.T) {
+// TestOneShotIsOneRound: a one-shot asks every shard for k rows at once.
+// Shard 0 holds the whole top 10, and its k-deep first fetch covers it:
+// one /query per shard, no refill, and the single-node answer.
+func TestOneShotIsOneRound(t *testing.T) {
 	const k = 10
-	var queries atomic.Int32
-	var c *skewCluster
-	c = newSkewCluster(t, nil, func(h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/query" && queries.Add(1) == 2 {
-				if _, err := c.dbs[0].Exec(skewTopRow); err != nil {
-					t.Error(err)
-				}
-			}
-			h.ServeHTTP(w, r)
-		})
-	})
+	c := newSkewCluster(t, nil, nil)
 	var got testQueryResponse
 	if code := postJSON(t, c.front.URL+"/query", map[string]interface{}{
 		"sql": skewQuery, "params": []interface{}{k}}, &got); code != http.StatusOK {
 		t.Fatalf("one-shot: status %d, error %q", code, got.Error)
 	}
-	if queries.Load() < 2 {
-		t.Fatal("shard 0 was never refilled; the insert raced nothing")
+	assertEquivalent(t, "one-shot", skewRef(t, k+5), k, &got)
+	c.assertOneRound(t, "one-shot")
+	if got.Merge.Refills != 0 {
+		t.Errorf("one-shot merge.refills = %d, want 0", got.Merge.Refills)
 	}
-	seen := map[string]bool{}
-	for _, row := range got.Rows {
-		key := renderRow(row)
-		if seen[key] {
-			t.Fatalf("row %s returned twice: %v", key, got.Rows)
-		}
-		seen[key] = true
+}
+
+// TestCursorOpenIsOneRound is the cursor twin: a cursor open with fetch 4
+// sends each shard one /query (its cursor open, 4 rows deep) and no
+// /cursor/next.
+func TestCursorOpenIsOneRound(t *testing.T) {
+	const k = 4
+	c := newSkewCluster(t, nil, nil)
+	code, first := c.openSkewCursor(t, k)
+	if code != http.StatusOK || first.CursorID == "" {
+		t.Fatalf("cursor open: status %d, error %q", code, first.Error)
 	}
-	assertEquivalent(t, "one-shot after the insert", skewRef(t, k+5, skewTopRow), k, &got)
+	assertEquivalent(t, "cursor page one", skewRef(t, k+5), k, first)
+	c.assertOneRound(t, "cursor open")
+}
+
+// TestAfterRankRefillsCounted: the refills an after_rank fast-forward makes
+// count toward its page, so the router's refills_total equals the
+// /cursor/next pulls the shards served.
+func TestAfterRankRefillsCounted(t *testing.T) {
+	const k = 4
+	c := newSkewCluster(t, nil, nil)
+	code, first := c.openSkewCursor(t, k)
+	if code != http.StatusOK || first.CursorID == "" {
+		t.Fatalf("cursor open: status %d, error %q", code, first.Error)
+	}
+	var jump testQueryResponse
+	if code := postJSON(t, c.front.URL+"/cursor/next", map[string]interface{}{
+		"cursor_id": first.CursorID, "after_rank": 12}, &jump); code != http.StatusOK || len(jump.Ranks) != k || jump.Ranks[0] != 13 {
+		t.Fatalf("after_rank=12: status %d, error %q, ranks %v; want ranks 13..16", code, jump.Error, jump.Ranks)
+	}
+	_, hits := c.shardCursors(t)
+	var snap Snapshot
+	getInsightJSON(t, c.front.URL+"/stats", &snap)
+	if hits == 0 || snap.RefillsTotal != hits || uint64(jump.Merge.Refills) != hits {
+		t.Errorf("refills_total %d, page merge.refills %d; the shards served %d /cursor/next pulls",
+			snap.RefillsTotal, jump.Merge.Refills, hits)
+	}
+	var perQuery uint64
+	for _, q := range snap.PerQuery {
+		perQuery += q.Refills
+	}
+	if perQuery != hits {
+		t.Errorf("per_query refills sum to %d, want %d", perQuery, hits)
+	}
 }
 
 // TestRouterCursorShardLostUnderInsert: shard 0 garbage-collects its side
@@ -223,18 +295,18 @@ func TestRouterCursorShardLostUnderInsert(t *testing.T) {
 func TestRouterCursorNoOrphanAfterShardError(t *testing.T) {
 	const k = 4
 	c := newSkewCluster(t, nil, failFirst("/cursor/next", http.StatusServiceUnavailable, `{"error": "overloaded"}`))
-	code, first := c.openSkewCursor(t, k)
-	if code != http.StatusOK || first.CursorID == "" {
-		t.Fatalf("cursor open: status %d, error %q", code, first.Error)
+	first, code, both := c.secondSkewPage(t, k)
+	if code != http.StatusOK {
+		t.Fatalf("page across the 503: status %d, error %q", code, both.Error)
 	}
-	assertEquivalent(t, "page across the 503", skewRef(t, k+5), k, first)
+	assertEquivalent(t, "pages across the 503", skewRef(t, 2*k+5), 2*k, both)
 	var closed struct {
 		Closed bool `json:"closed"`
 	}
 	if postJSON(t, c.front.URL+"/cursor/close", map[string]interface{}{"cursor_id": first.CursorID}, &closed); !closed.Closed {
 		t.Fatal("router cursor close failed")
 	}
-	if n := c.openShardCursors(t); n != 0 {
+	if n, _ := c.shardCursors(t); n != 0 {
 		t.Fatalf("shards hold %d cursors after the router cursor closed, want 0", n)
 	}
 }

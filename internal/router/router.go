@@ -6,11 +6,11 @@
 // (default: the first column; override with "partition_key" on CREATE
 // TABLE). DDL fans out to every shard; INSERT statements and CSV /load
 // bodies are split row-by-row on the partition key's hash. Top-k SELECTs
-// are answered by sending the same parameterized fetch text to every shard
-// with a per-shard k and merging the returned ranked streams with a
-// threshold-algorithm-style max-heap merge (see merge.go): because every
-// shard's stream arrives in non-increasing score order with an
-// "exhausted at depth d" marker, the coordinator can stop — and skip
+// are answered by sending the same parameterized fetch text, k deep, to
+// every shard in one parallel round and merging the returned ranked
+// streams with a threshold-algorithm-style max-heap merge (see merge.go):
+// because every shard's stream arrives in non-increasing score order with
+// an "exhausted at depth d" marker, the coordinator can stop — and skip
 // refetching entire shards — as soon as the k-th result dominates every
 // shard's remaining-score bound.
 //
@@ -372,21 +372,6 @@ func (r *Router) resolveTemplate(req *wire.Request) (*template, int, error) {
 	}
 }
 
-// perShardK picks the initial per-shard fetch depth for a client top-k:
-// an even split plus one row of slack. Skewed clusters refill (see
-// merge.go); balanced ones answer in one round with ~k/N overfetch per
-// shard instead of k.
-func perShardK(k, nShards int) int {
-	if k <= 0 {
-		return 0
-	}
-	n := (k+nShards-1)/nShards + 1
-	if n > k {
-		n = k
-	}
-	return n
-}
-
 func (r *Router) handleQuery(w http.ResponseWriter, hr *http.Request, req *wire.Request) {
 	// The trace ID is minted here (or propagated from an upstream
 	// caller) and travels to every shard fetch via the X-Ranksql-Trace
@@ -458,6 +443,14 @@ func (r *Router) handleQuery(w http.ResponseWriter, hr *http.Request, req *wire.
 		rc = r.newCursor(t, req.Params, pageSize, false)
 	}
 	resp := r.pullPage(w, hr, req, trace, id, rc, pageSize, 0)
+	if id != "" && (resp == nil || hr.Context().Err() != nil) {
+		// A first page that failed, or whose client left, delivers no
+		// cursor id, so no client could ever close the cursor: close it.
+		if rc, err := r.cursors.Remove(id); err == nil {
+			rc.closeShardCursors(trace)
+		}
+		return
+	}
 	if resp == nil {
 		return
 	}

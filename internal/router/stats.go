@@ -55,7 +55,7 @@ func newMetrics() *metrics {
 	m.shardsPruned = reg.Counter("ranksql_router_shards_pruned_total",
 		"Shard streams skipped entirely by the threshold bound.")
 	m.refills = reg.Counter("ranksql_router_refills_total",
-		"Follow-up shard fetches past each stream's first: a cursor stream pulls the next rows (re-opening a lost shard cursor), a one-shot stream re-runs at double depth.")
+		"Follow-up shard fetches past each stream's first, made by cursor pages after the first: a cursor stream pulls the next page-size rows (re-opening a lost shard cursor). A one-shot's first fetch is k deep on every shard, so it never refills.")
 	m.rowsFetched = reg.Counter("ranksql_router_rows_fetched_total",
 		"Rows fetched from shards.")
 	m.failovers = reg.Counter("ranksql_router_shard_failovers_total",

@@ -73,7 +73,13 @@ func (s *Server) handleCursorOpen(w http.ResponseWriter, r *http.Request, req *w
 		return
 	}
 	s.metrics.CursorsOpened.Inc()
-	s.fetchCursorPage(w, r, req, trace, id, sc, pageSize, 0)
+	if !s.fetchCursorPage(w, r, req, trace, id, sc, pageSize, 0) || r.Context().Err() != nil {
+		// A first page that failed, or whose client left, delivers no
+		// cursor id, so no client could ever close the cursor: close it.
+		if sc, err := s.cursors.Remove(id); err == nil {
+			_ = sc.cur.Close()
+		}
+	}
 }
 
 // handleCursorNext serves POST /cursor/next {cursor_id, fetch?,
@@ -113,10 +119,10 @@ func (s *Server) handleCursorClose(w http.ResponseWriter, r *http.Request, req *
 }
 
 // fetchCursorPage pulls one page from a registered cursor and answers
-// with it. afterRank > 0 fast-forwards the stream so the page starts at
-// rank afterRank+1; a position already past it is an error (ranked
-// streams cannot rewind).
-func (s *Server) fetchCursorPage(w http.ResponseWriter, r *http.Request, req *wire.Request, trace *obs.Trace, id string, sc *serverCursor, n, afterRank int) {
+// with it, reporting whether the pull succeeded. afterRank > 0
+// fast-forwards the stream so the page starts at rank afterRank+1; a
+// position already past it is an error (ranked streams cannot rewind).
+func (s *Server) fetchCursorPage(w http.ResponseWriter, r *http.Request, req *wire.Request, trace *obs.Trace, id string, sc *serverCursor, n, afterRank int) bool {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 
@@ -138,9 +144,10 @@ func (s *Server) fetchCursorPage(w http.ResponseWriter, r *http.Request, req *wi
 	endFetch()
 	if err != nil {
 		s.pullFailed(ctx, w, r, req, trace, sc.norm, id, err)
-		return
+		return false
 	}
 	s.writePage(w, trace, sc.norm, id, sc.cur.Pulled()-rows.Len(), sc.cur.PinnedBytes(), rows, time.Since(start))
+	return true
 }
 
 // writePage records and answers one pulled page of a ranked stream — a
@@ -182,9 +189,10 @@ func (s *Server) writePage(w http.ResponseWriter, trace *obs.Trace, norm, cursor
 // pullFailed maps a failed pull — one-shot or cursor page — onto the
 // wire. ctx is the pull's context, derived from r's: when it has ended
 // and r's has not, only the deadline_ms budget can have ended it, which
-// is a 504 (a cursor survives it and can be pulled again). A client
-// that went away gets no answer; invalidation closes the cursor with
-// 409; anything else is the query's own error.
+// is a 504 (a cursor survives it and can be pulled again, unless the pull
+// was its first page: see handleCursorOpen). A client that went away
+// gets no answer; invalidation closes the cursor with 409; anything else
+// is the query's own error.
 func (s *Server) pullFailed(ctx context.Context, w http.ResponseWriter, r *http.Request, req *wire.Request, trace *obs.Trace, norm, cursorID string, err error) {
 	switch {
 	case r.Context().Err() != nil:

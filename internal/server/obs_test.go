@@ -133,6 +133,24 @@ func TestDeadlineMS(t *testing.T) {
 	if stats.Errors != 2 {
 		t.Errorf("errors = %d, want 2 (each timeout also counts as an error)", stats.Errors)
 	}
+
+	// A cursor open whose first page misses its budget answers no
+	// cursor_id, so no client could close the cursor: none may stay open.
+	var closed cursorResponse
+	postJSON(t, ts.URL+"/cursor/close", map[string]interface{}{"cursor_id": page.CursorID}, &closed)
+	slow.Store(true)
+	var open cursorResponse
+	code = postJSON(t, ts.URL+"/query", map[string]interface{}{
+		"sql": lagQuerySQL, "params": []interface{}{400.0, 50}, "cursor": true, "fetch": 50, "deadline_ms": 1}, &open)
+	slow.Store(false)
+	if code != http.StatusGatewayTimeout || open.CursorID != "" {
+		t.Fatalf("slow cursor open: status %d, cursor_id %q, error %q; want 504 and no cursor_id", code, open.CursorID, open.Error)
+	}
+	var after Snapshot
+	getJSONBody(t, ts.URL+"/stats", &after)
+	if after.Cursors.Open != 0 {
+		t.Errorf("/stats cursors.open after the failed open = %d, want 0", after.Cursors.Open)
+	}
 }
 
 // syncBuffer is a goroutine-safe bytes.Buffer for capturing slog output
