@@ -47,11 +47,14 @@ func lg(x float64) float64 {
 	return math.Log2(x)
 }
 
+// defaultSel is the selectivity assumed for a join condition without
+// distinct counts to go on.
+const defaultSel = 0.01
+
 // joinSelectivity estimates the selectivity of an equi-join from distinct
 // counts (1 / max(V(l), V(r)), the classic System-R formula); falls back
 // to defaultSel for non-equi conditions.
 func (d *decomposed) joinSelectivity(jc *joinCond) float64 {
-	const defaultSel = 0.01
 	if jc.l == nil {
 		return defaultSel
 	}
@@ -62,6 +65,20 @@ func (d *decomposed) joinSelectivity(jc *joinCond) float64 {
 		return defaultSel
 	}
 	return 1 / v
+}
+
+// nodeSelectivity is the selectivity of join node p: its equi key's, else
+// that of the decomposed join conjunct its condition is, else defaultSel.
+func (d *decomposed) nodeSelectivity(p *PlanNode) float64 {
+	if p.LeftKey != nil {
+		return d.joinSelectivity(&joinCond{l: p.LeftKey, r: p.RightKey})
+	}
+	for _, jc := range d.joins {
+		if jc.cond == p.Cond {
+			return d.joinSelectivity(jc)
+		}
+	}
+	return defaultSel
 }
 
 func (d *decomposed) distinctOf(alias, col string) float64 {
@@ -147,22 +164,6 @@ func (o *optimizerState) costNode(p *PlanNode) float64 {
 // the larger of the estimated output cardinality and the selectivity-based
 // pair count over the consumed inputs.
 func (o *optimizerState) pairEstimate(p *PlanNode) float64 {
-	sel := 0.01
-	if p.LeftKey != nil {
-		sel = o.d.joinSelectivity(&joinCond{l: p.LeftKey, r: p.RightKey})
-	} else if p.Cond != nil {
-		// Arbitrary condition: reuse the decomposed join conds when one
-		// matches; otherwise keep the default.
-		for _, jc := range o.d.joins {
-			if jc.cond == p.Cond && jc.l != nil {
-				sel = o.d.joinSelectivity(jc)
-				break
-			}
-		}
-	}
-	pairs := p.Children[0].Card * p.Children[1].Card * sel
-	if p.Card > pairs {
-		pairs = p.Card
-	}
-	return pairs
+	pairs := p.Children[0].Card * p.Children[1].Card * o.d.nodeSelectivity(p)
+	return math.Max(pairs, p.Card)
 }

@@ -330,6 +330,7 @@ func propSorted(c *expr.Col) string {
 // joinPlans builds plans for signature s by joining two smaller signatures
 // (Figure 8 line 13).
 func (o *optimizerState) joinPlans(s sig) error {
+	all := schema.AllBits(len(o.d.q.Tables))
 	for sr1 := (s.sr - 1) & s.sr; sr1 != 0; sr1 = (sr1 - 1) & s.sr {
 		sr2 := s.sr.Diff(sr1)
 		if sr2 == 0 {
@@ -339,8 +340,10 @@ func (o *optimizerState) joinPlans(s sig) error {
 			continue
 		}
 		conds := o.d.connectingJoins(sr1, sr2)
-		if len(conds) == 0 && o.d.isConnected(s.sr) {
-			continue // avoid Cartesian products when a connected order exists
+		if len(conds) == 0 && o.d.isConnected(all) {
+			// Selinger's rule: when the query's join graph is connected,
+			// some join order needs no Cartesian product, so none is built.
+			continue
 		}
 		// Partition SP into halves evaluable on each side.
 		u1 := o.d.evaluablePreds(sr1)

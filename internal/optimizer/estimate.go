@@ -7,6 +7,8 @@ import (
 
 	"ranksql/internal/exec"
 	"ranksql/internal/expr"
+	"ranksql/internal/schema"
+	"ranksql/internal/types"
 )
 
 // Estimator implements the sampling-based cardinality estimation of §5.2.
@@ -16,25 +18,56 @@ import (
 // cardinality is the number of tuples it produces with upper bound ≥ x.
 // x is unknown during enumeration, so the estimator:
 //
-//  1. draws a small deterministic sample of every table (catalog samples),
-//  2. runs the original query on the samples with a conventional plan and
-//     takes the score x' of the k'-th result, k' = ⌈k·s%⌉, as an estimate
-//     of x,
+//  1. draws a small deterministic sample of every table, independently per
+//     table (catalog samples; sᵢ is table i's SampleRatio),
+//  2. takes as x' the k″-th best score F over the cross product of the
+//     filtered per-table samples, k″ = ⌈k · Π sᵢ / Π selⱼ⌉ over the tables
+//     i and the join conjuncts j (selⱼ is joinSelectivity),
 //  3. estimates the output cardinality of each candidate subplan P by
 //     executing P on the samples, counting its outputs u with upper bound
-//     ≥ x', and scaling with the paper's rules:
-//     scan:   card(P) = u / s%
+//     ≥ x', and scaling:
+//     scan:   card(P) = u / sᵢ
 //     unary:  card(P) = u · card(P′)/cards(P′)
-//     binary: card(P) = u · (card(P1)/cards(P1) + card(P2)/cards(P2)) / 2
+//     binary: card(P) = u · card(P1)/cards(P1) · card(P2)/cards(P2)
 //     where cards(·) is the child's output count observed during the
 //     sample execution and card(·) its previously estimated cardinality.
+//
+// Step 2 deviates from the paper, which runs Q itself on the samples and
+// takes its ⌈k·s⌉-th result. Independent samples of joined tables rarely
+// join: on the §6 database (0.1 % samples, 100-row floor) the A⨝B⨝C sample
+// join is empty, which left x' at −∞. Under System-R's independence
+// assumption, the one joinSelectivity already makes (join keys independent
+// of each other and of the scores), Q's results are a Π selⱼ share of the
+// cross product drawn at random, so the cross product of the samples is a
+// sample of Q at ratio Π sᵢ / Π selⱼ. With no joins, k″ = ⌈k·s⌉ as in the
+// paper. The top k″ comes from a ranked plan over the samples (see
+// xPrimePlan), so only as much of the cross product is formed as the top
+// k″ needs.
+//
+// The binary rule deviates from the paper's u·(r₁+r₂)/2 for the same
+// reason: averaging is right only for samples correlated on the join key,
+// where a sampled pair stands for r real tuples. With independent samples
+// each sampled pair stands for r₁·r₂ real pairs.
+//
+// No estimate of a non-empty input is zero: costNode prices an operator by
+// its inputs' cards, so a zero would make everything above it free. Three
+// fallbacks replace a count the sample cannot give, and EXPLAIN marks each
+// node estimated by one est=fallback:
+//   - a binary node with u = 0 gets the System-R floor
+//     sel · card(P1) · card(P2), sel being the selectivity pairEstimate
+//     uses: an empty sample join says only that fewer than one in
+//     cards(P1)·cards(P2) pairs join;
+//   - a unary node whose child emitted no sample tuples inherits card(P′):
+//     nothing was observed to scale;
+//   - u = 0 on a non-empty input counts as half a sampled tuple: none of m
+//     sampled tuples passing says the share is below 1/m, not that it is 0.
 type Estimator struct {
 	d   *decomposed
 	env *Env
 	// XPrime is the estimated k-th result score (x'); -Inf when the
-	// sample run produced fewer than k' results.
+	// samples' cross product holds fewer than k″ tuples.
 	XPrime float64
-	// KPrime is the sample-scaled result count k'.
+	// KPrime is the sample-scaled result count k″.
 	KPrime int
 	// Runs counts subplan sample executions (exposed for tests and for
 	// measuring optimization overhead).
@@ -66,27 +99,26 @@ func newEstimator(d *decomposed, opts Options) (*Estimator, error) {
 	}
 	e := &Estimator{d: d, env: env, XPrime: math.Inf(-1)}
 
-	// Build the samples now so ratios are known.
-	minRatio := 1.0
+	// Build the samples now so ratios are known; scale is Π sᵢ / Π selⱼ,
+	// the sampling ratio of the samples' cross product as a sample of Q.
+	scale := 1.0
 	for i := range d.q.Tables {
 		tm := d.metas[i]
 		tm.EnsureSample(opts.SampleRatio, opts.MinSampleRows)
-		if tm.SampleRatio < minRatio {
-			minRatio = tm.SampleRatio
-		}
+		scale *= tm.SampleRatio
+	}
+	for _, jc := range d.joins {
+		scale /= d.joinSelectivity(jc)
 	}
 
-	// k' = ceil(k * s%): transform the top-k query into a top-k' query on
-	// the samples.
+	// k″ = ⌈k · Π sᵢ / Π selⱼ⌉: transform the top-k query into a top-k″
+	// query on the samples' cross product.
 	k := d.q.K
 	if k <= 0 {
 		e.KPrime = 0
 		return e, nil // no LIMIT: x stays -Inf, estimates are full sizes
 	}
-	e.KPrime = int(math.Ceil(float64(k) * minRatio))
-	if e.KPrime < 1 {
-		e.KPrime = 1
-	}
+	e.KPrime = max(1, int(math.Ceil(float64(k)*scale)))
 
 	x, err := e.estimateXPrime()
 	if err != nil {
@@ -96,58 +128,48 @@ func newEstimator(d *decomposed, opts Options) (*Estimator, error) {
 	return e, nil
 }
 
-// canonicalPlan builds the naive evaluation plan used to estimate x' on the
-// samples: filtered sequential scans, a nested-loops join chain carrying
-// every applicable condition, and a full sort.
-func (e *Estimator) canonicalPlan() *PlanNode {
+// xPrimePlan is the ranked plan whose outputs are the samples' cross
+// product, best F first: each table's filtered sample ranked by µ for
+// every predicate it evaluates alone, the tables joined left-deep by NRJN
+// on a constant-true condition, and µ for each multi-table predicate once
+// its tables are joined. Every node streams in non-increasing upper-bound
+// order, so pulling k″ outputs forms only the combined tuples that can
+// still reach the top k″; nothing but F's monotonicity is assumed.
+func (e *Estimator) xPrimePlan() *PlanNode {
 	d := e.d
+	var done schema.Bitset
+	rankBy := func(p *PlanNode, sr tableSet) *PlanNode {
+		preds := d.evaluablePreds(sr).Diff(done)
+		preds.Each(func(i int) {
+			p = &PlanNode{Kind: KindRank, Pred: d.q.Spec.Preds[i], Children: []*PlanNode{p}}
+		})
+		done = done.Union(preds)
+		return p
+	}
 	var root *PlanNode
-	placed := map[*joinCond]bool{}
 	var sr tableSet
 	for i, tr := range d.q.Tables {
-		var leaf *PlanNode = &PlanNode{Kind: KindSeqScan, Alias: tr.Alias}
+		leaf := &PlanNode{Kind: KindSeqScan, Alias: tr.Alias}
 		for _, c := range d.sel[i] {
 			leaf = &PlanNode{Kind: KindFilter, Cond: c, Children: []*PlanNode{leaf}}
 		}
+		leaf = rankBy(leaf, tableSet(0).With(i))
+		sr = sr.With(i)
 		if root == nil {
 			root = leaf
-			sr = sr.With(i)
 			continue
 		}
-		sr = sr.With(i)
-		// Attach every join condition that becomes fully evaluable.
-		var conds []expr.Expr
-		aliases := d.aliasesOf(sr)
-		for _, jc := range d.joins {
-			if placed[jc] {
-				continue
-			}
-			all := true
-			for t := range jc.tables {
-				if !aliases[t] {
-					all = false
-					break
-				}
-			}
-			if all {
-				placed[jc] = true
-				conds = append(conds, jc.cond)
-			}
-		}
-		root = &PlanNode{
-			Kind:     KindNestedLoop,
-			Cond:     expr.And(conds...),
-			Children: []*PlanNode{root, leaf},
-		}
+		root = &PlanNode{Kind: KindNRJN, Cond: expr.NewConst(types.NewBool(true)),
+			Children: []*PlanNode{root, leaf}}
+		root = rankBy(root, sr)
 	}
-	return &PlanNode{Kind: KindSortScore, Children: []*PlanNode{root}}
+	return root
 }
 
-// estimateXPrime runs the canonical plan on the samples and returns the
-// k'-th result score, or -Inf if fewer results exist.
+// estimateXPrime runs the x' plan on the samples and returns the k″-th
+// result score, or -Inf if fewer results exist.
 func (e *Estimator) estimateXPrime() (float64, error) {
-	plan := e.canonicalPlan()
-	op, err := plan.Build(e.env)
+	op, err := e.xPrimePlan().Build(e.env)
 	if err != nil {
 		return 0, err
 	}
@@ -211,60 +233,65 @@ func (e *Estimator) Estimate(p *PlanNode) (float64, error) {
 		u++
 	}
 
-	card, err := e.scaleUp(p, op, u)
+	card, fallback, err := e.scaleUp(p, op, u)
 	if err != nil {
 		return 0, err
 	}
 	p.Card = card
+	p.fallback = fallback
 	p.setEstimated()
 	return card, nil
 }
 
-// scaleUp applies the paper's scan/unary/binary scaling rules.
-func (e *Estimator) scaleUp(p *PlanNode, op exec.Operator, u int) (float64, error) {
+// halfTuple stands in for u = 0 on a non-empty input (see Estimator).
+const halfTuple = 0.5
+
+// scaleUp applies the scan/unary/binary scaling rules, or the fallback
+// that replaces one where the sample observed nothing; fallback reports
+// which.
+func (e *Estimator) scaleUp(p *PlanNode, op exec.Operator, u int) (card float64, fallback bool, err error) {
 	kids := op.Children()
 	switch len(kids) {
 	case 0:
-		// Scan rule: card = u / s%.
-		alias := strings.ToLower(p.Alias)
-		name, ok := e.env.Aliases[alias]
-		if !ok {
-			return float64(u), nil // no catalog table behind the alias: no sample ratio to scale by
-		}
-		tm, err := e.d.q.Catalog.Table(name)
+		// Scan rule: card = u / sᵢ.
+		sample, tm, err := e.env.tableFor(p.Alias)
 		if err != nil {
-			return 0, err
+			return 0, false, err
 		}
 		ratio := tm.SampleRatio
 		if ratio <= 0 {
 			ratio = 1
 		}
-		return float64(u) / ratio, nil
+		if u == 0 && sample.NumRows() > 0 {
+			return halfTuple / ratio, true, nil
+		}
+		return float64(u) / ratio, false, nil
 	case 1:
+		if kids[0].OutCount() == 0 {
+			return p.child(0).Card, true, nil
+		}
 		r := ratioOf(p.child(0), kids[0])
-		return float64(u) * r, nil
+		if u == 0 {
+			return halfTuple * r, true, nil
+		}
+		return float64(u) * r, false, nil
 	case 2:
-		r1 := ratioOf(p.child(0), kids[0])
-		r2 := ratioOf(p.child(1), kids[1])
-		return float64(u) * (r1 + r2) / 2, nil
+		if u == 0 {
+			sel := e.d.nodeSelectivity(p)
+			return sel * p.child(0).Card * p.child(1).Card, true, nil
+		}
+		// u > 0: both children emitted sample tuples.
+		return float64(u) * ratioOf(p.child(0), kids[0]) * ratioOf(p.child(1), kids[1]), false, nil
 	default:
-		return 0, fmt.Errorf("optimizer: operator with %d children", len(kids))
+		return 0, false, fmt.Errorf("optimizer: operator with %d children", len(kids))
 	}
 }
 
-// ratioOf is card(P')/cards(P') with a guard for empty sample streams.
+// ratioOf is card(P′)/cards(P′): how many real tuples each tuple the child
+// emitted during the sample run stands for. The child must have emitted
+// at least one.
 func ratioOf(child *PlanNode, op exec.Operator) float64 {
-	sampleOut := float64(op.OutCount())
-	if sampleOut == 0 {
-		// The child produced nothing during this run (e.g. the parent
-		// emitted straight from its queue); fall back to a neutral
-		// scale so u=0 still yields 0 and u>0 keeps a sane magnitude.
-		if child.Card > 0 {
-			return child.Card
-		}
-		return 1
-	}
-	return child.Card / sampleOut
+	return child.Card / float64(op.OutCount())
 }
 
 // estimated/setEstimated track per-node annotation state.

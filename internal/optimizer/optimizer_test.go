@@ -109,6 +109,53 @@ func figure9Fixture(t *testing.T, rows int) (*catalog.Catalog, *Query) {
 	return c, q
 }
 
+// canonicalPlan builds the naive evaluation plan naiveTopK runs as the
+// oracle: filtered sequential scans, a nested-loops join chain carrying
+// every applicable condition, and a full sort.
+func (e *Estimator) canonicalPlan() *PlanNode {
+	d := e.d
+	var root *PlanNode
+	placed := map[*joinCond]bool{}
+	var sr tableSet
+	for i, tr := range d.q.Tables {
+		var leaf *PlanNode = &PlanNode{Kind: KindSeqScan, Alias: tr.Alias}
+		for _, c := range d.sel[i] {
+			leaf = &PlanNode{Kind: KindFilter, Cond: c, Children: []*PlanNode{leaf}}
+		}
+		if root == nil {
+			root = leaf
+			sr = sr.With(i)
+			continue
+		}
+		sr = sr.With(i)
+		// Attach every join condition that becomes fully evaluable.
+		var conds []expr.Expr
+		aliases := d.aliasesOf(sr)
+		for _, jc := range d.joins {
+			if placed[jc] {
+				continue
+			}
+			all := true
+			for t := range jc.tables {
+				if !aliases[t] {
+					all = false
+					break
+				}
+			}
+			if all {
+				placed[jc] = true
+				conds = append(conds, jc.cond)
+			}
+		}
+		root = &PlanNode{
+			Kind:     KindNestedLoop,
+			Cond:     expr.And(conds...),
+			Children: []*PlanNode{root, leaf},
+		}
+	}
+	return &PlanNode{Kind: KindSortScore, Children: []*PlanNode{root}}
+}
+
 // naiveTopK computes the query's answer with the canonical plan directly
 // on the real tables (the oracle).
 func naiveTopK(t *testing.T, q *Query) []float64 {
@@ -399,4 +446,73 @@ func TestDecomposeClassification(t *testing.T) {
 		t.Errorf("join conds = %v, want one equi-join", d.joins)
 	}
 	sort.Strings(nil) // keep sort import
+}
+
+// TestEmptySampleJoinFallsBack: two tables whose 1 % stride samples share
+// no join key (R.a = tid, S.a = tid+1, so the sampled keys are 0, 100, …
+// against 1, 101, …) still give their join a nonzero card: the System-R
+// floor sel·card(R)·card(S), marked est=fallback in EXPLAIN.
+func TestEmptySampleJoinFallsBack(t *testing.T) {
+	const rows = 10000
+	c := catalog.New()
+	ident := func(args []types.Value) float64 { f, _ := args[0].AsFloat(); return f }
+	r := rng(5)
+	var preds []*rank.Predicate
+	for i, name := range []string{"R", "S"} {
+		tm, err := c.CreateTable(name, schema.NewSchema(
+			schema.Column{Name: "a", Kind: types.KindInt},
+			schema.Column{Name: "p", Kind: types.KindFloat},
+		))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tid := 0; tid < rows; tid++ {
+			tm.Table.MustAppend([]types.Value{types.NewInt(int64(tid + i)), types.NewFloat(r.float())})
+		}
+		preds = append(preds, &rank.Predicate{Index: i, Name: "f(" + name + ".p)", Scorer: "f",
+			Args: []rank.ColumnRef{{Table: name, Column: "p"}}, Fn: ident, Cost: 1})
+	}
+	q := &Query{
+		Catalog: c,
+		Tables:  []TableRef{{Alias: "R", Name: "R"}, {Alias: "S", Name: "S"}},
+		Where:   expr.Eq(expr.NewCol("R", "a"), expr.NewCol("S", "a")),
+		Spec:    rank.MustSpec(rank.NewSum(2), preds),
+		K:       10,
+	}
+	d, err := decompose(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := newEstimator(d, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hj := &PlanNode{Kind: KindHashJoin, LeftKey: expr.NewCol("R", "a"), RightKey: expr.NewCol("S", "a"),
+		Children: []*PlanNode{{Kind: KindSeqScan, Alias: "R"}, {Kind: KindSeqScan, Alias: "S"}}}
+	card, err := est.Estimate(hj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The real join holds rows-1 pairs; the floor is (1/rows)·rows·rows.
+	if math.Abs(card-rows) > 1 {
+		t.Errorf("hashJoin card = %g, want the System-R floor %d", card, rows)
+	}
+	if line := strings.SplitN(hj.String(), "\n", 2)[0]; !strings.Contains(line, "est=fallback") {
+		t.Errorf("join not marked est=fallback: %q", line)
+	}
+
+	res, err := Optimize(q, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var walk func(p *PlanNode)
+	walk = func(p *PlanNode) {
+		if p.Card <= 0 {
+			t.Errorf("%s estimated at %g\n%s", p.Label(), p.Card, res.Plan)
+		}
+		for _, c := range p.Children {
+			walk(c)
+		}
+	}
+	walk(res.Plan)
 }

@@ -67,6 +67,7 @@ type PlanNode struct {
 	SR   tableSet
 
 	estDone  bool // Card has been estimated (kept with the subplan, §5.2)
+	fallback bool // Card comes from an Estimator fallback, not a sample count
 	costDone bool // Cost has been computed
 }
 
@@ -110,13 +111,18 @@ func (p *PlanNode) Label() string {
 	}
 }
 
-// String renders the plan tree.
+// String renders the plan tree. A card the estimator could not scale
+// from a sample count carries est=fallback (see Estimator).
 func (p *PlanNode) String() string {
 	var b strings.Builder
 	var rec func(n *PlanNode, depth int)
 	rec = func(n *PlanNode, depth int) {
-		fmt.Fprintf(&b, "%s%s  [card=%.1f cost=%.1f]\n",
+		fmt.Fprintf(&b, "%s%s  [card=%.1f cost=%.1f",
 			strings.Repeat("  ", depth), n.Label(), n.Card, n.Cost)
+		if n.fallback {
+			b.WriteString(" est=fallback")
+		}
+		b.WriteString("]\n")
 		for _, c := range n.Children {
 			rec(c, depth+1)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ranksql/internal/catalog"
+	"ranksql/internal/exec"
 	"ranksql/internal/expr"
 	"ranksql/internal/rank"
 	"ranksql/internal/schema"
@@ -275,5 +276,70 @@ func TestOptPlanCompetitive(t *testing.T) {
 	}
 	if res.Generated < res.Kept || res.Kept == 0 {
 		t.Errorf("implausible enumeration stats: generated=%d kept=%d", res.Generated, res.Kept)
+	}
+}
+
+// TestXPrimeIsCrossProductTopK: x' is the k″-th best score over the cross
+// product of the filtered per-table samples, for every shape of monotone F
+// and with a ranking predicate over two tables evaluated on the combined
+// tuple. The oracle materializes and sorts the whole cross product.
+func TestXPrimeIsCrossProductTopK(t *testing.T) {
+	closeness := func(args []types.Value) float64 {
+		a, _ := args[0].AsFloat()
+		b, _ := args[1].AsFloat()
+		return 1 - math.Abs(a-b)
+	}
+	for name, f := range map[string]func(n int) rank.ScoringFunc{
+		"sum":     func(n int) rank.ScoringFunc { return rank.NewSum(n) },
+		"product": func(n int) rank.ScoringFunc { return rank.NewProduct(n) },
+		"min":     func(n int) rank.ScoringFunc { return rank.NewMin(n) },
+		"max":     func(n int) rank.ScoringFunc { return rank.NewMax(n) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, q := chainFixture(t, 3, 300)
+			preds := append(q.Spec.Preds, &rank.Predicate{
+				Index: 3, Name: "close(T0.p,T2.p)", Fn: closeness, Cost: 1,
+				Args: []rank.ColumnRef{{Table: "T0", Column: "p"}, {Table: "T2", Column: "p"}},
+			})
+			q.Spec = rank.MustSpec(f(len(preds)), preds)
+			q.Where = expr.And(q.Where, expr.Lt(expr.NewCol("T1", "p"), expr.NewConst(types.NewFloat(0.5))))
+			opts := DefaultOptions()
+			opts.MinSampleRows = 30
+			d, err := decompose(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			est, err := newEstimator(d, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var product *PlanNode
+			for i, tr := range q.Tables {
+				leaf := &PlanNode{Kind: KindSeqScan, Alias: tr.Alias}
+				for _, c := range d.sel[i] {
+					leaf = &PlanNode{Kind: KindFilter, Cond: c, Children: []*PlanNode{leaf}}
+				}
+				if product == nil {
+					product = leaf
+				} else {
+					product = &PlanNode{Kind: KindNestedLoop, Children: []*PlanNode{product, leaf}}
+				}
+			}
+			op, err := (&PlanNode{Kind: KindSortScore, Children: []*PlanNode{product}}).Build(est.env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all, err := exec.Run(exec.NewContext(q.Spec), op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if est.KPrime < 2 || est.KPrime > len(all) {
+				t.Fatalf("k″ = %d for a %d-tuple cross product", est.KPrime, len(all))
+			}
+			if want := all[est.KPrime-1].Score; est.XPrime != want {
+				t.Errorf("x' = %v, k″-th (k″ = %d) cross-product score %v", est.XPrime, est.KPrime, want)
+			}
+		})
 	}
 }

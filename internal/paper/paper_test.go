@@ -224,26 +224,15 @@ func TestFigure13Harness(t *testing.T) {
 	}
 }
 
-// TestOptimizerChoiceIsCosted: the optimizer's pick must carry a finite
-// cost and never exceed the modeled cost of the traditional alternative
-// (finalize compares both). Which plan actually wins on this workload
-// depends on the sampling-based join cardinalities, which — exactly as
-// the paper's own Figure 13 shows — can be underestimated enough to make
-// the traditional plan look competitive. Hence the larger sample below:
-// at the default 0.1% sample with a 100-row floor, the three-way sample
-// join expects 40·40·0.002 A⨝B pairs × 100·0.002 C matches ≈ 0.6 results
-// here, so x′ rests on a single sampled result (≈ 2.06, against ≈ 3.58 at
-// 200 rows); on a 10,000-row, j = 0.001 database the sample join is empty
-// and x′ is −∞. The engine-level TestFigure7Interleaving covers the case
-// where the optimizer does pick an interleaved rank plan.
+// TestOptimizerChoiceIsCosted: on the default options, the optimizer's
+// pick must carry a finite cost and never do more predicate work than the
+// traditional plan, whose shape finalize always has available.
 func TestOptimizerChoiceIsCosted(t *testing.T) {
 	db, err := Build(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := optimizer.DefaultOptions()
-	opts.MinSampleRows = 200 // 5%: x' stays estimable, estimation runs stay cheap
-	plan, err := BuildOptimizedPlan(db, opts)
+	plan, err := BuildOptimizedPlan(db, optimizer.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,10 +244,73 @@ func TestOptimizerChoiceIsCosted(t *testing.T) {
 		t.Fatal(err)
 	}
 	m1 := mustRun(t, db, Plan1, 10)
-	// The choice must never be WORSE than the traditional plan in real
-	// predicate work: finalize always has plan1's shape available.
 	if mOpt.Stats.PredEvals > m1.Stats.PredEvals {
 		t.Errorf("optimizer plan does more work than the traditional plan: %d > %d",
 			mOpt.Stats.PredEvals, m1.Stats.PredEvals)
+	}
+}
+
+// TestOptimizerChoiceOnDefaults checks the optimizer's choice for Q on the
+// default options at the embed_join scale (s = 10 000, j = 0.001), where
+// independent 0.1 % samples (100-row floor) rarely join: at every k the
+// chosen plan reads at most 1.2× the tuples of the best forced plan, x' is
+// finite, the estimated cost grows with k, no node of the k = 10 plan is
+// estimated at zero, and at least 80 % of its Figure 13 operators are
+// estimated within an order of magnitude.
+func TestOptimizerChoiceOnDefaults(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Size = 10000
+	cfg.JoinSelectivity = 0.001
+	db, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prevCost := math.Inf(-1)
+	for _, k := range []int{1, 10, 100} {
+		q := db.Query()
+		q.K = k
+		res, err := optimizer.Optimize(q, optimizer.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if x := res.Estimator.XPrime; math.IsInf(x, 0) || math.IsNaN(x) {
+			t.Errorf("k=%d: x' = %v", k, x)
+		}
+		if res.Plan.Cost <= prevCost {
+			t.Errorf("k=%d: estimated cost %.1f does not exceed the previous k's %.1f", k, res.Plan.Cost, prevCost)
+		}
+		prevCost = res.Plan.Cost
+		if k == 10 {
+			var walk func(p *optimizer.PlanNode)
+			walk = func(p *optimizer.PlanNode) {
+				if p.Card <= 0 {
+					t.Errorf("k=10: %s estimated at %v\n%s", p.Label(), p.Card, res.Plan)
+				}
+				for _, c := range p.Children {
+					walk(c)
+				}
+			}
+			walk(res.Plan)
+		}
+
+		best := int64(math.MaxInt64)
+		for _, id := range AllPlans {
+			best = min(best, mustRun(t, db, id, k).Stats.TuplesScanned)
+		}
+		m, err := Run(db, res.Plan.Children[0], k) // below the optimizer's λ_k
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Stats.TuplesScanned; float64(got) > 1.2*float64(best) {
+			t.Errorf("k=%d: chosen plan scans %d tuples, best forced plan %d\n%s", k, got, best, res.Plan)
+		}
+	}
+
+	ops, err := Figure13(db, PlanOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := AccurateFraction(ops); f < 0.8 {
+		t.Errorf("Figure 13 pairs of the chosen plan: %.2f within an order of magnitude, want ≥ 0.8: %+v", f, ops)
 	}
 }

@@ -162,10 +162,10 @@ func BuildPlan(db *DB, id PlanID) (*optimizer.PlanNode, error) {
 }
 
 // BuildOptimizedPlan runs the rank-aware optimizer on the benchmark query
-// with explicit options (sample sizing matters: with the default 0.1%
-// samples, multi-way join samples can yield no rows, x' degrades to −∞
-// and the estimator biases against rank plans — the sampling-over-joins
-// weakness §5.2 acknowledges).
+// with explicit options. At the default 0.1 % samples the per-table
+// samples of A, B and C rarely join; the estimator takes x' from their
+// cross product and floors empty sample joins (see optimizer.Estimator),
+// so the choice still tracks k.
 func BuildOptimizedPlan(db *DB, opts optimizer.Options) (*optimizer.PlanNode, error) {
 	res, err := optimizer.Optimize(db.Query(), opts)
 	if err != nil {
