@@ -1,6 +1,7 @@
 package ranksql_test
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -190,5 +191,61 @@ func TestPublicAPIExecTree(t *testing.T) {
 		if !strings.Contains(rows.ExecTree(), want) {
 			t.Errorf("ExecTree missing %q:\n%s", want, rows.ExecTree())
 		}
+	}
+}
+
+// TestSampleFollowsTuning: a sampling change through SetTuning takes
+// effect at the next compile, not at the next INSERT. The card of the
+// ranked node under the limit is u / s, u being the sampled tuples at or
+// above x': about 30 (k″ = 1 of a 100-row sample of 3 005 rows) on the
+// default sample, about k = 10 on a half sample.
+func TestSampleFollowsTuning(t *testing.T) {
+	db := ranksql.Open()
+	var b strings.Builder
+	b.WriteString(`CREATE TABLE t (x FLOAT)`)
+	if _, err := db.Exec(b.String()); err != nil {
+		t.Fatal(err)
+	}
+	b.Reset()
+	b.WriteString(`INSERT INTO t VALUES `)
+	for i := 0; i < 3005; i++ {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "(%d)", i)
+	}
+	if _, err := db.Exec(b.String()); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RegisterScorer("high", func(args []ranksql.Value) float64 {
+		return args[0].Float() / 3005
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const q = `SELECT x FROM t ORDER BY high(x) LIMIT 10`
+	// cutCard reads the card of the node under limit(10).
+	cutCard := func() float64 {
+		t.Helper()
+		plan, err := db.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := strings.Split(plan, "\n")[1]
+		var card float64
+		if _, err := fmt.Sscanf(line[strings.Index(line, "card="):], "card=%g", &card); err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		return card
+	}
+	if c := cutCard(); c < 25 {
+		t.Fatalf("default sample: card %g under the limit, want ≈ 30", c)
+	}
+	tune := ranksql.DefaultTuning()
+	tune.SampleRatio = 0.5
+	if err := db.SetTuning(tune); err != nil {
+		t.Fatal(err)
+	}
+	if c := cutCard(); c > 15 {
+		t.Errorf("half sample: card %g under the limit, want ≈ 10: the sample was not redrawn", c)
 	}
 }

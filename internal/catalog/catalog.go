@@ -1,7 +1,8 @@
 // Package catalog tracks the database's tables, secondary indexes, rank
 // indexes (B+trees over ranking-predicate scores, the access path of the
-// paper's rank-scan operator), per-table statistics, and the row samples
-// the optimizer's cardinality estimator runs subplans against (§5.2).
+// paper's rank-scan operator), and per table the optimizer's snapshot:
+// the distinct counts its cost model reads and the row sample its
+// cardinality estimator runs subplans against (§5.2).
 package catalog
 
 import (
@@ -9,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"ranksql/internal/btree"
 	"ranksql/internal/schema"
@@ -68,35 +70,18 @@ func RankIndexKey(scorer string, columns []string) string {
 	return strings.ToLower(scorer + "(" + strings.Join(columns, ",") + ")")
 }
 
-// ColumnStats summarizes one column for the cost model.
-type ColumnStats struct {
-	Distinct     int
-	Min, Max     types.Value
-	TrueFraction float64 // for BOOL columns: fraction of true values
-}
-
-// TableStats summarizes a table.
-type TableStats struct {
-	Rows    int
-	Columns map[string]ColumnStats
-}
-
-// TableMeta bundles a stored table with its indexes, stats and sample.
+// TableMeta bundles a stored table with its indexes and the optimizer's
+// current snapshot of it.
 type TableMeta struct {
 	Table       *storage.Table
 	Indexes     map[string]*Index     // by lower-cased column name
 	RankIndexes map[string]*RankIndex // by RankIndexKey
-	Stats       *TableStats
 
-	// Sample is the deterministic row sample used by the sampling-based
-	// cardinality estimator; SampleRatio is the fraction of rows it holds.
-	Sample      *storage.Table
-	SampleRatio float64
-
-	// lazyMu serializes lazy (re)computation of Stats and Sample, which
-	// otherwise races when concurrent read-only queries plan against the
-	// same table for the first time.
-	lazyMu sync.Mutex
+	// snap is the published Snapshot (nil until first drawn, and again
+	// after DDL adds an index); drawMu lets one of several concurrent
+	// callers that find it stale draw the next one.
+	snap   atomic.Pointer[Snapshot]
+	drawMu sync.Mutex
 }
 
 // Catalog is the collection of tables. Table creation/removal and lookup
@@ -120,13 +105,17 @@ func (c *Catalog) CreateTable(name string, sch *schema.Schema) (*TableMeta, erro
 	if _, ok := c.tables[key]; ok {
 		return nil, fmt.Errorf("catalog: table %q already exists", name)
 	}
-	tm := &TableMeta{
+	tm := newTableMeta(name, sch)
+	c.tables[key] = tm
+	return tm, nil
+}
+
+func newTableMeta(name string, sch *schema.Schema) *TableMeta {
+	return &TableMeta{
 		Table:       storage.NewTable(name, sch),
 		Indexes:     map[string]*Index{},
 		RankIndexes: map[string]*RankIndex{},
 	}
-	c.tables[key] = tm
-	return tm, nil
 }
 
 // DropTable removes a table.
@@ -180,6 +169,7 @@ func (tm *TableMeta) CreateIndex(column string) (*Index, error) {
 		return true
 	})
 	tm.Indexes[key] = idx
+	tm.snap.Store(nil) // its sample lacks the new index
 	return idx, nil
 }
 
@@ -235,6 +225,7 @@ func (tm *TableMeta) CreateRankIndex(scorer string, columns []string, score func
 		return true
 	})
 	tm.RankIndexes[key] = ri
+	tm.snap.Store(nil) // its sample lacks the new index
 	return ri, nil
 }
 
@@ -243,113 +234,118 @@ func (tm *TableMeta) RankIndex(scorer string, columns []string) *RankIndex {
 	return tm.RankIndexes[RankIndexKey(scorer, columns)]
 }
 
-// Analyze (re)computes table statistics with a full scan.
-func (tm *TableMeta) Analyze() *TableStats {
-	tm.lazyMu.Lock()
-	defer tm.lazyMu.Unlock()
-	return tm.analyzeLocked()
+// maxGrowth is how far a table may grow past the row count its snapshot
+// was drawn at before the snapshot, and every plan costed on it, is stale:
+// 2 = the table doubled.
+const maxGrowth = 2
+
+// Snapshot is the optimizer's view of a table (§5.2): its row count, the
+// per-column distinct counts the cost model reads, and a deterministic row
+// sample the estimator runs candidate plans on. The sample is a TableMeta
+// of its own with the table's attribute and rank indexes, so a plan runs
+// the same operators on it as on the table. What a snapshot reports never
+// changes once it is published.
+type Snapshot struct {
+	// Rows is the table's row count when the snapshot was drawn.
+	Rows int
+	// Sample holds about ratio·Rows rows (at least minRows, at most Rows);
+	// Ratio is the share of Rows it holds (1 for an empty table).
+	Sample *TableMeta
+	Ratio  float64
+
+	table   *TableMeta
+	ratio   float64 // the sampling parameters it was drawn with
+	minRows int
+
+	// distinct memoizes Distinct by column position; -1 is not counted yet.
+	distinctMu sync.Mutex
+	distinct   []int
 }
 
-func (tm *TableMeta) analyzeLocked() *TableStats {
-	sch := tm.Table.Schema
-	st := &TableStats{
-		Rows:    tm.Table.NumRows(),
-		Columns: make(map[string]ColumnStats, sch.Len()),
+// Distinct returns the number of distinct values column col held in the
+// snapshot's Rows rows, or 0 for an unknown column. A column is counted at
+// its first request: only join keys are asked for, and a scan of every
+// column would cost each single-table template's first compile a full
+// pass over its table. The table is append-only, so the count is the
+// same whenever it is taken. Callers exclude writers to the table, as for
+// Current.
+func (s *Snapshot) Distinct(col string) int {
+	ci := s.table.Table.Schema.ColumnIndex("", col)
+	if ci < 0 {
+		return 0
 	}
-	type colAcc struct {
-		distinct map[uint64]struct{}
-		min, max types.Value
-		trues    int
-		seen     int
-	}
-	accs := make([]colAcc, sch.Len())
-	for i := range accs {
-		accs[i].distinct = map[uint64]struct{}{}
-	}
-	tm.Table.Scan(func(_ schema.TID, row []types.Value) bool {
-		for i, v := range row {
-			a := &accs[i]
-			a.distinct[v.Hash()] = struct{}{}
-			if a.seen == 0 || types.Compare(v, a.min) < 0 {
-				a.min = v
-			}
-			if a.seen == 0 || types.Compare(v, a.max) > 0 {
-				a.max = v
-			}
-			if v.Kind() == types.KindBool && v.Bool() {
-				a.trues++
-			}
-			a.seen++
+	s.distinctMu.Lock()
+	defer s.distinctMu.Unlock()
+	if s.distinct[ci] < 0 {
+		seen := map[uint64]struct{}{}
+		for tid := 0; tid < s.Rows; tid++ {
+			seen[s.table.Table.Row(schema.TID(tid))[ci].Hash()] = struct{}{}
 		}
-		return true
-	})
-	for i, col := range sch.Columns {
-		a := accs[i]
-		cs := ColumnStats{Distinct: len(a.distinct), Min: a.min, Max: a.max}
-		if col.Kind == types.KindBool && a.seen > 0 {
-			cs.TrueFraction = float64(a.trues) / float64(a.seen)
-		}
-		st.Columns[strings.ToLower(col.Name)] = cs
+		s.distinct[ci] = len(seen)
 	}
-	tm.Stats = st
-	return st
+	return s.distinct[ci]
 }
 
-// EnsureStats returns the table's statistics, computing them if missing.
-// Safe for concurrent callers.
-func (tm *TableMeta) EnsureStats() *TableStats {
-	tm.lazyMu.Lock()
-	defer tm.lazyMu.Unlock()
-	if tm.Stats == nil || tm.Stats.Rows != tm.Table.NumRows() {
-		tm.analyzeLocked()
-	}
-	return tm.Stats
+// Current reports whether s is still its table's snapshot and the table
+// has not grown past maxGrowth times s.Rows. It takes no lock; callers
+// exclude writers to the table (the engine's read lock).
+func (s *Snapshot) Current() bool {
+	return s.table.snap.Load() == s && s.table.Table.NumRows() <= maxGrowth*s.Rows
 }
 
-// BuildSample draws a deterministic sample of approximately ratio*N rows
-// (at least minRows) using fixed-stride systematic sampling, which is
-// deterministic and uniform for the synthetic workloads. The sample powers
-// the §5.2 cardinality estimator.
-func (tm *TableMeta) BuildSample(ratio float64, minRows int) *storage.Table {
-	tm.lazyMu.Lock()
-	defer tm.lazyMu.Unlock()
-	return tm.buildSampleLocked(ratio, minRows)
-}
-
-func (tm *TableMeta) buildSampleLocked(ratio float64, minRows int) *storage.Table {
-	n := tm.Table.NumRows()
-	want := int(float64(n) * ratio)
-	if want < minRows {
-		want = minRows
+// Snapshot returns the table's snapshot for the given sampling
+// parameters, drawing and publishing a new one when the current one is
+// missing, stale, or drawn with other parameters. Concurrent callers that
+// find it stale share one draw.
+func (tm *TableMeta) Snapshot(ratio float64, minRows int) *Snapshot {
+	fits := func(s *Snapshot) bool {
+		return s != nil && s.ratio == ratio && s.minRows == minRows && s.Current()
 	}
-	if want > n {
-		want = n
+	if s := tm.snap.Load(); fits(s) {
+		return s
 	}
-	s := storage.NewTable(tm.Table.Name, tm.Table.Schema)
-	if want > 0 {
-		stride := float64(n) / float64(want)
-		for i := 0; i < want; i++ {
-			tid := schema.TID(float64(i) * stride)
-			row := tm.Table.Row(tid)
-			s.MustAppend(row)
-		}
+	tm.drawMu.Lock()
+	defer tm.drawMu.Unlock()
+	if s := tm.snap.Load(); fits(s) {
+		return s
 	}
-	tm.Sample = s
-	if n > 0 {
-		tm.SampleRatio = float64(s.NumRows()) / float64(n)
-	} else {
-		tm.SampleRatio = 1
-	}
+	s := tm.draw(ratio, minRows)
+	tm.snap.Store(s)
 	return s
 }
 
-// EnsureSample returns the table's sample, building it at the given ratio
-// if missing or stale. Safe for concurrent callers.
-func (tm *TableMeta) EnsureSample(ratio float64, minRows int) *storage.Table {
-	tm.lazyMu.Lock()
-	defer tm.lazyMu.Unlock()
-	if tm.Sample == nil {
-		tm.buildSampleLocked(ratio, minRows)
+// draw takes a fixed-stride systematic sample of about ratio·N rows (at
+// least minRows), which is deterministic and uniform for the synthetic
+// workloads.
+func (tm *TableMeta) draw(ratio float64, minRows int) *Snapshot {
+	n := tm.Table.NumRows()
+	sch := tm.Table.Schema
+	s := &Snapshot{Rows: n, Ratio: 1, table: tm, ratio: ratio, minRows: minRows,
+		distinct: make([]int, sch.Len())}
+	for i := range s.distinct {
+		s.distinct[i] = -1
 	}
-	return tm.Sample
+
+	sample := newTableMeta(tm.Table.Name, sch)
+	want := min(max(int(float64(n)*ratio), minRows), n)
+	stride := float64(n) / float64(want)
+	for i := 0; i < want; i++ {
+		sample.Table.MustAppend(tm.Table.Row(schema.TID(float64(i) * stride)))
+	}
+	// The table's own definitions, so neither can fail.
+	for _, idx := range tm.Indexes {
+		if _, err := sample.CreateIndex(idx.Column); err != nil {
+			panic(err)
+		}
+	}
+	for _, ri := range tm.RankIndexes {
+		if _, err := sample.CreateRankIndex(ri.Scorer, ri.Columns, ri.score); err != nil {
+			panic(err)
+		}
+	}
+	s.Sample = sample
+	if n > 0 {
+		s.Ratio = float64(want) / float64(n)
+	}
+	return s
 }

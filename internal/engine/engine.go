@@ -48,12 +48,6 @@ type DB struct {
 	// Plans caches compiled SELECT plans keyed on (normalized template,
 	// k, schema version); repeated query templates skip parse+optimize.
 	Plans *PlanCache
-	// StaleFactor is the row-count growth ratio past which a cached plan
-	// is considered stale and recompiled: a plan compiled when a table
-	// held R rows is discarded once the table exceeds StaleFactor*R rows
-	// (its cost estimates no longer describe the data). Values <= 1
-	// disable staleness checking. Default DefaultStaleFactor.
-	StaleFactor float64
 	// ProfileEvery samples per-operator runtime profiling: every N-th
 	// execution of a cached plan runs with operator timing enabled,
 	// feeding the per-template operator profiles without taxing the other
@@ -64,10 +58,6 @@ type DB struct {
 	// cached plan key minted under the old version.
 	version uint64
 }
-
-// DefaultStaleFactor is the default row-count growth ratio that
-// invalidates cached plans (2 = recompile after a table doubles).
-const DefaultStaleFactor = 2.0
 
 // DefaultProfileEvery is the default operator-profiling sampling rate:
 // one in every 16 executions of a plan carries timing instrumentation.
@@ -80,16 +70,8 @@ func New() *DB {
 		scorers:      map[string]Scorer{},
 		Options:      optimizer.DefaultOptions(),
 		Plans:        lru.New[planKey, *CompiledPlan](DefaultPlanCacheCapacity),
-		StaleFactor:  DefaultStaleFactor,
 		ProfileEvery: DefaultProfileEvery,
 	}
-}
-
-// SetStaleFactor reconfigures plan-staleness checking (<= 1 disables).
-func (db *DB) SetStaleFactor(f float64) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.StaleFactor = f
 }
 
 // SetProfileSampling reconfigures operator-profiling sampling: every
@@ -294,9 +276,9 @@ func (db *DB) BulkInsert(table string, sch *schema.Schema, rows [][]types.Value)
 }
 
 // appendRowsLocked appends rows until the first invalid one; every row
-// appended before it stays, indexed like the rest. Table stats notice the
-// growth themselves (EnsureStats compares row counts); the optimizer's
-// sample is dropped and redrawn on next use. Callers hold db.mu (write).
+// appended before it stays, indexed like the rest. The optimizer's
+// snapshot of the table notices growth itself (catalog.Snapshot.Current).
+// Callers hold db.mu (write).
 func (db *DB) appendRowsLocked(tm *catalog.TableMeta, rows [][]types.Value) (int, error) {
 	n := 0
 	var err error
@@ -305,9 +287,6 @@ func (db *DB) appendRowsLocked(tm *catalog.TableMeta, rows [][]types.Value) (int
 			break
 		}
 		n++
-	}
-	if n > 0 {
-		tm.Sample = nil
 	}
 	return n, err
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ranksql/internal/catalog"
 	"ranksql/internal/lru"
 	"ranksql/internal/optimizer"
 	"ranksql/internal/rank"
@@ -29,10 +30,10 @@ type CompiledPlan struct {
 	// HasParams records whether Plan contains placeholder conditions
 	// that must be bound per execution.
 	HasParams bool
-	// TableRows records each referenced table's row count at planning
-	// time (by lower-cased name), so a later execution can detect that
-	// the data has outgrown the plan's cost assumptions.
-	TableRows map[string]int
+	// Snapshots are the table snapshots the plan was costed on; once one
+	// is no longer current the data has outgrown the plan's cost
+	// assumptions.
+	Snapshots []*catalog.Snapshot
 	// execs counts executions of this plan, driving the ProfileEvery
 	// sampling decision. Atomic: one cached plan serves concurrent
 	// queries under the DB read lock.
@@ -54,6 +55,6 @@ type planKey struct {
 }
 
 // PlanCache is the LRU of compiled plans. A lookup that finds a plan
-// whose cost assumptions no longer hold (DB.planFresh) drops it and
+// whose cost assumptions no longer hold (planFresh) drops it and
 // counts a stale miss, so the recompile that follows stores a fresh one.
 type PlanCache = lru.Cache[planKey, *CompiledPlan]

@@ -200,16 +200,16 @@ func (db *DB) resolvePlan(sel *sql.SelectStmt, norm string, params []types.Value
 
 	parameterized := want > 0
 	key := planKey{norm: norm, k: k, version: db.version}
-	// A plan is stale once a referenced table grew past the staleness
-	// factor since it was costed: its cardinality estimates (and possibly
+	// A plan is stale once a table it was costed on has more than doubled
+	// since its snapshot was drawn: its cardinality estimates (and possibly
 	// its operator choices) no longer reflect the data, so it is dropped
-	// and the compile below stores its replacement.
+	// and the compile below, on a redrawn snapshot, stores its replacement.
 	switch {
 	case parameterized:
-		cp, hit = db.Plans.Get(key, db.planFresh)
+		cp, hit = db.Plans.Get(key, planFresh)
 	case pr != nil:
 		pr.localMu.Lock()
-		if pr.localVersion == db.version && pr.localPlan != nil && db.planFresh(pr.localPlan) {
+		if pr.localVersion == db.version && pr.localPlan != nil && planFresh(pr.localPlan) {
 			cp, hit = pr.localPlan, true
 		}
 		pr.localMu.Unlock()
@@ -274,24 +274,13 @@ func analyzeRows(rows *Rows) *Rows {
 	return out
 }
 
-// planFresh reports whether a cached plan's cardinality assumptions still
-// hold: no referenced table's current row count exceeds its planning-time
-// row count by more than the DB's staleness factor. Callers hold db.mu
-// (read side).
-func (db *DB) planFresh(cp *CompiledPlan) bool {
-	f := db.StaleFactor
-	if f <= 1 {
-		return true
-	}
-	for name, planned := range cp.TableRows {
-		tm, err := db.Catalog.Table(name)
-		if err != nil {
-			// Dropped tables bump the schema version, so this key can no
-			// longer be looked up; be conservative anyway.
-			return false
-		}
-		now := tm.Table.NumRows()
-		if float64(now) > float64(planned)*f || (planned == 0 && now > 0) {
+// planFresh reports whether a cached plan's cost assumptions still hold:
+// every table snapshot it was costed on is still current (no table has
+// outgrown its snapshot, catalog.Snapshot.Current). It takes no lock of
+// its own; callers hold db.mu (read side).
+func planFresh(cp *CompiledPlan) bool {
+	for _, s := range cp.Snapshots {
+		if !s.Current() {
 			return false
 		}
 	}
@@ -321,12 +310,7 @@ func (db *DB) compileSelect(sel *sql.SelectStmt) (*CompiledPlan, error) {
 		Env:       res.Env,
 		Spec:      spec,
 		HasParams: res.Plan.HasParams(),
-		TableRows: map[string]int{},
-	}
-	for _, tr := range q.Tables {
-		if tm, err := db.Catalog.Table(tr.Name); err == nil {
-			cp.TableRows[strings.ToLower(tr.Name)] = tm.Table.NumRows()
-		}
+		Snapshots: res.Snapshots,
 	}
 	if len(sel.Projection) > 0 {
 		cp.Proj = make([]int, len(sel.Projection))

@@ -60,12 +60,13 @@ func TestHRJNResidualCondition(t *testing.T) {
 // condition evaluated during the rank-scan — matches filter-above-scan.
 func TestRankScanFusedSelection(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
-	tbl := randTable(r, "T", 80, 10, 1)
+	tm := indexedTable(t, randTable(r, "T", 80, 10, 1), 1)
+	ri := tm.RankIndex("p1", []string{"p1"})
 	spec := tableSpec("T", 1)
 	cond := expr.Gt(expr.NewCol("T", "k"), expr.NewConst(types.NewInt(4)))
 
 	ctx1 := NewContext(spec)
-	fused, err := NewRankScan(tbl, "T", spec.Preds[0], nil, expr.Clone(cond))
+	fused, err := NewRankScan(tm.Table, "T", spec.Preds[0], ri, expr.Clone(cond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestRankScanFusedSelection(t *testing.T) {
 	}
 
 	ctx2 := NewContext(spec)
-	plain, err := NewRankScan(tbl, "T", spec.Preds[0], nil, nil)
+	plain, err := NewRankScan(tm.Table, "T", spec.Preds[0], ri, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ranksql/internal/catalog"
 	"ranksql/internal/expr"
 	"ranksql/internal/rank"
 	"ranksql/internal/schema"
@@ -36,6 +37,27 @@ func randTable(r *rand.Rand, name string, rows, keyspace, npreds int) *storage.T
 		t.MustAppend(row)
 	}
 	return t
+}
+
+// indexedTable loads tbl into a catalog table with a rank index on every
+// score column, under the identity scorer tableSpec's predicates use.
+func indexedTable(t *testing.T, tbl *storage.Table, npreds int) *catalog.TableMeta {
+	t.Helper()
+	tm, err := catalog.New().CreateTable(tbl.Name, tbl.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl.Scan(func(_ schema.TID, row []types.Value) bool {
+		tm.Table.MustAppend(row)
+		return true
+	})
+	ident := func(args []types.Value) float64 { f, _ := args[0].AsFloat(); return f }
+	for i := 0; i < npreds; i++ {
+		if _, err := tm.CreateRankIndex(predCol(i), []string{predCol(i)}, ident); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tm
 }
 
 func predCol(i int) string {
@@ -428,15 +450,15 @@ func TestClassicJoinsAgree(t *testing.T) {
 	}
 }
 
-// TestRankScanFallbackMatchesMu: RankScan without an index equals
-// µ_p(seqScan).
-func TestRankScanFallbackMatchesMu(t *testing.T) {
+// TestRankScanMatchesMu: RankScan over a rank index equals µ_p(seqScan).
+func TestRankScanMatchesMu(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	tbl := randTable(r, "T", 50, 10, 1)
 	spec := tableSpec("T", 1)
+	tm := indexedTable(t, tbl, 1)
 
 	ctx1 := NewContext(spec)
-	rs, err := NewRankScan(tbl, "T", spec.Preds[0], nil, nil)
+	rs, err := NewRankScan(tm.Table, "T", spec.Preds[0], tm.RankIndex("p1", []string{"p1"}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +471,19 @@ func TestRankScanFallbackMatchesMu(t *testing.T) {
 	}
 	b := drainScores(t, ctx2, m)
 	if !floatsEqual(a, b) {
-		t.Errorf("fallback rank-scan %v != µ(seqScan) %v", a, b)
+		t.Errorf("rank-scan %v != µ(seqScan) %v", a, b)
+	}
+}
+
+// TestScansNeedIndexes: the index scans have one, index-driven mode, so
+// building one without its index is an error.
+func TestScansNeedIndexes(t *testing.T) {
+	tbl := randTable(rand.New(rand.NewSource(6)), "T", 5, 3, 1)
+	if _, err := NewRankScan(tbl, "T", tableSpec("T", 1).Preds[0], nil, nil); err == nil {
+		t.Error("rank-scan without a rank index built")
+	}
+	if _, err := NewIdxScanCol(tbl, "T", "k", nil, nil); err == nil {
+		t.Error("column scan without an index built")
 	}
 }
 
@@ -503,10 +537,10 @@ func TestErroringFilter(t *testing.T) {
 // TestLimitStopsEarly: a limit over a µ chain must not exhaust the scan.
 func TestLimitStopsEarly(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	tbl := randTable(r, "T", 5000, 10, 1)
+	tm := indexedTable(t, randTable(r, "T", 5000, 10, 1), 1)
 	spec := tableSpec("T", 1)
 	ctx := NewContext(spec)
-	rs, err := NewRankScan(tbl, "T", spec.Preds[0], nil, nil) // fallback sorts fully but emits lazily
+	rs, err := NewRankScan(tm.Table, "T", spec.Preds[0], tm.RankIndex("p1", []string{"p1"}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

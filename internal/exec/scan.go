@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"ranksql/internal/btree"
@@ -11,7 +10,6 @@ import (
 	"ranksql/internal/rank"
 	"ranksql/internal/schema"
 	"ranksql/internal/storage"
-	"ranksql/internal/types"
 )
 
 // aliasedSchema qualifies a table schema with the query alias so columns
@@ -95,15 +93,10 @@ func (s *SeqScan) Name() string { return fmt.Sprintf("seqScan(%s)", s.alias) }
 func (s *SeqScan) Children() []Operator { return nil }
 
 // RankScan is the paper's idxScan_p: it streams a table's tuples in
-// descending order of one ranking predicate, using a rank index when one is
-// available. The predicate's score comes from the index for free — the
+// descending order of one ranking predicate through the predicate's rank
+// index. The predicate's score comes from the index for free — the
 // one-time evaluation cost was paid when the row was indexed, exactly like
 // an expression index in PostgreSQL.
-//
-// When no index is supplied (Index == nil) the operator falls back to
-// materialize + evaluate + sort. The fallback pays the predicate's
-// evaluation cost per tuple and is what the sampling-based estimator uses
-// on sample tables, which have no indexes.
 //
 // An optional fused selection condition (scan-based selection, §4.2)
 // filters tuples during the scan.
@@ -122,13 +115,14 @@ type RankScan struct {
 	npreds int
 	rows   schema.TID // row count at Open; entries at or past it are newer
 	iter   *btree.Iterator
-	sorted []*schema.Tuple // fallback mode
-	pos    int
 }
 
-// NewRankScan builds a rank-scan. index may be nil (fallback mode); cond
-// may be nil (no fused selection).
+// NewRankScan builds a rank-scan over the predicate's rank index; cond may
+// be nil (no fused selection).
 func NewRankScan(table *storage.Table, alias string, pred *rank.Predicate, index *catalog.RankIndex, cond expr.Expr) (*RankScan, error) {
+	if index == nil {
+		return nil, fmt.Errorf("exec: rank-scan of %s by %s has no rank index", alias, pred)
+	}
 	s := &RankScan{table: table, alias: alias, pred: pred, index: index, cond: cond}
 	s.sch = aliasedSchema(table, alias)
 	if cond != nil {
@@ -146,26 +140,8 @@ func (s *RankScan) Open(ctx *Context) error {
 	}
 	s.reset()
 	s.npreds = ctx.Spec.N()
-	s.pos = 0
-	s.sorted = nil
-	if s.index != nil {
-		s.rows = schema.TID(s.table.NumRows())
-		s.iter = s.index.Tree.Descend()
-		return nil
-	}
-	// Fallback: evaluate the predicate over the whole table and sort.
-	bp, err := bindPred(s.pred, s.sch, false)
-	if err != nil {
-		return err
-	}
-	s.sorted = make([]*schema.Tuple, 0, s.table.NumRows())
-	s.table.Scan(func(tid schema.TID, row []types.Value) bool {
-		t := ctx.newTuple(tid, row, s.npreds)
-		ctx.evalPred(bp, t)
-		s.sorted = append(s.sorted, t)
-		return true
-	})
-	sort.Slice(s.sorted, func(i, j int) bool { return s.sorted[i].Less(s.sorted[j]) })
+	s.rows = schema.TID(s.table.NumRows())
+	s.iter = s.index.Tree.Descend()
 	return nil
 }
 
@@ -178,27 +154,17 @@ func (s *RankScan) Next(ctx *Context) (*schema.Tuple, error) {
 		if err := ctx.interrupted(); err != nil {
 			return nil, err
 		}
-		var t *schema.Tuple
-		if s.index != nil {
-			e, ok := s.iter.Next()
-			if !ok {
-				return nil, nil
-			}
-			if e.TID >= s.rows {
-				continue
-			}
-			row := s.table.Row(e.TID)
-			t = ctx.newTuple(e.TID, row, s.npreds)
-			t.Preds[s.pred.Index] = s.index.Scores[e.TID]
-			t.Evaluated = schema.Bit(s.pred.Index)
-			ctx.Spec.Rescore(t)
-		} else {
-			if s.pos >= len(s.sorted) {
-				return nil, nil
-			}
-			t = s.sorted[s.pos]
-			s.pos++
+		e, ok := s.iter.Next()
+		if !ok {
+			return nil, nil
 		}
+		if e.TID >= s.rows {
+			continue
+		}
+		t := ctx.newTuple(e.TID, s.table.Row(e.TID), s.npreds)
+		t.Preds[s.pred.Index] = s.index.Scores[e.TID]
+		t.Evaluated = schema.Bit(s.pred.Index)
+		ctx.Spec.Rescore(t)
 		ctx.Stats.TuplesScanned++
 		s.scanned()
 		if s.cond != nil {
@@ -218,7 +184,6 @@ func (s *RankScan) Next(ctx *Context) (*schema.Tuple, error) {
 // Close implements Operator.
 func (s *RankScan) Close() error {
 	s.iter = nil
-	s.sorted = nil
 	return nil
 }
 
@@ -241,9 +206,8 @@ func (s *RankScan) Children() []Operator { return nil }
 
 // IdxScanCol streams a table in ascending order of one column using an
 // attribute index — the access path that provides the "interesting order"
-// for sort-merge joins. Without an index it falls back to materialize +
-// sort (used on samples). Under inserts it keeps its Open-time snapshot
-// the way RankScan does.
+// for sort-merge joins. Under inserts it keeps its Open-time snapshot the
+// way RankScan does.
 type IdxScanCol struct {
 	opBase
 	table  *storage.Table
@@ -256,20 +220,16 @@ type IdxScanCol struct {
 	ceiling float64
 	rows    schema.TID // row count at Open; entries at or past it are newer
 	iter    *btree.Iterator
-	sorted  []*schema.Tuple
-	pos     int
-	colIdx  int
 }
 
-// NewIdxScanCol builds a column-ordered index scan. index may be nil
-// (fallback sort mode); cond may be nil.
+// NewIdxScanCol builds a scan over column's attribute index; cond may be
+// nil.
 func NewIdxScanCol(table *storage.Table, alias, column string, index *catalog.Index, cond expr.Expr) (*IdxScanCol, error) {
+	if index == nil {
+		return nil, fmt.Errorf("exec: column scan of %s.%s has no index", alias, column)
+	}
 	s := &IdxScanCol{table: table, alias: alias, column: column, index: index, cond: cond}
 	s.sch = aliasedSchema(table, alias)
-	s.colIdx = s.sch.ColumnIndex(alias, column)
-	if s.colIdx < 0 {
-		return nil, fmt.Errorf("exec: table %s has no column %q", alias, column)
-	}
 	if cond != nil {
 		if err := expr.Bind(cond, s.sch); err != nil {
 			return nil, err
@@ -286,24 +246,8 @@ func (s *IdxScanCol) Open(ctx *Context) error {
 	s.reset()
 	s.npreds = ctx.Spec.N()
 	s.ceiling = ctx.Spec.CeilingScore()
-	s.pos = 0
-	s.sorted = nil
-	if s.index != nil {
-		s.rows = schema.TID(s.table.NumRows())
-		s.iter = s.index.Tree.Ascend()
-		return nil
-	}
-	s.sorted = make([]*schema.Tuple, 0, s.table.NumRows())
-	s.table.Scan(func(tid schema.TID, row []types.Value) bool {
-		t := ctx.newTuple(tid, row, s.npreds)
-		t.Score = s.ceiling
-		s.sorted = append(s.sorted, t)
-		return true
-	})
-	ci := s.colIdx
-	sort.SliceStable(s.sorted, func(i, j int) bool {
-		return types.Compare(s.sorted[i].Values[ci], s.sorted[j].Values[ci]) < 0
-	})
+	s.rows = schema.TID(s.table.NumRows())
+	s.iter = s.index.Tree.Ascend()
 	return nil
 }
 
@@ -316,25 +260,15 @@ func (s *IdxScanCol) Next(ctx *Context) (*schema.Tuple, error) {
 		if err := ctx.interrupted(); err != nil {
 			return nil, err
 		}
-		var t *schema.Tuple
-		if s.index != nil {
-			e, ok := s.iter.Next()
-			if !ok {
-				return nil, nil
-			}
-			if e.TID >= s.rows {
-				continue
-			}
-			row := s.table.Row(e.TID)
-			t = ctx.newTuple(e.TID, row, s.npreds)
-			t.Score = s.ceiling
-		} else {
-			if s.pos >= len(s.sorted) {
-				return nil, nil
-			}
-			t = s.sorted[s.pos]
-			s.pos++
+		e, ok := s.iter.Next()
+		if !ok {
+			return nil, nil
 		}
+		if e.TID >= s.rows {
+			continue
+		}
+		t := ctx.newTuple(e.TID, s.table.Row(e.TID), s.npreds)
+		t.Score = s.ceiling
 		ctx.Stats.TuplesScanned++
 		s.scanned()
 		if s.cond != nil {
@@ -354,7 +288,6 @@ func (s *IdxScanCol) Next(ctx *Context) (*schema.Tuple, error) {
 // Close implements Operator.
 func (s *IdxScanCol) Close() error {
 	s.iter = nil
-	s.sorted = nil
 	return nil
 }
 

@@ -86,12 +86,7 @@ func (d *decomposed) distinctOf(alias, col string) float64 {
 	if !ok {
 		return 0
 	}
-	st := d.metas[i].EnsureStats()
-	cs, ok := st.Columns[strings.ToLower(col)]
-	if !ok {
-		return 0
-	}
-	return float64(cs.Distinct)
+	return float64(d.snaps[i].Distinct(col))
 }
 
 // costNode computes the node's own work plus its children's cumulative

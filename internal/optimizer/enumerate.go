@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"ranksql/internal/catalog"
 	"ranksql/internal/expr"
 	"ranksql/internal/schema"
 )
@@ -14,7 +15,9 @@ import (
 type Options struct {
 	// Cost is the cost model.
 	Cost CostParams
-	// SampleRatio / MinSampleRows configure the §5.2 estimator's samples.
+	// SampleRatio / MinSampleRows configure the §5.2 estimator's samples:
+	// about SampleRatio of each table's rows, at least MinSampleRows. A
+	// change redraws each table's snapshot at its next compile.
 	SampleRatio   float64
 	MinSampleRows int
 	// LeftDeepOnly restricts join enumeration to left-deep trees
@@ -79,7 +82,10 @@ type Result struct {
 	Plan *PlanNode
 	// Env builds the plan against the real tables.
 	Env *Env
-	// Estimator exposes x', k' and run counts.
+	// Snapshots are the table snapshots the plan was costed on, in query
+	// table order; the plan is stale once one of them is not Current.
+	Snapshots []*catalog.Snapshot
+	// Estimator exposes x' and k″.
 	Estimator *Estimator
 	// Generated / Kept count enumerated and retained candidate plans.
 	Generated int
@@ -111,18 +117,14 @@ func Optimize(q *Query, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := &Env{
-		Catalog:       q.Catalog,
-		Aliases:       map[string]string{},
-		SampleRatio:   opts.SampleRatio,
-		MinSampleRows: opts.MinSampleRows,
-	}
-	for _, tr := range q.Tables {
-		env.Aliases[strings.ToLower(tr.Alias)] = tr.Name
+	env := &Env{Tables: make(map[string]*catalog.TableMeta, len(q.Tables))}
+	for i, tr := range q.Tables {
+		env.Tables[strings.ToLower(tr.Alias)] = d.metas[i]
 	}
 	return &Result{
 		Plan:      plan,
 		Env:       env,
+		Snapshots: d.snaps,
 		Estimator: est,
 		Generated: o.Generated,
 		Kept:      o.Kept,

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"ranksql/internal/catalog"
 	"ranksql/internal/exec"
 	"ranksql/internal/expr"
 	"ranksql/internal/schema"
@@ -18,13 +19,17 @@ import (
 // cardinality is the number of tuples it produces with upper bound ≥ x.
 // x is unknown during enumeration, so the estimator:
 //
-//  1. draws a small deterministic sample of every table, independently per
-//     table (catalog samples; sᵢ is table i's SampleRatio),
+//  1. takes every table's catalog Snapshot: a small deterministic sample,
+//     drawn independently per table and indexed like it (sᵢ is its
+//     Ratio), and the distinct counts the cost model reads. A snapshot
+//     serves every compile until its table doubles (catalog.Snapshot), so
+//     the samples age with the plans costed on them,
 //  2. takes as x' the k″-th best score F over the cross product of the
 //     filtered per-table samples, k″ = ⌈k · Π sᵢ / Π selⱼ⌉ over the tables
 //     i and the join conjuncts j (selⱼ is joinSelectivity),
 //  3. estimates the output cardinality of each candidate subplan P by
-//     executing P on the samples, counting its outputs u with upper bound
+//     executing P on the samples (the operators the real plan runs, index
+//     scans included), counting its outputs u with upper bound
 //     ≥ x', and scaling:
 //     scan:   card(P) = u / sᵢ
 //     unary:  card(P) = u · card(P′)/cards(P′)
@@ -69,9 +74,6 @@ type Estimator struct {
 	XPrime float64
 	// KPrime is the sample-scaled result count k″.
 	KPrime int
-	// Runs counts subplan sample executions (exposed for tests and for
-	// measuring optimization overhead).
-	Runs int
 }
 
 // NewEstimatorForQuery exposes the §5.2 estimator for externally-built
@@ -85,27 +87,20 @@ func NewEstimatorForQuery(q *Query, opts Options) (*Estimator, error) {
 	return newEstimator(d, opts)
 }
 
-// newEstimator builds samples for every query table and estimates x'.
+// newEstimator takes every query table's snapshot and estimates x'.
 func newEstimator(d *decomposed, opts Options) (*Estimator, error) {
-	env := &Env{
-		Catalog:       d.q.Catalog,
-		Aliases:       map[string]string{},
-		UseSample:     true,
-		SampleRatio:   opts.SampleRatio,
-		MinSampleRows: opts.MinSampleRows,
-	}
-	for _, tr := range d.q.Tables {
-		env.Aliases[strings.ToLower(tr.Alias)] = tr.Name
-	}
+	env := &Env{Tables: make(map[string]*catalog.TableMeta, len(d.q.Tables))}
 	e := &Estimator{d: d, env: env, XPrime: math.Inf(-1)}
 
-	// Build the samples now so ratios are known; scale is Π sᵢ / Π selⱼ,
-	// the sampling ratio of the samples' cross product as a sample of Q.
+	// scale is Π sᵢ / Π selⱼ, the sampling ratio of the samples' cross
+	// product as a sample of Q.
 	scale := 1.0
-	for i := range d.q.Tables {
-		tm := d.metas[i]
-		tm.EnsureSample(opts.SampleRatio, opts.MinSampleRows)
-		scale *= tm.SampleRatio
+	d.snaps = make([]*catalog.Snapshot, len(d.q.Tables))
+	for i, tr := range d.q.Tables {
+		s := d.metas[i].Snapshot(opts.SampleRatio, opts.MinSampleRows)
+		d.snaps[i] = s
+		env.Tables[strings.ToLower(tr.Alias)] = s.Sample
+		scale *= s.Ratio
 	}
 	for _, jc := range d.joins {
 		scale /= d.joinSelectivity(jc)
@@ -213,7 +208,6 @@ func (e *Estimator) Estimate(p *PlanNode) (float64, error) {
 		return 0, err
 	}
 	defer op.Close()
-	e.Runs++
 
 	// Pull until the output upper bound drops below x' (outputs of ranked
 	// plans arrive in non-increasing upper-bound order; unranked plans
@@ -254,15 +248,16 @@ func (e *Estimator) scaleUp(p *PlanNode, op exec.Operator, u int) (card float64,
 	switch len(kids) {
 	case 0:
 		// Scan rule: card = u / sᵢ.
-		sample, tm, err := e.env.tableFor(p.Alias)
-		if err != nil {
-			return 0, false, err
+		i, ok := e.d.tableIdx[strings.ToLower(p.Alias)]
+		if !ok {
+			return 0, false, fmt.Errorf("optimizer: unknown alias %q", p.Alias)
 		}
-		ratio := tm.SampleRatio
+		s := e.d.snaps[i]
+		ratio := s.Ratio
 		if ratio <= 0 {
 			ratio = 1
 		}
-		if u == 0 && sample.NumRows() > 0 {
+		if u == 0 && s.Sample.Table.NumRows() > 0 {
 			return halfTuple / ratio, true, nil
 		}
 		return float64(u) / ratio, false, nil

@@ -164,11 +164,10 @@ func naiveTopK(t *testing.T, q *Query) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Estimator{d: d, env: &Env{Catalog: q.Catalog, Aliases: map[string]string{}}}
-	for _, tr := range q.Tables {
-		e.env.Aliases[strings.ToLower(tr.Alias)] = tr.Name
+	e := &Estimator{d: d, env: &Env{Tables: map[string]*catalog.TableMeta{}}}
+	for i, tr := range q.Tables {
+		e.env.Tables[strings.ToLower(tr.Alias)] = d.metas[i]
 	}
-	e.env.UseSample = false
 	plan := e.canonicalPlan()
 	op, err := plan.Build(e.env)
 	if err != nil {
@@ -515,4 +514,46 @@ func TestEmptySampleJoinFallsBack(t *testing.T) {
 		}
 	}
 	walk(res.Plan)
+}
+
+// TestEstimatorScansSampleIndexes: in the estimator's Env every alias
+// reads its table's snapshot sample, which carries the table's indexes,
+// so index scans build and run on the sample as they do on the table:
+// the rank-scan reads its scores from the sample's rank index (no
+// predicate evaluations) and the column scan walks the sample's attribute
+// index in key order.
+func TestEstimatorScansSampleIndexes(t *testing.T) {
+	_, q := figure9Fixture(t, 2000)
+	d, err := decompose(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := newEstimator(d, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*PlanNode{
+		{Kind: KindRankScan, Alias: "S", Pred: q.Spec.Preds[1]},
+		{Kind: KindIdxScanCol, Alias: "R", SortTable: "R", SortCol: "a"},
+	} {
+		op, err := p.Build(est.env)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Label(), err)
+		}
+		ctx := exec.NewContext(q.Spec)
+		out, err := exec.Run(ctx, op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != 100 || ctx.Stats.TuplesScanned != 100 || ctx.Stats.PredEvals != 0 {
+			t.Errorf("%s: %d rows, %d scanned, %d predicate evaluations; want the 100-row sample through its index",
+				p.Label(), len(out), ctx.Stats.TuplesScanned, ctx.Stats.PredEvals)
+		}
+		for i := 1; i < len(out); i++ {
+			if p.Kind == KindRankScan && out[i].Score > out[i-1].Score ||
+				p.Kind == KindIdxScanCol && out[i].Values[0].Int() < out[i-1].Values[0].Int() {
+				t.Fatalf("%s: output out of index order at %d", p.Label(), i)
+			}
+		}
+	}
 }

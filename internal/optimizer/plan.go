@@ -9,7 +9,6 @@ import (
 	"ranksql/internal/expr"
 	"ranksql/internal/rank"
 	"ranksql/internal/schema"
-	"ranksql/internal/storage"
 )
 
 // PlanKind enumerates physical plan node types.
@@ -41,7 +40,7 @@ var kindNames = map[PlanKind]string{
 
 // PlanNode is a buildable physical plan description. The optimizer
 // enumerates PlanNode trees; Build instantiates them as executable
-// operator trees against either the real tables or the catalog samples
+// operator trees against either the real tables or their snapshot samples
 // (for the §5.2 estimator).
 type PlanNode struct {
 	Kind     PlanKind
@@ -131,34 +130,21 @@ func (p *PlanNode) String() string {
 	return b.String()
 }
 
-// Env tells Build where to find data: the catalog, the alias → table-name
-// mapping, and whether to use the per-table samples (the estimator's mode;
-// samples carry no indexes, so index scans fall back to materialize+sort,
-// which is correct on tiny samples).
+// Env tells Build where to find data: the table each query alias reads.
+// Optimize's Result carries an Env over the real tables; the Estimator's
+// maps every alias to its table's snapshot sample, which carries the
+// table's indexes, so a plan builds the same operators on either.
 type Env struct {
-	Catalog   *catalog.Catalog
-	Aliases   map[string]string // lower(alias) → table name
-	UseSample bool
-	// SampleRatio / MinSampleRows configure sample construction on
-	// demand when UseSample is set.
-	SampleRatio   float64
-	MinSampleRows int
+	Tables map[string]*catalog.TableMeta // by lower-cased alias
 }
 
-// tableFor resolves the storage table for an alias.
-func (e *Env) tableFor(alias string) (*storage.Table, *catalog.TableMeta, error) {
-	name, ok := e.Aliases[strings.ToLower(alias)]
+// tableFor resolves the table an alias reads.
+func (e *Env) tableFor(alias string) (*catalog.TableMeta, error) {
+	tm, ok := e.Tables[strings.ToLower(alias)]
 	if !ok {
-		return nil, nil, fmt.Errorf("optimizer: unknown alias %q", alias)
+		return nil, fmt.Errorf("optimizer: unknown alias %q", alias)
 	}
-	tm, err := e.Catalog.Table(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	if e.UseSample {
-		return tm.EnsureSample(e.SampleRatio, e.MinSampleRows), tm, nil
-	}
-	return tm.Table, tm, nil
+	return tm, nil
 }
 
 // rankIndexFor finds a rank index matching the predicate, or nil.
@@ -185,39 +171,31 @@ func (p *PlanNode) Build(env *Env) (exec.Operator, error) {
 	}
 	switch p.Kind {
 	case KindSeqScan:
-		tbl, _, err := env.tableFor(p.Alias)
+		tm, err := env.tableFor(p.Alias)
 		if err != nil {
 			return nil, err
 		}
-		return exec.NewSeqScan(tbl, p.Alias), nil
+		return exec.NewSeqScan(tm.Table, p.Alias), nil
 	case KindRankScan:
-		tbl, tm, err := env.tableFor(p.Alias)
+		tm, err := env.tableFor(p.Alias)
 		if err != nil {
 			return nil, err
-		}
-		var ri *catalog.RankIndex
-		if !env.UseSample {
-			ri = rankIndexFor(tm, p.Pred)
 		}
 		var cond expr.Expr
 		if p.Cond != nil {
 			cond = expr.Clone(p.Cond)
 		}
-		return exec.NewRankScan(tbl, p.Alias, p.Pred, ri, cond)
+		return exec.NewRankScan(tm.Table, p.Alias, p.Pred, rankIndexFor(tm, p.Pred), cond)
 	case KindIdxScanCol:
-		tbl, tm, err := env.tableFor(p.Alias)
+		tm, err := env.tableFor(p.Alias)
 		if err != nil {
 			return nil, err
-		}
-		var idx *catalog.Index
-		if !env.UseSample {
-			idx = tm.Index(p.SortCol)
 		}
 		var cond expr.Expr
 		if p.Cond != nil {
 			cond = expr.Clone(p.Cond)
 		}
-		return exec.NewIdxScanCol(tbl, p.Alias, p.SortCol, idx, cond)
+		return exec.NewIdxScanCol(tm.Table, p.Alias, p.SortCol, tm.Index(p.SortCol), cond)
 	case KindFilter:
 		return exec.NewFilter(kids[0], expr.Clone(p.Cond))
 	case KindRank:

@@ -55,6 +55,9 @@ type decomposed struct {
 	joins []*joinCond
 	// metas caches catalog lookups per table position.
 	metas []*catalog.TableMeta
+	// snaps are the tables' optimizer snapshots, per table position, taken
+	// by newEstimator; distinct counts and samples come from them.
+	snaps []*catalog.Snapshot
 }
 
 // decompose splits the WHERE clause into single-table selections and join

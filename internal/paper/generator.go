@@ -253,11 +253,6 @@ func Build(cfg Config) (*DB, error) {
 			return nil, err
 		}
 	}
-	// Statistics for the cost model.
-	for _, name := range []string{"A", "B", "C"} {
-		tm, _ := c.Table(name)
-		tm.Analyze()
-	}
 	return &DB{Config: cfg, Catalog: c, Spec: spec, Preds: preds}, nil
 }
 

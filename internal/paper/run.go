@@ -1,6 +1,9 @@
 package paper
 
 import (
+	"strings"
+
+	"ranksql/internal/catalog"
 	"ranksql/internal/exec"
 	"ranksql/internal/optimizer"
 )
@@ -28,9 +31,13 @@ func topK(plan *optimizer.PlanNode, k int) *optimizer.PlanNode {
 // what that one execution did.
 func Run(db *DB, plan *optimizer.PlanNode, k int) (*Measurement, error) {
 	annotateEval(db, plan)
-	env := &optimizer.Env{
-		Catalog: db.Catalog,
-		Aliases: map[string]string{"a": "A", "b": "B", "c": "C"},
+	env := &optimizer.Env{Tables: map[string]*catalog.TableMeta{}}
+	for _, name := range []string{"A", "B", "C"} {
+		tm, err := db.Catalog.Table(name)
+		if err != nil {
+			return nil, err
+		}
+		env.Tables[strings.ToLower(name)] = tm
 	}
 	op, err := topK(plan, k).Build(env)
 	if err != nil {

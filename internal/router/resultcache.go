@@ -17,7 +17,7 @@ import (
 // model mirrors that one's — keys embed a schema version bumped
 // by every DDL fan-out, and entries snapshot the router-tracked row
 // counts of their referenced tables — but where the plan cache keeps a
-// plan until a table doubles (DefaultStaleFactor), this cache drops an
+// plan until a table doubles (catalog.Snapshot), this cache drops an
 // entry on *any* row growth: it holds result rows, not plans, and a
 // single inserted row can change a top-k answer. The router fronts
 // every write (DDL fan-out, partitioned INSERT, CSV /load), so its

@@ -294,9 +294,9 @@ func TestPlanCacheStaleRecompile(t *testing.T) {
 		t.Fatal("second execution should hit")
 	}
 
-	// Grow the table past StaleFactor (default 2) times its planning-time
-	// row count: 50 -> 110 rows. INSERT does not bump the schema version,
-	// so only the row-count-delta check can catch this.
+	// Grow the table past twice the row count the plan's snapshot was
+	// drawn at: 50 -> 110 rows. INSERT does not bump the schema version,
+	// so only the snapshot's growth check can catch this.
 	for i := 0; i < 60; i++ {
 		mustExecT(t, db, fmt.Sprintf(`INSERT INTO hotel VALUES ('g%02d', %d, %d)`, i, 20+i*2, 1+i%5))
 	}
@@ -320,7 +320,7 @@ func TestPlanCacheStaleRecompile(t *testing.T) {
 		t.Error("recompiled plan should be cached and hit")
 	}
 
-	// Growth below the factor does not invalidate...
+	// Growth up to the factor does not invalidate.
 	for i := 0; i < 50; i++ {
 		mustExecT(t, db, fmt.Sprintf(`INSERT INTO hotel VALUES ('s%02d', %d, %d)`, i, 20+i*2, 1+i%5))
 	}
@@ -328,19 +328,5 @@ func TestPlanCacheStaleRecompile(t *testing.T) {
 		t.Fatal(err)
 	} else if !r.CacheHit {
 		t.Error("160 rows < 2*110: plan must still be considered fresh")
-	}
-
-	// ...and a factor <= 1 disables the check entirely.
-	db.SetPlanStalenessFactor(0)
-	for i := 0; i < 200; i++ {
-		mustExecT(t, db, fmt.Sprintf(`INSERT INTO hotel VALUES ('d%03d', %d, %d)`, i, 20+i, 1+i%5))
-	}
-	if r, err := stmt.Query(100.0); err != nil {
-		t.Fatal(err)
-	} else if !r.CacheHit {
-		t.Error("staleness checking disabled: any growth must keep hitting")
-	}
-	if s := db.PlanCacheStats(); s.StaleRecompiles != after.StaleRecompiles {
-		t.Errorf("StaleRecompiles moved to %d with checking disabled", s.StaleRecompiles)
 	}
 }

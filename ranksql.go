@@ -418,7 +418,8 @@ type Tuning struct {
 	NoRankOperators bool
 	// SampleRatio is the sampling fraction for cardinality estimation.
 	SampleRatio float64
-	// MinSampleRows floors the per-table sample size.
+	// MinSampleRows floors the per-table sample size. A change to either
+	// redraws each table's sample at its next compile.
 	MinSampleRows int
 }
 
@@ -668,8 +669,8 @@ func (db *DB) ExecContext(ctx context.Context, sql string, args ...interface{}) 
 type CacheStats struct {
 	Hits, Misses, Evictions uint64
 	// StaleRecompiles counts cache hits discarded because a referenced
-	// table outgrew the plan's planning-time row count (see
-	// SetPlanStalenessFactor), forcing a recompile.
+	// table more than doubled since the optimizer sampled it for the plan,
+	// forcing a recompile on a fresh sample.
 	StaleRecompiles   uint64
 	Entries, Capacity int
 }
@@ -695,15 +696,6 @@ func (db *DB) PlanCacheStats() CacheStats {
 
 // SetPlanCacheCapacity resizes the plan cache; 0 disables caching.
 func (db *DB) SetPlanCacheCapacity(n int) { db.eng.Plans.Resize(n) }
-
-// SetPlanStalenessFactor sets the row-count growth ratio past which a
-// cached plan is recompiled: a plan compiled against a table of R rows is
-// discarded (and transparently re-optimized) once the table exceeds
-// factor*R rows, so cost estimates track data growth without DDL. Values
-// <= 1 disable the check. The default is 2.
-func (db *DB) SetPlanStalenessFactor(factor float64) {
-	db.eng.SetStaleFactor(factor)
-}
 
 // paramPool recycles bind-argument slices across Query/Exec calls. The
 // engine copies parameter values out of the slice during binding and
