@@ -3,6 +3,18 @@
 // execution model of §4: operators stream tuples in non-increasing
 // maximal-possible-score order, buffering in ranking (priority) queues
 // only as long as the Ranking Principle requires.
+//
+// The operator set: SeqScan; IndexScan, which is idxScan_p over a rank
+// index (NewRankScan) or an ascending scan over an attribute index
+// (NewIdxScanCol); Filter and Project; µ_p (Rank); RankJoin, keyed as
+// HRJN (NewHRJN) or keyless as NRJN (NewNRJN); BlockingJoin, keyed as the
+// hash join (NewHashJoin) or keyless as the nested-loops join
+// (NewNestedLoopJoin); SortMergeJoin; RankUnion, RankIntersect and
+// RankDiff; SortScore, SortColumn and Limit (λ_k).
+//
+// Every join follows SQL's rule for NULL: a NULL join key equals nothing,
+// as it does under expr's =, so a query's answer does not depend on which
+// join algorithm its plan picked.
 package exec
 
 import (

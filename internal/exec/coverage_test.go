@@ -242,3 +242,45 @@ func TestNRJNNonEquiCondition(t *testing.T) {
 		t.Error("NRJN without a condition must be rejected")
 	}
 }
+
+// TestOperatorNames pins the label each scan and join constructor gives
+// its operator: EXPLAIN ANALYZE, the insight layer's operator names and
+// /stats per-operator entries all show them.
+func TestOperatorNames(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	tm := indexedTable(t, randTable(r, "T", 10, 5, 1), 1)
+	col, err := tm.CreateIndex("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := tableSpec("T", 1).Preds[0]
+	ri := tm.RankIndex(predCol(0), []string{predCol(0)})
+	kGt := func() expr.Expr { return expr.Gt(expr.NewCol("T", "k"), expr.NewConst(types.NewInt(2))) }
+	seq := func(alias string) Operator { return NewSeqScan(tm.Table, alias) }
+	lk, rk := expr.NewCol("L", "k"), expr.NewCol("R", "k")
+	keq := func() expr.Expr { return expr.Eq(lk, rk) }
+
+	cases := []struct {
+		want  string
+		build func() (Operator, error)
+	}{
+		{"idxScan_p1(T)", func() (Operator, error) { return NewRankScan(tm.Table, "T", pred, ri, nil) }},
+		{"idxScan_p1(T | (T.k > 2))", func() (Operator, error) { return NewRankScan(tm.Table, "T", pred, ri, kGt()) }},
+		{"idxScan_k(T)", func() (Operator, error) { return NewIdxScanCol(tm.Table, "T", "k", col, nil) }},
+		{"idxScan_k(T | (T.k > 2))", func() (Operator, error) { return NewIdxScanCol(tm.Table, "T", "k", col, kGt()) }},
+		{"HRJN", func() (Operator, error) { return NewHRJN(seq("L"), seq("R"), lk, rk, nil) }},
+		{"NRJN", func() (Operator, error) { return NewNRJN(seq("L"), seq("R"), keq()) }},
+		{"hashJoin", func() (Operator, error) { return NewHashJoin(seq("L"), seq("R"), lk, rk, nil) }},
+		{"nestLoop((L.k = R.k))", func() (Operator, error) { return NewNestedLoopJoin(seq("L"), seq("R"), keq()) }},
+		{"nestLoop(×)", func() (Operator, error) { return NewNestedLoopJoin(seq("L"), seq("R"), nil) }},
+	}
+	for _, c := range cases {
+		op, err := c.build()
+		if err != nil {
+			t.Fatalf("%s: %v", c.want, err)
+		}
+		if got := op.Name(); got != c.want {
+			t.Errorf("Name() = %q, want %q", got, c.want)
+		}
+	}
+}

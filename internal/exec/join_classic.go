@@ -10,28 +10,74 @@ import (
 )
 
 // joinCommon holds the machinery shared by all join operators: the
-// concatenated output schema and the optional residual condition bound
-// against it.
+// concatenated output schema, the optional equi-key and the optional
+// residual condition bound against the output schema.
 type joinCommon struct {
 	opBase
 	left, right Operator
 	cond        expr.Expr // residual condition over the concat schema; may be nil
+	// leftCol and rightCol are the equi-key's positions in the left and
+	// right inputs, or -1 for a join that has no key, where cond alone
+	// decides.
+	leftCol, rightCol int
 }
 
 // BoundCond implements CondHolder for every join (rank-aware and classic
 // operators alike embed joinCommon).
 func (j *joinCommon) BoundCond() expr.Expr { return j.cond }
 
-func (j *joinCommon) initJoin(left, right Operator, cond expr.Expr) error {
+// initJoin wires the inputs, resolves the equi-key leftKey = rightKey
+// against their schemas (both nil for a keyless join; what names the join
+// in the error) and binds cond.
+func (j *joinCommon) initJoin(left, right Operator, leftKey, rightKey *expr.Col, cond expr.Expr, what string) error {
 	j.left, j.right = left, right
 	j.sch = left.Schema().Concat(right.Schema())
 	j.cond = cond
+	j.leftCol, j.rightCol = -1, -1
+	if leftKey != nil {
+		j.leftCol = left.Schema().ColumnIndex(leftKey.Table, leftKey.Name)
+		j.rightCol = right.Schema().ColumnIndex(rightKey.Table, rightKey.Name)
+		if j.leftCol < 0 || j.rightCol < 0 {
+			return fmt.Errorf("exec: %s keys %s/%s unresolved", what, leftKey, rightKey)
+		}
+	}
 	if cond != nil {
 		if err := expr.Bind(cond, j.sch); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+func (j *joinCommon) keyed() bool { return j.leftCol >= 0 }
+
+// keyHash returns the hash bucket of t's join key: the key's hash, or 0
+// for every tuple of a keyless join. ok is false for a NULL key: under
+// SQL's rule, the one expr's = follows, NULL equals nothing, so the tuple
+// joins nothing.
+func (j *joinCommon) keyHash(t *schema.Tuple, fromLeft bool) (h uint64, ok bool) {
+	if !j.keyed() {
+		return 0, true
+	}
+	col := j.rightCol
+	if fromLeft {
+		col = j.leftCol
+	}
+	v := t.Values[col]
+	if v.IsNull() {
+		return 0, false
+	}
+	return v.Hash(), true
+}
+
+// sameKey reports whether l and r, found in one hash bucket, have equal
+// keys; a rejected pair is a hash collision, counted as a join probe.
+func (j *joinCommon) sameKey(ctx *Context, l, r *schema.Tuple) bool {
+	if !j.keyed() || types.Equal(l.Values[j.leftCol], r.Values[j.rightCol]) {
+		return true
+	}
+	ctx.Stats.JoinProbes++
+	return false
 }
 
 // combine concatenates l and r, applies the residual condition, and
@@ -54,6 +100,15 @@ func (j *joinCommon) combine(ctx *Context, l, r *schema.Tuple) (*schema.Tuple, e
 	return t, nil
 }
 
+// closeInputs closes both inputs, reporting the first error.
+func (j *joinCommon) closeInputs() error {
+	if err := j.left.Close(); err != nil {
+		j.right.Close()
+		return err
+	}
+	return j.right.Close()
+}
+
 func (j *joinCommon) Children() []Operator { return []Operator{j.left, j.right} }
 
 // Evaluated reports the union of the inputs' evaluated sets; whether the
@@ -64,144 +119,47 @@ func (j *joinCommon) Evaluated() schema.Bitset {
 	return j.left.Evaluated().Union(j.right.Evaluated())
 }
 
-// NestedLoopJoin is the classic blocking nested-loops join: the right
-// (inner) input is materialized at Open, then probed per left tuple with
-// an arbitrary condition.
-type NestedLoopJoin struct {
+// BlockingJoin is the classic blocking join: at Open it buckets the whole
+// right input by join key, then probes one bucket per left tuple. Keyed,
+// it is the hash join; keyless, every right tuple lands in one bucket, so
+// it is the nested-loops join and the condition decides.
+type BlockingJoin struct {
 	joinCommon
 
-	inner   []*schema.Tuple
+	buckets map[uint64][]*schema.Tuple
 	cur     *schema.Tuple
-	innerIx int
+	bucket  []*schema.Tuple
+	buckIx  int
 }
 
-// NewNestedLoopJoin builds left NLJ right on cond (cond may be nil for a
-// Cartesian product).
-func NewNestedLoopJoin(left, right Operator, cond expr.Expr) (*NestedLoopJoin, error) {
-	j := &NestedLoopJoin{}
-	if err := j.initJoin(left, right, cond); err != nil {
+// NewHashJoin builds the hash join (keyed mode) on leftKey = rightKey
+// (column references resolved against the respective input schemas);
+// extra is an optional residual condition over the concat schema.
+func NewHashJoin(left, right Operator, leftKey, rightKey *expr.Col, extra expr.Expr) (*BlockingJoin, error) {
+	return newBlockingJoin(left, right, leftKey, rightKey, extra)
+}
+
+// NewNestedLoopJoin builds the nested-loops join (keyless mode) on cond;
+// cond may be nil for a Cartesian product.
+func NewNestedLoopJoin(left, right Operator, cond expr.Expr) (*BlockingJoin, error) {
+	return newBlockingJoin(left, right, nil, nil, cond)
+}
+
+func newBlockingJoin(left, right Operator, leftKey, rightKey *expr.Col, cond expr.Expr) (*BlockingJoin, error) {
+	j := &BlockingJoin{}
+	if err := j.initJoin(left, right, leftKey, rightKey, cond, "hash join"); err != nil {
 		return nil, err
 	}
 	return j, nil
 }
 
 // Open implements Operator.
-func (j *NestedLoopJoin) Open(ctx *Context) error {
+func (j *BlockingJoin) Open(ctx *Context) error {
 	if ctx.Profile {
 		defer j.prof(time.Now())
 	}
 	j.reset()
-	j.inner = nil
-	j.cur = nil
-	j.innerIx = 0
-	if err := j.left.Open(ctx); err != nil {
-		return err
-	}
-	if err := j.right.Open(ctx); err != nil {
-		return err
-	}
-	for {
-		t, err := j.right.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if t == nil {
-			break
-		}
-		j.inner = append(j.inner, t)
-		ctx.Stats.buffer(1)
-	}
-	return nil
-}
-
-// Next implements Operator.
-func (j *NestedLoopJoin) Next(ctx *Context) (*schema.Tuple, error) {
-	if ctx.Profile {
-		defer j.prof(time.Now())
-	}
-	for {
-		if err := ctx.interrupted(); err != nil {
-			return nil, err
-		}
-		if j.cur == nil {
-			t, err := j.left.Next(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if t == nil {
-				return nil, nil
-			}
-			j.cur = t
-			j.innerIx = 0
-		}
-		for j.innerIx < len(j.inner) {
-			r := j.inner[j.innerIx]
-			j.innerIx++
-			t, err := j.combine(ctx, j.cur, r)
-			if err != nil {
-				return nil, err
-			}
-			if t != nil {
-				return j.emit(t), nil
-			}
-		}
-		j.cur = nil
-	}
-}
-
-// Close implements Operator.
-func (j *NestedLoopJoin) Close() error {
-	j.inner = nil
-	if err := j.left.Close(); err != nil {
-		j.right.Close()
-		return err
-	}
-	return j.right.Close()
-}
-
-// Name implements Operator.
-func (j *NestedLoopJoin) Name() string {
-	if j.cond == nil {
-		return "nestLoop(×)"
-	}
-	return fmt.Sprintf("nestLoop(%s)", j.cond)
-}
-
-// HashJoin is the classic blocking equi-join: builds a hash table over the
-// right input, probes with left tuples.
-type HashJoin struct {
-	joinCommon
-	leftCol, rightCol int
-
-	table  map[uint64][]*schema.Tuple
-	cur    *schema.Tuple
-	bucket []*schema.Tuple
-	buckIx int
-}
-
-// NewHashJoin builds an equi-hash-join on leftKey = rightKey (column
-// references resolved against the respective input schemas); extra is an
-// optional residual condition over the concat schema.
-func NewHashJoin(left, right Operator, leftKey, rightKey *expr.Col, extra expr.Expr) (*HashJoin, error) {
-	j := &HashJoin{}
-	if err := j.initJoin(left, right, extra); err != nil {
-		return nil, err
-	}
-	j.leftCol = left.Schema().ColumnIndex(leftKey.Table, leftKey.Name)
-	j.rightCol = right.Schema().ColumnIndex(rightKey.Table, rightKey.Name)
-	if j.leftCol < 0 || j.rightCol < 0 {
-		return nil, fmt.Errorf("exec: hash join keys %s/%s unresolved", leftKey, rightKey)
-	}
-	return j, nil
-}
-
-// Open implements Operator.
-func (j *HashJoin) Open(ctx *Context) error {
-	if ctx.Profile {
-		defer j.prof(time.Now())
-	}
-	j.reset()
-	j.table = map[uint64][]*schema.Tuple{}
+	j.buckets = map[uint64][]*schema.Tuple{}
 	j.cur = nil
 	j.bucket = nil
 	if err := j.left.Open(ctx); err != nil {
@@ -218,15 +176,18 @@ func (j *HashJoin) Open(ctx *Context) error {
 		if t == nil {
 			break
 		}
-		h := t.Values[j.rightCol].Hash()
-		j.table[h] = append(j.table[h], t)
+		h, ok := j.keyHash(t, false)
+		if !ok {
+			continue
+		}
+		j.buckets[h] = append(j.buckets[h], t)
 		ctx.Stats.buffer(1)
 	}
 	return nil
 }
 
 // Next implements Operator.
-func (j *HashJoin) Next(ctx *Context) (*schema.Tuple, error) {
+func (j *BlockingJoin) Next(ctx *Context) (*schema.Tuple, error) {
 	if ctx.Profile {
 		defer j.prof(time.Now())
 	}
@@ -242,15 +203,18 @@ func (j *HashJoin) Next(ctx *Context) (*schema.Tuple, error) {
 			if t == nil {
 				return nil, nil
 			}
+			h, ok := j.keyHash(t, true)
+			if !ok {
+				continue
+			}
 			j.cur = t
-			j.bucket = j.table[t.Values[j.leftCol].Hash()]
+			j.bucket = j.buckets[h]
 			j.buckIx = 0
 		}
 		for j.buckIx < len(j.bucket) {
 			r := j.bucket[j.buckIx]
 			j.buckIx++
-			if !types.Equal(j.cur.Values[j.leftCol], r.Values[j.rightCol]) {
-				ctx.Stats.JoinProbes++
+			if !j.sameKey(ctx, j.cur, r) {
 				continue
 			}
 			t, err := j.combine(ctx, j.cur, r)
@@ -266,25 +230,29 @@ func (j *HashJoin) Next(ctx *Context) (*schema.Tuple, error) {
 }
 
 // Close implements Operator.
-func (j *HashJoin) Close() error {
-	j.table = nil
-	if err := j.left.Close(); err != nil {
-		j.right.Close()
-		return err
-	}
-	return j.right.Close()
+func (j *BlockingJoin) Close() error {
+	j.buckets = nil
+	return j.closeInputs()
 }
 
 // Name implements Operator.
-func (j *HashJoin) Name() string { return "hashJoin" }
+func (j *BlockingJoin) Name() string {
+	switch {
+	case j.keyed():
+		return "hashJoin"
+	case j.cond == nil:
+		return "nestLoop(×)"
+	default:
+		return fmt.Sprintf("nestLoop(%s)", j.cond)
+	}
+}
 
 // SortMergeJoin merges two inputs sorted ascending on their join columns.
 // It is the classic plan1/plan4 join of the paper's Figure 11. Inputs must
-// be sorted (IdxScanCol or SortColumn); duplicate key groups on the right
-// are buffered and replayed.
+// be sorted (an attribute IndexScan or SortColumn); duplicate key groups
+// on the right are buffered and replayed. A NULL key joins nothing.
 type SortMergeJoin struct {
 	joinCommon
-	leftCol, rightCol int
 
 	l        *schema.Tuple
 	group    []*schema.Tuple // current right group with equal key
@@ -298,13 +266,8 @@ type SortMergeJoin struct {
 // optional residual condition.
 func NewSortMergeJoin(left, right Operator, leftKey, rightKey *expr.Col, extra expr.Expr) (*SortMergeJoin, error) {
 	j := &SortMergeJoin{}
-	if err := j.initJoin(left, right, extra); err != nil {
+	if err := j.initJoin(left, right, leftKey, rightKey, extra, "merge join"); err != nil {
 		return nil, err
-	}
-	j.leftCol = left.Schema().ColumnIndex(leftKey.Table, leftKey.Name)
-	j.rightCol = right.Schema().ColumnIndex(rightKey.Table, rightKey.Name)
-	if j.leftCol < 0 || j.rightCol < 0 {
-		return nil, fmt.Errorf("exec: merge join keys %s/%s unresolved", leftKey, rightKey)
 	}
 	return j, nil
 }
@@ -388,8 +351,11 @@ func (j *SortMergeJoin) Next(ctx *Context) (*schema.Tuple, error) {
 			if t == nil {
 				return nil, nil
 			}
-			j.l = t
 			key := t.Values[j.leftCol]
+			if key.IsNull() {
+				continue
+			}
+			j.l = t
 			if j.group == nil || !types.Equal(key, j.groupKey) {
 				// Advance the right side to this key's group.
 				if j.group == nil || types.Compare(key, j.groupKey) > 0 {
@@ -421,11 +387,7 @@ func (j *SortMergeJoin) Next(ctx *Context) (*schema.Tuple, error) {
 // Close implements Operator.
 func (j *SortMergeJoin) Close() error {
 	j.group = nil
-	if err := j.left.Close(); err != nil {
-		j.right.Close()
-		return err
-	}
-	return j.right.Close()
+	return j.closeInputs()
 }
 
 // Name implements Operator.

@@ -7,22 +7,26 @@ import (
 
 	"ranksql/internal/expr"
 	"ranksql/internal/schema"
-	"ranksql/internal/types"
 )
 
-// rankJoinBase implements the rank-join machinery shared by HRJN and NRJN
-// (Ilyas et al., adopted as the physical ./ of the rank-relational
-// algebra, §4.2). Both inputs stream in non-increasing upper-bound order;
-// join results are buffered in a ranking queue and emitted once their
-// exact combined upper bound F_{P1∪P2} dominates the threshold
+// RankJoin is the rank-join (Ilyas et al., adopted as the physical ./ of
+// the rank-relational algebra, §4.2). Both inputs stream in
+// non-increasing upper-bound order. Each side keeps the tuples it has
+// seen in hash buckets on its join key; a new tuple probes the opposite
+// side's bucket, and matches enter a ranking queue. Keyed, it is the hash
+// rank-join HRJN; keyless, every tuple lands in one bucket, so it is the
+// nested-loops rank-join NRJN and the condition decides. A result is
+// emitted once its exact combined upper bound F_{P1∪P2} dominates the
+// threshold
 //
 //	T = max( UB(firstL ⊕ lastR), UB(lastL ⊕ firstR) )
 //
 // which bounds every join result not yet produced.
-type rankJoinBase struct {
+type RankJoin struct {
 	joinCommon
 
 	queue           tupleHeap
+	lSeen, rSeen    map[uint64][]*schema.Tuple
 	firstL, lastL   *schema.Tuple
 	firstR, lastR   *schema.Tuple
 	lDone, rDone    bool
@@ -31,9 +35,40 @@ type rankJoinBase struct {
 	nothingJoinable bool
 }
 
-func (j *rankJoinBase) openBase(ctx *Context) error {
+// NewHRJN builds the hash rank-join (keyed mode) on leftKey = rightKey
+// with an optional residual condition over the concatenated schema.
+func NewHRJN(left, right Operator, leftKey, rightKey *expr.Col, extra expr.Expr) (*RankJoin, error) {
+	return newRankJoin(left, right, leftKey, rightKey, extra)
+}
+
+// NewNRJN builds the nested-loops rank-join (keyless mode) on an
+// arbitrary condition over the concatenated schema. cond may not be nil
+// (a rank Cartesian product would never terminate early; use classic
+// operators for that).
+func NewNRJN(left, right Operator, cond expr.Expr) (*RankJoin, error) {
+	if cond == nil {
+		return nil, fmt.Errorf("exec: NRJN requires a join condition")
+	}
+	return newRankJoin(left, right, nil, nil, cond)
+}
+
+func newRankJoin(left, right Operator, leftKey, rightKey *expr.Col, cond expr.Expr) (*RankJoin, error) {
+	j := &RankJoin{}
+	if err := j.initJoin(left, right, leftKey, rightKey, cond, "HRJN"); err != nil {
+		return nil, err
+	}
+	return j, nil
+}
+
+// Open implements Operator.
+func (j *RankJoin) Open(ctx *Context) error {
+	if ctx.Profile {
+		defer j.prof(time.Now())
+	}
 	j.reset()
 	j.queue = tupleHeap{}
+	j.lSeen = map[uint64][]*schema.Tuple{}
+	j.rSeen = map[uint64][]*schema.Tuple{}
 	j.firstL, j.lastL, j.firstR, j.lastR = nil, nil, nil, nil
 	j.lDone, j.rDone = false, false
 	j.drawLeft = true
@@ -47,7 +82,7 @@ func (j *rankJoinBase) openBase(ctx *Context) error {
 
 // combinedUB computes the F_{P1∪P2} upper bound of a hypothetical join of
 // l and r without materializing the concatenation.
-func (j *rankJoinBase) combinedUB(ctx *Context, l, r *schema.Tuple) float64 {
+func (j *RankJoin) combinedUB(ctx *Context, l, r *schema.Tuple) float64 {
 	ev := l.Evaluated.Union(r.Evaluated)
 	l.Evaluated.Each(func(i int) { j.scratch[i] = l.Preds[i] })
 	r.Evaluated.Each(func(i int) { j.scratch[i] = r.Preds[i] })
@@ -55,7 +90,7 @@ func (j *rankJoinBase) combinedUB(ctx *Context, l, r *schema.Tuple) float64 {
 }
 
 // threshold computes the bound T on all future join results.
-func (j *rankJoinBase) threshold(ctx *Context) float64 {
+func (j *RankJoin) threshold(ctx *Context) float64 {
 	if j.firstL == nil || j.firstR == nil {
 		// One side has produced nothing yet.
 		if (j.lDone && j.firstL == nil) || (j.rDone && j.firstR == nil) {
@@ -76,7 +111,7 @@ func (j *rankJoinBase) threshold(ctx *Context) float64 {
 // pickSide chooses which input to draw from next: the side whose last
 // upper bound is larger (tending to tighten the threshold fastest), with
 // round-robin as tie-break and exhaustion handling.
-func (j *rankJoinBase) pickSide() (left bool, any bool) {
+func (j *RankJoin) pickSide() (left bool, any bool) {
 	switch {
 	case j.lDone && j.rDone:
 		return false, false
@@ -98,9 +133,11 @@ func (j *rankJoinBase) pickSide() (left bool, any bool) {
 	}
 }
 
-// nextRanked runs the emission loop; probe is invoked for each new input
-// tuple to generate join results into the queue.
-func (j *rankJoinBase) nextRanked(ctx *Context, probe func(t *schema.Tuple, fromLeft bool) error) (*schema.Tuple, error) {
+// Next implements Operator.
+func (j *RankJoin) Next(ctx *Context) (*schema.Tuple, error) {
+	if ctx.Profile {
+		defer j.prof(time.Now())
+	}
 	for {
 		if err := ctx.interrupted(); err != nil {
 			return nil, err
@@ -158,82 +195,31 @@ func (j *rankJoinBase) nextRanked(ctx *Context, probe func(t *schema.Tuple, from
 			}
 			j.lastR = t
 		}
-		if err := probe(t, fromLeft); err != nil {
+		if err := j.probe(ctx, t, fromLeft); err != nil {
 			return nil, err
 		}
 	}
 }
 
-func (j *rankJoinBase) closeBase() error {
-	j.queue = tupleHeap{}
-	if err := j.left.Close(); err != nil {
-		j.right.Close()
-		return err
+// probe puts t into its side's bucket and joins it against the opposite
+// side's tuples in the same bucket; results enter the ranking queue.
+func (j *RankJoin) probe(ctx *Context, t *schema.Tuple, fromLeft bool) error {
+	h, ok := j.keyHash(t, fromLeft)
+	if !ok {
+		return nil
 	}
-	return j.right.Close()
-}
-
-// HRJN is the hash rank-join: a symmetric hash join over an equi-join
-// condition whose output streams in rank order. Each side maintains a
-// hash table over the tuples seen so far; new tuples probe the opposite
-// table, and matches enter the ranking queue.
-type HRJN struct {
-	rankJoinBase
-	leftCol, rightCol int
-
-	lTable, rTable map[uint64][]*schema.Tuple
-}
-
-// NewHRJN builds an HRJN on leftKey = rightKey with an optional residual
-// condition over the concatenated schema.
-func NewHRJN(left, right Operator, leftKey, rightKey *expr.Col, extra expr.Expr) (*HRJN, error) {
-	j := &HRJN{}
-	if err := j.initJoin(left, right, extra); err != nil {
-		return nil, err
+	own, other := j.lSeen, j.rSeen
+	if !fromLeft {
+		own, other = other, own
 	}
-	j.leftCol = left.Schema().ColumnIndex(leftKey.Table, leftKey.Name)
-	j.rightCol = right.Schema().ColumnIndex(rightKey.Table, rightKey.Name)
-	if j.leftCol < 0 || j.rightCol < 0 {
-		return nil, fmt.Errorf("exec: HRJN keys %s/%s unresolved", leftKey, rightKey)
-	}
-	return j, nil
-}
-
-// Open implements Operator.
-func (j *HRJN) Open(ctx *Context) error {
-	if ctx.Profile {
-		defer j.prof(time.Now())
-	}
-	j.lTable = map[uint64][]*schema.Tuple{}
-	j.rTable = map[uint64][]*schema.Tuple{}
-	return j.openBase(ctx)
-}
-
-// probe inserts t into its side's hash table and joins it against the
-// opposite side's matches.
-func (j *HRJN) probe(ctx *Context, t *schema.Tuple, fromLeft bool) error {
-	var key uint64
-	if fromLeft {
-		key = t.Values[j.leftCol].Hash()
-		j.lTable[key] = append(j.lTable[key], t)
-	} else {
-		key = t.Values[j.rightCol].Hash()
-		j.rTable[key] = append(j.rTable[key], t)
-	}
+	own[h] = append(own[h], t)
 	ctx.Stats.buffer(1)
-	var matches []*schema.Tuple
-	if fromLeft {
-		matches = j.rTable[key]
-	} else {
-		matches = j.lTable[key]
-	}
-	for _, m := range matches {
+	for _, m := range other[h] {
 		l, r := t, m
 		if !fromLeft {
 			l, r = m, t
 		}
-		if !types.Equal(l.Values[j.leftCol], r.Values[j.rightCol]) {
-			ctx.Stats.JoinProbes++ // hash collision, rejected pair
+		if !j.sameKey(ctx, l, r) {
 			continue
 		}
 		res, err := j.combine(ctx, l, r)
@@ -248,95 +234,17 @@ func (j *HRJN) probe(ctx *Context, t *schema.Tuple, fromLeft bool) error {
 	return nil
 }
 
-// Next implements Operator.
-func (j *HRJN) Next(ctx *Context) (*schema.Tuple, error) {
-	if ctx.Profile {
-		defer j.prof(time.Now())
-	}
-	return j.nextRanked(ctx, func(t *schema.Tuple, fromLeft bool) error {
-		return j.probe(ctx, t, fromLeft)
-	})
-}
-
 // Close implements Operator.
-func (j *HRJN) Close() error {
-	j.lTable, j.rTable = nil, nil
-	return j.closeBase()
+func (j *RankJoin) Close() error {
+	j.queue = tupleHeap{}
+	j.lSeen, j.rSeen = nil, nil
+	return j.closeInputs()
 }
 
 // Name implements Operator.
-func (j *HRJN) Name() string { return "HRJN" }
-
-// NRJN is the nested-loops rank-join: the same ranked emission logic with
-// arbitrary join conditions; each new tuple probes every buffered tuple of
-// the opposite side.
-type NRJN struct {
-	rankJoinBase
-
-	lSeen, rSeen []*schema.Tuple
-}
-
-// NewNRJN builds an NRJN on an arbitrary condition over the concatenated
-// schema. cond may not be nil (a rank Cartesian product would never
-// terminate early; use classic operators for that).
-func NewNRJN(left, right Operator, cond expr.Expr) (*NRJN, error) {
-	if cond == nil {
-		return nil, fmt.Errorf("exec: NRJN requires a join condition")
+func (j *RankJoin) Name() string {
+	if j.keyed() {
+		return "HRJN"
 	}
-	j := &NRJN{}
-	if err := j.initJoin(left, right, cond); err != nil {
-		return nil, err
-	}
-	return j, nil
+	return "NRJN"
 }
-
-// Open implements Operator.
-func (j *NRJN) Open(ctx *Context) error {
-	if ctx.Profile {
-		defer j.prof(time.Now())
-	}
-	j.lSeen, j.rSeen = nil, nil
-	return j.openBase(ctx)
-}
-
-// Next implements Operator.
-func (j *NRJN) Next(ctx *Context) (*schema.Tuple, error) {
-	if ctx.Profile {
-		defer j.prof(time.Now())
-	}
-	return j.nextRanked(ctx, func(t *schema.Tuple, fromLeft bool) error {
-		var others []*schema.Tuple
-		if fromLeft {
-			j.lSeen = append(j.lSeen, t)
-			others = j.rSeen
-		} else {
-			j.rSeen = append(j.rSeen, t)
-			others = j.lSeen
-		}
-		ctx.Stats.buffer(1)
-		for _, m := range others {
-			l, r := t, m
-			if !fromLeft {
-				l, r = m, t
-			}
-			res, err := j.combine(ctx, l, r)
-			if err != nil {
-				return err
-			}
-			if res != nil {
-				j.queue.push(res)
-				ctx.Stats.buffer(1)
-			}
-		}
-		return nil
-	})
-}
-
-// Close implements Operator.
-func (j *NRJN) Close() error {
-	j.lSeen, j.rSeen = nil, nil
-	return j.closeBase()
-}
-
-// Name implements Operator.
-func (j *NRJN) Name() string { return "NRJN" }

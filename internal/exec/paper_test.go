@@ -274,7 +274,7 @@ func TestPaperExamplesFigure4(t *testing.T) {
 
 // figure6Plan builds Figure 6(b)'s plan (µ_second(µ_first(idxScan_p3(S))))
 // with a real rank index on p3, and returns the operators for inspection.
-func figure6Plan(t *testing.T, c *catalog.Catalog, spec *rank.Spec, first, second int) (*Limit, *RankScan, *Rank, *Rank) {
+func figure6Plan(t *testing.T, c *catalog.Catalog, spec *rank.Spec, first, second int) (*Limit, *IndexScan, *Rank, *Rank) {
 	t.Helper()
 	s, _ := c.Table("S")
 	if s.RankIndex("p3", []string{"p3"}) == nil {

@@ -39,6 +39,20 @@ func randTable(r *rand.Rand, name string, rows, keyspace, npreds int) *storage.T
 	return t
 }
 
+// nullKeys copies t with about one key in five set to NULL.
+func nullKeys(r *rand.Rand, t *storage.Table) *storage.Table {
+	out := storage.NewTable(t.Name, t.Schema)
+	t.Scan(func(_ schema.TID, row []types.Value) bool {
+		row = append([]types.Value(nil), row...)
+		if r.Intn(5) == 0 {
+			row[0] = types.Null()
+		}
+		out.MustAppend(row)
+		return true
+	})
+	return out
+}
+
 // indexedTable loads tbl into a catalog table with a rank index on every
 // score column, under the identity scorer tableSpec's predicates use.
 func indexedTable(t *testing.T, tbl *storage.Table, npreds int) *catalog.TableMeta {
@@ -164,12 +178,12 @@ func TestMuChainVsOracle(t *testing.T) {
 }
 
 // TestHRJNVsOracle: HRJN over two ranked inputs equals the sorted
-// brute-force join.
+// brute-force join, where a NULL key equals nothing.
 func TestHRJNVsOracle(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		lt := randTable(r, "L", 1+r.Intn(40), 6, 1)
-		rt := randTable(r, "R", 1+r.Intn(40), 6, 1)
+		lt := nullKeys(r, randTable(r, "L", 1+r.Intn(40), 6, 1))
+		rt := nullKeys(r, randTable(r, "R", 1+r.Intn(40), 6, 1))
 		// Spec: p1 on L (index 0), p1 on R (index 1).
 		preds := []*rank.Predicate{
 			{Index: 0, Name: "lp", Args: []rank.ColumnRef{{Table: "L", Column: "p1"}},
@@ -209,7 +223,7 @@ func TestHRJNVsOracle(t *testing.T) {
 		var want []float64
 		lt.Scan(func(_ schema.TID, lrow []types.Value) bool {
 			rt.Scan(func(_ schema.TID, rrow []types.Value) bool {
-				if types.Equal(lrow[0], rrow[0]) {
+				if !lrow[0].IsNull() && types.Equal(lrow[0], rrow[0]) {
 					lf, _ := lrow[1].AsFloat()
 					rf, _ := rrow[1].AsFloat()
 					want = append(want, lf+rf)
@@ -227,12 +241,13 @@ func TestHRJNVsOracle(t *testing.T) {
 
 func identFn(args []types.Value) float64 { f, _ := args[0].AsFloat(); return f }
 
-// TestNRJNMatchesHRJN: with an equi condition, NRJN and HRJN agree.
+// TestNRJNMatchesHRJN: with an equi condition, NRJN and HRJN agree, NULL
+// keys included.
 func TestNRJNMatchesHRJN(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		lt := randTable(r, "L", 1+r.Intn(30), 5, 1)
-		rt := randTable(r, "R", 1+r.Intn(30), 5, 1)
+		lt := nullKeys(r, randTable(r, "L", 1+r.Intn(30), 5, 1))
+		rt := nullKeys(r, randTable(r, "R", 1+r.Intn(30), 5, 1))
 		preds := []*rank.Predicate{
 			{Index: 0, Args: []rank.ColumnRef{{Table: "L", Column: "p1"}}, Fn: identFn, Cost: 1},
 			{Index: 1, Args: []rank.ColumnRef{{Table: "R", Column: "p1"}}, Fn: identFn, Cost: 1},
@@ -404,12 +419,12 @@ func TestSetOpsVsOracle(t *testing.T) {
 }
 
 // TestClassicJoinsAgree: NLJ, hash join and sort-merge join produce the
-// same multiset of rows on equi-joins.
+// same multiset of rows on equi-joins, NULL keys included.
 func TestClassicJoinsAgree(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		lt := randTable(r, "L", 1+r.Intn(40), 5, 1)
-		rt := randTable(r, "R", 1+r.Intn(40), 5, 1)
+		lt := nullKeys(r, randTable(r, "L", 1+r.Intn(40), 5, 1))
+		rt := nullKeys(r, randTable(r, "R", 1+r.Intn(40), 5, 1))
 		spec := rank.EmptySpec()
 
 		keys := func(op Operator) []string {
@@ -450,7 +465,7 @@ func TestClassicJoinsAgree(t *testing.T) {
 	}
 }
 
-// TestRankScanMatchesMu: RankScan over a rank index equals µ_p(seqScan).
+// TestRankScanMatchesMu: a rank-scan over a rank index equals µ_p(seqScan).
 func TestRankScanMatchesMu(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	tbl := randTable(r, "T", 50, 10, 1)

@@ -105,7 +105,3 @@ func (r *Rank) Name() string { return fmt.Sprintf("rank_%s", r.pred) }
 
 // Children implements Operator.
 func (r *Rank) Children() []Operator { return []Operator{r.child} }
-
-// Buffered reports the number of tuples currently held in the ranking
-// queue; exposed for tests of the incremental execution model.
-func (r *Rank) Buffered() int { return r.queue.Len() }

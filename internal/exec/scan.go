@@ -33,8 +33,8 @@ type SeqScan struct {
 	// rows pins the table's row count at Open. Tables are append-only and
 	// TIDs are insertion positions, so a scan bounded by its Open-time
 	// count is a consistent snapshot even when the tree is suspended
-	// between pulls (resumable cursors) while inserts land. The index
-	// scans below pin the same bound.
+	// between pulls (resumable cursors) while inserts land. IndexScan
+	// pins the same bound.
 	rows    int
 	ceiling float64
 	npreds  int
@@ -92,11 +92,13 @@ func (s *SeqScan) Name() string { return fmt.Sprintf("seqScan(%s)", s.alias) }
 // Children implements Operator.
 func (s *SeqScan) Children() []Operator { return nil }
 
-// RankScan is the paper's idxScan_p: it streams a table's tuples in
-// descending order of one ranking predicate through the predicate's rank
-// index. The predicate's score comes from the index for free — the
-// one-time evaluation cost was paid when the row was indexed, exactly like
-// an expression index in PostgreSQL.
+// IndexScan streams a table in the order of one B+tree index. Over a
+// rank index it is the paper's idxScan_p: tuples come in descending order
+// of one ranking predicate, whose score it takes from the index for free —
+// the one-time evaluation cost was paid when the row was indexed, exactly
+// like an expression index in PostgreSQL. Over an attribute index it walks
+// ascending at the ceiling score, the access path that provides the
+// "interesting order" for sort-merge joins.
 //
 // An optional fused selection condition (scan-based selection, §4.2)
 // filters tuples during the scan.
@@ -104,117 +106,18 @@ func (s *SeqScan) Children() []Operator { return nil }
 // Inserts update the index in place while a scan is suspended; the
 // iterator re-seeks after each, and the scan keeps its Open-time snapshot
 // by skipping entries whose TID is at or past the row count it pinned.
-type RankScan struct {
+type IndexScan struct {
 	opBase
 	table *storage.Table
 	alias string
-	pred  *rank.Predicate
-	index *catalog.RankIndex
+	tree  *btree.Tree
 	cond  expr.Expr
-
-	npreds int
-	rows   schema.TID // row count at Open; entries at or past it are newer
-	iter   *btree.Iterator
-}
-
-// NewRankScan builds a rank-scan over the predicate's rank index; cond may
-// be nil (no fused selection).
-func NewRankScan(table *storage.Table, alias string, pred *rank.Predicate, index *catalog.RankIndex, cond expr.Expr) (*RankScan, error) {
-	if index == nil {
-		return nil, fmt.Errorf("exec: rank-scan of %s by %s has no rank index", alias, pred)
-	}
-	s := &RankScan{table: table, alias: alias, pred: pred, index: index, cond: cond}
-	s.sch = aliasedSchema(table, alias)
-	if cond != nil {
-		if err := expr.Bind(cond, s.sch); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// Open implements Operator.
-func (s *RankScan) Open(ctx *Context) error {
-	if ctx.Profile {
-		defer s.prof(time.Now())
-	}
-	s.reset()
-	s.npreds = ctx.Spec.N()
-	s.rows = schema.TID(s.table.NumRows())
-	s.iter = s.index.Tree.Descend()
-	return nil
-}
-
-// Next implements Operator.
-func (s *RankScan) Next(ctx *Context) (*schema.Tuple, error) {
-	if ctx.Profile {
-		defer s.prof(time.Now())
-	}
-	for {
-		if err := ctx.interrupted(); err != nil {
-			return nil, err
-		}
-		e, ok := s.iter.Next()
-		if !ok {
-			return nil, nil
-		}
-		if e.TID >= s.rows {
-			continue
-		}
-		t := ctx.newTuple(e.TID, s.table.Row(e.TID), s.npreds)
-		t.Preds[s.pred.Index] = s.index.Scores[e.TID]
-		t.Evaluated = schema.Bit(s.pred.Index)
-		ctx.Spec.Rescore(t)
-		ctx.Stats.TuplesScanned++
-		s.scanned()
-		if s.cond != nil {
-			ctx.Stats.Comparisons++
-			ok, err := expr.EvalBool(s.cond, t)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		return s.emit(t), nil
-	}
-}
-
-// Close implements Operator.
-func (s *RankScan) Close() error {
-	s.iter = nil
-	return nil
-}
-
-// BoundCond implements CondHolder.
-func (s *RankScan) BoundCond() expr.Expr { return s.cond }
-
-// Evaluated implements Operator.
-func (s *RankScan) Evaluated() schema.Bitset { return schema.Bit(s.pred.Index) }
-
-// Name implements Operator.
-func (s *RankScan) Name() string {
-	if s.cond != nil {
-		return fmt.Sprintf("idxScan_%s(%s | %s)", s.pred, s.alias, s.cond)
-	}
-	return fmt.Sprintf("idxScan_%s(%s)", s.pred, s.alias)
-}
-
-// Children implements Operator.
-func (s *RankScan) Children() []Operator { return nil }
-
-// IdxScanCol streams a table in ascending order of one column using an
-// attribute index — the access path that provides the "interesting order"
-// for sort-merge joins. Under inserts it keeps its Open-time snapshot the
-// way RankScan does.
-type IdxScanCol struct {
-	opBase
-	table  *storage.Table
-	alias  string
+	// Over a rank index, pred is the predicate it scores and ri the
+	// index holding those scores; both are nil over an attribute index,
+	// which column names.
+	pred   *rank.Predicate
+	ri     *catalog.RankIndex
 	column string
-	index  *catalog.Index
-	cond   expr.Expr
 
 	npreds  int
 	ceiling float64
@@ -222,16 +125,28 @@ type IdxScanCol struct {
 	iter    *btree.Iterator
 }
 
-// NewIdxScanCol builds a scan over column's attribute index; cond may be
-// nil.
-func NewIdxScanCol(table *storage.Table, alias, column string, index *catalog.Index, cond expr.Expr) (*IdxScanCol, error) {
+// NewRankScan builds idxScan_pred: a descending scan of the predicate's
+// rank index; cond may be nil (no fused selection).
+func NewRankScan(table *storage.Table, alias string, pred *rank.Predicate, index *catalog.RankIndex, cond expr.Expr) (*IndexScan, error) {
+	if index == nil {
+		return nil, fmt.Errorf("exec: rank-scan of %s by %s has no rank index", alias, pred)
+	}
+	return newIndexScan(&IndexScan{table: table, alias: alias, tree: index.Tree, cond: cond, pred: pred, ri: index})
+}
+
+// NewIdxScanCol builds an ascending scan of column's attribute index;
+// cond may be nil.
+func NewIdxScanCol(table *storage.Table, alias, column string, index *catalog.Index, cond expr.Expr) (*IndexScan, error) {
 	if index == nil {
 		return nil, fmt.Errorf("exec: column scan of %s.%s has no index", alias, column)
 	}
-	s := &IdxScanCol{table: table, alias: alias, column: column, index: index, cond: cond}
-	s.sch = aliasedSchema(table, alias)
-	if cond != nil {
-		if err := expr.Bind(cond, s.sch); err != nil {
+	return newIndexScan(&IndexScan{table: table, alias: alias, tree: index.Tree, cond: cond, column: column})
+}
+
+func newIndexScan(s *IndexScan) (*IndexScan, error) {
+	s.sch = aliasedSchema(s.table, s.alias)
+	if s.cond != nil {
+		if err := expr.Bind(s.cond, s.sch); err != nil {
 			return nil, err
 		}
 	}
@@ -239,7 +154,7 @@ func NewIdxScanCol(table *storage.Table, alias, column string, index *catalog.In
 }
 
 // Open implements Operator.
-func (s *IdxScanCol) Open(ctx *Context) error {
+func (s *IndexScan) Open(ctx *Context) error {
 	if ctx.Profile {
 		defer s.prof(time.Now())
 	}
@@ -247,12 +162,16 @@ func (s *IdxScanCol) Open(ctx *Context) error {
 	s.npreds = ctx.Spec.N()
 	s.ceiling = ctx.Spec.CeilingScore()
 	s.rows = schema.TID(s.table.NumRows())
-	s.iter = s.index.Tree.Ascend()
+	if s.ri != nil {
+		s.iter = s.tree.Descend()
+	} else {
+		s.iter = s.tree.Ascend()
+	}
 	return nil
 }
 
 // Next implements Operator.
-func (s *IdxScanCol) Next(ctx *Context) (*schema.Tuple, error) {
+func (s *IndexScan) Next(ctx *Context) (*schema.Tuple, error) {
 	if ctx.Profile {
 		defer s.prof(time.Now())
 	}
@@ -268,7 +187,13 @@ func (s *IdxScanCol) Next(ctx *Context) (*schema.Tuple, error) {
 			continue
 		}
 		t := ctx.newTuple(e.TID, s.table.Row(e.TID), s.npreds)
-		t.Score = s.ceiling
+		if s.ri != nil {
+			t.Preds[s.pred.Index] = s.ri.Scores[e.TID]
+			t.Evaluated = schema.Bit(s.pred.Index)
+			ctx.Spec.Rescore(t)
+		} else {
+			t.Score = s.ceiling
+		}
 		ctx.Stats.TuplesScanned++
 		s.scanned()
 		if s.cond != nil {
@@ -286,24 +211,33 @@ func (s *IdxScanCol) Next(ctx *Context) (*schema.Tuple, error) {
 }
 
 // Close implements Operator.
-func (s *IdxScanCol) Close() error {
+func (s *IndexScan) Close() error {
 	s.iter = nil
 	return nil
 }
 
 // BoundCond implements CondHolder.
-func (s *IdxScanCol) BoundCond() expr.Expr { return s.cond }
+func (s *IndexScan) BoundCond() expr.Expr { return s.cond }
 
 // Evaluated implements Operator.
-func (s *IdxScanCol) Evaluated() schema.Bitset { return 0 }
+func (s *IndexScan) Evaluated() schema.Bitset {
+	if s.pred == nil {
+		return 0
+	}
+	return schema.Bit(s.pred.Index)
+}
 
 // Name implements Operator.
-func (s *IdxScanCol) Name() string {
-	if s.cond != nil {
-		return fmt.Sprintf("idxScan_%s(%s | %s)", s.column, s.alias, s.cond)
+func (s *IndexScan) Name() string {
+	by := s.column
+	if s.pred != nil {
+		by = s.pred.String()
 	}
-	return fmt.Sprintf("idxScan_%s(%s)", s.column, s.alias)
+	if s.cond != nil {
+		return fmt.Sprintf("idxScan_%s(%s | %s)", by, s.alias, s.cond)
+	}
+	return fmt.Sprintf("idxScan_%s(%s)", by, s.alias)
 }
 
 // Children implements Operator.
-func (s *IdxScanCol) Children() []Operator { return nil }
+func (s *IndexScan) Children() []Operator { return nil }

@@ -181,51 +181,27 @@ func (p *PlanNode) Build(env *Env) (exec.Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		var cond expr.Expr
-		if p.Cond != nil {
-			cond = expr.Clone(p.Cond)
-		}
-		return exec.NewRankScan(tm.Table, p.Alias, p.Pred, rankIndexFor(tm, p.Pred), cond)
+		return exec.NewRankScan(tm.Table, p.Alias, p.Pred, rankIndexFor(tm, p.Pred), expr.Clone(p.Cond))
 	case KindIdxScanCol:
 		tm, err := env.tableFor(p.Alias)
 		if err != nil {
 			return nil, err
 		}
-		var cond expr.Expr
-		if p.Cond != nil {
-			cond = expr.Clone(p.Cond)
-		}
-		return exec.NewIdxScanCol(tm.Table, p.Alias, p.SortCol, tm.Index(p.SortCol), cond)
+		return exec.NewIdxScanCol(tm.Table, p.Alias, p.SortCol, tm.Index(p.SortCol), expr.Clone(p.Cond))
 	case KindFilter:
 		return exec.NewFilter(kids[0], expr.Clone(p.Cond))
 	case KindRank:
 		return exec.NewRank(kids[0], p.Pred)
 	case KindHRJN:
-		var extra expr.Expr
-		if p.Cond != nil {
-			extra = expr.Clone(p.Cond)
-		}
-		return exec.NewHRJN(kids[0], kids[1], p.LeftKey, p.RightKey, extra)
+		return exec.NewHRJN(kids[0], kids[1], p.LeftKey, p.RightKey, expr.Clone(p.Cond))
 	case KindNRJN:
 		return exec.NewNRJN(kids[0], kids[1], expr.Clone(p.Cond))
 	case KindNestedLoop:
-		var cond expr.Expr
-		if p.Cond != nil {
-			cond = expr.Clone(p.Cond)
-		}
-		return exec.NewNestedLoopJoin(kids[0], kids[1], cond)
+		return exec.NewNestedLoopJoin(kids[0], kids[1], expr.Clone(p.Cond))
 	case KindHashJoin:
-		var extra expr.Expr
-		if p.Cond != nil {
-			extra = expr.Clone(p.Cond)
-		}
-		return exec.NewHashJoin(kids[0], kids[1], p.LeftKey, p.RightKey, extra)
+		return exec.NewHashJoin(kids[0], kids[1], p.LeftKey, p.RightKey, expr.Clone(p.Cond))
 	case KindMergeJoin:
-		var extra expr.Expr
-		if p.Cond != nil {
-			extra = expr.Clone(p.Cond)
-		}
-		return exec.NewSortMergeJoin(kids[0], kids[1], p.LeftKey, p.RightKey, extra)
+		return exec.NewSortMergeJoin(kids[0], kids[1], p.LeftKey, p.RightKey, expr.Clone(p.Cond))
 	case KindSortScore:
 		return exec.NewSortScore(kids[0]), nil
 	case KindSortColumn:

@@ -30,7 +30,7 @@ func newCursorCluster(t *testing.T, n int, serverOpts []server.Option, routerOpt
 	c := &cursorCluster{}
 	for i := 0; i < n; i++ {
 		db := ranksql.Open()
-		if err := server.RegisterWebshopScorers(db); err != nil {
+		if err := server.Webshop.RegisterScorers(db); err != nil {
 			t.Fatal(err)
 		}
 		s := server.New(db, serverOpts...)
@@ -124,7 +124,7 @@ func paginateRouterCursor(t *testing.T, front string, first *testQueryResponse, 
 func TestRouterCursorPaginationEquivalence(t *testing.T) {
 	const rows = 600
 	single := ranksql.Open()
-	if err := server.SeedWebshop(single, rows); err != nil {
+	if err := server.Webshop.Seed(single, rows); err != nil {
 		t.Fatal(err)
 	}
 	c := newCursorCluster(t, 3, nil, nil)
@@ -167,7 +167,7 @@ func TestRouterCursorPaginationEquivalence(t *testing.T) {
 func TestRouterCursorPagesMatchOneDeepRun(t *testing.T) {
 	const rows, k, pages = 600, 10, 10
 	single := ranksql.Open()
-	if err := server.SeedWebshop(single, rows); err != nil {
+	if err := server.Webshop.Seed(single, rows); err != nil {
 		t.Fatal(err)
 	}
 	c := newCursorCluster(t, 4, nil, nil)
@@ -204,7 +204,7 @@ func TestRouterCursorPagesMatchOneDeepRun(t *testing.T) {
 func TestRouterCursorShardLostFallback(t *testing.T) {
 	const rows, k = 400, 8
 	single := ranksql.Open()
-	if err := server.SeedWebshop(single, rows); err != nil {
+	if err := server.Webshop.Seed(single, rows); err != nil {
 		t.Fatal(err)
 	}
 	// Aggressively short shard TTL: shard-side cursors (and sessions)
@@ -329,7 +329,7 @@ func TestRouterCursorExpiry(t *testing.T) {
 func TestRouterCursorAfterRank(t *testing.T) {
 	const rows, k = 400, 5
 	single := ranksql.Open()
-	if err := server.SeedWebshop(single, rows); err != nil {
+	if err := server.Webshop.Seed(single, rows); err != nil {
 		t.Fatal(err)
 	}
 	c := newCursorCluster(t, 3, nil, nil)
@@ -408,7 +408,7 @@ func TestRouterCursorInvalidation(t *testing.T) {
 func TestRouterConcurrentCursorPagination(t *testing.T) {
 	const rows, k, sessions = 400, 6, 6
 	single := ranksql.Open()
-	if err := server.SeedWebshop(single, rows); err != nil {
+	if err := server.Webshop.Seed(single, rows); err != nil {
 		t.Fatal(err)
 	}
 	c := newCursorCluster(t, 3, nil, []Option{WithCursorTTL(time.Minute)})

@@ -86,10 +86,10 @@ const failoverQuerySQL = `SELECT name, price, stars, sales FROM product
 func TestReplicaFailoverZeroFailures(t *testing.T) {
 	const rows = 800
 	single := ranksql.Open()
-	if err := server.SeedWebshop(single, rows); err != nil {
+	if err := server.Webshop.Seed(single, rows); err != nil {
 		t.Fatal(err)
 	}
-	c := newReplicatedCluster(t, 2, 2, server.RegisterWebshopScorers)
+	c := newReplicatedCluster(t, 2, 2, server.Webshop.RegisterScorers)
 	if err := SeedVia(nil, c.front.URL, "webshop", rows); err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestExecDeadlinePropagates(t *testing.T) {
 		Error string `json:"error"`
 	}
 	code := postJSON(t, front.URL+"/exec", map[string]interface{}{
-		"sql": server.WebshopDDL, "deadline_ms": 80,
+		"sql": server.Webshop.Tables[0].DDL, "deadline_ms": 80,
 	}, &out)
 	elapsed := time.Since(start)
 	if code == http.StatusOK || out.Error == "" {
@@ -479,7 +479,7 @@ func TestHedgedReadPrefersFastReplica(t *testing.T) {
 // cache with zero shard HTTP calls, and both write paths invalidate it
 // (any routed row-count change; any DDL via the schema version).
 func TestResultCacheServesWithoutFanout(t *testing.T) {
-	c := newCluster(t, 2, server.RegisterWebshopScorers)
+	c := newCluster(t, 2, server.Webshop.RegisterScorers)
 	if err := SeedVia(nil, c.front.URL, "webshop", 400); err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +564,7 @@ func TestResultCacheServesWithoutFanout(t *testing.T) {
 		t.Fatal("query not re-cached after the invalidating insert")
 	}
 	if code := postJSON(t, c.front.URL+"/exec", map[string]interface{}{
-		"sql": server.WebshopRankIndexDDL[0],
+		"sql": server.Webshop.IndexDDL[0],
 	}, &ex); code != http.StatusOK || ex.Error != "" {
 		t.Fatalf("ddl: status %d, error %q", code, ex.Error)
 	}
@@ -581,10 +581,10 @@ func TestResultCacheServesWithoutFanout(t *testing.T) {
 func TestCursorResumesOnReplicaFailure(t *testing.T) {
 	const rows = 600
 	single := ranksql.Open()
-	if err := server.SeedWebshop(single, rows); err != nil {
+	if err := server.Webshop.Seed(single, rows); err != nil {
 		t.Fatal(err)
 	}
-	c := newReplicatedCluster(t, 2, 2, server.RegisterWebshopScorers)
+	c := newReplicatedCluster(t, 2, 2, server.Webshop.RegisterScorers)
 	if err := SeedVia(nil, c.front.URL, "webshop", rows); err != nil {
 		t.Fatal(err)
 	}
@@ -644,10 +644,10 @@ func assertScorePrefix(t *testing.T, label string, want, got []float64) {
 func TestFlakyReplicaWorkload(t *testing.T) {
 	const rows = 500
 	single := ranksql.Open()
-	if err := server.SeedWebshop(single, rows); err != nil {
+	if err := server.Webshop.Seed(single, rows); err != nil {
 		t.Fatal(err)
 	}
-	c := newReplicatedCluster(t, 2, 2, server.RegisterWebshopScorers)
+	c := newReplicatedCluster(t, 2, 2, server.Webshop.RegisterScorers)
 	if err := SeedVia(nil, c.front.URL, "webshop", rows); err != nil {
 		t.Fatal(err)
 	}

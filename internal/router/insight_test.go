@@ -33,7 +33,7 @@ func getInsightJSON(t *testing.T, url string, out interface{}) {
 // serves /insight/workload and /insight/templates with per-shard
 // attribution (rows fetched, pruning) and shard-reported drift.
 func TestRouterInsightEndpoints(t *testing.T) {
-	c := newCluster(t, 2, server.RegisterWebshopScorers)
+	c := newCluster(t, 2, server.Webshop.RegisterScorers)
 	if err := SeedVia(nil, c.front.URL, "webshop", 300); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestRouterInsightEndpoints(t *testing.T) {
 // TestRouterInsightMetricsAndStats: the router's /metrics and /stats
 // carry the insight gauges, tuple-traffic counters, and build info.
 func TestRouterInsightMetricsAndStats(t *testing.T) {
-	c := newCluster(t, 2, server.RegisterWebshopScorers)
+	c := newCluster(t, 2, server.Webshop.RegisterScorers)
 	if err := SeedVia(nil, c.front.URL, "webshop", 200); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestRouterInsightMetricsAndStats(t *testing.T) {
 // TestRouterCursorCloseTrace: closing a routed cursor with a trace ID
 // echoes it on the response and propagates it to the shard closes.
 func TestRouterCursorCloseTrace(t *testing.T) {
-	c := newCluster(t, 2, server.RegisterWebshopScorers)
+	c := newCluster(t, 2, server.Webshop.RegisterScorers)
 	if err := SeedVia(nil, c.front.URL, "webshop", 200); err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func obsCluster(t *testing.T, n, rows int) (*cluster, *syncBuffer, *syncBuffer) 
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
 		db := ranksql.Open()
-		if err := server.RegisterWebshopScorers(db); err != nil {
+		if err := server.Webshop.RegisterScorers(db); err != nil {
 			t.Fatal(err)
 		}
 		s := server.New(db,
@@ -285,7 +285,7 @@ func TestRouterDeadlineMS(t *testing.T) {
 // in either view breaks dashboards and the benchmark's /stats reader
 // silently, so it must show up here as a diff against these lists.
 func TestMetricNamesStable(t *testing.T) {
-	c := newCluster(t, 2, server.RegisterWebshopScorers)
+	c := newCluster(t, 2, server.Webshop.RegisterScorers)
 	if err := SeedVia(nil, c.front.URL, "webshop", 200); err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func assertNames(t *testing.T, what string, got, want []string) {
 // whether a shard or the router answers it — errors means the same thing
 // on both tiers.
 func TestErrorsCountedAlike(t *testing.T) {
-	c := newCluster(t, 2, server.RegisterWebshopScorers)
+	c := newCluster(t, 2, server.Webshop.RegisterScorers)
 	if err := SeedVia(nil, c.front.URL, "webshop", 200); err != nil {
 		t.Fatal(err)
 	}

@@ -141,10 +141,10 @@ func TestShardedEqualsSingleNodeProperty(t *testing.T) {
 func TestShardedEquivalenceUnderConcurrentMerges(t *testing.T) {
 	const rows = 800
 	single := ranksql.Open()
-	if err := server.SeedWebshop(single, rows); err != nil {
+	if err := server.Webshop.Seed(single, rows); err != nil {
 		t.Fatal(err)
 	}
-	c := newCluster(t, 4, server.RegisterWebshopScorers)
+	c := newCluster(t, 4, server.Webshop.RegisterScorers)
 	if err := SeedVia(nil, c.front.URL, "webshop", rows); err != nil {
 		t.Fatal(err)
 	}

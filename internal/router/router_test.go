@@ -180,10 +180,10 @@ func assertEquivalent(t *testing.T, label string, refDeep *ranksql.Rows, k int, 
 func TestRouterWebshopEndToEnd(t *testing.T) {
 	const rows = 1200
 	single := ranksql.Open()
-	if err := server.SeedWebshop(single, rows); err != nil {
+	if err := server.Webshop.Seed(single, rows); err != nil {
 		t.Fatal(err)
 	}
-	c := newCluster(t, 3, server.RegisterWebshopScorers)
+	c := newCluster(t, 3, server.Webshop.RegisterScorers)
 	if err := SeedVia(nil, c.front.URL, "webshop", rows); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestRouterWebshopEndToEnd(t *testing.T) {
 // without draining at least one shard, and /stats must say so.
 func TestThresholdPruning(t *testing.T) {
 	const rows = 2000
-	c := newCluster(t, 4, server.RegisterWebshopScorers)
+	c := newCluster(t, 4, server.Webshop.RegisterScorers)
 	if err := SeedVia(nil, c.front.URL, "webshop", rows); err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestThresholdPruning(t *testing.T) {
 // statements while writers insert through the router.
 func TestRouterConcurrentQueriesAndInserts(t *testing.T) {
 	const rows = 1000
-	c := newCluster(t, 2, server.RegisterWebshopScorers)
+	c := newCluster(t, 2, server.Webshop.RegisterScorers)
 	if err := SeedVia(nil, c.front.URL, "webshop", rows); err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestRouterConcurrentQueriesAndInserts(t *testing.T) {
 // carrying the fetch text, and no number of distinct templates fills a
 // shard session's statement cap.
 func TestShardReadIsOneQuery(t *testing.T) {
-	c := newCluster(t, 1, server.RegisterWebshopScorers)
+	c := newCluster(t, 1, server.Webshop.RegisterScorers)
 	if err := SeedVia(nil, c.front.URL, "webshop", 200); err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestRouterStmtCap(t *testing.T) {
 // with a dead shard fail with a clean 502 naming the shard, and /healthz
 // reports degraded.
 func TestRouterShardDown(t *testing.T) {
-	c := newCluster(t, 2, server.RegisterWebshopScorers)
+	c := newCluster(t, 2, server.Webshop.RegisterScorers)
 	if err := SeedVia(nil, c.front.URL, "webshop", 200); err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -13,89 +14,41 @@ import (
 
 // SeedVia loads a named example dataset through a running router (or a
 // single ranksqld, which speaks the same protocol): CREATE TABLE with a
-// partition key, partitioned CSV ingest, then index DDL fan-out. The
-// backends must already have the dataset's scorers registered
-// (server.RegisterScorers) — scorers are Go code and cannot travel over
-// the wire.
+// partition key, partitioned CSV ingest, then index DDL fan-out, in the
+// order server.Dataset.Load runs them. The backends must already have the
+// dataset's scorers registered (server.RegisterScorers) — scorers are Go
+// code and cannot travel over the wire.
 func SeedVia(client *http.Client, base, dataset string, n int) error {
+	d, err := server.LookupDataset(dataset)
+	if d == nil {
+		return err
+	}
 	if client == nil {
 		client = http.DefaultClient
 	}
-	exec := func(sqlText, partitionKey string) error {
+	// post sends one request and reports the error its JSON answer
+	// carries, prefixed by what.
+	post := func(path, contentType string, body io.Reader, what string) error {
+		resp, err := client.Post(base+path, contentType, body)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		var out struct {
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			return err
+		}
+		if out.Error != "" {
+			return fmt.Errorf("%s: %s", what, out.Error)
+		}
+		return nil
+	}
+	return d.Load(n, func(sqlText, partitionKey string) error {
 		body, _ := json.Marshal(map[string]string{"sql": sqlText, "partition_key": partitionKey})
-		resp, err := client.Post(base+"/exec", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		var out struct {
-			Error string `json:"error"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			return err
-		}
-		if out.Error != "" {
-			return fmt.Errorf("%s: %s", sqlText, out.Error)
-		}
-		return nil
-	}
-	load := func(table, csvBody string) error {
-		resp, err := client.Post(base+"/load?table="+url.QueryEscape(table), "text/csv", strings.NewReader(csvBody))
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		var out struct {
-			Error string `json:"error"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			return err
-		}
-		if out.Error != "" {
-			return fmt.Errorf("load %s: %s", table, out.Error)
-		}
-		return nil
-	}
-
-	switch strings.ToLower(dataset) {
-	case "webshop":
-		if err := exec(server.WebshopDDL, ""); err != nil {
-			return err
-		}
-		if err := load("product", server.WebshopCSV(n)); err != nil {
-			return err
-		}
-		for _, ddl := range server.WebshopRankIndexDDL {
-			if err := exec(ddl, ""); err != nil {
-				return err
-			}
-		}
-		return nil
-	case "tripplanner":
-		// Co-partition both tables on addr so the hotel-restaurant join
-		// stays shard-local and per-shard joins are complete.
-		if err := exec(server.TripplannerHotelDDL, "addr"); err != nil {
-			return err
-		}
-		if err := exec(server.TripplannerRestaurantDDL, "addr"); err != nil {
-			return err
-		}
-		hotels, restaurants := server.TripplannerCSV(n)
-		if err := load("hotel", hotels); err != nil {
-			return err
-		}
-		if err := load("restaurant", restaurants); err != nil {
-			return err
-		}
-		for _, ddl := range server.TripplannerIndexDDL {
-			if err := exec(ddl, ""); err != nil {
-				return err
-			}
-		}
-		return nil
-	case "", "none":
-		return nil
-	default:
-		return fmt.Errorf("router: unknown dataset %q (want webshop, tripplanner or none)", dataset)
-	}
+		return post("/exec", "application/json", bytes.NewReader(body), sqlText)
+	}, func(table, csvBody string) error {
+		return post("/load?table="+url.QueryEscape(table), "text/csv", strings.NewReader(csvBody), "load "+table)
+	})
 }

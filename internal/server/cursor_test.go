@@ -34,7 +34,7 @@ type cursorResponse struct {
 func newCursorServer(t *testing.T, rows int, ttl time.Duration) (*ranksql.DB, *Server, *httptest.Server) {
 	t.Helper()
 	db := ranksql.Open()
-	if err := SeedWebshop(db, rows); err != nil {
+	if err := Webshop.Seed(db, rows); err != nil {
 		t.Fatal(err)
 	}
 	var opts []Option

@@ -298,7 +298,7 @@ func TestCursorCloseTrace(t *testing.T) {
 // log carries the structured plan snapshot with est-vs-actual deltas.
 func TestSlowQueryLogPlanSnapshot(t *testing.T) {
 	db := ranksql.Open()
-	if err := SeedWebshop(db, 100); err != nil {
+	if err := Webshop.Seed(db, 100); err != nil {
 		t.Fatal(err)
 	}
 	db.SetProfileSampling(1)

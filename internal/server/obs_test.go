@@ -178,7 +178,7 @@ func (sb *syncBuffer) String() string {
 // header and the body.
 func TestSlowQueryLogAndTrace(t *testing.T) {
 	db := ranksql.Open()
-	if err := SeedWebshop(db, 100); err != nil {
+	if err := Webshop.Seed(db, 100); err != nil {
 		t.Fatal(err)
 	}
 	var buf syncBuffer

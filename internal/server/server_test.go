@@ -27,7 +27,7 @@ func discardSlog() *slog.Logger {
 func newTestServer(t *testing.T, rows int) (*Server, *httptest.Server) {
 	t.Helper()
 	db := ranksql.Open()
-	if err := SeedWebshop(db, rows); err != nil {
+	if err := Webshop.Seed(db, rows); err != nil {
 		t.Fatal(err)
 	}
 	s := New(db, WithTraceLogger(discardSlog()))
@@ -360,7 +360,7 @@ func TestConcurrentQueriesAndInserts(t *testing.T) {
 
 func TestServerGracefulShutdown(t *testing.T) {
 	db := ranksql.Open()
-	if err := SeedWebshop(db, 100); err != nil {
+	if err := Webshop.Seed(db, 100); err != nil {
 		t.Fatal(err)
 	}
 	s := New(db, WithTraceLogger(discardSlog()))
@@ -403,7 +403,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 // exempt, and /stats counts the collection.
 func TestSessionExpiryGC(t *testing.T) {
 	db := ranksql.Open()
-	if err := SeedWebshop(db, 200); err != nil {
+	if err := Webshop.Seed(db, 200); err != nil {
 		t.Fatal(err)
 	}
 	s := New(db, WithSessionTTL(time.Minute))

@@ -13,7 +13,7 @@ import (
 // panic. The fix clamps each side's evaluated set to the spec universe.
 func TestSetOpOverSeededTripplanner(t *testing.T) {
 	db := ranksql.Open()
-	if err := SeedTripplanner(db, 2000); err != nil {
+	if err := Tripplanner.Seed(db, 2000); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := db.Query(`SELECT name, price, addr FROM hotel WHERE price < 100

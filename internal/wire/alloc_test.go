@@ -20,7 +20,7 @@ func TestEncodeAllocBudget(t *testing.T) {
 		t.Skip("alloc budgets are meaningless under -race: sync.Pool drops puts")
 	}
 	db := ranksql.Open()
-	if err := server.SeedWebshop(db, 1000); err != nil {
+	if err := server.Webshop.Seed(db, 1000); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := db.QueryContext(context.Background(), testQuerySQL, 400.0, 10)

@@ -49,7 +49,7 @@ func boxedResponse(t *testing.T, resp wire.QueryResponse, rows *ranksql.Rows) st
 
 func TestAppendQueryResponseMatchesEncodingJSON(t *testing.T) {
 	db := ranksql.Open()
-	if err := server.SeedWebshop(db, 200); err != nil {
+	if err := server.Webshop.Seed(db, 200); err != nil {
 		t.Fatal(err)
 	}
 	// Values that exercise every scalar kind plus string escaping.
@@ -103,7 +103,7 @@ func TestAppendQueryResponseMatchesEncodingJSON(t *testing.T) {
 // disappear exactly as encoding/json's omitempty tags dictate.
 func TestAppendQueryResponseOmitempty(t *testing.T) {
 	db := ranksql.Open()
-	if err := server.SeedWebshop(db, 50); err != nil {
+	if err := server.Webshop.Seed(db, 50); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := db.Query(`SELECT name FROM product LIMIT 3`)
@@ -150,7 +150,7 @@ func TestAppendQueryResponseOmitempty(t *testing.T) {
 // decoded struct reproduces the server's bytes.
 func TestServerPagesDecodeStrictly(t *testing.T) {
 	db := ranksql.Open()
-	if err := server.SeedWebshop(db, 200); err != nil {
+	if err := server.Webshop.Seed(db, 200); err != nil {
 		t.Fatal(err)
 	}
 	db.SetProfileSampling(1) // every execution carries depth_k / max_drift_ratio
