@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -135,26 +134,17 @@ func (rep *replica) noteSuccess() {
 	rep.downUntil = time.Time{}
 }
 
-// postJSON posts a JSON body to the replica, carrying the query context
-// (so a router-side deadline cancels the in-flight shard call) and the
-// trace ID header when one is set. Responses are status-checked and
-// classified: a non-2xx with a JSON error body surfaces the shard's own
-// message; anything else quotes a bounded body snippet instead of
-// decoding garbage into a zero-value "success". The body is drained
-// (capped) before close so the keep-alive connection stays reusable.
-func (rep *replica) postJSON(ctx context.Context, path, trace string, req interface{}, out interface{}) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// post sends one request body to the replica: every shard HTTP call
+// goes through here. It carries the caller's context (so a router-side
+// deadline cancels the in-flight call) and the trace ID header when one
+// is set, counts the request, classifies a transport failure and hands
+// the response to decodeShardResponse.
+func (rep *replica) post(ctx context.Context, path, contentType, trace string, body []byte, out interface{}) error {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.base+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set("Content-Type", contentType)
 	if trace != "" {
 		hreq.Header.Set(obs.TraceHeader, trace)
 	}
@@ -171,8 +161,20 @@ func (rep *replica) postJSON(ctx context.Context, path, trace string, req interf
 	return decodeShardResponse(resp, out)
 }
 
-// decodeShardResponse consumes one shard HTTP response: status check,
-// classified decode, capped drain + close.
+// postJSON posts req, JSON-encoded.
+func (rep *replica) postJSON(ctx context.Context, path, trace string, req interface{}, out interface{}) error {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return err
+	}
+	return rep.post(ctx, path, "application/json", trace, body, out)
+}
+
+// decodeShardResponse consumes one shard HTTP response. A non-2xx with
+// a JSON error body surfaces the shard's own message; anything else
+// quotes a bounded body snippet instead of decoding garbage into a
+// zero-value "success". The body is drained (capped) before close so the
+// keep-alive connection stays reusable.
 func decodeShardResponse(resp *http.Response, out interface{}) error {
 	defer func() {
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxDrainBytes))
@@ -239,57 +241,6 @@ func (rep *replica) cursorClose(trace, id string) error {
 	return nil
 }
 
-// exec runs a DDL/DML statement on the replica, under the caller's
-// context so cancellation and per-request deadline_ms budgets propagate
-// into the fan-out.
-func (rep *replica) exec(ctx context.Context, sqlText string) (int, error) {
-	var out struct {
-		RowsAffected int    `json:"rows_affected"`
-		Error        string `json:"error"`
-	}
-	if err := rep.postJSON(ctx, "/exec", "", map[string]interface{}{"sql": sqlText}, &out); err != nil {
-		return 0, err
-	}
-	if out.Error != "" {
-		return 0, fmt.Errorf("%s", out.Error)
-	}
-	return out.RowsAffected, nil
-}
-
-// load posts a CSV chunk to the replica's /load endpoint. The table
-// name is query-escaped: URL-reserved characters in an identifier must
-// not corrupt the request.
-func (rep *replica) load(ctx context.Context, table string, csvBody []byte) (int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		rep.base+"/load?table="+url.QueryEscape(table), bytes.NewReader(csvBody))
-	if err != nil {
-		return 0, err
-	}
-	hreq.Header.Set("Content-Type", "text/csv")
-	rep.requests.Add(1)
-	resp, err := rep.http.Do(hreq)
-	if err != nil {
-		if ctx.Err() != nil {
-			return 0, &shardCallError{class: classPermanent, msg: "shard call canceled: " + err.Error(), cause: err}
-		}
-		return 0, &shardCallError{class: classRetryable, msg: "shard unreachable: " + err.Error(), cause: err}
-	}
-	var out struct {
-		RowsLoaded int    `json:"rows_loaded"`
-		Error      string `json:"error"`
-	}
-	if err := decodeShardResponse(resp, &out); err != nil {
-		return 0, err
-	}
-	if out.Error != "" {
-		return 0, fmt.Errorf("%s", out.Error)
-	}
-	return out.RowsLoaded, nil
-}
-
 // probeClient bounds health probes independently of the query client's
 // timeout, so one hung shard cannot stall the router's /healthz and
 // /stats endpoints for the full query timeout.
@@ -309,7 +260,7 @@ func (rep *replica) healthy() bool {
 
 // shardClient is the router's connection to one shard: a set of
 // replicas holding identical copies of the shard's partition (the
-// router fans every write out to all of them; see execAll/loadAll).
+// router sends every write to all of them; see Router.write).
 // Reads go to one replica — preferring the last one that answered —
 // with classified-error failover across the rest, and optionally a
 // hedged second request when the preferred replica is slow. Reads carry
@@ -501,64 +452,4 @@ func shardRead[T any](ctx context.Context, sc *shardClient,
 		return failoverAcross(ctx, sc, reps[2:], call)
 	}
 	return zero, lastErr
-}
-
-// execAll runs a DDL/DML statement on every replica of the shard in
-// parallel — the router is the replication mechanism, so a write is
-// complete only when every copy has it. Writes are never retried
-// within a replica (an INSERT retried after an ambiguous failure could
-// apply twice); a tolerate func marks per-replica errors that mean the
-// statement had already taken effect there, so replayed DDL converges
-// diverged replicas instead of wedging.
-func (sc *shardClient) execAll(ctx context.Context, sqlText string, tolerate func(error) bool) (int, error) {
-	var wg sync.WaitGroup
-	errs := make([]error, len(sc.replicas))
-	counts := make([]int, len(sc.replicas))
-	for i, rep := range sc.replicas {
-		wg.Add(1)
-		go func(i int, rep *replica) {
-			defer wg.Done()
-			counts[i], errs[i] = rep.exec(ctx, sqlText)
-		}(i, rep)
-	}
-	wg.Wait()
-	affected := 0
-	for i, err := range errs {
-		if err != nil {
-			if tolerate != nil && tolerate(err) {
-				continue
-			}
-			return 0, fmt.Errorf("replica %d (%s): %w", i, sc.replicas[i].base, err)
-		}
-		if counts[i] > affected {
-			affected = counts[i]
-		}
-	}
-	return affected, nil
-}
-
-// loadAll posts the same CSV chunk to every replica of the shard (see
-// execAll for the replication contract).
-func (sc *shardClient) loadAll(ctx context.Context, table string, csvBody []byte) (int, error) {
-	var wg sync.WaitGroup
-	errs := make([]error, len(sc.replicas))
-	counts := make([]int, len(sc.replicas))
-	for i, rep := range sc.replicas {
-		wg.Add(1)
-		go func(i int, rep *replica) {
-			defer wg.Done()
-			counts[i], errs[i] = rep.load(ctx, table, csvBody)
-		}(i, rep)
-	}
-	wg.Wait()
-	loaded := 0
-	for i, err := range errs {
-		if err != nil {
-			return 0, fmt.Errorf("replica %d (%s): %w", i, sc.replicas[i].base, err)
-		}
-		if counts[i] > loaded {
-			loaded = counts[i]
-		}
-	}
-	return loaded, nil
 }

@@ -2,11 +2,14 @@ package router
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
+	"net/http/httputil"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,6 +20,8 @@ import (
 	"ranksql/internal/flakyproxy"
 	"ranksql/internal/obs/insight"
 	"ranksql/internal/server"
+	"ranksql/internal/sql"
+	"ranksql/internal/types"
 	"ranksql/internal/wire"
 )
 
@@ -324,10 +329,11 @@ func TestConnectionReuseAfterErrorResponse(t *testing.T) {
 		},
 	})
 	var out wire.QueryResponse
-	if err := rep.postJSON(ctx, "/query", "", map[string]interface{}{"sql": "SELECT 1"}, &out); err == nil {
+	body := []byte(`{"sql":"SELECT 1"}`)
+	if err := rep.post(ctx, "/query", "application/json", "", body, &out); err == nil {
 		t.Fatal("first call should fail with the 500")
 	}
-	if err := rep.postJSON(ctx, "/query", "", map[string]interface{}{"sql": "SELECT 1"}, &out); err != nil {
+	if err := rep.post(ctx, "/query", "application/json", "", body, &out); err != nil {
 		t.Fatalf("second call: %v", err)
 	}
 	if !reused.Load() {
@@ -336,7 +342,8 @@ func TestConnectionReuseAfterErrorResponse(t *testing.T) {
 }
 
 // TestLoadEscapesTableName pins the query-escape fix: a table name with
-// URL-reserved characters survives the /load round-trip intact.
+// URL-reserved characters survives the router's /load write to the shard
+// intact.
 func TestLoadEscapesTableName(t *testing.T) {
 	const table = "sales figures+2024/q1&q2"
 	var got atomic.Value
@@ -346,13 +353,32 @@ func TestLoadEscapesTableName(t *testing.T) {
 		fmt.Fprint(w, `{"rows_loaded": 2}`)
 	}))
 	defer srv.Close()
-	rep := &replica{base: srv.URL, http: srv.Client()}
-	n, err := rep.load(context.Background(), table, []byte("a,b\n1,2\n3,4\n"))
+	r, err := New([]string{srv.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 {
-		t.Errorf("rows loaded = %d, want 2", n)
+	// The name does not parse as SQL, so register it straight in the catalog.
+	if err := r.registerTable(&sql.CreateTableStmt{Name: table, Columns: []sql.ColumnDef{
+		{Name: "a", Kind: types.KindInt}, {Name: "b", Kind: types.KindInt}}}, ""); err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(r.Handler())
+	defer front.Close()
+	resp, err := http.Post(front.URL+"/load?table="+url.QueryEscape(table)+"&header=1", "text/csv",
+		strings.NewReader("a,b\n1,2\n3,4\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		RowsLoaded int    `json:"rows_loaded"`
+		Error      string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || out.Error != "" {
+		t.Fatalf("load: %v %q", err, out.Error)
+	}
+	if out.RowsLoaded != 2 {
+		t.Errorf("rows loaded = %d, want 2", out.RowsLoaded)
 	}
 	if name, _ := got.Load().(string); name != table {
 		t.Errorf("shard decoded table %q, want %q", name, table)
@@ -571,6 +597,101 @@ func TestResultCacheServesWithoutFanout(t *testing.T) {
 	fifth := runQuery()
 	if fifth.ResultCacheHit {
 		t.Fatal("query after DDL still served from the result cache")
+	}
+}
+
+// TestFailedWriteStalesResultCache: a routed write that fails on one
+// shard may still have applied on another, so it stales the cached
+// answers over its table all the same — INSERT, /load and DDL alike.
+func TestFailedWriteStalesResultCache(t *testing.T) {
+	c := newCluster(t, 2, server.Webshop.RegisterScorers)
+	if err := SeedVia(nil, c.front.URL, "webshop", 300); err != nil {
+		t.Fatal(err)
+	}
+	// From here on shard 1 answers every write 503; its reads still work.
+	shard1, err := url.Parse(c.router.shards[1].replicas[0].base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := httputil.NewSingleHostReverseProxy(shard1)
+	refusing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/exec" || r.URL.Path == "/load" {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusServiceUnavailable)
+			fmt.Fprint(w, `{"error": "shard refuses writes"}`)
+			return
+		}
+		reads.ServeHTTP(w, r)
+	}))
+	t.Cleanup(refusing.Close)
+	c.router.shards[1].replicas[0].base = refusing.URL
+
+	query := func() testQueryResponse {
+		t.Helper()
+		var resp testQueryResponse
+		if code := postJSON(t, c.front.URL+"/query", map[string]interface{}{
+			"sql": failoverQuerySQL, "params": []interface{}{400.0, 3},
+		}, &resp); code != http.StatusOK || resp.Error != "" {
+			t.Fatalf("query: status %d, error %q", code, resp.Error)
+		}
+		return resp
+	}
+	// Each failed write reaches a cached answer: the answer must be
+	// recomputed afterwards, holding the top-scoring row shard 0 took.
+	failedWrite := func(label, applied string, write func() (int, string)) {
+		t.Helper()
+		query()
+		if !query().ResultCacheHit {
+			t.Fatalf("%s: repeated query not served from the result cache", label)
+		}
+		code, msg := write()
+		if code != http.StatusBadGateway || !strings.Contains(msg, "shard 1") || !strings.Contains(msg, "replica 0") {
+			t.Fatalf("%s: status %d, error %q; want 502 naming shard 1, replica 0", label, code, msg)
+		}
+		after := query()
+		if after.ResultCacheHit {
+			t.Fatalf("%s: the result cache still serves its answer after a partially applied write", label)
+		}
+		if applied != "" && (len(after.Rows) == 0 || !strings.HasPrefix(renderRow(after.Rows[0]), applied+"|")) {
+			t.Errorf("%s: top row %v, want %s, the row shard 0 applied", label, after.Rows, applied)
+		}
+	}
+	var ex struct {
+		Error string `json:"error"`
+	}
+	ins0, ins1 := ownedBy(0, 2, "INS0-"), ownedBy(1, 2, "INS1-")
+	failedWrite("INSERT", ins0, func() (int, string) {
+		code := postJSON(t, c.front.URL+"/exec", map[string]interface{}{
+			"sql": fmt.Sprintf(`INSERT INTO product VALUES ('%s', 1.0, 5.0, 999999, true), ('%s', 1.0, 5.0, 999999, true)`, ins0, ins1),
+		}, &ex)
+		return code, ex.Error
+	})
+	load0, load1 := ownedBy(0, 2, "LOAD0-"), ownedBy(1, 2, "LOAD1-")
+	failedWrite("/load", load0, func() (int, string) {
+		resp, err := http.Post(c.front.URL+"/load?table=product", "text/csv", strings.NewReader(
+			fmt.Sprintf("%s,0.5,5.0,9999999,true\n%s,0.5,5.0,9999999,true\n", load0, load1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&ex); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, ex.Error
+	})
+	failedWrite("DDL", "", func() (int, string) {
+		code := postJSON(t, c.front.URL+"/exec", map[string]interface{}{"sql": `CREATE INDEX ON product (sales)`}, &ex)
+		return code, ex.Error
+	})
+}
+
+// ownedBy returns the first name prefix0, prefix1, ... whose partition
+// key hash lands on shard of nShards.
+func ownedBy(shard, nShards int, prefix string) string {
+	for i := 0; ; i++ {
+		if name := fmt.Sprintf("%s%d", prefix, i); partition(types.NewString(name), nShards) == shard {
+			return name
+		}
 	}
 }
 

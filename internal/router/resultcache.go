@@ -14,16 +14,17 @@ import (
 // Router-side ranked-result cache: a template hit with identical
 // bindings and k is answered from the router with zero shard fan-out.
 // It is an lru.Cache like the engine plan cache, and its invalidation
-// model mirrors that one's — keys embed a schema version bumped
-// by every DDL fan-out, and entries snapshot the router-tracked row
-// counts of their referenced tables — but where the plan cache keeps a
-// plan until a table doubles (catalog.Snapshot), this cache drops an
-// entry on *any* row growth: it holds result rows, not plans, and a
-// single inserted row can change a top-k answer. The router fronts
-// every write (DDL fan-out, partitioned INSERT, CSV /load), so its
-// local version and row counts see all changes; rows written to shards
-// behind the router's back are invisible to this accounting, which is
-// why caching only engages for tables created through the router.
+// model mirrors that one's — keys embed a schema version advanced by
+// every DDL, and entries snapshot the write stamps of their referenced
+// tables — but where the plan cache keeps a plan until a table doubles
+// (catalog.Snapshot), this cache drops an entry on *any* write: it holds
+// result rows, not plans, and a single inserted row can change a top-k
+// answer. Every routed write (DDL, partitioned INSERT, CSV /load) goes
+// through Router.write, which advances the stamp once all its shard
+// calls have returned, failed or not — a write that failed on one copy
+// may have applied on another. Rows written to shards behind the
+// router's back are invisible to this accounting, which is why caching
+// only engages for tables created through the router.
 const (
 	// defaultResultCacheCap is the default entry capacity
 	// (WithResultCache overrides; <= 0 disables).
@@ -48,10 +49,10 @@ type resultEntry struct {
 	rows      [][]interface{}
 	scores    []float64
 	exhausted bool
-	// tableRows is each referenced table's router-tracked row count at
-	// the time the fan-out for this answer was issued (snapshotted
-	// before the merge, so writes landing mid-merge invalidate).
-	tableRows map[string]uint64
+	// tableWrites is each referenced table's write stamp at the time the
+	// fan-out for this answer was issued (snapshotted before the merge,
+	// so writes landing mid-merge invalidate).
+	tableWrites map[string]uint64
 }
 
 // ResultCacheStats is the /stats "result_cache" block.
@@ -101,11 +102,11 @@ func renderBindings(params []interface{}) (string, bool) {
 	return b.String(), true
 }
 
-// snapshotTables captures the current router-tracked row count of each
-// referenced table under one lock acquisition. It returns nil when a
+// snapshotTables captures the current write stamp of each referenced
+// table under one lock acquisition. It returns nil when a
 // table has no catalog entry — seeded behind the router's back, or a
 // typo the shards will reject anyway: the query is then uncacheable,
-// since the table's growth could not be observed.
+// since the table's writes could not be observed.
 func (r *Router) snapshotTables(tables []string) map[string]uint64 {
 	if len(tables) == 0 {
 		return nil
@@ -118,7 +119,7 @@ func (r *Router) snapshotTables(tables []string) map[string]uint64 {
 		if !ok {
 			return nil
 		}
-		snap[name] = ti.rows
+		snap[name] = ti.writes
 	}
 	return snap
 }
@@ -131,14 +132,14 @@ func (r *Router) resultKeyFor(t *template, bindKey string, k int) resultKey {
 }
 
 // lookupResult returns the cached answer for (template, bindings, k) if
-// one exists and no referenced table has changed its row count since the
-// answer's fan-out was issued; a stale entry is dropped by the lookup.
+// one exists and no referenced table has been written since the answer's
+// fan-out was issued; a stale entry is dropped by the lookup.
 func (r *Router) lookupResult(t *template, bindKey string, k int) (*resultEntry, bool) {
 	return r.results.Get(r.resultKeyFor(t, bindKey, k), func(ent *resultEntry) bool {
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		for table, snap := range ent.tableRows {
-			if ti, ok := r.tables[table]; !ok || ti.rows != snap {
+		for table, snap := range ent.tableWrites {
+			if ti, ok := r.tables[table]; !ok || ti.writes != snap {
 				return false
 			}
 		}
@@ -146,15 +147,15 @@ func (r *Router) lookupResult(t *template, bindKey string, k int) (*resultEntry,
 	})
 }
 
-// storeResult caches a merged one-shot answer under the row-count
+// storeResult caches a merged one-shot answer under the write-stamp
 // snapshot taken before its fan-out.
 func (r *Router) storeResult(t *template, bindKey string, k int, snap map[string]uint64, resp *wire.QueryResponse) {
 	r.results.Put(r.resultKeyFor(t, bindKey, k), &resultEntry{
-		columns:   resp.Columns,
-		rows:      resp.Rows,
-		scores:    resp.Scores,
-		exhausted: resp.Exhausted,
-		tableRows: snap,
+		columns:     resp.Columns,
+		rows:        resp.Rows,
+		scores:      resp.Scores,
+		exhausted:   resp.Exhausted,
+		tableWrites: snap,
 	})
 }
 

@@ -4,8 +4,11 @@
 //
 // Tables are hash-partitioned across shards on a per-table partition key
 // (default: the first column; override with "partition_key" on CREATE
-// TABLE). DDL fans out to every shard; INSERT statements and CSV /load
-// bodies are split row-by-row on the partition key's hash. Top-k SELECTs
+// TABLE). Every routed write is one request body per shard, sent to every
+// replica of that shard by Router.write: DDL sends all shards the same
+// text, INSERT statements and CSV /load bodies are split row-by-row on the
+// partition key's hash. Each write, failed or not, stales the result
+// cache's entries over its table (DDL: all of them). Top-k SELECTs
 // are answered by sending the same parameterized fetch text, k deep, to
 // every shard in one parallel round and merging the returned ranked
 // streams with a threshold-algorithm-style max-heap merge (see merge.go):
@@ -32,11 +35,14 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
 	"net/http"
+	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -84,10 +90,12 @@ type tableInfo struct {
 	cols   []string // lower-cased, in declaration order
 	kinds  []types.Kind
 	keyCol int // partition column index
-	// rows counts rows the router has routed into the table (INSERT +
-	// /load); the result cache snapshots it to detect staleness. It is
-	// guarded by Router.mu, like the rest of the catalog entry.
-	rows uint64
+	// writes is the table's write stamp: it counts the routed writes
+	// (INSERT, /load) to the table, failed ones included, each once all
+	// its shard calls have returned. The result cache snapshots it to
+	// detect staleness. It is guarded by Router.mu, like the rest of the
+	// catalog entry.
+	writes uint64
 }
 
 // Option configures a Router.
@@ -267,7 +275,7 @@ type selectTemplate struct {
 	litK       int // literal client LIMIT (0 = none)
 	ranked     bool
 	// tables are the referenced table names (lower-cased): the result
-	// cache snapshots their router-tracked row counts for staleness.
+	// cache snapshots their write stamps for staleness.
 	tables []string
 }
 
@@ -427,10 +435,10 @@ func (r *Router) handleQuery(w http.ResponseWriter, hr *http.Request, req *wire.
 	} else {
 		// Result-cache lookup: a template hit with identical bindings and k
 		// is served straight from the router with zero shard fan-out, as
-		// long as no schema change or row growth has invalidated it. The
-		// row-count snapshot for a potential store is taken *before* the
-		// fan-out: a write landing while the merge runs then bumps the
-		// count past the snapshot and the entry can never serve stale rows.
+		// long as no schema change or write has invalidated it. The
+		// write-stamp snapshot for a potential store is taken *before* the
+		// fan-out: a write landing while the merge runs then advances the
+		// stamp past the snapshot and the entry can never serve stale rows.
 		if key, cacheable := renderBindings(req.Params); cacheable && r.results != nil {
 			start := time.Now()
 			if ent, ok := r.lookupResult(t, key, k); ok {
@@ -511,45 +519,43 @@ func (r *Router) handleExec(w http.ResponseWriter, hr *http.Request, req *wire.R
 	ctx, cancel := req.Context(hr.Context())
 	defer cancel()
 
+	// DDL sends every shard the same text. A tolerate func marks
+	// per-replica errors that mean the statement had already taken effect
+	// there, so replaying DDL after a partial failure converges the
+	// diverged copies instead of wedging on the ones that succeeded.
+	ddl := func(tolerate func(error) bool) error {
+		_, err := r.write(ctx, "", "/exec", "application/json",
+			slices.Repeat([][]byte{execBody(bound)}, len(r.shards)), tolerate)
+		return err
+	}
 	var affected int
 	var message string
 	switch s := bound.(type) {
 	case *sql.InsertStmt:
 		affected, err = r.partitionInsert(ctx, s)
-		if err != nil {
-			r.metrics.Fail(w, http.StatusBadGateway, t.norm, err.Error())
-			return
-		}
-		r.noteRows(s.Table, affected)
 	case *sql.CreateTableStmt:
 		if err := r.registerTable(s, req.PartitionKey); err != nil {
 			r.metrics.Fail(w, http.StatusBadRequest, t.norm, err.Error())
 			return
 		}
-		if err := r.fanoutExec(ctx, sql.Normalize(bound), alreadyExists); err != nil {
+		if err = ddl(alreadyExists); err != nil {
 			r.unregisterTable(s.Name)
-			r.metrics.Fail(w, http.StatusBadGateway, t.norm, err.Error())
-			return
 		}
-		r.bumpSchemaVersion()
 		message = "CREATE TABLE (all shards)"
 	case *sql.DropTableStmt:
-		if err := r.fanoutExec(ctx, sql.Normalize(bound), doesNotExist); err != nil {
-			r.metrics.Fail(w, http.StatusBadGateway, t.norm, err.Error())
-			return
+		if err = ddl(doesNotExist); err == nil {
+			r.unregisterTable(s.Name)
 		}
-		r.unregisterTable(s.Name)
-		r.bumpSchemaVersion()
 		message = "DROP TABLE (all shards)"
 	default:
 		// CREATE [RANK] INDEX and friends: idempotent on replay, like
 		// CREATE TABLE, so partially-applied DDL can be re-issued.
-		if err := r.fanoutExec(ctx, sql.Normalize(bound), alreadyExists); err != nil {
-			r.metrics.Fail(w, http.StatusBadGateway, t.norm, err.Error())
-			return
-		}
-		r.bumpSchemaVersion()
+		err = ddl(alreadyExists)
 		message = "OK (all shards)"
+	}
+	if err != nil {
+		r.metrics.Fail(w, http.StatusBadGateway, t.norm, err.Error())
+		return
 	}
 	r.metrics.Execs.Inc()
 	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{
@@ -611,8 +617,7 @@ func partition(v types.Value, nShards int) int {
 }
 
 // partitionInsert splits a bound INSERT's rows by partition key and
-// sends each shard its subset (in parallel) as a literal INSERT, to
-// every replica of the shard — the router is the replication layer.
+// writes each shard its subset as a literal INSERT.
 func (r *Router) partitionInsert(ctx context.Context, s *sql.InsertStmt) (int, error) {
 	ti, err := r.tableInfo(s.Table)
 	if err != nil {
@@ -626,81 +631,91 @@ func (r *Router) partitionInsert(ctx context.Context, s *sql.InsertStmt) (int, e
 		g := partition(row[ti.keyCol], len(r.shards))
 		groups[g] = append(groups[g], row)
 	}
+	bodies := make([][]byte, len(r.shards))
+	for i, rows := range groups {
+		if len(rows) > 0 {
+			bodies[i] = execBody(&sql.InsertStmt{Table: s.Table, Rows: rows})
+		}
+	}
+	return r.write(ctx, s.Table, "/exec", "application/json", bodies, nil)
+}
+
+// execBody is the /exec request carrying a statement's canonical text.
+func execBody(st sql.Stmt) []byte {
+	body, _ := json.Marshal(map[string]string{"sql": sql.Normalize(st)}) // a string map always encodes
+	return body
+}
+
+// write sends one routed write: bodies[i] to every replica of shard i (an
+// empty body skips the shard), all calls in parallel. The router is the
+// replication layer, so a write is complete only when every copy has it.
+// Writes are never retried (an INSERT retried after an ambiguous failure
+// could apply twice); a non-nil tolerate marks per-replica errors that
+// mean the write had already taken effect there. A shard's count is the
+// most any of its replicas reports, the write's the sum over shards; a
+// failed call fails the write, naming its shard and replica (the copies
+// may then diverge; see the README's failure notes).
+//
+// Once every call has returned, whatever the outcome — a failed write may
+// have applied on some copies — the write stales the result cache: it
+// advances table's write stamp, or the schema version when table is ""
+// (DDL). Not earlier: an answer merged ahead of the write could then be
+// cached under the new stamp.
+func (r *Router) write(ctx context.Context, table, path, contentType string, bodies [][]byte, tolerate func(error) bool) (int, error) {
+	type call struct {
+		n   int
+		err error
+	}
+	calls := make([][]call, len(r.shards))
 	var wg sync.WaitGroup
-	errs := make([]error, len(r.shards))
-	counts := make([]int, len(r.shards))
 	for i, sc := range r.shards {
-		if len(groups[i]) == 0 {
+		if len(bodies[i]) == 0 {
 			continue
 		}
-		wg.Add(1)
-		go func(i int, sc *shardClient) {
-			defer wg.Done()
-			ins := &sql.InsertStmt{Table: s.Table, Rows: groups[i]}
-			counts[i], errs[i] = sc.execAll(ctx, sql.Normalize(ins), nil)
-		}(i, sc)
-	}
-	wg.Wait()
-	total := 0
-	for i := range r.shards {
-		if errs[i] != nil {
-			return total, fmt.Errorf("shard %d (%s): %w", i, r.shards[i].addr(), errs[i])
-		}
-		total += counts[i]
-	}
-	return total, nil
-}
-
-// fanoutExec runs a statement on every replica of every shard in
-// parallel, failing if any fails (replicas may then diverge; see the
-// README's failure notes). A non-nil tolerate func marks per-replica
-// errors that mean the statement had already taken effect there (e.g.
-// "already exists" on a re-issued CREATE TABLE), so replaying DDL after
-// a partial failure converges the divergent copies instead of wedging
-// on the ones that succeeded.
-func (r *Router) fanoutExec(ctx context.Context, sqlText string, tolerate func(error) bool) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(r.shards))
-	for i, sc := range r.shards {
-		wg.Add(1)
-		go func(i int, sc *shardClient) {
-			defer wg.Done()
-			_, errs[i] = sc.execAll(ctx, sqlText, tolerate)
-		}(i, sc)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
+		calls[i] = make([]call, len(sc.replicas))
+		for j, rep := range sc.replicas {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var out struct {
+					RowsAffected int    `json:"rows_affected"`
+					RowsLoaded   int    `json:"rows_loaded"`
+					Error        string `json:"error"`
+				}
+				c := &calls[i][j]
+				if c.err = rep.post(ctx, path, contentType, "", bodies[i], &out); c.err == nil && out.Error != "" {
+					c.err = errors.New(out.Error)
+				}
+				c.n = out.RowsAffected + out.RowsLoaded
+			}()
 		}
 	}
-	return nil
-}
-
-// bumpSchemaVersion records a fanned-out DDL statement: result-cache
-// keys embed the version, so every cached answer minted before the DDL
-// becomes unreachable (and is purged eagerly).
-func (r *Router) bumpSchemaVersion() {
+	wg.Wait()
 	r.mu.Lock()
-	r.schemaVersion++
+	if table == "" {
+		r.schemaVersion++
+	} else if ti, ok := r.tables[strings.ToLower(table)]; ok {
+		ti.writes++
+	}
 	r.mu.Unlock()
-	if r.results != nil {
+	if table == "" && r.results != nil {
 		r.results.Clear()
 	}
-}
-
-// noteRows advances the router-tracked row count of a table after a
-// successful routed write; the result cache compares these counts
-// against its per-entry snapshots to detect stale answers.
-func (r *Router) noteRows(table string, n int) {
-	if n <= 0 {
-		return
+	total := 0
+	for i, replicas := range calls {
+		most := 0
+		for j, c := range replicas {
+			if c.err != nil {
+				if tolerate != nil && tolerate(c.err) {
+					continue
+				}
+				return 0, fmt.Errorf("shard %d: replica %d (%s): %w", i, j, r.shards[i].replicas[j].base, c.err)
+			}
+			most = max(most, c.n)
+		}
+		total += most
 	}
-	r.mu.Lock()
-	if ti, ok := r.tables[strings.ToLower(table)]; ok {
-		ti.rows += uint64(n)
-	}
-	r.mu.Unlock()
+	return total, nil
 }
 
 func alreadyExists(err error) bool { return strings.Contains(err.Error(), "already exists") }
@@ -761,30 +776,18 @@ func (r *Router) handleLoad(w http.ResponseWriter, hr *http.Request) {
 		}
 		n++
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(r.shards))
-	counts := make([]int, len(r.shards))
-	for i, sc := range r.shards {
+	bodies := make([][]byte, len(r.shards))
+	for i := range writers {
 		writers[i].Flush()
-		if bufs[i].Len() == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, sc *shardClient) {
-			defer wg.Done()
-			counts[i], errs[i] = sc.loadAll(hr.Context(), table, bufs[i].Bytes())
-		}(i, sc)
+		bodies[i] = bufs[i].Bytes()
 	}
-	wg.Wait()
-	total := 0
-	for i := range r.shards {
-		if errs[i] != nil {
-			r.metrics.Fail(w, http.StatusBadGateway, "", fmt.Sprintf("shard %d: %v", i, errs[i]))
-			return
-		}
-		total += counts[i]
+	// The table name is query-escaped: URL-reserved characters in an
+	// identifier must not corrupt the shard request.
+	total, err := r.write(hr.Context(), table, "/load?table="+url.QueryEscape(table), "text/csv", bodies, nil)
+	if err != nil {
+		r.metrics.Fail(w, http.StatusBadGateway, "", err.Error())
+		return
 	}
-	r.noteRows(table, total)
 	r.metrics.loads.Inc()
 	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{"rows_loaded": total})
 }

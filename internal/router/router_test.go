@@ -378,6 +378,57 @@ func TestRouterConcurrentQueriesAndInserts(t *testing.T) {
 	}
 }
 
+// TestWriteTargets pins where each routed write goes on a 2-shard ×
+// 2-replica cluster: an INSERT reaches each replica of the shard owning
+// its row exactly once and the other shard not at all, DDL reaches every
+// replica once, and a /load skips a shard owning none of its rows.
+func TestWriteTargets(t *testing.T) {
+	c := newReplicatedCluster(t, 2, 2, server.Webshop.RegisterScorers)
+	if err := SeedVia(nil, c.front.URL, "webshop", 100); err != nil {
+		t.Fatal(err)
+	}
+	expect := func(label string, want [2][2]uint64, write func() int) {
+		t.Helper()
+		var before [2][2]uint64
+		for s, sc := range c.router.shards {
+			for r, rep := range sc.replicas {
+				before[s][r] = rep.requests.Load()
+			}
+		}
+		if code := write(); code != http.StatusOK {
+			t.Fatalf("%s: status %d", label, code)
+		}
+		for s, sc := range c.router.shards {
+			for r, rep := range sc.replicas {
+				if got := rep.requests.Load() - before[s][r]; got != want[s][r] {
+					t.Errorf("%s: shard %d replica %d received %d requests, want %d", label, s, r, got, want[s][r])
+				}
+			}
+		}
+	}
+	exec := func(sqlText string, params ...interface{}) int {
+		var ex struct {
+			Error string `json:"error"`
+		}
+		return postJSON(t, c.front.URL+"/exec", map[string]interface{}{"sql": sqlText, "params": params}, &ex)
+	}
+	expect("single-row INSERT", [2][2]uint64{{1, 1}, {0, 0}}, func() int {
+		return exec(`INSERT INTO product VALUES (?, ?, ?, ?, ?)`, ownedBy(0, 2, "WT-"), 9.99, 5.0, 1, true)
+	})
+	expect("DDL", [2][2]uint64{{1, 1}, {1, 1}}, func() int {
+		return exec(`CREATE TABLE wt (name TEXT, s FLOAT)`)
+	})
+	expect("/load", [2][2]uint64{{0, 0}, {1, 1}}, func() int {
+		resp, err := http.Post(c.front.URL+"/load?table=wt", "text/csv", strings.NewReader(
+			ownedBy(1, 2, "A-")+",1\n"+ownedBy(1, 2, "B-")+",2\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	})
+}
+
 // TestShardReadIsOneQuery pins that the router keeps no statements on its
 // shards: a read of a new parameterized template is one /query request
 // carrying the fetch text, and no number of distinct templates fills a
