@@ -1,15 +1,17 @@
-// Package algebra implements the logical rank-relational algebra of §3 as
-// a directly-interpretable semantic model: rank-relations, the rank
-// operator µ, the rank-aware extensions of σ, ∪, ∩, −, ⨝ (Figure 3), and
-// the algebraic laws of Figure 5 (Propositions 1–6) as tree rewrites.
+// Package algebra is the semantic model of the rank-relational algebra of
+// §3, and the oracle the executor is checked against: rank-relations, the
+// rank operator µ, and the rank-aware σ, ∪, ∩, −, ⨝ of Figure 3, each
+// evaluated by its definition.
 //
 // The model is deliberately independent of the executor: relations are
 // fully materialized and operators are evaluated by their definitions, not
-// incrementally. Tests use it two ways: this package's property tests
-// verify the laws themselves (each rewrite preserves membership and
-// order), and internal/paper's TestQMatchesAlgebraOracle uses it as the
-// oracle for the paper's query Q, against which every Figure 11 plan and
-// the optimizer's plan are checked on the executor.
+// incrementally. The algebraic laws of Figure 5 (Propositions 1–6) are
+// stated in this package's tests as properties over Eval — both sides of
+// each law written as expressions and compared with Equivalent — not as
+// tree rewrites; internal/optimizer builds the plan space they justify
+// directly. internal/paper's TestQMatchesAlgebraOracle uses the model as
+// the oracle for the paper's query Q, against which every Figure 11 plan
+// and the optimizer's plan are checked on the executor.
 package algebra
 
 import (
@@ -44,11 +46,10 @@ type Expr interface {
 	// Eval computes the rank-relation the expression denotes, under the
 	// given ranking specification.
 	Eval(spec *rank.Spec) (*Relation, error)
-	// String renders the expression.
-	String() string
 }
 
-// Base is a leaf: a named input rank-relation.
+// Base is a leaf: a named input rank-relation. Like Select's and Join's,
+// its Name labels the node for a reader; evaluation ignores it.
 type Base struct {
 	Name string
 	Rel  *Relation
@@ -56,14 +57,6 @@ type Base struct {
 
 // Eval implements Expr.
 func (b *Base) Eval(*rank.Spec) (*Relation, error) { return b.Rel, nil }
-
-// String implements Expr.
-func (b *Base) String() string {
-	if b.Rel.P.Empty() {
-		return b.Name
-	}
-	return fmt.Sprintf("%s_%s", b.Name, b.Rel.P)
-}
 
 // Mu is the rank operator µ_p: it evaluates predicate p, extending P.
 type Mu struct {
@@ -82,9 +75,6 @@ func (m *Mu) Eval(spec *rank.Spec) (*Relation, error) {
 	}
 	return &Relation{Tuples: in.Tuples, P: in.P.With(m.P)}, nil
 }
-
-// String implements Expr.
-func (m *Mu) String() string { return fmt.Sprintf("µp%d(%s)", m.P+1, m.E) }
 
 // Select is the rank-aware σ_c: membership restriction, order preserved.
 type Select struct {
@@ -108,9 +98,6 @@ func (s *Select) Eval(spec *rank.Spec) (*Relation, error) {
 	return out, nil
 }
 
-// String implements Expr.
-func (s *Select) String() string { return fmt.Sprintf("σ%s(%s)", s.Name, s.E) }
-
 // SetOp is ∪, ∩ or − with Figure 3 semantics.
 type SetOp struct {
 	Kind SetKind
@@ -126,17 +113,6 @@ const (
 	Intersect
 	Diff
 )
-
-func (k SetKind) String() string {
-	switch k {
-	case Union:
-		return "∪"
-	case Intersect:
-		return "∩"
-	default:
-		return "−"
-	}
-}
 
 // Eval implements Expr.
 func (s *SetOp) Eval(spec *rank.Spec) (*Relation, error) {
@@ -186,9 +162,6 @@ func (s *SetOp) Eval(spec *rank.Spec) (*Relation, error) {
 	}
 }
 
-// String implements Expr.
-func (s *SetOp) String() string { return fmt.Sprintf("(%s %s %s)", s.L, s.Kind, s.R) }
-
 // Join is the rank-aware ⨝_c. Joined tuples concatenate identities and
 // keys; ground-truth scores merge by explicit predicate attribution:
 // RightPreds names the predicate indexes owned by the right operand
@@ -236,9 +209,6 @@ func (j *Join) Eval(spec *rank.Spec) (*Relation, error) {
 	}
 	return out, nil
 }
-
-// String implements Expr.
-func (j *Join) String() string { return fmt.Sprintf("(%s ⨝%s %s)", j.L, j.Name, j.R) }
 
 // joinKey composes tuple keys as a sorted multiset so that join identity is
 // invariant under commutation and re-association.
@@ -308,18 +278,4 @@ func Equivalent(spec *rank.Spec, a, b Expr) (bool, string, error) {
 		}
 	}
 	return true, "", nil
-}
-
-// String renders a relation for debugging.
-func (r *Relation) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "P=%s [", r.P)
-	for i, t := range r.Tuples {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(t.Key)
-	}
-	b.WriteByte(']')
-	return b.String()
 }

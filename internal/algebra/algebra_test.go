@@ -84,13 +84,15 @@ func TestProposition1Splitting(t *testing.T) {
 	checkLaw(t, "prop1", func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		base := &Base{Name: "R", Rel: genRelation(r, nPreds, 12, 40, 0, 0)}
-		preds := []int{0, 1, 2, 3}
 		lhs := &Base{Name: "R'", Rel: &Relation{Tuples: base.Rel.Tuples, P: schema.AllBits(nPreds)}}
-		rhs := SplitMu(base, preds)
+		rhs := &Mu{P: 0, E: &Mu{P: 1, E: &Mu{P: 2, E: &Mu{P: 3, E: base}}}}
 		ok, _, err := Equivalent(spec, lhs, rhs)
 		return err == nil && ok
 	})
 }
+
+// kindName names a set operation in a law's label.
+var kindName = map[SetKind]string{Union: "∪", Intersect: "∩", Diff: "−"}
 
 // TestProposition2Commutativity: R Θ S ≡ S Θ R for ∪, ∩ (⨝ covered by
 // TestProposition2Join); difference must NOT commute in general.
@@ -98,24 +100,23 @@ func TestProposition2Commutativity(t *testing.T) {
 	spec := specN()
 	for _, kind := range []SetKind{Union, Intersect} {
 		kind := kind
-		checkLaw(t, "prop2-"+kind.String(), func(seed int64) bool {
+		checkLaw(t, "prop2-"+kindName[kind], func(seed int64) bool {
 			r := rand.New(rand.NewSource(seed))
 			ra := genRelation(r, nPreds, 10, 15, 0, randBitset(r, nPreds))
 			rb := genRelation(r, nPreds, 10, 15, 1000, randBitset(r, nPreds))
 			sharedScores(ra, rb)
-			l := &SetOp{Kind: kind, L: &Base{Name: "A", Rel: ra}, R: &Base{Name: "B", Rel: rb}}
-			flipped, ok := CommuteBinary(l)
-			if !ok {
-				return false
-			}
-			eq, _, err := Equivalent(spec, l, flipped)
+			a, b := &Base{Name: "A", Rel: ra}, &Base{Name: "B", Rel: rb}
+			eq, _, err := Equivalent(spec, &SetOp{Kind: kind, L: a, R: b}, &SetOp{Kind: kind, L: b, R: a})
 			return err == nil && eq
 		})
 	}
-	// Difference: CommuteBinary must refuse.
-	d := &SetOp{Kind: Diff, L: &Base{Rel: &Relation{}}, R: &Base{Rel: &Relation{}}}
-	if _, ok := CommuteBinary(d); ok {
-		t.Error("difference commuted; it must not")
+	// Difference: A − B ≢ B − A as soon as each holds a key the other
+	// lacks.
+	a := &Base{Name: "A", Rel: &Relation{Tuples: []Tuple{{ID: 1, Key: "x", Scores: make([]float64, nPreds)}}}}
+	b := &Base{Name: "B", Rel: &Relation{Tuples: []Tuple{{ID: 2, Key: "y", Scores: make([]float64, nPreds)}}}}
+	eq, _, err := Equivalent(spec, &SetOp{Kind: Diff, L: a, R: b}, &SetOp{Kind: Diff, L: b, R: a})
+	if err != nil || eq {
+		t.Errorf("A − B ≡ B − A (err %v); difference must not commute", err)
 	}
 }
 
@@ -130,12 +131,12 @@ func TestProposition2Join(t *testing.T) {
 		zeroSide(ra, schema.AllBits(nPreds).Diff(schema.AllBits(2)))
 		zeroSide(rb, schema.AllBits(2))
 		cond := func(l, rt Tuple) bool { return (l.ID+rt.ID)%2 == 0 }
-		j := &Join{Cond: cond, RightPreds: schema.AllBits(nPreds).Diff(schema.AllBits(2)),
-			L: &Base{Name: "A", Rel: ra}, R: &Base{Name: "B", Rel: rb}}
-		flipped, ok := CommuteBinary(j)
-		if !ok {
-			return false
-		}
+		a, b := &Base{Name: "A", Rel: ra}, &Base{Name: "B", Rel: rb}
+		j := &Join{Cond: cond, RightPreds: schema.AllBits(nPreds).Diff(schema.AllBits(2)), L: a, R: b}
+		// The flipped join swaps the condition's arguments, and its right
+		// operand A owns predicates 0..1.
+		flipped := &Join{Cond: func(l, rt Tuple) bool { return cond(rt, l) },
+			RightPreds: schema.AllBits(2), L: b, R: a}
 		eq, _, err := Equivalent(spec, j, flipped)
 		return err == nil && eq
 	})
@@ -157,10 +158,7 @@ func TestProposition4CommuteMu(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		base := &Base{Name: "R", Rel: genRelation(r, nPreds, 12, 40, 0, randBitset(r, nPreds))}
 		e := &Mu{P: 0, E: &Mu{P: 1, E: base}}
-		swapped, ok := CommuteMuMu(e)
-		if !ok {
-			return false
-		}
+		swapped := &Mu{P: 1, E: &Mu{P: 0, E: base}}
 		eq, _, err := Equivalent(spec, e, swapped)
 		return err == nil && eq
 	})
@@ -169,10 +167,7 @@ func TestProposition4CommuteMu(t *testing.T) {
 		base := &Base{Name: "R", Rel: genRelation(r, nPreds, 12, 40, 0, randBitset(r, nPreds))}
 		cond := func(t Tuple) bool { return t.ID%3 != 0 }
 		e := &Select{Cond: cond, Name: "c", E: &Mu{P: 2, E: base}}
-		swapped, ok := CommuteMuSelect(e)
-		if !ok {
-			return false
-		}
+		swapped := &Mu{P: 2, E: &Select{Cond: cond, Name: "c", E: base}}
 		eq, _, err := Equivalent(spec, e, swapped)
 		return err == nil && eq
 	})
@@ -188,14 +183,11 @@ func TestProposition5PushMu(t *testing.T) {
 		zeroSide(ra, schema.AllBits(nPreds).Diff(schema.AllBits(2)))
 		zeroSide(rb, schema.AllBits(2))
 		cond := func(l, rt Tuple) bool { return (l.ID+rt.ID)%2 == 0 }
-		j := &Join{Cond: cond, RightPreds: schema.AllBits(nPreds).Diff(schema.AllBits(2)),
-			L: &Base{Name: "A", Rel: ra}, R: &Base{Name: "B", Rel: rb}}
-		// p0 owned by the left side.
-		e := &Mu{P: 0, E: j}
-		pushed, ok := PushMuJoin(e, true, false)
-		if !ok {
-			return false
-		}
+		owned := schema.AllBits(nPreds).Diff(schema.AllBits(2))
+		a, b := &Base{Name: "A", Rel: ra}, &Base{Name: "B", Rel: rb}
+		// p0 owned by the left side: µp0(A ⨝ B) ≡ µp0(A) ⨝ B.
+		e := &Mu{P: 0, E: &Join{Cond: cond, RightPreds: owned, L: a, R: b}}
+		pushed := &Join{Cond: cond, RightPreds: owned, L: &Mu{P: 0, E: a}, R: b}
 		eq, _, err := Equivalent(spec, e, pushed)
 		return err == nil && eq
 	})
@@ -203,17 +195,18 @@ func TestProposition5PushMu(t *testing.T) {
 		kind := kind
 		for _, both := range []bool{true, false} {
 			both := both
-			name := fmt.Sprintf("prop5-%s-both=%v", kind, both)
+			name := fmt.Sprintf("prop5-%s-both=%v", kindName[kind], both)
 			checkLaw(t, name, func(seed int64) bool {
 				r := rand.New(rand.NewSource(seed))
 				ra := genRelation(r, nPreds, 10, 15, 0, randBitset(r, nPreds))
 				rb := genRelation(r, nPreds, 10, 15, 1000, randBitset(r, nPreds))
 				sharedScores(ra, rb)
-				s := &SetOp{Kind: kind, L: &Base{Name: "A", Rel: ra}, R: &Base{Name: "B", Rel: rb}}
-				e := &Mu{P: 1, E: s}
-				pushed, ok := PushMuSet(e, both)
-				if !ok {
-					return false
+				a, b := &Base{Name: "A", Rel: ra}, &Base{Name: "B", Rel: rb}
+				e := &Mu{P: 1, E: &SetOp{Kind: kind, L: a, R: b}}
+				// µp(R Θ S) ≡ µp(R) Θ µp(S) ≡ µp(R) Θ S.
+				pushed := &SetOp{Kind: kind, L: &Mu{P: 1, E: a}, R: b}
+				if both {
+					pushed.R = &Mu{P: 1, E: b}
 				}
 				eq, _, err := Equivalent(spec, e, pushed)
 				return err == nil && eq
@@ -228,7 +221,8 @@ func TestProposition6MultiScan(t *testing.T) {
 	checkLaw(t, "prop6", func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		base := &Base{Name: "R", Rel: genRelation(r, nPreds, 12, 40, 0, 0)}
-		lhs, rhs := MultiScanMu(base, 0, 1)
+		lhs := &Mu{P: 0, E: &Mu{P: 1, E: base}}
+		rhs := &SetOp{Kind: Intersect, L: &Mu{P: 0, E: base}, R: &Mu{P: 1, E: base}}
 		eq, _, err := Equivalent(spec, lhs, rhs)
 		return err == nil && eq
 	})

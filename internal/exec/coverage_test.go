@@ -98,27 +98,6 @@ func TestRankScanFusedSelection(t *testing.T) {
 	}
 }
 
-// TestSortColumnDesc: descending column sorts order correctly.
-func TestSortColumnDesc(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	tbl := randTable(r, "T", 50, 20, 1)
-	spec := tableSpec("T", 1)
-	ctx := NewContext(spec)
-	s, err := NewSortColumn(NewSeqScan(tbl, "T"), "T", "k", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Run(ctx, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(out); i++ {
-		if types.Compare(out[i].Values[0], out[i-1].Values[0]) > 0 {
-			t.Fatal("descending sort violated")
-		}
-	}
-}
-
 // TestHashJoinResidual: classic hash join with a residual condition.
 func TestHashJoinResidual(t *testing.T) {
 	r := rand.New(rand.NewSource(24))

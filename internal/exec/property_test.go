@@ -445,8 +445,8 @@ func TestClassicJoinsAgree(t *testing.T) {
 		nl, _ := NewNestedLoopJoin(NewSeqScan(lt, "L"), NewSeqScan(rt, "R"),
 			expr.Eq(expr.NewCol("L", "k"), expr.NewCol("R", "k")))
 		hj, _ := NewHashJoin(NewSeqScan(lt, "L"), NewSeqScan(rt, "R"), lk, rk, nil)
-		ls, _ := NewSortColumn(NewSeqScan(lt, "L"), "L", "k", true)
-		rs, _ := NewSortColumn(NewSeqScan(rt, "R"), "R", "k", true)
+		ls, _ := NewSortColumn(NewSeqScan(lt, "L"), "L", "k")
+		rs, _ := NewSortColumn(NewSeqScan(rt, "R"), "R", "k")
 		mj, _ := NewSortMergeJoin(ls, rs, lk, rk, nil)
 
 		a, b, c := keys(nl), keys(hj), keys(mj)

@@ -134,17 +134,16 @@ type SortColumn struct {
 	opBase
 	child  Operator
 	column string
-	asc    bool
 
 	colIdx int
 	buf    []*schema.Tuple
 	pos    int
 }
 
-// NewSortColumn builds a column sort; column is resolved against the
-// child's schema (qualified or not).
-func NewSortColumn(child Operator, table, column string, asc bool) (*SortColumn, error) {
-	s := &SortColumn{child: child, column: column, asc: asc}
+// NewSortColumn builds an ascending column sort; column is resolved
+// against the child's schema (qualified or not).
+func NewSortColumn(child Operator, table, column string) (*SortColumn, error) {
+	s := &SortColumn{child: child, column: column}
 	s.sch = child.Schema()
 	s.colIdx = s.sch.ColumnIndex(table, column)
 	if s.colIdx < 0 {
@@ -177,11 +176,7 @@ func (s *SortColumn) Open(ctx *Context) error {
 	}
 	ci := s.colIdx
 	sort.SliceStable(s.buf, func(i, j int) bool {
-		c := types.Compare(s.buf[i].Values[ci], s.buf[j].Values[ci])
-		if s.asc {
-			return c < 0
-		}
-		return c > 0
+		return types.Compare(s.buf[i].Values[ci], s.buf[j].Values[ci]) < 0
 	})
 	return nil
 }
@@ -210,13 +205,7 @@ func (s *SortColumn) Close() error {
 func (s *SortColumn) Evaluated() schema.Bitset { return 0 }
 
 // Name implements Operator.
-func (s *SortColumn) Name() string {
-	dir := "asc"
-	if !s.asc {
-		dir = "desc"
-	}
-	return fmt.Sprintf("sort_%s/%s", s.column, dir)
-}
+func (s *SortColumn) Name() string { return "sort_" + s.column + "/asc" }
 
 // Children implements Operator.
 func (s *SortColumn) Children() []Operator { return []Operator{s.child} }

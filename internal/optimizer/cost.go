@@ -140,10 +140,13 @@ func (o *optimizerState) costNode(p *PlanNode) float64 {
 		pairs := o.pairEstimate(p)
 		own = (in(0)+in(1))*cp.Cmp + pairs*cp.Cmp
 	case KindSortScore:
-		// Materialize, complete every remaining predicate, sort.
+		// Materialize, evaluate every predicate, sort. The optimizer
+		// places τ_F only over SP = ∅ plans (finalize), so no predicate
+		// has been evaluated below it.
 		rem := 0.0
-		missing := o.d.q.Spec.AllEvaluated().Diff(p.child(0).Eval)
-		missing.Each(func(i int) { rem += o.d.q.Spec.Preds[i].Cost * cp.PredUnit })
+		for _, pr := range o.d.q.Spec.Preds {
+			rem += pr.Cost * cp.PredUnit
+		}
 		n := in(0)
 		own = n*rem + n*lg(n)*cp.SortCmp
 	case KindSortColumn:

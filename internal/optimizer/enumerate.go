@@ -260,14 +260,13 @@ func (o *optimizerState) scanPlans(sr tableSet) error {
 
 	withFilters := func(n *PlanNode) *PlanNode {
 		for _, c := range o.d.sel[ti] {
-			n = &PlanNode{Kind: KindFilter, Cond: c, Children: []*PlanNode{n},
-				Eval: n.Eval, SR: sr}
+			n = &PlanNode{Kind: KindFilter, Cond: c, Children: []*PlanNode{n}}
 		}
 		return n
 	}
 
 	// Sequential scan.
-	seq := &PlanNode{Kind: KindSeqScan, Alias: tr.Alias, SR: sr}
+	seq := &PlanNode{Kind: KindSeqScan, Alias: tr.Alias}
 	plan := withFilters(seq)
 	if err := o.annotate(plan); err != nil {
 		return err
@@ -288,7 +287,7 @@ func (o *optimizerState) scanPlans(sr tableSet) error {
 				continue
 			}
 			idx := &PlanNode{Kind: KindIdxScanCol, Alias: tr.Alias,
-				SortTable: key.Table, SortCol: key.Name, SR: sr}
+				SortTable: key.Table, SortCol: key.Name}
 			p := withFilters(idx)
 			if err := o.annotate(p); err != nil {
 				return err
@@ -312,8 +311,7 @@ func (o *optimizerState) scanPlans(sr tableSet) error {
 		if rankIndexFor(tm, pred) == nil {
 			return
 		}
-		rs := &PlanNode{Kind: KindRankScan, Alias: tr.Alias, Pred: pred,
-			Eval: schema.Bit(pi), SR: sr}
+		rs := &PlanNode{Kind: KindRankScan, Alias: tr.Alias, Pred: pred}
 		p := withFilters(rs)
 		if e := o.annotate(p); e != nil {
 			err = e
@@ -398,11 +396,7 @@ func (o *optimizerState) joinPair(s sig, sr1 tableSet, sp1 schema.Bitset, sr2 ta
 			allCond = expr.And(all...)
 		}
 	}
-	eval := sp1.Union(sp2)
-
 	add := func(p *PlanNode, prop string) error {
-		p.Eval = eval
-		p.SR = s.sr
 		if err := o.annotate(p); err != nil {
 			return err
 		}
@@ -433,12 +427,12 @@ func (o *optimizerState) joinPair(s sig, sr1 tableSet, sp1 schema.Bitset, sr2 ta
 					l := c1.plan
 					if c1.prop != propSorted(lk) {
 						l = &PlanNode{Kind: KindSortColumn, SortTable: lk.Table,
-							SortCol: lk.Name, Children: []*PlanNode{l}, SR: sr1}
+							SortCol: lk.Name, Children: []*PlanNode{l}}
 					}
 					r := c2.plan
 					if c2.prop != propSorted(rk) {
 						r = &PlanNode{Kind: KindSortColumn, SortTable: rk.Table,
-							SortCol: rk.Name, Children: []*PlanNode{r}, SR: sr2}
+							SortCol: rk.Name, Children: []*PlanNode{r}}
 					}
 					// A merge join's output stays sorted on the join key —
 					// an interesting order for joins further up.
@@ -505,8 +499,7 @@ func (o *optimizerState) rankPlans(s sig) error {
 				}
 			}
 			p := &PlanNode{Kind: KindRank, Pred: o.d.q.Spec.Preds[pi],
-				Children: []*PlanNode{c.plan},
-				Eval:     c.plan.Eval.With(pi), SR: s.sr}
+				Children: []*PlanNode{c.plan}}
 			if err := o.annotate(p); err != nil {
 				outerErr = err
 				return
@@ -556,8 +549,7 @@ func (o *optimizerState) rankMetric(base *PlanNode, pi int) (float64, error) {
 		}
 	}
 	pred := o.d.q.Spec.Preds[pi]
-	probe := &PlanNode{Kind: KindRank, Pred: pred,
-		Children: []*PlanNode{base}, Eval: base.Eval.With(pi), SR: base.SR}
+	probe := &PlanNode{Kind: KindRank, Pred: pred, Children: []*PlanNode{base}}
 	card, err := o.est.Estimate(probe)
 	if err != nil {
 		return 0, err
@@ -613,8 +605,7 @@ func (o *optimizerState) finalize() (*PlanNode, error) {
 	} else {
 		// Traditional alternative: τ_F over the best Boolean-only plan.
 		for _, c := range o.candidates(sig{sr: all, sp: 0}) {
-			srt := &PlanNode{Kind: KindSortScore, Children: []*PlanNode{c.plan},
-				Eval: o.d.q.Spec.AllEvaluated(), SR: all}
+			srt := &PlanNode{Kind: KindSortScore, Children: []*PlanNode{c.plan}}
 			if err := o.annotate(srt); err != nil {
 				return nil, err
 			}
@@ -630,8 +621,7 @@ func (o *optimizerState) finalize() (*PlanNode, error) {
 		return nil, fmt.Errorf("optimizer: no complete plan found")
 	}
 	if o.d.q.K > 0 {
-		best = &PlanNode{Kind: KindLimit, K: o.d.q.K,
-			Children: []*PlanNode{best}, Eval: best.Eval, SR: all,
+		best = &PlanNode{Kind: KindLimit, K: o.d.q.K, Children: []*PlanNode{best},
 			Card: math.Min(float64(o.d.q.K), best.Card), Cost: best.Cost}
 		best.setEstimated()
 		best.costDone = true

@@ -156,6 +156,15 @@ func (e *Estimator) canonicalPlan() *PlanNode {
 	return &PlanNode{Kind: KindSortScore, Children: []*PlanNode{root}}
 }
 
+// tableEnv maps every query alias to its real table.
+func tableEnv(d *decomposed) *Env {
+	env := &Env{Tables: map[string]*catalog.TableMeta{}}
+	for i, tr := range d.q.Tables {
+		env.Tables[strings.ToLower(tr.Alias)] = d.metas[i]
+	}
+	return env
+}
+
 // naiveTopK computes the query's answer with the canonical plan directly
 // on the real tables (the oracle).
 func naiveTopK(t *testing.T, q *Query) []float64 {
@@ -164,24 +173,8 @@ func naiveTopK(t *testing.T, q *Query) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Estimator{d: d, env: &Env{Tables: map[string]*catalog.TableMeta{}}}
-	for i, tr := range q.Tables {
-		e.env.Tables[strings.ToLower(tr.Alias)] = d.metas[i]
-	}
-	plan := e.canonicalPlan()
-	op, err := plan.Build(e.env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := exec.NewContext(q.Spec)
-	tuples, err := exec.Run(ctx, op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scores := make([]float64, 0, len(tuples))
-	for _, tp := range tuples {
-		scores = append(scores, tp.Score)
-	}
+	e := &Estimator{d: d, env: tableEnv(d)}
+	scores := runScores(t, q, e.canonicalPlan(), e.env)
 	if q.K > 0 && len(scores) > q.K {
 		scores = scores[:q.K]
 	}
@@ -191,14 +184,21 @@ func naiveTopK(t *testing.T, q *Query) []float64 {
 // runPlan executes an optimized plan and returns its output scores.
 func runPlan(t *testing.T, q *Query, res *Result) []float64 {
 	t.Helper()
-	op, err := res.Plan.Build(res.Env)
+	return runScores(t, q, res.Plan, res.Env)
+}
+
+// runScores builds plan against env, drains it and returns its output
+// scores.
+func runScores(t *testing.T, q *Query, plan *PlanNode, env *Env) []float64 {
+	t.Helper()
+	op, err := plan.Build(env)
 	if err != nil {
-		t.Fatalf("build: %v\nplan:\n%s", err, res.Plan)
+		t.Fatalf("build: %v\nplan:\n%s", err, plan)
 	}
 	ctx := exec.NewContext(q.Spec)
 	tuples, err := exec.Run(ctx, op)
 	if err != nil {
-		t.Fatalf("run: %v\nplan:\n%s", err, res.Plan)
+		t.Fatalf("run: %v\nplan:\n%s", err, plan)
 	}
 	scores := make([]float64, 0, len(tuples))
 	for _, tp := range tuples {
@@ -220,8 +220,12 @@ func scoresEqual(a, b []float64) bool {
 }
 
 // TestFigure9Signatures checks that dimension enumeration populates the
-// signatures of Figure 9 and that each retained plan carries the right
-// evaluated set.
+// signatures of Figure 9, that each retained plan's operator tree
+// evaluates exactly its signature's predicates, and that every complete
+// plan the full space retains answers the query: each candidate of
+// (all tables, all predicates), and τ_F over each candidate of
+// (all tables, ∅), must return the naive plan's top-k scores under λ_k
+// on the real tables.
 func TestFigure9Signatures(t *testing.T) {
 	_, q := figure9Fixture(t, 2000)
 	d, err := decompose(q)
@@ -268,10 +272,32 @@ func TestFigure9Signatures(t *testing.T) {
 			continue
 		}
 		for _, c := range cands {
-			if c.plan.Eval != s.sp {
-				t.Errorf("signature (SR=%s, SP=%s): plan evaluated set %s",
-					s.sr, s.sp, c.plan.Eval)
+			op, err := c.plan.Build(est.env)
+			if err != nil {
+				t.Fatalf("build on samples: %v\nplan:\n%s", err, c.plan)
 			}
+			if got := op.Evaluated(); got != s.sp {
+				t.Errorf("signature (SR=%s, SP=%s): operator tree evaluates %s\nplan:\n%s",
+					s.sr, s.sp, got, c.plan)
+			}
+		}
+	}
+
+	want := naiveTopK(t, q)
+	env := tableEnv(d)
+	topK := func(p *PlanNode) *PlanNode {
+		return &PlanNode{Kind: KindLimit, K: q.K, Children: []*PlanNode{p}}
+	}
+	var complete []*PlanNode
+	for _, c := range o.candidates(sig{sr: both, sp: p1.Union(p3).Union(p4)}) {
+		complete = append(complete, c.plan)
+	}
+	for _, c := range o.candidates(sig{sr: both, sp: 0}) {
+		complete = append(complete, &PlanNode{Kind: KindSortScore, Children: []*PlanNode{c.plan}})
+	}
+	for _, p := range complete {
+		if got := runScores(t, q, topK(p), env); !scoresEqual(got, want) {
+			t.Errorf("candidate scores %v != naive %v\nplan:\n%s", got, want, p)
 		}
 	}
 

@@ -8,7 +8,6 @@ import (
 	"ranksql/internal/exec"
 	"ranksql/internal/expr"
 	"ranksql/internal/rank"
-	"ranksql/internal/schema"
 )
 
 // PlanKind enumerates physical plan node types.
@@ -62,8 +61,6 @@ type PlanNode struct {
 	// Annotations (filled during enumeration).
 	Card float64 // estimated output cardinality
 	Cost float64 // estimated cumulative cost
-	Eval schema.Bitset
-	SR   tableSet
 
 	estDone  bool // Card has been estimated (kept with the subplan, §5.2)
 	fallback bool // Card comes from an Estimator fallback, not a sample count
@@ -205,7 +202,7 @@ func (p *PlanNode) Build(env *Env) (exec.Operator, error) {
 	case KindSortScore:
 		return exec.NewSortScore(kids[0]), nil
 	case KindSortColumn:
-		return exec.NewSortColumn(kids[0], p.SortTable, p.SortCol, true)
+		return exec.NewSortColumn(kids[0], p.SortTable, p.SortCol)
 	case KindLimit:
 		return exec.NewLimit(kids[0], p.K), nil
 	default:

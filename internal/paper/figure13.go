@@ -28,7 +28,6 @@ func Figure13(db *DB, id PlanID) ([]OpCard, error) {
 	if err != nil {
 		return nil, err
 	}
-	annotateEval(db, plan)
 	est, err := optimizer.NewEstimatorForQuery(db.Query(), optimizer.DefaultOptions())
 	if err != nil {
 		return nil, err

@@ -16,7 +16,7 @@
 //
 // benchmark/embed.go still carries a second generator of the §6 database
 // (genJoinData, with its own code and RNG) until embed_join switches to
-// Build (ROADMAP.md item 4(a)).
+// Build (ROADMAP.md item 11(a)).
 package paper
 
 import (
@@ -177,29 +177,4 @@ func BuildOptimizedPlan(db *DB, opts optimizer.Options) (*optimizer.PlanNode, er
 		p = p.Children[0]
 	}
 	return p, nil
-}
-
-// annotateEval fills the Eval bitsets bottom-up so the executor's
-// SortScore and the estimator see consistent evaluated sets. (Hand-built
-// plans skip the enumerator, which normally maintains these.)
-func annotateEval(db *DB, p *optimizer.PlanNode) {
-	for _, c := range p.Children {
-		annotateEval(db, c)
-	}
-	switch p.Kind {
-	case optimizer.KindRankScan:
-		p.Eval = p.Eval.With(p.Pred.Index)
-	case optimizer.KindRank:
-		p.Eval = p.Children[0].Eval.With(p.Pred.Index)
-	case optimizer.KindSortScore:
-		p.Eval = db.Spec.AllEvaluated()
-	case optimizer.KindSortColumn:
-		p.Eval = 0
-	case optimizer.KindSeqScan, optimizer.KindIdxScanCol:
-		p.Eval = 0
-	default:
-		for _, c := range p.Children {
-			p.Eval = p.Eval.Union(c.Eval)
-		}
-	}
 }

@@ -30,7 +30,6 @@ func topK(plan *optimizer.PlanNode, k int) *optimizer.PlanNode {
 // Run builds plan under λ_k against db's tables, drains it and reports
 // what that one execution did.
 func Run(db *DB, plan *optimizer.PlanNode, k int) (*Measurement, error) {
-	annotateEval(db, plan)
 	env := &optimizer.Env{Tables: map[string]*catalog.TableMeta{}}
 	for _, name := range []string{"A", "B", "C"} {
 		tm, err := db.Catalog.Table(name)
