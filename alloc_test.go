@@ -1,19 +1,22 @@
-package engine
+package ranksql
 
 import (
 	"testing"
 
 	"ranksql/internal/raceflag"
-	"ranksql/internal/types"
 )
 
-// Allocation budgets for the engine's template-hit serve path. The
-// ceilings leave headroom over the measured steady state (rebind 0,
-// template-hit ~44 allocs/op on the webshop benchmark) for pool refills
-// after a GC cycle, while still failing loudly if the pooled instance
-// path regresses toward the clone-and-rebuild numbers it replaced
-// (rebind 43 allocs/op, full hit 984 allocs/op — the budget enforces
-// the issue's >=80% reduction with room to spare).
+// Allocation budgets for the template-hit serve path, measured through the
+// public API: benchDB registers its scorers with RegisterScorer and the
+// tests query through Stmt.Query(args...), the path every shipped scorer
+// and the daemon take. The ceilings leave headroom over the measured
+// steady state (rebind 0, template-hit ~44 allocs/op on the webshop
+// benchmark) for pool refills after a GC cycle, while still failing loudly
+// if the pooled instance path regresses toward the clone-and-rebuild
+// numbers it replaced (rebind 43 allocs/op, full hit 984 allocs/op — the
+// budget enforces the issue's >=80% reduction with room to spare), or if
+// RegisterScorer's adapter goes back to copying its arguments on every
+// predicate evaluation (~270 allocs/op more here).
 //
 // A cursor runs on the same pooled instance, but suspended: its tuples are
 // heap-allocated (three allocations each, ~290 scanned for the first page)
@@ -31,22 +34,7 @@ func TestRebindAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("alloc budgets are meaningless under -race: sync.Pool drops puts")
 	}
-	db := benchDB(t, 100)
-	db.ProfileEvery = 0
-	st, err := db.Prepare(benchTemplate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := []types.Value{types.NewFloat(400), types.NewInt(10)}
-	if _, err := st.Query(params); err != nil {
-		t.Fatal(err)
-	}
-	db.mu.RLock()
-	cp, _ := db.Plans.Get(planKey{norm: st.norm, k: 10, version: db.version}, nil)
-	db.mu.RUnlock()
-	if cp == nil {
-		t.Fatal("plan not cached")
-	}
+	cp, params := cachedBenchPlan(t, benchDB(t, 100))
 	if allocs := testing.AllocsPerRun(200, func() {
 		inst, err := cp.acquireInstance()
 		if err != nil {
@@ -66,23 +54,22 @@ func TestTemplateHitAllocBudget(t *testing.T) {
 		t.Skip("alloc budgets are meaningless under -race: sync.Pool drops puts")
 	}
 	db := benchDB(t, 1000)
-	db.ProfileEvery = 0
+	db.SetProfileSampling(0)
 	st, err := db.Prepare(benchTemplate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := []types.Value{types.NewFloat(400), types.NewInt(10)}
-	if _, err := st.Query(params); err != nil {
+	if _, err := st.Query(benchArgs...); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		rows, err := st.Query(params)
+		rows, err := st.Query(benchArgs...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rows.Data) == 0 || !rows.CacheHit {
+		if rows.Len() == 0 || !rows.CacheHit {
 			t.Fatalf("rows=%d cacheHit=%v, want cached non-empty result",
-				len(rows.Data), rows.CacheHit)
+				rows.Len(), rows.CacheHit)
 		}
 	}); allocs > templateHitAllocBudget {
 		t.Errorf("template hit: %.1f allocs/op, budget %v", allocs, templateHitAllocBudget)
@@ -94,17 +81,16 @@ func TestCursorOpenAllocBudget(t *testing.T) {
 		t.Skip("alloc budgets are meaningless under -race: sync.Pool drops puts")
 	}
 	db := benchDB(t, 1000)
-	db.ProfileEvery = 0
+	db.SetProfileSampling(0)
 	st, err := db.Prepare(benchTemplate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := []types.Value{types.NewFloat(400), types.NewInt(10)}
-	if _, err := st.Query(params); err != nil {
+	if _, err := st.Query(benchArgs...); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		c, err := st.Cursor(params)
+		c, err := st.Cursor(benchArgs...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,8 +98,8 @@ func TestCursorOpenAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rows.Data) != 10 || !rows.CacheHit {
-			t.Fatalf("rows=%d cacheHit=%v, want a cached full page", len(rows.Data), rows.CacheHit)
+		if rows.Len() != 10 || !rows.CacheHit {
+			t.Fatalf("rows=%d cacheHit=%v, want a cached full page", rows.Len(), rows.CacheHit)
 		}
 		if err := c.Close(); err != nil {
 			t.Fatal(err)

@@ -1,10 +1,8 @@
-package engine
+package ranksql
 
 import (
 	"strings"
 	"testing"
-
-	"ranksql/internal/types"
 )
 
 // TestExplainAnalyzeGolden: EXPLAIN ANALYZE executes the query and
@@ -24,7 +22,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		t.Fatal("EXPLAIN ANALYZE result not marked Profiled")
 	}
 	var text strings.Builder
-	for _, r := range rows.Data {
+	for _, r := range rows.data {
 		text.WriteString(r[0].Str())
 		text.WriteString("\n")
 	}
@@ -36,15 +34,15 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 	}
 	// Structured tree: root is the projection/limit chain; every node has
 	// calls recorded and the root emitted at most 3 rows.
-	if len(rows.Tree) == 0 {
+	if len(rows.tree) == 0 {
 		t.Fatal("no structured tree on analyze result")
 	}
-	for _, n := range rows.Tree {
+	for _, n := range rows.tree {
 		if n.Calls == 0 {
 			t.Errorf("node %s has zero calls", n.Label)
 		}
 	}
-	root := rows.Tree[0]
+	root := rows.tree[0]
 	if root.Depth != 0 || root.Out > 3 {
 		t.Errorf("root %s out=%d, want depth 0 and <=3 rows", root.Label, root.Out)
 	}
@@ -70,10 +68,10 @@ func TestExplainAnalyzeSharesPlanCache(t *testing.T) {
 	if plain.Normalized() != analyze.Normalized() {
 		t.Fatalf("normalized templates differ:\n%s\n%s", plain.Normalized(), analyze.Normalized())
 	}
-	if _, err := plain.Query([]types.Value{types.NewFloat(150)}); err != nil {
+	if _, err := plain.Query(150.0); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := analyze.Query([]types.Value{types.NewFloat(150)})
+	rows, err := analyze.Query(150.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +97,7 @@ func TestExplainOnlyThroughQuery(t *testing.T) {
 	if rows.Stats.TuplesScanned != 0 {
 		t.Errorf("EXPLAIN executed the query (%d tuples scanned)", rows.Stats.TuplesScanned)
 	}
-	if len(rows.Data) == 0 {
+	if len(rows.data) == 0 {
 		t.Fatal("empty plan")
 	}
 }
@@ -115,7 +113,7 @@ func TestProfileSampling(t *testing.T) {
 	}
 	var profiled []bool
 	for i := 0; i < 6; i++ {
-		rows, err := st.Query([]types.Value{types.NewFloat(150)})
+		rows, err := st.Query(150.0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +128,7 @@ func TestProfileSampling(t *testing.T) {
 
 	// Sampling off: nothing profiles (beyond what already ran).
 	db.SetProfileSampling(0)
-	rows, err := st.Query([]types.Value{types.NewFloat(150)})
+	rows, err := st.Query(150.0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,6 +194,102 @@ func TestPublicAPIExecTree(t *testing.T) {
 	}
 }
 
+// TestPlanOnlyExplainHasNoExecTree: an EXPLAIN without ANALYZE runs
+// nothing, so its result carries no executed tree to render or profile.
+func TestPlanOnlyExplainHasNoExecTree(t *testing.T) {
+	db := demoAPI(t)
+	rows, err := db.Query(`EXPLAIN SELECT name FROM city ORDER BY affordable(rent) LIMIT 2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows.Len() == 0 {
+		t.Fatal("EXPLAIN returned no plan lines")
+	}
+	if tree := rows.ExecTree(); tree != "" {
+		t.Errorf("plan-only EXPLAIN has an exec tree:\n%s", tree)
+	}
+	if ops := rows.Operators(); len(ops) != 0 {
+		t.Errorf("plan-only EXPLAIN has %d operators, want none", len(ops))
+	}
+}
+
+// TestProfiledProjectionEstimates: a profiled run of a prepared query
+// that projects columns pairs every executed node, the projection root
+// included, with an optimizer estimate.
+func TestProfiledProjectionEstimates(t *testing.T) {
+	db := demoAPI(t)
+	db.SetProfileSampling(1)
+	st, err := db.Prepare(`SELECT name FROM city WHERE rent < ? ORDER BY affordable(rent) LIMIT ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := st.Query(2000.0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rows.Profiled {
+		t.Fatal("run not profiled with sampling every execution")
+	}
+	ops := rows.Operators()
+	if len(ops) < 2 {
+		t.Fatalf("%d operators, want a projection over the plan", len(ops))
+	}
+	for _, op := range ops {
+		if op.EstRows < 0 {
+			t.Errorf("operator %s has no estimate (EstRows %g)", op.Name, op.EstRows)
+		}
+	}
+}
+
+// TestScoreFuncMayOverwriteArgs: a ScoreFunc reads its arguments in place
+// (no copy per evaluation), but in the evaluator's scratch space, not in
+// the table: overwriting args[0] changes neither the stored rows nor any
+// later answer, whether the scorer runs as µ or builds a rank index.
+func TestScoreFuncMayOverwriteArgs(t *testing.T) {
+	db := demoAPI(t)
+	if err := db.RegisterScorer("scribble", func(args []ranksql.Value) float64 {
+		s := math.Max(0, 1-args[0].Float()/2000) // affordable's score
+		args[0] = ranksql.Value{}
+		return s
+	}); err != nil {
+		t.Fatal(err)
+	}
+	dump := func(q string) string {
+		t.Helper()
+		rows, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for i := 0; i < rows.Len(); i++ {
+			fmt.Fprintf(&b, "%v @ %g\n", rows.At(i), rows.Scores[i])
+		}
+		return b.String()
+	}
+	const all = `SELECT name, pop, rent, sunny FROM city`
+	table := dump(all)
+	want := dump(`SELECT name, rent FROM city ORDER BY affordable(rent) LIMIT 3`)
+	for _, ddl := range []string{"", `CREATE RANK INDEX ON city (scribble(rent))`} {
+		const q = `SELECT name, rent FROM city ORDER BY scribble(rent) LIMIT 3`
+		if ddl != "" {
+			if _, err := db.Exec(ddl); err != nil {
+				t.Fatal(err)
+			}
+			if plan, err := db.Explain(q); err != nil || !strings.Contains(plan, "idxScan_scribble") {
+				t.Fatalf("plan does not scan the rank index (%v):\n%s", err, plan)
+			}
+		}
+		for run := 1; run <= 2; run++ {
+			if got := dump(q); got != want {
+				t.Errorf("%q, run %d: answer\n%s want\n%s", ddl, run, got, want)
+			}
+		}
+		if got := dump(all); got != table {
+			t.Errorf("%q: table rows changed to\n%s want\n%s", ddl, got, table)
+		}
+	}
+}
+
 // TestSampleFollowsTuning: a sampling change through SetTuning takes
 // effect at the next compile, not at the next INSERT. The card of the
 // ranked node under the limit is u / s, u being the sampled tuples at or

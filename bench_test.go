@@ -1,4 +1,4 @@
-package engine
+package ranksql
 
 import (
 	"fmt"
@@ -13,31 +13,22 @@ import (
 // serve path optimizes), not by data volume.
 func benchDB(tb testing.TB, rows int) *DB {
 	tb.Helper()
-	db := New()
+	db := Open()
 	mustExec := func(sql string) {
 		tb.Helper()
 		if _, err := db.Exec(sql); err != nil {
 			tb.Fatalf("%s: %v", sql, err)
 		}
 	}
-	reg := func(name string, fn func(args []types.Value) float64) {
+	reg := func(name string, fn ScoreFunc) {
 		tb.Helper()
-		if err := db.RegisterScorer(name, Scorer{Fn: fn, Cost: 1, MaxVal: 1}); err != nil {
+		if err := db.RegisterScorer(name, fn, WithCost(1), WithMax(1)); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	reg("rating", func(args []types.Value) float64 {
-		f, _ := args[0].AsFloat()
-		return f / 5
-	})
-	reg("popular", func(args []types.Value) float64 {
-		f, _ := args[0].AsFloat()
-		return f / 100000
-	})
-	reg("bargain", func(args []types.Value) float64 {
-		f, _ := args[0].AsFloat()
-		return (500 - f) / 500
-	})
+	reg("rating", func(args []Value) float64 { return args[0].Float() / 5 })
+	reg("popular", func(args []Value) float64 { return args[0].Float() / 100000 })
+	reg("bargain", func(args []Value) float64 { return (500 - args[0].Float()) / 500 })
 	mustExec(`CREATE TABLE product (name TEXT, price FLOAT, stars FLOAT, sales INT, in_stock BOOL)`)
 	rng := uint64(0x9E3779B97F4A7C15)
 	next := func() float64 {
@@ -63,29 +54,32 @@ const benchTemplate = `SELECT name, price, stars, sales FROM product
 	WHERE in_stock AND price < ?
 	ORDER BY 0.5*rating(stars) + 0.3*popular(sales) + 0.2*bargain(price) LIMIT ?`
 
-// BenchmarkTemplateHit measures the engine's template-hit serve path:
-// the plan is cached, so each iteration pays only the pooled instance's
-// rebind, execution and result materialization.
+// benchArgs bind benchTemplate: price < 400, LIMIT 10.
+var benchArgs = []interface{}{400.0, 10}
+
+// BenchmarkTemplateHit measures the template-hit serve path through the
+// public API: the plan is cached, so each iteration pays only argument
+// conversion, the pooled instance's rebind, execution (scorers called
+// through RegisterScorer's adapter) and result materialization.
 func BenchmarkTemplateHit(b *testing.B) {
 	db := benchDB(b, 1000)
-	db.ProfileEvery = 0 // steady-state: no sampled profiling
+	db.SetProfileSampling(0) // steady-state: no sampled profiling
 	st, err := db.Prepare(benchTemplate)
 	if err != nil {
 		b.Fatal(err)
 	}
-	params := []types.Value{types.NewFloat(400), types.NewInt(10)}
-	if _, err := st.Query(params); err != nil {
+	if _, err := st.Query(benchArgs...); err != nil {
 		b.Fatal(err) // warm the plan cache
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := st.Query(params)
+		rows, err := st.Query(benchArgs...)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rows.Data) == 0 || !rows.CacheHit {
-			b.Fatalf("rows=%d cacheHit=%v, want cached non-empty result", len(rows.Data), rows.CacheHit)
+		if rows.Len() == 0 || !rows.CacheHit {
+			b.Fatalf("rows=%d cacheHit=%v, want cached non-empty result", rows.Len(), rows.CacheHit)
 		}
 	}
 }
@@ -95,21 +89,7 @@ func BenchmarkTemplateHit(b *testing.B) {
 // without executing it.
 func BenchmarkRebind(b *testing.B) {
 	db := benchDB(b, 100)
-	db.ProfileEvery = 0
-	st, err := db.Prepare(benchTemplate)
-	if err != nil {
-		b.Fatal(err)
-	}
-	params := []types.Value{types.NewFloat(400), types.NewInt(10)}
-	if _, err := st.Query(params); err != nil {
-		b.Fatal(err)
-	}
-	db.mu.RLock()
-	cp, _ := db.Plans.Get(planKey{norm: st.norm, k: 10, version: db.version}, nil)
-	db.mu.RUnlock()
-	if cp == nil {
-		b.Fatal("plan not cached")
-	}
+	cp, params := cachedBenchPlan(b, db)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -122,4 +102,29 @@ func BenchmarkRebind(b *testing.B) {
 		}
 		inst.release()
 	}
+}
+
+// cachedBenchPlan runs benchTemplate once through the public API and
+// returns its cached plan with the bound values, for the rebind step.
+func cachedBenchPlan(tb testing.TB, db *DB) (*compiledPlan, []types.Value) {
+	tb.Helper()
+	db.SetProfileSampling(0)
+	st, err := db.Prepare(benchTemplate)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := st.Query(benchArgs...); err != nil {
+		tb.Fatal(err)
+	}
+	db.mu.RLock()
+	cp, _ := db.plans.Get(planKey{norm: st.norm, k: 10, version: db.version}, nil)
+	db.mu.RUnlock()
+	if cp == nil {
+		tb.Fatal("plan not cached")
+	}
+	params, err := appendValues(nil, benchArgs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cp, params
 }

@@ -12,11 +12,11 @@ import (
 // LoadCSV bulk-loads CSV records into an existing table and returns the
 // number of rows inserted. Cells are converted to the column's declared
 // type; empty cells become NULL. When header is true the first record is
-// skipped. Records are parsed first, then appended under the engine's
-// write lock, each indexed as it is appended, so concurrent queries never
-// observe a half-loaded table.
+// skipped. Records are parsed first, then appended under the write lock,
+// each indexed as it is appended, so concurrent queries never observe a
+// half-loaded table.
 func (db *DB) LoadCSV(table string, r io.Reader, header bool) (int, error) {
-	tm, err := db.eng.Catalog.Table(table)
+	tm, err := db.catalog.Table(table)
 	if err != nil {
 		return 0, err
 	}
@@ -51,7 +51,18 @@ func (db *DB) LoadCSV(table string, r io.Reader, header bool) (int, error) {
 		}
 		rows = append(rows, row)
 	}
-	return db.eng.BulkInsert(table, sch, rows)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if tm, err = db.catalog.Table(table); err != nil {
+		return 0, err
+	}
+	// The rows were converted against sch; a table dropped and recreated
+	// since then has another schema, so the load aborts rather than append
+	// rows converted for a different one.
+	if tm.Table.Schema != sch {
+		return 0, fmt.Errorf("engine: table %q was recreated during the bulk load; aborting", table)
+	}
+	return db.appendRowsLocked(tm, rows)
 }
 
 // DumpCSV writes a query result as CSV (header row of column names, then

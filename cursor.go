@@ -1,6 +1,7 @@
-package engine
+package ranksql
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -10,23 +11,23 @@ import (
 	"ranksql/internal/types"
 )
 
-// ErrCursorInvalidated is returned by Fetch when DDL (or an optimizer
-// reconfiguration) bumped the schema version after the cursor was
-// opened: the suspended operator tree references catalog state that may
-// no longer exist, so the cursor closes itself and the client must
-// re-open.
+// ErrCursorInvalidated is returned by Cursor.Fetch when DDL (or an
+// optimizer reconfiguration) bumped the schema version after the cursor
+// was opened: the suspended operator tree references catalog state that
+// may no longer exist, so the cursor closes itself and must be re-opened.
 var ErrCursorInvalidated = errors.New("engine: cursor invalidated by a schema change; re-open it")
 
-// ErrCursorClosed is returned by Fetch after Close (or after the cursor
-// was invalidated).
+// ErrCursorClosed is returned by Cursor.Fetch after Close (or after the
+// cursor was invalidated).
 var ErrCursorClosed = errors.New("engine: cursor is closed")
 
-// Cursor is a resumable ranked stream: an opened operator tree whose
-// state (ranking queues, join frontiers, depth-of-enumeration counters)
-// is suspended between pulls, so fetching page N never re-plans or
-// re-executes pages 1..N-1. The stream yields tuples in the query's
-// score order; a LIMIT k in the statement tunes the plan for depth k
-// but does not cap the stream — the cursor pages past it.
+// Cursor is a resumable ranked stream over a SELECT or set-operation
+// statement: an opened operator tree whose state (ranking queues, join
+// frontiers, depth-of-enumeration counters) is suspended between pulls,
+// so fetching page N never re-plans or re-executes pages 1..N-1. Pages
+// come back in the query's score order; a LIMIT k in the statement tunes
+// the plan for depth k but does not cap the stream — the cursor pages
+// past it.
 //
 // Snapshot semantics: every scan pins a TID bound (the table's row count)
 // at Open and skips rows at or past it, and index iterators re-seek after
@@ -55,10 +56,9 @@ type Cursor struct {
 	pending []*schema.Tuple
 }
 
-// QueryCursor parses a SELECT or set-operation statement and opens a
-// resumable ranked cursor over it. Repeated SELECT templates share the
-// plan cache with Query.
-func (db *DB) QueryCursor(src string) (*Cursor, error) {
+// Cursor opens a resumable ranked cursor over a SELECT or set-operation
+// statement. Repeated SELECT templates share the plan cache with Query.
+func (db *DB) Cursor(src string) (*Cursor, error) {
 	st, err := sql.Parse(src)
 	if err != nil {
 		return nil, err
@@ -66,15 +66,20 @@ func (db *DB) QueryCursor(src string) (*Cursor, error) {
 	return db.cursor(st, "", nil, nil)
 }
 
-// Cursor opens a resumable ranked cursor over a prepared query with the
-// given parameter values, through the same plan-cache paths as Query.
-func (p *Prepared) Cursor(params []types.Value) (*Cursor, error) {
-	return p.db.cursor(p.stmt, p.norm, params, p)
+// Cursor opens a resumable ranked cursor over the prepared query with
+// the given parameter values, through the same plan-cache paths as Query.
+func (s *Stmt) Cursor(args ...interface{}) (*Cursor, error) {
+	params, release, err := getParams(args)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	return s.db.cursor(s.stmt, s.norm, params, s)
 }
 
 // cursor resolves the statement's stream exactly as query does, but
 // instead of draining it opens it once and suspends it; Fetch pulls pages.
-func (db *DB) cursor(st sql.Stmt, norm string, params []types.Value, pr *Prepared) (*Cursor, error) {
+func (db *DB) cursor(st sql.Stmt, norm string, params []types.Value, pr *Stmt) (*Cursor, error) {
 	if explain, _ := explainFlags(st); explain {
 		return nil, fmt.Errorf("engine: cannot open a cursor on an EXPLAIN statement")
 	}
@@ -94,19 +99,21 @@ func (db *DB) cursor(st sql.Stmt, norm string, params []types.Value, pr *Prepare
 	}, nil
 }
 
-// Fetch pulls the next n tuples from the suspended stream. The returned
+// Fetch pulls the next n rows from the suspended stream. The returned
 // page's Exhausted reports whether the stream ran dry (a short page);
 // Stats are cumulative across all pulls of this cursor, so the last
 // page's counters describe the whole enumeration. K echoes the page
 // size requested.
 func (c *Cursor) Fetch(n int) (*Rows, error) {
-	return c.FetchCancel(n, nil)
+	return c.FetchContext(context.Background(), n)
 }
 
-// FetchCancel is Fetch with a cancellation channel: closing cancel
-// interrupts the pull at the next cancellation point, leaving the
-// cursor usable.
-func (c *Cursor) FetchCancel(n int, cancel <-chan struct{}) (*Rows, error) {
+// FetchContext is Fetch with cancellation: when ctx is done, the pull is
+// interrupted at the next cancellation point (the cursor stays usable).
+func (c *Cursor) FetchContext(ctx context.Context, n int) (*Rows, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if n <= 0 {
 		return nil, fmt.Errorf("engine: cursor fetch size must be positive, got %d", n)
 	}
@@ -128,14 +135,14 @@ func (c *Cursor) FetchCancel(n int, cancel <-chan struct{}) (*Rows, error) {
 		c.pending = tuples[n:]
 		tuples = tuples[:n:n]
 	case len(tuples) < n && !c.exhausted:
-		more, err := c.s.pull(n-len(tuples), cancel)
+		more, err := c.s.pull(n-len(tuples), ctx.Done())
 		tuples = append(tuples, more...)
 		if err != nil {
 			// The pull was interrupted (cancellation) or failed; the
 			// tuples already consumed from the tree must not be lost, so
 			// they wait for the next fetch.
 			c.pending = tuples
-			return nil, err
+			return nil, ctxErr(ctx, err)
 		}
 		c.exhausted = len(tuples) < n
 	}
@@ -147,8 +154,8 @@ func (c *Cursor) FetchCancel(n int, cancel <-chan struct{}) (*Rows, error) {
 	return rows, nil
 }
 
-// Close hands the suspended stream back to its plan (a stream that failed
-// mid-pull is dropped instead). Idempotent.
+// Close releases the cursor's suspended operator tree, handing it back to
+// its plan (a stream that failed mid-pull is dropped instead). Idempotent.
 func (c *Cursor) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -164,8 +171,8 @@ func (c *Cursor) closeLocked() error {
 	return s.release()
 }
 
-// Pulled returns the total number of tuples fetched so far — the base
-// for the next page's rank numbering.
+// Pulled returns the total number of rows fetched so far (the 0-based
+// rank of the next row).
 func (c *Cursor) Pulled() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -185,8 +192,8 @@ func (c *Cursor) Columns() []string { return append([]string(nil), c.columns...)
 // CacheHit reports whether opening the cursor reused a cached plan.
 func (c *Cursor) CacheHit() bool { return c.cacheHit }
 
-// K returns the statement's LIMIT (the plan-tuning depth hint; 0 when
-// the statement had none).
+// K returns the statement's LIMIT — the depth hint the plan was tuned
+// for (0 when the statement had none). The stream itself is not capped.
 func (c *Cursor) K() int { return c.k }
 
 // pinnedTupleBytes is the accounting estimate for one tuple held in a
@@ -196,12 +203,12 @@ const pinnedTupleBytes = 96
 
 const pinnedColumnBytes = 48
 
-// PinnedBytes estimates the memory pinned by the suspended operator
-// tree: tuples resident in ranking queues, hash tables and
-// materializations (Stats.Buffered) plus tuples parked by an
-// interrupted fetch, costed at a fixed per-tuple + per-column rate.
-// Closed cursors pin nothing. The estimate exists for observability
-// (the cursor_pinned_bytes gauge), not allocation-exact accounting.
+// PinnedBytes estimates the memory pinned by the cursor's suspended
+// operator state: tuples resident in ranking queues, hash tables and
+// materializations plus tuples parked by an interrupted fetch, costed at
+// a fixed per-tuple + per-column rate. Zero once the cursor is closed.
+// The estimate backs the server's cursor_pinned_bytes gauge; it is not
+// allocation-exact accounting.
 func (c *Cursor) PinnedBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -1,4 +1,4 @@
-package engine
+package ranksql
 
 import (
 	"errors"
@@ -25,15 +25,12 @@ func cursorDB(t *testing.T, nRows int) *DB {
 // can insert rows that strictly outrank every existing one.
 func gridDB(t *testing.T, nRows, levels int) *DB {
 	t.Helper()
-	db := New()
+	db := Open()
 	if _, err := db.Exec(`CREATE TABLE item (id INT, a FLOAT, b FLOAT)`); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"sa", "sb"} {
-		if err := db.RegisterScorer(name, Scorer{
-			Fn:   func(args []types.Value) float64 { f, _ := args[0].AsFloat(); return f },
-			Cost: 1,
-		}); err != nil {
+		if err := db.RegisterScorer(name, func(args []Value) float64 { return args[0].Float() }, WithCost(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,10 +66,10 @@ func collectPages(t *testing.T, c *Cursor, k int) ([][]types.Value, []float64) {
 		if err != nil {
 			t.Fatalf("page %d: %v", pages, err)
 		}
-		if len(page.Data) > k {
-			t.Fatalf("page %d has %d rows, want <= %d", pages, len(page.Data), k)
+		if len(page.data) > k {
+			t.Fatalf("page %d has %d rows, want <= %d", pages, len(page.data), k)
 		}
-		data = append(data, page.Data...)
+		data = append(data, page.data...)
 		scores = append(scores, page.Scores...)
 		if c.Pulled() != len(data) {
 			t.Fatalf("Pulled() = %d after %d rows", c.Pulled(), len(data))
@@ -83,8 +80,8 @@ func collectPages(t *testing.T, c *Cursor, k int) ([][]types.Value, []float64) {
 			}
 			break
 		}
-		if len(page.Data) < k {
-			t.Fatalf("short page %d (%d rows) not marked exhausted", pages, len(page.Data))
+		if len(page.data) < k {
+			t.Fatalf("short page %d (%d rows) not marked exhausted", pages, len(page.data))
 		}
 	}
 	for i := 1; i < len(scores); i++ {
@@ -101,8 +98,8 @@ func collectPages(t *testing.T, c *Cursor, k int) ([][]types.Value, []float64) {
 // between a paged and a one-shot execution.
 func assertSameRanking(t *testing.T, gotData [][]types.Value, gotScores []float64, ref *Rows) {
 	t.Helper()
-	if len(gotData) != len(ref.Data) {
-		t.Fatalf("paged run yielded %d rows, one-shot %d", len(gotData), len(ref.Data))
+	if len(gotData) != len(ref.data) {
+		t.Fatalf("paged run yielded %d rows, one-shot %d", len(gotData), len(ref.data))
 	}
 	for i := range gotScores {
 		if d := gotScores[i] - ref.Scores[i]; d > 1e-9 || d < -1e-9 {
@@ -116,14 +113,14 @@ func assertSameRanking(t *testing.T, gotData [][]types.Value, gotScores []float6
 		}
 		return strings.Join(parts, "|")
 	}
-	for i := 0; i < len(ref.Data); {
+	for i := 0; i < len(ref.data); {
 		j := i + 1
-		for j < len(ref.Data) && ref.Scores[j] == ref.Scores[i] {
+		for j < len(ref.data) && ref.Scores[j] == ref.Scores[i] {
 			j++
 		}
 		group := map[string]int{}
 		for r := i; r < j; r++ {
-			group[render(ref.Data[r])]++
+			group[render(ref.data[r])]++
 		}
 		for r := i; r < j; r++ {
 			key := render(gotData[r])
@@ -147,12 +144,12 @@ func TestCursorPagesMatchOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ref.Data) == 0 || len(ref.Data) == nRows {
-		t.Fatalf("reference has %d rows; the predicate should filter some but not all", len(ref.Data))
+	if len(ref.data) == 0 || len(ref.data) == nRows {
+		t.Fatalf("reference has %d rows; the predicate should filter some but not all", len(ref.data))
 	}
 
 	for _, k := range []int{1, 7, 10, 64} {
-		c, err := db.QueryCursor(cursorQuery)
+		c, err := db.Cursor(cursorQuery)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -160,9 +157,9 @@ func TestCursorPagesMatchOneShot(t *testing.T) {
 		assertSameRanking(t, data, scores, ref)
 		// A drained cursor keeps answering with empty exhausted pages.
 		extra, err := c.Fetch(k)
-		if err != nil || len(extra.Data) != 0 || !extra.Exhausted {
+		if err != nil || len(extra.data) != 0 || !extra.Exhausted {
 			t.Fatalf("k=%d: fetch past exhaustion = (%d rows, exhausted=%v, err=%v)",
-				k, len(extra.Data), extra.Exhausted, err)
+				k, len(extra.data), extra.Exhausted, err)
 		}
 		if err := c.Close(); err != nil {
 			t.Fatalf("k=%d: close: %v", k, err)
@@ -182,9 +179,9 @@ func TestCursorSurvivesPlanEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Plans.Resize(1)
+	db.plans.Resize(1)
 	// Only parameterized templates share the plan cache.
-	prepare := func(src string) *Prepared {
+	prepare := func(src string) *Stmt {
 		t.Helper()
 		p, err := db.Prepare(src)
 		if err != nil {
@@ -193,11 +190,11 @@ func TestCursorSurvivesPlanEviction(t *testing.T) {
 		return p
 	}
 	paged := prepare(`SELECT id, a, b FROM item WHERE a >= ? ORDER BY 0.6*sa(a) + 0.4*sb(b) LIMIT 10`)
-	others := []*Prepared{
+	others := []*Stmt{
 		prepare(`SELECT id FROM item WHERE b >= ? ORDER BY sa(a) LIMIT 5`),
 		prepare(`SELECT id, b FROM item WHERE a < ? ORDER BY sb(b) LIMIT 3`),
 	}
-	bound := []types.Value{types.NewFloat(0.2)}
+	bound := 0.2
 
 	c, err := paged.Cursor(bound)
 	if err != nil {
@@ -213,7 +210,7 @@ func TestCursorSurvivesPlanEviction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("page %d: %v", page, err)
 		}
-		data = append(data, rows.Data...)
+		data = append(data, rows.data...)
 		scores = append(scores, rows.Scores...)
 		if _, err := others[page%2].Query(bound); err != nil {
 			t.Fatal(err)
@@ -223,7 +220,7 @@ func TestCursorSurvivesPlanEviction(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatalf("close after eviction: %v", err)
 	}
-	if ev := db.Plans.Stats().Evictions; ev < 2 {
+	if ev := db.plans.Stats().Evictions; ev < 2 {
 		t.Fatalf("plan cache recorded %d evictions; the cursor's plan was never evicted", ev)
 	}
 
@@ -241,14 +238,14 @@ func TestCursorSurvivesPlanEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameRanking(t, "first page after recompile", ranking(first.Data, first.Scores), ranking(data[:k], scores[:k]))
+	sameRanking(t, "first page after recompile", ranking(first.data, first.Scores), ranking(data[:k], scores[:k]))
 }
 
 // TestCursorStreamsPastLimit pins that the statement's LIMIT tunes the
 // plan but does not cap the stream: the cursor pages straight past it.
 func TestCursorStreamsPastLimit(t *testing.T) {
 	db := cursorDB(t, 120)
-	c, err := db.QueryCursor(cursorQuery) // LIMIT 10 in the statement
+	c, err := db.Cursor(cursorQuery) // LIMIT 10 in the statement
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,8 +257,8 @@ func TestCursorStreamsPastLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(page.Data) <= 10 {
-		t.Fatalf("fetch(30) returned %d rows; the cursor must stream past LIMIT 10", len(page.Data))
+	if len(page.data) <= 10 {
+		t.Fatalf("fetch(30) returned %d rows; the cursor must stream past LIMIT 10", len(page.data))
 	}
 }
 
@@ -282,7 +279,7 @@ func drainUnderInserts(t *testing.T, c *Cursor, insert func(n int)) ([][]types.V
 		if err != nil {
 			t.Fatal(err)
 		}
-		data = append(data, rows.Data...)
+		data = append(data, rows.data...)
 		scores = append(scores, rows.Scores...)
 		switch {
 		case page == 0:
@@ -352,7 +349,7 @@ func TestCursorSnapshotUnderInserts(t *testing.T) {
 				}
 			}
 
-			c, err := db.QueryCursor(cursorQuery)
+			c, err := db.Cursor(cursorQuery)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -366,7 +363,7 @@ func TestCursorSnapshotUnderInserts(t *testing.T) {
 			assertSameRanking(t, data, scores, ref)
 
 			// A cursor opened after the inserts sees the new top rows.
-			c2, err := db.QueryCursor(cursorQuery)
+			c2, err := db.Cursor(cursorQuery)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -375,7 +372,7 @@ func TestCursorSnapshotUnderInserts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, row := range page.Data {
+			for i, row := range page.data {
 				if id, _ := row[0].AsFloat(); id < 100000 {
 					t.Fatalf("fresh cursor rank %d = %v; the inserted rows should outrank everything", i+1, row[0].String())
 				}
@@ -389,7 +386,7 @@ func TestCursorSnapshotUnderInserts(t *testing.T) {
 // gets ErrCursorInvalidated once, then ErrCursorClosed.
 func TestCursorDDLInvalidation(t *testing.T) {
 	db := cursorDB(t, 60)
-	c, err := db.QueryCursor(cursorQuery)
+	c, err := db.Cursor(cursorQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +418,7 @@ func TestCursorPrepared(t *testing.T) {
 	}
 	open := func() *Cursor {
 		t.Helper()
-		c, err := p.Cursor([]types.Value{types.NewFloat(0.2), types.NewInt(10)})
+		c, err := p.Cursor(0.2, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -447,44 +444,18 @@ func TestCursorPrepared(t *testing.T) {
 	}
 }
 
-// TestCursorSetOp drains a UNION through a cursor and checks it against
-// the one-shot set-operation result.
-func TestCursorSetOp(t *testing.T) {
-	db := setOpDB(t)
-	const q = `SELECT * FROM store_a UNION SELECT * FROM store_b ORDER BY cheap(price) + rated(stars) LIMIT 10`
-	ref, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := db.QueryCursor(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	data, scores := collectPages(t, c, 2)
-	assertSameRanking(t, data, scores, ref)
-}
-
 // routeDB extends the cursor dataset for the every-route property: rank
 // indexes (so plans rank-scan and rank-join), a second joinable table, and
 // a union-compatible copy of half of item. Score inputs stay below 1.0.
 func routeDB(t *testing.T) *DB {
 	t.Helper()
 	db := gridDB(t, 300, 20)
-	if err := db.RegisterScorer("sw", Scorer{
-		Fn:   func(args []types.Value) float64 { f, _ := args[0].AsFloat(); return f },
-		Cost: 1,
-	}); err != nil {
+	if err := db.RegisterScorer("sw", func(args []Value) float64 { return args[0].Float() }, WithCost(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.RegisterScorer("near", Scorer{
-		Fn: func(args []types.Value) float64 {
-			a, _ := args[0].AsFloat()
-			b, _ := args[1].AsFloat()
-			return 1 - math.Abs(a-b)
-		},
-		Cost: 1,
-	}); err != nil {
+	if err := db.RegisterScorer("near", func(args []Value) float64 {
+		return 1 - math.Abs(args[0].Float()-args[1].Float())
+	}, WithCost(1)); err != nil {
 		t.Fatal(err)
 	}
 	mustExec := func(s string) {
@@ -500,7 +471,7 @@ func routeDB(t *testing.T) *DB {
 		t.Fatal(err)
 	}
 	var tags, copies []string
-	for i, row := range all.Data {
+	for i, row := range all.data {
 		tags = append(tags, fmt.Sprintf("(%s, %.2f)", row[0], float64((i*37)%20)/20))
 		if i%2 == 0 {
 			copies = append(copies, fmt.Sprintf("(%s, %s, %s)", row[0], row[1], row[2]))
@@ -521,7 +492,7 @@ func routeDB(t *testing.T) *DB {
 type routeCase struct {
 	name   string
 	sql    string
-	params []types.Value
+	params []interface{}
 	lits   []string
 	plan   string
 }
@@ -539,7 +510,7 @@ var routeCases = []routeCase{
 		sql: `SELECT id, a FROM item WHERE a >= 0.9 ORDER BY sa(a) + sb(b)`},
 	{name: "LIMIT ?", plan: "idxScan_sa",
 		sql:    `SELECT id, a, b FROM item WHERE a >= ? ORDER BY sa(a) + sb(b) LIMIT ?`,
-		params: []types.Value{types.NewFloat(0.2), types.NewInt(10)}, lits: []string{"0.2", "10"}},
+		params: []interface{}{0.2, 10}, lits: []string{"0.2", "10"}},
 	{name: "UNION", plan: "rankUnion",
 		sql: `SELECT id, a, b FROM item WHERE a >= 0.2 UNION SELECT id, a, b FROM item2 ORDER BY sa(a) + sb(b) LIMIT 10`},
 	{name: "INTERSECT", plan: "rankIntersect",
@@ -586,16 +557,16 @@ func sameRanking(t *testing.T, what string, got, want []string) {
 // and cut at k, and a one-shot re-run on the instance a half-read cursor
 // handed back. A cursor that stops where the one-shot run stopped (depth
 // k, or the end of the stream) must also have scanned exactly as much.
-func checkRoutes(t *testing.T, c routeCase, st *Prepared, wantHit bool) []string {
+func checkRoutes(t *testing.T, c routeCase, st *Stmt, wantHit bool) []string {
 	t.Helper()
-	ref, err := st.Query(c.params)
+	ref, err := st.Query(c.params...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ref.CacheHit != wantHit {
 		t.Fatalf("one-shot cache hit = %v, want %v", ref.CacheHit, wantHit)
 	}
-	want := ranking(ref.Data, ref.Scores)
+	want := ranking(ref.data, ref.Scores)
 	if len(want) == 0 {
 		t.Fatal("empty reference result")
 	}
@@ -604,7 +575,7 @@ func checkRoutes(t *testing.T, c routeCase, st *Prepared, wantHit bool) []string
 		depth = len(want) + 1 // the one-shot run drained the stream
 	}
 	for _, page := range []int{1, 3, len(want), len(want) + 7} {
-		cur, err := st.Cursor(c.params)
+		cur, err := st.Cursor(c.params...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -615,7 +586,7 @@ func checkRoutes(t *testing.T, c routeCase, st *Prepared, wantHit bool) []string
 			if err != nil {
 				t.Fatal(err)
 			}
-			data = append(data, rows.Data...)
+			data = append(data, rows.data...)
 			scores = append(scores, rows.Scores...)
 			stopped := (len(data) == depth && !ref.Exhausted) || (cur.Exhausted() && ref.Exhausted)
 			if stopped && rows.Stats.TuplesScanned != ref.Stats.TuplesScanned {
@@ -632,7 +603,7 @@ func checkRoutes(t *testing.T, c routeCase, st *Prepared, wantHit bool) []string
 		sameRanking(t, fmt.Sprintf("pages of %d", page), ranking(data, scores), want)
 	}
 
-	half, err := st.Cursor(c.params)
+	half, err := st.Cursor(c.params...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -642,11 +613,11 @@ func checkRoutes(t *testing.T, c routeCase, st *Prepared, wantHit bool) []string
 	if err := half.Close(); err != nil {
 		t.Fatal(err)
 	}
-	again, err := st.Query(c.params)
+	again, err := st.Query(c.params...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameRanking(t, "one-shot after a half-read cursor", ranking(again.Data, again.Scores), want)
+	sameRanking(t, "one-shot after a half-read cursor", ranking(again.data, again.Scores), want)
 	if again.Stats.TuplesScanned != ref.Stats.TuplesScanned {
 		t.Errorf("one-shot after a half-read cursor scanned %d tuples, first run %d",
 			again.Stats.TuplesScanned, ref.Stats.TuplesScanned)
@@ -695,7 +666,7 @@ func TestEveryRouteAgrees(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameRanking(t, "ad hoc after the insert", ranking(fresh.Data, fresh.Scores), after)
+			sameRanking(t, "ad hoc after the insert", ranking(fresh.data, fresh.Scores), after)
 		})
 	}
 }
@@ -712,11 +683,11 @@ func TestQueryAndCursorShareInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := st.Query(c.params)
+	ref, err := st.Query(c.params...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ranking(ref.Data, ref.Scores)
+	want := ranking(ref.data, ref.Scores)
 
 	const workers, rounds = 4, 30
 	errs := make(chan error, workers+1)
@@ -725,14 +696,14 @@ func TestQueryAndCursorShareInstances(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				var got []string
 				if (w+i)%2 == 0 {
-					rows, err := st.Query(c.params)
+					rows, err := st.Query(c.params...)
 					if err != nil {
 						errs <- err
 						return
 					}
-					got = ranking(rows.Data, rows.Scores)
+					got = ranking(rows.data, rows.Scores)
 				} else {
-					cur, err := st.Cursor(c.params)
+					cur, err := st.Cursor(c.params...)
 					if err != nil {
 						errs <- err
 						return
@@ -748,7 +719,7 @@ func TestQueryAndCursorShareInstances(t *testing.T) {
 							errs <- err
 							return
 						}
-						data = append(data, rows.Data...)
+						data = append(data, rows.data...)
 						scores = append(scores, rows.Scores...)
 					}
 					if err := cur.Close(); err != nil {

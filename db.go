@@ -1,16 +1,13 @@
-// Package engine ties the pieces together: catalog, SQL front end, scorer
-// registry, rank-aware optimizer, and executor. It is what the public
-// ranksql package wraps.
-package engine
+package ranksql
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
 	"sync"
 
 	"ranksql/internal/catalog"
-	"ranksql/internal/exec"
 	"ranksql/internal/expr"
 	"ranksql/internal/lru"
 	"ranksql/internal/optimizer"
@@ -20,75 +17,79 @@ import (
 	"ranksql/internal/types"
 )
 
-// Scorer is a registered ranking function: the user-defined predicates of
-// the paper (cheap(h.price), close(h.addr, r.addr), ...).
-type Scorer struct {
-	// Fn computes the score from the argument values. Scores should lie
-	// in [0, MaxVal].
-	Fn rank.ScoreFn
-	// Cost is the per-evaluation cost in abstract units; it drives the
-	// optimizer's scheduling and the executor's cost accounting.
-	Cost float64
-	// MaxVal is the maximal possible score (1 when zero).
-	MaxVal float64
-}
-
-// DB is an in-memory RankSQL database. It is safe for concurrent use:
-// DDL/DML statements take a write lock, queries run concurrently under a
-// read lock against immutable snapshots of plans and table data.
+// DB is an embedded RankSQL database, safe for concurrent use: queries
+// proceed in parallel under a read lock against immutable snapshots of
+// plans and table data, DDL/DML statements are serialized against them
+// under the write lock. Configuration calls (RegisterScorer, SetTuning)
+// are intended for setup time.
 type DB struct {
 	// mu serializes DDL/DML (write side) against read-only query
 	// execution (read side).
 	mu      sync.RWMutex
-	Catalog *catalog.Catalog
-	scorers map[string]Scorer
-	// Options configure the optimizer; adjust before querying (use
-	// SetOptions when queries may be in flight).
-	Options optimizer.Options
-	// Plans caches compiled SELECT plans keyed on (normalized template,
+	catalog *catalog.Catalog
+	scorers map[string]scorer
+	// options configure the optimizer (SetTuning).
+	options optimizer.Options
+	// plans caches compiled SELECT plans keyed on (normalized template,
 	// k, schema version); repeated query templates skip parse+optimize.
-	Plans *PlanCache
-	// ProfileEvery samples per-operator runtime profiling: every N-th
+	plans *planCache
+	// profileEvery samples per-operator runtime profiling: every N-th
 	// execution of a cached plan runs with operator timing enabled,
 	// feeding the per-template operator profiles without taxing the other
 	// N-1 executions. 0 disables sampling (EXPLAIN ANALYZE still
-	// profiles). Default DefaultProfileEvery.
-	ProfileEvery int
+	// profiles).
+	profileEvery int
 	// version is the schema version; DDL bumps it, invalidating every
 	// cached plan key minted under the old version.
 	version uint64
 }
 
-// DefaultProfileEvery is the default operator-profiling sampling rate:
+// defaultProfileEvery is the default operator-profiling sampling rate:
 // one in every 16 executions of a plan carries timing instrumentation.
-const DefaultProfileEvery = 16
+const defaultProfileEvery = 16
 
-// New creates an empty database with default optimizer options.
-func New() *DB {
+// Open creates an empty in-memory database.
+func Open() *DB {
 	return &DB{
-		Catalog:      catalog.New(),
-		scorers:      map[string]Scorer{},
-		Options:      optimizer.DefaultOptions(),
-		Plans:        lru.New[planKey, *CompiledPlan](DefaultPlanCacheCapacity),
-		ProfileEvery: DefaultProfileEvery,
+		catalog:      catalog.New(),
+		scorers:      map[string]scorer{},
+		options:      optimizer.DefaultOptions(),
+		plans:        lru.New[planKey, *compiledPlan](defaultPlanCacheCapacity),
+		profileEvery: defaultProfileEvery,
 	}
 }
 
-// SetProfileSampling reconfigures operator-profiling sampling: every
-// N-th execution of a plan is profiled (0 disables sampling).
+// SetProfileSampling configures sampled operator profiling: every N-th
+// execution of a query template runs with per-operator timing and feeds
+// the template's operator profile (Rows.Profiled reports which). 0
+// disables sampling; EXPLAIN ANALYZE always profiles. Default 16.
 func (db *DB) SetProfileSampling(every int) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.ProfileEvery = every
+	db.profileEvery = every
 }
 
-// SetOptions swaps the optimizer configuration and invalidates cached
-// plans (they were costed under the old options).
-func (db *DB) SetOptions(opts optimizer.Options) {
+// SetTuning reconfigures the optimizer and invalidates cached plans (they
+// were costed under the old options).
+func (db *DB) SetTuning(t Tuning) error {
+	if t.SampleRatio < 0 || t.SampleRatio > 1 {
+		return fmt.Errorf("ranksql: sample ratio must be in [0, 1]")
+	}
+	opts := optimizer.DefaultOptions()
+	opts.LeftDeepOnly = t.LeftDeepOnly
+	opts.RankHeuristic = t.RankHeuristic
+	opts.NoRankOperators = t.NoRankOperators
+	if t.SampleRatio > 0 {
+		opts.SampleRatio = t.SampleRatio
+	}
+	if t.MinSampleRows > 0 {
+		opts.MinSampleRows = t.MinSampleRows
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.Options = opts
+	db.options = opts
 	db.bumpVersionLocked()
+	return nil
 }
 
 // bumpVersionLocked advances the schema version and eagerly drops every
@@ -97,12 +98,44 @@ func (db *DB) SetOptions(opts optimizer.Options) {
 // Callers hold db.mu (write side).
 func (db *DB) bumpVersionLocked() {
 	db.version++
-	db.Plans.Clear()
+	db.plans.Clear()
 }
 
-// RegisterScorer registers a ranking function under a name usable in
-// ORDER BY clauses and CREATE RANK INDEX statements.
-func (db *DB) RegisterScorer(name string, s Scorer) error {
+// PlanCacheStats snapshots the DB's plan-cache counters.
+func (db *DB) PlanCacheStats() CacheStats {
+	s := db.plans.Stats()
+	return CacheStats{
+		Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions,
+		StaleRecompiles: s.Stale,
+		Entries:         s.Entries, Capacity: s.Capacity,
+	}
+}
+
+// SetPlanCacheCapacity resizes the plan cache; 0 disables caching.
+func (db *DB) SetPlanCacheCapacity(n int) { db.plans.Resize(n) }
+
+// Tables lists the database's table names.
+func (db *DB) Tables() []string {
+	return db.catalog.TableNames()
+}
+
+// RegisterScorer makes a ranking function available to ORDER BY clauses
+// and CREATE RANK INDEX statements.
+func (db *DB) RegisterScorer(name string, fn ScoreFunc, opts ...ScorerOption) error {
+	if fn == nil {
+		return fmt.Errorf("ranksql: scorer %q has no function", name)
+	}
+	s := scorer{
+		fn:     func(args []types.Value) float64 { return fn(valuesOf(args)) },
+		cost:   1,
+		maxVal: 1,
+	}
+	for _, o := range opts {
+		o(&s)
+	}
+	if s.maxVal == 0 {
+		s.maxVal = 1
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	key := strings.ToLower(name)
@@ -112,77 +145,21 @@ func (db *DB) RegisterScorer(name string, s Scorer) error {
 	if _, dup := db.scorers[key]; dup {
 		return fmt.Errorf("engine: scorer %q already registered", name)
 	}
-	if s.Fn == nil {
-		return fmt.Errorf("engine: scorer %q has no function", name)
-	}
-	if s.MaxVal == 0 {
-		s.MaxVal = 1
-	}
 	db.scorers[key] = s
 	return nil
 }
 
-// Scorer looks up a registered scorer. The map read is unsynchronized by
-// design: callers already hold db.mu (either side), and RegisterScorer
+// lookupScorer finds a registered scorer. The map read is unsynchronized
+// by design: callers already hold db.mu (either side), and RegisterScorer
 // writes under the write lock; taking db.mu here would self-deadlock on
 // the non-reentrant RWMutex.
-func (db *DB) Scorer(name string) (Scorer, bool) {
+func (db *DB) lookupScorer(name string) (scorer, bool) {
 	s, ok := db.scorers[strings.ToLower(name)]
 	return s, ok
 }
 
-// Result reports the effect of a DDL/DML statement.
-type Result struct {
-	// RowsAffected counts inserted rows.
-	RowsAffected int
-	// Message describes DDL effects.
-	Message string
-}
-
-// Rows is a fully materialized query result.
-type Rows struct {
-	// CacheHit reports whether the query reused a cached compiled plan
-	// (skipping parse, bind and optimization).
-	CacheHit bool
-	// K is the effective top-k bound the query ran under (0 = no LIMIT).
-	K int
-	// Exhausted reports whether the ranked stream ran dry at or before
-	// depth len(Data): a distributed merge can treat this result as the
-	// shard's complete answer, while !Exhausted means asking again with a
-	// larger k could surface more rows. Always true when K is 0.
-	Exhausted bool
-	Columns   []string
-	// Data[i] is one output row.
-	Data [][]types.Value
-	// Scores[i] is the row's final score under the query's ranking
-	// function (0 for Boolean-only queries).
-	Scores []float64
-	// Stats are the execution counters.
-	Stats exec.Stats
-	// Plan is the executed physical plan, annotated with estimates.
-	Plan *optimizer.PlanNode
-	// ExecTree renders the executed operator tree with per-operator
-	// output counts (EXPLAIN ANALYZE style). It is a closure so the
-	// (purely diagnostic) rendering is only paid for when requested —
-	// the high-QPS server path never asks for it. May be nil.
-	ExecTree func() string
-	// Tree is the structured executed-tree snapshot behind ExecTree:
-	// per-operator labels, rows emitted, and depth of enumeration, plus
-	// wall time and call counts when Profiled.
-	Tree exec.TreeSnapshot
-	// Profiled reports whether this execution carried per-operator
-	// timing (EXPLAIN ANALYZE always does; plain executions are sampled
-	// every DB.ProfileEvery-th run of a template).
-	Profiled bool
-	// Est holds the plan's estimated output cardinality per Tree node
-	// (parallel to Tree, pre-order), aligned by PlanEstimates on
-	// profiled executions. Empty when the execution was not profiled or
-	// the shapes could not be aligned; est-vs-actual drift is Tree[i].Out
-	// against Est[i].
-	Est []float64
-}
-
-// Exec runs any statement; for SELECT it returns (nil, *Rows via Query).
+// Exec runs a DDL or DML statement (CREATE TABLE, CREATE INDEX, CREATE
+// RANK INDEX, INSERT, DROP TABLE).
 func (db *DB) Exec(src string) (*Result, error) {
 	st, err := sql.Parse(src)
 	if err != nil {
@@ -192,6 +169,20 @@ func (db *DB) Exec(src string) (*Result, error) {
 		return nil, fmt.Errorf("engine: statement has %d unbound parameter(s); use Prepare", n)
 	}
 	return db.execStmt(st)
+}
+
+// ExecContext runs a (possibly parameterized) DDL/DML statement. The
+// context is checked before execution begins; DDL/DML itself is not
+// interruptible.
+func (db *DB) ExecContext(ctx context.Context, sql string, args ...interface{}) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	stmt, err := db.Prepare(sql)
+	if err != nil {
+		return nil, err
+	}
+	return stmt.Exec(args...)
 }
 
 // execStmt applies a fully bound DDL/DML statement under the write lock.
@@ -204,13 +195,13 @@ func (db *DB) execStmt(st sql.Stmt) (*Result, error) {
 		for i, c := range s.Columns {
 			cols[i] = schema.Column{Name: c.Name, Kind: c.Kind}
 		}
-		if _, err := db.Catalog.CreateTable(s.Name, schema.NewSchema(cols...)); err != nil {
+		if _, err := db.catalog.CreateTable(s.Name, schema.NewSchema(cols...)); err != nil {
 			return nil, err
 		}
 		db.bumpVersionLocked()
 		return &Result{Message: "CREATE TABLE"}, nil
 	case *sql.CreateIndexStmt:
-		tm, err := db.Catalog.Table(s.Table)
+		tm, err := db.catalog.Table(s.Table)
 		if err != nil {
 			return nil, err
 		}
@@ -220,21 +211,21 @@ func (db *DB) execStmt(st sql.Stmt) (*Result, error) {
 		db.bumpVersionLocked()
 		return &Result{Message: "CREATE INDEX"}, nil
 	case *sql.CreateRankIndexStmt:
-		tm, err := db.Catalog.Table(s.Table)
+		tm, err := db.catalog.Table(s.Table)
 		if err != nil {
 			return nil, err
 		}
-		sc, ok := db.Scorer(s.Scorer)
+		sc, ok := db.lookupScorer(s.Scorer)
 		if !ok {
 			return nil, fmt.Errorf("engine: scorer %q is not registered", s.Scorer)
 		}
-		if _, err := tm.CreateRankIndex(s.Scorer, s.Columns, sc.Fn); err != nil {
+		if _, err := tm.CreateRankIndex(s.Scorer, s.Columns, sc.fn); err != nil {
 			return nil, err
 		}
 		db.bumpVersionLocked()
 		return &Result{Message: "CREATE RANK INDEX"}, nil
 	case *sql.InsertStmt:
-		tm, err := db.Catalog.Table(s.Table)
+		tm, err := db.catalog.Table(s.Table)
 		if err != nil {
 			return nil, err
 		}
@@ -244,7 +235,7 @@ func (db *DB) execStmt(st sql.Stmt) (*Result, error) {
 		}
 		return &Result{RowsAffected: n}, nil
 	case *sql.DropTableStmt:
-		if err := db.Catalog.DropTable(s.Name); err != nil {
+		if err := db.catalog.DropTable(s.Name); err != nil {
 			return nil, err
 		}
 		db.bumpVersionLocked()
@@ -254,25 +245,6 @@ func (db *DB) execStmt(st sql.Stmt) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("engine: unhandled statement %T", st)
 	}
-}
-
-// BulkInsert appends pre-converted rows to a table under the write lock,
-// indexing each row as it is appended. It is the concurrency-safe
-// bulk-load path (LoadCSV uses it). When sch is non-nil it must be the
-// exact schema the rows were converted against; a mismatch (the table was
-// dropped and recreated since) aborts the load rather than appending rows
-// converted for a different schema.
-func (db *DB) BulkInsert(table string, sch *schema.Schema, rows [][]types.Value) (int, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	tm, err := db.Catalog.Table(table)
-	if err != nil {
-		return 0, err
-	}
-	if sch != nil && tm.Table.Schema != sch {
-		return 0, fmt.Errorf("engine: table %q was recreated during the bulk load; aborting", table)
-	}
-	return db.appendRowsLocked(tm, rows)
 }
 
 // appendRowsLocked appends rows until the first invalid one; every row
@@ -291,20 +263,51 @@ func (db *DB) appendRowsLocked(tm *catalog.TableMeta, rows [][]types.Value) (int
 	return n, err
 }
 
-// Query parses, plans, optimizes and executes a SELECT or set-operation
-// statement. Repeated SELECT templates are served from the plan cache.
+// Query runs a SELECT or set-operation statement and returns the
+// materialized result. Ranking queries (ORDER BY scoring function, LIMIT
+// k) are optimized with the rank-aware optimizer and executed
+// incrementally. Ad-hoc queries never consult the shared plan cache (no
+// parameters can be bound through this path).
 func (db *DB) Query(src string) (*Rows, error) {
 	st, err := sql.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	// Ad-hoc queries never consult the shared plan cache (no parameters
-	// can be bound through this path), so the normalized template is not
-	// needed.
 	return db.query(st, "", nil, nil, nil)
 }
 
-// Explain returns the optimized plan for a SELECT without executing it.
+// QueryContext runs a (possibly parameterized) SELECT with cancellation.
+// It is one-shot sugar for Prepare + Stmt.QueryContext; repeated templates
+// still hit the plan cache.
+func (db *DB) QueryContext(ctx context.Context, sql string, args ...interface{}) (*Rows, error) {
+	stmt, err := db.Prepare(sql)
+	if err != nil {
+		return nil, err
+	}
+	return stmt.QueryContext(ctx, args...)
+}
+
+// QueryScores is a convenience wrapper returning only the result scores.
+func (db *DB) QueryScores(sql string) ([]float64, error) {
+	rows, err := db.Query(sql)
+	if err != nil {
+		return nil, err
+	}
+	return rows.Scores, nil
+}
+
+// ExplainAnalyze executes a SELECT with per-operator timing enabled and
+// returns the profiled result: the rows hold the rendered operator tree
+// (one "QUERY PLAN" column), and Operators() exposes the structured
+// per-operator wall time, rows and depth-k. sql must be a plain SELECT
+// or set-operation statement (without an EXPLAIN prefix of its own —
+// `Query("EXPLAIN ANALYZE ...")` is the equivalent spelled out).
+func (db *DB) ExplainAnalyze(sql string) (*Rows, error) {
+	return db.Query("EXPLAIN ANALYZE " + sql)
+}
+
+// Explain returns the optimized physical plan for a SELECT without
+// executing it, annotated with estimated cardinalities and costs.
 func (db *DB) Explain(src string) (string, error) {
 	st, err := sql.Parse(src)
 	if err != nil {
@@ -321,7 +324,7 @@ func (db *DB) Explain(src string) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		res, err := optimizer.Optimize(q, db.Options)
+		res, err := optimizer.Optimize(q, db.options)
 		if err != nil {
 			return "", err
 		}
@@ -343,12 +346,12 @@ func (db *DB) bind(sel *sql.SelectStmt) (*optimizer.Query, *rank.Spec, error) {
 		return nil, nil, fmt.Errorf("engine: SELECT requires a FROM clause")
 	}
 	q := &optimizer.Query{
-		Catalog: db.Catalog,
+		Catalog: db.catalog,
 		Where:   sel.Where,
 		K:       sel.Limit,
 	}
 	for _, tr := range sel.Tables {
-		if _, err := db.Catalog.Table(tr.Name); err != nil {
+		if _, err := db.catalog.Table(tr.Name); err != nil {
 			return nil, nil, err
 		}
 		q.Tables = append(q.Tables, optimizer.TableRef{Alias: tr.Alias, Name: tr.Name})
@@ -365,7 +368,7 @@ func (db *DB) bind(sel *sql.SelectStmt) (*optimizer.Query, *rank.Spec, error) {
 		var p *rank.Predicate
 		switch {
 		case term.Scorer != "":
-			sc, ok := db.Scorer(term.Scorer)
+			sc, ok := db.lookupScorer(term.Scorer)
 			if !ok {
 				return nil, nil, fmt.Errorf("engine: scorer %q is not registered", term.Scorer)
 			}
@@ -388,9 +391,9 @@ func (db *DB) bind(sel *sql.SelectStmt) (*optimizer.Query, *rank.Spec, error) {
 				Name:   fmt.Sprintf("%s(%s)", term.Scorer, joinArgs(args)),
 				Scorer: term.Scorer,
 				Args:   args,
-				Fn:     sc.Fn,
-				Cost:   sc.Cost,
-				MaxVal: sc.MaxVal,
+				Fn:     sc.fn,
+				Cost:   sc.cost,
+				MaxVal: sc.maxVal,
 			}
 		default:
 			// Opaque arithmetic term: one predicate whose arguments are
@@ -438,7 +441,7 @@ func (db *DB) bind(sel *sql.SelectStmt) (*optimizer.Query, *rank.Spec, error) {
 func (db *DB) resolveColumnTable(tables []optimizer.TableRef, col string) (string, error) {
 	found := ""
 	for _, tr := range tables {
-		tm, err := db.Catalog.Table(tr.Name)
+		tm, err := db.catalog.Table(tr.Name)
 		if err != nil {
 			return "", err
 		}

@@ -1,4 +1,4 @@
-package engine
+package ranksql
 
 import (
 	"fmt"
@@ -6,15 +6,13 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-
-	"ranksql/internal/types"
 )
 
 // tripDB builds the Example 1 database: hotels, restaurants, museums with
 // the cheap/close/related scorers.
 func tripDB(t *testing.T) *DB {
 	t.Helper()
-	db := New()
+	db := Open()
 	mustExec := func(s string) {
 		t.Helper()
 		if _, err := db.Exec(s); err != nil {
@@ -27,35 +25,23 @@ func tripDB(t *testing.T) *DB {
 
 	// Scorers: cheap prefers low price; close prefers nearby addresses;
 	// related prefers dinosaur collections.
-	if err := db.RegisterScorer("cheap", Scorer{
-		Fn: func(args []types.Value) float64 {
-			p, _ := args[0].AsFloat()
-			return math.Max(0, (200-p)/200)
-		},
-		Cost: 1,
-	}); err != nil {
+	if err := db.RegisterScorer("cheap", func(args []Value) float64 {
+		return math.Max(0, (200-args[0].Float())/200)
+	}, WithCost(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.RegisterScorer("close", Scorer{
-		Fn: func(args []types.Value) float64 {
-			a, _ := args[0].AsFloat()
-			b, _ := args[1].AsFloat()
-			d := math.Abs(a - b)
-			return 1 / (1 + d/10)
-		},
-		Cost: 2,
-	}); err != nil {
+	if err := db.RegisterScorer("close", func(args []Value) float64 {
+		d := math.Abs(args[0].Float() - args[1].Float())
+		return 1 / (1 + d/10)
+	}, WithCost(2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.RegisterScorer("related", Scorer{
-		Fn: func(args []types.Value) float64 {
-			if strings.Contains(strings.ToLower(args[0].Str()), "dinosaur") {
-				return 1
-			}
-			return 0.2
-		},
-		Cost: 3,
-	}); err != nil {
+	if err := db.RegisterScorer("related", func(args []Value) float64 {
+		if strings.Contains(strings.ToLower(args[0].Text()), "dinosaur") {
+			return 1
+		}
+		return 0.2
+	}, WithCost(3)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -92,11 +78,11 @@ func TestExample1TripQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows.Data) == 0 {
+	if len(rows.data) == 0 {
 		t.Fatal("no results")
 	}
-	if len(rows.Data) > 3 {
-		t.Fatalf("LIMIT 3 returned %d rows", len(rows.Data))
+	if len(rows.data) > 3 {
+		t.Fatalf("LIMIT 3 returned %d rows", len(rows.data))
 	}
 	// Scores must be non-increasing.
 	for i := 1; i < len(rows.Scores); i++ {
@@ -112,10 +98,10 @@ func TestExample1TripQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	valid := map[string]bool{}
-	for _, row := range all.Data {
+	for _, row := range all.data {
 		valid[fmt.Sprint(row)] = true
 	}
-	for _, row := range rows.Data {
+	for _, row := range rows.data {
 		if !valid[fmt.Sprint(row)] {
 			t.Errorf("result %v does not satisfy the Boolean conditions", row)
 		}
@@ -150,12 +136,12 @@ func TestWeightedOrderBy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows.Data) != 2 {
-		t.Fatalf("got %d rows, want 2", len(rows.Data))
+	if len(rows.data) != 2 {
+		t.Fatalf("got %d rows, want 2", len(rows.data))
 	}
 	// Cheapest hotel is Budget (40), then Inn (60).
-	if rows.Data[0][0].Str() != "Budget" || rows.Data[1][0].Str() != "Inn" {
-		t.Errorf("weighted order wrong: %v", rows.Data)
+	if rows.data[0][0].Str() != "Budget" || rows.data[1][0].Str() != "Inn" {
+		t.Errorf("weighted order wrong: %v", rows.data)
 	}
 }
 
@@ -167,8 +153,8 @@ func TestOpaqueOrderBy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows.Data) != 1 || rows.Data[0][0].Str() != "Budget" {
-		t.Errorf("opaque ORDER BY picked %v, want Budget", rows.Data)
+	if len(rows.data) != 1 || rows.data[0][0].Str() != "Budget" {
+		t.Errorf("opaque ORDER BY picked %v, want Budget", rows.data)
 	}
 }
 
@@ -179,8 +165,8 @@ func TestBooleanOnlyQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows.Data) != 3 {
-		t.Errorf("got %d hotels under 100, want 3: %v", len(rows.Data), rows.Data)
+	if len(rows.data) != 3 {
+		t.Errorf("got %d hotels under 100, want 3: %v", len(rows.data), rows.data)
 	}
 }
 
@@ -250,9 +236,9 @@ func TestInsertRebuildsIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := []types.Value{types.NewFloat(500), types.NewInt(1)}
+	params := []interface{}{500.0, 1}
 	for i := 0; i < 2; i++ { // compile, then a hit that leaves a pooled tree
-		if _, err := st.Query(params); err != nil {
+		if _, err := st.Query(params...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -263,18 +249,18 @@ func TestInsertRebuildsIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows.Data[0][0].Str() != "Hostel" {
-		t.Errorf("rank index stale after insert: top = %v", rows.Data[0])
+	if rows.data[0][0].Str() != "Hostel" {
+		t.Errorf("rank index stale after insert: top = %v", rows.data[0])
 	}
-	rows, err = st.Query(params)
+	rows, err = st.Query(params...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rows.CacheHit {
 		t.Fatal("template run after the insert should still hit the plan cache")
 	}
-	if rows.Data[0][0].Str() != "Hostel" {
-		t.Errorf("cached template scans a stale rank index after insert: top = %v", rows.Data[0])
+	if rows.data[0][0].Str() != "Hostel" {
+		t.Errorf("cached template scans a stale rank index after insert: top = %v", rows.data[0])
 	}
 
 	for _, ddl := range []string{`CREATE INDEX ON Hotel (addr)`, `CREATE INDEX ON Restaurant (addr)`} {
@@ -314,7 +300,7 @@ func TestInsertRebuildsIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := db.QueryCursor(join)
+	c, err := db.Cursor(join)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +321,7 @@ func TestInsertRebuildsIndexes(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := map[int64]int{}
-		for _, row := range rows.Data {
+		for _, row := range rows.data {
 			n[row[0].Int()]++
 		}
 		return n
@@ -349,7 +335,7 @@ func TestInsertRebuildsIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(after.Data) != want {
-		t.Errorf("join after inserts returned %d rows, heap scans say %d", len(after.Data), want)
+	if len(after.data) != want {
+		t.Errorf("join after inserts returned %d rows, heap scans say %d", len(after.data), want)
 	}
 }

@@ -1,4 +1,4 @@
-package engine
+package ranksql
 
 // Figure 7 of the paper contrasts the traditional plan for Example 1 with
 // a ranking plan in which the scoring function is split into µ operators
@@ -34,7 +34,7 @@ func TestFigure7Interleaving(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := optimizer.Optimize(q, db.Options)
+	res, err := optimizer.Optimize(q, db.options)
 	if err != nil {
 		t.Fatal(err)
 	}

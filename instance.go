@@ -1,10 +1,11 @@
-package engine
+package ranksql
 
 import (
 	"fmt"
 
 	"ranksql/internal/exec"
 	"ranksql/internal/expr"
+	"ranksql/internal/optimizer"
 	"ranksql/internal/rank"
 	"ranksql/internal/schema"
 	"ranksql/internal/types"
@@ -16,7 +17,7 @@ import (
 // so Query is open → pull to λ_k's quota → rows → release, and a Cursor
 // is the same stream kept open between Fetches.
 //
-// A SELECT's streams are instances of its CompiledPlan and are pooled
+// A SELECT's streams are instances of its compiledPlan and are pooled
 // there. Build deep-clones every condition into the operators it creates,
 // so an instance's parameter slots are private: writing them rebinds
 // exactly this tree, two instances of one plan share no mutable state,
@@ -33,7 +34,7 @@ type stream struct {
 	columns []string
 	// planText renders the optimizer's plan for EXPLAIN.
 	planText func() string
-	cp       *CompiledPlan
+	cp       *compiledPlan
 	// failed marks a tree whose open or pull returned an error: its state
 	// is unknown, so release closes it without pooling.
 	failed bool
@@ -66,7 +67,7 @@ func (s *stream) k() int {
 // newInstance wraps a tree built from cp.Plan — rooted in λ_k when the
 // statement has a LIMIT — as a poolable stream of the plan. The
 // projection, which is not a plan node, is applied here.
-func (cp *CompiledPlan) newInstance(op exec.Operator) (*stream, error) {
+func (cp *compiledPlan) newInstance(op exec.Operator) (*stream, error) {
 	limit, _ := op.(*exec.Limit)
 	if cp.Proj != nil {
 		pr, err := exec.NewProject(op, cp.Proj)
@@ -88,7 +89,7 @@ func (cp *CompiledPlan) newInstance(op exec.Operator) (*stream, error) {
 
 // acquireInstance returns an unopened stream of the plan, reusing a
 // pooled one when available. Hand it back with release.
-func (cp *CompiledPlan) acquireInstance() (*stream, error) {
+func (cp *compiledPlan) acquireInstance() (*stream, error) {
 	if v := cp.pool.Get(); v != nil {
 		return v.(*stream), nil
 	}
@@ -160,30 +161,26 @@ func (s *stream) pull(n int, cancel <-chan struct{}) ([]*schema.Tuple, error) {
 }
 
 // rows shapes pulled tuples and the tree's counters so far into a result;
-// nothing else in the engine fills Rows.Data and Rows.Scores. Values and
-// Score survive release: scan tuples alias immutable table rows and
-// projected tuples carry fresh slices; only the tuple structs themselves
-// may be arena-owned.
+// nothing else fills Rows.data and Rows.Scores. Values and Score survive
+// release: scan tuples alias immutable table rows and projected tuples
+// carry fresh slices; only the tuple structs themselves may be
+// arena-owned.
 func (s *stream) rows(tuples []*schema.Tuple) *Rows {
 	tree := s.labels.Snapshot()
 	rows := &Rows{
 		Columns:  append([]string(nil), s.columns...),
-		Data:     make([][]types.Value, len(tuples)),
+		data:     make([][]types.Value, len(tuples)),
 		Scores:   make([]float64, len(tuples)),
-		Stats:    s.ctx.Stats,
-		ExecTree: tree.String,
-		Tree:     tree,
+		Stats:    convertStats(s.ctx.Stats),
+		tree:     tree,
 		Profiled: tree.Profiled(),
 	}
 	for i, t := range tuples {
-		rows.Data[i] = t.Values
+		rows.data[i] = t.Values
 		rows.Scores[i] = t.Score
 	}
-	if s.cp != nil {
-		rows.Plan = s.cp.Plan
-		if rows.Profiled {
-			rows.Est = PlanEstimates(s.cp.Plan, tree)
-		}
+	if rows.Profiled && s.cp != nil {
+		rows.est = optimizer.Estimates(s.cp.Plan, tree)
 	}
 	return rows
 }

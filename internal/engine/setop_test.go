@@ -1,17 +1,21 @@
-package engine
+// Package engine_test runs the SQL engine's set-operation tests — ranked
+// UNION, INTERSECT and EXCEPT, one-shot and through a cursor — against the
+// public ranksql API. The directory holds tests only: the engine itself is
+// package ranksql.
+package engine_test
 
 import (
 	"math"
 	"strings"
 	"testing"
 
-	"ranksql/internal/types"
+	"ranksql"
 )
 
 // setOpDB creates two union-compatible product tables with overlap.
-func setOpDB(t *testing.T) *DB {
+func setOpDB(t *testing.T) *ranksql.DB {
 	t.Helper()
-	db := New()
+	db := ranksql.Open()
 	mustExec := func(s string) {
 		t.Helper()
 		if _, err := db.Exec(s); err != nil {
@@ -25,16 +29,12 @@ func setOpDB(t *testing.T) *DB {
 		('X', 10, 4.5), ('Y', 20, 3.0), ('A1', 15, 5.0), ('A2', 50, 2.0)`)
 	mustExec(`INSERT INTO store_b VALUES
 		('X', 10, 4.5), ('Y', 20, 3.0), ('B1', 12, 4.0), ('B2', 80, 1.0)`)
-	if err := db.RegisterScorer("cheap", Scorer{
-		Fn:   func(args []types.Value) float64 { f, _ := args[0].AsFloat(); return math.Max(0, 1-f/100) },
-		Cost: 1,
-	}); err != nil {
+	if err := db.RegisterScorer("cheap", func(args []ranksql.Value) float64 {
+		return math.Max(0, 1-args[0].Float()/100)
+	}, ranksql.WithCost(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.RegisterScorer("rated", Scorer{
-		Fn:   func(args []types.Value) float64 { f, _ := args[0].AsFloat(); return f / 5 },
-		Cost: 1,
-	}); err != nil {
+	if err := db.RegisterScorer("rated", func(args []ranksql.Value) float64 { return args[0].Float() / 5 }, ranksql.WithCost(1)); err != nil {
 		t.Fatal(err)
 	}
 	return db
@@ -42,10 +42,10 @@ func setOpDB(t *testing.T) *DB {
 
 const setOrder = ` ORDER BY cheap(price) + rated(stars) LIMIT 10`
 
-func skus(rows *Rows) []string {
+func skus(rows *ranksql.Rows) []string {
 	var out []string
-	for _, r := range rows.Data {
-		out = append(out, r[0].Str())
+	for i := 0; i < rows.Len(); i++ {
+		out = append(out, rows.ValueAt(i, 0).Text())
 	}
 	return out
 }
@@ -119,8 +119,8 @@ func TestSQLSetOpLimitCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows.Data) != 2 {
-		t.Fatalf("limit ignored: %d rows", len(rows.Data))
+	if rows.Len() != 2 {
+		t.Fatalf("limit ignored: %d rows", rows.Len())
 	}
 }
 
@@ -154,15 +154,16 @@ func TestSQLSetOpExplainMatchesAnalyze(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		if len(analyzed.Tree) < 2 {
-			t.Fatalf("%s: analyze tree has %d nodes", kind, len(analyzed.Tree))
+		ops := analyzed.Operators()
+		if len(ops) < 2 {
+			t.Fatalf("%s: analyze tree has %d nodes", kind, len(ops))
 		}
 		header := strings.SplitN(plan, "\n", 3)
 		for i, want := range []string{"limit(10)", label} {
 			if header[i] != want {
 				t.Errorf("%s: EXPLAIN line %d = %q, want %q", kind, i+1, header[i], want)
 			}
-			if got := analyzed.Tree[i].Label; got != want {
+			if got := ops[i].Name; got != want {
 				t.Errorf("%s: EXPLAIN ANALYZE node %d = %q, want %q", kind, i+1, got, want)
 			}
 		}
@@ -194,7 +195,96 @@ func TestSQLSetOpUnranked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows.Data) != 2 {
+	if rows.Len() != 2 {
 		t.Errorf("unranked intersect = %v", skus(rows))
 	}
+}
+
+// TestCursorSetOp drains a UNION through a cursor in pages of 2 and checks
+// it against the one-shot set-operation result: the same scores rank by
+// rank, and the same rows within each run of equal scores.
+func TestCursorSetOp(t *testing.T) {
+	db := setOpDB(t)
+	const q = `SELECT * FROM store_a UNION SELECT * FROM store_b ORDER BY cheap(price) + rated(stars) LIMIT 10`
+	ref, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := db.Cursor(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const k = 2
+	var rows []string
+	var scores []float64
+	for pages := 0; ; pages++ {
+		if pages > 10000 {
+			t.Fatal("cursor never exhausted")
+		}
+		page, err := c.Fetch(k)
+		if err != nil {
+			t.Fatalf("page %d: %v", pages, err)
+		}
+		if page.Len() > k {
+			t.Fatalf("page %d has %d rows, want <= %d", pages, page.Len(), k)
+		}
+		for i := 0; i < page.Len(); i++ {
+			rows = append(rows, render(page.At(i)))
+		}
+		scores = append(scores, page.Scores...)
+		if c.Pulled() != len(rows) {
+			t.Fatalf("Pulled() = %d after %d rows", c.Pulled(), len(rows))
+		}
+		if page.Exhausted {
+			if !c.Exhausted() {
+				t.Fatal("page says exhausted but cursor disagrees")
+			}
+			break
+		}
+		if page.Len() < k {
+			t.Fatalf("short page %d (%d rows) not marked exhausted", pages, page.Len())
+		}
+	}
+	for i := 1; i < len(scores); i++ {
+		if scores[i] > scores[i-1]+1e-9 {
+			t.Fatalf("scores increase across pages at %d: %g > %g", i, scores[i], scores[i-1])
+		}
+	}
+
+	if len(rows) != ref.Len() {
+		t.Fatalf("paged run yielded %d rows, one-shot %d", len(rows), ref.Len())
+	}
+	for i := range scores {
+		if d := scores[i] - ref.Scores[i]; d > 1e-9 || d < -1e-9 {
+			t.Fatalf("score[%d] = %g paged vs %g one-shot", i, scores[i], ref.Scores[i])
+		}
+	}
+	for i := 0; i < ref.Len(); {
+		j := i + 1
+		for j < ref.Len() && ref.Scores[j] == ref.Scores[i] {
+			j++
+		}
+		group := map[string]int{}
+		for r := i; r < j; r++ {
+			group[render(ref.At(r))]++
+		}
+		for r := i; r < j; r++ {
+			if group[rows[r]] == 0 {
+				t.Fatalf("rank %d row %q not in one-shot tie group [%d,%d)", r+1, rows[r], i, j)
+			}
+			group[rows[r]]--
+		}
+		i = j
+	}
+}
+
+// render joins a row's values into one comparable string.
+func render(row []ranksql.Value) string {
+	parts := make([]string, len(row))
+	for i, v := range row {
+		parts[i] = v.String()
+	}
+	return strings.Join(parts, "|")
 }

@@ -209,3 +209,34 @@ func (p *PlanNode) Build(env *Env) (exec.Operator, error) {
 		return nil, fmt.Errorf("optimizer: cannot build plan kind %d", p.Kind)
 	}
 }
+
+// Estimates aligns a plan's per-node cardinality estimates with the
+// snapshot of a tree built from it, returning one estimate per snapshot
+// node (pre-order, parallel to tree). Build makes the tree node for node,
+// so the two pair positionally; the one node the plan does not have is the
+// projection a statement that names its columns roots the tree in. A
+// projection passes its input through row-for-row, so that root inherits
+// its input's estimate. Any other size mismatch returns nil: estimate
+// drift is a diagnostic, and a wrong positional pairing would be worse
+// than no pairing.
+func Estimates(plan *PlanNode, tree exec.TreeSnapshot) []float64 {
+	if plan == nil || len(tree) == 0 {
+		return nil
+	}
+	ests := make([]float64, 0, len(tree))
+	var flatten func(n *PlanNode)
+	flatten = func(n *PlanNode) {
+		ests = append(ests, n.Card)
+		for _, c := range n.Children {
+			flatten(c)
+		}
+	}
+	flatten(plan)
+	if len(tree) == len(ests)+1 {
+		ests = append([]float64{plan.Card}, ests...)
+	}
+	if len(tree) != len(ests) {
+		return nil
+	}
+	return ests
+}

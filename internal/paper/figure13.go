@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ranksql/internal/engine"
 	"ranksql/internal/optimizer"
 )
 
@@ -20,7 +19,7 @@ type OpCard struct {
 // (the paper reports plan3 and plan4; plan2 behaves like plan3): run the
 // §5.2 estimator with the default sampling options over the plan, execute
 // the plan for real under λ_k (k = db.Config.K), and pair per-operator
-// estimated and actual output cardinalities with engine.PlanEstimates, the
+// estimated and actual output cardinalities with optimizer.Estimates, the
 // pairing EXPLAIN ANALYZE uses. λ_k, the plan's top operator and the
 // selections are excluded, exactly as in §6.2.
 func Figure13(db *DB, id PlanID) ([]OpCard, error) {
@@ -39,7 +38,7 @@ func Figure13(db *DB, id PlanID) ([]OpCard, error) {
 	if err != nil {
 		return nil, err
 	}
-	ests := engine.PlanEstimates(topK(plan, db.Config.K), m.Tree)
+	ests := optimizer.Estimates(topK(plan, db.Config.K), m.Tree)
 	if ests == nil {
 		return nil, fmt.Errorf("paper: %s: plan and executed tree do not pair", id)
 	}

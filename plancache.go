@@ -1,4 +1,4 @@
-package engine
+package ranksql
 
 import (
 	"sync"
@@ -10,17 +10,17 @@ import (
 	"ranksql/internal/rank"
 )
 
-// DefaultPlanCacheCapacity is the default number of compiled plans kept.
-const DefaultPlanCacheCapacity = 256
+// defaultPlanCacheCapacity is the default number of compiled plans kept.
+const defaultPlanCacheCapacity = 256
 
-// CompiledPlan is a reusable optimized SELECT: the physical plan template
+// compiledPlan is a reusable optimized SELECT: the physical plan template
 // (whose filter/join conditions may contain parameter placeholders), the
 // environment to build it against, the ranking spec, and the resolved
-// projection. A CompiledPlan is immutable after compilation: executions
+// projection. A compiledPlan is immutable after compilation: executions
 // run on pooled instances of it (streams), each a built operator tree
 // with private parameter slots, so one cached plan serves concurrent
 // queries and cursors.
-type CompiledPlan struct {
+type compiledPlan struct {
 	Plan *optimizer.PlanNode
 	Env  *optimizer.Env
 	Spec *rank.Spec
@@ -34,12 +34,12 @@ type CompiledPlan struct {
 	// is no longer current the data has outgrown the plan's cost
 	// assumptions.
 	Snapshots []*catalog.Snapshot
-	// execs counts executions of this plan, driving the ProfileEvery
+	// execs counts executions of this plan, driving the profileEvery
 	// sampling decision. Atomic: one cached plan serves concurrent
 	// queries under the DB read lock.
 	execs atomic.Uint64
 	// pool recycles the plan's streams across executions. They hold the
-	// per-request mutable state, so the CompiledPlan itself stays
+	// per-request mutable state, so the compiledPlan itself stays
 	// immutable and shared.
 	pool sync.Pool
 }
@@ -54,7 +54,7 @@ type planKey struct {
 	version uint64
 }
 
-// PlanCache is the LRU of compiled plans. A lookup that finds a plan
+// planCache is the LRU of compiled plans. A lookup that finds a plan
 // whose cost assumptions no longer hold (planFresh) drops it and
 // counts a stale miss, so the recompile that follows stores a fresh one.
-type PlanCache = lru.Cache[planKey, *CompiledPlan]
+type planCache = lru.Cache[planKey, *compiledPlan]

@@ -37,27 +37,41 @@
 //	stmt, _ := db.Prepare(`SELECT name FROM hotel WHERE price < ? ORDER BY cheap(price) LIMIT ?`)
 //	rows, _ := stmt.Query(150, 5)
 //
-// The ranksqld daemon (cmd/ranksqld, internal/server) exposes this API as
-// a concurrent HTTP/JSON query service.
+// The package ties the pieces together — catalog, SQL front end, scorer
+// registry, rank-aware optimizer and executor — behind one DB. The ranksqld
+// daemon (cmd/ranksqld, internal/server) exposes this API as a concurrent
+// HTTP/JSON query service.
 package ranksql
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"sync"
+	"unsafe"
 
-	"ranksql/internal/engine"
 	"ranksql/internal/exec"
 	"ranksql/internal/jsonenc"
 	"ranksql/internal/optimizer"
+	"ranksql/internal/rank"
 	"ranksql/internal/types"
 )
 
 // Value is a scalar query value: NULL, BOOL, INT, FLOAT or TEXT.
 type Value struct {
 	v types.Value
+}
+
+// Value is a single-field struct over types.Value, so the two share size
+// and alignment and a []types.Value can be read as a []Value in place
+// (valuesOf). These lines stop compiling if that ever changes.
+var (
+	_ [0]struct{} = [unsafe.Sizeof(Value{}) - unsafe.Sizeof(types.Value{})]struct{}{}
+	_ [0]struct{} = [unsafe.Alignof(Value{}) - unsafe.Alignof(types.Value{})]struct{}{}
+)
+
+// valuesOf views vals as a []Value without copying.
+func valuesOf(vals []types.Value) []Value {
+	return unsafe.Slice((*Value)(unsafe.Pointer(unsafe.SliceData(vals))), len(vals))
 }
 
 // IsNull reports whether the value is NULL.
@@ -122,23 +136,37 @@ func (v Value) AppendJSON(dst []byte) []byte {
 
 // ScoreFunc is a user-defined ranking predicate: it maps argument values
 // to a score, conventionally in [0, 1] (configurable via WithMax). Larger
-// is better. Functions must be deterministic.
+// is better. Functions must be deterministic. args is valid only during
+// the call: the engine reuses its storage for the next evaluation, so a
+// ScoreFunc must not retain it (copy what it needs to keep).
 type ScoreFunc func(args []Value) float64
 
+// scorer is a registered ranking function: the user-defined predicates of
+// the paper (cheap(h.price), close(h.addr, r.addr), ...).
+type scorer struct {
+	// fn computes the score from the argument values, in [0, maxVal].
+	fn rank.ScoreFn
+	// cost is the per-evaluation cost in abstract units; it drives the
+	// optimizer's scheduling and the executor's cost accounting.
+	cost float64
+	// maxVal is the maximal possible score (1 when zero).
+	maxVal float64
+}
+
 // ScorerOption configures a registered scorer.
-type ScorerOption func(*engine.Scorer)
+type ScorerOption func(*scorer)
 
 // WithCost declares the scorer's per-evaluation cost in abstract units;
 // the optimizer schedules expensive predicates later, and
 // Stats.PredCostUnits sums it over evaluations. Default 1.
 func WithCost(c float64) ScorerOption {
-	return func(s *engine.Scorer) { s.Cost = c }
+	return func(s *scorer) { s.cost = c }
 }
 
 // WithMax declares the scorer's maximal possible value, used for
 // upper-bound (maximal-possible-score) computation. Default 1.
 func WithMax(m float64) ScorerOption {
-	return func(s *engine.Scorer) { s.MaxVal = m }
+	return func(s *scorer) { s.maxVal = m }
 }
 
 // Stats are execution counters for one query.
@@ -156,12 +184,26 @@ type Stats struct {
 	Materialized int64
 }
 
+func convertStats(s exec.Stats) Stats {
+	return Stats{
+		TuplesScanned: s.TuplesScanned,
+		PredEvals:     s.PredEvals,
+		PredCostUnits: s.PredCost,
+		Comparisons:   s.Comparisons,
+		JoinProbes:    s.JoinProbes,
+		PeakBuffered:  s.PeakBuffered,
+		Materialized:  s.Materialized,
+	}
+}
+
 // Rows is a materialized query result.
 type Rows struct {
 	// Columns are the qualified output column names.
 	Columns []string
-	rows    [][]types.Value
-	// Scores[i] is row i's score under the query's ranking function.
+	// data[i] is one output row.
+	data [][]types.Value
+	// Scores[i] is row i's score under the query's ranking function (0
+	// for Boolean-only queries).
 	Scores []float64
 	// Stats are the query's execution counters.
 	Stats Stats
@@ -183,10 +225,15 @@ type Rows struct {
 	// timing and ExecTree() renders it.
 	Profiled bool
 
-	execTree func() string
-	tree     exec.TreeSnapshot
-	est      []float64
-	pos      int
+	// tree is the executed-tree snapshot: per-operator labels, rows
+	// emitted and depth of enumeration, plus wall time and call counts
+	// when Profiled. Nil for a plan-only EXPLAIN.
+	tree exec.TreeSnapshot
+	// est holds the plan's estimated output cardinality per tree node
+	// (optimizer.Estimates), on profiled executions whose tree pairs with
+	// its plan; est-vs-actual drift is tree[i].Out against est[i].
+	est []float64
+	pos int
 }
 
 // OpProfile is one operator of the executed plan: its position in the
@@ -239,21 +286,17 @@ func (r *Rows) Operators() []OpProfile {
 }
 
 // ExecTree renders the executed operator tree with per-operator output
-// counts (EXPLAIN ANALYZE style). The rendering is computed on demand, so
-// hot paths that never ask for it pay nothing.
-func (r *Rows) ExecTree() string {
-	if r.execTree == nil {
-		return ""
-	}
-	return r.execTree()
-}
+// counts (EXPLAIN ANALYZE style); "" for a plan-only EXPLAIN. The
+// rendering is computed on demand, so hot paths that never ask for it pay
+// nothing.
+func (r *Rows) ExecTree() string { return r.tree.String() }
 
 // Len returns the number of rows.
-func (r *Rows) Len() int { return len(r.rows) }
+func (r *Rows) Len() int { return len(r.data) }
 
 // Next advances the cursor; use Row to read the current row.
 func (r *Rows) Next() bool {
-	if r.pos >= len(r.rows) {
+	if r.pos >= len(r.data) {
 		return false
 	}
 	r.pos++
@@ -262,7 +305,7 @@ func (r *Rows) Next() bool {
 
 // Row returns the current row after Next.
 func (r *Rows) Row() []Value {
-	raw := r.rows[r.pos-1]
+	raw := r.data[r.pos-1]
 	out := make([]Value, len(raw))
 	for i, v := range raw {
 		out[i] = Value{v: v}
@@ -275,7 +318,7 @@ func (r *Rows) Score() float64 { return r.Scores[r.pos-1] }
 
 // At returns row i without moving the cursor.
 func (r *Rows) At(i int) []Value {
-	raw := r.rows[i]
+	raw := r.data[i]
 	out := make([]Value, len(raw))
 	for j, v := range raw {
 		out[j] = Value{v: v}
@@ -285,126 +328,17 @@ func (r *Rows) At(i int) []Value {
 
 // ValueAt returns the value at row i, column j without materializing a
 // row slice — the allocation-free counterpart of At(i)[j].
-func (r *Rows) ValueAt(i, j int) Value { return Value{v: r.rows[i][j]} }
+func (r *Rows) ValueAt(i, j int) Value { return Value{v: r.data[i][j]} }
 
 // RowWidth returns the number of columns in row i.
-func (r *Rows) RowWidth(i int) int { return len(r.rows[i]) }
+func (r *Rows) RowWidth(i int) int { return len(r.data[i]) }
 
 // Result reports the effect of a DDL/DML statement.
 type Result struct {
+	// RowsAffected counts inserted rows.
 	RowsAffected int
-	Message      string
-}
-
-// DB is an embedded RankSQL database, safe for concurrent use: queries
-// proceed in parallel, DDL/DML statements are serialized against them.
-// Configuration calls (RegisterScorer, SetTuning) are intended for setup
-// time.
-type DB struct {
-	eng *engine.DB
-}
-
-// Open creates an empty in-memory database.
-func Open() *DB {
-	return &DB{eng: engine.New()}
-}
-
-// RegisterScorer makes a ranking function available to ORDER BY clauses
-// and CREATE RANK INDEX statements.
-func (db *DB) RegisterScorer(name string, fn ScoreFunc, opts ...ScorerOption) error {
-	if fn == nil {
-		return fmt.Errorf("ranksql: scorer %q has no function", name)
-	}
-	s := engine.Scorer{
-		Fn: func(args []types.Value) float64 {
-			wrapped := make([]Value, len(args))
-			for i, a := range args {
-				wrapped[i] = Value{v: a}
-			}
-			return fn(wrapped)
-		},
-		Cost:   1,
-		MaxVal: 1,
-	}
-	for _, o := range opts {
-		o(&s)
-	}
-	return db.eng.RegisterScorer(name, s)
-}
-
-// Exec runs a DDL or DML statement (CREATE TABLE, CREATE INDEX, CREATE
-// RANK INDEX, INSERT).
-func (db *DB) Exec(sql string) (*Result, error) {
-	res, err := db.eng.Exec(sql)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{RowsAffected: res.RowsAffected, Message: res.Message}, nil
-}
-
-// Query runs a SELECT and returns the materialized result. Ranking
-// queries (ORDER BY scoring function, LIMIT k) are optimized with the
-// rank-aware optimizer and executed incrementally.
-func (db *DB) Query(sql string) (*Rows, error) {
-	rows, err := db.eng.Query(sql)
-	if err != nil {
-		return nil, err
-	}
-	return wrapRows(rows), nil
-}
-
-func wrapRows(rows *engine.Rows) *Rows {
-	return &Rows{
-		Columns:   rows.Columns,
-		rows:      rows.Data,
-		Scores:    rows.Scores,
-		Stats:     convertStats(rows.Stats),
-		execTree:  rows.ExecTree,
-		tree:      rows.Tree,
-		est:       rows.Est,
-		Profiled:  rows.Profiled,
-		CacheHit:  rows.CacheHit,
-		K:         rows.K,
-		Exhausted: rows.Exhausted,
-	}
-}
-
-// QueryScores is a convenience wrapper returning only the result scores.
-func (db *DB) QueryScores(sql string) ([]float64, error) {
-	rows, err := db.Query(sql)
-	if err != nil {
-		return nil, err
-	}
-	return rows.Scores, nil
-}
-
-// Explain returns the optimized physical plan for a SELECT, annotated
-// with estimated cardinalities and costs.
-func (db *DB) Explain(sql string) (string, error) {
-	return db.eng.Explain(sql)
-}
-
-// ExplainAnalyze executes a SELECT with per-operator timing enabled and
-// returns the profiled result: the rows hold the rendered operator tree
-// (one "QUERY PLAN" column), and Operators() exposes the structured
-// per-operator wall time, rows and depth-k. sql must be a plain SELECT
-// or set-operation statement (without an EXPLAIN prefix of its own —
-// `Query("EXPLAIN ANALYZE ...")` is the equivalent spelled out).
-func (db *DB) ExplainAnalyze(sql string) (*Rows, error) {
-	return db.Query("EXPLAIN ANALYZE " + sql)
-}
-
-// SetProfileSampling configures sampled operator profiling: every N-th
-// execution of a query template runs with per-operator timing and feeds
-// the template's operator profile (Rows.Profiled reports which). 0
-// disables sampling; EXPLAIN ANALYZE always profiles. Default 16.
-func (db *DB) SetProfileSampling(every int) {
-	db.eng.SetProfileSampling(every)
-}
-
-// Tables lists the database's table names.
-func (db *DB) Tables() []string {
-	return db.eng.Catalog.TableNames()
+	// Message describes DDL effects.
+	Message string
 }
 
 // Tuning exposes optimizer knobs.
@@ -423,25 +357,6 @@ type Tuning struct {
 	MinSampleRows int
 }
 
-// SetTuning reconfigures the optimizer.
-func (db *DB) SetTuning(t Tuning) error {
-	if t.SampleRatio < 0 || t.SampleRatio > 1 {
-		return fmt.Errorf("ranksql: sample ratio must be in [0, 1]")
-	}
-	opts := optimizer.DefaultOptions()
-	opts.LeftDeepOnly = t.LeftDeepOnly
-	opts.RankHeuristic = t.RankHeuristic
-	opts.NoRankOperators = t.NoRankOperators
-	if t.SampleRatio > 0 {
-		opts.SampleRatio = t.SampleRatio
-	}
-	if t.MinSampleRows > 0 {
-		opts.MinSampleRows = t.MinSampleRows
-	}
-	db.eng.SetOptions(opts)
-	return nil
-}
-
 // DefaultTuning mirrors the engine defaults (heuristics on, 0.1% samples
 // with a 100-row floor).
 func DefaultTuning() Tuning {
@@ -452,217 +367,6 @@ func DefaultTuning() Tuning {
 		SampleRatio:   o.SampleRatio,
 		MinSampleRows: o.MinSampleRows,
 	}
-}
-
-func convertStats(s exec.Stats) Stats {
-	return Stats{
-		TuplesScanned: s.TuplesScanned,
-		PredEvals:     s.PredEvals,
-		PredCostUnits: s.PredCost,
-		Comparisons:   s.Comparisons,
-		JoinProbes:    s.JoinProbes,
-		PeakBuffered:  s.PeakBuffered,
-		Materialized:  s.Materialized,
-	}
-}
-
-// Stmt is a prepared statement: parsed once, executable many times with
-// different `?` parameter bindings. A Stmt is immutable and safe for
-// concurrent use. Prepared SELECTs share the DB's plan cache, so repeated
-// executions (and identical templates prepared elsewhere) skip
-// optimization entirely.
-type Stmt struct {
-	p *engine.Prepared
-}
-
-// Prepare parses a statement template containing `?` placeholders.
-// Placeholders may appear in WHERE clauses, LIMIT bounds and INSERT
-// values; they are bound positionally by Query/Exec arguments.
-func (db *DB) Prepare(sql string) (*Stmt, error) {
-	p, err := db.eng.Prepare(sql)
-	if err != nil {
-		return nil, err
-	}
-	return &Stmt{p: p}, nil
-}
-
-// NumParams returns the number of `?` placeholders in the statement.
-func (s *Stmt) NumParams() int { return s.p.NumParams() }
-
-// Normalized returns the canonical template text — the statement
-// component of the plan-cache key.
-func (s *Stmt) Normalized() string { return s.p.Normalized() }
-
-// SQL returns the original statement text.
-func (s *Stmt) SQL() string { return s.p.SQL() }
-
-// IsQuery reports whether the statement returns rows.
-func (s *Stmt) IsQuery() bool { return s.p.IsQuery() }
-
-// Query executes a prepared SELECT with the given parameter values.
-// Supported argument types: nil, bool, int, int32, int64, float32,
-// float64, string and Value.
-func (s *Stmt) Query(args ...interface{}) (*Rows, error) {
-	return s.QueryContext(context.Background(), args...)
-}
-
-// QueryContext is Query with cancellation: when ctx is done, execution is
-// interrupted at the next cancellation point and ctx's error is returned.
-func (s *Stmt) QueryContext(ctx context.Context, args ...interface{}) (*Rows, error) {
-	params, release, err := getParams(args)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rows, err := s.p.QueryCancel(params, ctx.Done())
-	if err != nil {
-		if errors.Is(err, exec.ErrInterrupted) && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, err
-	}
-	return wrapRows(rows), nil
-}
-
-// Exec executes a prepared DDL/DML statement with the given parameters.
-func (s *Stmt) Exec(args ...interface{}) (*Result, error) {
-	params, release, err := getParams(args)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	res, err := s.p.Exec(params)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{RowsAffected: res.RowsAffected, Message: res.Message}, nil
-}
-
-// ErrCursorInvalidated is returned by Cursor.Fetch when DDL changed the
-// schema after the cursor was opened; the cursor is closed and must be
-// re-opened.
-var ErrCursorInvalidated = engine.ErrCursorInvalidated
-
-// ErrCursorClosed is returned by Cursor.Fetch after Close.
-var ErrCursorClosed = engine.ErrCursorClosed
-
-// Cursor is a resumable ranked stream over a SELECT or set-operation
-// statement: the operator tree is opened once and suspended between
-// pulls, so fetching page N costs only the incremental work past page
-// N-1 — no re-planning, no re-execution of earlier pages. Pages come
-// back in the query's score order; a LIMIT k in the statement tunes the
-// plan for depth k but does not cap the stream.
-//
-// The stream is a consistent snapshot of the data as of open (inserts
-// landing between pulls are not seen); DDL invalidates the cursor.
-type Cursor struct {
-	c *engine.Cursor
-}
-
-// Cursor opens a resumable ranked cursor over a SELECT or set-operation
-// statement. Repeated SELECT templates share the plan cache with Query.
-func (db *DB) Cursor(sql string) (*Cursor, error) {
-	c, err := db.eng.QueryCursor(sql)
-	if err != nil {
-		return nil, err
-	}
-	return &Cursor{c: c}, nil
-}
-
-// Cursor opens a resumable ranked cursor over the prepared query with
-// the given parameter values.
-func (s *Stmt) Cursor(args ...interface{}) (*Cursor, error) {
-	params, err := toValues(args)
-	if err != nil {
-		return nil, err
-	}
-	c, err := s.p.Cursor(params)
-	if err != nil {
-		return nil, err
-	}
-	return &Cursor{c: c}, nil
-}
-
-// Fetch pulls the next n rows from the suspended stream. The page's
-// Exhausted reports whether the stream ran dry; Stats are cumulative
-// across every pull of this cursor.
-func (c *Cursor) Fetch(n int) (*Rows, error) {
-	rows, err := c.c.Fetch(n)
-	if err != nil {
-		return nil, err
-	}
-	return wrapRows(rows), nil
-}
-
-// FetchContext is Fetch with cancellation: when ctx is done, the pull is
-// interrupted at the next cancellation point (the cursor stays usable).
-func (c *Cursor) FetchContext(ctx context.Context, n int) (*Rows, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rows, err := c.c.FetchCancel(n, ctx.Done())
-	if err != nil {
-		if errors.Is(err, exec.ErrInterrupted) && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, err
-	}
-	return wrapRows(rows), nil
-}
-
-// Close releases the cursor's suspended operator tree. Idempotent.
-func (c *Cursor) Close() error { return c.c.Close() }
-
-// Pulled returns the total number of rows fetched so far (the 0-based
-// rank of the next row).
-func (c *Cursor) Pulled() int { return c.c.Pulled() }
-
-// Exhausted reports whether the stream has run dry.
-func (c *Cursor) Exhausted() bool { return c.c.Exhausted() }
-
-// Columns returns the qualified output column names.
-func (c *Cursor) Columns() []string { return c.c.Columns() }
-
-// CacheHit reports whether opening the cursor reused a cached plan.
-func (c *Cursor) CacheHit() bool { return c.c.CacheHit() }
-
-// K returns the statement's LIMIT — the depth hint the plan was tuned
-// for (0 when the statement had none). The stream itself is not capped.
-func (c *Cursor) K() int { return c.c.K() }
-
-// PinnedBytes estimates the memory pinned by the cursor's suspended
-// operator state (tuples resident in ranking queues, hash tables and
-// materializations, plus tuples parked by an interrupted pull). Zero
-// once the cursor is closed. The figure backs the server's
-// cursor_pinned_bytes gauge.
-func (c *Cursor) PinnedBytes() int64 { return c.c.PinnedBytes() }
-
-// QueryContext runs a (possibly parameterized) SELECT with cancellation.
-// It is one-shot sugar for Prepare + Stmt.QueryContext; repeated templates
-// still hit the plan cache.
-func (db *DB) QueryContext(ctx context.Context, sql string, args ...interface{}) (*Rows, error) {
-	stmt, err := db.Prepare(sql)
-	if err != nil {
-		return nil, err
-	}
-	return stmt.QueryContext(ctx, args...)
-}
-
-// ExecContext runs a (possibly parameterized) DDL/DML statement. The
-// context is checked before execution begins; DDL/DML itself is not
-// interruptible.
-func (db *DB) ExecContext(ctx context.Context, sql string, args ...interface{}) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	stmt, err := db.Prepare(sql)
-	if err != nil {
-		return nil, err
-	}
-	return stmt.Exec(args...)
 }
 
 // CacheStats is a snapshot of the plan cache's counters.
@@ -684,23 +388,9 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// PlanCacheStats snapshots the DB's plan-cache counters.
-func (db *DB) PlanCacheStats() CacheStats {
-	s := db.eng.Plans.Stats()
-	return CacheStats{
-		Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions,
-		StaleRecompiles: s.Stale,
-		Entries:         s.Entries, Capacity: s.Capacity,
-	}
-}
-
-// SetPlanCacheCapacity resizes the plan cache; 0 disables caching.
-func (db *DB) SetPlanCacheCapacity(n int) { db.eng.Plans.Resize(n) }
-
-// paramPool recycles bind-argument slices across Query/Exec calls. The
-// engine copies parameter values out of the slice during binding and
-// never retains it, so the slice can be returned to the pool as soon as
-// the call completes.
+// paramPool recycles bind-argument slices across Query/Exec/Cursor calls.
+// Binding copies parameter values out of the slice and never retains it,
+// so the slice can be returned to the pool as soon as the call completes.
 var paramPool = sync.Pool{
 	New: func() interface{} {
 		s := make([]types.Value, 0, 8)
@@ -726,14 +416,6 @@ func getParams(args []interface{}) ([]types.Value, func(), error) {
 		*p = (*p)[:0]
 		paramPool.Put(p)
 	}, nil
-}
-
-// toValues converts native Go arguments to engine values.
-func toValues(args []interface{}) ([]types.Value, error) {
-	if len(args) == 0 {
-		return nil, nil
-	}
-	return appendValues(make([]types.Value, 0, len(args)), args)
 }
 
 // appendValues appends the converted arguments to dst.

@@ -1,4 +1,4 @@
-package engine
+package ranksql
 
 import (
 	"fmt"
@@ -44,7 +44,7 @@ func (db *DB) buildSetOp(st *sql.SetOpStmt) (*stream, error) {
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		res, err := optimizer.Optimize(q, db.Options)
+		res, err := optimizer.Optimize(q, db.options)
 		if err != nil {
 			return nil, nil, nil, err
 		}

@@ -1,4 +1,4 @@
-package engine
+package ranksql
 
 import (
 	"fmt"
@@ -15,7 +15,7 @@ import (
 // Run under -race.
 func TestConcurrentCompilesShareOneRedraw(t *testing.T) {
 	db := tripDB(t) // 5 hotels
-	compile := func(src string) *CompiledPlan {
+	compile := func(src string) *compiledPlan {
 		t.Helper()
 		st, err := sql.Parse(src)
 		if err != nil {

@@ -1,21 +1,27 @@
-package engine
+package ranksql
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 
+	"ranksql/internal/exec"
 	"ranksql/internal/optimizer"
 	"ranksql/internal/schema"
 	"ranksql/internal/sql"
 	"ranksql/internal/types"
 )
 
-// Prepared is a parsed statement template with `?` placeholders. It is
-// immutable and safe for concurrent use: every execution writes its
-// parameter values into the private slots of the plan instance it runs
-// on, never into the template or the cached plan.
-type Prepared struct {
+// Stmt is a prepared statement: parsed once, executable many times with
+// different `?` parameter bindings. A Stmt is immutable and safe for
+// concurrent use: every execution writes its parameter values into the
+// private slots of the plan instance it runs on, never into the template
+// or the cached plan. Prepared SELECTs share the DB's plan cache, so
+// repeated executions (and identical templates prepared elsewhere) skip
+// optimization entirely.
+type Stmt struct {
 	db        *DB
 	src       string
 	norm      string
@@ -27,12 +33,14 @@ type Prepared struct {
 	// literals, so admitting them globally would let ad-hoc traffic
 	// churn out the genuinely reusable parameterized templates.
 	localMu      sync.Mutex
-	localPlan    *CompiledPlan
+	localPlan    *compiledPlan
 	localVersion uint64
 }
 
-// Prepare parses a statement once for repeated execution.
-func (db *DB) Prepare(src string) (*Prepared, error) {
+// Prepare parses a statement template containing `?` placeholders.
+// Placeholders may appear in WHERE clauses, LIMIT bounds and INSERT
+// values; they are bound positionally by Query/Exec arguments.
+func (db *DB) Prepare(src string) (*Stmt, error) {
 	st, err := sql.Parse(src)
 	if err != nil {
 		return nil, err
@@ -40,7 +48,7 @@ func (db *DB) Prepare(src string) (*Prepared, error) {
 	if _, ok := st.(*sql.SetOpStmt); ok && sql.CountParams(st) > 0 {
 		return nil, fmt.Errorf("engine: parameters are not supported in set-operation statements")
 	}
-	return &Prepared{
+	return &Stmt{
 		db:        db,
 		src:       src,
 		norm:      sql.Normalize(st),
@@ -50,18 +58,18 @@ func (db *DB) Prepare(src string) (*Prepared, error) {
 }
 
 // SQL returns the original statement text.
-func (p *Prepared) SQL() string { return p.src }
+func (s *Stmt) SQL() string { return s.src }
 
-// Normalized returns the canonical template text (the plan-cache key's
-// statement component).
-func (p *Prepared) Normalized() string { return p.norm }
+// Normalized returns the canonical template text — the statement
+// component of the plan-cache key.
+func (s *Stmt) Normalized() string { return s.norm }
 
-// NumParams returns the number of `?` placeholders.
-func (p *Prepared) NumParams() int { return p.numParams }
+// NumParams returns the number of `?` placeholders in the statement.
+func (s *Stmt) NumParams() int { return s.numParams }
 
 // IsQuery reports whether the statement returns rows (SELECT / set op).
-func (p *Prepared) IsQuery() bool {
-	switch p.stmt.(type) {
+func (s *Stmt) IsQuery() bool {
+	switch s.stmt.(type) {
 	case *sql.SelectStmt, *sql.SetOpStmt:
 		return true
 	}
@@ -69,35 +77,60 @@ func (p *Prepared) IsQuery() bool {
 }
 
 // Query executes a prepared SELECT with the given parameter values.
-func (p *Prepared) Query(params []types.Value) (*Rows, error) {
-	return p.QueryCancel(params, nil)
+// Supported argument types: nil, bool, int, int32, int64, float32,
+// float64, string and Value.
+func (s *Stmt) Query(args ...interface{}) (*Rows, error) {
+	return s.QueryContext(context.Background(), args...)
 }
 
-// QueryCancel is Query with a cancellation channel: closing cancel
-// interrupts execution at the next cancellation point.
-func (p *Prepared) QueryCancel(params []types.Value, cancel <-chan struct{}) (*Rows, error) {
-	return p.db.query(p.stmt, p.norm, params, cancel, p)
-}
-
-// Exec executes a prepared DDL/DML statement with the given parameters.
-func (p *Prepared) Exec(params []types.Value) (*Result, error) {
-	switch p.stmt.(type) {
-	case *sql.SelectStmt, *sql.SetOpStmt:
-		return nil, fmt.Errorf("engine: use Query for SELECT statements")
-	}
-	st, err := sql.BindParams(p.stmt, params)
+// QueryContext is Query with cancellation: when ctx is done, execution is
+// interrupted at the next cancellation point and ctx's error is returned.
+func (s *Stmt) QueryContext(ctx context.Context, args ...interface{}) (*Rows, error) {
+	params, release, err := getParams(args)
 	if err != nil {
 		return nil, err
 	}
-	return p.db.execStmt(st)
+	defer release()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	rows, err := s.db.query(s.stmt, s.norm, params, ctx.Done(), s)
+	return rows, ctxErr(ctx, err)
+}
+
+// ctxErr reports an execution interrupted because ctx is done as ctx's
+// error, and any other error (or nil) as itself.
+func ctxErr(ctx context.Context, err error) error {
+	if errors.Is(err, exec.ErrInterrupted) && ctx.Err() != nil {
+		return ctx.Err()
+	}
+	return err
+}
+
+// Exec executes a prepared DDL/DML statement with the given parameters.
+func (s *Stmt) Exec(args ...interface{}) (*Result, error) {
+	params, release, err := getParams(args)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	switch s.stmt.(type) {
+	case *sql.SelectStmt, *sql.SetOpStmt:
+		return nil, fmt.Errorf("engine: use Query for SELECT statements")
+	}
+	st, err := sql.BindParams(s.stmt, params)
+	if err != nil {
+		return nil, err
+	}
+	return s.db.execStmt(st)
 }
 
 // streamFor resolves a query statement and its bound values to an
 // unopened stream — an instance of the (cached or just compiled) plan for
 // a SELECT, a freshly built tree for a set operation — and reports whether
-// a cached plan was reused. pr is the Prepared handle, nil for ad-hoc
+// a cached plan was reused. pr is the prepared Stmt, nil for ad-hoc
 // statements. Callers hold db.mu (read side).
-func (db *DB) streamFor(st sql.Stmt, norm string, params []types.Value, pr *Prepared) (*stream, bool, error) {
+func (db *DB) streamFor(st sql.Stmt, norm string, params []types.Value, pr *Stmt) (*stream, bool, error) {
 	switch q := st.(type) {
 	case *sql.SelectStmt:
 		cp, hit, err := db.resolvePlan(q, norm, params, pr)
@@ -135,7 +168,7 @@ func explainFlags(st sql.Stmt) (explain, analyze bool) {
 // the rows, release. EXPLAIN [ANALYZE] rides the same path: Normalize
 // ignores the flags, so an analyze run shares (and warms) the plan-cache
 // entry of the underlying SELECT.
-func (db *DB) query(st sql.Stmt, norm string, params []types.Value, cancel <-chan struct{}, pr *Prepared) (*Rows, error) {
+func (db *DB) query(st sql.Stmt, norm string, params []types.Value, cancel <-chan struct{}, pr *Stmt) (*Rows, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	s, hit, err := db.streamFor(st, norm, params, pr)
@@ -163,7 +196,7 @@ func (db *DB) query(st sql.Stmt, norm string, params []types.Value, cancel <-cha
 	// A result shorter than k means the operators ran dry (no more
 	// matching tuples exist); exactly k rows means deeper rows may exist.
 	rows.K = s.k()
-	rows.Exhausted = rows.K == 0 || len(rows.Data) < rows.K
+	rows.Exhausted = rows.K == 0 || len(rows.data) < rows.K
 	s.release()
 	if analyze {
 		rows = analyzeRows(rows)
@@ -176,10 +209,10 @@ func (db *DB) query(st sql.Stmt, norm string, params []types.Value, cancel <-cha
 // resolved first because it is part of the plan identity — the rank-aware
 // optimizer's plan choice depends on the top-k depth. Parameterized
 // templates share the DB-wide LRU; literal-only statements are cached on
-// their Prepared handle (pr; nil for ad-hoc queries, which then skip
+// their Stmt (pr; nil for ad-hoc queries, which then skip
 // caching so one-off literal SQL cannot evict hot templates). Callers hold
 // db.mu (read side).
-func (db *DB) resolvePlan(sel *sql.SelectStmt, norm string, params []types.Value, pr *Prepared) (cp *CompiledPlan, hit bool, err error) {
+func (db *DB) resolvePlan(sel *sql.SelectStmt, norm string, params []types.Value, pr *Stmt) (cp *compiledPlan, hit bool, err error) {
 	// The placeholder count is cached on the prepared statement; walking
 	// the expression trees on every execution would tax the hot path.
 	var want int
@@ -206,7 +239,7 @@ func (db *DB) resolvePlan(sel *sql.SelectStmt, norm string, params []types.Value
 	// and the compile below, on a redrawn snapshot, stores its replacement.
 	switch {
 	case parameterized:
-		cp, hit = db.Plans.Get(key, planFresh)
+		cp, hit = db.plans.Get(key, planFresh)
 	case pr != nil:
 		pr.localMu.Lock()
 		if pr.localVersion == db.version && pr.localPlan != nil && planFresh(pr.localPlan) {
@@ -227,7 +260,7 @@ func (db *DB) resolvePlan(sel *sql.SelectStmt, norm string, params []types.Value
 	}
 	switch {
 	case parameterized:
-		db.Plans.Put(key, cp)
+		db.plans.Put(key, cp)
 	case pr != nil:
 		pr.localMu.Lock()
 		pr.localPlan, pr.localVersion = cp, db.version
@@ -237,10 +270,10 @@ func (db *DB) resolvePlan(sel *sql.SelectStmt, norm string, params []types.Value
 }
 
 // shouldProfile decides whether this execution of a compiled plan should
-// carry operator timing: every ProfileEvery-th run, starting with the
+// carry operator timing: every profileEvery-th run, starting with the
 // first. Set-operation streams have no plan and are never sampled.
-func (db *DB) shouldProfile(cp *CompiledPlan) bool {
-	every := db.ProfileEvery
+func (db *DB) shouldProfile(cp *compiledPlan) bool {
+	every := db.profileEvery
 	if cp == nil || every <= 0 {
 		return false
 	}
@@ -252,7 +285,7 @@ func (db *DB) shouldProfile(cp *CompiledPlan) bool {
 func planTextRows(text string) *Rows {
 	rows := &Rows{Columns: []string{"QUERY PLAN"}, Exhausted: true}
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
-		rows.Data = append(rows.Data, []types.Value{types.NewString(line)})
+		rows.data = append(rows.data, []types.Value{types.NewString(line)})
 	}
 	return rows
 }
@@ -266,11 +299,9 @@ func analyzeRows(rows *Rows) *Rows {
 	out.CacheHit = rows.CacheHit
 	out.K = rows.K
 	out.Stats = rows.Stats
-	out.Plan = rows.Plan
-	out.Tree = rows.Tree
+	out.tree = rows.tree
 	out.Profiled = rows.Profiled
-	out.Est = rows.Est
-	out.ExecTree = rows.ExecTree
+	out.est = rows.est
 	return out
 }
 
@@ -278,7 +309,7 @@ func analyzeRows(rows *Rows) *Rows {
 // every table snapshot it was costed on is still current (no table has
 // outgrown its snapshot, catalog.Snapshot.Current). It takes no lock of
 // its own; callers hold db.mu (read side).
-func planFresh(cp *CompiledPlan) bool {
+func planFresh(cp *compiledPlan) bool {
 	for _, s := range cp.Snapshots {
 		if !s.Current() {
 			return false
@@ -288,16 +319,16 @@ func planFresh(cp *CompiledPlan) bool {
 }
 
 // compileSelect binds and optimizes a SELECT (whose parameters are already
-// bound) into a reusable CompiledPlan. Resolving the projection takes a
+// bound) into a reusable compiledPlan. Resolving the projection takes a
 // built operator tree; that tree is pooled as the plan's first instance,
 // so the execution that triggered the compile runs it instead of building
 // a second one. Callers hold db.mu.
-func (db *DB) compileSelect(sel *sql.SelectStmt) (*CompiledPlan, error) {
+func (db *DB) compileSelect(sel *sql.SelectStmt) (*compiledPlan, error) {
 	q, spec, err := db.bind(sel)
 	if err != nil {
 		return nil, err
 	}
-	res, err := optimizer.Optimize(q, db.Options)
+	res, err := optimizer.Optimize(q, db.options)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +336,7 @@ func (db *DB) compileSelect(sel *sql.SelectStmt) (*CompiledPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp := &CompiledPlan{
+	cp := &compiledPlan{
 		Plan:      res.Plan,
 		Env:       res.Env,
 		Spec:      spec,
