@@ -45,7 +45,7 @@ func main() {
 	rows := flag.Int("rows", 20000, "seeded base-table row count")
 	cache := flag.Int("plan-cache", 0, "plan cache capacity (0 = engine default)")
 	scorers := flag.String("scorers", "", "register a dataset's scorers without seeding its data (comma-separated; for shard backends started with -seed none)")
-	sessionTTL := flag.Duration("session-ttl", 0, "expiry of idle sessions and idle ranked cursors; in router mode, of idle router cursors (0 = never expire)")
+	sessionTTL := flag.Duration("session-ttl", 0, "expiry of idle sessions and idle ranked cursors, on either daemon (0 = never expire)")
 	routerMode := flag.Bool("router", false, "run as a sharding coordinator over -shards instead of an embedded engine")
 	shards := flag.String("shards", "", "shard base URLs (router mode): shards separated by ';', replicas of one shard by ',', e.g. a:7070,b:7070;c:7070,d:7070 (two shards, two replicas each); with no ';' each comma-separated URL is its own single-replica shard")
 	hedgeDelay := flag.Duration("hedge-delay", 0, "router mode: issue a hedged read to a shard's next replica when the preferred one hasn't answered within this delay (0 = disabled)")
@@ -61,7 +61,7 @@ func main() {
 	if *routerMode {
 		var ropts []router.Option
 		if *sessionTTL > 0 {
-			ropts = append(ropts, router.WithCursorTTL(*sessionTTL))
+			ropts = append(ropts, router.WithSessionTTL(*sessionTTL))
 		}
 		if *pprofFlag {
 			ropts = append(ropts, router.WithPprof())

@@ -1,6 +1,6 @@
 // Package idle is the one table of client-held handles that expire when
-// left alone: the server's sessions and ranked cursors and the router's
-// cursors are all instances of it. It hides id minting, the idle clock,
+// left alone: internal/front keeps each daemon's sessions and ranked
+// cursors in instances of it. It hides id minting, the idle clock,
 // the lazy sweep (no background goroutine to leak in tests or
 // embeddings) and the tombstones that let a request naming a collected
 // handle hear "expired" rather than "unknown" — from every operation
@@ -75,7 +75,7 @@ func New[V any](spec Spec[V]) *Table[V] {
 }
 
 // Pin registers v under a fixed id, exempt from expiry, removal, the
-// limit and Len (the server's default session "").
+// limit and Len (the default session "").
 func (t *Table[V]) Pin(id string, v V) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -23,12 +23,11 @@ import (
 type Metrics[T any, P templateRow[T]] struct {
 	Reg *Registry
 
-	queries  *Counter   // answered query pages: one-shots and cursor pages
-	Execs    *Counter   // DDL/DML statements (ranksqld: and CSV loads)
-	errors   *Counter   // failed requests, counted by Fail
-	Timeouts *Counter   // queries cut off by a deadline_ms budget
-	slow     *Counter   // pages at or over the slow-query threshold
-	latency  *Histogram // query wall time, seconds
+	queries *Counter   // answered query pages: one-shots and cursor pages
+	Execs   *Counter   // DDL/DML statements (ranksqld: and CSV loads)
+	errors  *Counter   // failed requests, counted by Fail
+	slow    *Counter   // pages at or over the slow-query threshold
+	latency *Histogram // query wall time, seconds
 
 	RowsReturned *Counter // ranked rows answered
 	Scanned      *Counter // base-table tuples read (router: summed over shards)
@@ -36,17 +35,13 @@ type Metrics[T any, P templateRow[T]] struct {
 	// hash tables, sort runs) — the memory-pressure counterpart of Scanned.
 	Materialized *Counter
 
-	CursorsOpened *Counter // ranked cursors opened
-	CursorHits    *Counter // /cursor/next pulls that found a live cursor
-	CursorMisses  *Counter // /cursor/next pulls naming an unknown or expired cursor
+	HandleSeries
 
 	// insight is the ring of per-query resource records behind /insight/*.
 	insight *insight.Ring
 
-	// Tracer receives one record per answered page, at Debug — or at Warn,
-	// counted in slow, once the page took SlowQuery or longer (SlowQuery
-	// <= 0 disables the slow-query log).
-	Tracer    *slog.Logger
+	// SlowQuery is the slow-query threshold: a page that took it or longer
+	// is logged at Warn and counted in slow (<= 0 disables the log).
 	SlowQuery time.Duration
 
 	started time.Time
@@ -59,6 +54,22 @@ type Metrics[T any, P templateRow[T]] struct {
 	prefix string
 }
 
+// HandleSeries is the part of Metrics the client-handle front end
+// (internal/front) counts into, which is the same on both daemons.
+type HandleSeries struct {
+	Timeouts      *Counter // queries cut off by a deadline_ms budget
+	CursorsOpened *Counter // ranked cursors opened
+	CursorHits    *Counter // /cursor/next pulls that found a live cursor
+	CursorMisses  *Counter // /cursor/next pulls naming an unknown or expired cursor
+
+	// Tracer receives one record per answered page, at Debug — or at Warn
+	// once the page took SlowQuery or longer.
+	Tracer *slog.Logger
+}
+
+// Handles returns the series the client-handle front end counts into.
+func (m *Metrics[T, P]) Handles() *HandleSeries { return &m.HandleSeries }
+
 // NewMetrics registers the shared series under prefix ("ranksqld",
 // "ranksql_router").
 func NewMetrics[T any, P templateRow[T]](prefix string) *Metrics[T, P] {
@@ -69,7 +80,6 @@ func NewMetrics[T any, P templateRow[T]](prefix string) *Metrics[T, P] {
 		queries:      reg.Counter(name("queries_total"), "Query pages answered: one-shot answers and cursor pages."),
 		Execs:        reg.Counter(name("execs_total"), "DDL/DML statements served (on ranksqld, CSV loads too)."),
 		errors:       reg.Counter(name("errors_total"), "Requests that failed."),
-		Timeouts:     reg.Counter(name("timeouts_total"), "Queries aborted by a per-request deadline_ms budget."),
 		slow:         reg.Counter(name("slow_queries_total"), "Queries slower than the slow-query threshold."),
 		latency:      reg.Histogram(name("query_duration_seconds"), "Query wall time."),
 		RowsReturned: reg.Counter(name("rows_returned_total"), "Ranked rows returned to clients."),
@@ -77,12 +87,15 @@ func NewMetrics[T any, P templateRow[T]](prefix string) *Metrics[T, P] {
 			"Base-table tuples read by queries (on the router, summed over the shards' reports)."),
 		Materialized: reg.Counter(name("tuples_materialized_total"),
 			"Tuples admitted into operator buffers (heaps, hash tables, sort runs)."),
-		CursorsOpened: reg.Counter(name("cursors_opened_total"), "Ranked cursors opened via /query cursor=true."),
-		CursorHits:    reg.Counter(name("cursor_hits_total"), "/cursor/next pulls that found a live cursor."),
-		CursorMisses: reg.Counter(name("cursor_misses_total"),
-			"/cursor/next pulls naming an unknown or expired cursor."),
+		HandleSeries: HandleSeries{
+			Timeouts:      reg.Counter(name("timeouts_total"), "Queries aborted by a per-request deadline_ms budget."),
+			CursorsOpened: reg.Counter(name("cursors_opened_total"), "Ranked cursors opened via /query cursor=true."),
+			CursorHits:    reg.Counter(name("cursor_hits_total"), "/cursor/next pulls that found a live cursor."),
+			CursorMisses: reg.Counter(name("cursor_misses_total"),
+				"/cursor/next pulls naming an unknown or expired cursor."),
+			Tracer: slog.Default(),
+		},
 		insight: insight.NewRing(0),
-		Tracer:  slog.Default(),
 		started: time.Now(),
 		prefix:  prefix,
 	}

@@ -195,7 +195,11 @@ func decodeShardResponse(resp *http.Response, out interface{}) error {
 		return &shardCallError{class: class, status: resp.StatusCode,
 			msg: fmt.Sprintf("shard replied %d: %q", resp.StatusCode, truncate(snippet, maxErrBodySnippet))}
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	// Numbers stay json.Number, so an INT cell past 2^53 passes through
+	// the merge exactly instead of being rounded to a float64.
+	dec := json.NewDecoder(resp.Body)
+	dec.UseNumber()
+	if err := dec.Decode(out); err != nil {
 		return &shardCallError{class: classRetryable, msg: "decoding shard response: " + err.Error(), cause: err}
 	}
 	return nil

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"reflect"
 	"slices"
-	"sync"
 	"time"
 
 	"ranksql/internal/obs"
@@ -30,28 +29,16 @@ import (
 // state. A re-opened shard cursor whose prefix does not extend the merged
 // one means the data moved: the page answers 409.
 
-const (
-	// maxOpenRouterCursors bounds concurrently open cursors: each one
-	// pins per-shard stream prefixes in router memory plus a suspended
-	// cursor on every shard.
-	maxOpenRouterCursors = 4096
-	// defaultCursorPage is the fetch size when neither the request nor
-	// the statement's LIMIT suggests one.
-	defaultCursorPage = 10
-	// cursorGrowChunk pages an unbounded fetch (n <= 0, "drain the
-	// shard") through the shard cursor in chunks.
-	cursorGrowChunk = 256
-)
+// cursorGrowChunk pages an unbounded fetch (n <= 0, "drain the shard")
+// through the shard cursor in chunks.
+const cursorGrowChunk = 256
 
 // routerCursor is one merged ranked stream: the persistent Merger plus
-// the per-shard streams it draws from. Registered cursors live in an
-// idle.Table under the cursor TTL.
+// the per-shard streams it draws from. Registered cursors live in the
+// front's cursor table, which serializes their pulls.
 type routerCursor struct {
-	mu          sync.Mutex // serializes pulls on this cursor
 	merger      *Merger
 	streams     []*cursorStream
-	norm        string
-	pageSize    int
 	pulled      int // rows delivered so far (rank offset for the next page)
 	rowsFetched int // shard rows already attributed to per-page metrics
 }
@@ -60,7 +47,7 @@ type routerCursor struct {
 // per shard (cursor streams, or one-shots) under a merger whose first
 // fetch is pageSize rows on every shard.
 func (r *Router) newCursor(t *template, params []interface{}, pageSize int, cursor bool) *routerCursor {
-	rc := &routerCursor{norm: t.norm, pageSize: pageSize}
+	rc := &routerCursor{}
 	merge := make([]Stream, len(r.shards))
 	for i, sc := range r.shards {
 		s := &cursorStream{r: r, sc: sc, t: t, params: params, cursor: cursor}
@@ -71,13 +58,10 @@ func (r *Router) newCursor(t *template, params []interface{}, pageSize int, curs
 	return rc
 }
 
-// closeShardCursors releases the shard-side cursors (best-effort; shard
-// TTL GC is the backstop), under trace when one is given so each shard's
-// close log line joins the request that caused it. It takes rc.mu
-// because the idle sweep may race a pull in flight on this cursor.
-func (rc *routerCursor) closeShardCursors(trace *obs.Trace) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
+// close releases the shard-side cursors (best-effort; shard TTL GC is
+// the backstop), under trace when one is given so each shard's close log
+// line joins the request that caused it.
+func (rc *routerCursor) close(trace *obs.Trace) {
 	for _, s := range rc.streams {
 		if trace != nil {
 			s.trace = trace
@@ -336,45 +320,6 @@ func (s *cursorStream) closeRemote() {
 	_ = s.rep.cursorClose(s.traceID(), id)
 }
 
-// handleCursorNext serves POST /cursor/next {cursor_id, fetch?,
-// after_rank?}: the next page of the merged ranked stream, refilling
-// only shards whose bounds still matter. after_rank skips forward
-// (cursors cannot rewind).
-func (r *Router) handleCursorNext(w http.ResponseWriter, hr *http.Request, req *wire.Request) {
-	trace := obs.NewTrace(obs.TraceIDFrom(hr))
-	w.Header().Set(obs.TraceHeader, trace.ID)
-	rc, err := r.cursors.Get(req.CursorID)
-	if err != nil {
-		r.metrics.CursorMisses.Inc()
-		r.metrics.Fail(w, http.StatusNotFound, "", err.Error())
-		return
-	}
-	r.metrics.CursorHits.Inc()
-	n := req.Fetch
-	if n <= 0 {
-		n = rc.pageSize
-	}
-	if resp := r.pullPage(w, hr, req, trace, req.CursorID, rc, n, req.AfterRank); resp != nil {
-		wire.WriteJSON(w, http.StatusOK, resp)
-	}
-}
-
-// handleCursorClose serves POST /cursor/close {cursor_id}, propagating
-// X-Ranksql-Trace so the router's close and each shard's close share
-// one trace ID.
-func (r *Router) handleCursorClose(w http.ResponseWriter, hr *http.Request, req *wire.Request) {
-	trace := obs.NewTrace(obs.TraceIDFrom(hr))
-	w.Header().Set(obs.TraceHeader, trace.ID)
-	rc, err := r.cursors.Remove(req.CursorID)
-	if err != nil {
-		wire.WriteError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	rc.closeShardCursors(trace)
-	r.metrics.Tracer.Debug("cursor closed", "trace", trace.ID, "cursor", req.CursorID)
-	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{"closed": true, "trace_id": trace.ID})
-}
-
 // newPage starts a response around one page of merged rows: non-null
 // rows, scores and pruned list, and contiguous ranks from offset+1.
 func (r *Router) newPage(rows [][]interface{}, scores []float64, offset int, pruned []int) *wire.QueryResponse {
@@ -402,23 +347,21 @@ func (r *Router) newPage(rows [][]interface{}, scores []float64, offset int, pru
 	return resp
 }
 
-// pullPage pulls the next page of n rows (all remaining rows when n <=
-// 0) from a merged stream — registered under id, or a one-shot's (id "")
-// — records it, and returns the response for the caller to send. A
-// failed pull is answered here and returns nil. afterRank > 0
-// fast-forwards the stream so the page starts at rank afterRank+1; a
-// position already past it is an error (ranked streams cannot rewind).
-func (r *Router) pullPage(w http.ResponseWriter, hr *http.Request, req *wire.Request, trace *obs.Trace, id string, rc *routerCursor, n, afterRank int) *wire.QueryResponse {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-
-	if afterRank > 0 && afterRank < rc.pulled {
-		r.metrics.Fail(w, http.StatusBadRequest, rc.norm, fmt.Sprintf(
-			"cursor %q is already past rank %d (at %d); ranked streams cannot rewind", id, afterRank, rc.pulled))
-		return nil
+// page pulls one page of a registered cursor and answers with it:
+// front.Spec.Page.
+func (r *Router) page(ctx context.Context, w http.ResponseWriter, trace *obs.Trace, id, norm string, rc *routerCursor, skip, n int) error {
+	resp, err := r.pull(ctx, trace, id, norm, rc, skip, n)
+	if err == nil {
+		wire.WriteJSON(w, http.StatusOK, resp)
 	}
-	ctx, cancel := req.Context(hr.Context())
-	defer cancel()
+	return err
+}
+
+// pull pulls the next page of n rows (all remaining rows when n <= 0)
+// from a merged stream over the template norm — registered under id, or
+// a one-shot's (id "") — after skipping skip rows, records it, and
+// returns the response for the caller to send.
+func (r *Router) pull(ctx context.Context, trace *obs.Trace, id, norm string, rc *routerCursor, skip, n int) (*wire.QueryResponse, error) {
 	for _, s := range rc.streams {
 		s.ctx, s.trace = ctx, trace
 	}
@@ -426,7 +369,7 @@ func (r *Router) pullPage(w http.ResponseWriter, hr *http.Request, req *wire.Req
 	endMerge := trace.StartSpan("merge")
 	var err error
 	refills := 0 // the fast-forward's refills count toward this page
-	if skip := afterRank - rc.pulled; afterRank > 0 && skip > 0 {
+	if skip > 0 {
 		var skipped *Merged
 		if skipped, err = rc.merger.Next(skip); err == nil {
 			rc.pulled += len(skipped.Rows)
@@ -439,8 +382,7 @@ func (r *Router) pullPage(w http.ResponseWriter, hr *http.Request, req *wire.Req
 	}
 	endMerge()
 	if err != nil {
-		r.pullFailed(ctx, w, hr, req, trace, id, rc, err)
-		return nil
+		return nil, err
 	}
 	elapsed := time.Since(start)
 
@@ -468,7 +410,7 @@ func (r *Router) pullPage(w http.ResponseWriter, hr *http.Request, req *wire.Req
 	}
 	what := "query"
 	attrs := []any{
-		"trace", trace.ID, "query", rc.norm, "elapsed_ms", resp.ElapsedMS,
+		"trace", trace.ID, "query", norm, "elapsed_ms", resp.ElapsedMS,
 		"rows", len(merged.Rows), "rows_fetched", resp.Merge.RowsFetched,
 		"shards_pruned", len(merged.Pruned), "refills", refills,
 	}
@@ -477,44 +419,9 @@ func (r *Router) pullPage(w http.ResponseWriter, hr *http.Request, req *wire.Req
 		attrs = append(attrs, "cursor", id, "offset", resp.Offset)
 	}
 	r.metrics.recordPage(what, elapsed,
-		buildInsightRecord(rc.norm, trace.ID, elapsed, resp.Stats, len(merged.Rows), views, merged.Pruned),
+		buildInsightRecord(norm, trace.ID, elapsed, resp.Stats, len(merged.Rows), views, merged.Pruned),
 		resp.Merge.RowsFetched-rc.rowsFetched, len(merged.Pruned), refills,
 		append(attrs, trace.SpanAttrs()...))
 	rc.rowsFetched = resp.Merge.RowsFetched
-	return resp
-}
-
-// pullFailed maps a failed page pull — one-shot or cursor — onto the
-// wire. ctx is the pull's context, derived from hr's: when it has ended
-// and hr's has not, only the deadline_ms budget can have ended it, which
-// is a 504 (a cursor survives it — rows already merged are parked and
-// served by the retry — unless the pull was its first page: see
-// handleQuery). A client that went away gets no answer; a shard
-// cursor's dead snapshot (409, e.g. after DDL) or a re-opened shard
-// cursor whose prefix moved under the merge closes the router cursor with
-// 409; anything else is a shard failure.
-func (r *Router) pullFailed(ctx context.Context, w http.ResponseWriter, hr *http.Request, req *wire.Request, trace *obs.Trace, id string, rc *routerCursor, err error) {
-	switch {
-	case hr.Context().Err() != nil:
-		return
-	case ctx.Err() != nil:
-		what := "query"
-		if id != "" {
-			what = "cursor fetch"
-		}
-		r.metrics.Timeouts.Inc()
-		r.metrics.Tracer.Warn(what+" deadline exceeded",
-			"trace", trace.ID, "query", rc.norm, "cursor", id, "deadline_ms", req.DeadlineMS)
-		r.metrics.Fail(w, http.StatusGatewayTimeout, rc.norm, fmt.Sprintf("%s exceeded deadline_ms=%d", what, req.DeadlineMS))
-	case shardStatus(err) == http.StatusConflict || errors.Is(err, errMoved):
-		// The caller holds rc.mu, so tear down inline rather than via
-		// closeShardCursors (which re-locks it).
-		_, _ = r.cursors.Remove(id)
-		for _, s := range rc.streams {
-			s.closeRemote()
-		}
-		r.metrics.Fail(w, http.StatusConflict, rc.norm, err.Error())
-	default:
-		r.metrics.Fail(w, http.StatusBadGateway, rc.norm, err.Error())
-	}
+	return resp, nil
 }

@@ -260,7 +260,7 @@ func TestRouterCursorShardLostFallback(t *testing.T) {
 // pull fails with a clean "expired" 404 (distinct from never-existed
 // ids) and /stats accounts for the collection.
 func TestRouterCursorExpiry(t *testing.T) {
-	c := newCursorCluster(t, 2, nil, []Option{WithCursorTTL(time.Minute)})
+	c := newCursorCluster(t, 2, nil, []Option{WithSessionTTL(time.Minute)})
 	if err := SeedVia(nil, c.front.URL, "webshop", 200); err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestRouterConcurrentCursorPagination(t *testing.T) {
 	if err := server.Webshop.Seed(single, rows); err != nil {
 		t.Fatal(err)
 	}
-	c := newCursorCluster(t, 3, nil, []Option{WithCursorTTL(time.Minute)})
+	c := newCursorCluster(t, 3, nil, []Option{WithSessionTTL(time.Minute)})
 	if err := SeedVia(nil, c.front.URL, "webshop", rows); err != nil {
 		t.Fatal(err)
 	}

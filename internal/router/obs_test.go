@@ -422,8 +422,8 @@ func assertNames(t *testing.T, what string, got, want []string) {
 }
 
 // TestErrorsCountedAlike: the same bad request counts once in errors_total
-// whether a shard or the router answers it — errors means the same thing
-// on both tiers.
+// and answers the same status whether a shard or the router answers it —
+// errors means the same thing on both tiers.
 func TestErrorsCountedAlike(t *testing.T) {
 	c := newCluster(t, 2, server.Webshop.RegisterScorers)
 	if err := SeedVia(nil, c.front.URL, "webshop", 200); err != nil {
@@ -456,6 +456,10 @@ func TestErrorsCountedAlike(t *testing.T) {
 		{"/load of a short CSV row", func(t *testing.T, base string) int {
 			return load(t, base, "product", "only-one-cell\n")
 		}},
+		{"non-scalar parameter on /query", func(t *testing.T, base string) int {
+			return postJSON(t, base+"/query", map[string]interface{}{
+				"sql": obsQuerySQL, "params": []interface{}{map[string]interface{}{"x": 1}, 5}}, &out)
+		}},
 		{"cursor rewind", func(t *testing.T, base string) int {
 			var page testQueryResponse
 			postJSON(t, base+"/query", map[string]interface{}{
@@ -480,14 +484,18 @@ func TestErrorsCountedAlike(t *testing.T) {
 		{"router", c.front.URL},
 	}
 	for _, tc := range cases {
-		for _, tier := range tiers {
+		codes := make([]int, len(tiers))
+		for i, tier := range tiers {
 			before := errorsAt(tier.url)
-			if code := tc.do(t, tier.url); code < 400 {
-				t.Errorf("%s on the %s: status %d, want an error", tc.name, tier.name, code)
+			if codes[i] = tc.do(t, tier.url); codes[i] < 400 {
+				t.Errorf("%s on the %s: status %d, want an error", tc.name, tier.name, codes[i])
 			}
 			if got := errorsAt(tier.url) - before; got != 1 {
 				t.Errorf("%s on the %s: errors +%d, want +1", tc.name, tier.name, got)
 			}
+		}
+		if codes[0] != codes[1] {
+			t.Errorf("%s: status %d on the shard, %d on the router; want the same", tc.name, codes[0], codes[1])
 		}
 	}
 }

@@ -66,14 +66,11 @@ type ResultCacheStats struct {
 	HitRate   float64 `json:"hit_rate"`
 }
 
-// renderBindings folds a request's parameters into a canonical cache
-// key fragment. Values are type-tagged so 1, 1.0 and "1" stay distinct
-// keys. Parameters outside the JSON scalar set make the request
-// uncacheable rather than guessing a rendering.
-func renderBindings(params []interface{}) (string, bool) {
-	if len(params) == 0 {
-		return "", true
-	}
+// renderBindings folds a request's parameters (JSON scalars: handleQuery
+// has checked them) into a canonical cache key fragment. Values are
+// type-tagged and numbers kept as sent, so 1, 1.0 and "1" stay distinct
+// keys.
+func renderBindings(params []interface{}) string {
 	var b strings.Builder
 	for _, p := range params {
 		b.WriteByte(0)
@@ -89,17 +86,9 @@ func renderBindings(params []interface{}) (string, bool) {
 		case json.Number:
 			b.WriteByte('n')
 			b.WriteString(v.String())
-		case float64:
-			b.WriteByte('n')
-			b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		case int:
-			b.WriteByte('n')
-			b.WriteString(strconv.Itoa(v))
-		default:
-			return "", false
 		}
 	}
-	return b.String(), true
+	return b.String()
 }
 
 // snapshotTables captures the current write stamp of each referenced

@@ -21,13 +21,15 @@
 // join key (partition both tables by it); the router does not reshuffle
 // rows between shards.
 //
-// The router's accounting is ranksqld's: queries, errors, latency, tuple
-// traffic, cursors, the insight ring and the trace log come from the
-// obs.Metrics both daemons embed, under ranksql_router_* names, so a
-// series means the same thing on either tier. Only what a coordinator has
-// is its own: merge effectiveness (pruned shards, refills, rows fetched),
-// replica reliability (failovers, hedges, cursor re-opens), the ranked-
-// result cache and per-shard health.
+// Sessions, prepared statements and cursors are ranksqld's: internal/front
+// serves them on both daemons, and the router supplies parseTemplate and
+// its merged streams. Its accounting is ranksqld's too: queries, errors,
+// latency, tuple traffic, cursors, the insight ring and the trace log come
+// from the obs.Metrics both daemons embed, under ranksql_router_* names,
+// so a series means the same thing on either tier. Only what a
+// coordinator has is its own: merge effectiveness (pruned shards,
+// refills, rows fetched), replica reliability (failovers, hedges, cursor
+// re-opens), the ranked-result cache and per-shard health.
 package router
 
 import (
@@ -48,7 +50,7 @@ import (
 	"sync"
 	"time"
 
-	"ranksql/internal/idle"
+	"ranksql/internal/front"
 	"ranksql/internal/lru"
 	"ranksql/internal/obs"
 	"ranksql/internal/sql"
@@ -61,10 +63,12 @@ type Router struct {
 	shards  []*shardClient
 	metrics *metrics
 	pprof   bool
-	// cursors holds the registered ranked cursors; cursorTTL (fixed at New
-	// time) is how long one may sit unused before it is collected.
-	cursors   *idle.Table[*routerCursor]
-	cursorTTL time.Duration
+	// front serves sessions, prepared statements and cursors; sessionTTL
+	// (fixed at New time) is how long one may sit unused before it is
+	// collected. cursors is the front's cursor table.
+	front      *front.Front[*template, *routerCursor]
+	sessionTTL time.Duration
+	cursors    front.Table
 
 	// hedgeDelay arms hedged merge pulls on every shard client (see
 	// shardRead); resultCacheCap sizes the router-side ranked-result
@@ -73,10 +77,8 @@ type Router struct {
 	resultCacheCap int
 	results        *lru.Cache[resultKey, *resultEntry]
 
-	mu       sync.Mutex
-	tables   map[string]*tableInfo
-	stmts    map[string]*template // client-visible prepared statements
-	nextStmt uint64
+	mu     sync.Mutex
+	tables map[string]*tableInfo
 	// schemaVersion counts DDL statements the router has fanned out;
 	// result-cache keys embed it so any schema change orphans every
 	// cached answer (mirrors the engine plan cache's version key).
@@ -136,13 +138,14 @@ func WithPprof() Option {
 	return func(r *Router) { r.pprof = true }
 }
 
-// WithCursorTTL enables idle-cursor garbage collection: router cursors
-// unused for longer than ttl are closed (their shard-side cursors
-// released), and later /cursor/next calls naming them get a clean
-// "expired" error. ttl <= 0 (the default) keeps cursors until the
-// client closes them.
-func WithCursorTTL(ttl time.Duration) Option {
-	return func(r *Router) { r.cursorTTL = ttl }
+// WithSessionTTL enables idle-session garbage collection, as on
+// ranksqld: a session untouched for longer than ttl is closed (its
+// prepared statements are released), and so is a router cursor (its
+// shard-side cursors are released); later requests naming either get a
+// clean "expired" error. The default session is never collected. ttl <=
+// 0 (the default) keeps both until the client closes them.
+func WithSessionTTL(ttl time.Duration) Option {
+	return func(r *Router) { r.sessionTTL = ttl }
 }
 
 // New builds a Router over the given shard specs. Each spec is one
@@ -158,7 +161,6 @@ func New(shardURLs []string, opts ...Option) (*Router, error) {
 	r := &Router{
 		metrics:        newMetrics(),
 		tables:         map[string]*tableInfo{},
-		stmts:          map[string]*template{},
 		resultCacheCap: defaultResultCacheCap,
 	}
 	for i, group := range shardURLs {
@@ -181,14 +183,23 @@ func New(shardURLs []string, opts ...Option) (*Router, error) {
 	for _, sc := range r.shards {
 		sc.hedgeDelay = r.hedgeDelay
 	}
-	r.cursors = idle.New(idle.Spec[*routerCursor]{
-		Kind: "cursor", Prefix: "rcur", Hint: "re-open the query", TTL: r.cursorTTL,
-		Limit: maxOpenRouterCursors,
-		// Closing shard cursors is network I/O bounded by cursorClose's own
-		// timeout; the request whose table access ran the sweep does not
-		// wait for it.
-		OnEvict: func(rc *routerCursor) { go rc.closeShardCursors(nil) },
+	r.front = front.New(front.Spec[*template, *routerCursor]{
+		Prepare: parseTemplate,
+		Page:    r.page,
+		Pulled:  func(rc *routerCursor) int { return rc.pulled },
+		Close:   (*routerCursor).close,
+		// A shard cursor's dead snapshot (409, e.g. after DDL), or a
+		// re-opened one whose prefix moved under the merge, kills the
+		// merged stream; any other failure is a shard's.
+		Dead: func(err error) bool {
+			return shardStatus(err) == http.StatusConflict || errors.Is(err, errMoved)
+		},
+		PullStatus:   http.StatusBadGateway,
+		CursorPrefix: "rcur",
+		TTL:          r.sessionTTL,
+		Metrics:      r.metrics,
 	})
+	r.cursors = r.front.Cursors()
 	r.metrics.WatchCursors(r.cursors)
 	if r.resultCacheCap > 0 {
 		r.results = lru.New[resultKey, *resultEntry](r.resultCacheCap)
@@ -206,13 +217,8 @@ func (r *Router) NumShards() int { return len(r.shards) }
 // same protocol as internal/server, so clients work against either).
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/session", wire.Post(r.handleSessionOpen))
-	mux.HandleFunc("/session/close", wire.Post(r.handleSessionClose))
-	mux.HandleFunc("/prepare", wire.Post(r.handlePrepare))
-	mux.HandleFunc("/stmt/close", wire.Post(r.handleStmtClose))
+	r.front.Mount(mux)
 	mux.HandleFunc("/query", wire.Post(r.handleQuery))
-	mux.HandleFunc("/cursor/next", wire.Post(r.handleCursorNext))
-	mux.HandleFunc("/cursor/close", wire.Post(r.handleCursorClose))
 	mux.HandleFunc("/exec", wire.Post(r.handleExec))
 	mux.HandleFunc("/load", r.handleLoad)
 	mux.HandleFunc("/stats", r.handleStats)
@@ -233,23 +239,6 @@ func (r *Router) ServeListener(ctx context.Context, ln net.Listener) error {
 	return wire.ServeListener(ctx, ln, r.Handler(), r.metrics.Tracer, "ranksqld-router", "shards", len(r.shards))
 }
 
-// maxRouterStmts bounds the router's prepared-statement namespace the way
-// ranksqld bounds a session (same cap, same 429), so clients that never
-// /stmt/close cannot grow router memory without limit.
-const maxRouterStmts = 1024
-
-// The router is sessionless: prepared statements live in one shared
-// namespace, and each shard's plan cache holds the compiled plans of the
-// fetch texts they send. /session is accepted for client compatibility
-// and returns a fixed id.
-func (r *Router) handleSessionOpen(w http.ResponseWriter, _ *http.Request, _ *wire.Request) {
-	wire.WriteJSON(w, http.StatusOK, map[string]string{"session_id": "router"})
-}
-
-func (r *Router) handleSessionClose(w http.ResponseWriter, _ *http.Request, _ *wire.Request) {
-	wire.WriteJSON(w, http.StatusOK, map[string]bool{"closed": true})
-}
-
 // template is a parsed statement the router can fan out: SELECTs carry a
 // selectTemplate with the shard-side fetch form; other statements are
 // replayed through the partitioning exec path.
@@ -260,6 +249,11 @@ type template struct {
 	stmt      sql.Stmt
 	sel       *selectTemplate // non-nil for SELECT
 }
+
+// Normalized, NumParams and IsQuery make a template a front.Stmt.
+func (t *template) Normalized() string { return t.norm }
+func (t *template) NumParams() int     { return t.numParams }
+func (t *template) IsQuery() bool      { return t.sel != nil }
 
 // selectTemplate is the fan-out form of a top-k SELECT. The shard-side
 // fetch text always exposes the LIMIT as a parameter, so every fetch
@@ -290,6 +284,9 @@ func parseTemplate(src string) (*template, error) {
 	if _, ok := st.(*sql.SetOpStmt); ok {
 		return nil, fmt.Errorf("router: set-operation statements are not supported through the router (run them per shard)")
 	}
+	if sel, ok := st.(*sql.SelectStmt); ok && sel.Explain {
+		return nil, fmt.Errorf("router: EXPLAIN is not supported through the router (run it per shard)")
+	}
 	norm := sql.Normalize(st)
 	t := &template{src: src, norm: norm, numParams: sql.CountParams(st), stmt: st}
 	if sel, ok := st.(*sql.SelectStmt); ok {
@@ -317,69 +314,6 @@ func parseTemplate(src string) (*template, error) {
 	return t, nil
 }
 
-func (r *Router) handlePrepare(w http.ResponseWriter, _ *http.Request, req *wire.Request) {
-	if strings.TrimSpace(req.SQL) == "" {
-		wire.WriteError(w, http.StatusBadRequest, "sql is required")
-		return
-	}
-	t, err := parseTemplate(req.SQL)
-	if err != nil {
-		r.metrics.Fail(w, http.StatusBadRequest, "", err.Error())
-		return
-	}
-	r.mu.Lock()
-	if len(r.stmts) >= maxRouterStmts {
-		r.mu.Unlock()
-		wire.WriteError(w, http.StatusTooManyRequests, fmt.Sprintf(
-			"session %q already holds %d prepared statements; close some via /stmt/close", "router", maxRouterStmts))
-		return
-	}
-	r.nextStmt++
-	id := fmt.Sprintf("stmt-%d", r.nextStmt)
-	r.stmts[id] = t
-	r.mu.Unlock()
-	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{
-		"session_id": "router",
-		"stmt_id":    id,
-		"num_params": t.numParams,
-		"is_query":   t.sel != nil,
-		"normalized": t.norm,
-	})
-}
-
-func (r *Router) handleStmtClose(w http.ResponseWriter, _ *http.Request, req *wire.Request) {
-	r.mu.Lock()
-	_, ok := r.stmts[req.StmtID]
-	delete(r.stmts, req.StmtID)
-	r.mu.Unlock()
-	if !ok {
-		wire.WriteError(w, http.StatusNotFound, fmt.Sprintf("no statement %q", req.StmtID))
-		return
-	}
-	wire.WriteJSON(w, http.StatusOK, map[string]bool{"closed": true})
-}
-
-func (r *Router) resolveTemplate(req *wire.Request) (*template, int, error) {
-	switch {
-	case req.StmtID != "":
-		r.mu.Lock()
-		t, ok := r.stmts[req.StmtID]
-		r.mu.Unlock()
-		if !ok {
-			return nil, http.StatusNotFound, fmt.Errorf("no statement %q", req.StmtID)
-		}
-		return t, 0, nil
-	case strings.TrimSpace(req.SQL) != "":
-		t, err := parseTemplate(req.SQL)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		return t, 0, nil
-	default:
-		return nil, http.StatusBadRequest, fmt.Errorf("either sql or stmt_id is required")
-	}
-}
-
 func (r *Router) handleQuery(w http.ResponseWriter, hr *http.Request, req *wire.Request) {
 	// The trace ID is minted here (or propagated from an upstream
 	// caller) and travels to every shard fetch via the X-Ranksql-Trace
@@ -388,7 +322,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, hr *http.Request, req *wire.
 	w.Header().Set(obs.TraceHeader, trace.ID)
 
 	endPlan := trace.StartSpan("plan")
-	t, code, err := r.resolveTemplate(req)
+	t, code, err := r.front.Resolve(req)
 	if err != nil {
 		r.metrics.Fail(w, code, "", err.Error())
 		return
@@ -403,11 +337,17 @@ func (r *Router) handleQuery(w http.ResponseWriter, hr *http.Request, req *wire.
 			fmt.Sprintf("statement has %d parameter(s), %d value(s) bound", t.numParams, len(req.Params)))
 		return
 	}
+	// The parameters are checked here, as a shard would, so a bad one is
+	// the client's 400 and not every shard's; the shards get them as sent.
+	args, err := wire.DecodeParams(req.Params)
+	if err != nil {
+		r.metrics.Fail(w, http.StatusBadRequest, t.norm, err.Error())
+		return
+	}
 	k := t.sel.litK
 	if t.sel.clientKPos > 0 {
-		k, err = paramInt(req.Params[t.sel.clientKPos-1])
-		if err != nil || k <= 0 {
-			r.metrics.Fail(w, http.StatusBadRequest, t.norm, "LIMIT parameter must be a positive integer")
+		if k, err = sql.LimitValue(toValues(args), t.sel.clientKPos); err != nil {
+			r.metrics.Fail(w, http.StatusBadRequest, t.norm, err.Error())
 			return
 		}
 	}
@@ -416,50 +356,34 @@ func (r *Router) handleQuery(w http.ResponseWriter, hr *http.Request, req *wire.
 	// cursor request registers the stream and pages it by fetch; a
 	// one-shot's page is the whole top-k (everything, without a LIMIT) of
 	// a stream nobody keeps, drawn from one-shot shard streams.
-	pageSize, id := k, ""
-	var rc *routerCursor
-	var bindKey string
-	var tableSnap map[string]uint64 // non-nil: the answer may be cached
 	if req.Cursor {
-		if pageSize = req.Fetch; pageSize <= 0 {
-			if pageSize = k; pageSize <= 0 {
-				pageSize = defaultCursorPage
-			}
-		}
-		rc = r.newCursor(t, req.Params, pageSize, true)
-		if id, err = r.cursors.Add(rc); err != nil {
-			r.metrics.Fail(w, http.StatusTooManyRequests, t.norm, "router "+err.Error())
-			return
-		}
-		r.metrics.CursorsOpened.Inc()
-	} else {
-		// Result-cache lookup: a template hit with identical bindings and k
-		// is served straight from the router with zero shard fan-out, as
-		// long as no schema change or write has invalidated it. The
-		// write-stamp snapshot for a potential store is taken *before* the
-		// fan-out: a write landing while the merge runs then advances the
-		// stamp past the snapshot and the entry can never serve stale rows.
-		if key, cacheable := renderBindings(req.Params); cacheable && r.results != nil {
-			start := time.Now()
-			if ent, ok := r.lookupResult(t, key, k); ok {
-				r.serveCachedResult(w, trace, t, k, ent, time.Since(start))
-				return
-			}
-			r.metrics.resultCacheMisses.Inc()
-			bindKey, tableSnap = key, r.snapshotTables(t.sel.tables)
-		}
-		rc = r.newCursor(t, req.Params, pageSize, false)
-	}
-	resp := r.pullPage(w, hr, req, trace, id, rc, pageSize, 0)
-	if id != "" && (resp == nil || hr.Context().Err() != nil) {
-		// A first page that failed, or whose client left, delivers no
-		// cursor id, so no client could ever close the cursor: close it.
-		if rc, err := r.cursors.Remove(id); err == nil {
-			rc.closeShardCursors(trace)
-		}
+		pageSize := front.PageSize(req, k)
+		r.front.Open(w, hr, req, trace, t.norm, r.newCursor(t, req.Params, pageSize, true), pageSize)
 		return
 	}
-	if resp == nil {
+	// Result-cache lookup: a template hit with identical bindings and k is
+	// served straight from the router with zero shard fan-out, as long as
+	// no schema change or write has invalidated it. The write-stamp
+	// snapshot for a potential store is taken *before* the fan-out: a
+	// write landing while the merge runs then advances the stamp past the
+	// snapshot and the entry can never serve stale rows.
+	var bindKey string
+	var tableSnap map[string]uint64 // non-nil: the answer may be cached
+	if r.results != nil {
+		bindKey = renderBindings(req.Params)
+		start := time.Now()
+		if ent, ok := r.lookupResult(t, bindKey, k); ok {
+			r.serveCachedResult(w, trace, t, k, ent, time.Since(start))
+			return
+		}
+		r.metrics.resultCacheMisses.Inc()
+		tableSnap = r.snapshotTables(t.sel.tables)
+	}
+	ctx, cancel := req.Context(hr.Context())
+	defer cancel()
+	resp, err := r.pull(ctx, trace, "", t.norm, r.newCursor(t, req.Params, k, false), 0, k)
+	if err != nil {
+		r.front.Failed(ctx, w, hr, req, trace, t.norm, "", err)
 		return
 	}
 	if tableSnap != nil && len(resp.Rows) <= maxCachedResultRows {
@@ -493,7 +417,7 @@ func (r *Router) queryReplica(ctx context.Context, rep *replica, t *template, pa
 }
 
 func (r *Router) handleExec(w http.ResponseWriter, hr *http.Request, req *wire.Request) {
-	t, code, err := r.resolveTemplate(req)
+	t, code, err := r.front.Resolve(req)
 	if err != nil {
 		r.metrics.Fail(w, code, "", err.Error())
 		return
@@ -854,22 +778,6 @@ func (r *Router) probeShards() []ShardStatus {
 		}
 	}
 	return out
-}
-
-// paramInt reads an integer request parameter (JSON numbers decode as
-// json.Number under UseNumber).
-func paramInt(p interface{}) (int, error) {
-	switch v := p.(type) {
-	case json.Number:
-		n, err := v.Int64()
-		return int(n), err
-	case float64:
-		return int(v), nil
-	case int:
-		return v, nil
-	default:
-		return 0, fmt.Errorf("router: expected an integer, got %T", p)
-	}
 }
 
 // toValues converts decoded parameters (wire.DecodeParams' scalars) to

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"ranksql"
+	"ranksql/internal/front"
 	"ranksql/internal/server"
 )
 
@@ -483,7 +484,7 @@ func TestRouterStmtCap(t *testing.T) {
 			"sql": `SELECT name FROM product WHERE price < ? LIMIT ?`}, &out), out
 	}
 	var first string
-	for i := 0; i < maxRouterStmts; i++ {
+	for i := 0; i < front.MaxStmtsPerSession; i++ {
 		code, out := prepare()
 		if code != http.StatusOK {
 			t.Fatalf("prepare %d: status %d, error %q", i+1, code, out.Error)

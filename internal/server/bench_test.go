@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ranksql"
+	"ranksql/internal/raceflag"
 )
 
 // benchServer seeds a webshop database and returns its handler plus a
@@ -85,5 +86,64 @@ func BenchmarkServeTemplateHitAdhoc(b *testing.B) {
 		if rec.Code != http.StatusOK {
 			b.Fatalf("query: %d %s", rec.Code, rec.Body)
 		}
+	}
+}
+
+// cursorSession walks one client cursor session through h: a cursor
+// opened on the prepared statement with fetch=10, two /cursor/next
+// pages, then /cursor/close.
+func cursorSession(tb testing.TB, h http.Handler, open []byte) {
+	serve := func(path string, body []byte) []byte {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			tb.Fatalf("%s: %d %s", path, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	var page struct {
+		CursorID string `json:"cursor_id"`
+	}
+	if err := json.Unmarshal(serve("/query", open), &page); err != nil {
+		tb.Fatal(err)
+	}
+	next := []byte(`{"cursor_id": "` + page.CursorID + `"}`)
+	serve("/cursor/next", next)
+	serve("/cursor/next", next)
+	serve("/cursor/close", next)
+}
+
+func cursorSessionOpen(stmtID string) []byte {
+	return []byte(`{"stmt_id": "` + stmtID + `", "params": [400, 10], "cursor": true, "fetch": 10}`)
+}
+
+// BenchmarkServeCursorSession prices the client-handle path of a ranked
+// cursor end to end through Handler(): resolve, register, three page
+// pulls and the close.
+func BenchmarkServeCursorSession(b *testing.B) {
+	h, stmtID := benchServer(b)
+	open := cursorSessionOpen(stmtID)
+	cursorSession(b, h, open) // warm the plan cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cursorSession(b, h, open)
+	}
+}
+
+// cursorSessionAllocBudget caps one BenchmarkServeCursorSession
+// iteration, measured at ~1 060 allocs/op, with headroom for pool
+// refills after a GC cycle.
+const cursorSessionAllocBudget = 1100
+
+func TestCursorSessionAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("alloc budgets are meaningless under -race: sync.Pool drops puts")
+	}
+	h, stmtID := benchServer(t)
+	open := cursorSessionOpen(stmtID)
+	cursorSession(t, h, open)
+	if allocs := testing.AllocsPerRun(50, func() { cursorSession(t, h, open) }); allocs > cursorSessionAllocBudget {
+		t.Errorf("cursor session: %.1f allocs/op, budget %d", allocs, cursorSessionAllocBudget)
 	}
 }

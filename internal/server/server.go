@@ -35,35 +35,38 @@
 // X-Ranksql-Trace header (a propagated trace ID; one is minted when
 // absent).
 //
-// /metrics, /insight/*, the trace log and every counted error answer come
-// from obs.Metrics, which the sharding router embeds too, so a series or
-// a /stats total means the same thing on either daemon.
+// Sessions, prepared statements and the cursor endpoints are served by
+// internal/front, which the sharding router shares: this package supplies
+// only the engine's side, DB.Prepare and Cursor.FetchContext. /metrics,
+// /insight/*, the trace log and every counted error answer come from
+// obs.Metrics, which the router embeds too, so a series or a /stats total
+// means the same thing on either daemon.
 package server
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"log/slog"
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"ranksql"
-	"ranksql/internal/idle"
+	"ranksql/internal/front"
 	"ranksql/internal/obs"
 	"ranksql/internal/wire"
 )
 
 // Server is the ranksqld HTTP query service.
 type Server struct {
-	db       *ranksql.DB
-	sessions *idle.Table[*Session]
-	cursors  *idle.Table[*serverCursor]
-	metrics  *metrics
-	ttl      time.Duration
-	pprof    bool
+	db      *ranksql.DB
+	front   *front.Front[*ranksql.Stmt, *ranksql.Cursor]
+	metrics *metrics
+	ttl     time.Duration
+	pprof   bool
+	// sessions and cursors are the front's handle tables.
+	sessions, cursors front.Table
 }
 
 // Option configures a Server.
@@ -111,15 +114,20 @@ func New(db *ranksql.DB, opts ...Option) *Server {
 	for _, o := range opts {
 		o(s)
 	}
-	s.sessions = idle.New(idle.Spec[*Session]{
-		Kind: "session", Prefix: "sess", Hint: "open a new session", TTL: s.ttl,
+	s.front = front.New(front.Spec[*ranksql.Stmt, *ranksql.Cursor]{
+		Prepare: db.Prepare,
+		Page:    s.page,
+		Pulled:  (*ranksql.Cursor).Pulled,
+		Close:   func(cur *ranksql.Cursor, _ *obs.Trace) { _ = cur.Close() },
+		Dead: func(err error) bool {
+			return errors.Is(err, ranksql.ErrCursorInvalidated) || errors.Is(err, ranksql.ErrCursorClosed)
+		},
+		PullStatus:   http.StatusBadRequest,
+		CursorPrefix: "cur",
+		TTL:          s.ttl,
+		Metrics:      s.metrics,
 	})
-	s.sessions.Pin("", newSession())
-	s.cursors = idle.New(idle.Spec[*serverCursor]{
-		Kind: "cursor", Prefix: "cur", Hint: "re-open the query", TTL: s.ttl,
-		Limit:   maxOpenCursors,
-		OnEvict: func(sc *serverCursor) { _ = sc.cur.Close() },
-	})
+	s.sessions, s.cursors = s.front.Sessions(), s.front.Cursors()
 	// Scrape-time gauges over state owned elsewhere: sessions, cursors
 	// and the engine's plan cache.
 	s.metrics.WatchCursors(s.cursors)
@@ -147,13 +155,8 @@ func (s *Server) DB() *ranksql.DB { return s.db }
 // Handler returns the HTTP handler serving the daemon's endpoints.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/session", wire.Post(s.handleSessionOpen))
-	mux.HandleFunc("/session/close", wire.Post(s.handleSessionClose))
-	mux.HandleFunc("/prepare", wire.Post(s.handlePrepare))
-	mux.HandleFunc("/stmt/close", wire.Post(s.handleStmtClose))
+	s.front.Mount(mux)
 	mux.HandleFunc("/query", wire.Post(s.handleQuery))
-	mux.HandleFunc("/cursor/next", wire.Post(s.handleCursorNext))
-	mux.HandleFunc("/cursor/close", wire.Post(s.handleCursorClose))
 	mux.HandleFunc("/exec", wire.Post(s.handleExec))
 	mux.HandleFunc("/load", s.handleLoad)
 	mux.HandleFunc("/stats", s.handleStats)
@@ -182,91 +185,6 @@ func (s *Server) ServeListener(ctx context.Context, ln net.Listener) error {
 	return wire.ServeListener(ctx, ln, s.Handler(), s.metrics.Tracer, "ranksqld")
 }
 
-func (s *Server) handleSessionOpen(w http.ResponseWriter, _ *http.Request, _ *wire.Request) {
-	id, err := s.sessions.Add(newSession())
-	if err != nil {
-		wire.WriteError(w, http.StatusTooManyRequests, err.Error())
-		return
-	}
-	wire.WriteJSON(w, http.StatusOK, map[string]string{"session_id": id})
-}
-
-func (s *Server) handleSessionClose(w http.ResponseWriter, _ *http.Request, req *wire.Request) {
-	if _, err := s.sessions.Remove(req.SessionID); err != nil {
-		wire.WriteError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	wire.WriteJSON(w, http.StatusOK, map[string]bool{"closed": true})
-}
-
-func (s *Server) handlePrepare(w http.ResponseWriter, _ *http.Request, req *wire.Request) {
-	if strings.TrimSpace(req.SQL) == "" {
-		wire.WriteError(w, http.StatusBadRequest, "sql is required")
-		return
-	}
-	sess, err := s.sessions.Get(req.SessionID)
-	if err != nil {
-		wire.WriteError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	stmt, err := s.db.Prepare(req.SQL)
-	if err != nil {
-		s.metrics.Fail(w, http.StatusBadRequest, "", err.Error())
-		return
-	}
-	id, ok := sess.addStmt(stmt)
-	if !ok {
-		wire.WriteError(w, http.StatusTooManyRequests, fmt.Sprintf(
-			"session %q already holds %d prepared statements; close some via /stmt/close", req.SessionID, maxStmtsPerSession))
-		return
-	}
-	wire.WriteJSON(w, http.StatusOK, map[string]interface{}{
-		"session_id": req.SessionID,
-		"stmt_id":    id,
-		"num_params": stmt.NumParams(),
-		"is_query":   stmt.IsQuery(),
-		"normalized": stmt.Normalized(),
-	})
-}
-
-func (s *Server) handleStmtClose(w http.ResponseWriter, _ *http.Request, req *wire.Request) {
-	sess, err := s.sessions.Get(req.SessionID)
-	if err != nil {
-		wire.WriteError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	if !sess.closeStmt(req.StmtID) {
-		wire.WriteError(w, http.StatusNotFound, fmt.Sprintf("no statement %q", req.StmtID))
-		return
-	}
-	wire.WriteJSON(w, http.StatusOK, map[string]bool{"closed": true})
-}
-
-// resolveStmt finds the statement a request refers to: an existing
-// prepared one (stmt_id) or an ad-hoc one (sql).
-func (s *Server) resolveStmt(req *wire.Request) (*ranksql.Stmt, int, error) {
-	switch {
-	case req.StmtID != "":
-		sess, err := s.sessions.Get(req.SessionID)
-		if err != nil {
-			return nil, http.StatusNotFound, err
-		}
-		stmt, ok := sess.stmt(req.StmtID)
-		if !ok {
-			return nil, http.StatusNotFound, fmt.Errorf("no statement %q in session %q", req.StmtID, req.SessionID)
-		}
-		return stmt, 0, nil
-	case strings.TrimSpace(req.SQL) != "":
-		stmt, err := s.db.Prepare(req.SQL)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		return stmt, 0, nil
-	default:
-		return nil, http.StatusBadRequest, fmt.Errorf("either sql or stmt_id is required")
-	}
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, req *wire.Request) {
 	// The trace ID arrives from an upstream coordinator (the sharded
 	// router propagates its own) or is minted here, and stamps every
@@ -275,7 +193,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, req *wire.R
 	w.Header().Set(obs.TraceHeader, trace.ID)
 
 	endResolve := trace.StartSpan("resolve")
-	stmt, code, err := s.resolveStmt(req)
+	stmt, code, err := s.front.Resolve(req)
 	if err != nil {
 		s.metrics.Fail(w, code, "", err.Error())
 		return
@@ -288,7 +206,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, req *wire.R
 	endResolve()
 
 	if req.Cursor {
-		s.handleCursorOpen(w, r, req, trace, stmt, args)
+		endOpen := trace.StartSpan("cursor_open")
+		cur, err := stmt.Cursor(args...)
+		endOpen()
+		if err != nil {
+			s.metrics.Fail(w, http.StatusBadRequest, stmt.Normalized(), err.Error())
+			return
+		}
+		s.front.Open(w, r, req, trace, stmt.Normalized(), cur, front.PageSize(req, cur.K()))
 		return
 	}
 
@@ -302,14 +227,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, req *wire.R
 	rows, err := stmt.QueryContext(ctx, args...)
 	endExec()
 	if err != nil {
-		s.pullFailed(ctx, w, r, req, trace, stmt.Normalized(), "", err)
+		s.front.Failed(ctx, w, r, req, trace, stmt.Normalized(), "", err)
 		return
 	}
 	s.writePage(w, trace, stmt.Normalized(), "", 0, 0, rows, time.Since(start))
 }
 
 func (s *Server) handleExec(w http.ResponseWriter, _ *http.Request, req *wire.Request) {
-	stmt, code, err := s.resolveStmt(req)
+	stmt, code, err := s.front.Resolve(req)
 	if err != nil {
 		s.metrics.Fail(w, code, "", err.Error())
 		return
