@@ -86,8 +86,10 @@ type Context struct {
 	// Arena tuples are recycled wholesale when the execution's owner
 	// resets the arena, so only executions whose tuples provably do not
 	// outlive a single run may set it: the engine does for one-shot runs
-	// of its pooled streams only. A stream suspended under a cursor, and
-	// the estimator, keep Arena nil and heap-allocate.
+	// of its pooled streams only, borrowing the arena from one
+	// process-wide pool at open and handing it back, reset, when the run
+	// is released. A stream suspended under a cursor, and the estimator,
+	// keep Arena nil and heap-allocate.
 	Arena *schema.TupleArena
 
 	checkCtr int
@@ -110,16 +112,14 @@ func (c *Context) derivedTuple() *schema.Tuple {
 	return &schema.Tuple{}
 }
 
-// Reset clears per-execution state (counters, cancellation, profiling,
-// arena) so a pooled Context can serve the next request.
+// Reset clears per-execution state (counters, cancellation, profiling)
+// so a pooled Context can serve the next request. The arena is the
+// owner's to recycle.
 func (c *Context) Reset() {
 	c.Stats = Stats{}
 	c.Cancel = nil
 	c.Profile = false
 	c.checkCtr = 0
-	if c.Arena != nil {
-		c.Arena.Reset()
-	}
 }
 
 // NewContext builds an execution context for a ranking spec.

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"ranksql/internal/expr"
+	"ranksql/internal/raceflag"
 	"ranksql/internal/rank"
 	"ranksql/internal/schema"
+	"ranksql/internal/storage"
 	"ranksql/internal/types"
 )
 
@@ -261,5 +263,55 @@ func TestOperatorNames(t *testing.T) {
 		if got := op.Name(); got != c.want {
 			t.Errorf("Name() = %q, want %q", got, c.want)
 		}
+	}
+}
+
+// TestKeylessJoinAllocsScaleWithMatches: a nested-loops join tests its
+// condition on a scratch row and allocates only for the pairs that pass,
+// so a selective keyless join allocates per match, not per pair. Every
+// pair is still one join probe and one comparison.
+func TestKeylessJoinAllocsScaleWithMatches(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const matches = 3
+	// L.k = 0..n-1 and R.k = n-matches..2n-matches-1 share matches keys.
+	table := func(name string, n, from int) *storage.Table {
+		tb := storage.NewTable(name, schema.NewSchema(schema.Column{Name: "k", Kind: types.KindInt}))
+		for i := 0; i < n; i++ {
+			tb.MustAppend([]types.Value{types.NewInt(int64(from + i))})
+		}
+		return tb
+	}
+	allocs := map[int]float64{}
+	for _, n := range []int{50, 200} {
+		lt, rt := table("L", n, 0), table("R", n, n-matches)
+		j, err := NewNestedLoopJoin(NewSeqScan(lt, "L"), NewSeqScan(rt, "R"),
+			expr.Eq(expr.NewCol("L", "k"), expr.NewCol("R", "k")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := NewContext(nil)
+		ctx.Arena = &schema.TupleArena{} // scan tuples come from slabs
+		var out []*schema.Tuple
+		allocs[n] = testing.AllocsPerRun(5, func() {
+			ctx.Reset()
+			ctx.Arena.Reset()
+			if out, err = Run(ctx, j); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if len(out) != matches {
+			t.Fatalf("n=%d: %d rows, want %d", n, len(out), matches)
+		}
+		if pairs := int64(n * n); ctx.Stats.JoinProbes != pairs || ctx.Stats.Comparisons != pairs {
+			t.Errorf("n=%d: %d probes, %d comparisons, want %d of each",
+				n, ctx.Stats.JoinProbes, ctx.Stats.Comparisons, pairs)
+		}
+	}
+	// 4× the rows is 16× the pairs; only the right side's bucket grows.
+	if allocs[200] > allocs[50]+8 || allocs[200] > 64 {
+		t.Errorf("allocs per run: %v at n=50, %v at n=200; want them bounded by the matches, not the %d pairs",
+			allocs[50], allocs[200], 200*200)
 	}
 }

@@ -20,6 +20,9 @@ type joinCommon struct {
 	// right inputs, or -1 for a join that has no key, where cond alone
 	// decides.
 	leftCol, rightCol int
+	// pair is the scratch row cond is tested on: the candidate pair's
+	// Values side by side, so a rejected pair allocates nothing.
+	pair schema.Tuple
 }
 
 // BoundCond implements CondHolder for every join (rank-aware and classic
@@ -80,15 +83,17 @@ func (j *joinCommon) sameKey(ctx *Context, l, r *schema.Tuple) bool {
 	return false
 }
 
-// combine concatenates l and r, applies the residual condition, and
-// rescores under the query spec. Returns nil when the condition rejects
-// the pair.
+// combine applies the residual condition to the pair l, r and, when it
+// holds, concatenates them and rescores the result under the query spec.
+// Returns nil when the condition rejects the pair. The condition reads
+// only Values, so it is tested on the scratch row before anything is
+// allocated.
 func (j *joinCommon) combine(ctx *Context, l, r *schema.Tuple) (*schema.Tuple, error) {
 	ctx.Stats.JoinProbes++
-	t := schema.Concat(l, r)
 	if j.cond != nil {
 		ctx.Stats.Comparisons++
-		ok, err := expr.EvalBool(j.cond, t)
+		j.pair.Values = append(append(j.pair.Values[:0], l.Values...), r.Values...)
+		ok, err := expr.EvalBool(j.cond, &j.pair)
 		if err != nil {
 			return nil, err
 		}
@@ -96,6 +101,7 @@ func (j *joinCommon) combine(ctx *Context, l, r *schema.Tuple) (*schema.Tuple, e
 			return nil, nil
 		}
 	}
+	t := schema.Concat(l, r)
 	ctx.Spec.Rescore(t)
 	return t, nil
 }

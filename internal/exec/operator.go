@@ -81,8 +81,8 @@ func (b *opBase) emit(t *schema.Tuple) *schema.Tuple {
 	return t
 }
 
-// reset clears the counters (operators are single-use; reset exists
-// for the estimator, which re-opens cached trees).
+// reset clears the counters at Open, so a pooled tree re-opened for the
+// next request counts from zero.
 func (b *opBase) reset() { b.out, b.in, b.timeNS, b.calls = 0, 0, 0, 0 }
 
 // tupleHeap is a max-heap of tuples by Score (descending) with TID
@@ -249,7 +249,7 @@ func (ts TreeSnapshot) String() string {
 }
 
 // Drain pulls every tuple from op (after Open) and returns them; used by
-// tests and the estimator.
+// the engine's one-shot runs, Run and tests.
 func Drain(ctx *Context, op Operator) ([]*schema.Tuple, error) {
 	var out []*schema.Tuple
 	for {

@@ -8,6 +8,7 @@ import (
 
 	"ranksql/internal/catalog"
 	"ranksql/internal/expr"
+	"ranksql/internal/rank"
 	"ranksql/internal/schema"
 )
 
@@ -103,6 +104,7 @@ func Optimize(q *Query, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer est.Close()
 	o := &optimizerState{
 		d:        d,
 		opts:     opts,
@@ -153,20 +155,37 @@ func (o *optimizerState) annotate(p *PlanNode) error {
 
 // addCandidate prunes within a signature: for each physical property, only
 // the cheapest plan survives (the principle of optimality over the dual
-// logical properties, plus interesting orders).
+// logical properties, plus interesting orders). The plan that loses
+// releases its sample run at once: a signature's candidates are final
+// before any plan is built on them, so nothing reads it any more.
 func (o *optimizerState) addCandidate(s sig, plan *PlanNode, prop string) {
 	o.Generated++
 	list := o.best[s]
 	for i, c := range list {
 		if c.prop == prop {
 			if plan.Cost < c.plan.Cost {
+				o.release(c.plan)
 				list[i] = &candidate{plan: plan, prop: prop}
+			} else {
+				o.release(plan)
 			}
 			return
 		}
 	}
 	o.best[s] = append(list, &candidate{plan: plan, prop: prop})
 	o.Kept++
+}
+
+// release drops the sample runs of a plan that is no candidate: its own
+// and those of the sortCol nodes injected under it, which are never
+// candidates themselves.
+func (o *optimizerState) release(p *PlanNode) {
+	o.est.release(p)
+	for _, c := range p.Children {
+		if c.Kind == KindSortColumn {
+			o.est.release(c)
+		}
+	}
 }
 
 // candidates returns the retained plans for a signature.
@@ -554,16 +573,8 @@ func (o *optimizerState) rankMetric(base *PlanNode, pi int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	baseCard := base.Card
-	sel := 1.0
-	if baseCard > 0 {
-		sel = card / baseCard
-	}
-	cost := pred.Cost * o.opts.Cost.PredUnit
-	if cost <= 0 {
-		cost = 1e-6 // free predicates have effectively infinite rank
-	}
-	v := (1 - sel) / cost
+	o.est.release(probe)
+	v := o.rankOf(base, pred, card)
 	m := o.rankMemo[base]
 	if m == nil {
 		m = map[int]float64{}
@@ -571,6 +582,19 @@ func (o *optimizerState) rankMetric(base *PlanNode, pi int) (float64, error) {
 	}
 	m[pi] = v
 	return v, nil
+}
+
+// rankOf is rank(µ_p) over base, given card(µ_p(base)).
+func (o *optimizerState) rankOf(base *PlanNode, pred *rank.Predicate, card float64) float64 {
+	sel := 1.0
+	if base.Card > 0 {
+		sel = card / base.Card
+	}
+	cost := pred.Cost * o.opts.Cost.PredUnit
+	if cost <= 0 {
+		cost = 1e-6 // free predicates have effectively infinite rank
+	}
+	return (1 - sel) / cost
 }
 
 // finalize picks the best complete plan: the cheapest fully-ranked plan,
@@ -609,6 +633,7 @@ func (o *optimizerState) finalize() (*PlanNode, error) {
 			if err := o.annotate(srt); err != nil {
 				return nil, err
 			}
+			o.est.release(srt)
 			o.Generated++
 			if srt.Cost < bestCost {
 				best = srt

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -30,7 +31,11 @@ import (
 //  3. estimates the output cardinality of each candidate subplan P by
 //     executing P on the samples (the operators the real plan runs, index
 //     scans included), counting its outputs u with upper bound
-//     ≥ x', and scaling:
+//     ≥ x', and scaling (below). As in the paper, P's sample results are
+//     kept together with P: each subplan's run (its operator and the
+//     tuples it emitted) lives as long as P is a retained candidate, and
+//     a plan built on P executes only its own new operator, over a replay
+//     of P's run that pulls more from it only when read past its end:
 //     scan:   card(P) = u / sᵢ
 //     unary:  card(P) = u · card(P′)/cards(P′)
 //     binary: card(P) = u · card(P1)/cards(P1) · card(P2)/cards(P2)
@@ -69,6 +74,11 @@ import (
 type Estimator struct {
 	d   *decomposed
 	env *Env
+	// ctx is the one execution context every sample run pulls under.
+	ctx *exec.Context
+	// runs holds the sample run of every subplan still kept (see
+	// sampleRun); release and Close drop them.
+	runs map[*PlanNode]*sampleRun
 	// XPrime is the estimated k-th result score (x'); -Inf when the
 	// samples' cross product holds fewer than k″ tuples.
 	XPrime float64
@@ -90,7 +100,8 @@ func NewEstimatorForQuery(q *Query, opts Options) (*Estimator, error) {
 // newEstimator takes every query table's snapshot and estimates x'.
 func newEstimator(d *decomposed, opts Options) (*Estimator, error) {
 	env := &Env{Tables: make(map[string]*catalog.TableMeta, len(d.q.Tables))}
-	e := &Estimator{d: d, env: env, XPrime: math.Inf(-1)}
+	e := &Estimator{d: d, env: env, XPrime: math.Inf(-1),
+		ctx: exec.NewContext(d.q.Spec), runs: map[*PlanNode]*sampleRun{}}
 
 	// scale is Π sᵢ / Π selⱼ, the sampling ratio of the samples' cross
 	// product as a sample of Q.
@@ -188,9 +199,10 @@ func (e *Estimator) estimateXPrime() (float64, error) {
 }
 
 // Estimate annotates p.Card (recursively estimating children that lack an
-// annotation) and returns it. Children carry their estimates from when
-// they were enumerated, mirroring the paper's "results are kept together
-// with P".
+// annotation) and returns it. Children carry their estimates, and their
+// sample runs, from when they were enumerated, mirroring the paper's
+// "results are kept together with P": only p's own operator executes.
+// p's run is kept until release or Close.
 func (e *Estimator) Estimate(p *PlanNode) (float64, error) {
 	for _, c := range p.Children {
 		if !c.estimated() {
@@ -199,35 +211,27 @@ func (e *Estimator) Estimate(p *PlanNode) (float64, error) {
 			}
 		}
 	}
-	op, err := p.Build(e.env)
+	r, err := e.newRun(p)
 	if err != nil {
 		return 0, err
 	}
-	ctx := exec.NewContext(e.d.q.Spec)
-	if err := op.Open(ctx); err != nil {
-		return 0, err
-	}
-	defer op.Close()
 
 	// Pull until the output upper bound drops below x' (outputs of ranked
 	// plans arrive in non-increasing upper-bound order; unranked plans
 	// always emit at the ceiling, so they drain fully).
 	u := 0
 	for {
-		t, err := op.Next(ctx)
+		t, err := r.at(u)
 		if err != nil {
 			return 0, err
 		}
-		if t == nil {
-			break
-		}
-		if t.Score < e.XPrime {
+		if t == nil || t.Score < e.XPrime {
 			break
 		}
 		u++
 	}
 
-	card, fallback, err := e.scaleUp(p, op, u)
+	card, fallback, err := e.scaleUp(p, r.op, u)
 	if err != nil {
 		return 0, err
 	}
@@ -236,6 +240,122 @@ func (e *Estimator) Estimate(p *PlanNode) (float64, error) {
 	p.setEstimated()
 	return card, nil
 }
+
+// sampleRun is one subplan's execution over the samples: its operator,
+// built and opened once over replays of its children's runs, and every
+// tuple the operator has emitted so far. It is extended lazily: at pulls
+// from the operator only when a reader asks past the end.
+type sampleRun struct {
+	op   exec.Operator // nil once released
+	ctx  *exec.Context
+	buf  []*schema.Tuple
+	done bool
+}
+
+// errReleased reports a read of a run whose plan was already dropped: a
+// plan was released while a kept plan still reads it.
+var errReleased = errors.New("optimizer: sample run read after release")
+
+// at returns the run's i-th output tuple, pulling the operator as far as
+// needed, or nil when the run ends before i.
+func (r *sampleRun) at(i int) (*schema.Tuple, error) {
+	if r.op == nil {
+		return nil, errReleased
+	}
+	for len(r.buf) <= i && !r.done {
+		t, err := r.op.Next(r.ctx)
+		if err != nil {
+			return nil, err
+		}
+		if t == nil {
+			r.done = true
+			break
+		}
+		r.buf = append(r.buf, t)
+	}
+	if i < len(r.buf) {
+		return r.buf[i], nil
+	}
+	return nil, nil
+}
+
+// newRun builds and opens p's operator over replays of its children's
+// runs (starting a child's run if it has none) and keeps it as p's run.
+// The run is always new, so the counts scaleUp reads off it are those of
+// a fresh execution of p.
+func (e *Estimator) newRun(p *PlanNode) (*sampleRun, error) {
+	kids := make([]exec.Operator, len(p.Children))
+	for i, c := range p.Children {
+		cr := e.runs[c]
+		if cr == nil {
+			var err error
+			if cr, err = e.newRun(c); err != nil {
+				return nil, err
+			}
+		}
+		kids[i] = &replay{run: cr, sch: cr.op.Schema(), ev: cr.op.Evaluated()}
+	}
+	op, err := p.operator(e.env, kids)
+	if err != nil {
+		return nil, err
+	}
+	if err := op.Open(e.ctx); err != nil {
+		return nil, err
+	}
+	r := &sampleRun{op: op, ctx: e.ctx}
+	e.runs[p] = r
+	return r, nil
+}
+
+// release drops p's sample run, if it has one. Plans built on p must be
+// released first.
+func (e *Estimator) release(p *PlanNode) {
+	if r := e.runs[p]; r != nil {
+		r.op.Close()
+		r.op, r.buf = nil, nil
+		delete(e.runs, p)
+	}
+}
+
+// Close drops every sample run; estimates already made stay on their
+// plans. Optimize closes its Estimator before returning.
+func (e *Estimator) Close() {
+	for p := range e.runs {
+		e.release(p)
+	}
+}
+
+// replay reads a sampleRun from its first tuple as the input of one
+// operator. µ and τ_F write a tuple's ranking state (Preds, Evaluated,
+// Score) in place, so each replay hands out its own copy of it; Values
+// and TIDs are shared. OutCount counts this replay's tuples only, which
+// is what the child of a fresh execution would report.
+type replay struct {
+	run *sampleRun
+	sch *schema.Schema
+	ev  schema.Bitset
+	pos int
+}
+
+func (r *replay) Open(*exec.Context) error { r.pos = 0; return nil }
+
+func (r *replay) Next(*exec.Context) (*schema.Tuple, error) {
+	t, err := r.run.at(r.pos)
+	if t == nil || err != nil {
+		return nil, err
+	}
+	r.pos++
+	c := *t
+	c.Preds = append([]float64(nil), t.Preds...)
+	return &c, nil
+}
+
+func (r *replay) Close() error              { return nil }
+func (r *replay) Schema() *schema.Schema    { return r.sch }
+func (r *replay) Evaluated() schema.Bitset  { return r.ev }
+func (r *replay) Name() string              { return "replay" }
+func (r *replay) Children() []exec.Operator { return nil }
+func (r *replay) OutCount() int64           { return int64(r.pos) }
 
 // halfTuple stands in for u = 0 on a non-empty input (see Estimator).
 const halfTuple = 0.5

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -579,6 +580,150 @@ func TestEstimatorScansSampleIndexes(t *testing.T) {
 			if p.Kind == KindRankScan && out[i].Score > out[i-1].Score ||
 				p.Kind == KindIdxScanCol && out[i].Values[0].Int() < out[i-1].Values[0].Int() {
 				t.Fatalf("%s: output out of index order at %d", p.Label(), i)
+			}
+		}
+	}
+}
+
+// freshCopy is the oracle for the Estimator's kept sample runs: it
+// re-annotates a copy of p the way Estimate worked before runs were kept,
+// building each node's whole subtree on the samples and executing it from
+// scratch, children first, so no card it reads comes from a kept run.
+func (o *optimizerState) freshCopy(t *testing.T, p *PlanNode) *PlanNode {
+	t.Helper()
+	cp := *p
+	cp.Children = make([]*PlanNode, len(p.Children))
+	for i, c := range p.Children {
+		cp.Children[i] = o.freshCopy(t, c)
+	}
+	if p.Kind == KindLimit {
+		// finalize's λ_k is annotated from its input, not estimated.
+		cp.Card = math.Min(float64(p.K), cp.Children[0].Card)
+		cp.Cost = cp.Children[0].Cost
+		return &cp
+	}
+	op, err := cp.Build(o.est.env)
+	if err != nil {
+		t.Fatalf("build %s: %v", cp.Label(), err)
+	}
+	ctx := exec.NewContext(o.d.q.Spec)
+	if err := op.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	u := 0
+	for {
+		tp, err := op.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tp == nil || tp.Score < o.est.XPrime {
+			break
+		}
+		u++
+	}
+	if cp.Card, cp.fallback, err = o.est.scaleUp(&cp, op, u); err != nil {
+		t.Fatal(err)
+	}
+	op.Close()
+	cp.Cost = o.costNode(&cp)
+	return &cp
+}
+
+// sameAnnotations reports the first node where got and want differ in
+// card, fallback flag or cost, compared exactly.
+func sameAnnotations(got, want *PlanNode) (string, bool) {
+	if got.Card != want.Card || got.fallback != want.fallback || got.Cost != want.Cost {
+		return fmt.Sprintf("%s: card=%v fallback=%v cost=%v, fresh card=%v fallback=%v cost=%v",
+			got.Label(), got.Card, got.fallback, got.Cost, want.Card, want.fallback, want.Cost), false
+	}
+	for i := range got.Children {
+		if msg, ok := sameAnnotations(got.Children[i], want.Children[i]); !ok {
+			return msg, false
+		}
+	}
+	return "", true
+}
+
+// CheckKeptRuns enumerates q and checks, against the freshCopy oracle,
+// every retained candidate's annotations, every rank-metric probe of the
+// Figure 10 heuristic, and the chosen plan's EXPLAIN text, which must
+// also be what Optimize returns. The kept sample runs must change no
+// estimate and so no plan choice. Exported for the Q grid in
+// package optimizer_test, which imports internal/paper.
+func CheckKeptRuns(t *testing.T, q *Query, opts Options) {
+	t.Helper()
+	d, err := decompose(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := newEstimator(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := &optimizerState{d: d, opts: opts, est: est,
+		best: map[sig][]*candidate{}, rankMemo: map[*PlanNode]map[int]float64{}}
+	if err := o.enumerate(); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := o.finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	est.Close()
+
+	checked := 0
+	for _, list := range o.best {
+		for _, c := range list {
+			if msg, ok := sameAnnotations(c.plan, o.freshCopy(t, c.plan)); !ok {
+				t.Errorf("candidate differs from a fresh estimate at %s\nplan:\n%s", msg, c.plan)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no candidates retained")
+	}
+	for base, m := range o.rankMemo {
+		for pi, v := range m {
+			pred := q.Spec.Preds[pi]
+			probe := o.freshCopy(t, &PlanNode{Kind: KindRank, Pred: pred, Children: []*PlanNode{base}})
+			if fresh := o.rankOf(base, pred, probe.Card); v != fresh {
+				t.Errorf("rank(µ_%s) over\n%s= %v, fresh %v", pred, base, v, fresh)
+			}
+		}
+	}
+	if fresh := o.freshCopy(t, plan).String(); plan.String() != fresh {
+		t.Errorf("chosen plan\n%s!= fresh\n%s", plan, fresh)
+	}
+	res, err := Optimize(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Plan.String(); got != plan.String() {
+		t.Errorf("Optimize chose\n%s, the enumeration\n%s", got, plan)
+	}
+}
+
+// TestKeptRunsTwoTables runs CheckKeptRuns on the Example 5 join R ⨝ S,
+// keyed (hash, merge with injected sorts, HRJN) and keyless (nested
+// loops, NRJN), with the heuristics on and off.
+func TestKeptRunsTwoTables(t *testing.T) {
+	for _, where := range []expr.Expr{
+		nil, // figure9Fixture's R.a = S.a
+		expr.Lt(expr.NewCol("R", "b"), expr.NewCol("S", "c")),
+	} {
+		for _, heur := range []bool{true, false} {
+			for _, k := range []int{1, 10, 100} {
+				_, q := figure9Fixture(t, 2000)
+				if where != nil {
+					q.Where = where
+				}
+				q.K = k
+				opts := DefaultOptions()
+				opts.RankHeuristic, opts.LeftDeepOnly = heur, heur
+				t.Run(fmt.Sprintf("%s/heur=%v/k=%d", q.Where, heur, k), func(t *testing.T) {
+					CheckKeptRuns(t, q, opts)
+				})
 			}
 		}
 	}

@@ -166,6 +166,13 @@ func (p *PlanNode) Build(env *Env) (exec.Operator, error) {
 		}
 		kids[i] = k
 	}
+	return p.operator(env, kids)
+}
+
+// operator instantiates p's own operator over already-built inputs, one
+// per child: Build passes the children's trees, the Estimator replays of
+// their sample runs.
+func (p *PlanNode) operator(env *Env, kids []exec.Operator) (exec.Operator, error) {
 	switch p.Kind {
 	case KindSeqScan:
 		tm, err := env.tableFor(p.Alias)

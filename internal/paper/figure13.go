@@ -31,6 +31,7 @@ func Figure13(db *DB, id PlanID) ([]OpCard, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer est.Close()
 	if _, err := est.Estimate(plan); err != nil {
 		return nil, err
 	}

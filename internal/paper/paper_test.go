@@ -224,6 +224,42 @@ func TestFigure13Harness(t *testing.T) {
 	}
 }
 
+// TestFigure13Pinned pins every Figure 13 pair on the small database:
+// the estimator keeps each subplan's sample run and executes only the
+// new operator per plan, which must leave every estimate exactly what a
+// from-scratch execution of the whole subplan gives.
+func TestFigure13Pinned(t *testing.T) {
+	db, err := Build(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[PlanID][]OpCard{
+		Plan1: {{"mergeJoin", 41518, 128000}, {"sort_jc2/asc", 5219, 4800}, {"mergeJoin", 5219, 4800},
+			{"idxScan_jc1(A)", 4000, 4000}, {"idxScan_jc1(B)", 4000, 4000}, {"idxScan_jc2(C)", 4000, 4000}},
+		Plan2: {{"HRJN", 17, 147.52205874125875}, {"rank_f2(A.p2)", 119, 325.0285714285714},
+			{"idxScan_f1(A.p1)(A)", 1677, 3160}, {"rank_f4(B.p2)", 208, 226.93706293706293},
+			{"idxScan_f3(B.p1)(B)", 1956, 2440}, {"idxScan_f5(C.p1)(C)", 1719, 3320}},
+		Plan3: {{"HRJN", 17, 147.52205874125875}, {"rank_f2(A.p2)", 119, 325.0285714285714},
+			{"idxScan_f1(A.p1)(A)", 1677, 3160}, {"rank_f4(B.p2)", 208, 226.93706293706293},
+			{"rank_f3(B.p1)", 1956, 2440}, {"seqScan(B)", 4000, 4000}, {"idxScan_f5(C.p1)(C)", 1719, 3320}},
+		Plan4: {{"rank_f4(B.p2)", 17, 11.111111111111112}, {"rank_f3(B.p1)", 114, 44.44444444444445},
+			{"rank_f2(A.p2)", 476, 266.6666666666667}, {"rank_f1(A.p1)", 2346, 1600}, {"mergeJoin", 5219, 4800},
+			{"idxScan_jc1(A)", 4000, 4000}, {"idxScan_jc1(B)", 4000, 4000}, {"idxScan_f5(C.p1)(C)", 1719, 3320}},
+		PlanOpt: {{"rank_f2(A.p2)", 17, 95.6161491841492}, {"HRJN", 146, 573.6968951048951},
+			{"rank_f4(B.p2)", 232, 226.93706293706293}, {"idxScan_f3(B.p1)(B)", 1964, 2440},
+			{"idxScan_f1(A.p1)(A)", 1797, 3160}, {"idxScan_f5(C.p1)(C)", 1719, 3320}},
+	}
+	for _, id := range append(AllPlans, PlanOpt) {
+		got, err := Figure13(db, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want[id]) {
+			t.Errorf("%s: Figure 13 pairs\n%v\nwant\n%v", id, got, want[id])
+		}
+	}
+}
+
 // TestOptimizerChoiceIsCosted: on the default options, the optimizer's
 // pick must carry a finite cost and never do more predicate work than the
 // traditional plan, whose shape finalize always has available.
