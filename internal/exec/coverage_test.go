@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"ranksql/internal/expr"
@@ -313,5 +315,126 @@ func TestKeylessJoinAllocsScaleWithMatches(t *testing.T) {
 	if allocs[200] > allocs[50]+8 || allocs[200] > 64 {
 		t.Errorf("allocs per run: %v at n=50, %v at n=200; want them bounded by the matches, not the %d pairs",
 			allocs[50], allocs[200], 200*200)
+	}
+}
+
+// setOpInputs returns L and R over (k INT, p1 FLOAT, p2 FLOAT), sharing
+// common of their n rows, and the spec p1 + p2 with p1 evaluated on L's
+// side and p2 on R's.
+func setOpInputs(n, common int) (*storage.Table, *storage.Table, *rank.Spec) {
+	r := rand.New(rand.NewSource(46))
+	pool := storage.NewTable("P", schema.NewSchema(
+		schema.Column{Name: "k", Kind: types.KindInt},
+		schema.Column{Name: "p1", Kind: types.KindFloat},
+		schema.Column{Name: "p2", Kind: types.KindFloat},
+	))
+	for i := 0; i < 2*n-common; i++ {
+		pool.MustAppend([]types.Value{types.NewInt(int64(i)), types.NewFloat(r.Float64()), types.NewFloat(r.Float64())})
+	}
+	pick := func(name string, from int) *storage.Table {
+		t := storage.NewTable(name, pool.Schema)
+		for _, i := range r.Perm(n) {
+			t.MustAppend(pool.Row(schema.TID(from + i)))
+		}
+		return t
+	}
+	preds := []*rank.Predicate{
+		{Index: 0, Args: []rank.ColumnRef{{Column: "p1"}}, Fn: identFn, Cost: 1},
+		{Index: 1, Args: []rank.ColumnRef{{Column: "p2"}}, Fn: identFn, Cost: 1},
+	}
+	return pick("L", 0), pick("R", n-common), rank.MustSpec(rank.NewSum(2), preds)
+}
+
+// TestRankIntersectSweepsPending: with hundreds of one-sided arrivals,
+// ∩ holds more than 64 pending entries, so its sweep runs and drops the
+// ones whose duplicate can no longer arrive; the output still equals a
+// brute-force intersection sorted by p1 + p2.
+func TestRankIntersectSweepsPending(t *testing.T) {
+	const n, common = 300, 100
+	lt, rt, spec := setOpInputs(n, common)
+	ctx := NewContext(spec)
+	l, err := NewRank(NewSeqScan(lt, "L"), spec.Preds[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRank(NewSeqScan(rt, "R"), spec.Preds[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := NewRankIntersect(l, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	out, err := Drain(ctx, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Without a sweep every one-sided arrival would still be pending.
+	if oneSided := 2 * (n - common); len(x.pending) >= oneSided {
+		t.Errorf("%d entries pending after the drain, %d one-sided arrivals: nothing was swept", len(x.pending), oneSided)
+	}
+	x.Close()
+
+	type row struct {
+		key   string
+		score float64
+	}
+	inR := map[string]bool{}
+	rt.Scan(func(_ schema.TID, v []types.Value) bool {
+		inR[(&schema.Tuple{Values: v}).ValueKey()] = true
+		return true
+	})
+	var want []row
+	lt.Scan(func(_ schema.TID, v []types.Value) bool {
+		if k := (&schema.Tuple{Values: v}).ValueKey(); inR[k] {
+			want = append(want, row{k, v[1].Float() + v[2].Float()})
+		}
+		return true
+	})
+	sort.Slice(want, func(i, j int) bool { return want[i].score > want[j].score })
+	if len(out) != len(want) || len(want) != common {
+		t.Fatalf("intersection has %d rows, brute force %d (want %d)", len(out), len(want), common)
+	}
+	for i, tp := range out {
+		if tp.ValueKey() != want[i].key || math.Abs(tp.Score-want[i].score) > 1e-9 {
+			t.Fatalf("rank %d: %s score %v, brute force %s score %v", i, tp.ValueKey(), tp.Score, want[i].key, want[i].score)
+		}
+	}
+}
+
+// TestSetOpsEvaluated: ∪ and ∩ report P1 ∪ P2 as evaluated, − its outer
+// input's P1 (Figure 3).
+func TestSetOpsEvaluated(t *testing.T) {
+	lt, rt, spec := setOpInputs(10, 5)
+	for _, tc := range []struct {
+		build func(l, r Operator) (Operator, error)
+		want  schema.Bitset
+	}{
+		{func(l, r Operator) (Operator, error) { return NewRankUnion(l, r) }, schema.Bit(0).With(1)},
+		{func(l, r Operator) (Operator, error) { return NewRankIntersect(l, r) }, schema.Bit(0).With(1)},
+		{func(l, r Operator) (Operator, error) { return NewRankDiff(l, r) }, schema.Bit(0)},
+	} {
+		l, err := NewRank(NewSeqScan(lt, "L"), spec.Preds[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRank(NewSeqScan(rt, "R"), spec.Preds[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		op, err := tc.build(l, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := op.Open(NewContext(spec)); err != nil {
+			t.Fatal(err)
+		}
+		if got := op.Evaluated(); got != tc.want {
+			t.Errorf("%s: Evaluated() = %v, want %v", op.Name(), got, tc.want)
+		}
+		op.Close()
 	}
 }

@@ -7,6 +7,7 @@ package exec
 // sequences (ties may permute; scores must match position-wise).
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -590,5 +591,226 @@ func TestProjectPreservesRanking(t *testing.T) {
 	}
 	if proj.Schema().Len() != 1 {
 		t.Error("schema not narrowed")
+	}
+}
+
+// floatKeyTable copies t with its key column k widened to FLOAT, so an
+// INT key on one side of a join meets equal FLOAT keys on the other.
+func floatKeyTable(t *storage.Table) *storage.Table {
+	cols := append([]schema.Column(nil), t.Schema.Columns...)
+	cols[0].Kind = types.KindFloat
+	out := storage.NewTable(t.Name, schema.NewSchema(cols...))
+	t.Scan(func(_ schema.TID, row []types.Value) bool {
+		out.MustAppend(append([]types.Value(nil), row...))
+		return true
+	})
+	return out
+}
+
+// twoTableSpec ranks by lp = L.p1 (index 0) plus rp = R.p1 (index 1).
+func twoTableSpec() (*rank.Spec, []*rank.Predicate) {
+	preds := []*rank.Predicate{
+		{Index: 0, Name: "lp", Args: []rank.ColumnRef{{Table: "L", Column: "p1"}}, Fn: identFn, Cost: 1},
+		{Index: 1, Name: "rp", Args: []rank.ColumnRef{{Table: "R", Column: "p1"}}, Fn: identFn, Cost: 1},
+	}
+	return rank.MustSpec(rank.NewSum(2), preds), preds
+}
+
+// TestHashJoinIsKeyedNestedLoop: the hash join on lk = rk with residual
+// res and the nested loop on lk = rk ∧ res emit the identical tuple
+// sequence — NULL keys (which join nothing), duplicate keys, an INT key
+// meeting equal FLOAT keys, with and without a residual. The optimizer
+// relies on it to price the nested loop on the hash join's sample run.
+func TestHashJoinIsKeyedNestedLoop(t *testing.T) {
+	spec, _ := twoTableSpec()
+	lk, rk := expr.NewCol("L", "k"), expr.NewCol("R", "k")
+	residuals := []func() expr.Expr{
+		func() expr.Expr { return nil },
+		func() expr.Expr { return expr.Lt(expr.NewCol("L", "p1"), expr.NewCol("R", "p1")) },
+		func() expr.Expr {
+			return expr.Gt(expr.NewBinary(expr.OpAdd, expr.NewCol("L", "p1"), expr.NewCol("R", "p1")),
+				expr.NewConst(types.NewFloat(0.8)))
+		},
+	}
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		lt := nullKeys(r, randTable(r, "L", 1+r.Intn(40), 5, 1))
+		rt := nullKeys(r, floatKeyTable(randTable(r, "R", 1+r.Intn(40), 5, 1)))
+		mk := residuals[r.Intn(len(residuals))]
+
+		run := func(op Operator, err error) []*schema.Tuple {
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := Run(NewContext(spec), op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		hj := run(NewHashJoin(NewSeqScan(lt, "L"), NewSeqScan(rt, "R"), lk, rk, mk()))
+		nl := run(NewNestedLoopJoin(NewSeqScan(lt, "L"), NewSeqScan(rt, "R"),
+			expr.And(expr.Eq(expr.NewCol("L", "k"), expr.NewCol("R", "k")), mk())))
+		if len(hj) != len(nl) {
+			t.Logf("seed %d: hash join %d tuples, nested loop %d", seed, len(hj), len(nl))
+			return false
+		}
+		for i := range hj {
+			if hj[i].String() != nl[i].String() || hj[i].IdentityKey() != nl[i].IdentityKey() {
+				t.Logf("seed %d: tuple %d: hash join %s, nested loop %s", seed, i, hj[i], nl[i])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// snapSource hands out fixed tuples in order and snapshots the ranking
+// state (Preds, Evaluated, Score) of each as it hands it out, so a test
+// can check after Drain that the reader wrote none of it.
+type snapSource struct {
+	opBase
+	ev    schema.Bitset
+	rows  []*schema.Tuple
+	pos   int
+	snaps []schema.Tuple
+}
+
+// snapshotOf drains op into a snapSource with op's schema and evaluated
+// set.
+func snapshotOf(t *testing.T, ctx *Context, op Operator) *snapSource {
+	t.Helper()
+	rows, err := Run(ctx, op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &snapSource{ev: op.Evaluated(), rows: rows}
+	s.sch = op.Schema()
+	return s
+}
+
+func (s *snapSource) Open(*Context) error {
+	s.reset()
+	s.pos, s.snaps = 0, nil
+	return nil
+}
+
+func (s *snapSource) Next(*Context) (*schema.Tuple, error) {
+	if s.pos == len(s.rows) {
+		return nil, nil
+	}
+	tp := s.rows[s.pos]
+	s.pos++
+	s.snaps = append(s.snaps, schema.Tuple{Preds: append([]float64(nil), tp.Preds...),
+		Evaluated: tp.Evaluated, Score: tp.Score})
+	return s.emit(tp), nil
+}
+
+func (s *snapSource) Close() error             { return nil }
+func (s *snapSource) Evaluated() schema.Bitset { return s.ev }
+func (s *snapSource) Name() string             { return "snapSource" }
+func (s *snapSource) Children() []Operator     { return nil }
+
+// written reports the first handed-out tuple whose ranking state differs
+// from its snapshot, or "".
+func (s *snapSource) written() string {
+	for i, was := range s.snaps {
+		now := s.rows[i]
+		if now.Evaluated != was.Evaluated || now.Score != was.Score || !floatsEqual(now.Preds, was.Preds) {
+			return fmt.Sprintf("tuple %d: was %v P=%v score=%v, now %v", i, was.Preds, was.Evaluated, was.Score, now)
+		}
+	}
+	return ""
+}
+
+// TestOnlyMuAndSortScoreWriteInputs: every plan operator other than µ
+// (Rank) and τ_F (SortScore) leaves the Preds, Evaluated and Score of the
+// tuples its inputs hand it unchanged. The optimizer's sample runs rely
+// on it: they hand kept tuples to every other reader in place. µ and τ_F
+// are checked to write, so the check is not vacuous. (The set operators
+// complete one-sided arrivals in place too; the optimizer never plans
+// them.)
+func TestOnlyMuAndSortScoreWriteInputs(t *testing.T) {
+	spec, preds := twoTableSpec()
+	lk, rk := expr.NewCol("L", "k"), expr.NewCol("R", "k")
+	cases := []struct {
+		name   string
+		ranked bool // inputs ranked by µ_lp / µ_rp
+		writes bool
+		build  func(l, r Operator) (Operator, error)
+	}{
+		{"filter", true, false, func(l, _ Operator) (Operator, error) {
+			return NewFilter(l, expr.Lt(expr.NewCol("L", "p1"), expr.NewConst(types.NewFloat(0.5))))
+		}},
+		{"limit", true, false, func(l, _ Operator) (Operator, error) { return NewLimit(l, 5), nil }},
+		{"project", true, false, func(l, _ Operator) (Operator, error) { return NewProject(l, []int{1, 0}) }},
+		{"sortCol", true, false, func(l, _ Operator) (Operator, error) { return NewSortColumn(l, "L", "k") }},
+		{"hashJoin", false, false, func(l, r Operator) (Operator, error) {
+			return NewHashJoin(l, r, lk, rk, expr.Lt(expr.NewCol("L", "p1"), expr.NewCol("R", "p1")))
+		}},
+		{"nestLoop", false, false, func(l, r Operator) (Operator, error) {
+			return NewNestedLoopJoin(l, r, expr.Eq(lk, rk))
+		}},
+		{"mergeJoin", false, false, func(l, r Operator) (Operator, error) {
+			ls, err := NewSortColumn(l, "L", "k")
+			if err != nil {
+				return nil, err
+			}
+			rs, err := NewSortColumn(r, "R", "k")
+			if err != nil {
+				return nil, err
+			}
+			return NewSortMergeJoin(ls, rs, lk, rk, nil)
+		}},
+		{"HRJN", true, false, func(l, r Operator) (Operator, error) { return NewHRJN(l, r, lk, rk, nil) }},
+		{"NRJN", true, false, func(l, r Operator) (Operator, error) {
+			return NewNRJN(l, r, expr.NewBinary(expr.OpLe, expr.NewCol("L", "k"), expr.NewCol("R", "k")))
+		}},
+		{"rank", false, true, func(l, _ Operator) (Operator, error) { return NewRank(l, preds[0]) }},
+		{"sort_F", true, true, func(l, _ Operator) (Operator, error) { return NewSortScore(l), nil }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(0); seed < 20; seed++ {
+				r := rand.New(rand.NewSource(seed))
+				lt := nullKeys(r, randTable(r, "L", 1+r.Intn(40), 5, 1))
+				rt := nullKeys(r, randTable(r, "R", 1+r.Intn(40), 5, 1))
+				ctx := NewContext(spec)
+				var lop, rop Operator = NewSeqScan(lt, "L"), NewSeqScan(rt, "R")
+				if tc.ranked {
+					var err error
+					if lop, err = NewRank(lop, preds[0]); err != nil {
+						t.Fatal(err)
+					}
+					if rop, err = NewRank(rop, preds[1]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				l, rr := snapshotOf(t, ctx, lop), snapshotOf(t, ctx, rop)
+				op, err := tc.build(l, rr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := Run(ctx, op); err != nil {
+					t.Fatal(err)
+				}
+				if len(l.snaps) < len(l.rows) && tc.name != "limit" {
+					t.Fatalf("seed %d: read %d of %d left tuples", seed, len(l.snaps), len(l.rows))
+				}
+				got := l.written()
+				if got == "" {
+					got = rr.written()
+				}
+				switch {
+				case tc.writes && got == "" && len(l.rows) > 0:
+					t.Fatalf("seed %d: %s wrote no input tuple", seed, tc.name)
+				case !tc.writes && got != "":
+					t.Fatalf("seed %d: %s wrote an input tuple: %s", seed, tc.name, got)
+				}
+			}
+		})
 	}
 }

@@ -74,7 +74,16 @@ type optimizerState struct {
 	Generated int
 	Kept      int
 
-	rankMemo map[*PlanNode]map[int]float64
+	rankMemo map[*PlanNode]map[int]rankProbe
+}
+
+// rankProbe is one memoized rank-metric probe µ_p(base): its rank and
+// the estimate it was computed from, which the µ_p(base) candidate
+// reuses.
+type rankProbe struct {
+	metric   float64
+	card     float64
+	fallback bool
 }
 
 // Result is the outcome of optimization.
@@ -105,13 +114,7 @@ func Optimize(q *Query, opts Options) (*Result, error) {
 		return nil, err
 	}
 	defer est.Close()
-	o := &optimizerState{
-		d:        d,
-		opts:     opts,
-		est:      est,
-		best:     map[sig][]*candidate{},
-		rankMemo: map[*PlanNode]map[int]float64{},
-	}
+	o := newOptimizerState(d, opts, est)
 	if err := o.enumerate(); err != nil {
 		return nil, err
 	}
@@ -133,10 +136,16 @@ func Optimize(q *Query, opts Options) (*Result, error) {
 	}, nil
 }
 
-// annotate estimates the plan's cardinality and computes its cumulative
-// cost. Children normally carry annotations from their own enumeration
-// step; nodes injected as part of a composite (sorts under a merge join)
-// are annotated recursively first.
+// newOptimizerState returns empty DP tables for d, costed by est.
+func newOptimizerState(d *decomposed, opts Options, est *Estimator) *optimizerState {
+	return &optimizerState{d: d, opts: opts, est: est,
+		best: map[sig][]*candidate{}, rankMemo: map[*PlanNode]map[int]rankProbe{}}
+}
+
+// annotate estimates the plan's cardinality, unless it already carries
+// an estimate, and computes its cumulative cost. Children normally carry
+// annotations from their own enumeration step; nodes injected as part of
+// a composite (sorts under a merge join) are annotated recursively first.
 func (o *optimizerState) annotate(p *PlanNode) error {
 	for _, c := range p.Children {
 		if !c.costDone {
@@ -145,8 +154,10 @@ func (o *optimizerState) annotate(p *PlanNode) error {
 			}
 		}
 	}
-	if _, err := o.est.Estimate(p); err != nil {
-		return err
+	if !p.estimated() {
+		if _, err := o.est.Estimate(p); err != nil {
+			return err
+		}
 	}
 	p.Cost = o.costNode(p)
 	p.costDone = true
@@ -383,7 +394,8 @@ func (o *optimizerState) joinPlans(s sig) error {
 }
 
 // joinPair combines candidates of (SR1,SP1) and (SR2,SP2) with every
-// applicable join algorithm.
+// applicable join algorithm. Over an equi-keyed classic pair, the nested
+// loop is priced on its hash join twin's sample run, not executed.
 func (o *optimizerState) joinPair(s sig, sr1 tableSet, sp1 schema.Bitset, sr2 tableSet, sp2 schema.Bitset, conds []*joinCond) error {
 	c1s := o.candidates(sig{sr: sr1, sp: sp1})
 	c2s := o.candidates(sig{sr: sr2, sp: sp2})
@@ -423,23 +435,54 @@ func (o *optimizerState) joinPair(s sig, sr1 tableSet, sp1 schema.Bitset, sr2 ta
 		return nil
 	}
 
+	// Orient the equi key with the plan sides.
+	var lk, rk *expr.Col
+	if equi != nil {
+		lk, rk = equi.l, equi.r
+		if !sideOf(lk, o.d.aliasesOf(sr1)) {
+			lk, rk = rk, lk
+		}
+	}
+
 	for _, c1 := range c1s {
 		for _, c2 := range c2s {
-			// orient the equi key with the plan sides.
-			var lk, rk *expr.Col
-			if equi != nil {
-				lk, rk = equi.l, equi.r
-				if !sideOf(lk, o.d.aliasesOf(sr1)) {
-					lk, rk = rk, lk
-				}
-			}
 			if sp1 == 0 && sp2 == 0 {
 				// Classic joins: inputs unranked.
-				if equi != nil {
+				nl := &PlanNode{Kind: KindNestedLoop, Cond: allCond,
+					Children: []*PlanNode{c1.plan, c2.plan}}
+				if equi == nil {
+					if err := add(nl, ""); err != nil {
+						return err
+					}
+				} else {
 					hj := &PlanNode{Kind: KindHashJoin, LeftKey: lk, RightKey: rk,
 						Cond: resCond, Children: []*PlanNode{c1.plan, c2.plan}}
-					if err := add(hj, ""); err != nil {
+					if err := o.annotate(hj); err != nil {
 						return err
+					}
+					// The nested loop on lk = rk ∧ resCond emits exactly
+					// the hash join's tuples in the same order: both
+					// bucket the whole right input in arrival order and
+					// walk it once per left tuple, and a NULL key joins
+					// nothing in either. So it is priced on the hash
+					// join's sample run, not executed, and only the
+					// cheaper of the two is offered to addCandidate (the
+					// hash join on a tie, as it was offered first). Both
+					// count as generated. (One exception: Value.Hash keeps
+					// a FLOAT −0 apart from 0, which = equates, so on such
+					// keys the nested loop is priced on the hash join's
+					// smaller count.)
+					if err := o.est.estimateTwin(nl, hj); err != nil {
+						return err
+					}
+					nl.Cost = o.costNode(nl)
+					nl.costDone = true
+					o.Generated++
+					if nl.Cost < hj.Cost {
+						o.est.handOver(hj, nl)
+						o.addCandidate(s, nl, "")
+					} else {
+						o.addCandidate(s, hj, "")
 					}
 					// Sort-merge join: use existing interesting orders or
 					// inject sorts.
@@ -460,11 +503,6 @@ func (o *optimizerState) joinPair(s sig, sr1 tableSet, sp1 schema.Bitset, sr2 ta
 					if err := add(mj, propSorted(lk)); err != nil {
 						return err
 					}
-				}
-				nl := &PlanNode{Kind: KindNestedLoop, Cond: allCond,
-					Children: []*PlanNode{c1.plan, c2.plan}}
-				if err := add(nl, ""); err != nil {
-					return err
 				}
 			}
 			if o.opts.NoRankOperators {
@@ -519,6 +557,12 @@ func (o *optimizerState) rankPlans(s sig) error {
 			}
 			p := &PlanNode{Kind: KindRank, Pred: o.d.q.Spec.Preds[pi],
 				Children: []*PlanNode{c.plan}}
+			if pr, ok := o.rankMemo[c.plan][pi]; ok {
+				// The rank-metric probe estimated this very µ_p(c.plan);
+				// its run is started when a parent first reads it.
+				p.Card, p.fallback = pr.card, pr.fallback
+				p.setEstimated()
+			}
 			if err := o.annotate(p); err != nil {
 				outerErr = err
 				return
@@ -560,12 +604,11 @@ func (o *optimizerState) rankMetricSkips(base *PlanNode, pu int, univ, sp schema
 }
 
 // rankMetric computes (1 − card(plan')/card(plan)) / cost(µ_p) for
-// plan' = µ_p(plan), memoized per (plan, predicate).
+// plan' = µ_p(plan), memoized per (plan, predicate) together with the
+// probe's estimate.
 func (o *optimizerState) rankMetric(base *PlanNode, pi int) (float64, error) {
-	if m, ok := o.rankMemo[base]; ok {
-		if v, ok := m[pi]; ok {
-			return v, nil
-		}
+	if pr, ok := o.rankMemo[base][pi]; ok {
+		return pr.metric, nil
 	}
 	pred := o.d.q.Spec.Preds[pi]
 	probe := &PlanNode{Kind: KindRank, Pred: pred, Children: []*PlanNode{base}}
@@ -577,10 +620,10 @@ func (o *optimizerState) rankMetric(base *PlanNode, pi int) (float64, error) {
 	v := o.rankOf(base, pred, card)
 	m := o.rankMemo[base]
 	if m == nil {
-		m = map[int]float64{}
+		m = map[int]rankProbe{}
 		o.rankMemo[base] = m
 	}
-	m[pi] = v
+	m[pi] = rankProbe{metric: v, card: card, fallback: probe.fallback}
 	return v, nil
 }
 

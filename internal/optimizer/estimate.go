@@ -35,7 +35,13 @@ import (
 //     kept together with P: each subplan's run (its operator and the
 //     tuples it emitted) lives as long as P is a retained candidate, and
 //     a plan built on P executes only its own new operator, over a replay
-//     of P's run that pulls more from it only when read past its end:
+//     of P's run that pulls more from it only when read past its end. A
+//     replay feeding µ or τ_F, the two operators that write a tuple's
+//     ranking state, hands out copies; every other reader reads the kept
+//     tuples in place. Each sample computation runs once: a nested loop
+//     that emits exactly its hash join twin's tuples is scaled from the
+//     twin's run, and a µ candidate reuses the estimate of the identical
+//     rank-metric probe (see joinPair and rankPlans):
 //     scan:   card(P) = u / sᵢ
 //     unary:  card(P) = u · card(P′)/cards(P′)
 //     binary: card(P) = u · card(P1)/cards(P1) · card(P2)/cards(P2)
@@ -201,8 +207,10 @@ func (e *Estimator) estimateXPrime() (float64, error) {
 // Estimate annotates p.Card (recursively estimating children that lack an
 // annotation) and returns it. Children carry their estimates, and their
 // sample runs, from when they were enumerated, mirroring the paper's
-// "results are kept together with P": only p's own operator executes.
-// p's run is kept until release or Close.
+// "results are kept together with P": only p's own operator executes. A
+// child estimated without a run of its own (a µ candidate that reused
+// its rank-metric probe) gets one here, when it is first read. p's run is
+// kept until release or Close.
 func (e *Estimator) Estimate(p *PlanNode) (float64, error) {
 	for _, c := range p.Children {
 		if !c.estimated() {
@@ -231,14 +239,44 @@ func (e *Estimator) Estimate(p *PlanNode) (float64, error) {
 		u++
 	}
 
-	card, fallback, err := e.scaleUp(p, r.op, u)
-	if err != nil {
+	r.u = u
+	if err := e.annotateFrom(p, r); err != nil {
 		return 0, err
+	}
+	return p.Card, nil
+}
+
+// estimateTwin annotates p from twin's sample run instead of executing
+// p's own operator. p must emit exactly the tuples twin emits over the
+// same children, in the same order (joinPair's nested loop and its hash
+// join twin), so u and the children's output counts are twin's; p is
+// scaled by its own rule, so a fallback reads p's own selectivity.
+func (e *Estimator) estimateTwin(p, twin *PlanNode) error {
+	r := e.runs[twin]
+	if r == nil {
+		return errReleased
+	}
+	return e.annotateFrom(p, r)
+}
+
+// annotateFrom sets p's card and fallback flag from the run r of an
+// operator that emits p's tuples.
+func (e *Estimator) annotateFrom(p *PlanNode, r *sampleRun) error {
+	card, fallback, err := e.scaleUp(p, r.op, r.u)
+	if err != nil {
+		return err
 	}
 	p.Card = card
 	p.fallback = fallback
 	p.setEstimated()
-	return card, nil
+	return nil
+}
+
+// handOver makes from's sample run p's: p emits from's tuples and takes
+// from's place as a candidate, so the run lives as long as p does.
+func (e *Estimator) handOver(from, p *PlanNode) {
+	e.runs[p] = e.runs[from]
+	delete(e.runs, from)
 }
 
 // sampleRun is one subplan's execution over the samples: its operator,
@@ -250,6 +288,9 @@ type sampleRun struct {
 	ctx  *exec.Context
 	buf  []*schema.Tuple
 	done bool
+	// u is the count Estimate took of the leading outputs with upper
+	// bound ≥ x'.
+	u int
 }
 
 // errReleased reports a read of a run whose plan was already dropped: a
@@ -282,8 +323,10 @@ func (r *sampleRun) at(i int) (*schema.Tuple, error) {
 // newRun builds and opens p's operator over replays of its children's
 // runs (starting a child's run if it has none) and keeps it as p's run.
 // The run is always new, so the counts scaleUp reads off it are those of
-// a fresh execution of p.
+// a fresh execution of p. Only µ and τ_F write the ranking state of the
+// tuples they read, so only their replays hand out copies.
 func (e *Estimator) newRun(p *PlanNode) (*sampleRun, error) {
+	writes := p.Kind == KindRank || p.Kind == KindSortScore
 	kids := make([]exec.Operator, len(p.Children))
 	for i, c := range p.Children {
 		cr := e.runs[c]
@@ -293,7 +336,7 @@ func (e *Estimator) newRun(p *PlanNode) (*sampleRun, error) {
 				return nil, err
 			}
 		}
-		kids[i] = &replay{run: cr, sch: cr.op.Schema(), ev: cr.op.Evaluated()}
+		kids[i] = &replay{run: cr, sch: cr.op.Schema(), ev: cr.op.Evaluated(), copy: writes}
 	}
 	op, err := p.operator(e.env, kids)
 	if err != nil {
@@ -327,14 +370,17 @@ func (e *Estimator) Close() {
 
 // replay reads a sampleRun from its first tuple as the input of one
 // operator. µ and τ_F write a tuple's ranking state (Preds, Evaluated,
-// Score) in place, so each replay hands out its own copy of it; Values
-// and TIDs are shared. OutCount counts this replay's tuples only, which
-// is what the child of a fresh execution would report.
+// Score) in place, so a replay feeding one of them (copy) hands out its
+// own copy of that state, sharing Values and TIDs; every other operator
+// only reads its inputs' tuples and gets the kept tuples themselves.
+// OutCount counts this replay's tuples only, which is what the child of a
+// fresh execution would report.
 type replay struct {
-	run *sampleRun
-	sch *schema.Schema
-	ev  schema.Bitset
-	pos int
+	run  *sampleRun
+	sch  *schema.Schema
+	ev   schema.Bitset
+	pos  int
+	copy bool
 }
 
 func (r *replay) Open(*exec.Context) error { r.pos = 0; return nil }
@@ -345,6 +391,9 @@ func (r *replay) Next(*exec.Context) (*schema.Tuple, error) {
 		return nil, err
 	}
 	r.pos++
+	if !r.copy {
+		return t, nil
+	}
 	c := *t
 	c.Preds = append([]float64(nil), t.Preds...)
 	return &c, nil

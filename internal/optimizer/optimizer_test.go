@@ -239,8 +239,7 @@ func TestFigure9Signatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := &optimizerState{d: d, opts: opts, est: est,
-		best: map[sig][]*candidate{}, rankMemo: map[*PlanNode]map[int]float64{}}
+	o := newOptimizerState(d, opts, est)
 	if err := o.enumerate(); err != nil {
 		t.Fatal(err)
 	}
@@ -660,8 +659,7 @@ func CheckKeptRuns(t *testing.T, q *Query, opts Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := &optimizerState{d: d, opts: opts, est: est,
-		best: map[sig][]*candidate{}, rankMemo: map[*PlanNode]map[int]float64{}}
+	o := newOptimizerState(d, opts, est)
 	if err := o.enumerate(); err != nil {
 		t.Fatal(err)
 	}
@@ -687,8 +685,12 @@ func CheckKeptRuns(t *testing.T, q *Query, opts Options) {
 		for pi, v := range m {
 			pred := q.Spec.Preds[pi]
 			probe := o.freshCopy(t, &PlanNode{Kind: KindRank, Pred: pred, Children: []*PlanNode{base}})
-			if fresh := o.rankOf(base, pred, probe.Card); v != fresh {
-				t.Errorf("rank(µ_%s) over\n%s= %v, fresh %v", pred, base, v, fresh)
+			if fresh := o.rankOf(base, pred, probe.Card); v.metric != fresh {
+				t.Errorf("rank(µ_%s) over\n%s= %v, fresh %v", pred, base, v.metric, fresh)
+			}
+			if v.card != probe.Card || v.fallback != probe.fallback {
+				t.Errorf("probe µ_%s over\n%s: card=%v fallback=%v, fresh card=%v fallback=%v",
+					pred, base, v.card, v.fallback, probe.Card, probe.fallback)
 			}
 		}
 	}
@@ -726,5 +728,27 @@ func TestKeptRunsTwoTables(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestKeptRunsNestedLoopTwin runs CheckKeptRuns where the nested loop
+// over an equi-keyed pair is cheaper than its hash join twin (three rows
+// a side, one key value): the nested loop is priced on the hash join's
+// sample run and takes that run over, and the τ_F above it reads it.
+func TestKeptRunsNestedLoopTwin(t *testing.T) {
+	for _, noRank := range []bool{true, false} {
+		_, q := figure9Fixture(t, 3)
+		opts := DefaultOptions()
+		opts.NoRankOperators = noRank
+		res, err := Optimize(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if noRank && !strings.Contains(res.Plan.String(), "nestLoop((R.a = S.a))") {
+			t.Fatalf("want the keyed nested loop chosen, got\n%s", res.Plan)
+		}
+		t.Run(fmt.Sprintf("noRank=%v", noRank), func(t *testing.T) {
+			CheckKeptRuns(t, q, opts)
+		})
 	}
 }

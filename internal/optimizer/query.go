@@ -58,6 +58,9 @@ type decomposed struct {
 	// snaps are the tables' optimizer snapshots, per table position, taken
 	// by newEstimator; distinct counts and samples come from them.
 	snaps []*catalog.Snapshot
+	// preds memoizes evaluablePreds per table set, filled as the
+	// enumeration reaches each set.
+	preds map[tableSet]schema.Bitset
 }
 
 // decompose splits the WHERE clause into single-table selections and join
@@ -144,6 +147,12 @@ func (d *decomposed) aliasesOf(sr tableSet) map[string]bool {
 // evaluablePreds returns the SP universe for a relation set: predicates
 // whose referenced tables are all inside SR (Figure 8 line 6).
 func (d *decomposed) evaluablePreds(sr tableSet) schema.Bitset {
+	if b, ok := d.preds[sr]; ok {
+		return b
+	}
+	if d.preds == nil {
+		d.preds = map[tableSet]schema.Bitset{}
+	}
 	aliases := d.aliasesOf(sr)
 	var b schema.Bitset
 	for i, p := range d.q.Spec.Preds {
@@ -158,6 +167,7 @@ func (d *decomposed) evaluablePreds(sr tableSet) schema.Bitset {
 			b = b.With(i)
 		}
 	}
+	d.preds[sr] = b
 	return b
 }
 

@@ -8,10 +8,12 @@ import (
 )
 
 // compileAllocBudget caps the allocations of one optimizer.Optimize of Q
-// at benchSize (BenchmarkOptimizer's heuristics=true case): ~90 k with
-// each subplan's sample run kept and join conditions tested before a pair
-// is allocated, ~781 k when every candidate re-ran its whole subtree.
-const compileAllocBudget = 150000
+// at benchSize (BenchmarkOptimizer's heuristics=true case): ~34 k when a
+// nested loop is priced on its hash join twin's sample run, a µ candidate
+// reuses its rank-metric probe and only µ and τ_F read copies of kept
+// tuples; ~90 k when each of those ran or copied its own, ~781 k when
+// every candidate re-ran its whole subtree.
+const compileAllocBudget = 60000
 
 func TestCompileAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
