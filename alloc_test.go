@@ -24,10 +24,15 @@ import (
 // Fetch(10) + Close measures 907 allocs/op; the ceiling adds the same
 // one-rebuild headroom (~45) and stays under the 977 the path cost when
 // every open cloned the plan and rebuilt the tree.
+//
+// A set operation's template hit runs a pooled instance of its cached
+// plan too: ~170 allocs/op for setOpTemplate, where optimizing both
+// operands and building the tree on every call cost ~4 500.
 const (
-	rebindAllocBudget      = 2.0
-	templateHitAllocBudget = 90.0
-	cursorOpenAllocBudget  = 950.0
+	rebindAllocBudget           = 2.0
+	templateHitAllocBudget      = 90.0
+	cursorOpenAllocBudget       = 950.0
+	setOpTemplateHitAllocBudget = 1000.0
 )
 
 func TestRebindAllocBudget(t *testing.T) {
@@ -106,5 +111,31 @@ func TestCursorOpenAllocBudget(t *testing.T) {
 		}
 	}); allocs > cursorOpenAllocBudget {
 		t.Errorf("cursor open + Fetch(10) + Close: %.1f allocs/op, budget %v", allocs, cursorOpenAllocBudget)
+	}
+}
+
+func TestSetOpTemplateHitAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("alloc budgets are meaningless under -race: sync.Pool drops puts")
+	}
+	db := routeDB(t)
+	db.SetProfileSampling(0)
+	st, err := db.Prepare(setOpTemplate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Query(setOpArgs...); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		rows, err := st.Query(setOpArgs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows.Len() == 0 || !rows.CacheHit {
+			t.Fatalf("rows=%d cacheHit=%v, want cached non-empty result", rows.Len(), rows.CacheHit)
+		}
+	}); allocs > setOpTemplateHitAllocBudget {
+		t.Errorf("set-op template hit: %.1f allocs/op, budget %v", allocs, setOpTemplateHitAllocBudget)
 	}
 }

@@ -215,29 +215,63 @@ func TestPlanOnlyExplainHasNoExecTree(t *testing.T) {
 
 // TestProfiledProjectionEstimates: a profiled run of a prepared query
 // that projects columns pairs every executed node, the projection root
-// included, with an optimizer estimate.
+// included, with an optimizer estimate; so does a set operation's, its
+// set operator and both operands' projections included.
 func TestProfiledProjectionEstimates(t *testing.T) {
 	db := demoAPI(t)
 	db.SetProfileSampling(1)
-	st, err := db.Prepare(`SELECT name FROM city WHERE rent < ? ORDER BY affordable(rent) LIMIT ?`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := st.Query(2000.0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rows.Profiled {
-		t.Fatal("run not profiled with sampling every execution")
-	}
-	ops := rows.Operators()
-	if len(ops) < 2 {
-		t.Fatalf("%d operators, want a projection over the plan", len(ops))
-	}
-	for _, op := range ops {
-		if op.EstRows < 0 {
-			t.Errorf("operator %s has no estimate (EstRows %g)", op.Name, op.EstRows)
+	for _, q := range []string{
+		`SELECT name FROM city WHERE rent < ? ORDER BY affordable(rent) LIMIT ?`,
+		`SELECT name, rent FROM city WHERE rent < ? UNION SELECT name, rent FROM city WHERE sunny
+			ORDER BY affordable(rent) LIMIT ?`,
+	} {
+		st, err := db.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
 		}
+		rows, err := st.Query(2000.0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rows.Profiled {
+			t.Fatal("run not profiled with sampling every execution")
+		}
+		ops := rows.Operators()
+		if len(ops) < 2 {
+			t.Fatalf("%d operators, want a projection over the plan", len(ops))
+		}
+		for _, op := range ops {
+			if op.EstRows < 0 {
+				t.Errorf("%s: operator %s has no estimate (EstRows %g)", q, op.Name, op.EstRows)
+			}
+		}
+	}
+}
+
+// TestSetOpOperandsShareAlias: each operand of a set operation resolves
+// its aliases on its own, so one alias may name a different table on
+// each side and the result holds rows of both.
+func TestSetOpOperandsShareAlias(t *testing.T) {
+	db := demoAPI(t)
+	for _, s := range []string{
+		`CREATE TABLE town (name TEXT, pop INT, rent FLOAT, sunny BOOL)`,
+		`INSERT INTO town VALUES ('Brockway', 5000, 400.0, true)`,
+	} {
+		if _, err := db.Exec(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows, err := db.Query(`SELECT x.name, x.rent FROM city x UNION SELECT x.name, x.rent FROM town x
+		ORDER BY affordable(x.rent) LIMIT 10`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for i := 0; i < rows.Len(); i++ {
+		got[rows.ValueAt(i, 0).Text()] = true
+	}
+	if rows.Len() != 5 || !got["Brockway"] || !got["Ogdenville"] {
+		t.Errorf("union over two tables aliased x: %d rows %v, want the 4 cities and Brockway", rows.Len(), got)
 	}
 }
 
@@ -326,7 +360,7 @@ func TestSampleFollowsTuning(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		line := strings.Split(plan, "\n")[1]
+		line := strings.SplitN(plan[strings.Index(plan, "limit(10)"):], "\n", 3)[1]
 		var card float64
 		if _, err := fmt.Sscanf(line[strings.Index(line, "card="):], "card=%g", &card); err != nil {
 			t.Fatalf("%q: %v", line, err)

@@ -84,6 +84,39 @@ func BenchmarkTemplateHit(b *testing.B) {
 	}
 }
 
+// setOpTemplate is a UNION template over routeDB's item and item2;
+// setOpArgs bind it: a >= 0.2, LIMIT 10.
+const setOpTemplate = `SELECT id, a, b FROM item WHERE a >= ? UNION SELECT id, a, b FROM item2
+	ORDER BY sa(a) + sb(b) LIMIT ?`
+
+var setOpArgs = []interface{}{0.2, 10}
+
+// BenchmarkSetOpTemplateHit is BenchmarkTemplateHit for a set operation:
+// the UNION's plan is cached like a SELECT's, so each iteration runs a
+// pooled instance of it.
+func BenchmarkSetOpTemplateHit(b *testing.B) {
+	db := routeDB(b)
+	db.SetProfileSampling(0)
+	st, err := db.Prepare(setOpTemplate)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := st.Query(setOpArgs...); err != nil {
+		b.Fatal(err) // warm the plan cache
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, err := st.Query(setOpArgs...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rows.Len() == 0 || !rows.CacheHit {
+			b.Fatalf("rows=%d cacheHit=%v, want cached non-empty result", rows.Len(), rows.CacheHit)
+		}
+	}
+}
+
 // BenchmarkRebind isolates the rebind step: what it costs to turn a
 // cached plan plus fresh parameter values into a runnable operator tree,
 // without executing it.

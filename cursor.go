@@ -57,7 +57,7 @@ type Cursor struct {
 }
 
 // Cursor opens a resumable ranked cursor over a SELECT or set-operation
-// statement. Repeated SELECT templates share the plan cache with Query.
+// statement. Repeated templates share the plan cache with Query.
 func (db *DB) Cursor(src string) (*Cursor, error) {
 	st, err := sql.Parse(src)
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"ranksql/internal/sql"
 	"ranksql/internal/types"
 )
 
@@ -23,7 +22,7 @@ func cursorDB(t *testing.T, nRows int) *DB {
 // gridDB is cursorDB with the grid cut to its lowest `levels` values
 // (0, 0.05, ...): below 21 no row reaches a score input of 1.0, so a test
 // can insert rows that strictly outrank every existing one.
-func gridDB(t *testing.T, nRows, levels int) *DB {
+func gridDB(t testing.TB, nRows, levels int) *DB {
 	t.Helper()
 	db := Open()
 	if _, err := db.Exec(`CREATE TABLE item (id INT, a FLOAT, b FLOAT)`); err != nil {
@@ -447,7 +446,7 @@ func TestCursorPrepared(t *testing.T) {
 // routeDB extends the cursor dataset for the every-route property: rank
 // indexes (so plans rank-scan and rank-join), a second joinable table, and
 // a union-compatible copy of half of item. Score inputs stay below 1.0.
-func routeDB(t *testing.T) *DB {
+func routeDB(t testing.TB) *DB {
 	t.Helper()
 	db := gridDB(t, 300, 20)
 	if err := db.RegisterScorer("sw", func(args []Value) float64 { return args[0].Float() }, WithCost(1)); err != nil {
@@ -517,6 +516,8 @@ var routeCases = []routeCase{
 		sql: `SELECT id, a, b FROM item INTERSECT SELECT id, a, b FROM item2 ORDER BY sa(a) + sb(b) LIMIT 10`},
 	{name: "EXCEPT", plan: "rankDiff",
 		sql: `SELECT id, a, b FROM item EXCEPT SELECT id, a, b FROM item2 ORDER BY sa(a) + sb(b) LIMIT 10`},
+	{name: "UNION with ?", plan: "rankUnion",
+		sql: setOpTemplate, params: setOpArgs, lits: []string{"0.2", "10"}},
 }
 
 // adhoc spells the template with its literals: the route that compiles
@@ -644,7 +645,6 @@ func TestEveryRouteAgrees(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, setOp := st.stmt.(*sql.SetOpStmt)
 			before := checkRoutes(t, c, st, false)
 
 			// The new rows outrank everything; 900002 exists only in item,
@@ -658,7 +658,7 @@ func TestEveryRouteAgrees(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			after := checkRoutes(t, c, st, !setOp) // set operations are not cached
+			after := checkRoutes(t, c, st, true)
 			if after[0] == before[0] {
 				t.Errorf("top row unchanged by the insert: %s", after[0])
 			}
@@ -673,83 +673,87 @@ func TestEveryRouteAgrees(t *testing.T) {
 
 // TestQueryAndCursorShareInstances is the -race half of the property:
 // goroutines mix Query with Cursor/Fetch/Close (half-read and drained to
-// k) on one prepared template, so plan instances keep moving between
-// one-shot runs and suspended streams, while a writer inserts rows the
-// filter rejects — the index swap must not disturb anyone's answer.
+// k) on one prepared template — a SELECT's, then a set operation's — so
+// plan instances keep moving between one-shot runs and suspended streams,
+// while a writer inserts rows the filter rejects — the index swap must
+// not disturb anyone's answer.
 func TestQueryAndCursorShareInstances(t *testing.T) {
-	db := routeDB(t)
-	c := routeCases[5] // LIMIT ?
-	st, err := db.Prepare(c.sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := st.Query(c.params...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ranking(ref.data, ref.Scores)
+	for _, c := range []routeCase{routeCases[5], routeCases[len(routeCases)-1]} { // LIMIT ?, UNION with ?
+		t.Run(c.name, func(t *testing.T) {
+			db := routeDB(t)
+			st, err := db.Prepare(c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := st.Query(c.params...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ranking(ref.data, ref.Scores)
 
-	const workers, rounds = 4, 30
-	errs := make(chan error, workers+1)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			for i := 0; i < rounds; i++ {
-				var got []string
-				if (w+i)%2 == 0 {
-					rows, err := st.Query(c.params...)
-					if err != nil {
-						errs <- err
-						return
-					}
-					got = ranking(rows.data, rows.Scores)
-				} else {
-					cur, err := st.Cursor(c.params...)
-					if err != nil {
-						errs <- err
-						return
-					}
-					var data [][]types.Value
-					var scores []float64
-					for _, n := range []int{3, 7} {
-						if n == 7 && i%3 == 0 {
-							break // close half-read
+			const workers, rounds = 4, 30
+			errs := make(chan error, workers+1)
+			for w := 0; w < workers; w++ {
+				go func(w int) {
+					for i := 0; i < rounds; i++ {
+						var got []string
+						if (w+i)%2 == 0 {
+							rows, err := st.Query(c.params...)
+							if err != nil {
+								errs <- err
+								return
+							}
+							got = ranking(rows.data, rows.Scores)
+						} else {
+							cur, err := st.Cursor(c.params...)
+							if err != nil {
+								errs <- err
+								return
+							}
+							var data [][]types.Value
+							var scores []float64
+							for _, n := range []int{3, 7} {
+								if n == 7 && i%3 == 0 {
+									break // close half-read
+								}
+								rows, err := cur.Fetch(n)
+								if err != nil {
+									errs <- err
+									return
+								}
+								data = append(data, rows.data...)
+								scores = append(scores, rows.Scores...)
+							}
+							if err := cur.Close(); err != nil {
+								errs <- err
+								return
+							}
+							got = ranking(data, scores)
 						}
-						rows, err := cur.Fetch(n)
-						if err != nil {
-							errs <- err
-							return
+						for j := range got {
+							if got[j] != want[j] {
+								errs <- fmt.Errorf("worker %d round %d: rank %d = %s, want %s", w, i, j+1, got[j], want[j])
+								return
+							}
 						}
-						data = append(data, rows.data...)
-						scores = append(scores, rows.Scores...)
 					}
-					if err := cur.Close(); err != nil {
+					errs <- nil
+				}(w)
+			}
+			go func() {
+				for i := 0; i < rounds; i++ {
+					if _, err := db.Exec(fmt.Sprintf(`INSERT INTO item VALUES (%d, 0.0, 1.0)`, 700000+i)); err != nil {
 						errs <- err
 						return
 					}
-					got = ranking(data, scores)
 				}
-				for j := range got {
-					if got[j] != want[j] {
-						errs <- fmt.Errorf("worker %d round %d: rank %d = %s, want %s", w, i, j+1, got[j], want[j])
-						return
-					}
+				errs <- nil
+			}()
+			for i := 0; i < workers+1; i++ {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
 				}
 			}
-			errs <- nil
-		}(w)
-	}
-	go func() {
-		for i := 0; i < rounds; i++ {
-			if _, err := db.Exec(fmt.Sprintf(`INSERT INTO item VALUES (%d, 0.0, 1.0)`, 700000+i)); err != nil {
-				errs <- err
-				return
-			}
-		}
-		errs <- nil
-	}()
-	for i := 0; i < workers+1; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
+		})
 	}
 }

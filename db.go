@@ -30,7 +30,7 @@ type DB struct {
 	scorers map[string]scorer
 	// options configure the optimizer (SetTuning).
 	options optimizer.Options
-	// plans caches compiled SELECT plans keyed on (normalized template,
+	// plans caches compiled query plans keyed on (normalized template,
 	// k, schema version); repeated query templates skip parse+optimize.
 	plans *planCache
 	// profileEvery samples per-operator runtime profiling: every N-th
@@ -306,7 +306,7 @@ func (db *DB) ExplainAnalyze(sql string) (*Rows, error) {
 	return db.Query("EXPLAIN ANALYZE " + sql)
 }
 
-// Explain returns the optimized physical plan for a SELECT without
+// Explain returns the optimized physical plan for a query without
 // executing it, annotated with estimated cardinalities and costs.
 func (db *DB) Explain(src string) (string, error) {
 	st, err := sql.Parse(src)
@@ -318,26 +318,11 @@ func (db *DB) Explain(src string) (string, error) {
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	switch s := st.(type) {
-	case *sql.SelectStmt:
-		q, _, err := db.bind(s)
-		if err != nil {
-			return "", err
-		}
-		res, err := optimizer.Optimize(q, db.options)
-		if err != nil {
-			return "", err
-		}
-		return res.Plan.String(), nil
-	case *sql.SetOpStmt:
-		so, err := db.buildSetOp(s)
-		if err != nil {
-			return "", err
-		}
-		return so.planText(), nil
-	default:
-		return "", fmt.Errorf("engine: Explain expects a SELECT statement")
+	cp, _, err := db.resolvePlan(st, "", nil, nil)
+	if err != nil {
+		return "", err
 	}
+	return cp.Plan.String(), nil
 }
 
 // bind turns a parsed SELECT into an optimizer query plus its spec.

@@ -7,7 +7,6 @@ import (
 	"ranksql/internal/exec"
 	"ranksql/internal/expr"
 	"ranksql/internal/optimizer"
-	"ranksql/internal/rank"
 	"ranksql/internal/schema"
 	"ranksql/internal/types"
 )
@@ -18,13 +17,12 @@ import (
 // so Query is open → pull to λ_k's quota → rows → release, and a Cursor
 // is the same stream kept open between Fetches.
 //
-// A SELECT's streams are instances of its compiledPlan and are pooled
-// there. Build deep-clones every condition into the operators it creates,
-// so an instance's parameter slots are private: writing them rebinds
-// exactly this tree, two instances of one plan share no mutable state,
-// and a template hit costs neither a plan clone nor a tree build.
-// Set-operation streams are built per statement (cp == nil) and never
-// pooled.
+// Every stream is an instance of a compiledPlan — a SELECT's or a set
+// operation's — and is pooled there. Build deep-clones every condition
+// into the operators it creates, so an instance's parameter slots are
+// private: writing them rebinds exactly this tree, two instances of one
+// plan share no mutable state, and a template hit costs neither a plan
+// clone nor a tree build.
 type stream struct {
 	op exec.Operator
 	// limit is the tree's λ_k, nil when the statement has no LIMIT.
@@ -33,28 +31,10 @@ type stream struct {
 	labels  *exec.TreeLabels
 	params  []*expr.Param
 	columns []string
-	// planText renders the optimizer's plan for EXPLAIN.
-	planText func() string
-	cp       *compiledPlan
+	cp      *compiledPlan
 	// failed marks a tree whose open or pull returned an error: its state
 	// is unknown, so release closes it without pooling.
 	failed bool
-}
-
-// newStream wraps a built tree; limit is the λ_k inside it, or nil.
-func newStream(op exec.Operator, limit *exec.Limit, spec *rank.Spec, planText func() string) *stream {
-	s := &stream{
-		op:       op,
-		limit:    limit,
-		ctx:      exec.NewContext(spec),
-		labels:   exec.NewTreeLabels(op),
-		params:   exec.CollectParams(op),
-		planText: planText,
-	}
-	for _, c := range op.Schema().Columns {
-		s.columns = append(s.columns, c.QualifiedName())
-	}
-	return s
 }
 
 // k is the statement's LIMIT, which its λ_k carries (0 = none).
@@ -65,26 +45,31 @@ func (s *stream) k() int {
 	return s.limit.K
 }
 
-// newInstance wraps a tree built from cp.Plan — rooted in λ_k when the
-// statement has a LIMIT — as a poolable stream of the plan. The
-// projection, which is not a plan node, is applied here.
+// newInstance wraps a tree built from cp.Plan as a poolable stream of the
+// plan. The tree's λ_k is its root, or the root's input under a
+// projection.
 func (cp *compiledPlan) newInstance(op exec.Operator) (*stream, error) {
-	limit, _ := op.(*exec.Limit)
-	if cp.Proj != nil {
-		pr, err := exec.NewProject(op, cp.Proj)
-		if err != nil {
-			return nil, err
-		}
-		op = pr
+	s := &stream{
+		op:     op,
+		ctx:    exec.NewContext(cp.Spec),
+		labels: exec.NewTreeLabels(op),
+		params: exec.CollectParams(op),
+		cp:     cp,
 	}
-	s := newStream(op, limit, cp.Spec, cp.Plan.String)
+	top := op
+	if pr, ok := op.(*exec.Project); ok {
+		top = pr.Children()[0]
+	}
+	s.limit, _ = top.(*exec.Limit)
+	for _, c := range op.Schema().Columns {
+		s.columns = append(s.columns, c.QualifiedName())
+	}
 	if cp.HasParams && len(s.params) == 0 {
 		// The plan claims placeholder conditions but the built tree
 		// exposes none: binding would silently run with the values the
 		// plan was compiled under. Fail loudly instead.
 		return nil, fmt.Errorf("engine: parameterized plan built no parameter slots")
 	}
-	s.cp = cp
 	return s, nil
 }
 
@@ -113,16 +98,16 @@ func (s *stream) bind(params []types.Value) error {
 	return nil
 }
 
-// arenas is the one pool of tuple arenas every one-shot run of a pooled
-// stream borrows from. Slabs belong to no plan, so a template compiled
-// and run once does not strand its slabs in its own plan's pool.
+// arenas is the one pool of tuple arenas every one-shot run of a stream
+// borrows from. Slabs belong to no plan, so a template compiled and run
+// once does not strand its slabs in its own plan's pool.
 var arenas = sync.Pool{New: func() any { return new(schema.TupleArena) }}
 
-// open binds the parameters and opens the tree. A one-shot run of a pooled
-// stream bulk-allocates its tuples from an arena taken from arenas, which
-// release recycles: they all die there. A suspended stream (a cursor's,
-// outliving this call) heap-allocates instead, so a deep cursor does not
-// pin every tuple it ever produced. Callers hold db.mu (read side), here
+// open binds the parameters and opens the tree. A one-shot run
+// bulk-allocates its tuples from an arena taken from arenas, which release
+// recycles: they all die there. A suspended stream (a cursor's, outliving
+// this call) heap-allocates instead, so a deep cursor does not pin every
+// tuple it ever produced. Callers hold db.mu (read side), here
 // and for pull.
 func (s *stream) open(params []types.Value, profile, suspended bool) error {
 	s.failed = true // until the tree is open
@@ -130,7 +115,7 @@ func (s *stream) open(params []types.Value, profile, suspended bool) error {
 		return err
 	}
 	s.ctx.Profile = profile
-	if !suspended && s.cp != nil {
+	if !suspended {
 		s.ctx.Arena = arenas.Get().(*schema.TupleArena)
 	}
 	if err := s.op.Open(s.ctx); err != nil {
@@ -182,17 +167,17 @@ func (s *stream) rows(tuples []*schema.Tuple) *Rows {
 		rows.data[i] = t.Values
 		rows.Scores[i] = t.Score
 	}
-	if rows.Profiled && s.cp != nil {
+	if rows.Profiled {
 		rows.est = optimizer.Estimates(s.cp.Plan, tree)
 	}
 	return rows
 }
 
 // release closes the tree, recycles its arena into arenas and, when it
-// belongs to a plan and never failed, unbinds its parameter slots (so a
-// pooling bug surfaces as an "unbound parameter" error, not a silent
-// stale read) and pools the stream for the plan's next request. Only call
-// it after rows: arena tuples die here.
+// never failed, unbinds its parameter slots (so a pooling bug surfaces as
+// an "unbound parameter" error, not a silent stale read) and pools the
+// stream for the plan's next request. Only call it after rows: arena
+// tuples die here.
 func (s *stream) release() error {
 	err := s.op.Close()
 	if a := s.ctx.Arena; a != nil {
@@ -200,7 +185,7 @@ func (s *stream) release() error {
 		arenas.Put(a)
 		s.ctx.Arena = nil
 	}
-	if err != nil || s.failed || s.cp == nil {
+	if err != nil || s.failed {
 		return err
 	}
 	for _, p := range s.params {

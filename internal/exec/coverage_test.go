@@ -136,6 +136,40 @@ func TestHashJoinResidual(t *testing.T) {
 	}
 }
 
+// TestJoinSignedZeroKeys: FLOAT 0 and −0 compare equal, so every
+// equi-join pairs them: the hash join and HRJN find the one pair the
+// nested loop finds.
+func TestJoinSignedZeroKeys(t *testing.T) {
+	table := func(name string, k float64) *storage.Table {
+		tb := storage.NewTable(name, schema.NewSchema(schema.Column{Name: "k", Kind: types.KindFloat}))
+		tb.MustAppend([]types.Value{types.NewFloat(k)})
+		return tb
+	}
+	lt, rt := table("L", 0), table("R", math.Copysign(0, -1))
+	lk, rk := expr.NewCol("L", "k"), expr.NewCol("R", "k")
+	nl, err := NewNestedLoopJoin(NewSeqScan(lt, "L"), NewSeqScan(rt, "R"), expr.Eq(lk, rk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hj, err := NewHashJoin(NewSeqScan(lt, "L"), NewSeqScan(rt, "R"), lk, rk, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hrjn, err := NewHRJN(NewSeqScan(lt, "L"), NewSeqScan(rt, "R"), lk, rk, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []Operator{nl, hj, hrjn} {
+		out, err := Run(NewContext(rank.EmptySpec()), op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != 1 {
+			t.Errorf("%s joins 0 with −0 into %d rows, want 1", op.Name(), len(out))
+		}
+	}
+}
+
 // TestEmptyInputs: every operator behaves on empty inputs.
 func TestEmptyInputs(t *testing.T) {
 	empty := randTable(rand.New(rand.NewSource(0)), "T", 0, 5, 2)
@@ -348,7 +382,8 @@ func setOpInputs(n, common int) (*storage.Table, *storage.Table, *rank.Spec) {
 // TestRankIntersectSweepsPending: with hundreds of one-sided arrivals,
 // ∩ holds more than 64 pending entries, so its sweep runs and drops the
 // ones whose duplicate can no longer arrive; the output still equals a
-// brute-force intersection sorted by p1 + p2.
+// brute-force intersection sorted by p1 + p2, and a full drain leaves
+// nothing counted as buffered.
 func TestRankIntersectSweepsPending(t *testing.T) {
 	const n, common = 300, 100
 	lt, rt, spec := setOpInputs(n, common)
@@ -368,13 +403,32 @@ func TestRankIntersectSweepsPending(t *testing.T) {
 	if err := x.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	out, err := Drain(ctx, x)
-	if err != nil {
-		t.Fatal(err)
+	// Rows are distinct within each side, so an arrival either opens a
+	// pending entry or completes one (which then counts as emitted): without
+	// a sweep, pending would hold drawn − 2·matched entries.
+	var out []*schema.Tuple
+	swept := 0
+	for {
+		tp, err := x.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tp == nil {
+			break
+		}
+		out = append(out, tp)
+		if !x.lDone || !x.rDone { // both done drops every pending entry
+			drawn := int(l.OutCount() + r.OutCount())
+			swept = max(swept, drawn-2*len(x.emitted)-len(x.pending))
+		}
 	}
-	// Without a sweep every one-sided arrival would still be pending.
-	if oneSided := 2 * (n - common); len(x.pending) >= oneSided {
-		t.Errorf("%d entries pending after the drain, %d one-sided arrivals: nothing was swept", len(x.pending), oneSided)
+	if swept == 0 {
+		t.Error("no pending entry was swept")
+	}
+	// Every buffered tuple was released: swept, matched and emitted, or
+	// dropped when both inputs ran out.
+	if b := ctx.Stats.Buffered; b != 0 {
+		t.Errorf("Stats.Buffered = %d after the drain, want 0", b)
 	}
 	x.Close()
 

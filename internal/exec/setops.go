@@ -316,6 +316,9 @@ func (x *RankIntersect) Next(ctx *Context) (*schema.Tuple, error) {
 			return nil, err
 		}
 		if !ok {
+			// Both inputs are done: no pending entry can complete.
+			ctx.Stats.buffer(-int64(len(x.pending)))
+			clear(x.pending)
 			if x.queue.empty() {
 				return nil, nil
 			}
@@ -347,13 +350,13 @@ func (x *RankIntersect) Next(ctx *Context) (*schema.Tuple, error) {
 		// Garbage-collect pending entries whose duplicate can no longer
 		// arrive. (Linear sweep amortized by sweeping occasionally.)
 		if len(x.pending) > 0 && len(x.pending)%64 == 0 {
-			x.sweep()
+			x.sweep(ctx)
 		}
 	}
 }
 
 // sweep drops pending entries that can never complete.
-func (x *RankIntersect) sweep() {
+func (x *RankIntersect) sweep(ctx *Context) {
 	for k, e := range x.pending {
 		var otherLast float64
 		if e.seenLeft {
@@ -363,6 +366,7 @@ func (x *RankIntersect) sweep() {
 		}
 		if e.boundOnOther > otherLast {
 			delete(x.pending, k)
+			ctx.Stats.buffer(-1)
 		}
 	}
 }

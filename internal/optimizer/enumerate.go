@@ -468,10 +468,7 @@ func (o *optimizerState) joinPair(s sig, sr1 tableSet, sp1 schema.Bitset, sr2 ta
 					// join's sample run, not executed, and only the
 					// cheaper of the two is offered to addCandidate (the
 					// hash join on a tie, as it was offered first). Both
-					// count as generated. (One exception: Value.Hash keeps
-					// a FLOAT −0 apart from 0, which = equates, so on such
-					// keys the nested loop is priced on the hash join's
-					// smaller count.)
+					// count as generated.
 					if err := o.est.estimateTwin(nl, hj); err != nil {
 						return err
 					}
@@ -689,10 +686,7 @@ func (o *optimizerState) finalize() (*PlanNode, error) {
 		return nil, fmt.Errorf("optimizer: no complete plan found")
 	}
 	if o.d.q.K > 0 {
-		best = &PlanNode{Kind: KindLimit, K: o.d.q.K, Children: []*PlanNode{best},
-			Card: math.Min(float64(o.d.q.K), best.Card), Cost: best.Cost}
-		best.setEstimated()
-		best.costDone = true
+		best = Limit(best, o.d.q.K)
 	}
 	return best, nil
 }

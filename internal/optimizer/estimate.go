@@ -66,7 +66,7 @@ import (
 // each sampled pair stands for r₁·r₂ real pairs.
 //
 // No estimate of a non-empty input is zero: costNode prices an operator by
-// its inputs' cards, so a zero would make everything above it free. Three
+// its inputs' cards, so a zero would make everything above it free. Four
 // fallbacks replace a count the sample cannot give, and EXPLAIN marks each
 // node estimated by one est=fallback:
 //   - a binary node with u = 0 gets the System-R floor
@@ -76,7 +76,10 @@ import (
 //   - a unary node whose child emitted no sample tuples inherits card(P′):
 //     nothing was observed to scale;
 //   - u = 0 on a non-empty input counts as half a sampled tuple: none of m
-//     sampled tuples passing says the share is below 1/m, not that it is 0.
+//     sampled tuples passing says the share is below 1/m, not that it is 0;
+//   - a set operation over two separately optimized operands (SetOp) is
+//     never run on the samples: its card is the bound its operands' cards
+//     give, l + r for ∪, min(l, r) for ∩ and l for −.
 type Estimator struct {
 	d   *decomposed
 	env *Env
@@ -338,7 +341,7 @@ func (e *Estimator) newRun(p *PlanNode) (*sampleRun, error) {
 		}
 		kids[i] = &replay{run: cr, sch: cr.op.Schema(), ev: cr.op.Evaluated(), copy: writes}
 	}
-	op, err := p.operator(e.env, kids)
+	op, err := p.Operator(e.env, kids...)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"ranksql/internal/catalog"
@@ -28,6 +29,10 @@ const (
 	KindSortScore
 	KindSortColumn
 	KindLimit
+	KindUnion
+	KindIntersect
+	KindDiff
+	KindProject
 )
 
 var kindNames = map[PlanKind]string{
@@ -35,6 +40,7 @@ var kindNames = map[PlanKind]string{
 	KindFilter: "filter", KindRank: "rank", KindHRJN: "HRJN", KindNRJN: "NRJN",
 	KindNestedLoop: "nestLoop", KindHashJoin: "hashJoin", KindMergeJoin: "mergeJoin",
 	KindSortScore: "sort", KindSortColumn: "sortCol", KindLimit: "limit",
+	KindUnion: "rankUnion", KindIntersect: "rankIntersect", KindDiff: "rankDiff",
 }
 
 // PlanNode is a buildable physical plan description. The optimizer
@@ -57,6 +63,11 @@ type PlanNode struct {
 	SortTable, SortCol string
 	// Limit.
 	K int
+	// Project: the child output's column positions kept, in output order.
+	Proj []int
+	// Set operations: each operand's environment, parallel to Children.
+	// Two operands may give one alias to two tables.
+	Envs []*Env
 
 	// Annotations (filled during enumeration).
 	Card float64 // estimated output cardinality
@@ -102,6 +113,8 @@ func (p *PlanNode) Label() string {
 		return fmt.Sprintf("sortCol(%s.%s)", p.SortTable, p.SortCol)
 	case KindLimit:
 		return fmt.Sprintf("limit(%d)", p.K)
+	case KindProject:
+		return fmt.Sprintf("project%v", p.Proj)
 	default:
 		return kindNames[p.Kind]
 	}
@@ -156,23 +169,28 @@ func rankIndexFor(tm *catalog.TableMeta, p *rank.Predicate) *catalog.RankIndex {
 	return tm.RankIndex(p.Scorer, cols)
 }
 
-// Build instantiates the plan as an executable operator tree.
+// Build instantiates the plan as an executable operator tree. A set
+// operation builds each operand against that operand's own Env.
 func (p *PlanNode) Build(env *Env) (exec.Operator, error) {
 	kids := make([]exec.Operator, len(p.Children))
 	for i, c := range p.Children {
-		k, err := c.Build(env)
+		cenv := env
+		if p.Envs != nil {
+			cenv = p.Envs[i]
+		}
+		k, err := c.Build(cenv)
 		if err != nil {
 			return nil, err
 		}
 		kids[i] = k
 	}
-	return p.operator(env, kids)
+	return p.Operator(env, kids...)
 }
 
-// operator instantiates p's own operator over already-built inputs, one
+// Operator instantiates p's own operator over already-built inputs, one
 // per child: Build passes the children's trees, the Estimator replays of
-// their sample runs.
-func (p *PlanNode) operator(env *Env, kids []exec.Operator) (exec.Operator, error) {
+// their sample runs. Only scans read env.
+func (p *PlanNode) Operator(env *Env, kids ...exec.Operator) (exec.Operator, error) {
 	switch p.Kind {
 	case KindSeqScan:
 		tm, err := env.tableFor(p.Alias)
@@ -212,6 +230,14 @@ func (p *PlanNode) operator(env *Env, kids []exec.Operator) (exec.Operator, erro
 		return exec.NewSortColumn(kids[0], p.SortTable, p.SortCol)
 	case KindLimit:
 		return exec.NewLimit(kids[0], p.K), nil
+	case KindProject:
+		return exec.NewProject(kids[0], p.Proj)
+	case KindUnion:
+		return exec.NewRankUnion(kids[0], kids[1])
+	case KindIntersect:
+		return exec.NewRankIntersect(kids[0], kids[1])
+	case KindDiff:
+		return exec.NewRankDiff(kids[0], kids[1])
 	default:
 		return nil, fmt.Errorf("optimizer: cannot build plan kind %d", p.Kind)
 	}
@@ -220,10 +246,7 @@ func (p *PlanNode) operator(env *Env, kids []exec.Operator) (exec.Operator, erro
 // Estimates aligns a plan's per-node cardinality estimates with the
 // snapshot of a tree built from it, returning one estimate per snapshot
 // node (pre-order, parallel to tree). Build makes the tree node for node,
-// so the two pair positionally; the one node the plan does not have is the
-// projection a statement that names its columns roots the tree in. A
-// projection passes its input through row-for-row, so that root inherits
-// its input's estimate. Any other size mismatch returns nil: estimate
+// so the two pair positionally. A size mismatch returns nil: estimate
 // drift is a diagnostic, and a wrong positional pairing would be worse
 // than no pairing.
 func Estimates(plan *PlanNode, tree exec.TreeSnapshot) []float64 {
@@ -239,11 +262,48 @@ func Estimates(plan *PlanNode, tree exec.TreeSnapshot) []float64 {
 		}
 	}
 	flatten(plan)
-	if len(tree) == len(ests)+1 {
-		ests = append([]float64{plan.Card}, ests...)
-	}
 	if len(tree) != len(ests) {
 		return nil
 	}
 	return ests
+}
+
+// Limit roots p in λ_k. The cut passes at most k of p's tuples and does
+// no work of its own.
+func Limit(p *PlanNode, k int) *PlanNode {
+	return annotated(&PlanNode{Kind: KindLimit, K: k, Children: []*PlanNode{p},
+		Card: math.Min(float64(k), p.Card), Cost: p.Cost})
+}
+
+// Project roots p in π over the columns at positions idx of its output.
+// π passes its input through row for row.
+func Project(p *PlanNode, idx []int) *PlanNode {
+	return annotated(&PlanNode{Kind: KindProject, Proj: idx, Children: []*PlanNode{p},
+		Card: p.Card, Cost: p.Cost})
+}
+
+// SetOp roots two operand plans in the rank-aware set operator kind
+// (KindUnion, KindIntersect or KindDiff; Figure 3). Each operand is built
+// against its own Env. The node is not executed over the samples: its
+// card is the operands' bound (∪ = l + r, ∩ = min(l, r), − = l, a
+// fallback, see Estimator) and its cost the sum of theirs.
+func SetOp(kind PlanKind, l *PlanNode, lenv *Env, r *PlanNode, renv *Env) *PlanNode {
+	card := l.Card + r.Card
+	switch kind {
+	case KindIntersect:
+		card = math.Min(l.Card, r.Card)
+	case KindDiff:
+		card = l.Card
+	}
+	p := annotated(&PlanNode{Kind: kind, Children: []*PlanNode{l, r}, Envs: []*Env{lenv, renv},
+		Card: card, Cost: l.Cost + r.Cost})
+	p.fallback = true
+	return p
+}
+
+// annotated marks a node whose Card and Cost are set as final.
+func annotated(p *PlanNode) *PlanNode {
+	p.setEstimated()
+	p.costDone = true
+	return p
 }

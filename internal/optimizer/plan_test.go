@@ -8,8 +8,8 @@ import (
 )
 
 // TestEstimates pins how a plan's estimates pair with the snapshot of a
-// tree built from it: node for node, plus a projection root that inherits
-// its input's estimate; anything else does not pair.
+// tree built from it: node for node, a projection root included (it
+// inherits its input's estimate); anything else does not pair.
 func TestEstimates(t *testing.T) {
 	plan := &PlanNode{Kind: KindLimit, Card: 10, Children: []*PlanNode{
 		{Kind: KindRank, Card: 30, Children: []*PlanNode{{Kind: KindSeqScan, Card: 100}}},
@@ -22,8 +22,9 @@ func TestEstimates(t *testing.T) {
 		want []float64
 	}{
 		{"node for node", plan, tree(3), []float64{10, 30, 100}},
-		{"projection root", plan, tree(4), []float64{10, 10, 30, 100}},
+		{"projection root", Project(plan, []int{0}), tree(4), []float64{10, 10, 30, 100}},
 		{"one node short", plan, tree(2), nil},
+		{"one node long", plan, tree(4), nil},
 		{"two nodes long", plan, tree(5), nil},
 		{"nil plan", nil, tree(3), nil},
 	}

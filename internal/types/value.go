@@ -207,8 +207,8 @@ func Compare(a, b Value) int {
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
 // Hash returns a stable hash of the value, suitable for hash joins.
-// Values that compare equal hash equal (ints and equal-valued floats
-// collide by hashing the float representation).
+// Values that compare equal hash equal: ints and equal-valued floats
+// collide by hashing the float representation, and −0 hashes as 0.
 func (v Value) Hash() uint64 {
 	h := fnv.New64a()
 	var buf [9]byte
@@ -218,6 +218,9 @@ func (v Value) Hash() uint64 {
 		h.Write(buf[:1])
 	case KindBool, KindInt, KindFloat:
 		f, _ := v.AsFloat()
+		if f == 0 {
+			f = 0 // −0 == 0, so both hash as +0
+		}
 		buf[0] = 1
 		bits := math.Float64bits(f)
 		for i := 0; i < 8; i++ {

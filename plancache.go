@@ -13,26 +13,26 @@ import (
 // defaultPlanCacheCapacity is the default number of compiled plans kept.
 const defaultPlanCacheCapacity = 256
 
-// compiledPlan is a reusable optimized SELECT: the physical plan template
-// (whose filter/join conditions may contain parameter placeholders), the
-// environment to build it against, the ranking spec, and the resolved
-// projection. A compiledPlan is immutable after compilation: executions
-// run on pooled instances of it (streams), each a built operator tree
-// with private parameter slots, so one cached plan serves concurrent
-// queries and cursors.
+// compiledPlan is a reusable optimized query — a SELECT or a set
+// operation: the physical plan template (whose filter/join conditions may
+// contain parameter placeholders), rooted in the statement's projection
+// or set operator, the environment to build it against, and the ranking
+// spec. A compiledPlan is immutable after compilation: executions run on
+// pooled instances of it (streams), each a built operator tree with
+// private parameter slots, so one cached plan serves concurrent queries
+// and cursors.
 type compiledPlan struct {
 	Plan *optimizer.PlanNode
+	// Env is a SELECT's environment; nil for a set operation, whose
+	// operator node carries each operand's own.
 	Env  *optimizer.Env
 	Spec *rank.Spec
-	// Proj are projection indexes over the plan's output schema; nil
-	// means SELECT *.
-	Proj []int
 	// HasParams records whether Plan contains placeholder conditions
 	// that must be bound per execution.
 	HasParams bool
-	// Snapshots are the table snapshots the plan was costed on; once one
-	// is no longer current the data has outgrown the plan's cost
-	// assumptions.
+	// Snapshots are the table snapshots the plan was costed on (both
+	// operands' for a set operation); once one is no longer current the
+	// data has outgrown the plan's cost assumptions.
 	Snapshots []*catalog.Snapshot
 	// execs counts executions of this plan, driving the profileEvery
 	// sampling decision. Atomic: one cached plan serves concurrent

@@ -24,7 +24,7 @@ func TestConcurrentCompilesShareOneRedraw(t *testing.T) {
 		}
 		db.mu.RLock()
 		defer db.mu.RUnlock()
-		cp, err := db.compileSelect(st.(*sql.SelectStmt))
+		cp, err := db.compile(st)
 		if err != nil {
 			t.Error(err)
 			return nil

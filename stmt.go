@@ -18,7 +18,7 @@ import (
 // different `?` parameter bindings. A Stmt is immutable and safe for
 // concurrent use: every execution writes its parameter values into the
 // private slots of the plan instance it runs on, never into the template
-// or the cached plan. Prepared SELECTs share the DB's plan cache, so
+// or the cached plan. Prepared queries share the DB's plan cache, so
 // repeated executions (and identical templates prepared elsewhere) skip
 // optimization entirely.
 type Stmt struct {
@@ -28,7 +28,7 @@ type Stmt struct {
 	stmt      sql.Stmt
 	numParams int
 
-	// Literal-only (zero-parameter) SELECTs are cached per statement
+	// Literal-only (zero-parameter) queries are cached per statement
 	// rather than in the shared LRU: their normalized text embeds the
 	// literals, so admitting them globally would let ad-hoc traffic
 	// churn out the genuinely reusable parameterized templates.
@@ -44,9 +44,6 @@ func (db *DB) Prepare(src string) (*Stmt, error) {
 	st, err := sql.Parse(src)
 	if err != nil {
 		return nil, err
-	}
-	if _, ok := st.(*sql.SetOpStmt); ok && sql.CountParams(st) > 0 {
-		return nil, fmt.Errorf("engine: parameters are not supported in set-operation statements")
 	}
 	return &Stmt{
 		db:        db,
@@ -76,7 +73,7 @@ func (s *Stmt) IsQuery() bool {
 	return false
 }
 
-// Query executes a prepared SELECT with the given parameter values.
+// Query executes a prepared query with the given parameter values.
 // Supported argument types: nil, bool, int, int32, int64, float32,
 // float64, string and Value.
 func (s *Stmt) Query(args ...interface{}) (*Rows, error) {
@@ -126,30 +123,16 @@ func (s *Stmt) Exec(args ...interface{}) (*Result, error) {
 }
 
 // streamFor resolves a query statement and its bound values to an
-// unopened stream — an instance of the (cached or just compiled) plan for
-// a SELECT, a freshly built tree for a set operation — and reports whether
-// a cached plan was reused. pr is the prepared Stmt, nil for ad-hoc
-// statements. Callers hold db.mu (read side).
+// unopened instance of its (cached or just compiled) plan and reports
+// whether a cached plan was reused. pr is the prepared Stmt, nil for
+// ad-hoc statements. Callers hold db.mu (read side).
 func (db *DB) streamFor(st sql.Stmt, norm string, params []types.Value, pr *Stmt) (*stream, bool, error) {
-	switch q := st.(type) {
-	case *sql.SelectStmt:
-		cp, hit, err := db.resolvePlan(q, norm, params, pr)
-		if err != nil {
-			return nil, false, err
-		}
-		s, err := cp.acquireInstance()
-		return s, hit, err
-	case *sql.SetOpStmt:
-		// Prepare rejects placeholders in set operations, so any here came
-		// in through an ad-hoc entry point.
-		if n := sql.CountParams(st); n > 0 || len(params) > 0 {
-			return nil, false, fmt.Errorf("engine: set-operation statements take no parameters (%d placeholder(s), %d value(s))", n, len(params))
-		}
-		s, err := db.buildSetOp(q)
-		return s, false, err
-	default:
-		return nil, false, fmt.Errorf("engine: statement is not a query; use Exec")
+	cp, hit, err := db.resolvePlan(st, norm, params, pr)
+	if err != nil {
+		return nil, false, err
 	}
+	s, err := cp.acquireInstance()
+	return s, hit, err
 }
 
 // explainFlags reads EXPLAIN and EXPLAIN ANALYZE off a query statement.
@@ -167,7 +150,7 @@ func explainFlags(st sql.Stmt) (explain, analyze bool) {
 // stream, open it, pull until λ_k's quota (or the input) ends it, shape
 // the rows, release. EXPLAIN [ANALYZE] rides the same path: Normalize
 // ignores the flags, so an analyze run shares (and warms) the plan-cache
-// entry of the underlying SELECT.
+// entry of the underlying query.
 func (db *DB) query(st sql.Stmt, norm string, params []types.Value, cancel <-chan struct{}, pr *Stmt) (*Rows, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -177,7 +160,7 @@ func (db *DB) query(st sql.Stmt, norm string, params []types.Value, cancel <-cha
 	}
 	explain, analyze := explainFlags(st)
 	if explain && !analyze {
-		rows := planTextRows(s.planText())
+		rows := planTextRows(s.cp.Plan.String())
 		rows.CacheHit = hit
 		s.release()
 		return rows, nil
@@ -204,29 +187,37 @@ func (db *DB) query(st sql.Stmt, norm string, params []types.Value, cancel <-cha
 	return rows, nil
 }
 
-// resolvePlan finds or compiles the plan for a SELECT template with bound
-// values: on a hit the parse/bind/optimize pipeline is skipped. k is
-// resolved first because it is part of the plan identity — the rank-aware
-// optimizer's plan choice depends on the top-k depth. Parameterized
-// templates share the DB-wide LRU; literal-only statements are cached on
-// their Stmt (pr; nil for ad-hoc queries, which then skip
-// caching so one-off literal SQL cannot evict hot templates). Callers hold
-// db.mu (read side).
-func (db *DB) resolvePlan(sel *sql.SelectStmt, norm string, params []types.Value, pr *Stmt) (cp *compiledPlan, hit bool, err error) {
+// resolvePlan finds or compiles the plan for a query template (a SELECT
+// or a set operation) with bound values: on a hit the
+// parse/bind/optimize pipeline is skipped. k is resolved first because it
+// is part of the plan identity — the rank-aware optimizer's plan choice
+// depends on the top-k depth. Parameterized templates share the DB-wide
+// LRU; literal-only statements are cached on their Stmt (pr; nil for
+// ad-hoc queries, which then skip caching so one-off literal SQL cannot
+// evict hot templates). Callers hold db.mu (read side).
+func (db *DB) resolvePlan(st sql.Stmt, norm string, params []types.Value, pr *Stmt) (cp *compiledPlan, hit bool, err error) {
+	var k, limitParam int
+	switch q := st.(type) {
+	case *sql.SelectStmt:
+		k, limitParam = q.Limit, q.LimitParam
+	case *sql.SetOpStmt:
+		k, limitParam = q.Limit, q.LimitParam
+	default:
+		return nil, false, fmt.Errorf("engine: statement is not a query; use Exec")
+	}
 	// The placeholder count is cached on the prepared statement; walking
 	// the expression trees on every execution would tax the hot path.
 	var want int
 	if pr != nil {
 		want = pr.numParams
 	} else {
-		want = sql.CountParams(sel)
+		want = sql.CountParams(st)
 	}
 	if want != len(params) {
 		return nil, false, fmt.Errorf("engine: statement has %d parameter(s), %d value(s) bound", want, len(params))
 	}
-	k := sel.Limit
-	if sel.LimitParam > 0 {
-		if k, err = sql.LimitValue(params, sel.LimitParam); err != nil {
+	if limitParam > 0 {
+		if k, err = sql.LimitValue(params, limitParam); err != nil {
 			return nil, false, err
 		}
 	}
@@ -251,11 +242,11 @@ func (db *DB) resolvePlan(sel *sql.SelectStmt, norm string, params []types.Value
 		return cp, true, nil
 	}
 
-	bound, err := sql.BindParams(sel, params)
+	bound, err := sql.BindParams(st, params)
 	if err != nil {
 		return nil, false, err
 	}
-	if cp, err = db.compileSelect(bound.(*sql.SelectStmt)); err != nil {
+	if cp, err = db.compile(bound); err != nil {
 		return nil, false, err
 	}
 	switch {
@@ -271,10 +262,10 @@ func (db *DB) resolvePlan(sel *sql.SelectStmt, norm string, params []types.Value
 
 // shouldProfile decides whether this execution of a compiled plan should
 // carry operator timing: every profileEvery-th run, starting with the
-// first. Set-operation streams have no plan and are never sampled.
+// first.
 func (db *DB) shouldProfile(cp *compiledPlan) bool {
 	every := db.profileEvery
-	if cp == nil || every <= 0 {
+	if every <= 0 {
 		return false
 	}
 	return (cp.execs.Add(1)-1)%uint64(every) == 0
@@ -318,47 +309,101 @@ func planFresh(cp *compiledPlan) bool {
 	return true
 }
 
-// compileSelect binds and optimizes a SELECT (whose parameters are already
-// bound) into a reusable compiledPlan. Resolving the projection takes a
-// built operator tree; that tree is pooled as the plan's first instance,
-// so the execution that triggered the compile runs it instead of building
-// a second one. Callers hold db.mu.
-func (db *DB) compileSelect(sel *sql.SelectStmt) (*compiledPlan, error) {
-	q, spec, err := db.bind(sel)
+// compile binds and optimizes a query statement (resolvePlan checked it is
+// one), its parameters already bound, into a reusable compiledPlan. Resolving a projection takes a
+// built operator tree, so compile builds the tree bottom-up with the plan
+// and pools it as the plan's first instance: the execution that triggered
+// the compile runs it instead of building a second one. Callers hold
+// db.mu.
+func (db *DB) compile(st sql.Stmt) (*compiledPlan, error) {
+	var cp *compiledPlan
+	var op exec.Operator
+	var err error
+	switch q := st.(type) {
+	case *sql.SelectStmt:
+		cp, op, err = db.compileSelect(q)
+	case *sql.SetOpStmt:
+		cp, op, err = db.compileSetOp(q)
+	}
 	if err != nil {
 		return nil, err
 	}
-	res, err := optimizer.Optimize(q, db.options)
-	if err != nil {
-		return nil, err
-	}
-	op, err := res.Plan.Build(res.Env)
-	if err != nil {
-		return nil, err
-	}
-	cp := &compiledPlan{
-		Plan:      res.Plan,
-		Env:       res.Env,
-		Spec:      spec,
-		HasParams: res.Plan.HasParams(),
-		Snapshots: res.Snapshots,
-	}
-	if len(sel.Projection) > 0 {
-		cp.Proj = make([]int, len(sel.Projection))
-		for i, c := range sel.Projection {
-			j := op.Schema().ColumnIndex(c.Table, c.Name)
-			if j == -1 {
-				return nil, fmt.Errorf("engine: projected column %s not found", c)
-			}
-			if j == -2 {
-				return nil, fmt.Errorf("engine: projected column %s is ambiguous", c)
-			}
-			cp.Proj[i] = j
-		}
-	}
+	cp.HasParams = cp.Plan.HasParams()
 	first, err := cp.newInstance(op)
 	if err != nil {
 		return nil, err
 	}
 	return cp, first.release()
+}
+
+// compileSelect optimizes a SELECT, builds its tree and roots both in the
+// statement's projection, if it names columns.
+func (db *DB) compileSelect(sel *sql.SelectStmt) (*compiledPlan, exec.Operator, error) {
+	q, spec, err := db.bind(sel)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := optimizer.Optimize(q, db.options)
+	if err != nil {
+		return nil, nil, err
+	}
+	op, err := res.Plan.Build(res.Env)
+	if err != nil {
+		return nil, nil, err
+	}
+	cp := &compiledPlan{Plan: res.Plan, Env: res.Env, Spec: spec, Snapshots: res.Snapshots}
+	if len(sel.Projection) == 0 {
+		return cp, op, nil
+	}
+	idx := make([]int, len(sel.Projection))
+	for i, c := range sel.Projection {
+		switch idx[i] = op.Schema().ColumnIndex(c.Table, c.Name); idx[i] {
+		case -1:
+			return nil, nil, fmt.Errorf("engine: projected column %s not found", c)
+		case -2:
+			return nil, nil, fmt.Errorf("engine: projected column %s is ambiguous", c)
+		}
+	}
+	cp.Plan = optimizer.Project(cp.Plan, idx)
+	op, err = cp.Plan.Operator(nil, op)
+	return cp, op, err
+}
+
+// setOpKinds maps a set operation to its rank-aware operator (Figure 3).
+var setOpKinds = map[sql.SetOpKind]optimizer.PlanKind{
+	sql.SetUnion: optimizer.KindUnion, sql.SetIntersect: optimizer.KindIntersect, sql.SetExcept: optimizer.KindDiff,
+}
+
+// compileSetOp optimizes each operand of a set operation once, for the
+// statement's ORDER BY, checks they are union-compatible and roots them
+// in the rank-aware set operator under the statement's λ_k.
+func (db *DB) compileSetOp(q *sql.SetOpStmt) (*compiledPlan, exec.Operator, error) {
+	var sides [2]*compiledPlan
+	var ops [2]exec.Operator
+	for i, sel := range []*sql.SelectStmt{q.L, q.R} {
+		o := *sel
+		o.Order = q.Order
+		var err error
+		if sides[i], ops[i], err = db.compileSelect(&o); err != nil {
+			return nil, nil, fmt.Errorf("engine: %s operand: %w", [2]string{"left", "right"}[i], err)
+		}
+	}
+	ls, rs := ops[0].Schema(), ops[1].Schema()
+	if ls.Len() != rs.Len() {
+		return nil, nil, fmt.Errorf("engine: %s operands have %d vs %d columns", q.Kind, ls.Len(), rs.Len())
+	}
+	for i := range ls.Columns {
+		if ls.Columns[i].Kind != rs.Columns[i].Kind {
+			return nil, nil, fmt.Errorf("engine: %s operands disagree on column %d type (%s vs %s)",
+				q.Kind, i, ls.Columns[i].Kind, rs.Columns[i].Kind)
+		}
+	}
+	l, r := sides[0], sides[1]
+	plan := optimizer.SetOp(setOpKinds[q.Kind], l.Plan, l.Env, r.Plan, r.Env)
+	op, err := plan.Operator(nil, ops[:]...)
+	if err == nil && q.Limit > 0 {
+		plan = optimizer.Limit(plan, q.Limit)
+		op, err = plan.Operator(nil, op)
+	}
+	return &compiledPlan{Plan: plan, Spec: l.Spec, Snapshots: append(l.Snapshots, r.Snapshots...)}, op, err
 }
