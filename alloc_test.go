@@ -26,7 +26,7 @@ import (
 // every open cloned the plan and rebuilt the tree.
 //
 // A set operation's template hit runs a pooled instance of its cached
-// plan too: ~170 allocs/op for setOpTemplate, where optimizing both
+// plan too: ~70 allocs/op for setOpTemplate, where optimizing both
 // operands and building the tree on every call cost ~4 500.
 const (
 	rebindAllocBudget           = 2.0

@@ -2,6 +2,7 @@ package ranksql
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"ranksql/internal/types"
@@ -92,28 +93,33 @@ const setOpTemplate = `SELECT id, a, b FROM item WHERE a >= ? UNION SELECT id, a
 var setOpArgs = []interface{}{0.2, 10}
 
 // BenchmarkSetOpTemplateHit is BenchmarkTemplateHit for a set operation:
-// the UNION's plan is cached like a SELECT's, so each iteration runs a
-// pooled instance of it.
+// the plan is cached like a SELECT's, so each iteration runs a pooled
+// instance of it. It runs setOpTemplate and its INTERSECT and EXCEPT
+// twins.
 func BenchmarkSetOpTemplateHit(b *testing.B) {
 	db := routeDB(b)
 	db.SetProfileSampling(0)
-	st, err := db.Prepare(setOpTemplate)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := st.Query(setOpArgs...); err != nil {
-		b.Fatal(err) // warm the plan cache
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := st.Query(setOpArgs...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rows.Len() == 0 || !rows.CacheHit {
-			b.Fatalf("rows=%d cacheHit=%v, want cached non-empty result", rows.Len(), rows.CacheHit)
-		}
+	for _, op := range []string{"UNION", "INTERSECT", "EXCEPT"} {
+		b.Run(op, func(b *testing.B) {
+			st, err := db.Prepare(strings.Replace(setOpTemplate, "UNION", op, 1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := st.Query(setOpArgs...); err != nil {
+				b.Fatal(err) // warm the plan cache
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rows, err := st.Query(setOpArgs...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rows.Len() == 0 || !rows.CacheHit {
+					b.Fatalf("rows=%d cacheHit=%v, want cached non-empty result", rows.Len(), rows.CacheHit)
+				}
+			}
+		})
 	}
 }
 

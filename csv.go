@@ -25,7 +25,9 @@ func (db *DB) LoadCSV(table string, r io.Reader, header bool) (int, error) {
 	sch := tm.Table.Schema
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = sch.Len()
-	var rows [][]types.Value
+	// The whole load converts into one flat buffer, row after row.
+	var flat []types.Value
+	nrows := 0
 	first := true
 	for {
 		rec, err := cr.Read()
@@ -33,23 +35,27 @@ func (db *DB) LoadCSV(table string, r io.Reader, header bool) (int, error) {
 			break
 		}
 		if err != nil {
-			return 0, fmt.Errorf("ranksql: csv row %d: %w", len(rows)+1, err)
+			return 0, fmt.Errorf("ranksql: csv row %d: %w", nrows+1, err)
 		}
 		if first && header {
 			first = false
 			continue
 		}
 		first = false
-		row := make([]types.Value, len(rec))
 		for i, cell := range rec {
 			v, err := types.ParseCell(cell, sch.Columns[i].Kind)
 			if err != nil {
 				return 0, fmt.Errorf("ranksql: csv row %d column %s: %w",
-					len(rows)+1, sch.Columns[i].Name, err)
+					nrows+1, sch.Columns[i].Name, err)
 			}
-			row[i] = v
+			flat = append(flat, v)
 		}
-		rows = append(rows, row)
+		nrows++
+	}
+	w := sch.Len()
+	rows := make([][]types.Value, nrows)
+	for i := range rows {
+		rows[i] = flat[i*w : (i+1)*w : (i+1)*w]
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()

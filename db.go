@@ -247,20 +247,24 @@ func (db *DB) execStmt(st sql.Stmt) (*Result, error) {
 	}
 }
 
-// appendRowsLocked appends rows until the first invalid one; every row
-// appended before it stays, indexed like the rest. The optimizer's
-// snapshot of the table notices growth itself (catalog.Snapshot.Current).
-// Callers hold db.mu (write).
+// appendRowsLocked appends all of rows or none: every row is checked (and
+// widened) against the schema before the first is appended, so an
+// invalid row fails the whole statement and leaves the table as it was.
+// Appended rows are indexed like the rest. The optimizer's snapshot of
+// the table notices growth itself (catalog.Snapshot.Current). Callers
+// hold db.mu (write).
 func (db *DB) appendRowsLocked(tm *catalog.TableMeta, rows [][]types.Value) (int, error) {
-	n := 0
-	var err error
 	for _, row := range rows {
-		if _, err = tm.Append(row); err != nil {
-			break
+		if err := tm.Table.Check(row); err != nil {
+			return 0, err
 		}
-		n++
 	}
-	return n, err
+	for _, row := range rows {
+		if _, err := tm.Append(row); err != nil {
+			panic(err) // every row was checked above
+		}
+	}
+	return len(rows), nil
 }
 
 // Query runs a SELECT or set-operation statement and returns the

@@ -339,3 +339,69 @@ func TestInsertRebuildsIndexes(t *testing.T) {
 		t.Errorf("join after inserts returned %d rows, heap scans say %d", len(after.data), want)
 	}
 }
+
+// TestSetOpNegativeZero: set operations find duplicates as SQL = does, so
+// 0.0 and −0.0 are one value to UNION, INTERSECT and EXCEPT, as they are
+// to the join a.x = b.x.
+func TestSetOpNegativeZero(t *testing.T) {
+	db := Open()
+	for _, s := range []string{
+		`CREATE TABLE a (x FLOAT)`, `CREATE TABLE b (x FLOAT)`,
+		`INSERT INTO a VALUES (0.0)`, `INSERT INTO b VALUES (-0.0)`,
+	} {
+		if _, err := db.Exec(s); err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+	}
+	rows, err := db.Query(`SELECT x FROM b`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x := rows.ValueAt(0, 0).Float(); x != 0 || !math.Signbit(x) {
+		t.Fatalf("b.x = %v, want −0", x)
+	}
+	for q, want := range map[string]int{
+		`SELECT a.x FROM a, b WHERE a.x = b.x`:      1,
+		`SELECT x FROM a UNION SELECT x FROM b`:     1,
+		`SELECT x FROM a INTERSECT SELECT x FROM b`: 1,
+		`SELECT x FROM a EXCEPT SELECT x FROM b`:    0,
+	} {
+		rows, err := db.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if rows.Len() != want {
+			t.Errorf("%s: %d rows, want %d", q, rows.Len(), want)
+		}
+	}
+}
+
+// TestMultiRowInsertIsAtomic: a multi-row INSERT with one bad row appends
+// none of them, and a good one appends all, INT widened to FLOAT.
+func TestMultiRowInsertIsAtomic(t *testing.T) {
+	db := Open()
+	if _, err := db.Exec(`CREATE TABLE t (a FLOAT, b INT)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(`INSERT INTO t VALUES (1, 1), (2, 'x'), (3, 3)`); err == nil {
+		t.Fatal("INSERT with a TEXT value in an INT column succeeded")
+	}
+	count := func() int {
+		t.Helper()
+		rows, err := db.Query(`SELECT a FROM t`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows.Len()
+	}
+	if n := count(); n != 0 {
+		t.Fatalf("failed INSERT left %d rows, want 0", n)
+	}
+	res, err := db.Exec(`INSERT INTO t VALUES (1, 1), (2, 2), (3, 3)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RowsAffected != 3 || count() != 3 {
+		t.Fatalf("RowsAffected %d, rows %d, want 3 and 3", res.RowsAffected, count())
+	}
+}

@@ -438,12 +438,12 @@ func TestRankIntersectSweepsPending(t *testing.T) {
 	}
 	inR := map[string]bool{}
 	rt.Scan(func(_ schema.TID, v []types.Value) bool {
-		inR[(&schema.Tuple{Values: v}).ValueKey()] = true
+		inR[string((&schema.Tuple{Values: v}).AppendValueKey(nil))] = true
 		return true
 	})
 	var want []row
 	lt.Scan(func(_ schema.TID, v []types.Value) bool {
-		if k := (&schema.Tuple{Values: v}).ValueKey(); inR[k] {
+		if k := string((&schema.Tuple{Values: v}).AppendValueKey(nil)); inR[k] {
 			want = append(want, row{k, v[1].Float() + v[2].Float()})
 		}
 		return true
@@ -453,8 +453,8 @@ func TestRankIntersectSweepsPending(t *testing.T) {
 		t.Fatalf("intersection has %d rows, brute force %d (want %d)", len(out), len(want), common)
 	}
 	for i, tp := range out {
-		if tp.ValueKey() != want[i].key || math.Abs(tp.Score-want[i].score) > 1e-9 {
-			t.Fatalf("rank %d: %s score %v, brute force %s score %v", i, tp.ValueKey(), tp.Score, want[i].key, want[i].score)
+		if string(tp.AppendValueKey(nil)) != want[i].key || math.Abs(tp.Score-want[i].score) > 1e-9 {
+			t.Fatalf("rank %d: %v score %v, brute force key %q score %v", i, tp.Values, tp.Score, want[i].key, want[i].score)
 		}
 	}
 }

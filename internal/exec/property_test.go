@@ -389,7 +389,7 @@ func TestSetOpsVsOracle(t *testing.T) {
 				}
 				key := func(row []types.Value) string {
 					tp := &schema.Tuple{Values: row}
-					return tp.ValueKey()
+					return string(tp.AppendValueKey(nil))
 				}
 				lm := map[string]float64{}
 				lt.Scan(func(_ schema.TID, row []types.Value) bool {

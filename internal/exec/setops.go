@@ -34,6 +34,15 @@ type setOpBase struct {
 	lDone, rDone bool
 	lastL, lastR float64
 	drawLeft     bool
+	key          []byte // scratch for valueKey
+}
+
+// valueKey returns t's value key (schema.Tuple.AppendValueKey) in the
+// operator's scratch buffer, valid until the next call. Map lookups with
+// m[string(key)] do not allocate; only a key that is stored is copied.
+func (s *setOpBase) valueKey(t *schema.Tuple) []byte {
+	s.key = t.AppendValueKey(s.key[:0])
+	return s.key
 }
 
 func (s *setOpBase) initSetOp(left, right Operator) error {
@@ -222,11 +231,11 @@ func (u *RankUnion) Next(ctx *Context) (*schema.Tuple, error) {
 			ctx.Stats.buffer(-1)
 			return u.emit(u.queue.pop()), nil
 		}
-		key := t.ValueKey()
-		if u.seen[key] {
+		key := u.valueKey(t)
+		if u.seen[string(key)] {
 			continue // duplicate: same final score, already queued/emitted
 		}
-		u.seen[key] = true
+		u.seen[string(key)] = true
 		u.complete(ctx, t, fromLeft)
 		u.queue.push(t)
 		ctx.Stats.buffer(1)
@@ -259,6 +268,7 @@ type RankIntersect struct {
 
 type pendingEntry struct {
 	t         *schema.Tuple
+	key       string // value key
 	seenLeft  bool
 	seenRight bool
 	// boundOnOther is the score the missing side's copy would have in
@@ -325,16 +335,16 @@ func (x *RankIntersect) Next(ctx *Context) (*schema.Tuple, error) {
 			ctx.Stats.buffer(-1)
 			return x.emit(x.queue.pop()), nil
 		}
-		key := t.ValueKey()
-		if x.emitted[key] {
+		key := x.valueKey(t)
+		if x.emitted[string(key)] {
 			continue
 		}
-		e := x.pending[key]
+		e := x.pending[string(key)]
 		if e == nil {
 			x.complete(ctx, t, fromLeft)
-			e = &pendingEntry{t: t}
+			e = &pendingEntry{t: t, key: string(key)}
 			e.boundOnOther = x.otherSideBound(ctx, t, fromLeft)
-			x.pending[key] = e
+			x.pending[e.key] = e
 			ctx.Stats.buffer(1)
 		}
 		if fromLeft {
@@ -343,8 +353,8 @@ func (x *RankIntersect) Next(ctx *Context) (*schema.Tuple, error) {
 			e.seenRight = true
 		}
 		if e.seenLeft && e.seenRight {
-			delete(x.pending, key)
-			x.emitted[key] = true
+			delete(x.pending, e.key)
+			x.emitted[e.key] = true
 			x.queue.push(e.t)
 		}
 		// Garbage-collect pending entries whose duplicate can no longer
@@ -463,19 +473,19 @@ func (d *RankDiff) Next(ctx *Context) (*schema.Tuple, error) {
 		if !ok {
 			continue // both exhausted; loop resolves/exits
 		}
+		key := d.valueKey(t)
 		if fromLeft {
-			key := t.ValueKey()
-			if d.outerKey[key] {
+			if d.outerKey[string(key)] {
 				continue // set semantics: the first copy decides
 			}
-			d.outerKey[key] = true
+			e := &diffEntry{t: t, key: string(key)}
+			d.outerKey[e.key] = true
 			d.complete(ctx, t, true)
-			e := &diffEntry{t: t, key: key}
 			e.innerBound = ctx.Spec.UpperBound(t.Preds, d.rp.Intersect(t.Evaluated))
 			d.fifo = append(d.fifo, e)
 			ctx.Stats.buffer(1)
-		} else {
-			d.innerKey[t.ValueKey()] = true
+		} else if !d.innerKey[string(key)] {
+			d.innerKey[string(key)] = true
 		}
 	}
 }

@@ -170,3 +170,36 @@ func BenchmarkOptimizer(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkChosenPlanQ measures the execution layer on the plan the
+// optimizer picks for Q at s = 10 000, j = 0.001 (the shape the
+// benchmark's embed_join workload reads), for k ∈ {1, 10, 100}. The plan
+// is optimized once per k; each iteration builds, opens and drains it.
+func BenchmarkChosenPlanQ(b *testing.B) {
+	cfg := baseConfig()
+	cfg.Size = 10000
+	cfg.JoinSelectivity = 0.001
+	db := getDB(b, cfg)
+	for _, k := range []int{1, 10, 100} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			q := db.Query()
+			q.K = k
+			res, err := optimizer.Optimize(q, optimizer.DefaultOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			plan := res.Plan
+			if plan.Kind == optimizer.KindLimit {
+				plan = plan.Children[0]
+			}
+			var m *Measurement
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if m, err = Run(db, plan, k); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(m.Stats.TuplesScanned), "tuples/op")
+		})
+	}
+}

@@ -102,19 +102,15 @@ func (t *Tuple) IdentityKey() string {
 	return b.String()
 }
 
-// ValueKey returns a string key of the attribute values; used for
-// value-based duplicate elimination (set semantics on values).
-func (t *Tuple) ValueKey() string {
-	var b strings.Builder
-	for i, v := range t.Values {
-		if i > 0 {
-			b.WriteByte('\x00')
-		}
-		b.WriteString(v.Kind().String())
-		b.WriteByte('=')
-		b.WriteString(v.String())
+// AppendValueKey appends a binary key of the attribute values to dst; used
+// for value-based duplicate elimination (set semantics on values). Two
+// tuples share a key exactly when their values pairwise Compare equal, as
+// SQL = decides (types.Value.AppendKey).
+func (t *Tuple) AppendValueKey(dst []byte) []byte {
+	for _, v := range t.Values {
+		dst = v.AppendKey(dst)
 	}
-	return b.String()
+	return dst
 }
 
 // Less orders tuples by descending Score with ascending TID tie-break;

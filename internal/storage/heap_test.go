@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"runtime"
 	"testing"
 
 	"ranksql/internal/schema"
@@ -69,4 +70,73 @@ func TestAppendValidation(t *testing.T) {
 		}
 	}()
 	tb.MustAppend([]types.Value{types.NewInt(1)})
+}
+
+// TestChunkBoundaries: Row, Scan and NumRows agree across chunk edges,
+// and a row handed out before later Appends still reads its values.
+func TestChunkBoundaries(t *testing.T) {
+	for _, n := range []int{0, 1, chunkRows - 1, chunkRows, chunkRows + 1, 2*chunkRows + 1} {
+		tb := demo()
+		var early []types.Value
+		for i := 0; i < n; i++ {
+			tb.MustAppend([]types.Value{types.NewInt(int64(i)), types.NewFloat(float64(i) / 2)})
+			if i == 0 {
+				early = tb.Row(0)
+			}
+		}
+		if tb.NumRows() != n {
+			t.Fatalf("n=%d: NumRows = %d", n, tb.NumRows())
+		}
+		for i := 0; i < n; i++ {
+			row := tb.Row(schema.TID(i))
+			if len(row) != 2 || cap(row) != 2 || row[0].Int() != int64(i) || row[1].Float() != float64(i)/2 {
+				t.Fatalf("n=%d: Row(%d) = %v (cap %d)", n, i, row, cap(row))
+			}
+		}
+		seen := 0
+		tb.Scan(func(tid schema.TID, row []types.Value) bool {
+			if int(tid) != seen || row[0].Int() != int64(seen) {
+				t.Fatalf("n=%d: Scan visit %d got tid %d row %v", n, seen, tid, row)
+			}
+			seen++
+			return true
+		})
+		if seen != n {
+			t.Fatalf("n=%d: Scan visited %d rows", n, seen)
+		}
+		if n > 0 && (early[0].Int() != 0 || early[1].Float() != 0) {
+			t.Fatalf("n=%d: row 0 taken before later Appends now reads %v", n, early)
+		}
+	}
+}
+
+// TestAppendCopies: the table keeps its own copy of an appended row.
+func TestAppendCopies(t *testing.T) {
+	tb := demo()
+	row := []types.Value{types.NewInt(1), types.NewFloat(2)}
+	tb.MustAppend(row)
+	row[0] = types.NewInt(9)
+	if tb.Row(0)[0].Int() != 1 {
+		t.Fatal("Append kept the caller's slice")
+	}
+}
+
+// TestSmallTableStaysSmall: a 3-row table does not allocate a whole chunk.
+func TestSmallTableStaysSmall(t *testing.T) {
+	sch := demo().Schema
+	row := []types.Value{types.NewInt(1), types.NewFloat(2)}
+	const tables = 100
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for i := 0; i < tables; i++ {
+		tb := NewTable("t", sch)
+		for j := 0; j < 3; j++ {
+			tb.MustAppend(row)
+		}
+	}
+	runtime.ReadMemStats(&ms1)
+	// A full chunk of this schema is 1 024 × 2 × 24 B = 48 KiB.
+	if perTable := (ms1.TotalAlloc - ms0.TotalAlloc) / tables; perTable > 1024 {
+		t.Errorf("3-row table allocates %d B, want ≤ 1 KiB", perTable)
+	}
 }

@@ -56,17 +56,20 @@ import (
 	"ranksql/internal/types"
 )
 
-// Value is a scalar query value: NULL, BOOL, INT, FLOAT or TEXT.
+// Value is a scalar query value: NULL, BOOL, INT, FLOAT or TEXT. It is not
+// comparable with ==: compare Values through their accessors.
 type Value struct {
 	v types.Value
 }
 
 // Value is a single-field struct over types.Value, so the two share size
 // and alignment and a []types.Value can be read as a []Value in place
-// (valuesOf). These lines stop compiling if that ever changes.
+// (valuesOf); both are 24 bytes (the compact layout of types.Value).
+// These lines stop compiling if that ever changes.
 var (
 	_ [0]struct{} = [unsafe.Sizeof(Value{}) - unsafe.Sizeof(types.Value{})]struct{}{}
 	_ [0]struct{} = [unsafe.Alignof(Value{}) - unsafe.Alignof(types.Value{})]struct{}{}
+	_ [0]struct{} = [unsafe.Sizeof(types.Value{}) - 24]struct{}{}
 )
 
 // valuesOf views vals as a []Value without copying.
