@@ -261,6 +261,30 @@ func TestCursorStreamsPastLimit(t *testing.T) {
 	}
 }
 
+// TestCursorFetchWholeStream pins that a page size past any stream, up
+// to math.MaxInt, returns the whole stream: a page reserves room as rows
+// arrive, not n slots up front.
+func TestCursorFetchWholeStream(t *testing.T) {
+	db := cursorDB(t, 120)
+	ref, err := db.Query(strings.Replace(cursorQuery, "LIMIT 10", "LIMIT 1000", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := db.Cursor(cursorQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	page, err := c.Fetch(math.MaxInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.Exhausted() {
+		t.Error("a page past the stream's end must exhaust the cursor")
+	}
+	assertSameRanking(t, page.data, page.Scores, ref)
+}
+
 // drainUnderInserts drains c in pages of 5 while insert lands rows in
 // its tables: 300 before the first pull, 300 after the first page and 100
 // after every tenth page — enough to split the B+tree leaves a suspended

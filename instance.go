@@ -2,7 +2,6 @@ package ranksql
 
 import (
 	"fmt"
-	"sync"
 
 	"ranksql/internal/exec"
 	"ranksql/internal/expr"
@@ -98,17 +97,11 @@ func (s *stream) bind(params []types.Value) error {
 	return nil
 }
 
-// arenas is the one pool of tuple arenas every one-shot run of a stream
-// borrows from. Slabs belong to no plan, so a template compiled and run
-// once does not strand its slabs in its own plan's pool.
-var arenas = sync.Pool{New: func() any { return new(schema.TupleArena) }}
-
 // open binds the parameters and opens the tree. A one-shot run
-// bulk-allocates its tuples from an arena taken from arenas, which release
-// recycles: they all die there. A suspended stream (a cursor's, outliving
-// this call) heap-allocates instead, so a deep cursor does not pin every
-// tuple it ever produced. Callers hold db.mu (read side), here
-// and for pull.
+// bulk-allocates its tuples from a borrowed arena, which release returns:
+// they all die there. A suspended stream (a cursor's, outliving this
+// call) heap-allocates instead (see exec.Context.Arena). Callers hold
+// db.mu (read side), here and for pull.
 func (s *stream) open(params []types.Value, profile, suspended bool) error {
 	s.failed = true // until the tree is open
 	if err := s.bind(params); err != nil {
@@ -116,7 +109,7 @@ func (s *stream) open(params []types.Value, profile, suspended bool) error {
 	}
 	s.ctx.Profile = profile
 	if !suspended {
-		s.ctx.Arena = arenas.Get().(*schema.TupleArena)
+		s.ctx.BorrowArena()
 	}
 	if err := s.op.Open(s.ctx); err != nil {
 		return err
@@ -173,18 +166,13 @@ func (s *stream) rows(tuples []*schema.Tuple) *Rows {
 	return rows
 }
 
-// release closes the tree, recycles its arena into arenas and, when it
-// never failed, unbinds its parameter slots (so a pooling bug surfaces as
-// an "unbound parameter" error, not a silent stale read) and pools the
-// stream for the plan's next request. Only call it after rows: arena
-// tuples die here.
+// release closes the tree, returns its arena and, when it never failed,
+// unbinds its parameter slots (so a pooling bug surfaces as an "unbound
+// parameter" error, not a silent stale read) and pools the stream for the
+// plan's next request. Only call it after rows: arena tuples die here.
 func (s *stream) release() error {
 	err := s.op.Close()
-	if a := s.ctx.Arena; a != nil {
-		a.Reset()
-		arenas.Put(a)
-		s.ctx.Arena = nil
-	}
+	s.ctx.ReturnArena()
 	if err != nil || s.failed {
 		return err
 	}

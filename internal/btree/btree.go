@@ -283,12 +283,3 @@ func (it *Iterator) Next() (Entry, bool) {
 	it.pos, it.started = e, true
 	return e, true
 }
-
-// Height returns the tree height (1 for a single leaf); exposed for tests.
-func (t *Tree) Height() int {
-	h := 1
-	for n := t.root; !n.leaf(); n = n.children[0] {
-		h++
-	}
-	return h
-}

@@ -61,9 +61,6 @@ func (ri *RankIndex) insert(tid schema.TID, row []types.Value) {
 	ri.Tree.Insert(types.NewFloat(s), tid)
 }
 
-// Key returns the canonical identity of the rank index, e.g. "f1(p1)".
-func (ri *RankIndex) Key() string { return RankIndexKey(ri.Scorer, ri.Columns) }
-
 // RankIndexKey builds the canonical rank-index identity for a scorer name
 // and argument columns.
 func RankIndexKey(scorer string, columns []string) string {

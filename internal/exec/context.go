@@ -20,6 +20,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"ranksql/internal/rank"
 	"ranksql/internal/schema"
@@ -83,13 +84,14 @@ type Context struct {
 	// per-template operator profiles.
 	Profile bool
 	// Arena, when non-nil, bulk-allocates the tuples operators produce.
-	// Arena tuples are recycled wholesale when the execution's owner
-	// resets the arena, so only executions whose tuples provably do not
-	// outlive a single run may set it: the engine does for one-shot runs
-	// of its pooled streams only, borrowing the arena from one
-	// process-wide pool at open and handing it back, reset, when the run
-	// is released. A stream suspended under a cursor, and the estimator,
-	// keep Arena nil and heap-allocate.
+	// BorrowArena attaches one from the package's one pool and
+	// ReturnArena resets it and hands it back, so every tuple of the
+	// execution dies at ReturnArena. An owner borrows only when no tuple
+	// outlives that call: the engine's one-shot runs (borrowed at open,
+	// returned at release), paper.Run, and the optimizer's Estimator,
+	// whose sample runs all live until its Close. A stream suspended
+	// under a cursor keeps Arena nil and heap-allocates, so a deep cursor
+	// does not pin every tuple it ever produced.
 	Arena *schema.TupleArena
 
 	checkCtr int
@@ -112,9 +114,30 @@ func (c *Context) derivedTuple() *schema.Tuple {
 	return &schema.Tuple{}
 }
 
+// arenas is the one pool of tuple arenas. Slabs belong to no plan or
+// owner, so an execution run once does not strand its slabs.
+var arenas = sync.Pool{New: func() any { return new(schema.TupleArena) }}
+
+// BorrowArena attaches a pooled arena to c, if it has none.
+func (c *Context) BorrowArena() {
+	if c.Arena == nil {
+		c.Arena = arenas.Get().(*schema.TupleArena)
+	}
+}
+
+// ReturnArena resets c's arena and returns it to the pool. Every tuple
+// it handed out is dead from here on.
+func (c *Context) ReturnArena() {
+	if a := c.Arena; a != nil {
+		a.Reset()
+		arenas.Put(a)
+		c.Arena = nil
+	}
+}
+
 // Reset clears per-execution state (counters, cancellation, profiling)
 // so a pooled Context can serve the next request. The arena is the
-// owner's to recycle.
+// owner's to return (ReturnArena).
 func (c *Context) Reset() {
 	c.Stats = Stats{}
 	c.Cancel = nil

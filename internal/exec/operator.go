@@ -265,13 +265,15 @@ func Drain(ctx *Context, op Operator) ([]*schema.Tuple, error) {
 }
 
 // PullN pulls up to n tuples from an already-open operator tree — one
-// page of a suspended ranked stream. A short page means the stream ran
-// dry; a full page means deeper tuples may exist (the same exhaustion
-// convention top-k results use). The tree is left open, so the caller
-// can keep pulling pages: operator state (ranking queues, join
-// frontiers, depth counters) carries over between calls.
+// page of a suspended ranked stream, or the optimizer's top k″ over the
+// samples. A short page means the stream ran dry; a full page means
+// deeper tuples may exist (the same exhaustion convention top-k results
+// use). The tree is left open, so the caller can keep pulling pages:
+// operator state (ranking queues, join frontiers, depth counters)
+// carries over between calls. The page grows as tuples arrive, so a
+// large n over a short stream reserves no more than pullPrealloc slots.
 func PullN(ctx *Context, op Operator, n int) ([]*schema.Tuple, error) {
-	out := make([]*schema.Tuple, 0, n)
+	out := make([]*schema.Tuple, 0, min(n, pullPrealloc))
 	for len(out) < n {
 		t, err := op.Next(ctx)
 		if err != nil {
@@ -284,6 +286,9 @@ func PullN(ctx *Context, op Operator, n int) ([]*schema.Tuple, error) {
 	}
 	return out, nil
 }
+
+// pullPrealloc caps the capacity PullN reserves up front.
+const pullPrealloc = 1024
 
 // Run opens, fully drains and closes an operator tree.
 func Run(ctx *Context, op Operator) ([]*schema.Tuple, error) {

@@ -75,15 +75,23 @@ type optimizerState struct {
 	Kept      int
 
 	rankMemo map[*PlanNode]map[int]rankProbe
+	// sorts memoizes the τ_col nodes joinPair injects under merge joins.
+	sorts map[sortKey]*PlanNode
 }
 
-// rankProbe is one memoized rank-metric probe µ_p(base): its rank and
-// the estimate it was computed from, which the µ_p(base) candidate
-// reuses.
+// rankProbe is one memoized rank-metric probe: its rank and the
+// estimated, run µ_p(base) node it was computed from, which is the
+// µ_p(base) candidate itself.
 type rankProbe struct {
-	metric   float64
-	card     float64
-	fallback bool
+	metric float64
+	node   *PlanNode
+}
+
+// sortKey names one τ_col node: its input plan and the column, spelled
+// as the join condition spells it, that it sorts on.
+type sortKey struct {
+	child      *PlanNode
+	table, col string
 }
 
 // Result is the outcome of optimization.
@@ -138,8 +146,8 @@ func Optimize(q *Query, opts Options) (*Result, error) {
 
 // newOptimizerState returns empty DP tables for d, costed by est.
 func newOptimizerState(d *decomposed, opts Options, est *Estimator) *optimizerState {
-	return &optimizerState{d: d, opts: opts, est: est,
-		best: map[sig][]*candidate{}, rankMemo: map[*PlanNode]map[int]rankProbe{}}
+	return &optimizerState{d: d, opts: opts, est: est, best: map[sig][]*candidate{},
+		rankMemo: map[*PlanNode]map[int]rankProbe{}, sorts: map[sortKey]*PlanNode{}}
 }
 
 // annotate estimates the plan's cardinality, unless it already carries
@@ -166,37 +174,20 @@ func (o *optimizerState) annotate(p *PlanNode) error {
 
 // addCandidate prunes within a signature: for each physical property, only
 // the cheapest plan survives (the principle of optimality over the dual
-// logical properties, plus interesting orders). The plan that loses
-// releases its sample run at once: a signature's candidates are final
-// before any plan is built on them, so nothing reads it any more.
+// logical properties, plus interesting orders).
 func (o *optimizerState) addCandidate(s sig, plan *PlanNode, prop string) {
 	o.Generated++
 	list := o.best[s]
 	for i, c := range list {
 		if c.prop == prop {
 			if plan.Cost < c.plan.Cost {
-				o.release(c.plan)
 				list[i] = &candidate{plan: plan, prop: prop}
-			} else {
-				o.release(plan)
 			}
 			return
 		}
 	}
 	o.best[s] = append(list, &candidate{plan: plan, prop: prop})
 	o.Kept++
-}
-
-// release drops the sample runs of a plan that is no candidate: its own
-// and those of the sortCol nodes injected under it, which are never
-// candidates themselves.
-func (o *optimizerState) release(p *PlanNode) {
-	o.est.release(p)
-	for _, c := range p.Children {
-		if c.Kind == KindSortColumn {
-			o.est.release(c)
-		}
-	}
 }
 
 // candidates returns the retained plans for a signature.
@@ -476,27 +467,16 @@ func (o *optimizerState) joinPair(s sig, sr1 tableSet, sp1 schema.Bitset, sr2 ta
 					nl.costDone = true
 					o.Generated++
 					if nl.Cost < hj.Cost {
-						o.est.handOver(hj, nl)
 						o.addCandidate(s, nl, "")
 					} else {
 						o.addCandidate(s, hj, "")
 					}
 					// Sort-merge join: use existing interesting orders or
-					// inject sorts.
-					l := c1.plan
-					if c1.prop != propSorted(lk) {
-						l = &PlanNode{Kind: KindSortColumn, SortTable: lk.Table,
-							SortCol: lk.Name, Children: []*PlanNode{l}}
-					}
-					r := c2.plan
-					if c2.prop != propSorted(rk) {
-						r = &PlanNode{Kind: KindSortColumn, SortTable: rk.Table,
-							SortCol: rk.Name, Children: []*PlanNode{r}}
-					}
-					// A merge join's output stays sorted on the join key —
-					// an interesting order for joins further up.
-					mj := &PlanNode{Kind: KindMergeJoin, LeftKey: lk, RightKey: rk,
-						Cond: resCond, Children: []*PlanNode{l, r}}
+					// inject sorts. A merge join's output stays sorted on
+					// the join key — an interesting order for joins
+					// further up.
+					mj := &PlanNode{Kind: KindMergeJoin, LeftKey: lk, RightKey: rk, Cond: resCond,
+						Children: []*PlanNode{o.sortOn(c1, lk), o.sortOn(c2, rk)}}
 					if err := add(mj, propSorted(lk)); err != nil {
 						return err
 					}
@@ -526,6 +506,24 @@ func (o *optimizerState) joinPair(s sig, sr1 tableSet, sp1 schema.Bitset, sr2 ta
 	return nil
 }
 
+// sortOn returns c's plan in ascending key order: the plan itself when
+// that is its physical property, else a τ_key node over it, one per
+// (plan, key), so each input is sorted once over the samples however
+// many pairs read it.
+func (o *optimizerState) sortOn(c *candidate, key *expr.Col) *PlanNode {
+	if c.prop == propSorted(key) {
+		return c.plan
+	}
+	k := sortKey{child: c.plan, table: key.Table, col: key.Name}
+	n := o.sorts[k]
+	if n == nil {
+		n = &PlanNode{Kind: KindSortColumn, SortTable: key.Table, SortCol: key.Name,
+			Children: []*PlanNode{c.plan}}
+		o.sorts[k] = n
+	}
+	return n
+}
+
 // rankPlans builds plans for signature s by appending one µ operator to
 // (SR, SP−{p}) (Figure 8 line 15), subject to the greedy rank-metric
 // heuristic (Figure 10).
@@ -552,13 +550,12 @@ func (o *optimizerState) rankPlans(s sig) error {
 					continue
 				}
 			}
-			p := &PlanNode{Kind: KindRank, Pred: o.d.q.Spec.Preds[pi],
-				Children: []*PlanNode{c.plan}}
-			if pr, ok := o.rankMemo[c.plan][pi]; ok {
-				// The rank-metric probe estimated this very µ_p(c.plan);
-				// its run is started when a parent first reads it.
-				p.Card, p.fallback = pr.card, pr.fallback
-				p.setEstimated()
+			// The rank-metric probe, when there was one, is this very
+			// µ_p(c.plan), estimated and run.
+			p := o.rankMemo[c.plan][pi].node
+			if p == nil {
+				p = &PlanNode{Kind: KindRank, Pred: o.d.q.Spec.Preds[pi],
+					Children: []*PlanNode{c.plan}}
 			}
 			if err := o.annotate(p); err != nil {
 				outerErr = err
@@ -602,7 +599,7 @@ func (o *optimizerState) rankMetricSkips(base *PlanNode, pu int, univ, sp schema
 
 // rankMetric computes (1 − card(plan')/card(plan)) / cost(µ_p) for
 // plan' = µ_p(plan), memoized per (plan, predicate) together with the
-// probe's estimate.
+// probe node.
 func (o *optimizerState) rankMetric(base *PlanNode, pi int) (float64, error) {
 	if pr, ok := o.rankMemo[base][pi]; ok {
 		return pr.metric, nil
@@ -613,14 +610,13 @@ func (o *optimizerState) rankMetric(base *PlanNode, pi int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	o.est.release(probe)
 	v := o.rankOf(base, pred, card)
 	m := o.rankMemo[base]
 	if m == nil {
 		m = map[int]rankProbe{}
 		o.rankMemo[base] = m
 	}
-	m[pi] = rankProbe{metric: v, card: card, fallback: probe.fallback}
+	m[pi] = rankProbe{metric: v, node: probe}
 	return v, nil
 }
 
@@ -673,7 +669,6 @@ func (o *optimizerState) finalize() (*PlanNode, error) {
 			if err := o.annotate(srt); err != nil {
 				return nil, err
 			}
-			o.est.release(srt)
 			o.Generated++
 			if srt.Cost < bestCost {
 				best = srt

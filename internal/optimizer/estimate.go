@@ -1,7 +1,6 @@
 package optimizer
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -33,15 +32,17 @@ import (
 //     scans included), counting its outputs u with upper bound
 //     ≥ x', and scaling (below). As in the paper, P's sample results are
 //     kept together with P: each subplan's run (its operator and the
-//     tuples it emitted) lives as long as P is a retained candidate, and
-//     a plan built on P executes only its own new operator, over a replay
-//     of P's run that pulls more from it only when read past its end. A
+//     tuples it emitted) lives until the Estimator's Close, which is
+//     also when the arena its tuples come from is returned, and a plan
+//     built on P executes only its own new operator, over a replay of
+//     P's run that pulls more from it only when read past its end. A
 //     replay feeding µ or τ_F, the two operators that write a tuple's
 //     ranking state, hands out copies; every other reader reads the kept
 //     tuples in place. Each sample computation runs once: a nested loop
 //     that emits exactly its hash join twin's tuples is scaled from the
-//     twin's run, and a µ candidate reuses the estimate of the identical
-//     rank-metric probe (see joinPair and rankPlans):
+//     twin's run, a µ candidate is the rank-metric probe node itself,
+//     and one τ_col node per (input, column) serves every merge join
+//     (see joinPair, rankPlans and sortOn):
 //     scan:   card(P) = u / sᵢ
 //     unary:  card(P) = u · card(P′)/cards(P′)
 //     binary: card(P) = u · card(P1)/cards(P1) · card(P2)/cards(P2)
@@ -83,10 +84,11 @@ import (
 type Estimator struct {
 	d   *decomposed
 	env *Env
-	// ctx is the one execution context every sample run pulls under.
+	// ctx is the one execution context every sample run pulls under. It
+	// borrows an arena in newEstimator and returns it in Close.
 	ctx *exec.Context
-	// runs holds the sample run of every subplan still kept (see
-	// sampleRun); release and Close drop them.
+	// runs holds the sample run of every subplan estimated so far (see
+	// sampleRun); all of them live until Close.
 	runs map[*PlanNode]*sampleRun
 	// XPrime is the estimated k-th result score (x'); -Inf when the
 	// samples' cross product holds fewer than k″ tuples.
@@ -106,11 +108,13 @@ func NewEstimatorForQuery(q *Query, opts Options) (*Estimator, error) {
 	return newEstimator(d, opts)
 }
 
-// newEstimator takes every query table's snapshot and estimates x'.
+// newEstimator takes every query table's snapshot and estimates x'. The
+// caller closes the Estimator.
 func newEstimator(d *decomposed, opts Options) (*Estimator, error) {
 	env := &Env{Tables: make(map[string]*catalog.TableMeta, len(d.q.Tables))}
 	e := &Estimator{d: d, env: env, XPrime: math.Inf(-1),
 		ctx: exec.NewContext(d.q.Spec), runs: map[*PlanNode]*sampleRun{}}
+	e.ctx.BorrowArena()
 
 	// scale is Π sᵢ / Π selⱼ, the sampling ratio of the samples' cross
 	// product as a sample of Q.
@@ -137,6 +141,7 @@ func newEstimator(d *decomposed, opts Options) (*Estimator, error) {
 
 	x, err := e.estimateXPrime()
 	if err != nil {
+		e.Close()
 		return nil, err
 	}
 	e.XPrime = x
@@ -188,32 +193,25 @@ func (e *Estimator) estimateXPrime() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ctx := exec.NewContext(e.d.q.Spec)
-	if err := op.Open(ctx); err != nil {
+	if err := op.Open(e.ctx); err != nil {
 		return 0, err
 	}
 	defer op.Close()
-	var score float64
-	for i := 0; i < e.KPrime; i++ {
-		t, err := op.Next(ctx)
-		if err != nil {
-			return 0, err
-		}
-		if t == nil {
-			return math.Inf(-1), nil
-		}
-		score = t.Score
+	top, err := exec.PullN(e.ctx, op, e.KPrime)
+	if err != nil {
+		return 0, err
 	}
-	return score, nil
+	if len(top) < e.KPrime {
+		return math.Inf(-1), nil
+	}
+	return top[len(top)-1].Score, nil
 }
 
 // Estimate annotates p.Card (recursively estimating children that lack an
 // annotation) and returns it. Children carry their estimates, and their
 // sample runs, from when they were enumerated, mirroring the paper's
-// "results are kept together with P": only p's own operator executes. A
-// child estimated without a run of its own (a µ candidate that reused
-// its rank-metric probe) gets one here, when it is first read. p's run is
-// kept until release or Close.
+// "results are kept together with P": only p's own operator executes.
+// p's run is kept until Close.
 func (e *Estimator) Estimate(p *PlanNode) (float64, error) {
 	for _, c := range p.Children {
 		if !c.estimated() {
@@ -253,12 +251,11 @@ func (e *Estimator) Estimate(p *PlanNode) (float64, error) {
 // p's own operator. p must emit exactly the tuples twin emits over the
 // same children, in the same order (joinPair's nested loop and its hash
 // join twin), so u and the children's output counts are twin's; p is
-// scaled by its own rule, so a fallback reads p's own selectivity.
+// scaled by its own rule, so a fallback reads p's own selectivity. p's
+// run is twin's, so a plan built on p replays it.
 func (e *Estimator) estimateTwin(p, twin *PlanNode) error {
 	r := e.runs[twin]
-	if r == nil {
-		return errReleased
-	}
+	e.runs[p] = r
 	return e.annotateFrom(p, r)
 }
 
@@ -275,19 +272,12 @@ func (e *Estimator) annotateFrom(p *PlanNode, r *sampleRun) error {
 	return nil
 }
 
-// handOver makes from's sample run p's: p emits from's tuples and takes
-// from's place as a candidate, so the run lives as long as p does.
-func (e *Estimator) handOver(from, p *PlanNode) {
-	e.runs[p] = e.runs[from]
-	delete(e.runs, from)
-}
-
 // sampleRun is one subplan's execution over the samples: its operator,
 // built and opened once over replays of its children's runs, and every
 // tuple the operator has emitted so far. It is extended lazily: at pulls
 // from the operator only when a reader asks past the end.
 type sampleRun struct {
-	op   exec.Operator // nil once released
+	op   exec.Operator // nil once closed
 	ctx  *exec.Context
 	buf  []*schema.Tuple
 	done bool
@@ -296,16 +286,9 @@ type sampleRun struct {
 	u int
 }
 
-// errReleased reports a read of a run whose plan was already dropped: a
-// plan was released while a kept plan still reads it.
-var errReleased = errors.New("optimizer: sample run read after release")
-
 // at returns the run's i-th output tuple, pulling the operator as far as
 // needed, or nil when the run ends before i.
 func (r *sampleRun) at(i int) (*schema.Tuple, error) {
-	if r.op == nil {
-		return nil, errReleased
-	}
 	for len(r.buf) <= i && !r.done {
 		t, err := r.op.Next(r.ctx)
 		if err != nil {
@@ -324,10 +307,13 @@ func (r *sampleRun) at(i int) (*schema.Tuple, error) {
 }
 
 // newRun builds and opens p's operator over replays of its children's
-// runs (starting a child's run if it has none) and keeps it as p's run.
-// The run is always new, so the counts scaleUp reads off it are those of
-// a fresh execution of p. Only µ and τ_F write the ranking state of the
-// tuples they read, so only their replays hand out copies.
+// runs and keeps it as p's run. A child that carries an estimate but no
+// run of this Estimator's (a node of a plan another Estimator costed,
+// such as the optimizer's plan paper.Figure13 re-estimates) gets its run
+// started here. The run is always new, so the counts scaleUp reads off
+// it are those of a fresh execution of p. Only µ and τ_F write the
+// ranking state of the tuples they read, so only their replays hand out
+// copies.
 func (e *Estimator) newRun(p *PlanNode) (*sampleRun, error) {
 	writes := p.Kind == KindRank || p.Kind == KindSortScore
 	kids := make([]exec.Operator, len(p.Children))
@@ -353,22 +339,18 @@ func (e *Estimator) newRun(p *PlanNode) (*sampleRun, error) {
 	return r, nil
 }
 
-// release drops p's sample run, if it has one. Plans built on p must be
-// released first.
-func (e *Estimator) release(p *PlanNode) {
-	if r := e.runs[p]; r != nil {
-		r.op.Close()
-		r.op, r.buf = nil, nil
-		delete(e.runs, p)
-	}
-}
-
-// Close drops every sample run; estimates already made stay on their
-// plans. Optimize closes its Estimator before returning.
+// Close drops every sample run and returns the arena their tuples came
+// from; estimates already made stay on their plans. Optimize closes its
+// Estimator before returning.
 func (e *Estimator) Close() {
-	for p := range e.runs {
-		e.release(p)
+	for _, r := range e.runs {
+		if r.op != nil { // a twin's run is in the map twice
+			r.op.Close()
+			r.op, r.buf = nil, nil
+		}
 	}
+	clear(e.runs)
+	e.ctx.ReturnArena()
 }
 
 // replay reads a sampleRun from its first tuple as the input of one

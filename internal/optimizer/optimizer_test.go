@@ -688,9 +688,9 @@ func CheckKeptRuns(t *testing.T, q *Query, opts Options) {
 			if fresh := o.rankOf(base, pred, probe.Card); v.metric != fresh {
 				t.Errorf("rank(µ_%s) over\n%s= %v, fresh %v", pred, base, v.metric, fresh)
 			}
-			if v.card != probe.Card || v.fallback != probe.fallback {
+			if v.node.Card != probe.Card || v.node.fallback != probe.fallback {
 				t.Errorf("probe µ_%s over\n%s: card=%v fallback=%v, fresh card=%v fallback=%v",
-					pred, base, v.card, v.fallback, probe.Card, probe.fallback)
+					pred, base, v.node.Card, v.node.fallback, probe.Card, probe.fallback)
 			}
 		}
 	}
@@ -734,7 +734,7 @@ func TestKeptRunsTwoTables(t *testing.T) {
 // TestKeptRunsNestedLoopTwin runs CheckKeptRuns where the nested loop
 // over an equi-keyed pair is cheaper than its hash join twin (three rows
 // a side, one key value): the nested loop is priced on the hash join's
-// sample run and takes that run over, and the τ_F above it reads it.
+// sample run, which the τ_F above it reads.
 func TestKeptRunsNestedLoopTwin(t *testing.T) {
 	for _, noRank := range []bool{true, false} {
 		_, q := figure9Fixture(t, 3)

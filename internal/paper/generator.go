@@ -3,6 +3,7 @@ package paper
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"ranksql/internal/catalog"
 	"ranksql/internal/expr"
@@ -132,6 +133,8 @@ type DB struct {
 	Spec *rank.Spec
 	// Preds aliases Spec.Preds for convenience (f1..f5 in order).
 	Preds []*rank.Predicate
+	// env builds plans against A, B and C (see Run).
+	env *optimizer.Env
 }
 
 // identityScore reads the precomputed score column; the predicate's
@@ -172,6 +175,7 @@ func Build(cfg Config) (*DB, error) {
 		{"B", true, []Distribution{Cosine, Uniform}},
 		{"C", false, []Distribution{Normal}},
 	}
+	env := &optimizer.Env{Tables: map[string]*catalog.TableMeta{}}
 	for _, ts := range specs {
 		cols := []schema.Column{
 			{Name: "jc1", Kind: types.KindInt},
@@ -187,6 +191,7 @@ func Build(cfg Config) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
+		env.Tables[strings.ToLower(ts.name)] = tm
 		for i := 0; i < cfg.Size; i++ {
 			row := []types.Value{
 				types.NewInt(int64(r.intn(distinct))),
@@ -253,7 +258,7 @@ func Build(cfg Config) (*DB, error) {
 			return nil, err
 		}
 	}
-	return &DB{Config: cfg, Catalog: c, Spec: spec, Preds: preds}, nil
+	return &DB{Config: cfg, Catalog: c, Spec: spec, Preds: preds, env: env}, nil
 }
 
 // Query returns the paper's benchmark query Q in canonical form:

@@ -3,6 +3,7 @@ package paper
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"ranksql/internal/algebra"
@@ -81,8 +82,15 @@ func algebraQ(t *testing.T, db *DB) []float64 {
 	aB, aJC1 := field(0, "b"), field(0, "jc1")
 	bB, bJC1, bJC2 := field(1, "b"), field(1, "jc1"), field(1, "jc2")
 	cJC2 := field(2, "jc2")
+	// predsOn is the set of predicates evaluable on table name alone.
 	predsOn := func(name string) schema.Bitset {
-		return db.Spec.PredsOnTables(map[string]bool{name: true})
+		var b schema.Bitset
+		for i, p := range db.Spec.Preds {
+			if !slices.ContainsFunc(p.Tables(), func(t string) bool { return t != name }) {
+				b = b.With(i)
+			}
+		}
+		return b
 	}
 
 	var q algebra.Expr = &algebra.Join{

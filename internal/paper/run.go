@@ -1,9 +1,6 @@
 package paper
 
 import (
-	"strings"
-
-	"ranksql/internal/catalog"
 	"ranksql/internal/exec"
 	"ranksql/internal/optimizer"
 )
@@ -28,21 +25,16 @@ func topK(plan *optimizer.PlanNode, k int) *optimizer.PlanNode {
 }
 
 // Run builds plan under λ_k against db's tables, drains it and reports
-// what that one execution did.
+// what that one execution did. Its tuples come from a borrowed arena, as
+// a served one-shot query's do; only their scores leave Run.
 func Run(db *DB, plan *optimizer.PlanNode, k int) (*Measurement, error) {
-	env := &optimizer.Env{Tables: map[string]*catalog.TableMeta{}}
-	for _, name := range []string{"A", "B", "C"} {
-		tm, err := db.Catalog.Table(name)
-		if err != nil {
-			return nil, err
-		}
-		env.Tables[strings.ToLower(name)] = tm
-	}
-	op, err := topK(plan, k).Build(env)
+	op, err := topK(plan, k).Build(db.env)
 	if err != nil {
 		return nil, err
 	}
 	ctx := exec.NewContext(db.Spec)
+	ctx.BorrowArena()
+	defer ctx.ReturnArena()
 	out, err := exec.Run(ctx, op)
 	if err != nil {
 		return nil, err

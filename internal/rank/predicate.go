@@ -70,10 +70,6 @@ func (p *Predicate) Tables() []string {
 	return out
 }
 
-// IsJoinPredicate reports whether the predicate spans multiple relations
-// (a rank-join predicate, like p2: close(h.addr, r.addr) in Example 1).
-func (p *Predicate) IsJoinPredicate() bool { return len(p.Tables()) > 1 }
-
 // String implements fmt.Stringer.
 func (p *Predicate) String() string {
 	if p.Name != "" {
@@ -135,9 +131,6 @@ func EmptySpec() *Spec {
 // N returns the number of ranking predicates.
 func (s *Spec) N() int { return len(s.Preds) }
 
-// Maxes returns the per-predicate maximal values.
-func (s *Spec) Maxes() []float64 { return s.maxes }
-
 // AllEvaluated is the bitset with every predicate evaluated.
 func (s *Spec) AllEvaluated() schema.Bitset { return schema.AllBits(len(s.Preds)) }
 
@@ -157,25 +150,4 @@ func (s *Spec) Rescore(t *schema.Tuple) {
 // global upper bound F_∅ shared by every tuple of an unranked stream.
 func (s *Spec) CeilingScore() float64 {
 	return s.F.UpperBound(nil, 0, s.maxes)
-}
-
-// PredsOnTables returns the bitset of predicates evaluable given the set of
-// available relations (every referenced table present). Used by the
-// optimizer's dimension enumeration ("all predicates that are evaluable on
-// SR", Figure 8 line 6).
-func (s *Spec) PredsOnTables(tables map[string]bool) schema.Bitset {
-	var b schema.Bitset
-	for i, p := range s.Preds {
-		ok := true
-		for _, t := range p.Tables() {
-			if !tables[t] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			b = b.With(i)
-		}
-	}
-	return b
 }

@@ -155,30 +155,6 @@ func TestPredicateTables(t *testing.T) {
 	if len(tabs) != 2 || tabs[0] != "h" || tabs[1] != "r" {
 		t.Errorf("Tables = %v", tabs)
 	}
-	if !p.IsJoinPredicate() {
-		t.Error("predicate spanning two tables is a join predicate")
-	}
-	single := &Predicate{Index: 0, Args: []ColumnRef{{Table: "h", Column: "x"}}}
-	if single.IsJoinPredicate() {
-		t.Error("single-table predicate misclassified")
-	}
-}
-
-func TestPredsOnTables(t *testing.T) {
-	preds := []*Predicate{
-		{Index: 0, Args: []ColumnRef{{Table: "a", Column: "x"}}},
-		{Index: 1, Args: []ColumnRef{{Table: "b", Column: "x"}}},
-		{Index: 2, Args: []ColumnRef{{Table: "a", Column: "x"}, {Table: "b", Column: "y"}}},
-	}
-	spec := MustSpec(NewSum(3), preds)
-	got := spec.PredsOnTables(map[string]bool{"a": true})
-	if got != schema.Bit(0) {
-		t.Errorf("preds on {a} = %s", got)
-	}
-	got = spec.PredsOnTables(map[string]bool{"a": true, "b": true})
-	if got != schema.AllBits(3) {
-		t.Errorf("preds on {a,b} = %s", got)
-	}
 }
 
 func TestMaxValDefaults(t *testing.T) {
@@ -186,8 +162,8 @@ func TestMaxValDefaults(t *testing.T) {
 	preds[0].MaxVal = 0 // should default to 1
 	preds[1].MaxVal = 5
 	spec := MustSpec(NewSum(2), preds)
-	if spec.Maxes()[0] != 1 || spec.Maxes()[1] != 5 {
-		t.Errorf("maxes = %v", spec.Maxes())
+	if spec.maxes[0] != 1 || spec.maxes[1] != 5 {
+		t.Errorf("maxes = %v", spec.maxes)
 	}
 	if spec.CeilingScore() != 6 {
 		t.Errorf("ceiling = %v, want 6", spec.CeilingScore())

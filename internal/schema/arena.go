@@ -16,10 +16,11 @@ const (
 // allocations the first time and none at steady state.
 //
 // Safety contract: tuples handed out by an arena are only valid until
-// Reset. The engine's pooled serve path guarantees this — tuple structs,
-// Preds and TIDs never outlive an execution (only Values and Score are
-// copied into result rows) — while long-lived executions (cursors, the
-// estimator) use arena-less contexts and keep heap allocation.
+// Reset. exec.Context owns the one pool (BorrowArena/ReturnArena), and
+// its borrowers guarantee this: the engine's one-shot runs and paper.Run
+// copy only Values and Score out of a tuple before returning the arena,
+// and the optimizer's Estimator keeps every sample run until its Close.
+// A suspended cursor's execution borrows none and keeps heap allocation.
 type TupleArena struct {
 	tupleSlabs [][]Tuple
 	ts, ti     int // slab index, offset within slab

@@ -39,12 +39,6 @@ func (b Bitset) Diff(o Bitset) Bitset { return b &^ o }
 // SubsetOf reports whether every bit of b is also set in o.
 func (b Bitset) SubsetOf(o Bitset) bool { return b&^o == 0 }
 
-// Disjoint reports whether b and o share no bits.
-func (b Bitset) Disjoint(o Bitset) bool { return b&o == 0 }
-
-// Empty reports whether no bits are set.
-func (b Bitset) Empty() bool { return b == 0 }
-
 // Count returns the number of set bits.
 func (b Bitset) Count() int { return bits.OnesCount64(uint64(b)) }
 

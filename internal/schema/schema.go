@@ -9,7 +9,6 @@
 package schema
 
 import (
-	"fmt"
 	"strings"
 
 	"ranksql/internal/types"
@@ -66,16 +65,6 @@ func (s *Schema) ColumnIndex(table, name string) int {
 		found = i
 	}
 	return found
-}
-
-// MustColumnIndex is ColumnIndex that panics on failure; used in tests and
-// internal plan construction where the schema is known.
-func (s *Schema) MustColumnIndex(table, name string) int {
-	i := s.ColumnIndex(table, name)
-	if i < 0 {
-		panic(fmt.Sprintf("schema: cannot resolve column %s.%s (code %d)", table, name, i))
-	}
-	return i
 }
 
 // Concat returns a new schema with the columns of s followed by those of o.

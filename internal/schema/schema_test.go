@@ -36,12 +36,6 @@ func TestColumnResolution(t *testing.T) {
 	if i := s.ColumnIndex("T", "A"); i != 0 {
 		t.Errorf("case-insensitive = %d", i)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustColumnIndex should panic on failure")
-		}
-	}()
-	s.MustColumnIndex("", "zzz")
 }
 
 func TestConcatProjectEqual(t *testing.T) {
@@ -65,7 +59,7 @@ func TestConcatProjectEqual(t *testing.T) {
 
 func TestBitsetBasics(t *testing.T) {
 	var b Bitset
-	if !b.Empty() || b.Count() != 0 {
+	if b != 0 || b.Count() != 0 {
 		t.Error("zero bitset")
 	}
 	b = b.With(3).With(5)
@@ -101,7 +95,7 @@ func TestBitsetAlgebra(t *testing.T) {
 		if x.Intersect(y).SubsetOf(x) == false {
 			return false
 		}
-		if !x.Diff(y).Disjoint(y) {
+		if x.Diff(y).Intersect(y) != 0 {
 			return false
 		}
 		if x.Diff(y).Union(x.Intersect(y)) != x {
@@ -148,9 +142,6 @@ func TestTupleKeysAndLess(t *testing.T) {
 	if string(a.AppendValueKey(nil)) != string(b.AppendValueKey(nil)) {
 		t.Error("equal values must share a value key")
 	}
-	if a.IdentityKey() == b.IdentityKey() {
-		t.Error("distinct TIDs must differ in IdentityKey")
-	}
 	a.Score, b.Score = 2, 1
 	if !a.Less(b) {
 		t.Error("higher score ranks earlier")
@@ -161,18 +152,5 @@ func TestTupleKeysAndLess(t *testing.T) {
 	}
 	if a.String() == "" {
 		t.Error("String empty")
-	}
-}
-
-func TestMergePreds(t *testing.T) {
-	a := NewTuple(1, nil, 3)
-	a.Preds[0] = 0.2
-	a.Evaluated = Bit(0)
-	b := NewTuple(1, nil, 3)
-	b.Preds[1] = 0.7
-	b.Evaluated = Bit(1)
-	a.MergePreds(b)
-	if a.Preds[1] != 0.7 || !a.Evaluated.Has(0) || !a.Evaluated.Has(1) {
-		t.Errorf("merge failed: %+v", a)
 	}
 }

@@ -80,28 +80,6 @@ func Concat(l, r *Tuple) *Tuple {
 	return nt
 }
 
-// MergePreds copies the predicate scores evaluated on o into t (same-width
-// tuples, e.g. set operations over union-compatible inputs) and unions the
-// evaluated sets. Score must be recomputed by the caller.
-func (t *Tuple) MergePreds(o *Tuple) {
-	o.Evaluated.Each(func(i int) { t.Preds[i] = o.Preds[i] })
-	t.Evaluated = t.Evaluated.Union(o.Evaluated)
-}
-
-// IdentityKey returns a string key identifying the base tuples the row is
-// derived from; used for duplicate elimination in set operators and for
-// deterministic tie-breaking.
-func (t *Tuple) IdentityKey() string {
-	var b strings.Builder
-	for i, id := range t.TIDs {
-		if i > 0 {
-			b.WriteByte(':')
-		}
-		fmt.Fprintf(&b, "%d", id)
-	}
-	return b.String()
-}
-
 // AppendValueKey appends a binary key of the attribute values to dst; used
 // for value-based duplicate elimination (set semantics on values). Two
 // tuples share a key exactly when their values pairwise Compare equal, as

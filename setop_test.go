@@ -1,8 +1,7 @@
-// Package engine_test runs the SQL engine's set-operation tests — ranked
-// UNION, INTERSECT and EXCEPT, one-shot and through a cursor — against the
-// public ranksql API. The directory holds tests only: the engine itself is
-// package ranksql.
-package engine_test
+package ranksql_test
+
+// The set-operation tests — ranked UNION, INTERSECT and EXCEPT, one-shot
+// and through a cursor — run against the public ranksql API.
 
 import (
 	"math"
