@@ -285,6 +285,34 @@ func TestCursorFetchWholeStream(t *testing.T) {
 	assertSameRanking(t, page.data, page.Scores, ref)
 }
 
+// TestCursorFetchRestOfStream pins that a page up to math.MaxInt after a
+// first page returns the rest of the stream: the page's quota saturates
+// rather than wraps.
+func TestCursorFetchRestOfStream(t *testing.T) {
+	db := cursorDB(t, 120)
+	ref, err := db.Query(strings.Replace(cursorQuery, "LIMIT 10", "LIMIT 1000", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := db.Cursor(cursorQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	first, err := c.Fetch(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest, err := c.Fetch(math.MaxInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.Exhausted() {
+		t.Error("a page past the stream's end must exhaust the cursor")
+	}
+	assertSameRanking(t, append(first.data, rest.data...), append(first.Scores, rest.Scores...), ref)
+}
+
 // drainUnderInserts drains c in pages of 5 while insert lands rows in
 // its tables: 300 before the first pull, 300 after the first page and 100
 // after every tenth page — enough to split the B+tree leaves a suspended

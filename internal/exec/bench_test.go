@@ -79,30 +79,52 @@ func BenchmarkMuTopKOverRankScan(b *testing.B) {
 }
 
 // BenchmarkRankJoins: HRJN top-k versus the classic hash join + full sort
-// on the same inputs.
+// on the same inputs. Each HRJN sub-benchmark reports depth/op, the tuples
+// the join pulls from its inputs. In HRJN-skewed-top10 the right input
+// also ranks by R.p2 and R.p3, so its first tuple starts further below
+// the maxima of what it has evaluated than the left's: the case where
+// drawing from the side whose corner term of the threshold is larger
+// (HRJN*) reads less than drawing from the side whose last bound is
+// larger.
 func BenchmarkRankJoins(b *testing.B) {
 	lt := benchTable(10000, 500, 1)
 	rt := benchTable(10000, 500, 1)
+	skewed := benchTable(10000, 500, 3)
 	preds := []*rank.Predicate{
 		{Index: 0, Args: []rank.ColumnRef{{Table: "L", Column: "p1"}}, Fn: identFn, Cost: 1},
 		{Index: 1, Args: []rank.ColumnRef{{Table: "R", Column: "p1"}}, Fn: identFn, Cost: 1},
+		{Index: 2, Args: []rank.ColumnRef{{Table: "R", Column: "p2"}}, Fn: identFn, Cost: 1},
+		{Index: 3, Args: []rank.ColumnRef{{Table: "R", Column: "p3"}}, Fn: identFn, Cost: 1},
 	}
-	spec := rank.MustSpec(rank.NewSum(2), preds)
 	lk, rk := expr.NewCol("L", "k"), expr.NewCol("R", "k")
 
-	b.Run("HRJN-top10", func(b *testing.B) {
+	hrjn := func(b *testing.B, right *catalog.TableMeta, rightPreds []*rank.Predicate) {
+		spec := rank.MustSpec(rank.NewSum(1+len(rightPreds)), preds[:1+len(rightPreds)])
+		var depth int64
 		for i := 0; i < b.N; i++ {
 			ctx := NewContext(spec)
 			l, _ := NewRank(NewSeqScan(lt.Table, "L"), preds[0])
-			r, _ := NewRank(NewSeqScan(rt.Table, "R"), preds[1])
+			var r Operator = NewSeqScan(right.Table, "R")
+			for _, p := range rightPreds {
+				r, _ = NewRank(r, p)
+			}
 			j, _ := NewHRJN(l, r, lk, rk, nil)
 			lim := NewLimit(j, 10)
 			if _, err := Run(ctx, lim); err != nil {
 				b.Fatal(err)
 			}
+			depth = l.OutCount() + r.OutCount()
 		}
+		b.ReportMetric(float64(depth), "depth/op")
+	}
+	b.Run("HRJN-top10", func(b *testing.B) {
+		hrjn(b, rt, preds[1:2])
+	})
+	b.Run("HRJN-skewed-top10", func(b *testing.B) {
+		hrjn(b, skewed, preds[1:])
 	})
 	b.Run("HashJoin+Sort-top10", func(b *testing.B) {
+		spec := rank.MustSpec(rank.NewSum(2), preds[:2])
 		for i := 0; i < b.N; i++ {
 			ctx := NewContext(spec)
 			j, _ := NewHashJoin(NewSeqScan(lt.Table, "L"), NewSeqScan(rt.Table, "R"), lk, rk, nil)

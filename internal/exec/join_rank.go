@@ -19,20 +19,31 @@ import (
 // emitted once its exact combined upper bound F_{P1∪P2} dominates the
 // threshold
 //
-//	T = max( UB(firstL ⊕ lastR), UB(lastL ⊕ firstR) )
+//	T = max( UB(lastL ⊕ firstR), UB(firstL ⊕ lastR) )
 //
-// which bounds every join result not yet produced.
+// which bounds every join result not yet produced. The first corner term
+// bounds the results a future left tuple can make, the second those of a
+// future right tuple, so the join draws from the side whose term is the
+// larger: that is the only draw that can lower T. This is the adaptive
+// pulling of HRJN* (Ilyas, Aref & Elmagarmid, VLDB 2003). Comparing the
+// sides' own last bounds instead over-reads a side whenever the other
+// side's first tuple starts further below the maxima of the predicates
+// it has evaluated, as the first result of a join or of a µ chain does.
 type RankJoin struct {
 	joinCommon
 
-	queue           tupleHeap
-	lSeen, rSeen    map[uint64][]*schema.Tuple
-	firstL, lastL   *schema.Tuple
-	firstR, lastR   *schema.Tuple
-	lDone, rDone    bool
-	drawLeft        bool
-	scratch         []float64
-	nothingJoinable bool
+	queue         tupleHeap
+	lSeen, rSeen  map[uint64][]*schema.Tuple
+	firstL, lastL *schema.Tuple
+	firstR, lastR *schema.Tuple
+	lDone, rDone  bool
+	// leftTerm is UB(lastL ⊕ firstR) and rightTerm UB(firstL ⊕ lastR):
+	// T's corner terms, updated once per pull, −∞ once their side is
+	// exhausted. Both are unset until each side has produced a tuple.
+	leftTerm, rightTerm float64
+	drawLeft            bool
+	scratch             []float64
+	nothingJoinable     bool
 }
 
 // NewHRJN builds the hash rank-join (keyed mode) on leftKey = rightKey
@@ -71,6 +82,7 @@ func (j *RankJoin) Open(ctx *Context) error {
 	j.rSeen = map[uint64][]*schema.Tuple{}
 	j.firstL, j.lastL, j.firstR, j.lastR = nil, nil, nil, nil
 	j.lDone, j.rDone = false, false
+	j.leftTerm, j.rightTerm = math.Inf(-1), math.Inf(-1)
 	j.drawLeft = true
 	j.nothingJoinable = false
 	j.scratch = make([]float64, ctx.Spec.N())
@@ -89,8 +101,8 @@ func (j *RankJoin) combinedUB(ctx *Context, l, r *schema.Tuple) float64 {
 	return ctx.Spec.UpperBound(j.scratch, ev)
 }
 
-// threshold computes the bound T on all future join results.
-func (j *RankJoin) threshold(ctx *Context) float64 {
+// threshold returns the bound T on all future join results.
+func (j *RankJoin) threshold() float64 {
 	if j.firstL == nil || j.firstR == nil {
 		// One side has produced nothing yet.
 		if (j.lDone && j.firstL == nil) || (j.rDone && j.firstR == nil) {
@@ -98,19 +110,13 @@ func (j *RankJoin) threshold(ctx *Context) float64 {
 		}
 		return math.Inf(1)
 	}
-	t := math.Inf(-1)
-	if !j.rDone {
-		t = math.Max(t, j.combinedUB(ctx, j.firstL, j.lastR))
-	}
-	if !j.lDone {
-		t = math.Max(t, j.combinedUB(ctx, j.lastL, j.firstR))
-	}
-	return t
+	return math.Max(j.leftTerm, j.rightTerm)
 }
 
-// pickSide chooses which input to draw from next: the side whose last
-// upper bound is larger (tending to tighten the threshold fastest), with
-// round-robin as tie-break and exhaustion handling.
+// pickSide chooses which input to draw from next: a side that has not
+// started yet, else the side whose corner term of T is larger, since
+// only that draw can lower T; round-robin breaks a tie. An exhausted
+// side is never drawn.
 func (j *RankJoin) pickSide() (left bool, any bool) {
 	switch {
 	case j.lDone && j.rDone:
@@ -123,13 +129,28 @@ func (j *RankJoin) pickSide() (left bool, any bool) {
 		return true, true
 	case j.lastR == nil:
 		return false, true
-	case j.lastL.Score > j.lastR.Score:
+	case j.leftTerm > j.rightTerm:
 		return true, true
-	case j.lastR.Score > j.lastL.Score:
+	case j.rightTerm > j.leftTerm:
 		return false, true
 	default:
 		j.drawLeft = !j.drawLeft
 		return j.drawLeft, true
+	}
+}
+
+// updateTerms recomputes the corner terms that t, just drawn from the
+// left (fromLeft) or the right, changes: its own side's term, and the
+// other side's as well when t is its side's first tuple.
+func (j *RankJoin) updateTerms(ctx *Context, t *schema.Tuple, fromLeft bool) {
+	if j.firstL == nil || j.firstR == nil {
+		return
+	}
+	if !j.lDone && (fromLeft || t == j.firstR) {
+		j.leftTerm = j.combinedUB(ctx, j.lastL, j.firstR)
+	}
+	if !j.rDone && (!fromLeft || t == j.firstL) {
+		j.rightTerm = j.combinedUB(ctx, j.firstL, j.lastR)
 	}
 }
 
@@ -143,7 +164,7 @@ func (j *RankJoin) Next(ctx *Context) (*schema.Tuple, error) {
 			return nil, err
 		}
 		if !j.queue.empty() {
-			if t := j.queue.top(); t.Score >= j.threshold(ctx) {
+			if t := j.queue.top(); t.Score >= j.threshold() {
 				ctx.Stats.buffer(-1)
 				return j.emit(j.queue.pop()), nil
 			}
@@ -172,12 +193,12 @@ func (j *RankJoin) Next(ctx *Context) (*schema.Tuple, error) {
 		}
 		if t == nil {
 			if fromLeft {
-				j.lDone = true
+				j.lDone, j.leftTerm = true, math.Inf(-1)
 				if j.firstL == nil {
 					j.nothingJoinable = true
 				}
 			} else {
-				j.rDone = true
+				j.rDone, j.rightTerm = true, math.Inf(-1)
 				if j.firstR == nil {
 					j.nothingJoinable = true
 				}
@@ -195,6 +216,7 @@ func (j *RankJoin) Next(ctx *Context) (*schema.Tuple, error) {
 			}
 			j.lastR = t
 		}
+		j.updateTerms(ctx, t, fromLeft)
 		if err := j.probe(ctx, t, fromLeft); err != nil {
 			return nil, err
 		}

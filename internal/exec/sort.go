@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -246,8 +247,15 @@ func (l *Limit) Open(ctx *Context) error {
 }
 
 // Extend moves the quota to n tuples past what has been emitted so far:
-// the next page of a stream that outlives the statement's k.
-func (l *Limit) Extend(n int) { l.quota = l.n + n }
+// the next page of a stream that outlives the statement's k. The quota
+// saturates at math.MaxInt, so a page of any size reads the rest of the
+// stream.
+func (l *Limit) Extend(n int) {
+	if n > math.MaxInt-l.n {
+		n = math.MaxInt - l.n
+	}
+	l.quota = l.n + n
+}
 
 // Next implements Operator.
 func (l *Limit) Next(ctx *Context) (*schema.Tuple, error) {

@@ -45,13 +45,7 @@ func TestRunAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	cfg := baseConfig()
-	cfg.Size = 10000
-	cfg.JoinSelectivity = 0.001
-	db, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := getDB(t, qConfig())
 	q := db.Query()
 	q.K = 10
 	res, err := optimizer.Optimize(q, optimizer.DefaultOptions())

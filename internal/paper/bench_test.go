@@ -29,8 +29,8 @@ var (
 	dbCache = map[Config]*DB{}
 )
 
-func getDB(b *testing.B, cfg Config) *DB {
-	b.Helper()
+func getDB(tb testing.TB, cfg Config) *DB {
+	tb.Helper()
 	dbMu.Lock()
 	defer dbMu.Unlock()
 	if db, ok := dbCache[cfg]; ok {
@@ -38,7 +38,7 @@ func getDB(b *testing.B, cfg Config) *DB {
 	}
 	db, err := Build(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	dbCache[cfg] = db
 	return db
@@ -48,6 +48,15 @@ func baseConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Size = benchSize
 	cfg.JoinSelectivity = 0.002 // 500 distinct join values
+	return cfg
+}
+
+// qConfig is the scale of the benchmark's embed_join workload:
+// s = 10 000, j = 0.001.
+func qConfig() Config {
+	cfg := baseConfig()
+	cfg.Size = 10000
+	cfg.JoinSelectivity = 0.001
 	return cfg
 }
 
@@ -176,10 +185,7 @@ func BenchmarkOptimizer(b *testing.B) {
 // benchmark's embed_join workload reads), for k ∈ {1, 10, 100}. The plan
 // is optimized once per k; each iteration builds, opens and drains it.
 func BenchmarkChosenPlanQ(b *testing.B) {
-	cfg := baseConfig()
-	cfg.Size = 10000
-	cfg.JoinSelectivity = 0.001
-	db := getDB(b, cfg)
+	db := getDB(b, qConfig())
 	for _, k := range []int{1, 10, 100} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			q := db.Query()

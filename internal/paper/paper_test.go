@@ -245,17 +245,17 @@ func TestFigure13Pinned(t *testing.T) {
 		Plan1: {{"mergeJoin", 41518, 128000}, {"sort_jc2/asc", 5219, 4800}, {"mergeJoin", 5219, 4800},
 			{"idxScan_jc1(A)", 4000, 4000}, {"idxScan_jc1(B)", 4000, 4000}, {"idxScan_jc2(C)", 4000, 4000}},
 		Plan2: {{"HRJN", 17, 147.52205874125875}, {"rank_f2(A.p2)", 119, 325.0285714285714},
-			{"idxScan_f1(A.p1)(A)", 1677, 3160}, {"rank_f4(B.p2)", 208, 226.93706293706293},
-			{"idxScan_f3(B.p1)(B)", 1956, 2440}, {"idxScan_f5(C.p1)(C)", 1719, 3320}},
+			{"idxScan_f1(A.p1)(A)", 1677, 3160}, {"rank_f4(B.p2)", 207, 226.93706293706293},
+			{"idxScan_f3(B.p1)(B)", 1956, 2440}, {"idxScan_f5(C.p1)(C)", 849, 3320}},
 		Plan3: {{"HRJN", 17, 147.52205874125875}, {"rank_f2(A.p2)", 119, 325.0285714285714},
-			{"idxScan_f1(A.p1)(A)", 1677, 3160}, {"rank_f4(B.p2)", 208, 226.93706293706293},
-			{"rank_f3(B.p1)", 1956, 2440}, {"seqScan(B)", 4000, 4000}, {"idxScan_f5(C.p1)(C)", 1719, 3320}},
+			{"idxScan_f1(A.p1)(A)", 1677, 3160}, {"rank_f4(B.p2)", 207, 226.93706293706293},
+			{"rank_f3(B.p1)", 1956, 2440}, {"seqScan(B)", 4000, 4000}, {"idxScan_f5(C.p1)(C)", 849, 3320}},
 		Plan4: {{"rank_f4(B.p2)", 17, 11.111111111111112}, {"rank_f3(B.p1)", 114, 44.44444444444445},
 			{"rank_f2(A.p2)", 476, 266.6666666666667}, {"rank_f1(A.p1)", 2346, 1600}, {"mergeJoin", 5219, 4800},
-			{"idxScan_jc1(A)", 4000, 4000}, {"idxScan_jc1(B)", 4000, 4000}, {"idxScan_f5(C.p1)(C)", 1719, 3320}},
+			{"idxScan_jc1(A)", 4000, 4000}, {"idxScan_jc1(B)", 4000, 4000}, {"idxScan_f5(C.p1)(C)", 849, 3320}},
 		PlanOpt: {{"rank_f2(A.p2)", 17, 95.6161491841492}, {"HRJN", 146, 573.6968951048951},
 			{"rank_f4(B.p2)", 232, 226.93706293706293}, {"idxScan_f3(B.p1)(B)", 1964, 2440},
-			{"idxScan_f1(A.p1)(A)", 1797, 3160}, {"idxScan_f5(C.p1)(C)", 1719, 3320}},
+			{"idxScan_f1(A.p1)(A)", 1677, 3160}, {"idxScan_f5(C.p1)(C)", 849, 3320}},
 	}
 	for _, id := range append(AllPlans, PlanOpt) {
 		got, err := Figure13(db, id)
@@ -356,5 +356,32 @@ func TestOptimizerChoiceOnDefaults(t *testing.T) {
 	}
 	if f := AccurateFraction(ops); f < 0.8 {
 		t.Errorf("Figure 13 pairs of the chosen plan: %.2f within an order of magnitude, want ≥ 0.8: %+v", f, ops)
+	}
+}
+
+// TestChosenPlanQDepth caps the tuples Q's chosen plan scans at the
+// embed_join scale (BenchmarkChosenPlanQ): its two rank joins draw from
+// the side whose corner term of the threshold is larger (HRJN*), and scan
+// 6 008 / 9 464 / 14 100 tuples at k = 1 / 10 / 100. Drawing from the side
+// whose last bound is larger scanned 7 184 / 11 123 / 16 062.
+func TestChosenPlanQDepth(t *testing.T) {
+	db := getDB(t, qConfig())
+	for _, c := range []struct {
+		k   int
+		max int64
+	}{{1, 6100}, {10, 9600}, {100, 14300}} {
+		q := db.Query()
+		q.K = c.k
+		res, err := optimizer.Optimize(q, optimizer.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Run(db, res.Plan.Children[0], c.k) // below the optimizer's λ_k
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Stats.TuplesScanned; got > c.max {
+			t.Errorf("k=%d: chosen plan scans %d tuples, cap %d\n%s", c.k, got, c.max, res.Plan)
+		}
 	}
 }
